@@ -69,6 +69,7 @@ from .solver import (
     run,
     select_blocks,
     step,
+    step_parameters,
 )
 
 __version__ = "0.1.0"
@@ -107,6 +108,7 @@ __all__ = [
     "make_scheduler",
     "select_blocks",
     "step",
+    "step_parameters",
     "residual",
     "run",
     "TwoArcInstance",

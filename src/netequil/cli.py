@@ -2,7 +2,7 @@
 
     netequil solve <problem> [--out FILE] [--trace FILE] [--tol X]
                    [--max-iter N] [--scheduler full|roundrobin:K|randomsweep:p]
-                   [--seed N] [--threads N] [--timing] [--quiet]
+                   [--seed N] [--timing] [--quiet]
     netequil check <problem> <solution> [--tol X] [--quiet]
     netequil selftest
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -50,11 +49,6 @@ def _build_parser():
     )
     sol.add_argument("--seed", type=int, help="random-sweep seed override")
     sol.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for arc blocks (default: NETEQUIL_THREADS or 1)",
-    )
-    sol.add_argument(
         "--timing",
         action="store_true",
         help="record wall time in the trace (breaks bitwise trace reproducibility)",
@@ -78,10 +72,6 @@ def _apply_overrides(problem, args):
         updates["tol"] = args.tol
     if args.max_iter is not None:
         updates["max_iter"] = args.max_iter
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    elif os.environ.get("NETEQUIL_THREADS"):
-        updates["threads"] = int(os.environ["NETEQUIL_THREADS"])
     if args.scheduler is not None:
         seed = args.seed if args.seed is not None else _scheduler_seed(cfg)
         sched, t_default = fileio._parse_scheduler(args.scheduler, seed, "flags", 0)
@@ -105,14 +95,15 @@ def _cmd_solve(args):
     state, trace, reason = solver.run(net, ops, cfg)
     # the stopping rule watches the splitting residual; tighten until the
     # equilibrium-inclusion residual of the written solution passes the
-    # same tolerance, so `check` accepts everything `solve` emits
+    # same tolerance, so `check` accepts everything `solve` emits; the reruns
+    # share the iteration budget of the first run
     if reason is Termination.CONVERGED:
         tighter = cfg
         for _ in range(5):
             wr = oracle.wardrop_residual(net, ops, state.x, state.v)
             if wr <= cfg.tol or state.n >= cfg.max_iter:
                 break
-            tighter = replace(tighter, tol=tighter.tol / 10.0)
+            tighter = replace(tighter, tol=tighter.tol / 10.0, max_iter=cfg.max_iter - state.n)
             state, extra, reason = solver.run(net, ops, tighter, state=state)
             trace.extend(extra)
             if reason is not Termination.CONVERGED:

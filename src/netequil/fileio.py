@@ -419,7 +419,7 @@ _SOLVER_KEYS = {
     "tol",
     "max_iter",
     "check_interval",
-    "threads",
+    "threads",  # obsolete: read and ignored, with a warning
 }
 
 
@@ -590,8 +590,14 @@ def _parse_solver_section(entries):
         tol=take_float("tol", 1e-6),
         max_iter=take_int("max_iter", 10**6),
         check_interval=take_int("check_interval", 10),
-        threads=take_int("threads", 1),
     )
+    if "threads" in raw:
+        take_int("threads", 1)  # still rejects a value that is not an integer
+        warnings.warn(
+            f"line {raw['threads'][0]}: solver key 'threads' is obsolete and ignored",
+            ProblemFormatWarning,
+            stacklevel=3,
+        )
     try:
         return SolverConfig(**kwargs)
     except ConfigurationError as exc:
@@ -693,7 +699,6 @@ def serialize_problem(problem):
     out.write(f"tol = {_fmt(cfg.tol)}\n")
     out.write(f"max_iter = {cfg.max_iter}\n")
     out.write(f"check_interval = {cfg.check_interval}\n")
-    out.write(f"threads = {cfg.threads}\n")
     return out.getvalue()
 
 

@@ -73,6 +73,10 @@ class Network:
         self.arcs = tuple(
             (self.nodes[t], self.nodes[h]) for t, h in zip(tails, heads)
         )
+        # flat (node, commodity) slot of every entry of [x; -x], for divergence
+        n_comm = len(self.commodities)
+        ends = np.concatenate([self.tails, self.heads])
+        self._div_slots = (ends[:, None] * n_comm + np.arange(n_comm)).ravel()
 
     @property
     def n_nodes(self):
@@ -145,10 +149,9 @@ class Network:
         arc order, so results are bitwise reproducible across runs.
         """
         x = self.check_flow(x)
-        out = np.zeros((self.n_nodes, self.n_commodities))
-        np.add.at(out, self.tails, x)
-        np.subtract.at(out, self.heads, x)
-        return out
+        weights = np.concatenate([x, -x]).ravel()
+        out = np.bincount(self._div_slots, weights, self.n_nodes * self.n_commodities)
+        return out.reshape(self.n_nodes, self.n_commodities)
 
     def tension(self, v):
         """Per-arc potential difference head minus tail, an (n_arcs, C) array."""

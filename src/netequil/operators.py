@@ -7,8 +7,9 @@ an arc and are lifted to R^C (one coordinate per commodity) by a uniform
 shift; box constraint sets resolve to projections, and fixed node
 supplies resolve to constants.
 
-All specs are immutable and validate their parameters at construction;
-resolvent evaluation itself is total and never raises on any real input.
+All specs are immutable and validate their parameters at construction.
+Resolvent evaluation is total on real input; the only error it raises is
+NumericalFailure, when the BPR root refinement stalls.
 
 Scalar capacity families
 ------------------------
@@ -28,19 +29,33 @@ Scalar capacity families
                  after the prox of phi (supported phi: affine, quadratic,
                  |.|**q for q in {1, 3/2, 2}, or a user-supplied prox).
 
+Batched kernels
+---------------
+Each family has one resolvent implementation, a kernel
+``kernel(gamma, xi, *params)`` acting elementwise on equal-length 1-d
+arrays; ``spec.family()`` names a spec's kernel and its parameters.  An
+``OperatorSet`` groups its arcs by kernel and evaluates each group in one
+call; ``spec.resolvent`` and ``phi.prox`` are the size-1 case.  BPR runs a
+safeguarded Newton iteration and Logarithmic/PowerExp a Halley iteration
+(inside ``lambert_w_exp``); both iterate only on the still-unconverged
+elements, so an element's result does not depend on which other arcs
+share its batch.  A user-supplied ``CustomPhi`` prox is the one family
+evaluated by a scalar loop.
+
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation) for diagnostics; the solver itself never calls them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .lambertw import lambert_w_exp
 
 __all__ = [
@@ -70,12 +85,165 @@ def _require(cond, what):
 
 
 # --------------------------------------------------------------------------
+# batched resolvent kernels: kernel(gamma, xi, *params) on 1-d arrays
+# --------------------------------------------------------------------------
+
+_BPR_MAX_ITER = 200
+
+
+def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
+    """BPR resolvent: xi - gamma*theta below the kink, else the root below.
+
+    With c = xi - gamma*theta >= 0 and k = alpha*gamma*theta/rho**p, the
+    output is the unique root s >= 0 of f(s) = k*s**p + s - c.  f(0) = -c
+    and f(c) = k*c**p bracket it; safeguarded Newton falls back to
+    bisection whenever a step leaves the bracket.  Terminates on the
+    equation residual (not the bracket width) so that steep cases with
+    p < 1 still satisfy the resolvent identity, or where Newton stalls.
+    """
+    gt = gamma * theta
+    c = xi - gt
+    # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
+    out = np.where(c == np.inf, np.nan, c)
+    live = np.flatnonzero((c > 0.0) & (c < np.inf))
+    if not live.size:
+        return out
+    c, p = c[live], p[live]
+    k = alpha[live] * gt[live] / rho[live] ** p
+    kp, pm1 = k * p, p - 1.0
+    # linearizing k*s**p around s = c gives a starting point inside (0, c]
+    s = c / (1.0 + k * c**pm1)
+    stray = ~((0.0 < s) & (s <= c))
+    if np.count_nonzero(stray):
+        np.copyto(s, 0.5 * c, where=stray)
+    ftol = 1e-13 * np.maximum(1.0, c)
+    lo, hi = np.zeros_like(c), c.copy()
+    for _ in range(_BPR_MAX_ITER):
+        q = s**pm1
+        f = k * (s * q) + s - c
+        up = f > 0.0
+        np.copyto(hi, s, where=up)
+        np.copyto(lo, s, where=~up)
+        t = s - f / (kp * q + 1.0)
+        stray = ~((lo < t) & (t < hi))
+        if np.count_nonzero(stray):
+            np.copyto(t, 0.5 * (lo + hi), where=stray)
+        absf = np.abs(f)
+        done = (absf <= ftol) | (t == s)
+        if np.count_nonzero(done):
+            # where Newton stalls short of ftol, accept a looser residual
+            if np.count_nonzero(absf[done] > 1e4 * ftol[done]):
+                raise NumericalFailure("BPR root refinement stalled")
+            out[live[done]] = s[done]
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return out
+            live, t = live[keep], t[keep]
+            c, k, kp, pm1, ftol, lo, hi = (v[keep] for v in (c, k, kp, pm1, ftol, lo, hi))
+        s = t
+    if np.count_nonzero(np.abs(k * (s * s**pm1) + s - c) > 1e4 * ftol):
+        raise NumericalFailure("BPR root refinement stalled")
+    out[live] = s
+    return out
+
+
+def _log_kernel(gamma, xi, omega, theta):
+    z = np.log(omega / gamma) + theta + (omega - xi) / gamma
+    # where W underflowed the exact value sits strictly below omega
+    return np.minimum(omega - gamma * lambert_w_exp(z), np.nextafter(omega, -np.inf))
+
+
+def _trc_kernel(gamma, xi, alpha, beta, delta, omega):
+    ga = gamma * alpha
+    m = xi - gamma * delta
+    root = np.sqrt(ga * ga * (m - omega) ** 2 + (2.0 * ga + 1.0) * gamma * gamma * beta)
+    return (-root + ga * (m + omega) + m) / (2.0 * ga + 1.0)
+
+
+def _powerexp_kernel(gamma, xi, pl, theta):
+    """PowerExp resolvent; `pl` is p*log(alpha)."""
+    z = np.log(gamma * theta * pl) + pl * xi
+    return xi - lambert_w_exp(z) / pl
+
+
+# The interval-prox kernels take (lo, hi) first and clamp the prox of phi
+# into [lo, hi]; phi.prox on its own is the case lo = -inf, hi = inf.
+
+
+def _clamp(s, lo, hi):
+    return np.minimum(np.maximum(s, lo), hi)
+
+
+def _affine_kernel(gamma, xi, lo, hi, a):
+    return _clamp(xi - gamma * a, lo, hi)
+
+
+def _quadratic_kernel(gamma, xi, lo, hi, a):
+    return _clamp(xi / (1.0 + gamma * a), lo, hi)
+
+
+def _power_kernel(gamma, xi, lo, hi, q):
+    mag = np.abs(xi)
+    # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
+    u = 0.5 * (-1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * mag))
+    s = np.where(
+        q == 1.0,
+        np.copysign(np.maximum(mag - gamma, 0.0), xi),
+        np.where(q == 2.0, xi / (1.0 + 2.0 * gamma), np.copysign(u * u, xi)),
+    )
+    return _clamp(s, lo, hi)
+
+
+def _custom_kernel(gamma, xi, lo, hi, phi):
+    """The scalar fallback: one user prox call per element."""
+    s = [f.prox(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
+    return _clamp(np.array(s, dtype=float), lo, hi)
+
+
+def _stack(rows, n, width):
+    """n tuples of `width` floats as an (n, width) array."""
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, n * width)
+    return flat.reshape(n, width)
+
+
+def _column(values):
+    try:
+        return np.array(values, dtype=float)
+    except TypeError:  # user-supplied phi objects
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+        return col
+
+
+def _columns(rows):
+    """Per-arc parameter tuples as one contiguous 1-d array per parameter."""
+    try:
+        return tuple(_stack(rows, len(rows), len(rows[0])).T.copy())
+    except TypeError:  # a column of user-supplied phi objects
+        return tuple(_column(values) for values in zip(*rows))
+
+
+def _call1(kernel, gamma, xi, params):
+    """A kernel at a single point: the size-1 batch."""
+    gamma_xi = np.array([[gamma], [xi]], dtype=float)
+    return float(kernel(gamma_xi[0], gamma_xi[1], *_columns([params]))[0])
+
+
+class _Capacity:
+    """Scalar capacity spec whose resolvent is the size-1 case of its family kernel."""
+
+    def resolvent(self, gamma, xi):
+        kernel, params = self.family()
+        return _call1(kernel, gamma, xi, params)
+
+
+# --------------------------------------------------------------------------
 # scalar capacity operators
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BPR:
+class BPR(_Capacity):
     """Bureau of Public Roads congestion cost."""
 
     alpha: float
@@ -86,7 +254,8 @@ class BPR:
     def __post_init__(self):
         for name in ("alpha", "rho", "theta", "p"):
             val = getattr(self, name)
-            _require(math.isfinite(val) and val > 0, f"BPR requires {name} > 0")
+            if not (math.isfinite(val) and val > 0):
+                raise ConfigurationError(f"BPR requires {name} > 0")
 
     def value(self, s):
         if s < 0:
@@ -97,54 +266,12 @@ class BPR:
         v = self.value(s)
         return (v, v)
 
-    def resolvent(self, gamma, xi):
-        gt = gamma * self.theta
-        if xi < gt:
-            return xi - gt
-        k = self.alpha * gt / self.rho**self.p
-        return _bpr_root(k, self.p, xi - gt)
-
-
-def _bpr_root(k, p, c):
-    """Unique root s >= 0 of k*s**p + s - c = 0, for k > 0, p > 0, c >= 0.
-
-    f(0) = -c <= 0 and f(c) = k*c**p >= 0 bracket the root; safeguarded
-    Newton falls back to bisection whenever a step leaves the bracket.
-    Terminates on the equation residual (not the bracket width) so that
-    steep cases with p < 1 still satisfy the resolvent identity.
-    """
-    if not math.isfinite(c):
-        return math.nan  # surfaces as a numerical failure in the solver
-    if c == 0.0:
-        return 0.0
-    ftol = 1e-13 * max(1.0, c)
-    lo, hi = 0.0, c
-    # linearizing k*s**p around s = c gives a starting point inside (0, c]
-    s = c / (1.0 + k * c ** (p - 1.0))
-    if not 0.0 < s <= c:
-        s = 0.5 * c
-    f = k * s**p + s - c
-    for _ in range(200):
-        if abs(f) <= ftol:
-            return s
-        if f > 0.0:
-            hi = s
-        else:
-            lo = s
-        d = k * p * s ** (p - 1.0) + 1.0
-        s_new = s - f / d if math.isfinite(d) and d > 0.0 else s
-        if not lo < s_new < hi or s_new == s:
-            s_new = 0.5 * (lo + hi)
-        if s_new == s or hi - lo <= 2.0 * math.ulp(hi):
-            break
-        s = s_new
-        f = k * s**p + s - c
-    assert abs(f) <= 1e-9 * max(1.0, c), "BPR root refinement stalled"
-    return s
+    def family(self):
+        return _bpr_kernel, (self.alpha, self.rho, self.theta, self.p)
 
 
 @dataclass(frozen=True)
-class Logarithmic:
+class Logarithmic(_Capacity):
     """Logarithmic capacity cost theta + log(omega/(omega - s)) on s < omega."""
 
     omega: float
@@ -163,17 +290,12 @@ class Logarithmic:
         v = self.value(s)
         return None if v is None else (v, v)
 
-    def resolvent(self, gamma, xi):
-        z = math.log(self.omega / gamma) + self.theta + (self.omega - xi) / gamma
-        s = self.omega - gamma * lambert_w_exp(z)
-        if s >= self.omega:
-            # W underflowed; the exact value sits strictly below omega
-            s = math.nextafter(self.omega, -math.inf)
-        return s
+    def family(self):
+        return _log_kernel, (self.omega, self.theta)
 
 
 @dataclass(frozen=True)
-class TRC:
+class TRC(_Capacity):
     """Traffic Research Corporation capacity cost."""
 
     alpha: float
@@ -184,7 +306,8 @@ class TRC:
     def __post_init__(self):
         for name in ("alpha", "beta", "delta", "omega"):
             val = getattr(self, name)
-            _require(math.isfinite(val) and val > 0, f"TRC requires {name} > 0")
+            if not (math.isfinite(val) and val > 0):
+                raise ConfigurationError(f"TRC requires {name} > 0")
 
     def value(self, s):
         d = s - self.omega
@@ -194,15 +317,12 @@ class TRC:
         v = self.value(s)
         return (v, v)
 
-    def resolvent(self, gamma, xi):
-        ga = gamma * self.alpha
-        m = xi - gamma * self.delta
-        root = math.sqrt(ga * ga * (m - self.omega) ** 2 + (2.0 * ga + 1.0) * gamma * gamma * self.beta)
-        return (-root + ga * (m + self.omega) + m) / (2.0 * ga + 1.0)
+    def family(self):
+        return _trc_kernel, (self.alpha, self.beta, self.delta, self.omega)
 
 
 @dataclass(frozen=True)
-class PowerExp:
+class PowerExp(_Capacity):
     """Exponential capacity cost theta*alpha**(p*s), alpha > 1."""
 
     alpha: float
@@ -221,10 +341,8 @@ class PowerExp:
         v = self.value(s)
         return (v, v)
 
-    def resolvent(self, gamma, xi):
-        pl = self.p * math.log(self.alpha)
-        z = math.log(gamma * self.theta * pl) + pl * xi
-        return xi - lambert_w_exp(z) / pl
+    def family(self):
+        return _powerexp_kernel, (self.p * math.log(self.alpha), self.theta)
 
 
 # --------------------------------------------------------------------------
@@ -232,8 +350,16 @@ class PowerExp:
 # --------------------------------------------------------------------------
 
 
+class _Phi:
+    """phi with a batched prox kernel; prox alone is the unbounded-interval case."""
+
+    def prox(self, gamma, xi):
+        kernel, params = self.prox_family()
+        return _call1(kernel, gamma, xi, (-math.inf, math.inf) + params)
+
+
 @dataclass(frozen=True)
-class AffinePhi:
+class AffinePhi(_Phi):
     """phi(s) = a*s + b."""
 
     a: float
@@ -242,15 +368,15 @@ class AffinePhi:
     def __post_init__(self):
         _require(math.isfinite(self.a) and math.isfinite(self.b), "AffinePhi requires finite coefficients")
 
-    def prox(self, gamma, xi):
-        return xi - gamma * self.a
+    def prox_family(self):
+        return _affine_kernel, (self.a,)
 
     def subdiff(self, s):
         return (self.a, self.a)
 
 
 @dataclass(frozen=True)
-class QuadraticPhi:
+class QuadraticPhi(_Phi):
     """phi(s) = 0.5*a*s**2 with a >= 0."""
 
     a: float
@@ -258,8 +384,8 @@ class QuadraticPhi:
     def __post_init__(self):
         _require(math.isfinite(self.a) and self.a >= 0, "QuadraticPhi requires a >= 0")
 
-    def prox(self, gamma, xi):
-        return xi / (1.0 + gamma * self.a)
+    def prox_family(self):
+        return _quadratic_kernel, (self.a,)
 
     def subdiff(self, s):
         g = self.a * s
@@ -267,7 +393,7 @@ class QuadraticPhi:
 
 
 @dataclass(frozen=True)
-class PowerPhi:
+class PowerPhi(_Phi):
     """phi(s) = |s|**q for q in {1, 3/2, 2} (closed-form prox catalog)."""
 
     q: float
@@ -275,14 +401,8 @@ class PowerPhi:
     def __post_init__(self):
         _require(self.q in (1.0, 1.5, 2.0), "PowerPhi supports q in {1, 1.5, 2} only")
 
-    def prox(self, gamma, xi):
-        if self.q == 1.0:
-            return math.copysign(max(abs(xi) - gamma, 0.0), xi)
-        if self.q == 2.0:
-            return xi / (1.0 + 2.0 * gamma)
-        # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
-        u = 0.5 * (-1.5 * gamma + math.sqrt(2.25 * gamma * gamma + 4.0 * abs(xi)))
-        return math.copysign(u * u, xi)
+    def prox_family(self):
+        return _power_kernel, (self.q,)
 
     def subdiff(self, s):
         if self.q == 1.0:
@@ -309,7 +429,7 @@ class CustomPhi:
 
 
 @dataclass(frozen=True)
-class IntervalProx:
+class IntervalProx(_Capacity):
     """Capacity operator given by the subdifferential of phi + interval indicator.
 
     The resolvent is the interval projection applied after prox of phi:
@@ -347,8 +467,11 @@ class IntervalProx:
             hi_g = math.inf
         return (lo_g, hi_g)
 
-    def resolvent(self, gamma, xi):
-        return min(max(self.phi.prox(gamma, xi), self.lo), self.hi)
+    def family(self):
+        if isinstance(self.phi, _Phi):
+            kernel, params = self.phi.prox_family()
+            return kernel, (self.lo, self.hi) + params
+        return _custom_kernel, (self.lo, self.hi, self.phi)
 
 
 def scalar_resolvent(spec, gamma, xi):
@@ -375,7 +498,7 @@ class SeparableLift:
     scalar: object
 
     def __post_init__(self):
-        _require(hasattr(self.scalar, "resolvent"), "SeparableLift needs a scalar capacity spec")
+        _require(hasattr(self.scalar, "family"), "SeparableLift needs a scalar capacity spec")
 
     def resolvent(self, gamma, x):
         x = np.asarray(x, dtype=float)
@@ -389,6 +512,9 @@ def lift_resolvent(lift, gamma, x):
     """Resolvent of a SeparableLift at the vector x (convenience wrapper)."""
     return lift.resolvent(gamma, x)
 
+def _float_tuple(values):
+    return tuple(np.atleast_1d(np.asarray(values, dtype=float)).tolist())
+
 
 @dataclass(frozen=True)
 class Box:
@@ -398,8 +524,8 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+        lo = _float_tuple(self.lo)
+        hi = _float_tuple(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         _require(len(lo) == len(hi), "Box bounds must have equal length")
@@ -439,7 +565,7 @@ class FixedSupply:
     supply: tuple
 
     def __post_init__(self):
-        supply = tuple(float(v) for v in np.atleast_1d(self.supply))
+        supply = _float_tuple(self.supply)
         object.__setattr__(self, "supply", supply)
 
     def resolvent(self, sigma, y):
@@ -451,7 +577,9 @@ class OperatorSet:
     """Per-arc and per-node operator specs bound to one network.
 
     Stacks the box bounds into (n_arcs, C) arrays and the supplies into an
-    (n_nodes, C) array so the solver can evaluate whole blocks at once.
+    (n_nodes, C) array, and groups the arcs by capacity family with each
+    family's parameters as per-arc arrays, so the solver can evaluate
+    whole blocks at once.
     """
 
     def __init__(self, network, arc_operators, node_operators):
@@ -466,11 +594,18 @@ class OperatorSet:
                 f"{len(node_operators)} node operators for {network.n_nodes} nodes"
             )
         n_comm = network.n_commodities
+        groups = {}  # kernel -> (arc indices, parameter tuples)
         for j, op in enumerate(arc_operators):
             if len(op.r.lo) != n_comm:
                 raise ConfigurationError(
                     f"arc {j}: box has {len(op.r.lo)} intervals for {n_comm} commodities"
                 )
+            kernel, params = op.q.scalar.family()
+            group = groups.get(kernel)
+            if group is None:
+                group = groups[kernel] = ([], [])
+            group[0].append(j)
+            group[1].append(params)
         for i, op in enumerate(node_operators):
             if len(op.supply) != n_comm:
                 raise ConfigurationError(
@@ -480,6 +615,44 @@ class OperatorSet:
         self.network = network
         self.arc_operators = arc_operators
         self.node_operators = node_operators
-        self.box_lo = np.array([op.r.lo for op in arc_operators], dtype=float)
-        self.box_hi = np.array([op.r.hi for op in arc_operators], dtype=float)
-        self.supplies = np.array([op.supply for op in node_operators], dtype=float)
+        n_arcs = len(arc_operators)
+        self.box_lo = _stack((op.r.lo for op in arc_operators), n_arcs, n_comm)
+        self.box_hi = _stack((op.r.hi for op in arc_operators), n_arcs, n_comm)
+        self.supplies = _stack((op.supply for op in node_operators), len(node_operators), n_comm)
+
+        # (kernel, arc indices, per-arc parameter arrays) per family
+        self.families = tuple(
+            (kernel, np.array(arcs, dtype=np.intp), _columns(rows))
+            for kernel, (arcs, rows) in groups.items()
+        )
+        self._arc_family = np.empty(network.n_arcs, dtype=np.intp)
+        self._arc_member = np.empty(network.n_arcs, dtype=np.intp)
+        for f, (_, arcs, _) in enumerate(self.families):
+            self._arc_family[arcs] = f
+            self._arc_member[arcs] = np.arange(arcs.size)
+
+    def capacity_resolvent(self, arcs, gamma, x):
+        """Capacity-lift resolvents of the listed arcs, one row each.
+
+        `arcs` holds distinct arc indices in ascending order; row k of the
+        (len(arcs), C) array `x` and the step parameter gamma[k] belong to
+        arc arcs[k].  Each row total is resolved by its family kernel with
+        parameter C*gamma, and the row is shifted uniformly to match
+        (see SeparableLift).
+        """
+        n = x.shape[1]
+        total = x.sum(axis=1)
+        scaled = n * gamma
+        out = np.empty_like(total)
+        if arcs.size == self.network.n_arcs:
+            for kernel, members, params in self.families:
+                out[members] = kernel(scaled[members], total[members], *params)
+        else:
+            family = self._arc_family[arcs]
+            member = self._arc_member[arcs]
+            for f, (kernel, _, params) in enumerate(self.families):
+                rows = np.flatnonzero(family == f)
+                if rows.size:
+                    pick = member[rows]
+                    out[rows] = kernel(scaled[rows], total[rows], *(a[pick] for a in params))
+        return x + ((out - total) / n)[:, None]

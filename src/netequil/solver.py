@@ -22,15 +22,16 @@ and augments tau with the primal agreement terms |q - x| and
 |s - div x|; it vanishes exactly at solutions and is what the stopping
 rule monitors every ``check_interval`` iterations.
 
-Reductions for tau and pi always run in ascending arc-then-node order, so
-runs are bitwise reproducible regardless of scheduling or threading.
+Reductions for tau and pi always run in ascending arc-then-node order,
+and each capacity resolvent depends only on its own arc's input, not on
+which other arcs are evaluated with it, so runs are bitwise reproducible
+under every scheduler.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -51,6 +52,7 @@ __all__ = [
     "new_workspace",
     "make_scheduler",
     "select_blocks",
+    "step_parameters",
     "step",
     "residual",
     "run",
@@ -229,7 +231,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 10**6
     check_interval: int = 10
-    threads: int = 1
 
     def __post_init__(self):
         if isinstance(self.relaxation, tuple):
@@ -248,8 +249,6 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be nonnegative")
         if self.check_interval < 1:
             raise ConfigurationError("check_interval must be at least 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be at least 1")
 
     def relaxation_at(self, n):
         if isinstance(self.relaxation, tuple):
@@ -268,6 +267,19 @@ def _positive_per_entity(value, size, name):
     if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
         raise ConfigurationError(f"{name} must be strictly positive")
     return arr
+
+
+def step_parameters(net, cfg):
+    """Validated per-entity (gamma, mu, sigma) arrays of cfg on net.
+
+    `run` computes them once and hands them to every `step` and
+    `residual`; direct calls that omit them validate cfg themselves.
+    """
+    return (
+        _positive_per_entity(cfg.gamma, net.n_arcs, "gamma"),
+        _positive_per_entity(cfg.mu, net.n_arcs, "mu"),
+        _positive_per_entity(cfg.sigma, net.n_nodes, "sigma"),
+    )
 
 
 @dataclass
@@ -346,50 +358,27 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _lift_rows(ops, gammas, arc_idx, inputs, out, pool=None):
-    """Capacity resolvents for the listed arcs; writes rows of `out`."""
-
-    def eval_range(lo, hi):
-        for k in range(lo, hi):
-            j = arc_idx[k]
-            out[j] = ops.arc_operators[j].q.resolvent(gammas[j], inputs[k])
-
-    if pool is None or len(arc_idx) < 2:
-        eval_range(0, len(arc_idx))
-        return
-    workers = pool._max_workers
-    bounds = np.linspace(0, len(arc_idx), workers + 1, dtype=int)
-    futures = [
-        pool.submit(eval_range, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    for fut in futures:
-        fut.result()
-
-
-def _evaluate_blocks(net, ops, gammas, mus, sigmas, state, ws, arc_mask, node_mask, pool=None):
+def _evaluate_blocks(net, ops, params, state, ws, arc_mask, node_mask):
     """One sweep of the block evaluations; fills ws and returns (tau, pi, div_x).
 
     Runs with numpy float warnings silenced: non-finite values are caught
     explicitly by the caller and reported as NumericalFailure.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate_blocks_inner(
-            net, ops, gammas, mus, sigmas, state, ws, arc_mask, node_mask, pool
-        )
+        return _evaluate_blocks_inner(net, ops, params, state, ws, arc_mask, node_mask)
 
 
-def _evaluate_blocks_inner(net, ops, gammas, mus, sigmas, state, ws, arc_mask, node_mask, pool):
+def _evaluate_blocks_inner(net, ops, params, state, ws, arc_mask, node_mask):
+    gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
     tension_v = net.tension(v)
 
     act = np.flatnonzero(arc_mask)
     if act.size:
         lstar = xstar[act] - tension_v[act]
-        gam = gammas[act, None]
-        _lift_rows(ops, gammas, act, x[act] - gam * lstar, ws.q, pool)
-        ws.qstar[act] = (x[act] - ws.q[act]) / gam - lstar
+        gam = gammas[act]
+        ws.q[act] = ops.capacity_resolvent(act, gam, x[act] - gam[:, None] * lstar)
+        ws.qstar[act] = (x[act] - ws.q[act]) / gam[:, None] - lstar
         mu = mus[act, None]
         ws.r[act] = np.minimum(np.maximum(x[act] + mu * xstar[act], ops.box_lo[act]), ops.box_hi[act])
         ws.rstar[act] = xstar[act] + (x[act] - ws.r[act]) / mu
@@ -418,17 +407,17 @@ def _evaluate_blocks_inner(net, ops, gammas, mus, sigmas, state, ws, arc_mask, n
     return tau, pi, div_x
 
 
-def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, pool=None):
+def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs`/`active_nodes` are boolean masks; omitting them
     activates everything.  The workspace caches must be valid for the
-    inactive blocks (iteration 0 must activate all blocks).
+    inactive blocks (iteration 0 must activate all blocks).  `params` is
+    the output of `step_parameters(net, cfg)`, computed here if omitted.
     """
     t0 = time.perf_counter()
-    gammas = _positive_per_entity(cfg.gamma, net.n_arcs, "gamma")
-    mus = _positive_per_entity(cfg.mu, net.n_arcs, "mu")
-    sigmas = _positive_per_entity(cfg.sigma, net.n_nodes, "sigma")
+    if params is None:
+        params = step_parameters(net, cfg)
     if active_arcs is None:
         active_arcs = np.ones(net.n_arcs, dtype=bool)
     if active_nodes is None:
@@ -436,9 +425,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, pool=Non
     if not active_arcs.any() or not active_nodes.any():
         raise ConfigurationError("activation sets must be nonempty")
 
-    tau, pi, _ = _evaluate_blocks(
-        net, ops, gammas, mus, sigmas, state, ws, active_arcs, active_nodes, pool
-    )
+    tau, pi, _ = _evaluate_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
@@ -470,28 +457,25 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, pool=Non
     return record
 
 
-def residual(net, ops, cfg, state, pool=None):
+def residual(net, ops, cfg, state, params=None):
     """Optimality residual at the current point, from a full re-evaluation.
 
     The square root of tau (with every block active) augmented with the
     primal agreement terms |q - x|^2 and |s - div x|^2; zero exactly at
     solutions of the underlying inclusion for the given step parameters.
+    `params` is as for `step`.
     """
-    gammas = _positive_per_entity(cfg.gamma, net.n_arcs, "gamma")
-    mus = _positive_per_entity(cfg.mu, net.n_arcs, "mu")
-    sigmas = _positive_per_entity(cfg.sigma, net.n_nodes, "sigma")
+    if params is None:
+        params = step_parameters(net, cfg)
     ws = new_workspace(net)
     tau, _, div_x = _evaluate_blocks(
         net,
         ops,
-        gammas,
-        mus,
-        sigmas,
+        params,
         state,
         ws,
         np.ones(net.n_arcs, dtype=bool),
         np.ones(net.n_nodes, dtype=bool),
-        pool,
     )
     gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - div_x) ** 2))
     return float(np.sqrt(tau + gap))
@@ -513,27 +497,23 @@ def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = Non
     cfg = cfg if cfg is not None else SolverConfig()
     state = state if state is not None else initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
+    params = step_parameters(net, cfg)
     ws = new_workspace(net)
     trace = []
     reason = Termination.ITER_LIMIT
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        for k in range(cfg.max_iter):
-            arc_mask, node_mask = scheduler.select(state.n)
-            try:
-                record = step(net, ops, cfg, state, ws, arc_mask, node_mask, pool)
-            except NumericalFailure:
-                reason = Termination.NUMERICAL_FAILURE
-                break
+    for k in range(cfg.max_iter):
+        arc_mask, node_mask = scheduler.select(state.n)
+        try:
+            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params)
             if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
-                record.residual = residual(net, ops, cfg, state, pool)
-            trace.append(record)
-            if trace_callback is not None:
-                trace_callback(record)
-            if record.residual is not None and record.residual <= cfg.tol:
-                reason = Termination.CONVERGED
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+                record.residual = residual(net, ops, cfg, state, params)
+        except NumericalFailure:
+            reason = Termination.NUMERICAL_FAILURE
+            break
+        trace.append(record)
+        if trace_callback is not None:
+            trace_callback(record)
+        if record.residual is not None and record.residual <= cfg.tol:
+            reason = Termination.CONVERGED
+            break
     return state, trace, reason

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netequil import ProblemFormatWarning
 from netequil.cli import main
 from netequil.fileio import parse_problem, parse_solution
 
@@ -90,13 +91,33 @@ class TestSolve:
         # check with an explicit tolerance stricter than the solution quality
         assert main(["check", two_arc_path, out, "--tol", "1e-12", "--quiet"]) == 2
 
-    def test_threads_env_var_fallback(self, two_arc_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("NETEQUIL_THREADS", "2")
+    def test_threads_key_is_ignored_with_warning(self, two_arc_path, tmp_path):
+        plain = str(tmp_path / "plain.sol")
+        assert main(["solve", two_arc_path, "--out", plain, "--quiet"]) == 0
+        threaded_path = tmp_path / "threaded.prob"
+        threaded_path.write_bytes(read(two_arc_path) + b"threads = 2\n")
+        out = str(tmp_path / "threaded.sol")
+        with pytest.warns(ProblemFormatWarning, match="'threads' is obsolete"):
+            assert main(["solve", str(threaded_path), "--out", out, "--quiet"]) == 0
+        assert read(out) == read(plain)
+
+    def test_max_iter_is_a_total_budget_across_reruns(self, tmp_path):
+        # the idle arc ends a hair outside its interval, so the equilibrium
+        # check keeps rejecting what the splitting residual accepts and
+        # solve keeps re-running with a tighter tolerance
+        prob = tmp_path / "prox.prob"
+        prob.write_text(
+            "netequil-problem v1\n\n[commodities]\nfreight\n\n[nodes]\na\nb\n\n"
+            "[arcs]\n"
+            "top  a  b  q=prox(phi=affine(a=1),lo=0)  r=orthant\n"
+            "low  a  b  q=prox(phi=affine(a=2),lo=0)  r=orthant\n\n"
+            "[supplies]\na  3\nb  -3\n"
+        )
         out = str(tmp_path / "s.sol")
-        assert main(["solve", two_arc_path, "--out", out, "--quiet"]) == 0
-        problem = parse_problem(two_arc_path)
-        solution = parse_solution(out, problem)
-        np.testing.assert_allclose(solution.flow[:, 0], [2.0, 1.0], atol=1e-5)
+        with pytest.warns(UserWarning, match="outside the capacity operator's domain"):
+            code = main(["solve", str(prob), "--out", out, "--max-iter", "300", "--quiet"])
+        assert code == 2
+        assert parse_solution(out, parse_problem(str(prob))).iterations <= 300
 
 
 class TestTraceReproducibility:

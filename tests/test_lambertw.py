@@ -72,3 +72,44 @@ def test_w_exp_continuous_at_switch():
     below = lambert_w_exp(z * (1 - 1e-12))
     above = lambert_w_exp(z * (1 + 1e-12))
     assert below == pytest.approx(above, rel=1e-9)
+
+
+def test_arrays_match_scalar_calls_bitwise():
+    rng = np.random.default_rng(17)
+    xs = np.concatenate(
+        [
+            -math.exp(-1.0) + np.geomspace(1e-12, 0.2, 200),  # near the branch point
+            rng.uniform(-0.25, 1.0, 200),
+            10.0 ** rng.uniform(0, 300, 200),
+            [-math.exp(-1.0), 0.0, math.e, 1.0],
+        ]
+    )
+    batch = lambert_w(xs)
+    assert batch.shape == xs.shape
+    assert np.array_equal(batch, [lambert_w(float(x)) for x in xs])
+    assert np.array_equal(lambert_w(xs[::-1].reshape(-1, 4)).ravel(), batch[::-1])
+
+
+def test_w_exp_arrays_match_scalar_calls_bitwise_on_both_sides_of_switch():
+    rng = np.random.default_rng(19)
+    switch = 700.0 * math.log(2.0)
+    zs = np.concatenate(
+        [
+            rng.uniform(-700.0, switch, 300),
+            switch + 10.0 ** rng.uniform(-12, 8, 300),
+            [switch, -np.inf],
+        ]
+    )
+    rng.shuffle(zs)
+    batch = lambert_w_exp(zs)
+    assert np.array_equal(batch, [lambert_w_exp(float(z)) for z in zs])
+    # an element's result does not depend on which elements share its call
+    assert np.array_equal(lambert_w_exp(zs[:7]), batch[:7])
+    w = batch[np.isfinite(zs)]
+    z = zs[np.isfinite(zs)]
+    assert np.all(np.abs(w + np.log(w) - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+
+
+def test_array_with_one_bad_element_raises():
+    with pytest.raises(ValueError, match="below -1/e"):
+        lambert_w(np.array([0.0, 1.0, -0.5]))

@@ -143,3 +143,20 @@ class TestLinearStructure:
         net = random_network(rng)
         x = rng.standard_normal((net.n_arcs, net.n_commodities))
         assert np.array_equal(net.divergence(x), net.divergence(x.copy()))
+
+    def test_divergence_bitwise_matches_scatter_reference(self):
+        # outgoing flux then incoming flux, each in ascending arc order
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            net = random_network(rng)
+            base = [(t, h) for t, h in zip(net.tails, net.heads)]
+            # duplicate some arcs so parallel arcs share both endpoints
+            extra = [base[int(j)] for j in rng.integers(len(base), size=len(base) // 2 + 1)]
+            multi = Network(net.nodes, base + extra, net.n_commodities)
+            x = rng.standard_normal((multi.n_arcs, multi.n_commodities)) * 10.0 ** rng.uniform(
+                -8, 8, size=(multi.n_arcs, 1)
+            )
+            reference = np.zeros((multi.n_nodes, multi.n_commodities))
+            np.add.at(reference, multi.tails, x)
+            np.subtract.at(reference, multi.heads, x)
+            assert np.array_equal(multi.divergence(x), reference)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from netequil import (
+    BPR,
     ConfigurationError,
     Full,
     Network,
     NumericalFailure,
+    ProblemFormatWarning,
     RandomSweep,
     RoundRobin,
     SolverConfig,
@@ -17,8 +19,11 @@ from netequil import (
     residual,
     run,
     select_blocks,
+    scalar_resolvent,
     step,
 )
+from netequil import operators
+from netequil.fileio import Problem, parse_problem, serialize_problem
 from netequil.operators import (
     ArcOperator,
     Box,
@@ -367,12 +372,30 @@ class TestRun:
             assert reason is Termination.CONVERGED
             np.testing.assert_allclose(state.x[:, 0], flow, atol=1e-5)
 
-    def test_threaded_run_matches_serial_bitwise(self, braess):
+    def test_threads_key_parses_to_the_same_run_bitwise(self, braess):
         net, ops, _ = braess
-        serial, _, _ = run(net, ops, SolverConfig(max_iter=50, tol=1e-300))
-        threaded, _, _ = run(net, ops, SolverConfig(max_iter=50, tol=1e-300, threads=3))
-        assert np.array_equal(serial.x, threaded.x)
-        assert np.array_equal(serial.v, threaded.v)
+        cfg = SolverConfig(max_iter=50, tol=1e-300)
+        text = serialize_problem(Problem(net, tuple("abcde"), ops, cfg))
+        assert "threads" not in text
+        with pytest.warns(ProblemFormatWarning, match="'threads' is obsolete"):
+            problem = parse_problem(text + "threads = 3\n")
+        plain, _, _ = run(net, ops, cfg)
+        parsed, _, _ = run(problem.network, problem.operators, problem.config)
+        assert np.array_equal(plain.x, parsed.x)
+        assert np.array_equal(plain.v, parsed.v)
+
+    def test_bpr_stall_ends_run_with_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(operators, "_BPR_MAX_ITER", 0)
+        net = Network(["a", "b"], [("a", "b"), ("a", "b")], 1)
+        arcs = [
+            ArcOperator(SeparableLift(BPR(alpha=0.15, rho=1.0, theta=theta, p=4.0)), Box.orthant(1))
+            for theta in (1.0, 2.0)
+        ]
+        ops = OperatorSet(net, arcs, [FixedSupply((3.0,)), FixedSupply((-3.0,))])
+        with pytest.raises(NumericalFailure, match="BPR root"):
+            scalar_resolvent(arcs[0].q.scalar, 1.0, 10.0)
+        state, trace, reason = run(net, ops, SolverConfig(max_iter=50))
+        assert reason is Termination.NUMERICAL_FAILURE
 
     def test_fejer_monotone_distance_to_solution(self, two_arc):
         inst, net, ops = two_arc
