@@ -43,8 +43,6 @@ from .operators import (
     PowerPhi,
     QuadraticPhi,
     SeparableLift,
-    lift_resolvent,
-    project_box,
     scalar_resolvent,
 )
 from .oracle import (
@@ -67,7 +65,6 @@ from .solver import (
     new_workspace,
     residual,
     run,
-    select_blocks,
     step,
     step_parameters,
 )
@@ -93,8 +90,6 @@ __all__ = [
     "FixedSupply",
     "OperatorSet",
     "scalar_resolvent",
-    "lift_resolvent",
-    "project_box",
     "Full",
     "RoundRobin",
     "RandomSweep",
@@ -106,7 +101,6 @@ __all__ = [
     "initial_state",
     "new_workspace",
     "make_scheduler",
-    "select_blocks",
     "step",
     "step_parameters",
     "residual",

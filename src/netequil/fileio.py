@@ -645,6 +645,18 @@ def _box_token(box, n_comm):
     return f"box({parts})"
 
 
+def _id_tokens(kind, ids):
+    """str() of each id; ConfigurationError for an id that parse_problem would not read back."""
+    tokens = [str(value) for value in ids]
+    for value, token in zip(ids, tokens):
+        if token.split() != [token] or "#" in token or token.startswith("["):
+            raise ConfigurationError(
+                f"{kind} id {value!r} cannot be written: a file id must be nonempty, "
+                "without whitespace or '#', and must not start with '['"
+            )
+    return tokens
+
+
 def _scheduler_token(spec):
     if isinstance(spec, Full):
         return "full", None
@@ -662,22 +674,23 @@ def _scheduler_token(spec):
 def serialize_problem(problem):
     """Render a Problem back into file text (parse of which is identical)."""
     net = problem.network
+    nodes = _id_tokens("node", net.nodes)
     out = io.StringIO()
     out.write(PROBLEM_HEADER + "\n\n[commodities]\n")
-    for name in net.commodities:
+    for name in _id_tokens("commodity", net.commodities):
         out.write(f"{name}\n")
     out.write("\n[nodes]\n")
-    for name in net.nodes:
+    for name in nodes:
         out.write(f"{name}\n")
     out.write("\n[arcs]\n")
     for arc_id, (tail, head), op in zip(
-        problem.arc_ids, net.arcs, problem.operators.arc_operators
+        _id_tokens("arc", problem.arc_ids), net.arcs, problem.operators.arc_operators
     ):
         q = _capacity_token(op.q.scalar)
         r = _box_token(op.r, net.n_commodities)
         out.write(f"{arc_id} {tail} {head} q={q} r={r}\n")
     out.write("\n[supplies]\n")
-    for name, op in zip(net.nodes, problem.operators.node_operators):
+    for name, op in zip(nodes, problem.operators.node_operators):
         values = " ".join(_fmt(v) for v in op.supply)
         out.write(f"{name} {values}\n")
     cfg = problem.config

@@ -35,10 +35,12 @@ Each family has one resolvent implementation, a kernel
 ``kernel(gamma, xi, *params)`` acting elementwise on equal-length 1-d
 arrays; ``spec.family()`` names a spec's kernel and its parameters.  An
 ``OperatorSet`` groups its arcs by kernel and evaluates each group in one
-call; ``spec.resolvent`` and ``phi.prox`` are the size-1 case.  BPR runs a
-safeguarded Newton iteration and Logarithmic/PowerExp a Halley iteration
-(inside ``lambert_w_exp``); both iterate only on the still-unconverged
-elements, so an element's result does not depend on which other arcs
+call; ``spec.resolvent`` and ``phi.prox`` are the size-1 case.  BPR runs
+Newton on log s, which decreases monotonically to the root from an upper
+bound, so it needs no bracket and no bisection (see ``_bpr_kernel``).
+Logarithmic/PowerExp run a Halley iteration inside ``lambert_w_exp``.
+Both stop each element on its own test and leave stopped elements
+unchanged, so an element's result does not depend on which other arcs
 share its batch.  A user-supplied ``CustomPhi`` prox is the one family
 evaluated by a scalar loop.
 
@@ -74,8 +76,6 @@ __all__ = [
     "FixedSupply",
     "OperatorSet",
     "scalar_resolvent",
-    "lift_resolvent",
-    "project_box",
 ]
 
 
@@ -89,17 +89,28 @@ def _require(cond, what):
 # --------------------------------------------------------------------------
 
 _BPR_MAX_ITER = 200
+_BPR_YTOL = 2.0**-30  # smallest Newton decrease of log s that continues the iteration
 
 
 def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
-    With c = xi - gamma*theta >= 0 and k = alpha*gamma*theta/rho**p, the
-    output is the unique root s >= 0 of f(s) = k*s**p + s - c.  f(0) = -c
-    and f(c) = k*c**p bracket it; safeguarded Newton falls back to
-    bisection whenever a step leaves the bracket.  Terminates on the
-    equation residual (not the bracket width) so that steep cases with
-    p < 1 still satisfy the resolvent identity, or where Newton stalls.
+    With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
+    output is the unique root s > 0 of k*s**p + s = c.  In y = log s the
+    equation reads h(y) = logaddexp(y, log k + p*y) - log c = 0, and h is
+    convex and increasing for every p > 0, so Newton started from the
+    upper bound y0 = min(log c, (log c - log k)/p) decreases monotonically
+    to the root: no bracket and no bisection are needed.  An element
+    stops at the first step that does not decrease its y by more than
+    _BPR_YTOL, and keeps that step: in floating point the iteration would
+    otherwise creep down by single ulps for several more passes, and a
+    batch waits for its slowest element.  As h' lies between min(1, p)
+    and max(1, p), y is then within O(_BPR_YTOL**2) of the root.  exp(y)
+    carries a relative error of about eps*max(|log c|, |log k|), so one
+    Newton step on k*s**p + s - c in linear space finishes the root; it is
+    kept only where it moves s by less than 1e-8 relative, which rules out
+    a step from an s that underflowed to 0.  For p = 1 the result is
+    within 2 ulp of c/(1 + k).
     """
     gt = gamma * theta
     c = xi - gt
@@ -109,41 +120,27 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
     if not live.size:
         return out
     c, p = c[live], p[live]
-    k = alpha[live] * gt[live] / rho[live] ** p
-    kp, pm1 = k * p, p - 1.0
-    # linearizing k*s**p around s = c gives a starting point inside (0, c]
-    s = c / (1.0 + k * c**pm1)
-    stray = ~((0.0 < s) & (s <= c))
-    if np.count_nonzero(stray):
-        np.copyto(s, 0.5 * c, where=stray)
-    ftol = 1e-13 * np.maximum(1.0, c)
-    lo, hi = np.zeros_like(c), c.copy()
+    agt = alpha[live] * gt[live]
+    k, pm1 = agt / rho[live] ** p, p - 1.0
+    logc, logk = np.log(c), np.log(agt) - p * np.log(rho[live])  # no overflow of rho**p
+    y = np.minimum(logc, (logc - logk) / p)
+    # stopped elements keep their y, so a result does not depend on its batch
+    active = np.ones(live.size, dtype=bool)
     for _ in range(_BPR_MAX_ITER):
-        q = s**pm1
-        f = k * (s * q) + s - c
-        up = f > 0.0
-        np.copyto(hi, s, where=up)
-        np.copyto(lo, s, where=~up)
-        t = s - f / (kp * q + 1.0)
-        stray = ~((lo < t) & (t < hi))
-        if np.count_nonzero(stray):
-            np.copyto(t, 0.5 * (lo + hi), where=stray)
-        absf = np.abs(f)
-        done = (absf <= ftol) | (t == s)
-        if np.count_nonzero(done):
-            # where Newton stalls short of ftol, accept a looser residual
-            if np.count_nonzero(absf[done] > 1e4 * ftol[done]):
-                raise NumericalFailure("BPR root refinement stalled")
-            out[live[done]] = s[done]
-            keep = ~done
-            if not np.count_nonzero(keep):
-                return out
-            live, t = live[keep], t[keep]
-            c, k, kp, pm1, ftol, lo, hi = (v[keep] for v in (c, k, kp, pm1, ftol, lo, hi))
-        s = t
-    if np.count_nonzero(np.abs(k * (s * s**pm1) + s - c) > 1e4 * ftol):
+        lse = np.logaddexp(y, logk + p * y)
+        # h'(y) = p - (p - 1)*exp(y - lse); fmin keeps y where the step is nan (k = inf, y = -inf)
+        t = np.fmin(y - (lse - logc) / (p - pm1 * np.exp(y - lse)), y)
+        down = t < y - _BPR_YTOL
+        np.copyto(y, t, where=active)
+        active &= down
+        if not active.any():
+            break
+    else:
         raise NumericalFailure("BPR root refinement stalled")
-    out[live] = s
+    s = np.exp(y)
+    ks = k * s**pm1
+    finished = s - (s + s * ks - c) / (1.0 + p * ks)
+    out[live] = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
     return out
 
 
@@ -508,10 +505,6 @@ class SeparableLift:
         return x + eta
 
 
-def lift_resolvent(lift, gamma, x):
-    """Resolvent of a SeparableLift at the vector x (convenience wrapper)."""
-    return lift.resolvent(gamma, x)
-
 def _float_tuple(values):
     return tuple(np.atleast_1d(np.asarray(values, dtype=float)).tolist())
 
@@ -543,11 +536,6 @@ class Box:
 
     def project(self, x):
         return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
-
-
-def project_box(box, x):
-    """Componentwise clamp of x onto the box (the normal-cone resolvent)."""
-    return box.project(x)
 
 
 @dataclass(frozen=True)

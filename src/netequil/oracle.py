@@ -97,20 +97,21 @@ def analytic_two_arc(inst):
     flows summing to the demand that equalize the two arc costs, that
     common cost, and the head-minus-tail potential difference (equal to
     the cost, since the constraint cone contributes nothing on used
-    arcs).  When one arc is priced out, the corner solution is returned
-    and complementarity is asserted instead.
+    arcs).  An arc is priced out, and the corner solution returned, when
+    its cost at zero flow is at least the other arc's cost at full demand:
+    the corner is chosen by the complementarity comparisons themselves,
+    so it satisfies them even at a near tie.
     """
     d = inst.demand
-    x1 = (inst.a2 - inst.a1 + inst.b2 * d) / (inst.b1 + inst.b2)
-    if x1 <= 0.0:
+    if inst.cost(0, 0.0) >= inst.cost(1, d):
         lam = inst.cost(1, d)
-        assert inst.cost(0, 0.0) >= lam, "corner solution violates complementarity"
         flow = np.array([0.0, d])
-    elif x1 >= d:
+    elif inst.cost(1, 0.0) >= inst.cost(0, d):
         lam = inst.cost(0, d)
-        assert inst.cost(1, 0.0) >= lam, "corner solution violates complementarity"
         flow = np.array([d, 0.0])
     else:
+        # both arcs are used; rounding near a tie may push x1 just outside [0, d]
+        x1 = min(max((inst.a2 - inst.a1 + inst.b2 * d) / (inst.b1 + inst.b2), 0.0), d)
         lam = inst.cost(0, x1)
         flow = np.array([x1, d - x1])
     return flow, lam, lam

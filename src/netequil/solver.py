@@ -20,7 +20,10 @@ current point, so it triggers an immediate residual check.  The residual
 itself re-evaluates every block at the current point (full activation)
 and augments tau with the primal agreement terms |q - x| and
 |s - div x|; it vanishes exactly at solutions and is what the stopping
-rule monitors every ``check_interval`` iterations.
+rule monitors every ``check_interval`` iterations.  That full sweep is
+also the evaluation the next iteration needs, at the same point, so
+``run`` hands it to the next ``step``, which copies the active rows
+instead of evaluating them again.
 
 Reductions for tau and pi always run in ascending arc-then-node order,
 and each capacity resolvent depends only on its own arc's input, not on
@@ -51,7 +54,6 @@ __all__ = [
     "initial_state",
     "new_workspace",
     "make_scheduler",
-    "select_blocks",
     "step_parameters",
     "step",
     "residual",
@@ -197,15 +199,6 @@ def make_scheduler(spec, network, T):
     if isinstance(spec, RandomSweep):
         return _RandomSweepScheduler(network, T, spec)
     raise ConfigurationError(f"unknown scheduler spec {spec!r}")
-
-
-def select_blocks(scheduler, n):
-    """Active (arc_mask, node_mask) for iteration n.
-
-    Schedulers are sequential objects: call with n = 0, 1, 2, ... in order.
-    Iteration 0 always activates every block.
-    """
-    return scheduler.select(n)
 
 
 # --------------------------------------------------------------------------
@@ -358,62 +351,82 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _evaluate_blocks(net, ops, params, state, ws, arc_mask, node_mask):
-    """One sweep of the block evaluations; fills ws and returns (tau, pi, div_x).
+def _active(mask):
+    """Indices of the set entries of `mask`, and the matching row selector:
+    slice(None) when every entry is set, so that gathers become views."""
+    idx = np.flatnonzero(mask)
+    return idx, (slice(None) if idx.size == mask.size else idx)
 
-    Runs with numpy float warnings silenced: non-finite values are caught
-    explicitly by the caller and reported as NumericalFailure.
+
+def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
+    """Evaluate the resolvents of the active blocks into the rows of ws.
+
+    Fills q, q*, r, r* for the active arcs and s, s* for the active nodes;
+    returns div x.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate_blocks_inner(net, ops, params, state, ws, arc_mask, node_mask)
-
-
-def _evaluate_blocks_inner(net, ops, params, state, ws, arc_mask, node_mask):
     gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
-    tension_v = net.tension(v)
-
-    act = np.flatnonzero(arc_mask)
-    if act.size:
-        lstar = xstar[act] - tension_v[act]
-        gam = gammas[act]
-        ws.q[act] = ops.capacity_resolvent(act, gam, x[act] - gam[:, None] * lstar)
-        ws.qstar[act] = (x[act] - ws.q[act]) / gam[:, None] - lstar
-        mu = mus[act, None]
-        ws.r[act] = np.minimum(np.maximum(x[act] + mu * xstar[act], ops.box_lo[act]), ops.box_hi[act])
-        ws.rstar[act] = xstar[act] + (x[act] - ws.r[act]) / mu
+    act, rows = _active(arc_mask)
+    xa, xsa, gam = x[rows], xstar[rows], gammas[rows]
+    lstar = xsa - net.tension(v)[rows]
+    q = ops.capacity_resolvent(act, gam, xa - gam[:, None] * lstar)
+    ws.q[rows] = q
+    ws.qstar[rows] = (xa - q) / gam[:, None] - lstar
+    mu = mus[rows, None]
+    r = np.minimum(np.maximum(xa + mu * xsa, ops.box_lo[rows]), ops.box_hi[rows])
+    ws.r[rows] = r
+    ws.rstar[rows] = xsa + (xa - r) / mu
 
     div_x = net.divergence(x)
-    nact = np.flatnonzero(node_mask)
-    if nact.size:
-        ws.s[nact] = ops.supplies[nact]
-        ws.sstar[nact] = v[nact] + (div_x[nact] - ws.s[nact]) / sigmas[nact, None]
+    _, nrows = _active(node_mask)
+    supply = ops.supplies[nrows]
+    ws.s[nrows] = supply
+    ws.sstar[nrows] = v[nrows] + (div_x[nrows] - supply) / sigmas[nrows, None]
+    return div_x
 
-    # t is refreshed for every node, t*/u for every arc, even when inactive
-    ws.t_node[:] = ws.s - net.divergence(ws.q)
-    ws.tstar[:] = ws.qstar + ws.rstar - net.tension(ws.sstar)
-    ws.u[:] = ws.r - ws.q
 
+def _assemble(net, state, ws):
+    """Directions t, t*, u from the cached block outputs; returns (tau, pi).
+
+    t is refreshed for every node and t*/u for every arc, active or not.
+    """
+    np.subtract(ws.s, net.divergence(ws.q), out=ws.t_node)
+    np.add(ws.qstar, ws.rstar, out=ws.tstar)
+    ws.tstar -= net.tension(ws.sstar)
+    np.subtract(ws.r, ws.q, out=ws.u)
     # fixed reduction order: arc terms first, then node terms
-    tau = float(np.sum(ws.tstar * ws.tstar) + np.sum(ws.u * ws.u) + np.sum(ws.t_node * ws.t_node))
+    tau = float((ws.tstar * ws.tstar).sum() + (ws.u * ws.u).sum() + (ws.t_node * ws.t_node).sum())
     pi = float(
-        np.sum(x * ws.tstar)
-        - np.sum(ws.q * ws.qstar)
-        + np.sum(ws.u * xstar)
-        - np.sum(ws.r * ws.rstar)
-        + np.sum(ws.t_node * v)
-        - np.sum(ws.s * ws.sstar)
+        (state.x * ws.tstar).sum()
+        - (ws.q * ws.qstar).sum()
+        + (ws.u * state.xstar).sum()
+        - (ws.r * ws.rstar).sum()
+        + (ws.t_node * state.v).sum()
+        - (ws.s * ws.sstar).sum()
     )
-    return tau, pi, div_x
+    return tau, pi
 
 
-def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None):
+def _reuse_sweep(sweep, ws, arc_mask, node_mask):
+    """Copy the active rows of the block outputs in `sweep` into ws."""
+    _, rows = _active(arc_mask)
+    for name in ("q", "qstar", "r", "rstar"):
+        getattr(ws, name)[rows] = getattr(sweep, name)[rows]
+    _, nrows = _active(node_mask)
+    ws.s[nrows] = sweep.s[nrows]
+    ws.sstar[nrows] = sweep.sstar[nrows]
+
+
+def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None, sweep=None):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs`/`active_nodes` are boolean masks; omitting them
     activates everything.  The workspace caches must be valid for the
     inactive blocks (iteration 0 must activate all blocks).  `params` is
     the output of `step_parameters(net, cfg)`, computed here if omitted.
+    `sweep` is a workspace that `residual` filled at the current state:
+    the active rows are copied from it instead of evaluated again, which
+    gives the same bits.
     """
     t0 = time.perf_counter()
     if params is None:
@@ -425,7 +438,13 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
     if not active_arcs.any() or not active_nodes.any():
         raise ConfigurationError("activation sets must be nonempty")
 
-    tau, pi, _ = _evaluate_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # non-finite values are caught below and reported as NumericalFailure
+        if sweep is None:
+            _sweep_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
+        else:
+            _reuse_sweep(sweep, ws, active_arcs, active_nodes)
+        tau, pi = _assemble(net, state, ws)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
@@ -457,26 +476,23 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
     return record
 
 
-def residual(net, ops, cfg, state, params=None):
+def residual(net, ops, cfg, state, params=None, sweep=None):
     """Optimality residual at the current point, from a full re-evaluation.
 
     The square root of tau (with every block active) augmented with the
     primal agreement terms |q - x|^2 and |s - div x|^2; zero exactly at
     solutions of the underlying inclusion for the given step parameters.
-    `params` is as for `step`.
+    `params` is as for `step`.  The full sweep is written into the
+    workspace `sweep` when one is given (it must not be the workspace of
+    the iteration), so that the next `step` can take it as its `sweep`.
     """
     if params is None:
         params = step_parameters(net, cfg)
-    ws = new_workspace(net)
-    tau, _, div_x = _evaluate_blocks(
-        net,
-        ops,
-        params,
-        state,
-        ws,
-        np.ones(net.n_arcs, dtype=bool),
-        np.ones(net.n_nodes, dtype=bool),
-    )
+    ws = sweep if sweep is not None else new_workspace(net)
+    everything = np.ones(net.n_arcs, dtype=bool), np.ones(net.n_nodes, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        div_x = _sweep_blocks(net, ops, params, state, ws, *everything)
+        tau, _ = _assemble(net, state, ws)
     gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - div_x) ** 2))
     return float(np.sqrt(tau + gap))
 
@@ -499,14 +515,19 @@ def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = Non
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
     params = step_parameters(net, cfg)
     ws = new_workspace(net)
+    # a residual sweep evaluates every block at the point the next step
+    # starts from; that step copies its active rows from it
+    sweep_ws, sweep = new_workspace(net), None
     trace = []
     reason = Termination.ITER_LIMIT
     for k in range(cfg.max_iter):
         arc_mask, node_mask = scheduler.select(state.n)
         try:
-            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params)
+            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params, sweep)
+            sweep = None
             if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
-                record.residual = residual(net, ops, cfg, state, params)
+                record.residual = residual(net, ops, cfg, state, params, sweep_ws)
+                sweep = sweep_ws
         except NumericalFailure:
             reason = Termination.NUMERICAL_FAILURE
             break

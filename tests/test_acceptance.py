@@ -14,7 +14,7 @@ import numpy as np
 import netequil as nq
 from netequil.cli import main
 from netequil.fileio import parse_problem, parse_solution, serialize_problem
-from netequil.solver import make_scheduler, new_workspace, select_blocks, step
+from netequil.solver import make_scheduler, new_workspace, step
 
 from conftest import (
     braess_bpr_specs,
@@ -86,7 +86,7 @@ def test_criterion_3_separable_lift():
         spec, gamma, _ = DRAWS[family](rng)
         n = int(rng.integers(1, 7))
         x = rng.standard_normal(n) * 3.0
-        out = nq.lift_resolvent(nq.SeparableLift(spec), gamma, x)
+        out = nq.SeparableLift(spec).resolvent(gamma, x)
         total = float(np.sum(x))
         lifted = nq.scalar_resolvent(spec, n * gamma, total)
         sum_gap = max(sum_gap, abs(float(np.sum(out)) - lifted) / max(1.0, abs(total)))
@@ -199,7 +199,7 @@ def test_criterion_8_sweeping_enforcement():
         sched = make_scheduler(spec, net, T)
         arcs, nodes = [], []
         for n in range(1000 + T + 1):
-            a, m = select_blocks(sched, n)
+            a, m = sched.select(n)
             arcs.append(a)
             nodes.append(m)
         for n in range(1000):

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from netequil import (
+    ArcOperator,
     Box,
+    ConfigurationError,
+    FixedSupply,
     Full,
+    Network,
+    OperatorSet,
+    SeparableLift,
+    SolverConfig,
     ProblemFormatError,
     ProblemFormatWarning,
     RandomSweep,
@@ -14,6 +21,7 @@ from netequil import (
     TraceRecord,
 )
 from netequil.fileio import (
+    Problem,
     Solution,
     parse_problem,
     parse_solution,
@@ -167,6 +175,35 @@ class TestRoundTrip:
         second = parse_problem(serialize_problem(first))
         assert first == second
         assert second.operators.supplies[0, 0] == 0.30000000000000004
+
+    @staticmethod
+    def two_node_problem(nodes, arc_id="e1", commodity="c1"):
+        net = Network(nodes, [tuple(nodes)], [commodity])
+        arc = ArcOperator(SeparableLift(BPR(alpha=0.15, rho=1.0, theta=1.0, p=4.0)), Box.orthant(1))
+        ops = OperatorSet(net, [arc], [FixedSupply((1.0,)), FixedSupply((-1.0,))])
+        return Problem(net, (arc_id,), ops, SolverConfig())
+
+    def test_string_ids_round_trip(self):
+        problem = self.two_node_problem(["r3c4", "node-2.b"], arc_id="a_17:x", commodity="car(1)")
+        parsed = parse_problem(serialize_problem(problem))
+        assert parsed == problem
+
+    def test_tuple_node_id_is_rejected_by_name(self):
+        with pytest.raises(ConfigurationError, match=r"node id \('r', 1\)"):
+            serialize_problem(self.two_node_problem([("r", 1), "b"]))
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("node", {"nodes": ["", "b"]}),
+            ("node", {"nodes": ["a#1", "b"]}),
+            ("arc", {"nodes": ["a", "b"], "arc_id": "[arcs]"}),
+            ("commodity", {"nodes": ["a", "b"], "commodity": "c 1"}),
+        ],
+    )
+    def test_ids_that_would_not_parse_back_are_rejected(self, kind, kwargs):
+        with pytest.raises(ConfigurationError, match=f"{kind} id"):
+            serialize_problem(self.two_node_problem(**kwargs))
 
     def test_solution_round_trip(self):
         problem = parse_problem(MINIMAL)

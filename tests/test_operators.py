@@ -23,8 +23,6 @@ from netequil import (
     SeparableLift,
     SolverConfig,
     Termination,
-    lift_resolvent,
-    project_box,
     run,
     scalar_resolvent,
     wardrop_residual,
@@ -254,7 +252,7 @@ class TestSeparableLift:
         spec = BPR(alpha=1.0, rho=1.0, theta=1.0, p=2.0)
         lift = SeparableLift(spec)
         for xi in [-3.0, 0.5, 7.0]:
-            out = lift_resolvent(lift, 0.7, np.array([xi]))
+            out = lift.resolvent(0.7, np.array([xi]))
             assert out[0] == pytest.approx(scalar_resolvent(spec, 0.7, xi), rel=4e-16, abs=0)
 
     def test_uniform_shift_and_total(self):
@@ -264,7 +262,7 @@ class TestSeparableLift:
             lift = SeparableLift(spec)
             n = int(rng.integers(1, 6))
             x = rng.standard_normal(n) * 3.0
-            out = lift_resolvent(lift, gamma, x)
+            out = lift.resolvent(gamma, x)
             total = float(np.sum(x))
             eta = (scalar_resolvent(spec, n * gamma, total) - total) / n
             # the same scalar shift is applied to every coordinate
@@ -278,7 +276,7 @@ class TestSeparableLift:
         for _ in range(100):
             spec, gamma, _ = draw_trc(rng)
             x = rng.standard_normal(4)
-            out = lift_resolvent(SeparableLift(spec), gamma, x)
+            out = SeparableLift(spec).resolvent(gamma, x)
             diff_out = out[:, None] - out[None, :]
             diff_in = x[:, None] - x[None, :]
             scale = np.abs(out).max() + np.abs(x).max()
@@ -290,8 +288,8 @@ class TestSeparableLift:
             spec, gamma, _ = DRAWS[rng.choice(sorted(DRAWS))](rng)
             lift = SeparableLift(spec)
             x, y = rng.standard_normal((2, 3)) * 4.0
-            jx = lift_resolvent(lift, gamma, x)
-            jy = lift_resolvent(lift, gamma, y)
+            jx = lift.resolvent(gamma, x)
+            jy = lift.resolvent(gamma, y)
             lhs = float(np.sum((jx - jy) ** 2))
             rhs = float(np.dot(jx - jy, x - y))
             assert lhs <= rhs + 1e-10
@@ -301,19 +299,19 @@ class TestBoxAndSupply:
     def test_points_inside_are_fixed(self):
         box = Box((-1.0, 0.0), (1.0, 2.0))
         x = np.array([0.5, 1.0])
-        assert np.array_equal(project_box(box, x), x)
+        assert np.array_equal(box.project(x), x)
 
     def test_orthant_clamp(self):
         box = Box.orthant(2)
-        np.testing.assert_array_equal(project_box(box, np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(box.project(np.array([-1.0, 2.0])), [0.0, 2.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(53)
         box = Box((-2.0, 0.0, -math.inf), (0.5, 1.0, math.inf))
         for _ in range(100):
             x = rng.standard_normal(3) * 5
-            once = project_box(box, x)
-            assert np.array_equal(project_box(box, once), once)
+            once = box.project(x)
+            assert np.array_equal(box.project(once), once)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="lo <= hi"):
@@ -446,6 +444,44 @@ def test_bpr_batch_keeps_branches_apart():
     out = kernel(np.ones(4), np.array([1.0, 2.0, 3.0, math.inf]), *cols)
     assert out[0] == -1.0 and out[1] == 0.0  # pure shift, then the root at c = 0
     assert 0.0 < out[2] < 1.0 and math.isnan(out[3])
+
+
+def bpr_stress_draw(rng, n):
+    """BPR kernel arguments: p in [0.25, 8], parameters in [1e-3, 1e3], xi up to 1e8."""
+    alpha, rho, theta, gamma = 10.0 ** rng.uniform(-3.0, 3.0, (4, n))
+    return gamma, 10.0 ** rng.uniform(-3.0, 8.0, n), alpha, rho, theta, rng.uniform(0.25, 8.0, n)
+
+
+def test_bpr_kernel_stress_identity_and_monotone():
+    rng = np.random.default_rng(71)
+    gamma, xi, alpha, rho, theta, p = args = bpr_stress_draw(rng, 200_000)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    s = kernel(*args)
+    assert not np.isnan(s).any()
+    # s + gamma*theta*(1 + alpha*(s/rho)**p) = xi, relative to the largest term
+    gt = gamma * theta
+    congestion = np.where(s > 0.0, gt * alpha * (np.maximum(s, 0.0) / rho) ** p, 0.0)
+    scale = np.maximum.reduce([np.abs(s), gt, congestion, np.abs(xi)])
+    assert np.max(np.abs(s + gt + congestion - xi) / scale) <= 1e-13
+    # nondecreasing in xi: 50 sorted xi per parameter set
+    m, k = 2_000, 50
+    gamma, _, alpha, rho, theta, p = (np.repeat(a[:m], k) for a in args)
+    xi = np.sort(10.0 ** rng.uniform(-3.0, 8.0, (m, k)), axis=1).ravel()
+    out = kernel(gamma, xi, alpha, rho, theta, p).reshape(m, k)
+    assert (np.diff(out, axis=1) >= 0.0).all()
+
+
+def test_bpr_kernel_linear_case_within_2_ulp():
+    rng = np.random.default_rng(72)
+    gamma, xi, alpha, rho, theta, _ = bpr_stress_draw(rng, 100_000)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    s = kernel(gamma, xi, alpha, rho, theta, np.ones_like(xi))
+    c = xi - gamma * theta
+    live = c > 0.0
+    exact = c / (1.0 + alpha * (gamma * theta) / rho)
+    assert live.sum() > 50_000
+    ulps = np.abs(s - exact)[live] / np.spacing(exact[live])
+    assert ulps.max() <= 2.0
 
 
 def test_capacity_resolvent_matches_lift_resolvent_bitwise():

@@ -45,6 +45,42 @@ class TestAnalyticTwoArc:
         np.testing.assert_allclose(flow, [0.0, 1.0], atol=1e-14)
         assert lam == pytest.approx(1.0)
 
+    def test_mirror_corner_solution(self):
+        # arc 2 at zero flow costs 10, above arc 1 at full demand (cost 1)
+        flow, lam, _ = analytic_two_arc(TwoArcInstance(0.0, 10.0, 1.0, 1.0, 1.0))
+        np.testing.assert_allclose(flow, [1.0, 0.0], atol=1e-14)
+        assert lam == pytest.approx(1.0)
+
+    @staticmethod
+    def assert_complementarity(inst, flow, lam):
+        assert flow.min() >= 0.0 and flow.sum() == pytest.approx(inst.demand, rel=1e-15)
+        for arc in (0, 1):
+            cost = inst.cost(arc, flow[arc])
+            if flow[arc] > 0.0:
+                assert cost == pytest.approx(lam, rel=1e-12)
+            else:
+                assert cost >= lam * (1.0 - 1e-12)
+
+    def test_near_tie_instance_is_solved(self):
+        # arc 1 at zero flow ties with arc 2 at full demand up to rounding,
+        # where choosing the corner from the formula for x1 contradicted
+        # the complementarity comparison
+        inst = TwoArcInstance(
+            31.68614721640625, 9.718824293124191, 4.483610011697901, 2.926105764977227, 7.50735779485846
+        )
+        flow, lam, _ = analytic_two_arc(inst)
+        self.assert_complementarity(inst, flow, lam)
+
+    def test_near_tie_draws_satisfy_complementarity(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2_000):
+            a2, b1, b2, d = rng.uniform(0.1, 10.0, 4)
+            # arc 1 free-flow cost equal to arc 2 at full demand, give or take an ulp
+            a1 = (a2 + b2 * d) * (1.0 + rng.integers(-2, 3) * 2.0**-52)
+            inst = TwoArcInstance(a1, a2, b1, b2, d) if rng.random() < 0.5 else TwoArcInstance(a2, a1, b2, b1, d)
+            flow, lam, _ = analytic_two_arc(inst)
+            self.assert_complementarity(inst, flow, lam)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError, match="demand"):
             TwoArcInstance(1.0, 1.0, 1.0, 1.0, 0.0)

@@ -18,19 +18,21 @@ from netequil import (
     new_workspace,
     residual,
     run,
-    select_blocks,
     scalar_resolvent,
     step,
 )
 from netequil import operators
 from netequil.fileio import Problem, parse_problem, serialize_problem
 from netequil.operators import (
+    TRC,
+    AffinePhi,
     ArcOperator,
     Box,
     CustomPhi,
     FixedSupply,
     IntervalProx,
     OperatorSet,
+    PowerExp,
     SeparableLift,
 )
 
@@ -56,15 +58,15 @@ class TestSchedulers:
         _, net, _ = two_arc
         sched = make_scheduler(Full(), net, 0)
         for n in range(5):
-            arcs, nodes = select_blocks(sched, n)
+            arcs, nodes = sched.select(n)
             assert arcs.all() and nodes.all()
 
     def test_round_robin_alternates_and_covers(self, two_arc):
         _, net, _ = two_arc
         sched = make_scheduler(RoundRobin(2), net, 1)
-        arcs0, nodes0 = select_blocks(sched, 0)
+        arcs0, nodes0 = sched.select(0)
         assert arcs0.all() and nodes0.all()  # iteration 0 activates everything
-        history = [select_blocks(sched, n)[0] for n in range(1, 12)]
+        history = [sched.select(n)[0] for n in range(1, 12)]
         for n, mask in zip(range(1, 12), history):
             expected = np.arange(2) % 2 == n % 2
             assert np.array_equal(mask, expected)
@@ -74,7 +76,7 @@ class TestSchedulers:
     def test_random_sweep_forces_stale_blocks(self):
         net = Network(range(4), [(i, (i + 1) % 4) for i in range(4)], 1)
         sched = make_scheduler(RandomSweep(seed=5, activation_prob=0.0), net, 3)
-        arc_hist = [select_blocks(sched, n)[0] for n in range(100)]
+        arc_hist = [sched.select(n)[0] for n in range(100)]
         for n in range(100 - 4):
             window = np.any(arc_hist[n : n + 4], axis=0)
             assert window.all()  # with p = 0, staleness alone activates every 4th
@@ -83,7 +85,7 @@ class TestSchedulers:
         net = Network(range(3), [(0, 1), (1, 2), (2, 0)], 1)
         sched = make_scheduler(RandomSweep(seed=11, activation_prob=0.05), net, 50)
         for n in range(200):
-            arcs, nodes = select_blocks(sched, n)
+            arcs, nodes = sched.select(n)
             assert arcs.any() and nodes.any()
 
     def test_sweep_condition_all_schedulers(self):
@@ -98,7 +100,7 @@ class TestSchedulers:
             sched = make_scheduler(spec, net, T)
             arc_hist, node_hist = [], []
             for n in range(300 + T + 1):
-                a, m = select_blocks(sched, n)
+                a, m = sched.select(n)
                 arc_hist.append(a)
                 node_hist.append(m)
             for n in range(300):
@@ -125,8 +127,8 @@ class TestSchedulers:
         a = make_scheduler(RandomSweep(seed=9, activation_prob=0.5), net, 2)
         b = make_scheduler(RandomSweep(seed=9, activation_prob=0.5), net, 2)
         for n in range(50):
-            am, nm = select_blocks(a, n)
-            bm, bn = select_blocks(b, n)
+            am, nm = a.select(n)
+            bm, bn = b.select(n)
             assert np.array_equal(am, bm) and np.array_equal(nm, bn)
 
 
@@ -422,3 +424,69 @@ class TestRun:
                 break
         else:
             pytest.fail("did not converge within 200 iterations")
+
+
+# ---------------------------------------------------------------------------
+# run reuses the residual sweep in the next step, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def manual_run(net, ops, cfg):
+    """`run` spelled out with the public step and residual, nothing reused."""
+    sched = make_scheduler(cfg.scheduler, net, cfg.T)
+    state, ws, trace = initial_state(net), new_workspace(net), []
+    for k in range(cfg.max_iter):
+        arcs, nodes = sched.select(state.n)
+        record = step(net, ops, cfg, state, ws, arcs, nodes)
+        if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
+            record.residual = residual(net, ops, cfg, state)
+        trace.append(record)
+        if record.residual is not None and record.residual <= cfg.tol:
+            break
+    return state, trace
+
+
+def mixed_multicommodity_instance(seed):
+    """Random multigraph, every arc of a batched family, balanced supplies."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=8, max_arcs=30, max_comm=3)
+    n_comm = net.n_commodities
+    makers = (
+        lambda: BPR(alpha=0.15, rho=rng.uniform(1.0, 3.0), theta=rng.uniform(0.5, 2.0), p=4.0),
+        lambda: BPR(alpha=1.0, rho=2.0, theta=rng.uniform(0.5, 2.0), p=rng.choice([0.5, 1.0, 2.5])),
+        lambda: TRC(alpha=0.5, beta=0.1, delta=rng.uniform(0.5, 2.0), omega=2.0),
+        lambda: PowerExp(alpha=2.0, theta=rng.uniform(0.5, 2.0), p=0.3),
+        lambda: IntervalProx(AffinePhi(rng.uniform(0.5, 2.0)), lo=0.0, hi=8.0),
+    )
+    arcs = [
+        ArcOperator(SeparableLift(makers[j % len(makers)]()), Box.orthant(n_comm))
+        for j in range(net.n_arcs)
+    ]
+    supply = rng.uniform(-2.0, 2.0, (net.n_nodes, n_comm))
+    supply[-1] -= supply.sum(axis=0)
+    return net, OperatorSet(net, arcs, [FixedSupply(tuple(row)) for row in supply])
+
+
+SCHEDULES = [(Full(), 0), (RoundRobin(3), 2), (RandomSweep(seed=5, activation_prob=0.4), 3)]
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
+    cases = [
+        # residual checks at odd offsets, never converging
+        (*mixed_multicommodity_instance(seed), SolverConfig(
+            scheduler=spec, T=T, max_iter=90, check_interval=7, tol=1e-300
+        ))
+        for seed in (3, 4)
+    ]
+    # run to convergence, through the tau = 0 and final residual checks
+    cases.append((*braess[:2], SolverConfig(scheduler=spec, T=T, max_iter=20_000)))
+    for net, ops, cfg in cases:
+        state, trace, _ = run(net, ops, cfg)
+        ref_state, ref_trace = manual_run(net, ops, cfg)
+        assert state.n == ref_state.n
+        for got, want in zip((state.x, state.xstar, state.v), (ref_state.x, ref_state.xstar, ref_state.v)):
+            assert np.array_equal(got, want)
+        rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
+        assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
+        assert any(r.residual is not None for r in trace)
