@@ -726,10 +726,11 @@ def serialize_solution(solution):
     out.write(f"residual = {_fmt(solution.residual)}\n")
     out.write(f"iterations = {solution.iterations}\n")
     out.write(f"termination = {solution.termination}\n")
+    arc_ids = _id_tokens("arc", solution.arc_ids)
     for section, ids, table in (
-        ("flow", solution.arc_ids, solution.flow),
-        ("arc_dual", solution.arc_ids, solution.arc_dual),
-        ("potential", solution.node_ids, solution.potential),
+        ("flow", arc_ids, solution.flow),
+        ("arc_dual", arc_ids, solution.arc_dual),
+        ("potential", _id_tokens("node", solution.node_ids), solution.potential),
     ):
         out.write(f"\n[{section}]\n")
         for name, row in zip(ids, np.atleast_2d(table)):

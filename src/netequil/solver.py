@@ -129,8 +129,6 @@ class _RoundRobinScheduler:
             ("arc", arc_groups, network.n_arcs),
             ("node", node_groups, network.n_nodes),
         ):
-            if not isinstance(count, int) or count < 1:
-                raise ConfigurationError(f"round-robin {label} group count must be a positive integer")
             if count > size:
                 raise ConfigurationError(
                     f"round-robin {label} group count {count} exceeds the {size} available blocks"

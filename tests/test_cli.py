@@ -101,10 +101,22 @@ class TestSolve:
             assert main(["solve", str(threaded_path), "--out", out, "--quiet"]) == 0
         assert read(out) == read(plain)
 
-    def test_max_iter_is_a_total_budget_across_reruns(self, tmp_path):
-        # the idle arc ends a hair outside its interval, so the equilibrium
-        # check keeps rejecting what the splitting residual accepts and
-        # solve keeps re-running with a tighter tolerance
+    def test_max_iter_is_a_total_budget_across_reruns(self, two_arc_path, tmp_path):
+        # with costs scaled by 100 the splitting residual converges while the
+        # equilibrium residual is still far above tol, so solve keeps
+        # re-running with a tighter tolerance
+        prob = tmp_path / "scaled.prob"
+        text = read(two_arc_path).decode()
+        prob.write_text(text.replace("theta=1,", "theta=100,").replace("theta=2,", "theta=200,"))
+        out = str(tmp_path / "s.sol")
+        code = main(["solve", str(prob), "--out", out, "--max-iter", "1000", "--quiet"])
+        assert code == 2
+        assert parse_solution(out, parse_problem(str(prob))).iterations <= 1000
+
+    def test_idle_interval_arc_passes_check(self, tmp_path):
+        # the idle arc ends a hair outside its interval [0, inf[; the
+        # equilibrium check evaluates it at the bound, where the interval's
+        # normal cone prices it out
         prob = tmp_path / "prox.prob"
         prob.write_text(
             "netequil-problem v1\n\n[commodities]\nfreight\n\n[nodes]\na\nb\n\n"
@@ -114,10 +126,8 @@ class TestSolve:
             "[supplies]\na  3\nb  -3\n"
         )
         out = str(tmp_path / "s.sol")
-        with pytest.warns(UserWarning, match="outside the capacity operator's domain"):
-            code = main(["solve", str(prob), "--out", out, "--max-iter", "300", "--quiet"])
-        assert code == 2
-        assert parse_solution(out, parse_problem(str(prob))).iterations <= 300
+        assert main(["solve", str(prob), "--out", out, "--max-iter", "300", "--quiet"]) == 0
+        assert main(["check", str(prob), out, "--quiet"]) == 0
 
 
 class TestTraceReproducibility:

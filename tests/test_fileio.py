@@ -221,6 +221,12 @@ class TestRoundTrip:
         parsed = parse_solution(text, problem)
         assert parsed == solution
 
+    def test_solution_with_tuple_arc_id_is_rejected_by_name(self):
+        solution = Solution((("e", 1),), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
+                            np.zeros((2, 1)), 0.0, 1, "converged")
+        with pytest.raises(ConfigurationError, match=r"arc id \('e', 1\)"):
+            serialize_solution(solution)
+
     def test_solution_validates_entities(self):
         problem = parse_problem(MINIMAL)
         text = serialize_solution(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,17 @@ from netequil import (
     run,
     wardrop_residual,
 )
-from netequil.operators import BPR
+from netequil.operators import (
+    BPR,
+    AffinePhi,
+    ArcOperator,
+    Box,
+    FixedSupply,
+    IntervalProx,
+    OperatorSet,
+    SeparableLift,
+)
+from netequil.oracle import _arc_violations
 
 from conftest import (
     BRAESS_COST,
@@ -199,6 +211,67 @@ class TestWardropResidual:
         with pytest.warns(UserWarning, match="constraint box"):
             wr = wardrop_residual(net, ops, np.array([[-1.0], [4.0]]), np.zeros((2, 1)))
         assert wr == np.inf
+
+    @pytest.mark.parametrize(
+        "hi, tension, flow, past",
+        [
+            (math.inf, 1.0, [3.0, -5e-8], [0.0, -1e-5]),  # arc 1 idle, just below lo
+            (2.0, 2.0, [2.0 + 5e-8, 1.0 - 5e-8], [1e-5, 0.0]),  # arc 0 full, just above hi
+        ],
+    )
+    def test_interval_bound_gets_the_box_slack(self, hi, tension, flow, past):
+        # arc 0 costs 1 on [0, hi], arc 1 costs 2 on [0, inf[: demand 3 fills
+        # arc 0 up to hi and sends the rest over arc 1
+        net = Network(["a", "b"], [("a", "b"), ("a", "b")], 1)
+        arc_ops = [
+            ArcOperator(SeparableLift(IntervalProx(AffinePhi(a), lo=0.0, hi=top)), Box.orthant(1))
+            for a, top in ((1.0, hi), (2.0, math.inf))
+        ]
+        ops = OperatorSet(net, arc_ops, [FixedSupply((3.0,)), FixedSupply((-3.0,))])
+        potential = np.array([[0.0], [tension]])
+        x = np.array(flow).reshape(-1, 1)
+        assert wardrop_residual(net, ops, x, potential) <= 1e-7
+        # beyond the slack the total leaves the interval
+        with pytest.warns(UserWarning, match="outside the capacity"):
+            far = x + np.array(past).reshape(-1, 1)
+            assert wardrop_residual(net, ops, far, potential) == np.inf
+
+
+def _grid_violations(h, at_lo, at_hi, c_lo, c_hi, points=2001):
+    """Minimum of the per-arc violation over an even grid of y, and the grid step."""
+    lo = np.clip(h.min(axis=1) - 1.0, c_lo, c_hi)
+    hi = np.clip(h.max(axis=1) + 1.0, c_lo, c_hi)
+    y = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, points)
+    g = h[:, None, :] - y[:, :, None]
+    lo_m, hi_m = at_lo[:, None, :], at_hi[:, None, :]
+    # distance to the cone ]-inf, 0] at a lower bound, [0, inf[ at an upper
+    # one, R at both and {0} inside
+    d = np.where(lo_m, np.maximum(g, 0.0), np.where(hi_m, np.maximum(-g, 0.0), np.abs(g)))
+    d = np.where(lo_m & hi_m, 0.0, d)
+    return np.sqrt((d * d).sum(axis=2)).min(axis=1), (hi - lo) / (points - 1)
+
+
+@pytest.mark.parametrize("n_comm", [1, 2, 3, 4])
+def test_arc_violation_is_the_exact_minimum(n_comm):
+    # each coordinate is interior, at its lower bound, at its upper bound or
+    # at both; [c_lo, c_hi] is finite, a point or a half-line; a third of the
+    # tension entries are rounded to integers so that breakpoints tie
+    rng = np.random.default_rng(n_comm)
+    for _ in range(5):
+        n = 500
+        h = rng.normal(scale=2.0, size=(n, n_comm))
+        h = np.where(rng.random((n, n_comm)) < 0.3, np.round(h), h)
+        kind = rng.integers(0, 4, size=(n, n_comm))
+        at_lo, at_hi = (kind == 1) | (kind == 3), (kind == 2) | (kind == 3)
+        a, b = np.sort(rng.normal(scale=3.0, size=(2, n)), axis=0)
+        shape = rng.integers(0, 4, size=n)
+        c_lo = np.where(shape == 3, -np.inf, a)
+        c_hi = np.where(shape == 1, a, np.where(shape == 2, np.inf, b))
+        exact = _arc_violations(h, at_lo, at_hi, np.stack([c_lo, c_hi], axis=1))
+        grid, step = _grid_violations(h, at_lo, at_hi, c_lo, c_hi)
+        # the violation is sqrt(n_comm)-Lipschitz in y
+        assert np.all(exact <= grid + 1e-12)
+        assert np.all(grid - exact <= math.sqrt(n_comm) * step / 2 + 1e-12)
 
 
 class TestSolverAgainstOracles:
