@@ -109,7 +109,10 @@ def _cmd_solve(args):
             if reason is not Termination.CONVERGED:
                 break
 
-    final_residual = solver.residual(net, ops, cfg, state)
+    if reason is Termination.CONVERGED:
+        final_residual = trace[-1].residual  # the stopping check, at the final state
+    else:
+        final_residual = solver.residual(net, ops, cfg, state)
     solution = fileio.Solution(
         arc_ids=tuple(problem.arc_ids),
         node_ids=tuple(net.nodes),

@@ -8,15 +8,19 @@ W(x) for x >= 0 and within 4% on [-0.25, 0).  Convergence is declared at
 |dw| <= 1e-15 * (1 + |w|), which the cubic rate of Halley turns into a
 residual |w*exp(w) - x| of a few ulp.
 
-``lambert_w_exp(z)`` evaluates W(exp(z)) for any real z.  When exp(z)
-would overflow it instead solves w + log(w) = z by Newton iteration;
-the capacity resolvents route through it so that transiently huge
-arguments inside the solver loop stay finite.
+``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
+exp(z) would overflow it instead solves w + log(w) = z by Newton
+iteration; the capacity resolvents route through it so that transiently
+huge arguments inside the solver loop stay finite.  An optional `start`
+(say, the W an element had at its previous evaluation) replaces
+Winitzki's approximation as Halley's starting point where it lies within
+_WARM_SPAN (5%) of it; a start farther away, or nan, is ignored.
 
 Both functions take a float or an array and work elementwise.  Each
 iteration runs on the array of still-unconverged elements only, so an
-element's result does not depend on which other elements share its call;
-a float argument is the size-1 case and returns a float.
+element's result depends on its own argument (and start), never on which
+other elements share its call; a float argument is the size-1 case and
+returns a float.
 """
 
 import math
@@ -27,6 +31,9 @@ _BRANCH_POINT = -math.exp(-1.0)
 # beyond this, form W(exp(z)) without evaluating exp(z)
 _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50
+# Winitzki is within 2% of W for x >= 0, so a start farther than this from
+# it is no better; Halley from far off moves w by only about 2 per pass
+_WARM_SPAN = 0.05
 
 
 def _as_batch(x):
@@ -41,6 +48,14 @@ def _winitzki(x):
     """Starting point for W(x), x >= -0.25."""
     log_x1 = np.log1p(x)
     return log_x1 * (1.0 - np.log1p(log_x1) / (2.0 + log_x1))
+
+
+def _start(x, warm):
+    """Halley's starting points for W(x), x >= 0: `warm` where it is near Winitzki's."""
+    w = _winitzki(x)
+    if warm is None:
+        return w
+    return np.where(np.abs(warm - w) <= _WARM_SPAN * w, warm, w)
 
 
 def _halley(x, w):
@@ -90,21 +105,25 @@ def lambert_w(x):
     return restore(w)
 
 
-def lambert_w_exp(z):
+def lambert_w_exp(z, start=None):
     """W(exp(z)) for any real z, overflow-free.
 
     For large z this is the root of w + log(w) = z, found by Newton
     steps w <- w * (1 + z - log(w)) / (1 + w) from w0 = z - log(z).
+    `start`, of z's shape, holds optional guesses of the result for the
+    Halley branch (see the module docstring).
     """
     z, restore = _as_batch(z)
+    if start is not None:
+        start = _as_batch(start)[0]
     with np.errstate(all="ignore"):
         small = z <= _EXP_SWITCH
         if np.count_nonzero(small) == z.size:
             x = np.exp(z)
-            return restore(_halley(x, _winitzki(x)))
+            return restore(_halley(x, _start(x, start)))
         out = np.empty_like(z)
         x = np.exp(z[small])
-        out[small] = _halley(x, _winitzki(x))
+        out[small] = _halley(x, _start(x, None if start is None else start[small]))
         idx = np.flatnonzero(~small)
         zl = z[idx]
         w = zl - np.log(zl)

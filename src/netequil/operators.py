@@ -40,9 +40,14 @@ Newton on log s, which decreases monotonically to the root from an upper
 bound, so it needs no bracket and no bisection (see ``_bpr_kernel``).
 Logarithmic/PowerExp run a Halley iteration inside ``lambert_w_exp``.
 Both stop each element on its own test and leave stopped elements
-unchanged, so an element's result does not depend on which other arcs
-share its batch.  A user-supplied ``CustomPhi`` prox is the one family
-evaluated by a scalar loop.
+unchanged.  Every kernel also takes an optional ``start``, the root each
+element had at an earlier evaluation (nan for none): BPR takes one
+Newton step from it, Logarithmic/PowerExp hand the matching W to Halley,
+and the closed-form kernels ignore it.  Without a start a kernel runs
+from its cold starting point.  So an element's result depends on its own
+input and its own previous root, never on which other arcs share its
+batch.  A user-supplied ``CustomPhi`` prox is the one family evaluated by
+a scalar loop.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation) for diagnostics; the solver itself never calls them.
@@ -92,7 +97,7 @@ _BPR_MAX_ITER = 200
 _BPR_YTOL = 2.0**-30  # smallest Newton decrease of log s that continues the iteration
 
 
-def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
+def _bpr_kernel(gamma, xi, alpha, rho, theta, p, start=None):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
     With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
@@ -111,6 +116,12 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
     kept only where it moves s by less than 1e-8 relative, which rules out
     a step from an s that underflowed to 0.  For p = 1 the result is
     within 2 ulp of c/(1 + k).
+
+    `start` optionally holds an earlier root per element (nan for none).
+    One unrestricted Newton step from log(start) lands at or above the
+    root, since h is convex and increasing, so the monotone iteration
+    starts from the smaller of that point and y0.  A missing, non-finite
+    or non-positive start leaves y0 in place.
     """
     gt = gamma * theta
     c = xi - gt
@@ -124,6 +135,12 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
     k, pm1 = agt / rho[live] ** p, p - 1.0
     logc, logk = np.log(c), np.log(agt) - p * np.log(rho[live])  # no overflow of rho**p
     y = np.minimum(logc, (logc - logk) / p)
+    if start is not None:
+        # a start <= 0, inf or nan makes the step nan, and fmin keeps y0 there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ys = np.log(start[live])
+            lse = np.logaddexp(ys, logk + p * ys)
+            y = np.fmin(ys - (lse - logc) / (p - pm1 * np.exp(ys - lse)), y)
     # stopped elements keep their y, so a result does not depend on its batch
     active = np.ones(live.size, dtype=bool)
     for _ in range(_BPR_MAX_ITER):
@@ -144,23 +161,29 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p):
     return out
 
 
-def _log_kernel(gamma, xi, omega, theta):
+def _log_kernel(gamma, xi, omega, theta, start=None):
     z = np.log(omega / gamma) + theta + (omega - xi) / gamma
+    if start is not None:
+        start = (omega - start) / gamma  # the W of an earlier root
     # where W underflowed the exact value sits strictly below omega
-    return np.minimum(omega - gamma * lambert_w_exp(z), np.nextafter(omega, -np.inf))
+    return np.minimum(omega - gamma * lambert_w_exp(z, start), np.nextafter(omega, -np.inf))
 
 
-def _trc_kernel(gamma, xi, alpha, beta, delta, omega):
+def _trc_kernel(gamma, xi, alpha, beta, delta, omega, start=None):
     ga = gamma * alpha
     m = xi - gamma * delta
     root = np.sqrt(ga * ga * (m - omega) ** 2 + (2.0 * ga + 1.0) * gamma * gamma * beta)
     return (-root + ga * (m + omega) + m) / (2.0 * ga + 1.0)
 
 
-def _powerexp_kernel(gamma, xi, pl, theta):
+def _powerexp_kernel(gamma, xi, pl, theta, start=None):
     """PowerExp resolvent; `pl` is p*log(alpha)."""
-    z = np.log(gamma * theta * pl) + pl * xi
-    return xi - lambert_w_exp(z) / pl
+    log_gtp = np.log(gamma * theta * pl)
+    z = log_gtp + pl * xi
+    if start is not None:
+        with np.errstate(over="ignore"):
+            start = np.exp(log_gtp + pl * start)  # the W of an earlier root
+    return xi - lambert_w_exp(z, start) / pl
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi
@@ -171,15 +194,15 @@ def _clamp(s, lo, hi):
     return np.minimum(np.maximum(s, lo), hi)
 
 
-def _affine_kernel(gamma, xi, lo, hi, a):
+def _affine_kernel(gamma, xi, lo, hi, a, start=None):
     return _clamp(xi - gamma * a, lo, hi)
 
 
-def _quadratic_kernel(gamma, xi, lo, hi, a):
+def _quadratic_kernel(gamma, xi, lo, hi, a, start=None):
     return _clamp(xi / (1.0 + gamma * a), lo, hi)
 
 
-def _power_kernel(gamma, xi, lo, hi, q):
+def _power_kernel(gamma, xi, lo, hi, q, start=None):
     mag = np.abs(xi)
     # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
     u = 0.5 * (-1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * mag))
@@ -191,7 +214,7 @@ def _power_kernel(gamma, xi, lo, hi, q):
     return _clamp(s, lo, hi)
 
 
-def _custom_kernel(gamma, xi, lo, hi, phi):
+def _custom_kernel(gamma, xi, lo, hi, phi, start=None):
     """The scalar fallback: one user prox call per element."""
     s = [f.prox(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
     return _clamp(np.array(s, dtype=float), lo, hi)
@@ -619,14 +642,17 @@ class OperatorSet:
             self._arc_family[arcs] = f
             self._arc_member[arcs] = np.arange(arcs.size)
 
-    def capacity_resolvent(self, arcs, gamma, x):
+    def capacity_resolvent(self, arcs, gamma, x, start=None):
         """Capacity-lift resolvents of the listed arcs, one row each.
 
         `arcs` holds distinct arc indices in ascending order; row k of the
         (len(arcs), C) array `x` and the step parameter gamma[k] belong to
         arc arcs[k].  Each row total is resolved by its family kernel with
         parameter C*gamma, and the row is shifted uniformly to match
-        (see SeparableLift).
+        (see SeparableLift).  `start`, if given, is a float array with one
+        entry per row: the kernel's root for that arc at an earlier call
+        (nan for none), which the iterative kernels start from.  It is
+        overwritten with this call's roots.
         """
         n = x.shape[1]
         total = x.sum(axis=1)
@@ -634,7 +660,8 @@ class OperatorSet:
         out = np.empty_like(total)
         if arcs.size == self.network.n_arcs:
             for kernel, members, params in self.families:
-                out[members] = kernel(scaled[members], total[members], *params)
+                warm = None if start is None else start[members]
+                out[members] = kernel(scaled[members], total[members], *params, start=warm)
         else:
             family = self._arc_family[arcs]
             member = self._arc_member[arcs]
@@ -642,5 +669,10 @@ class OperatorSet:
                 rows = np.flatnonzero(family == f)
                 if rows.size:
                     pick = member[rows]
-                    out[rows] = kernel(scaled[rows], total[rows], *(a[pick] for a in params))
+                    warm = None if start is None else start[rows]
+                    out[rows] = kernel(
+                        scaled[rows], total[rows], *(a[pick] for a in params), start=warm
+                    )
+        if start is not None:
+            start[:] = out
         return x + ((out - total) / n)[:, None]

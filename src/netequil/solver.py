@@ -25,10 +25,13 @@ also the evaluation the next iteration needs, at the same point, so
 ``run`` hands it to the next ``step``, which copies the active rows
 instead of evaluating them again.
 
+Each capacity kernel starts from the root its arc had at its previous
+evaluation in the run (the workspace's ``root``), since the point moves
+by one relaxed step per iteration; a fresh workspace starts cold.
 Reductions for tau and pi always run in ascending arc-then-node order,
-and each capacity resolvent depends only on its own arc's input, not on
-which other arcs are evaluated with it, so runs are bitwise reproducible
-under every scheduler.
+and each capacity resolvent depends only on its own arc's input and its
+own previous root, never on which other arcs are evaluated with it, so
+runs are bitwise reproducible under every scheduler.
 """
 
 from __future__ import annotations
@@ -236,10 +239,10 @@ class SolverConfig:
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
         if not self.tol > 0:
             raise ConfigurationError("tol must be positive")
-        if self.max_iter < 0:
-            raise ConfigurationError("max_iter must be nonnegative")
-        if self.check_interval < 1:
-            raise ConfigurationError("check_interval must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ConfigurationError("max_iter must be a nonnegative integer")
+        if not isinstance(self.check_interval, (int, np.integer)) or self.check_interval < 1:
+            raise ConfigurationError("check_interval must be a positive integer")
 
     def relaxation_at(self, n):
         if isinstance(self.relaxation, tuple):
@@ -253,8 +256,12 @@ class SolverConfig:
         return float(self.relaxation)
 
 
-def _positive_per_entity(value, size, name):
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (size,)).copy()
+def _positive_per_entity(value, size, name, entities):
+    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.broadcast_to(arr, (size,)).copy()
+    except ValueError:
+        raise ConfigurationError(f"{name} has {arr.size} entries for {size} {entities}") from None
     if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
         raise ConfigurationError(f"{name} must be strictly positive")
     return arr
@@ -267,9 +274,9 @@ def step_parameters(net, cfg):
     `residual`; direct calls that omit them validate cfg themselves.
     """
     return (
-        _positive_per_entity(cfg.gamma, net.n_arcs, "gamma"),
-        _positive_per_entity(cfg.mu, net.n_arcs, "mu"),
-        _positive_per_entity(cfg.sigma, net.n_nodes, "sigma"),
+        _positive_per_entity(cfg.gamma, net.n_arcs, "gamma", "arcs"),
+        _positive_per_entity(cfg.mu, net.n_arcs, "mu", "arcs"),
+        _positive_per_entity(cfg.sigma, net.n_nodes, "sigma", "nodes"),
     )
 
 
@@ -297,10 +304,14 @@ def initial_state(network, x=None, xstar=None, v=None):
 
 @dataclass
 class IterationWorkspace:
-    """Cached block outputs and the latest coordination scalars.
+    """Cached block outputs, kernel roots and the latest coordination scalars.
 
     Rows of inactive blocks keep the values from their last activation;
     iteration 0 activates everything, so nothing is read uninitialized.
+    `root` holds, per arc, the root its capacity kernel returned at its
+    last evaluation into this workspace (nan before the first), which the
+    next evaluation starts from: an arc's result depends on its own input
+    and its own previous root, never on which other arcs share its batch.
     """
 
     q: np.ndarray
@@ -312,6 +323,7 @@ class IterationWorkspace:
     t_node: np.ndarray
     tstar: np.ndarray
     u: np.ndarray
+    root: np.ndarray
     tau: float = 0.0
     pi: float = 0.0
     theta: float = 0.0
@@ -320,7 +332,8 @@ class IterationWorkspace:
 def new_workspace(network):
     a = network.zero_flow
     n = network.zero_potential
-    return IterationWorkspace(a(), a(), a(), a(), n(), n(), n(), a(), a())
+    root = np.full(network.n_arcs, np.nan)
+    return IterationWorkspace(a(), a(), a(), a(), n(), n(), n(), a(), a(), root)
 
 
 @dataclass
@@ -359,15 +372,17 @@ def _active(mask):
 def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
     """Evaluate the resolvents of the active blocks into the rows of ws.
 
-    Fills q, q*, r, r* for the active arcs and s, s* for the active nodes;
-    returns div x.
+    Fills q, q*, r, r* and the kernel roots for the active arcs and s, s*
+    for the active nodes; returns div x.
     """
     gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
     act, rows = _active(arc_mask)
     xa, xsa, gam = x[rows], xstar[rows], gammas[rows]
     lstar = xsa - net.tension(v)[rows]
-    q = ops.capacity_resolvent(act, gam, xa - gam[:, None] * lstar)
+    root = ws.root[rows]
+    q = ops.capacity_resolvent(act, gam, xa - gam[:, None] * lstar, root)
+    ws.root[rows] = root
     ws.q[rows] = q
     ws.qstar[rows] = (xa - q) / gam[:, None] - lstar
     mu = mus[rows, None]
@@ -408,7 +423,7 @@ def _assemble(net, state, ws):
 def _reuse_sweep(sweep, ws, arc_mask, node_mask):
     """Copy the active rows of the block outputs in `sweep` into ws."""
     _, rows = _active(arc_mask)
-    for name in ("q", "qstar", "r", "rstar"):
+    for name in ("q", "qstar", "r", "rstar", "root"):
         getattr(ws, name)[rows] = getattr(sweep, name)[rows]
     _, nrows = _active(node_mask)
     ws.s[nrows] = sweep.s[nrows]
@@ -482,7 +497,9 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     solutions of the underlying inclusion for the given step parameters.
     `params` is as for `step`.  The full sweep is written into the
     workspace `sweep` when one is given (it must not be the workspace of
-    the iteration), so that the next `step` can take it as its `sweep`.
+    the iteration), so that the next `step` can take it as its `sweep`;
+    the capacity kernels start from its `root`.  Without `sweep` they
+    start cold.
     """
     if params is None:
         params = step_parameters(net, cfg)
@@ -524,6 +541,7 @@ def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = Non
             record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params, sweep)
             sweep = None
             if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
+                sweep_ws.root[:] = ws.root  # its kernels start from the iteration's roots
                 record.residual = residual(net, ops, cfg, state, params, sweep_ws)
                 sweep = sweep_ws
         except NumericalFailure:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netequil import ProblemFormatWarning
+from netequil import ProblemFormatWarning, solver
 from netequil.cli import main
 from netequil.fileio import parse_problem, parse_solution
 
@@ -30,6 +30,22 @@ class TestSolve:
         solution = parse_solution(out, problem)
         np.testing.assert_allclose(solution.flow[:, 0], [2.0, 1.0], atol=1e-5)
         assert solution.termination == "converged"
+
+    def test_solution_residual_is_the_last_traced_residual(self, two_arc_path, tmp_path, monkeypatch):
+        sweeps = []
+        residual = solver.residual
+        monkeypatch.setattr(solver, "residual", lambda *a, **k: sweeps.append(1) or residual(*a, **k))
+        out, trace = str(tmp_path / "s.sol"), str(tmp_path / "s.csv")
+        assert main(["solve", two_arc_path, "--out", out, "--trace", trace, "--quiet"]) == 0
+        with open(trace, encoding="utf-8") as handle:
+            header = handle.readline().rstrip("\n").split(",")
+            column = header.index("residual")
+            traced = [value for value in (row.split(",")[column] for row in handle) if value]
+        solution = parse_solution(out, parse_problem(two_arc_path))
+        assert solution.residual == float(traced[-1])
+        assert f"residual = {traced[-1]}\n" in open(out, encoding="utf-8").read()
+        # a converged solve sweeps the residual only at the run's own checks
+        assert len(sweeps) == len(traced)
 
     def test_solve_prints_to_stdout_without_out(self, two_arc_path, capsys):
         assert main(["solve", two_arc_path, "--quiet"]) == 0

@@ -110,6 +110,19 @@ def test_w_exp_arrays_match_scalar_calls_bitwise_on_both_sides_of_switch():
     assert np.all(np.abs(w + np.log(w) - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
 
 
+def test_w_exp_start_near_the_root_is_used_and_any_other_ignored():
+    rng = np.random.default_rng(23)
+    switch = 700.0 * math.log(2.0)
+    zs = np.concatenate([rng.uniform(-700.0, switch, 400), switch + 10.0 ** rng.uniform(-3, 6, 100)])
+    cold = lambert_w_exp(zs)
+    for far in (cold * 10.0, cold / 10.0, -cold, np.zeros_like(cold), np.full_like(cold, np.nan)):
+        assert np.array_equal(lambert_w_exp(zs, far), cold)
+    for near in (cold, cold * (1.0 + 1e-3), cold * (1.0 - 1e-3)):
+        np.testing.assert_allclose(lambert_w_exp(zs, near), cold, rtol=1e-15)
+    # the scalar call is the size-1 case
+    assert lambert_w_exp(1.0, 1.03) == pytest.approx(lambert_w(math.e), rel=1e-15)
+
+
 def test_array_with_one_bad_element_raises():
     with pytest.raises(ValueError, match="below -1/e"):
         lambert_w(np.array([0.0, 1.0, -0.5]))

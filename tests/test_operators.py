@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from netequil import (
     IntervalProx,
     Logarithmic,
     Network,
+    NumericalFailure,
     OperatorSet,
     PowerExp,
     PowerPhi,
@@ -29,6 +31,7 @@ from netequil import (
     wardrop_residual,
 )
 
+from netequil import lambertw, operators
 from conftest import random_network
 
 # ---------------------------------------------------------------------------
@@ -386,8 +389,8 @@ def regime_draws(family, rng, n=600):
     return out
 
 
-def batch_resolvent(items):
-    """One kernel call per family over the draws, in draw order."""
+def batch_resolvent(items, start=None):
+    """One kernel call per family over the draws, in draw order, from `start` if given."""
     out = np.empty(len(items))
     groups = {}
     for i, (spec, _, _) in enumerate(items):
@@ -401,7 +404,7 @@ def batch_resolvent(items):
         ]
         gamma = np.array([items[i][1] for i in idx])
         xi = np.array([items[i][2] for i in idx])
-        out[idx] = kernel(gamma, xi, *cols)
+        out[idx] = kernel(gamma, xi, *cols, start=None if start is None else start[idx])
     return out
 
 
@@ -425,17 +428,8 @@ def test_batch_matches_size1_calls_bitwise(family):
 
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_resolvent_identity_on_arrays(family):
-    rng = np.random.default_rng(zlib.crc32(("batch-" + family).encode()))
-    items = [DRAWS[family](rng) for _ in range(2000)]
-    if family == "log":
-        # within an ulp of omega, c(s) is too ill-conditioned to check at 1e-13
-        items = [it for it in items if it[2] <= it[0].omega + it[1] * (it[0].theta + 5.0)]
-    out = batch_resolvent(items)
-    worst = 0.0
-    for s, (spec, gamma, xi) in zip(out, items):
-        gc = gamma * spec.value(s)
-        worst = max(worst, abs(s + gc - xi) / max(1.0, abs(xi), abs(s), abs(gc)))
-    assert worst <= 1e-13
+    items = array_draws("batch-", family, 2000)
+    assert identity_errors(items, batch_resolvent(items)).max() <= 1e-13
 
 
 def test_bpr_batch_keeps_branches_apart():
@@ -455,15 +449,11 @@ def bpr_stress_draw(rng, n):
 
 def test_bpr_kernel_stress_identity_and_monotone():
     rng = np.random.default_rng(71)
-    gamma, xi, alpha, rho, theta, p = args = bpr_stress_draw(rng, 200_000)
+    args = bpr_stress_draw(rng, 200_000)
     kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
     s = kernel(*args)
     assert not np.isnan(s).any()
-    # s + gamma*theta*(1 + alpha*(s/rho)**p) = xi, relative to the largest term
-    gt = gamma * theta
-    congestion = np.where(s > 0.0, gt * alpha * (np.maximum(s, 0.0) / rho) ** p, 0.0)
-    scale = np.maximum.reduce([np.abs(s), gt, congestion, np.abs(xi)])
-    assert np.max(np.abs(s + gt + congestion - xi) / scale) <= 1e-13
+    assert bpr_identity_error(s, *args).max() <= 1e-13
     # nondecreasing in xi: 50 sorted xi per parameter set
     m, k = 2_000, 50
     gamma, _, alpha, rho, theta, p = (np.repeat(a[:m], k) for a in args)
@@ -483,6 +473,168 @@ def test_bpr_kernel_linear_case_within_2_ulp():
     assert live.sum() > 50_000
     ulps = np.abs(s - exact)[live] / np.spacing(exact[live])
     assert ulps.max() <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# warm starts: a kernel started from an earlier root, near or far from the
+# new one, or from nothing usable
+# ---------------------------------------------------------------------------
+
+
+def warm_starts(root):
+    """(name, start array) per start kind, for cold roots `root`."""
+    return [
+        ("root", root),
+        ("root*(1+1e-3)", root * (1.0 + 1e-3)),
+        ("root*(1-1e-3)", root * (1.0 - 1e-3)),
+        ("root*10", root * 10.0),
+        ("root/10", root / 10.0),
+        ("1e-300", np.full_like(root, 1e-300)),
+        ("1e300", np.full_like(root, 1e300)),
+        ("0", np.zeros_like(root)),
+        ("-root", -root),
+        ("nan", np.full_like(root, np.nan)),
+        ("inf", np.full_like(root, np.inf)),
+    ]
+
+
+def warm_calls(resolve, root):
+    """resolve(start) from every start kind, failing on any warning."""
+    for name, start in warm_starts(root):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = resolve(start.copy())
+        assert not np.isnan(out).any(), name
+        yield name, out
+
+
+def bpr_identity_error(s, gamma, xi, alpha, rho, theta, p):
+    """|s + gamma*theta*(1 + alpha*(s/rho)**p) - xi| relative to the largest term."""
+    gt = gamma * theta
+    congestion = np.where(s > 0.0, gt * alpha * (np.maximum(s, 0.0) / rho) ** p, 0.0)
+    scale = np.maximum.reduce([np.abs(s), gt, congestion, np.abs(xi)])
+    return np.abs(s + gt + congestion - xi) / scale
+
+
+def test_bpr_kernel_warm_starts_keep_identity_and_cold_result():
+    rng = np.random.default_rng(73)
+    args = bpr_stress_draw(rng, 50_000)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    cold = kernel(*args)
+    bound = max(1e-13, bpr_identity_error(cold, *args).max())
+    for name, warm in warm_calls(lambda start: kernel(*args, start=start), cold):
+        assert bpr_identity_error(warm, *args).max() <= bound, name
+        assert (np.abs(warm - cold) <= 4e-15 * np.abs(cold)).all(), name
+
+
+def array_draws(tag, family, n):
+    """n draws of a family seeded by name; for Log, only where the identity is checkable."""
+    rng = np.random.default_rng(zlib.crc32((tag + family).encode()))
+    items = [DRAWS[family](rng) for _ in range(n)]
+    if family == "log":
+        # within an ulp of omega, c(s) is too ill-conditioned to check at 1e-13
+        items = [it for it in items if it[2] <= it[0].omega + it[1] * (it[0].theta + 5.0)]
+    return items
+
+
+def identity_errors(items, out):
+    """|s + gamma*c(s) - xi| relative to the largest term, per draw."""
+    errors = []
+    for s, (spec, gamma, xi) in zip(out, items):
+        gc = gamma * spec.value(s)
+        errors.append(abs(s + gc - xi) / max(1.0, abs(xi), abs(s), abs(gc)))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("family", ["log", "powerexp"])
+def test_lambert_kernels_warm_starts_keep_identity(family):
+    items = array_draws("warm-", family, 2000)
+    cold = batch_resolvent(items)
+    bound = max(1e-13, identity_errors(items, cold).max())
+    for name, warm in warm_calls(lambda start: batch_resolvent(items, start), cold):
+        assert identity_errors(items, warm).max() <= bound, name
+
+
+@pytest.mark.parametrize("family", ["trc", "prox", "custom"])
+def test_closed_form_kernels_ignore_the_start(family):
+    items = regime_draws(family, np.random.default_rng(BATCH_FAMILIES.index(family) + 200), 200)
+    cold = batch_resolvent(items)
+    for name, warm in warm_calls(lambda start: batch_resolvent(items, start), cold):
+        assert np.array_equal(warm, cold), name
+
+
+def test_bpr_iteration_cap_raises_from_every_start(monkeypatch):
+    monkeypatch.setattr(operators, "_BPR_MAX_ITER", 0)
+    args = bpr_stress_draw(np.random.default_rng(74), 100)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    root = np.linspace(0.5, 5.0, 100)
+    for name, start in warm_starts(root):
+        with pytest.raises(NumericalFailure, match="BPR root"):
+            kernel(*args, start=start)
+
+
+def test_bpr_kernel_from_its_own_roots_needs_one_pass(monkeypatch):
+    args = bpr_stress_draw(np.random.default_rng(75), 10_000)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    cold = kernel(*args)
+    monkeypatch.setattr(operators, "_BPR_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match="BPR root"):
+        kernel(*args)
+    warm = kernel(*args, start=cold.copy())
+    assert (np.abs(warm - cold) <= 4e-15 * np.abs(cold)).all()
+
+
+@pytest.mark.parametrize("family", ["log", "powerexp"])
+def test_lambert_kernels_from_their_own_roots_need_one_halley_pass(family, monkeypatch):
+    items = array_draws("one-pass-", family, 500)
+    cold = batch_resolvent(items)
+    monkeypatch.setattr(lambertw, "_MAX_ITER", 1)
+    assert identity_errors(items, batch_resolvent(items)).max() > 1e-10
+    assert identity_errors(items, batch_resolvent(items, cold.copy())).max() <= 1e-13
+
+
+def test_capacity_resolvent_start_returns_the_roots():
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        net = random_network(rng, max_comm=4)
+        specs = [DRAWS[sorted(DRAWS)[rng.integers(4)]](rng)[0] for _ in range(net.n_arcs)]
+        ops = OperatorSet(
+            net,
+            [ArcOperator(SeparableLift(spec), Box.free(net.n_commodities)) for spec in specs],
+            [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
+        )
+        x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
+        gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
+        scaled = gamma * net.n_commodities
+        for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
+            # no usable start: the cold result, and the roots come back in place
+            start = np.full(arcs.size, np.nan)
+            out = ops.capacity_resolvent(arcs, gamma[arcs], x[arcs], start)
+            assert np.array_equal(out, ops.capacity_resolvent(arcs, gamma[arcs], x[arcs]))
+            roots = [scalar_resolvent(specs[j], scaled[j], x[j].sum()) for j in arcs]
+            assert np.array_equal(start, roots)
+
+
+def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
+    rng = np.random.default_rng(63)
+    net = random_network(rng, max_comm=3)
+    specs = [draw_bpr(rng)[0] for _ in range(net.n_arcs)]
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.free(net.n_commodities)) for spec in specs],
+        [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
+    )
+    x = 10.0 + rng.standard_normal((net.n_arcs, net.n_commodities))
+    gamma = np.ones(net.n_arcs)
+    arcs = np.arange(net.n_arcs)
+    roots = np.full(net.n_arcs, np.nan)
+    cold = ops.capacity_resolvent(arcs, gamma, x, roots)
+    monkeypatch.setattr(operators, "_BPR_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure):
+        ops.capacity_resolvent(arcs, gamma, x)
+    for rows in (arcs, arcs[::2]):
+        warm = ops.capacity_resolvent(rows, gamma[rows], x[rows], roots[rows])
+        np.testing.assert_allclose(warm, cold[rows], rtol=1e-14)
 
 
 def test_capacity_resolvent_matches_lift_resolvent_bitwise():

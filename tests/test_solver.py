@@ -20,6 +20,7 @@ from netequil import (
     run,
     scalar_resolvent,
     step,
+    step_parameters,
 )
 from netequil import operators
 from netequil.fileio import Problem, parse_problem, serialize_problem
@@ -164,6 +165,34 @@ class TestConfig:
             step(net, ops, SolverConfig(gamma=0.0), state, ws)
         with pytest.raises(ConfigurationError, match="sigma"):
             step(net, ops, SolverConfig(sigma=-1.0), state, ws)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", np.ones(5), "gamma has 5 entries for 2 arcs"),
+            ("mu", np.ones(3), "mu has 3 entries for 2 arcs"),
+            ("sigma", np.ones((2, 2)), "sigma has 4 entries for 2 nodes"),
+        ],
+    )
+    def test_step_parameters_of_wrong_length_name_both_lengths(self, two_arc, field, value, message):
+        _, net, ops = two_arc
+        cfg = SolverConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=message):
+            step_parameters(net, cfg)
+        with pytest.raises(ConfigurationError, match=message):
+            run(net, ops, cfg)
+
+    @pytest.mark.parametrize("field", ["max_iter", "check_interval"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_iteration_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a"):
+            SolverConfig(**{field: value})
+
+    def test_iteration_counts_accept_numpy_integers(self, two_arc):
+        _, net, ops = two_arc
+        cfg = SolverConfig(max_iter=np.int64(20), check_interval=np.int32(4), tol=1e-300)
+        _, trace, _ = run(net, ops, cfg)
+        assert len(trace) == 20 and trace[3].residual is not None
 
     def test_per_entity_step_parameters(self, two_arc):
         _, net, ops = two_arc
@@ -432,14 +461,18 @@ class TestRun:
 
 
 def manual_run(net, ops, cfg):
-    """`run` spelled out with the public step and residual, nothing reused."""
+    """`run` spelled out with the public step and residual, no sweep reused.
+
+    Like `run`, the residual starts its kernels from the iteration's roots.
+    """
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
-    state, ws, trace = initial_state(net), new_workspace(net), []
+    state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
     for k in range(cfg.max_iter):
         arcs, nodes = sched.select(state.n)
         record = step(net, ops, cfg, state, ws, arcs, nodes)
         if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
-            record.residual = residual(net, ops, cfg, state)
+            sweep.root[:] = ws.root
+            record.residual = residual(net, ops, cfg, state, sweep=sweep)
         trace.append(record)
         if record.residual is not None and record.residual <= cfg.tol:
             break
@@ -490,3 +523,32 @@ def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
         rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
         assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
         assert any(r.residual is not None for r in trace)
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_two_runs_on_one_operator_set_are_bitwise_equal(spec, T):
+    # the kernel roots live in the run's workspace, not in the OperatorSet
+    net, ops = mixed_multicommodity_instance(6)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=120, check_interval=9, tol=1e-300)
+    probe = initial_state(net)
+    probe.x[:] = 0.5
+    cold = residual(net, ops, cfg, probe)
+    first, first_trace, _ = run(net, ops, cfg)
+    second, second_trace, _ = run(net, ops, cfg)
+    for got, want in zip((second.x, second.xstar, second.v), (first.x, first.xstar, first.v)):
+        assert np.array_equal(got, want)
+    rows = [(r.tau, r.pi, r.theta, r.residual) for r in second_trace]
+    assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in first_trace]
+    # a residual without a sweep workspace starts cold, before and after runs
+    assert residual(net, ops, cfg, probe) == cold
+
+
+def test_workspace_roots_follow_the_evaluated_arcs(two_arc):
+    _, net, ops = two_arc
+    cfg = SolverConfig()
+    state, ws = initial_state(net), new_workspace(net)
+    assert np.isnan(ws.root).all()
+    step(net, ops, cfg, state, ws, np.array([True, False]), np.array([True, True]))
+    assert np.isfinite(ws.root[0]) and np.isnan(ws.root[1])
+    # the root is the scalar resolvent of the arc's row total, at C*gamma
+    assert ws.root[0] == pytest.approx(float(np.sum(ws.q[0])), rel=1e-12)
