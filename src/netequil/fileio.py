@@ -32,7 +32,10 @@ families: ``bpr(alpha,rho,theta,p)``, ``log(omega,theta)``,
 without a supply line get zero supply.  Schedulers are ``full``,
 ``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key); when
 ``T`` is not given it defaults to K-1 for round-robin, 3 for random
-sweep, and 0 otherwise.
+sweep, and 0 otherwise.  A missing ``gamma``, ``mu`` or ``sigma`` key
+leaves that step parameter to be derived from the graph (see
+``solver.step_parameters``); `serialize_problem` writes these keys only
+when they were set.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
@@ -581,9 +584,9 @@ def _parse_solver_section(entries):
         if t_default is None:
             t_default = 0
     kwargs = dict(
-        gamma=take_float("gamma", 1.0),
-        mu=take_float("mu", 1.0),
-        sigma=take_float("sigma", 1.0),
+        gamma=take_float("gamma", None),
+        mu=take_float("mu", None),
+        sigma=take_float("sigma", None),
         relaxation=take_float("lambda", 1.8),
         T=take_int("T", t_default),
         scheduler=scheduler,
@@ -694,16 +697,18 @@ def serialize_problem(problem):
         values = " ".join(_fmt(v) for v in op.supply)
         out.write(f"{name} {values}\n")
     cfg = problem.config
-    for name in ("gamma", "mu", "sigma"):
-        if not np.isscalar(getattr(cfg, name)):
+    # a step parameter left at None (derived from the graph) is not written
+    steps = {name: getattr(cfg, name) for name in ("gamma", "mu", "sigma")}
+    for name, value in steps.items():
+        if value is not None and not np.isscalar(value):
             raise ConfigurationError(f"the file format carries scalar {name} only")
     if isinstance(cfg.relaxation, tuple):
         raise ConfigurationError("the file format carries a constant relaxation only")
     sched_token, seed = _scheduler_token(cfg.scheduler)
     out.write("\n[solver]\n")
-    out.write(f"gamma = {_fmt(cfg.gamma)}\n")
-    out.write(f"mu = {_fmt(cfg.mu)}\n")
-    out.write(f"sigma = {_fmt(cfg.sigma)}\n")
+    for name, value in steps.items():
+        if value is not None:
+            out.write(f"{name} = {_fmt(value)}\n")
     out.write(f"lambda = {_fmt(cfg.relaxation)}\n")
     out.write(f"T = {cfg.T}\n")
     out.write(f"scheduler = {sched_token}\n")

@@ -11,7 +11,9 @@ residual |w*exp(w) - x| of a few ulp.
 ``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
 exp(z) would overflow it instead solves w + log(w) = z by Newton
 iteration; the capacity resolvents route through it so that transiently
-huge arguments inside the solver loop stay finite.  An optional `start`
+huge arguments inside the solver loop stay finite.  Halley raises
+NumericalFailure rather than return an element it has not converged in
+_MAX_ITER passes.  An optional `start`
 (say, the W an element had at its previous evaluation) replaces
 Winitzki's approximation as Halley's starting point where it lies within
 _WARM_SPAN (5%) of it; a start farther away, or nan, is ignored.
@@ -27,10 +29,14 @@ import math
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 _BRANCH_POINT = -math.exp(-1.0)
 # beyond this, form W(exp(z)) without evaluating exp(z)
 _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50
+_EPS = np.finfo(float).eps
+_RESIDUAL_ULPS = 4.0
 # Winitzki is within 2% of W for x >= 0, so a start farther than this from
 # it is no better; Halley from far off moves w by only about 2 per pass
 _WARM_SPAN = 0.05
@@ -59,8 +65,19 @@ def _start(x, warm):
 
 
 def _halley(x, w):
-    """Refine starting points w toward W(x) elementwise, for x > -1/e."""
+    """Refine starting points w toward W(x) elementwise, for x > -1/e.
+
+    An element stops at the first pass whose step is at most
+    1e-15 * (1 + |w|).  Near the branch point W is so ill-conditioned that
+    rounding noise in the residual keeps the step above that; an element
+    still running after _MAX_ITER passes is accepted if its residual
+    |w*exp(w) - x| is at rounding level, _RESIDUAL_ULPS * eps * |x| * (1 + |w|)
+    (a half-ulp error in w moves w*exp(w) by about eps * |x| * |1 + w| / 2),
+    and otherwise raises NumericalFailure.
+    """
     out = np.empty_like(x)
+    if not x.size:
+        return out
     idx = np.arange(x.size)
     for _ in range(_MAX_ITER):
         ew = np.exp(w)
@@ -75,8 +92,13 @@ def _halley(x, w):
             if not np.count_nonzero(more):
                 return out
             idx, x, w = idx[more], x[more], w[more]
-    out[idx] = w
-    return out
+    if np.all(np.abs(w * np.exp(w) - x) <= _RESIDUAL_ULPS * _EPS * np.abs(x) * (1.0 + np.abs(w))):
+        out[idx] = w
+        return out
+    raise NumericalFailure(
+        f"Lambert W Halley iteration did not converge in {_MAX_ITER} passes "
+        f"(x = {float(x[0])!r}, last w = {float(w[0])!r})"
+    )
 
 
 def lambert_w(x):

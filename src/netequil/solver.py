@@ -15,6 +15,20 @@ one column per commodity.  One iteration
      (separation value) and takes the relaxed projection step
      theta = relaxation * max(pi, 0) / tau.
 
+pi is the separator in the form that does not cancel near a solution,
+
+  pi = <x - q, q* + x* - tension v> + <x - r, r* - x*> + <div x - s, s* - v>,
+
+which adjointness of divergence and tension makes equal to the plain
+<x, t*> - <q, q*> + <u, x*> - <r, r*> + <t, v> - <s, s*>.  For a block
+evaluated at the current point, its term is |primal gap|^2 / step
+parameter, so pi is a sum of small nonnegative terms where the plain
+form is a difference of large ones.
+
+Each block's step parameter (gamma for the capacity resolvent, mu for the
+box, sigma for the node supply) defaults to a value derived from the
+graph; see `step_parameters`.
+
 tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
 itself re-evaluates every block at the current point (full activation)
@@ -211,14 +225,15 @@ def make_scheduler(spec, network, T):
 class SolverConfig:
     """Step parameters, relaxation schedule, scheduling, and stopping rule.
 
-    gamma/mu are per-arc and sigma per-node; scalars broadcast.  The
+    gamma/mu are per-arc and sigma per-node; scalars broadcast, and None
+    (the default) derives them from the graph (see `step_parameters`).  The
     relaxation is either a constant in ]0, 2[ or a triple
     (fn, inf, sup) with 0 < inf <= sup < 2 bounding the values of fn(n).
     """
 
-    gamma: Union[float, np.ndarray] = 1.0
-    mu: Union[float, np.ndarray] = 1.0
-    sigma: Union[float, np.ndarray] = 1.0
+    gamma: Union[None, float, np.ndarray] = None
+    mu: Union[None, float, np.ndarray] = None
+    sigma: Union[None, float, np.ndarray] = None
     relaxation: Union[float, tuple] = 1.8
     T: int = 0
     scheduler: object = field(default_factory=Full)
@@ -270,13 +285,39 @@ def _positive_per_entity(value, size, name, entities):
 def step_parameters(net, cfg):
     """Validated per-entity (gamma, mu, sigma) arrays of cfg on net.
 
-    `run` computes them once and hands them to every `step` and
+    A parameter that cfg leaves at None is derived from the graph by the
+    diagonal preconditioning of Pock & Chambolle (ICCV 2011) applied to
+    the incidence map K (the divergence), whose column for arc j has two
+    unit entries, +1 at its tail and -1 at its head:
+
+    - gamma_j = 1 / |K e_j|^2 = 1/2.  The flow step of an arc is one over
+      the squared norm of its incidence column, the same for every arc.
+    - sigma_i = sum over the arcs j at node i of gamma_j K_ij^2
+      = deg(i) / 2.  The node block reads div x + sigma_i v, and the flow
+      part of that input gathers the deg(i) arcs at i, so sigma_i is the
+      diagonal entry of K diag(gamma) K^T, the metric the flow steps
+      induce on node space.  A declared node with no arcs couples to no
+      flow; it gets 1/2, the value of a node with one arc, which keeps its
+      sigma finite and positive: sigma_i = max(deg(i), 1) / 2.
+    - mu_j = 1.  The box block reads x + mu_j x* through the identity,
+      which involves no incidence and has column norm 1.
+
+    Explicit scalars broadcast and explicit arrays are taken as given.
+    `run` computes the arrays once and hands them to every `step` and
     `residual`; direct calls that omit them validate cfg themselves.
     """
+    gamma, mu, sigma = cfg.gamma, cfg.mu, cfg.sigma
+    if gamma is None:
+        gamma = 0.5
+    if mu is None:
+        mu = 1.0
+    if sigma is None:
+        degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
+        sigma = np.maximum(degree, 1) / 2.0
     return (
-        _positive_per_entity(cfg.gamma, net.n_arcs, "gamma", "arcs"),
-        _positive_per_entity(cfg.mu, net.n_arcs, "mu", "arcs"),
-        _positive_per_entity(cfg.sigma, net.n_nodes, "sigma", "nodes"),
+        _positive_per_entity(gamma, net.n_arcs, "gamma", "arcs"),
+        _positive_per_entity(mu, net.n_arcs, "mu", "arcs"),
+        _positive_per_entity(sigma, net.n_nodes, "sigma", "nodes"),
     )
 
 
@@ -312,6 +353,8 @@ class IterationWorkspace:
     last evaluation into this workspace (nan before the first), which the
     next evaluation starts from: an arc's result depends on its own input
     and its own previous root, never on which other arcs share its batch.
+    `div_x` and `tension_v` are div x and tension v at the point of the
+    last evaluation, which the separator pi reads.
     """
 
     q: np.ndarray
@@ -324,6 +367,8 @@ class IterationWorkspace:
     tstar: np.ndarray
     u: np.ndarray
     root: np.ndarray
+    div_x: np.ndarray
+    tension_v: np.ndarray
     tau: float = 0.0
     pi: float = 0.0
     theta: float = 0.0
@@ -333,7 +378,7 @@ def new_workspace(network):
     a = network.zero_flow
     n = network.zero_potential
     root = np.full(network.n_arcs, np.nan)
-    return IterationWorkspace(a(), a(), a(), a(), n(), n(), n(), a(), a(), root)
+    return IterationWorkspace(a(), a(), a(), a(), n(), n(), n(), a(), a(), root, n(), a())
 
 
 @dataclass
@@ -372,14 +417,16 @@ def _active(mask):
 def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
     """Evaluate the resolvents of the active blocks into the rows of ws.
 
-    Fills q, q*, r, r* and the kernel roots for the active arcs and s, s*
-    for the active nodes; returns div x.
+    Fills q, q*, r, r* and the kernel roots for the active arcs, s, s*
+    for the active nodes, and div x and tension v for all of them.
     """
     gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
+    ws.tension_v = net.tension(v)
+    ws.div_x = div_x = net.divergence(x)
     act, rows = _active(arc_mask)
     xa, xsa, gam = x[rows], xstar[rows], gammas[rows]
-    lstar = xsa - net.tension(v)[rows]
+    lstar = xsa - ws.tension_v[rows]
     root = ws.root[rows]
     q = ops.capacity_resolvent(act, gam, xa - gam[:, None] * lstar, root)
     ws.root[rows] = root
@@ -390,18 +437,18 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
     ws.r[rows] = r
     ws.rstar[rows] = xsa + (xa - r) / mu
 
-    div_x = net.divergence(x)
     _, nrows = _active(node_mask)
     supply = ops.supplies[nrows]
     ws.s[nrows] = supply
     ws.sstar[nrows] = v[nrows] + (div_x[nrows] - supply) / sigmas[nrows, None]
-    return div_x
 
 
 def _assemble(net, state, ws):
     """Directions t, t*, u from the cached block outputs; returns (tau, pi).
 
     t is refreshed for every node and t*/u for every arc, active or not.
+    pi reads the div x and tension v held in ws, which must be those of
+    the current state.
     """
     np.subtract(ws.s, net.divergence(ws.q), out=ws.t_node)
     np.add(ws.qstar, ws.rstar, out=ws.tstar)
@@ -409,19 +456,20 @@ def _assemble(net, state, ws):
     np.subtract(ws.r, ws.q, out=ws.u)
     # fixed reduction order: arc terms first, then node terms
     tau = float((ws.tstar * ws.tstar).sum() + (ws.u * ws.u).sum() + (ws.t_node * ws.t_node).sum())
+    x, xstar = state.x, state.xstar
     pi = float(
-        (state.x * ws.tstar).sum()
-        - (ws.q * ws.qstar).sum()
-        + (ws.u * state.xstar).sum()
-        - (ws.r * ws.rstar).sum()
-        + (ws.t_node * state.v).sum()
-        - (ws.s * ws.sstar).sum()
+        ((x - ws.q) * (ws.qstar + xstar - ws.tension_v)).sum()
+        + ((x - ws.r) * (ws.rstar - xstar)).sum()
+        + ((ws.div_x - ws.s) * (ws.sstar - state.v)).sum()
     )
     return tau, pi
 
 
 def _reuse_sweep(sweep, ws, arc_mask, node_mask):
-    """Copy the active rows of the block outputs in `sweep` into ws."""
+    """Copy the active rows of the block outputs in `sweep`, and its div x
+    and tension v, into ws."""
+    ws.div_x[...] = sweep.div_x
+    ws.tension_v[...] = sweep.tension_v
     _, rows = _active(arc_mask)
     for name in ("q", "qstar", "r", "rstar", "root"):
         getattr(ws, name)[rows] = getattr(sweep, name)[rows]
@@ -506,9 +554,9 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     ws = sweep if sweep is not None else new_workspace(net)
     everything = np.ones(net.n_arcs, dtype=bool), np.ones(net.n_nodes, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        div_x = _sweep_blocks(net, ops, params, state, ws, *everything)
+        _sweep_blocks(net, ops, params, state, ws, *everything)
         tau, _ = _assemble(net, state, ws)
-    gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - div_x) ** 2))
+    gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - ws.div_x) ** 2))
     return float(np.sqrt(tau + gap))
 
 

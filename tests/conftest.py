@@ -73,3 +73,29 @@ def random_network(rng, max_nodes=20, max_arcs=60, max_comm=4):
         h = (t + int(rng.integers(1, n_nodes))) % n_nodes
         pairs.append((t, h))
     return Network(range(n_nodes), pairs, n_comm)
+
+
+def grid_instance(k, n_comm, seed):
+    """k x k grid, a BPR (p = 4) arc each way along every edge, and demand 4
+    per commodity from one corner to the opposite one."""
+    rng = np.random.default_rng(seed)
+    nodes = [(i, j) for i in range(k) for j in range(k)]
+    pairs = []
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                pairs += [((i, j), (i + 1, j)), ((i + 1, j), (i, j))]
+            if j + 1 < k:
+                pairs += [((i, j), (i, j + 1)), ((i, j + 1), (i, j))]
+    net = Network(nodes, pairs, n_comm)
+    specs = [
+        BPR(alpha=0.15, rho=float(rng.uniform(1, 3)), theta=float(rng.uniform(1, 2)), p=4.0)
+        for _ in pairs
+    ]
+    corner = {(0, 0): 4.0, (k - 1, k - 1): -4.0}
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.orthant(n_comm)) for spec in specs],
+        [FixedSupply((corner.get(node, 0.0),) * n_comm) for node in nodes],
+    )
+    return net, ops

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from netequil import ProblemFormatWarning, solver
 from netequil.cli import main
-from netequil.fileio import parse_problem, parse_solution
+from netequil.fileio import parse_problem, parse_solution, serialize_solution
 
 TWO_ARC = "problems/two_arc.prob"
 
@@ -58,10 +60,12 @@ class TestSolve:
 
     def test_check_rejects_wrong_solution(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
-        main(["solve", two_arc_path, "--out", out, "--quiet"])
-        text = open(out).read().replace("\ntop 1.9", "\ntop 0.9")
+        assert main(["solve", two_arc_path, "--out", out, "--quiet"]) == 0
+        solution = parse_solution(out, parse_problem(two_arc_path))
+        flow = solution.flow.copy()
+        flow[0, 0] -= 1.0  # one unit off the top arc: supply and route costs both violated
         bad = tmp_path / "bad.sol"
-        bad.write_text(text)
+        bad.write_text(serialize_solution(replace(solution, flow=flow)))
         assert main(["check", two_arc_path, str(bad), "--quiet"]) == 2
 
     def test_iteration_limit_exit_code(self, two_arc_path, tmp_path):
@@ -128,6 +132,17 @@ class TestSolve:
         code = main(["solve", str(prob), "--out", out, "--max-iter", "1000", "--quiet"])
         assert code == 2
         assert parse_solution(out, parse_problem(str(prob))).iterations <= 1000
+
+    def test_scaled_two_arc_solve_then_check_passes(self, two_arc_path, tmp_path):
+        # costs x100: a separator formed as a difference of large inner
+        # products stalls here at the iteration limit
+        prob = tmp_path / "scaled.prob"
+        text = read(two_arc_path).decode()
+        prob.write_text(text.replace("theta=1,", "theta=100,").replace("theta=2,", "theta=200,"))
+        out = str(tmp_path / "s.sol")
+        assert main(["solve", str(prob), "--out", out, "--max-iter", "5000", "--quiet"]) == 0
+        assert parse_solution(out, parse_problem(str(prob))).termination == "converged"
+        assert main(["check", str(prob), out, "--quiet"]) == 0
 
     def test_idle_interval_arc_passes_check(self, tmp_path):
         # the idle arc ends a hair outside its interval [0, inf[; the

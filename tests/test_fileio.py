@@ -19,6 +19,7 @@ from netequil import (
     RandomSweep,
     RoundRobin,
     TraceRecord,
+    step_parameters,
 )
 from netequil.fileio import (
     Problem,
@@ -204,6 +205,35 @@ class TestRoundTrip:
     def test_ids_that_would_not_parse_back_are_rejected(self, kind, kwargs):
         with pytest.raises(ConfigurationError, match=f"{kind} id"):
             serialize_problem(self.two_node_problem(**kwargs))
+
+    def test_missing_step_keys_are_derived_from_the_graph(self):
+        problem = parse_problem(MINIMAL + "[solver]\ntol = 1e-06\n")
+        cfg = problem.config
+        assert (cfg.gamma, cfg.mu, cfg.sigma) == (None, None, None)
+        gamma, mu, sigma = step_parameters(problem.network, cfg)
+        assert np.array_equal(gamma, [0.5]) and np.array_equal(mu, [1.0])
+        assert np.array_equal(sigma, [0.5, 0.5])  # one arc at each node
+
+    def test_explicit_step_keys_round_trip_unchanged(self):
+        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nmu = 2.5\nsigma = 1e-3\n"
+        first = parse_problem(text)
+        assert (first.config.gamma, first.config.mu, first.config.sigma) == (0.30000000000000004, 2.5, 1e-3)
+        written = serialize_problem(first)
+        for line in ("gamma = 0.30000000000000004\n", "mu = 2.5\n", "sigma = 0.001\n"):
+            assert line in written
+        assert parse_problem(written) == first
+
+    @pytest.mark.parametrize(
+        "explicit",
+        [{}, {"mu": 2.0}, {"gamma": 0.25, "sigma": 3.0}, {"gamma": 1.0, "mu": 1.0, "sigma": 1.0}],
+    )
+    def test_serialize_writes_only_the_step_keys_that_were_set(self, explicit):
+        problem = self.two_node_problem(["a", "b"])
+        problem.config = SolverConfig(**explicit)
+        written = serialize_problem(problem)
+        for name in ("gamma", "mu", "sigma"):
+            assert (f"\n{name} = " in written) == (name in explicit)
+        assert parse_problem(written) == problem
 
     def test_solution_round_trip(self):
         problem = parse_problem(MINIMAL)

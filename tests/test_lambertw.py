@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from netequil import lambert_w, lambert_w_exp
+from netequil import NumericalFailure, lambert_w, lambert_w_exp
+from netequil.lambertw import _halley
 
 
 def bisect_w(x, lo=-1.0, hi=12.0, iters=200):
@@ -126,3 +127,16 @@ def test_w_exp_start_near_the_root_is_used_and_any_other_ignored():
 def test_array_with_one_bad_element_raises():
     with pytest.raises(ValueError, match="below -1/e"):
         lambert_w(np.array([0.0, 1.0, -0.5]))
+
+
+def test_halley_raises_when_it_does_not_converge():
+    # from w0 = 500 Halley moves w by about 2 per pass toward W(e^50) = 46.17
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        _halley(np.array([math.exp(50.0)]), np.array([500.0]))
+    # the same argument from Winitzki's start converges
+    assert lambert_w(math.exp(50.0)) == pytest.approx(lambert_w_exp(50.0), rel=1e-15)
+
+
+def test_halley_on_an_empty_batch():
+    assert _halley(np.array([]), np.array([])).size == 0
+    assert np.array_equal(lambert_w_exp(np.array([600.0, 1e4])), [lambert_w_exp(600.0), lambert_w_exp(1e4)])

@@ -12,12 +12,14 @@ from netequil import (
     RoundRobin,
     SolverConfig,
     Termination,
+    TwoArcInstance,
     analytic_two_arc,
     initial_state,
     make_scheduler,
     new_workspace,
     residual,
     run,
+    wardrop_residual,
     scalar_resolvent,
     step,
     step_parameters,
@@ -37,7 +39,7 @@ from netequil.operators import (
     SeparableLift,
 )
 
-from conftest import random_network
+from conftest import grid_instance, random_network
 
 
 def solved_state(net, inst):
@@ -199,6 +201,54 @@ class TestConfig:
         cfg = SolverConfig(gamma=np.array([0.5, 2.0]), mu=np.array([1.0, 3.0]), sigma=0.7)
         state, _, reason = run(net, ops, cfg)
         assert reason is Termination.CONVERGED
+
+
+    def test_default_step_parameters_follow_the_graph(self):
+        # parallel arcs count once each toward the degree; node "e" has no arcs
+        net = Network("abcde", [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")], 2)
+        gamma, mu, sigma = step_parameters(net, SolverConfig())
+        degree = [sum(node in arc for arc in net.arcs) for node in net.nodes]
+        assert degree == [4, 3, 2, 1, 0]
+        assert np.array_equal(gamma, np.full(5, 0.5))
+        assert np.array_equal(mu, np.ones(5))
+        assert np.array_equal(sigma, [2.0, 1.5, 1.0, 0.5, 0.5])
+
+    def test_explicit_step_parameters_are_honoured(self, braess):
+        net, ops, _ = braess
+        gamma = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        got = step_parameters(net, SolverConfig(gamma=gamma, mu=2.0, sigma=np.arange(1.0, 5.0)))
+        assert np.array_equal(got[0], gamma)
+        assert np.array_equal(got[1], np.full(5, 2.0))
+        assert np.array_equal(got[2], [1.0, 2.0, 3.0, 4.0])
+        # an explicit parameter leaves the others derived
+        derived = step_parameters(net, SolverConfig())
+        mixed = step_parameters(net, SolverConfig(mu=3.0))
+        assert np.array_equal(mixed[0], derived[0]) and np.array_equal(mixed[2], derived[2])
+        # the derived values given explicitly make the same run, bit for bit
+        spelled = SolverConfig(gamma=0.5, mu=1.0, sigma=derived[2])
+        first, _, _ = run(net, ops, SolverConfig())
+        second, _, _ = run(net, ops, spelled)
+        assert np.array_equal(first.x, second.x) and np.array_equal(first.v, second.v)
+        # flat parameters converge to the same equilibrium
+        flat, _, reason = run(net, ops, SolverConfig(gamma=1.0, mu=1.0, sigma=1.0))
+        assert reason is Termination.CONVERGED
+        np.testing.assert_allclose(flat.x, first.x, atol=1e-5)
+
+    def test_node_without_arcs(self, two_arc):
+        inst, _, two_arc_ops = two_arc
+        net = Network(["a", "b", "idle"], [("a", "b"), ("a", "b")], 1)
+        ops = OperatorSet(
+            net,
+            list(two_arc_ops.arc_operators),
+            list(two_arc_ops.node_operators) + [FixedSupply((0.0,))],
+        )
+        _, _, sigma = step_parameters(net, SolverConfig())
+        assert np.all(np.isfinite(sigma)) and np.all(sigma > 0.0)
+        state, _, reason = run(net, ops, SolverConfig(tol=1e-8))
+        assert reason is Termination.CONVERGED
+        flow, _, _ = analytic_two_arc(inst)
+        np.testing.assert_allclose(state.x[:, 0], flow, atol=1e-6)
+        assert state.v[2, 0] == 0.0  # nothing ever moves the idle node's potential
 
 
 # ---------------------------------------------------------------------------
@@ -552,3 +602,92 @@ def test_workspace_roots_follow_the_evaluated_arcs(two_arc):
     assert np.isfinite(ws.root[0]) and np.isnan(ws.root[1])
     # the root is the scalar resolvent of the arc's row total, at C*gamma
     assert ws.root[0] == pytest.approx(float(np.sum(ws.q[0])), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the separator pi, formed without cancellation
+# ---------------------------------------------------------------------------
+
+
+def far_from_solution(seed):
+    net, ops = mixed_multicommodity_instance(seed)
+    rng = np.random.default_rng(seed)
+    state = initial_state(
+        net,
+        rng.uniform(0.0, 3.0, (net.n_arcs, net.n_commodities)),
+        rng.standard_normal((net.n_arcs, net.n_commodities)),
+        rng.standard_normal((net.n_nodes, net.n_commodities)),
+    )
+    return net, ops, state
+
+
+def near_solution():
+    net, ops = grid_instance(3, 1, seed=5)
+    state, _, _ = run(net, ops, SolverConfig(tol=1e-9, max_iter=10_000))
+    state.n = 0
+    return net, ops, state
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "near"])
+def test_pi_is_the_sum_of_block_gaps(case):
+    net, ops, state = near_solution() if case == "near" else far_from_solution(case)
+    cfg = SolverConfig()
+    x, xstar, v = state.x.copy(), state.xstar.copy(), state.v.copy()
+    ws = new_workspace(net)
+    record = step(net, ops, cfg, state, ws)
+    gamma, mu, sigma = step_parameters(net, cfg)
+    # fresh blocks: each term of pi is |primal gap|^2 / step parameter, also
+    # near a solution, where the plain form below cancels to noise; there
+    # q* + x* - tension v, of size |x - q| / gamma ~ 1e-10, carries the
+    # rounding of the O(1) duals it is formed from, about 1e-6 relative
+    gaps = (
+        np.sum((x - ws.q) ** 2 / gamma[:, None])
+        + np.sum((x - ws.r) ** 2 / mu[:, None])
+        + np.sum((net.divergence(x) - ws.s) ** 2 / sigma[:, None])
+    )
+    assert record.pi == pytest.approx(gaps, rel=1e-4 if case == "near" else 1e-10, abs=0.0)
+    terms = [
+        np.sum(x * ws.tstar),
+        -np.sum(ws.q * ws.qstar),
+        np.sum(ws.u * xstar),
+        -np.sum(ws.r * ws.rstar),
+        np.sum(ws.t_node * v),
+        -np.sum(ws.s * ws.sstar),
+    ]
+    assert record.pi == pytest.approx(sum(terms), abs=1e-13 * max(abs(t) for t in terms))
+
+
+def test_small_grid_converges_at_a_tight_tolerance():
+    net, ops = grid_instance(3, 1, seed=5)
+    state, trace, reason = run(net, ops, SolverConfig(tol=1e-10, max_iter=10_000))
+    assert reason is Termination.CONVERGED
+    assert trace[-1].residual <= 1e-10
+    assert wardrop_residual(net, ops, state.x, state.v) <= 1e-9
+
+
+def test_two_arc_with_costs_times_1e3_converges_at_1e_10_times_the_scale():
+    # a separator formed as a difference of large inner products stalls
+    # here at a residual of 2.7e-6
+    inst = TwoArcInstance(1e3, 2e3, 1e3, 1e3, 3.0)
+    net = inst.network()
+    state, trace, reason = run(net, inst.operator_set(net), SolverConfig(tol=1e-7, max_iter=30_000))
+    assert reason is Termination.CONVERGED
+    flow, _, _ = analytic_two_arc(inst)
+    np.testing.assert_allclose(state.x[:, 0], flow, atol=1e-6)
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_one_ulp_in_gamma_leaves_the_iteration_count_unchanged(spec, T):
+    # a last-bit change in the iterate changes pi in its last bits only, so
+    # on runs this short no residual check passes earlier or later (longer
+    # runs under a partial scheduler can amplify the change through the
+    # dynamics until a count moves)
+    for k, seed in ((3, 1), (5, 4)):
+        net, ops = grid_instance(k, 2, seed)
+        counts = []
+        for gamma in (None, np.nextafter(0.5, 1.0)):
+            cfg = SolverConfig(gamma=gamma, scheduler=spec, T=T, max_iter=20_000)
+            state, _, reason = run(net, ops, cfg)
+            assert reason is Termination.CONVERGED
+            counts.append(state.n)
+        assert counts[0] == counts[1]
