@@ -11,10 +11,10 @@ residual |w*exp(w) - x| of a few ulp.
 ``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
 exp(z) would overflow it instead solves w + log(w) = z by Newton
 iteration; the capacity resolvents route through it so that transiently
-huge arguments inside the solver loop stay finite.  Halley raises
-NumericalFailure rather than return an element it has not converged in
-_MAX_ITER passes.  An optional `start`
-(say, the W an element had at its previous evaluation) replaces
+huge arguments inside the solver loop stay finite.  Halley and Newton
+raise NumericalFailure rather than return an element they have not
+converged in _MAX_ITER passes, and so does a nan or +inf z.  An optional
+`start` (say, the W an element had at its previous evaluation) replaces
 Winitzki's approximation as Halley's starting point where it lies within
 _WARM_SPAN (5%) of it; a start farther away, or nan, is ignored.
 
@@ -148,14 +148,22 @@ def lambert_w_exp(z, start=None):
         out[small] = _halley(x, _start(x, None if start is None else start[small]))
         idx = np.flatnonzero(~small)
         zl = z[idx]
+        bad = ~np.isfinite(zl)
+        if bad.any():
+            raise NumericalFailure(f"lambert_w_exp: non-finite argument {float(zl[bad][0])!r}")
         w = zl - np.log(zl)
         for _ in range(_MAX_ITER):
             w_next = w * (1.0 + zl - np.log(w)) / (1.0 + w)
-            done = np.abs(w_next - w) <= 1e-15 * (1.0 + np.abs(w_next))
+            # an overflowed step (z beyond about 1e154) has not converged
+            done = (np.abs(w_next - w) <= 1e-15 * (1.0 + np.abs(w_next))) & (w_next < np.inf)
             out[idx[done]] = w_next[done]
             more = ~done
             idx, zl, w = idx[more], zl[more], w_next[more]
             if not idx.size:
                 break
-        out[idx] = w
+        else:
+            raise NumericalFailure(
+                f"lambert_w_exp Newton iteration did not converge in {_MAX_ITER} passes "
+                f"(z = {float(zl[0])!r}, last w = {float(w[0])!r})"
+            )
     return restore(out)

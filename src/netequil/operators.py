@@ -38,16 +38,17 @@ arrays; ``spec.family()`` names a spec's kernel and its parameters.  An
 call; ``spec.resolvent`` and ``phi.prox`` are the size-1 case.  BPR runs
 Newton on log s, which decreases monotonically to the root from an upper
 bound, so it needs no bracket and no bisection (see ``_bpr_kernel``).
-Logarithmic/PowerExp run a Halley iteration inside ``lambert_w_exp``.
-Both stop each element on its own test and leave stopped elements
-unchanged.  Every kernel also takes an optional ``start``, the root each
-element had at an earlier evaluation (nan for none): BPR takes one
-Newton step from it, Logarithmic/PowerExp hand the matching W to Halley,
-and the closed-form kernels ignore it.  Without a start a kernel runs
-from its cold starting point.  So an element's result depends on its own
-input and its own previous root, never on which other arcs share its
-batch.  A user-supplied ``CustomPhi`` prox is the one family evaluated by
-a scalar loop.
+Logarithmic and PowerExp share one kernel, whose parameters say which
+formula each element takes, so their arcs make one ``lambert_w_exp`` call
+(a Halley iteration) per batch.  Both iterations stop each element on its
+own test and leave stopped elements unchanged.  Every kernel also takes
+an optional ``start``, the root each element had at an earlier evaluation
+(nan for none): BPR takes one Newton step from it, Logarithmic/PowerExp
+hand the matching W to Halley, and the closed-form kernels ignore it.
+Without a start a kernel runs from its cold starting point.  So an
+element's result depends on its own input and its own previous root,
+never on which other arcs share its batch.  A user-supplied ``CustomPhi``
+prox is the one family evaluated by a scalar loop.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation) for diagnostics; the solver itself never calls them.
@@ -161,12 +162,23 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p, start=None):
     return out
 
 
-def _log_kernel(gamma, xi, omega, theta, start=None):
-    z = np.log(omega / gamma) + theta + (omega - xi) / gamma
-    if start is not None:
-        start = (omega - start) / gamma  # the W of an earlier root
-    # where W underflowed the exact value sits strictly below omega
-    return np.minimum(omega - gamma * lambert_w_exp(z, start), np.nextafter(omega, -np.inf))
+def _lambert_kernel(gamma, xi, is_log, a, theta, start=None):
+    """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) resolvents.
+
+    Both are one W(exp(z)) solve, so a batch mixing the two families makes
+    one ``lambert_w_exp`` call.  z, the warm start and the output pick each
+    element's own formula; the other family's formula is evaluated and
+    discarded, and may hit log(0) (Logarithmic theta = 0) or overflow.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_gta = np.log(gamma * theta * a)
+        z = np.where(is_log, np.log(a / gamma) + theta + (a - xi) / gamma, log_gta + a * xi)
+        if start is not None:
+            # the W of an earlier root
+            start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
+    w = lambert_w_exp(z, start)
+    # where W underflowed the exact Logarithmic value sits strictly below omega
+    return np.where(is_log, np.minimum(a - gamma * w, np.nextafter(a, -np.inf)), xi - w / a)
 
 
 def _trc_kernel(gamma, xi, alpha, beta, delta, omega, start=None):
@@ -174,16 +186,6 @@ def _trc_kernel(gamma, xi, alpha, beta, delta, omega, start=None):
     m = xi - gamma * delta
     root = np.sqrt(ga * ga * (m - omega) ** 2 + (2.0 * ga + 1.0) * gamma * gamma * beta)
     return (-root + ga * (m + omega) + m) / (2.0 * ga + 1.0)
-
-
-def _powerexp_kernel(gamma, xi, pl, theta, start=None):
-    """PowerExp resolvent; `pl` is p*log(alpha)."""
-    log_gtp = np.log(gamma * theta * pl)
-    z = log_gtp + pl * xi
-    if start is not None:
-        with np.errstate(over="ignore"):
-            start = np.exp(log_gtp + pl * start)  # the W of an earlier root
-    return xi - lambert_w_exp(z, start) / pl
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi
@@ -311,7 +313,7 @@ class Logarithmic(_Capacity):
         return None if v is None else (v, v)
 
     def family(self):
-        return _log_kernel, (self.omega, self.theta)
+        return _lambert_kernel, (True, self.omega, self.theta)
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ class PowerExp(_Capacity):
         return (v, v)
 
     def family(self):
-        return _powerexp_kernel, (self.p * math.log(self.alpha), self.theta)
+        return _lambert_kernel, (False, self.p * math.log(self.alpha), self.theta)
 
 
 # --------------------------------------------------------------------------

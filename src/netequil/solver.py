@@ -35,9 +35,12 @@ itself re-evaluates every block at the current point (full activation)
 and augments tau with the primal agreement terms |q - x| and
 |s - div x|; it vanishes exactly at solutions and is what the stopping
 rule monitors every ``check_interval`` iterations.  That full sweep is
-also the evaluation the next iteration needs, at the same point, so
-``run`` hands it to the next ``step``, which copies the active rows
-instead of evaluating them again.
+also an evaluation of every block at the point the next iteration starts
+from, so ``run`` hands it to the next ``step``, which activates every
+block and copies all of them instead of evaluating any.  The sweep
+condition only asks that each block be activated at least once in every
+T + 1 iterations, so activating more blocks than the scheduler chose
+keeps it; the scheduler is still queried at every iteration.
 
 Each capacity kernel starts from the root its arc had at its previous
 evaluation in the run (the workspace's ``root``), since the point moves
@@ -465,17 +468,10 @@ def _assemble(net, state, ws):
     return tau, pi
 
 
-def _reuse_sweep(sweep, ws, arc_mask, node_mask):
-    """Copy the active rows of the block outputs in `sweep`, and its div x
-    and tension v, into ws."""
-    ws.div_x[...] = sweep.div_x
-    ws.tension_v[...] = sweep.tension_v
-    _, rows = _active(arc_mask)
-    for name in ("q", "qstar", "r", "rstar", "root"):
-        getattr(ws, name)[rows] = getattr(sweep, name)[rows]
-    _, nrows = _active(node_mask)
-    ws.s[nrows] = sweep.s[nrows]
-    ws.sstar[nrows] = sweep.sstar[nrows]
+def _reuse_sweep(sweep, ws):
+    """Copy the block outputs, kernel roots, div x and tension v of `sweep` into ws."""
+    for name in ("q", "qstar", "r", "rstar", "root", "s", "sstar", "div_x", "tension_v"):
+        getattr(ws, name)[...] = getattr(sweep, name)
 
 
 def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None, sweep=None):
@@ -486,12 +482,15 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
     inactive blocks (iteration 0 must activate all blocks).  `params` is
     the output of `step_parameters(net, cfg)`, computed here if omitted.
     `sweep` is a workspace that `residual` filled at the current state:
-    the active rows are copied from it instead of evaluated again, which
-    gives the same bits.
+    every block is then active, whatever the masks say, and its outputs are
+    copied from `sweep` instead of evaluated again, which gives the same
+    bits.
     """
     t0 = time.perf_counter()
     if params is None:
         params = step_parameters(net, cfg)
+    if sweep is not None:
+        active_arcs = active_nodes = None
     if active_arcs is None:
         active_arcs = np.ones(net.n_arcs, dtype=bool)
     if active_nodes is None:
@@ -504,7 +503,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
         if sweep is None:
             _sweep_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
         else:
-            _reuse_sweep(sweep, ws, active_arcs, active_nodes)
+            _reuse_sweep(sweep, ws)
         tau, pi = _assemble(net, state, ws)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
@@ -579,7 +578,7 @@ def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = Non
     params = step_parameters(net, cfg)
     ws = new_workspace(net)
     # a residual sweep evaluates every block at the point the next step
-    # starts from; that step copies its active rows from it
+    # starts from; that step activates them all and copies them from it
     sweep_ws, sweep = new_workspace(net), None
     trace = []
     reason = Termination.ITER_LIMIT

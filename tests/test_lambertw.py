@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netequil import NumericalFailure, lambert_w, lambert_w_exp
+from netequil import lambertw
 from netequil.lambertw import _halley
 
 
@@ -140,3 +141,40 @@ def test_halley_raises_when_it_does_not_converge():
 def test_halley_on_an_empty_batch():
     assert _halley(np.array([]), np.array([])).size == 0
     assert np.array_equal(lambert_w_exp(np.array([600.0, 1e4])), [lambert_w_exp(600.0), lambert_w_exp(1e4)])
+
+
+@pytest.mark.parametrize(
+    "z", [math.inf, math.nan, np.array([1.0, math.nan, 800.0]), np.array([math.inf, 3.0])]
+)
+def test_w_exp_rejects_non_finite_arguments(z):
+    with pytest.raises(NumericalFailure, match="non-finite argument"):
+        lambert_w_exp(z)
+
+
+def test_w_exp_of_minus_infinity_is_zero():
+    assert lambert_w_exp(-math.inf) == 0.0
+
+
+def test_w_exp_raises_when_its_newton_iteration_does_not_converge(monkeypatch):
+    # beyond z ~ 1e154 the Newton step overflows to inf, which is no root
+    for z in (1e155, 1e300):
+        with pytest.raises(NumericalFailure, match="Newton iteration did not converge"):
+            lambert_w_exp(z)
+    # from w0 = z - log(z), one pass does not converge
+    monkeypatch.setattr(lambertw, "_MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match="Newton iteration did not converge"):
+        lambert_w_exp(np.array([600.0, 1e4]))
+
+
+def test_w_exp_large_arguments_keep_their_bits():
+    # values of the Newton branch as it was before it checked convergence
+    frozen = {
+        486.0: "0x1.dfd39a6fb9eb3p+8",
+        1e3: "0x1.f08cb195d4562p+9",
+        1e5: "0x1.86947cb876529p+16",
+        1e10: "0x1.2a05f1f47cb0fp+33",
+        1e100: "0x1.249ad2594c37dp+332",
+        1e154: "0x1.7dddf6b095ff1p+511",
+    }
+    got = lambert_w_exp(np.array(list(frozen)))
+    assert [float(w).hex() for w in got] == list(frozen.values())

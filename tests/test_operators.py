@@ -595,6 +595,103 @@ def test_lambert_kernels_from_their_own_roots_need_one_halley_pass(family, monke
     assert identity_errors(items, batch_resolvent(items, cold.copy())).max() <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# Logarithmic and PowerExp share one kernel, so a batch holding both makes
+# one Lambert-W solve
+# ---------------------------------------------------------------------------
+
+
+def reference_lambert_resolvent(spec, gamma, xi, start=None):
+    """The Logarithmic or PowerExp resolvent through that family's own formulas."""
+    gamma, xi = np.array([gamma]), np.array([xi])
+    start = None if start is None else np.array([start])
+    if isinstance(spec, Logarithmic):
+        omega = spec.omega
+        z = np.log(omega / gamma) + spec.theta + (omega - xi) / gamma
+        if start is not None:
+            start = (omega - start) / gamma
+        out = np.minimum(omega - gamma * lambertw.lambert_w_exp(z, start), np.nextafter(omega, -np.inf))
+    else:
+        pl = spec.p * math.log(spec.alpha)
+        log_gtp = np.log(gamma * spec.theta * pl)
+        if start is not None:
+            with np.errstate(over="ignore"):
+                start = np.exp(log_gtp + pl * start)
+        out = xi - lambertw.lambert_w_exp(log_gtp + pl * xi, start) / pl
+    return float(out[0])
+
+
+def lambert_draws(rng):
+    """Logarithmic (a third with theta = 0) and PowerExp draws over every branch, shuffled."""
+    items = regime_draws("log", rng, 400) + regime_draws("powerexp", rng, 400)
+    items += [(Logarithmic(spec.omega, 0.0), g, xi) for spec, g, xi in regime_draws("log", rng, 400)]
+    return [items[i] for i in rng.permutation(len(items))]
+
+
+def test_mixed_lambert_batch_matches_size1_calls_and_each_family_formula_bitwise():
+    rng = np.random.default_rng(81)
+    items = lambert_draws(rng)
+    single = np.array([spec.resolvent(gamma, xi) for spec, gamma, xi in items])
+    assert np.array_equal(batch_resolvent(items), single)
+    near = single * (1.0 + 1e-3 * rng.standard_normal(single.size))
+    starts = np.where(rng.random(single.size) < 0.8, near, np.nan)
+    warm = batch_resolvent(items, starts)
+    for (spec, gamma, xi), cold_s, warm_s, start in zip(items, single, warm, starts):
+        assert cold_s == reference_lambert_resolvent(spec, gamma, xi)
+        assert warm_s == reference_lambert_resolvent(spec, gamma, xi, start)
+
+
+def test_mixed_lambert_batch_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(82)
+    items = lambert_draws(rng)
+    cold = batch_resolvent(items)
+    near = cold * (1.0 + 1e-3 * rng.standard_normal(cold.size))
+    for start in (None, np.where(rng.random(cold.size) < 0.5, near, np.nan)):
+        whole = batch_resolvent(items, start)
+        order = rng.permutation(len(items))
+        parts = np.empty(len(items))
+        for part in np.split(order, [len(items) // 7, len(items) // 2]):
+            pick = None if start is None else start[part]
+            parts[part] = batch_resolvent([items[i] for i in part], pick)
+        assert np.array_equal(parts, whole)
+        for family in (Logarithmic, PowerExp):
+            own = np.flatnonzero([isinstance(spec, family) for spec, _, _ in items])
+            pick = None if start is None else start[own]
+            assert np.array_equal(batch_resolvent([items[i] for i in own], pick), whole[own])
+
+
+def test_logarithmic_with_theta_zero_raises_no_warning():
+    rng = np.random.default_rng(83)
+    items = [(Logarithmic(spec.omega, 0.0), g, xi) for spec, g, xi in regime_draws("log", rng, 300)]
+    items += regime_draws("powerexp", rng, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cold = batch_resolvent(items)
+        single = [spec.resolvent(gamma, xi) for spec, gamma, xi in items]
+    assert np.array_equal(cold, single)
+    # every start kind, including inf and nan, warning-free and nan-free
+    for _ in warm_calls(lambda start: batch_resolvent(items, start), cold):
+        pass
+
+
+def test_operator_set_solves_logarithmic_and_powerexp_arcs_in_one_lambert_call(monkeypatch):
+    net, ops = mixed_family_instance(custom=False)  # Logarithmic arc 1, PowerExp arc 3
+    sizes = []
+    solve = operators.lambert_w_exp
+
+    def counted(z, start=None):
+        sizes.append(z.size)
+        return solve(z, start)
+
+    monkeypatch.setattr(operators, "lambert_w_exp", counted)
+    x = np.ones((net.n_arcs, 2))
+    for arcs, want in (([0, 1, 2, 3, 4], [2]), ([1, 3], [2]), ([3], [1]), ([0, 2], [])):
+        arcs = np.array(arcs)
+        sizes.clear()
+        ops.capacity_resolvent(arcs, np.ones(arcs.size), x[arcs])
+        assert sizes == want
+
+
 def test_capacity_resolvent_start_returns_the_roots():
     rng = np.random.default_rng(62)
     for _ in range(10):
@@ -685,7 +782,8 @@ def test_custom_phi_mixed_with_batched_families_solves():
     runs = []
     for custom in (True, False, False):
         net, ops = mixed_family_instance(custom)
-        assert len(ops.families) == 5
+        # Logarithmic and PowerExp share one kernel
+        assert len(ops.families) == 4
         state, trace, reason = run(net, ops, cfg)
         assert reason is Termination.CONVERGED
         runs.append((state, [(r.tau, r.pi, r.theta, r.residual) for r in trace]))

@@ -34,6 +34,7 @@ from netequil.operators import (
     CustomPhi,
     FixedSupply,
     IntervalProx,
+    Logarithmic,
     OperatorSet,
     PowerExp,
     SeparableLift,
@@ -513,14 +514,20 @@ class TestRun:
 def manual_run(net, ops, cfg):
     """`run` spelled out with the public step and residual, no sweep reused.
 
-    Like `run`, the residual starts its kernels from the iteration's roots.
+    Like `run`, the residual starts its kernels from the iteration's roots,
+    and the step after a residual check activates every block; the
+    scheduler is still queried at every iteration.
     """
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
     state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
+    checked = False
     for k in range(cfg.max_iter):
         arcs, nodes = sched.select(state.n)
+        if checked:
+            arcs, nodes = np.ones_like(arcs), np.ones_like(nodes)
         record = step(net, ops, cfg, state, ws, arcs, nodes)
-        if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
+        checked = ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0
+        if checked:
             sweep.root[:] = ws.root
             record.residual = residual(net, ops, cfg, state, sweep=sweep)
         trace.append(record)
@@ -570,9 +577,57 @@ def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
         assert state.n == ref_state.n
         for got, want in zip((state.x, state.xstar, state.v), (ref_state.x, ref_state.xstar, ref_state.v)):
             assert np.array_equal(got, want)
-        rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
-        assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
+        rows = [(r.tau, r.pi, r.theta, r.residual, r.active_arcs, r.active_nodes) for r in trace]
+        assert rows == [
+            (r.tau, r.pi, r.theta, r.residual, r.active_arcs, r.active_nodes) for r in ref_trace
+        ]
         assert any(r.residual is not None for r in trace)
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES[1:], ids=["roundrobin3", "randomsweep"])
+def test_step_after_a_residual_check_activates_every_block(spec, T):
+    # the residual sweep has evaluated every block at that step's point
+    net, ops = mixed_multicommodity_instance(3)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=90, check_interval=7, tol=1e-300)
+    _, trace, _ = run(net, ops, cfg)
+    assert sum(r.residual is not None for r in trace) == 12
+    # the scheduler is still queried at every iteration; elsewhere its choice stands
+    sched = make_scheduler(spec, net, T)
+    checked = False
+    for rec in trace:
+        arcs, nodes = sched.select(rec.n)
+        if checked:
+            assert (rec.active_arcs, rec.active_nodes) == (net.n_arcs, net.n_nodes)
+        else:
+            assert (rec.active_arcs, rec.active_nodes) == (arcs.sum(), nodes.sum())
+        checked = rec.residual is not None
+
+
+def mixed_grid_instance(k, n_comm, seed):
+    """grid_instance's network and demand, with the five capacity families in turn
+    (every other Logarithmic arc with theta = 0)."""
+    net, bpr_ops = grid_instance(k, n_comm, seed)
+    rng = np.random.default_rng(seed)
+    makers = (
+        lambda: BPR(alpha=0.15, rho=rng.uniform(1.0, 3.0), theta=rng.uniform(1.0, 2.0), p=4.0),
+        lambda: Logarithmic(omega=rng.uniform(8.0, 12.0), theta=float(rng.choice([0.0, 1.0]))),
+        lambda: TRC(alpha=0.5, beta=0.1, delta=rng.uniform(0.5, 2.0), omega=1.0),
+        lambda: PowerExp(alpha=2.0, theta=rng.uniform(0.5, 2.0), p=0.2),
+        lambda: IntervalProx(AffinePhi(rng.uniform(0.5, 2.0)), lo=0.0, hi=10.0),
+    )
+    arcs = [
+        ArcOperator(SeparableLift(makers[j % len(makers)]()), Box.orthant(n_comm))
+        for j in range(net.n_arcs)
+    ]
+    return net, OperatorSet(net, arcs, bpr_ops.node_operators)
+
+
+def test_random_sweep_on_mixed_families_reaches_an_equilibrium():
+    net, ops = mixed_grid_instance(4, 2, seed=7)
+    cfg = SolverConfig(scheduler=RandomSweep(seed=11, activation_prob=0.3), T=3, max_iter=20_000)
+    state, _, reason = run(net, ops, cfg)
+    assert reason is Termination.CONVERGED
+    assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
