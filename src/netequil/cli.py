@@ -93,22 +93,6 @@ def _cmd_solve(args):
     net, ops = problem.network, problem.operators
 
     state, trace, reason = solver.run(net, ops, cfg)
-    # the stopping rule watches the splitting residual; tighten until the
-    # equilibrium-inclusion residual of the written solution passes the
-    # same tolerance, so `check` accepts everything `solve` emits; the reruns
-    # share the iteration budget of the first run
-    if reason is Termination.CONVERGED:
-        tighter = cfg
-        for _ in range(5):
-            wr = oracle.wardrop_residual(net, ops, state.x, state.v)
-            if wr <= cfg.tol or state.n >= cfg.max_iter:
-                break
-            tighter = replace(tighter, tol=tighter.tol / 10.0, max_iter=cfg.max_iter - state.n)
-            state, extra, reason = solver.run(net, ops, tighter, state=state)
-            trace.extend(extra)
-            if reason is not Termination.CONVERGED:
-                break
-
     if reason is Termination.CONVERGED:
         final_residual = trace[-1].residual  # the stopping check, at the final state
     else:

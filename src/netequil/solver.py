@@ -33,8 +33,11 @@ tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
 itself re-evaluates every block at the current point (full activation)
 and augments tau with the primal agreement terms |q - x| and
-|s - div x|; it vanishes exactly at solutions and is what the stopping
-rule monitors every ``check_interval`` iterations.  That full sweep is
+|s - div x|; it vanishes exactly at solutions and is checked every
+``check_interval`` iterations.  It is measured in the metric of the step
+parameters, not in cost units, so it only gates the stopping rule: once
+it is at most tol, ``run`` stops when the equilibrium residual that
+``netequil check`` recomputes is at most tol too.  That full sweep is
 also an evaluation of every block at the point the next iteration starts
 from, so ``run`` hands it to the next ``step``, which activates every
 block and copies all of them instead of evaluating any.  The sweep
@@ -55,11 +58,13 @@ from __future__ import annotations
 
 import enum
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import oracle
 from .errors import ConfigurationError, NumericalFailure
 
 __all__ = [
@@ -565,12 +570,15 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
 
 
 def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = None):
-    """Iterate until the residual drops below tol or max_iter is reached.
+    """Iterate until the point is an equilibrium within tol or max_iter is reached.
 
     Returns (state, trace, termination).  The flow/potential pair in the
     final state is the approximate equilibrium; the arc duals are the
     auxiliary constraint multipliers.  The residual is evaluated every
-    ``check_interval`` iterations and immediately whenever tau = 0.
+    ``check_interval`` iterations and immediately whenever tau = 0.  Once
+    it is at most tol, the run converges if `oracle.wardrop_residual`, the
+    measure ``netequil check`` applies, is at most tol as well, and goes on
+    otherwise; that evaluation raises no warning.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     state = state if state is not None else initial_state(net)
@@ -598,6 +606,10 @@ def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = Non
         if trace_callback is not None:
             trace_callback(record)
         if record.residual is not None and record.residual <= cfg.tol:
-            reason = Termination.CONVERGED
-            break
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                equilibrium = oracle.wardrop_residual(net, ops, state.x, state.v)
+            if equilibrium <= cfg.tol:
+                reason = Termination.CONVERGED
+                break
     return state, trace, reason

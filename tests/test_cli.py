@@ -1,3 +1,4 @@
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from netequil.cli import main
 from netequil.fileio import parse_problem, parse_solution, serialize_solution
 
 TWO_ARC = "problems/two_arc.prob"
+PROBLEMS = sorted((pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.prob"))
 
 
 @pytest.fixture
@@ -17,6 +19,15 @@ def two_arc_path(tmp_path):
     dest = tmp_path / "two_arc.prob"
     shutil.copy(TWO_ARC, dest)
     return str(dest)
+
+
+def scaled_two_arc(two_arc_path, tmp_path, factor):
+    """The two-arc problem file with both cost functions multiplied by factor."""
+    prob = tmp_path / f"scaled_{factor:g}.prob"
+    text = read(two_arc_path).decode()
+    text = text.replace("theta=1,", f"theta={factor:g},").replace("theta=2,", f"theta={2 * factor:g},")
+    prob.write_text(text)
+    return str(prob)
 
 
 def read(path):
@@ -122,9 +133,9 @@ class TestSolve:
         assert read(out) == read(plain)
 
     def test_max_iter_is_a_total_budget_across_reruns(self, two_arc_path, tmp_path):
-        # with costs scaled by 100 the splitting residual converges while the
-        # equilibrium residual is still far above tol, so solve keeps
-        # re-running with a tighter tolerance
+        # with costs scaled by 100 the splitting residual passes tol long
+        # before the equilibrium residual does, and the single run that
+        # solve makes keeps iterating until both pass or --max-iter is spent
         prob = tmp_path / "scaled.prob"
         text = read(two_arc_path).decode()
         prob.write_text(text.replace("theta=1,", "theta=100,").replace("theta=2,", "theta=200,"))
@@ -143,6 +154,32 @@ class TestSolve:
         assert main(["solve", str(prob), "--out", out, "--max-iter", "5000", "--quiet"]) == 0
         assert parse_solution(out, parse_problem(str(prob))).termination == "converged"
         assert main(["check", str(prob), out, "--quiet"]) == 0
+
+    def test_two_arc_times_1e3_passes_check_within_the_files_budget(self, two_arc_path, tmp_path):
+        prob = scaled_two_arc(two_arc_path, tmp_path, 1e3)
+        out = str(tmp_path / "s.sol")
+        assert main(["solve", prob, "--out", out, "--quiet"]) == 0
+        assert main(["check", prob, out, "--quiet"]) == 0
+
+    @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
+    def test_every_bundled_problem_passes_check(self, path, tmp_path):
+        out = str(tmp_path / "s.sol")
+        assert main(["solve", str(path), "--out", out, "--quiet"]) == 0
+        assert main(["check", str(path), out, "--quiet"]) == 0
+
+    def test_solve_writes_the_library_run_bit_for_bit(self, two_arc_path, tmp_path):
+        # costs x100: the splitting residual passes before the equilibrium
+        # residual, and solve still makes just the one run
+        prob = scaled_two_arc(two_arc_path, tmp_path, 100)
+        out = str(tmp_path / "s.sol")
+        assert main(["solve", prob, "--out", out, "--quiet"]) == 0
+        problem = parse_problem(prob)
+        state, _, reason = solver.run(problem.network, problem.operators, problem.config)
+        solution = parse_solution(out, problem)
+        assert reason.value == solution.termination == "converged"
+        assert solution.iterations == state.n
+        assert np.array_equal(solution.flow, state.x)
+        assert np.array_equal(solution.potential, state.v)
 
     def test_idle_interval_arc_passes_check(self, tmp_path):
         # the idle arc ends a hair outside its interval [0, inf[; the

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from netequil import (
     step,
     step_parameters,
 )
-from netequil import operators
+from netequil import operators, oracle
 from netequil.fileio import Problem, parse_problem, serialize_problem
 from netequil.operators import (
     TRC,
@@ -515,8 +518,9 @@ def manual_run(net, ops, cfg):
     """`run` spelled out with the public step and residual, no sweep reused.
 
     Like `run`, the residual starts its kernels from the iteration's roots,
-    and the step after a residual check activates every block; the
-    scheduler is still queried at every iteration.
+    the step after a residual check activates every block, the scheduler
+    is still queried at every iteration, and a residual within tol stops
+    the loop only if the public equilibrium residual is within tol too.
     """
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
     state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
@@ -532,7 +536,8 @@ def manual_run(net, ops, cfg):
             record.residual = residual(net, ops, cfg, state, sweep=sweep)
         trace.append(record)
         if record.residual is not None and record.residual <= cfg.tol:
-            break
+            if wardrop_residual(net, ops, state.x, state.v) <= cfg.tol:
+                break
     return state, trace
 
 
@@ -628,6 +633,54 @@ def test_random_sweep_on_mixed_families_reaches_an_equilibrium():
     state, _, reason = run(net, ops, cfg)
     assert reason is Termination.CONVERGED
     assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_braess_converges_only_within_tol_of_equilibrium(spec, T, braess):
+    # under RoundRobin(3) the splitting residual first passes at iteration
+    # 150, where the equilibrium residual is still 2.5e-6
+    net, ops, _ = braess
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=20_000)
+    state, _, reason = run(net, ops, cfg)
+    assert reason is Termination.CONVERGED
+    assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
+
+
+def test_two_arc_with_costs_times_100_converges_within_tol_of_equilibrium():
+    # the splitting residual is in the metric of the step parameters, and
+    # passes here well before the equilibrium residual does
+    inst = TwoArcInstance(100.0, 200.0, 100.0, 100.0, 3.0)
+    net = inst.network()
+    ops = inst.operator_set(net)
+    cfg = SolverConfig()
+    state, trace, reason = run(net, ops, cfg)
+    assert reason is Termination.CONVERGED
+    assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
+    assert sum(r.residual is not None and r.residual <= cfg.tol for r in trace) > 1
+
+
+def test_equilibrium_check_in_run_is_silent_and_an_inf_keeps_it_going(two_arc, monkeypatch):
+    _, net, ops = two_arc
+    real, calls = oracle.wardrop_residual, []
+
+    def leaves_the_box_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            warnings.warn("arc 0: flow leaves its constraint box")
+            return math.inf
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "wardrop_residual", leaves_the_box_once)
+    cfg = SolverConfig()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state, trace, reason = run(net, ops, cfg)
+    assert caught == []
+    assert reason is Termination.CONVERGED
+    passed = [r.n for r in trace if r.residual is not None and r.residual <= cfg.tol]
+    assert len(calls) == len(passed) >= 2
+    assert state.n > passed[0] + 1
+    assert real(net, ops, state.x, state.v) <= cfg.tol
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])

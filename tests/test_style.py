@@ -1,11 +1,13 @@
 """Source rules that no other test would catch."""
 
 import ast
+import fnmatch
 import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "netequil").glob("*.py"))
+PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "netequil"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -14,3 +16,41 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def solver_paths_named(source):
+    """The imports of solver or lambertw in `source`, and the names of the
+    form *resolvent* or *_kernel that it reads or binds."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            modules = []
+        found += [m for m in modules if {"solver", "lambertw"} & set(m.split("."))]
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        if isinstance(name, str) and any(fnmatch.fnmatch(name, p) for p in ("*resolvent*", "*_kernel")):
+            found.append(name)
+    return found
+
+
+def test_oracle_shares_no_code_path_with_the_solver():
+    # the equilibrium check must stay an independent cross-check of the solver
+    assert solver_paths_named((PACKAGE / "oracle.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from . import solver",
+        "from .lambertw import lambert_w",
+        "import netequil.solver as s",
+        "ops.capacity_resolvent(a)",
+        "spec.resolvent(1.0, 2.0)",
+        "y = _bpr_kernel(x)",
+    ],
+)
+def test_solver_path_rule_flags(line):
+    assert solver_paths_named(line)
