@@ -27,7 +27,7 @@ Scalar capacity families
 ``IntervalProx`` subdifferential of phi + indicator of a closed interval
                  [lo, hi]; resolvent is the interval projection composed
                  after the prox of phi (supported phi: affine, quadratic,
-                 |.|**q for q in {1, 3/2, 2}, or a user-supplied prox).
+                 |.|**q for q in {1, 3/2, 2}, or a user-supplied one).
 
 Batched kernels
 ---------------
@@ -51,7 +51,7 @@ never on which other arcs share its batch.  A user-supplied ``CustomPhi``
 prox is the one family evaluated by a scalar loop.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
-underlying relation) for diagnostics; the solver itself never calls them.
+underlying relation); the equilibrium check calls ``subdiff``, no kernel does.
 """
 
 from __future__ import annotations
@@ -438,16 +438,19 @@ class PowerPhi(_Phi):
 
 @dataclass(frozen=True)
 class CustomPhi:
-    """Escape hatch: user-supplied scalar prox (and optional subdifferential)."""
+    """Escape hatch: user-supplied scalar prox and subdifferential, both required."""
 
     prox_fn: Callable[[float, float], float]
-    subdiff_fn: Optional[Callable[[float], tuple]] = None
+    subdiff_fn: Callable[[float], Optional[tuple]]
+
+    def __post_init__(self):
+        _require(callable(self.subdiff_fn), "CustomPhi requires a callable subdiff_fn")
 
     def prox(self, gamma, xi):
         return self.prox_fn(gamma, xi)
 
     def subdiff(self, s):
-        return None if self.subdiff_fn is None else self.subdiff_fn(s)
+        return self.subdiff_fn(s)
 
 
 @dataclass(frozen=True)
@@ -466,7 +469,7 @@ class IntervalProx(_Capacity):
         _require(not math.isnan(self.lo) and not math.isnan(self.hi), "IntervalProx bounds must not be nan")
         _require(self.lo <= self.hi, "IntervalProx requires lo <= hi")
         _require(
-            hasattr(self.phi, "prox"),
+            hasattr(self.phi, "prox") and hasattr(self.phi, "subdiff"),
             "IntervalProx phi must be AffinePhi, QuadraticPhi, PowerPhi, or CustomPhi",
         )
 

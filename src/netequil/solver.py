@@ -31,19 +31,18 @@ graph; see `step_parameters`.
 
 tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
-itself re-evaluates every block at the current point (full activation)
-and augments tau with the primal agreement terms |q - x| and
-|s - div x|; it vanishes exactly at solutions and is checked every
-``check_interval`` iterations.  It is measured in the metric of the step
-parameters, not in cost units, so it only gates the stopping rule: once
-it is at most tol, ``run`` stops when the equilibrium residual that
-``netequil check`` recomputes is at most tol too.  That full sweep is
-also an evaluation of every block at the point the next iteration starts
-from, so ``run`` hands it to the next ``step``, which activates every
-block and copies all of them instead of evaluating any.  The sweep
-condition only asks that each block be activated at least once in every
-T + 1 iterations, so activating more blocks than the scheduler chose
-keeps it; the scheduler is still queried at every iteration.
+itself re-evaluates every block at the current point (full activation) and
+augments tau with the primal agreement terms |q - x| and |s - div x|; it
+vanishes exactly at solutions and is checked every ``check_interval``
+iterations.  In the metric of the step parameters, not of costs, it only
+gates the stop: ``run`` stops once the equilibrium residual that
+``netequil check`` recomputes is at most tol too.  That full sweep is also
+an evaluation of every block at the point the next iteration starts from,
+so ``run`` hands it to the next ``step``, which activates every block and
+copies all of them instead of evaluating any.  The sweep condition only
+asks that each block be activated at least once in every T + 1 iterations,
+so activating more blocks than the scheduler chose keeps it; the scheduler
+is still queried at every iteration.
 
 Each capacity kernel starts from the root its arc had at its previous
 evaluation in the run (the workspace's ``root``), since the point moves
@@ -569,19 +568,18 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
 # --------------------------------------------------------------------------
 
 
-def run(net, ops, cfg=None, state=None, trace_callback: Optional[Callable] = None):
-    """Iterate until the point is an equilibrium within tol or max_iter is reached.
+def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
+    """Iterate from zero until the point is an equilibrium within tol or max_iter.
 
     Returns (state, trace, termination).  The flow/potential pair in the
     final state is the approximate equilibrium; the arc duals are the
     auxiliary constraint multipliers.  The residual is evaluated every
-    ``check_interval`` iterations and immediately whenever tau = 0.  Once
-    it is at most tol, the run converges if `oracle.wardrop_residual`, the
-    measure ``netequil check`` applies, is at most tol as well, and goes on
-    otherwise; that evaluation raises no warning.
+    ``check_interval`` iterations and immediately whenever tau = 0; once it
+    is at most tol, the run converges if `oracle.wardrop_residual` (which
+    calls each capacity's ``subdiff``; warnings silenced) is at most tol too.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    state = state if state is not None else initial_state(net)
+    state = initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
     params = step_parameters(net, cfg)
     ws = new_workspace(net)

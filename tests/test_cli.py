@@ -136,30 +136,22 @@ class TestSolve:
         # with costs scaled by 100 the splitting residual passes tol long
         # before the equilibrium residual does, and the single run that
         # solve makes keeps iterating until both pass or --max-iter is spent
-        prob = tmp_path / "scaled.prob"
-        text = read(two_arc_path).decode()
-        prob.write_text(text.replace("theta=1,", "theta=100,").replace("theta=2,", "theta=200,"))
+        prob = scaled_two_arc(two_arc_path, tmp_path, 100)
         out = str(tmp_path / "s.sol")
-        code = main(["solve", str(prob), "--out", out, "--max-iter", "1000", "--quiet"])
+        code = main(["solve", prob, "--out", out, "--max-iter", "1000", "--quiet"])
         assert code == 2
-        assert parse_solution(out, parse_problem(str(prob))).iterations <= 1000
+        assert parse_solution(out, parse_problem(prob)).iterations <= 1000
 
     def test_scaled_two_arc_solve_then_check_passes(self, two_arc_path, tmp_path):
-        # costs x100: a separator formed as a difference of large inner
-        # products stalls here at the iteration limit
-        prob = tmp_path / "scaled.prob"
-        text = read(two_arc_path).decode()
-        prob.write_text(text.replace("theta=1,", "theta=100,").replace("theta=2,", "theta=200,"))
-        out = str(tmp_path / "s.sol")
-        assert main(["solve", str(prob), "--out", out, "--max-iter", "5000", "--quiet"]) == 0
-        assert parse_solution(out, parse_problem(str(prob))).termination == "converged"
-        assert main(["check", str(prob), out, "--quiet"]) == 0
-
-    def test_two_arc_times_1e3_passes_check_within_the_files_budget(self, two_arc_path, tmp_path):
-        prob = scaled_two_arc(two_arc_path, tmp_path, 1e3)
-        out = str(tmp_path / "s.sol")
-        assert main(["solve", prob, "--out", out, "--quiet"]) == 0
-        assert main(["check", prob, out, "--quiet"]) == 0
+        # costs x100 and x1e3, within the file's own max_iter: a separator
+        # formed as a difference of large inner products stalls here at the
+        # iteration limit
+        for factor in (100, 1e3):
+            prob = scaled_two_arc(two_arc_path, tmp_path, factor)
+            out = str(tmp_path / "s.sol")
+            assert main(["solve", prob, "--out", out, "--quiet"]) == 0
+            assert parse_solution(out, parse_problem(prob)).termination == "converged"
+            assert main(["check", prob, out, "--quiet"]) == 0
 
     @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
     def test_every_bundled_problem_passes_check(self, path, tmp_path):

@@ -245,9 +245,26 @@ class TestIntervalProx:
             IntervalProx(AffinePhi(a=0.0), lo=2.0, hi=1.0)
 
     def test_custom_phi_callback(self):
-        spec = IntervalProx(CustomPhi(lambda gamma, xi: xi - gamma), lo=0.0, hi=math.inf)
+        spec = IntervalProx(
+            CustomPhi(lambda gamma, xi: xi - gamma, lambda s: (1.0, 1.0)), lo=0.0, hi=math.inf
+        )
         assert scalar_resolvent(spec, 2.0, 5.0) == 3.0
         assert scalar_resolvent(spec, 2.0, 1.0) == 0.0
+
+    def test_custom_phi_requires_a_subdifferential(self):
+        # without one the equilibrium check that ends a run could never pass
+        with pytest.raises(TypeError):
+            CustomPhi(lambda gamma, xi: xi)
+        with pytest.raises(ConfigurationError, match="subdiff_fn"):
+            CustomPhi(lambda gamma, xi: xi, None)
+
+    def test_phi_without_subdiff_rejected(self):
+        class ProxOnly:
+            def prox(self, gamma, xi):
+                return xi
+
+        with pytest.raises(ConfigurationError, match="IntervalProx phi"):
+            IntervalProx(ProxOnly())
 
 
 class TestSeparableLift:
@@ -383,7 +400,8 @@ def regime_draws(family, rng, n=600):
             spec = IntervalProx(phi, lo, hi if math.isfinite(lo) else rng.uniform(-5.0, 5.0))
             gamma, xi = 10.0 ** rng.uniform(-2, 1), rng.uniform(-40.0, 40.0)
         elif family == "custom":
-            spec = IntervalProx(CustomPhi(lambda g, x: x / (1.0 + g)), lo=rng.uniform(-5.0, 0.0))
+            phi = CustomPhi(lambda g, x: x / (1.0 + g), lambda s: (s, s))
+            spec = IntervalProx(phi, lo=rng.uniform(-5.0, 0.0))
             gamma, xi = 10.0 ** rng.uniform(-2, 1), rng.uniform(-40.0, 40.0)
         out.append((spec, gamma, xi))
     return out
