@@ -76,8 +76,7 @@ def _apply_overrides(problem, args):
         seed = args.seed if args.seed is not None else _scheduler_seed(cfg)
         sched, t_default = fileio._parse_scheduler(args.scheduler, seed, "flags", 0)
         updates["scheduler"] = sched
-        if t_default is not None and not isinstance(sched, solver.Full):
-            updates["T"] = max(cfg.T, t_default) if cfg.T else t_default
+        updates["T"] = max(cfg.T, t_default)
     elif args.seed is not None and isinstance(cfg.scheduler, RandomSweep):
         updates["scheduler"] = replace(cfg.scheduler, seed=args.seed)
     return replace(cfg, **updates) if updates else cfg

@@ -395,7 +395,7 @@ def _build_box(token, n_comm, section, entity, lineno):
 
 def _parse_scheduler(token, seed, section, lineno):
     if token == "full":
-        return Full(), None
+        return Full(), 0
     if token.startswith("roundrobin:"):
         groups = _int(token.split(":", 1)[1], section, "scheduler", lineno)
         return RoundRobin(groups), groups - 1
@@ -581,8 +581,6 @@ def _parse_solver_section(entries):
     if "scheduler" in raw:
         lineno, value = raw["scheduler"]
         scheduler, t_default = _parse_scheduler(value, seed, "solver", lineno)
-        if t_default is None:
-            t_default = 0
     kwargs = dict(
         gamma=take_float("gamma", None),
         mu=take_float("mu", None),

@@ -5,8 +5,9 @@ Near the branch point -1/e it starts from a series in
 p = sqrt(2*(e*x + 1)); for x >= -0.25 from Winitzki's approximation
 L*(1 - log(1 + L)/(2 + L)) with L = log(1 + x), which is within 2% of
 W(x) for x >= 0 and within 4% on [-0.25, 0).  Convergence is declared at
-|dw| <= 1e-15 * (1 + |w|), which the cubic rate of Halley turns into a
-residual |w*exp(w) - x| of a few ulp.
+|dw| <= 1e-15 * (1 + |w|) / min(1, |1 + w|), which the cubic rate of
+Halley turns into a residual |w*exp(w) - x| of a few ulp; the divisor,
+exactly 1 for x >= 0, allows for the ill-conditioning of W near -1/e.
 
 ``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
 exp(z) would overflow it instead solves w + log(w) = z by Newton
@@ -68,9 +69,10 @@ def _halley(x, w):
     """Refine starting points w toward W(x) elementwise, for x > -1/e.
 
     An element stops at the first pass whose step is at most
-    1e-15 * (1 + |w|).  Near the branch point W is so ill-conditioned that
-    rounding noise in the residual keeps the step above that; an element
-    still running after _MAX_ITER passes is accepted if its residual
+    1e-15 * (1 + |w|) / min(1, |1 + w|).  Near the branch point a rounding
+    error in the residual moves w by about eps / |1 + w|, so an unscaled
+    test would keep stepping on rounding noise.  An element still running
+    after _MAX_ITER passes is accepted if its residual
     |w*exp(w) - x| is at rounding level, _RESIDUAL_ULPS * eps * |x| * (1 + |w|)
     (a half-ulp error in w moves w*exp(w) by about eps * |x| * |1 + w| / 2),
     and otherwise raises NumericalFailure.
@@ -85,7 +87,7 @@ def _halley(x, w):
         wp1 = w + 1.0
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w = w - dw
-        done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(w))
+        done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(w)) / np.minimum(1.0, np.abs(w + 1.0))
         if np.count_nonzero(done):
             out[idx[done]] = w[done]
             more = ~done
@@ -131,7 +133,9 @@ def lambert_w_exp(z, start=None):
     """W(exp(z)) for any real z, overflow-free.
 
     For large z this is the root of w + log(w) = z, found by Newton
-    steps w <- w * (1 + z - log(w)) / (1 + w) from w0 = z - log(z).
+    steps w <- w * (1 + z - log(w)) / (1 + w) from w0 = z - log(z), with
+    the division taken first where that product overflows (z beyond
+    about 1e154), so every finite z has a finite result.
     `start`, of z's shape, holds optional guesses of the result for the
     Halley branch (see the module docstring).
     """
@@ -154,8 +158,9 @@ def lambert_w_exp(z, start=None):
         w = zl - np.log(zl)
         for _ in range(_MAX_ITER):
             w_next = w * (1.0 + zl - np.log(w)) / (1.0 + w)
-            # an overflowed step (z beyond about 1e154) has not converged
-            done = (np.abs(w_next - w) <= 1e-15 * (1.0 + np.abs(w_next))) & (w_next < np.inf)
+            # beyond z of about 1e154 that product overflows; divide first there
+            w_next = np.where(w_next < np.inf, w_next, w / (1.0 + w) * (1.0 + zl - np.log(w)))
+            done = np.abs(w_next - w) <= 1e-15 * (1.0 + np.abs(w_next))
             out[idx[done]] = w_next[done]
             more = ~done
             idx, zl, w = idx[more], zl[more], w_next[more]

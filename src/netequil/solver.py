@@ -37,16 +37,18 @@ vanishes exactly at solutions and is checked every ``check_interval``
 iterations.  In the metric of the step parameters, not of costs, it only
 gates the stop: ``run`` stops once the equilibrium residual that
 ``netequil check`` recomputes is at most tol too.  That full sweep is also
-an evaluation of every block at the point the next iteration starts from,
-so ``run`` hands it to the next ``step``, which activates every block and
-copies all of them instead of evaluating any.  The sweep condition only
-asks that each block be activated at least once in every T + 1 iterations,
-so activating more blocks than the scheduler chose keeps it; the scheduler
-is still queried at every iteration.
+an evaluation of every block at the point the next iteration starts from.
+``run`` keeps one workspace: the check evaluates into it, and the next
+``step`` activates every block and takes that evaluation, tau and pi
+included, as it is.  The sweep condition only asks that each block be
+activated at least once in every T + 1 iterations, so activating more
+blocks than the scheduler chose keeps it; the scheduler is still queried
+at every iteration.
 
 Each capacity kernel starts from the root its arc had at its previous
-evaluation in the run (the workspace's ``root``), since the point moves
-by one relaxed step per iteration; a fresh workspace starts cold.
+evaluation in the run (the workspace's ``root``, which the residual
+checks share), since the point moves by one relaxed step per iteration;
+a fresh workspace starts cold.
 Reductions for tau and pi always run in ascending arc-then-node order,
 and each capacity resolvent depends only on its own arc's input and its
 own previous root, never on which other arcs are evaluated with it, so
@@ -136,15 +138,6 @@ class RandomSweep:
             )
 
 
-class _FullScheduler:
-    def __init__(self, network, T):
-        self._arcs = np.ones(network.n_arcs, dtype=bool)
-        self._nodes = np.ones(network.n_nodes, dtype=bool)
-
-    def select(self, n):
-        return self._arcs.copy(), self._nodes.copy()
-
-
 class _RoundRobinScheduler:
     def __init__(self, network, T, spec):
         arc_groups = spec.arc_groups
@@ -215,7 +208,7 @@ def make_scheduler(spec, network, T):
     if T < 0 or not isinstance(T, (int, np.integer)):
         raise ConfigurationError("sweep bound T must be a nonnegative integer")
     if isinstance(spec, Full):
-        return _FullScheduler(network, T)
+        return _RoundRobinScheduler(network, T, RoundRobin(1))
     if isinstance(spec, RoundRobin):
         return _RoundRobinScheduler(network, T, spec)
     if isinstance(spec, RandomSweep):
@@ -337,9 +330,6 @@ class SolverState:
     v: np.ndarray
     n: int = 0
 
-    def copy(self):
-        return SolverState(self.x.copy(), self.xstar.copy(), self.v.copy(), self.n)
-
 
 def initial_state(network, x=None, xstar=None, v=None):
     """All-zero starting point unless components are given."""
@@ -378,7 +368,6 @@ class IterationWorkspace:
     tension_v: np.ndarray
     tau: float = 0.0
     pi: float = 0.0
-    theta: float = 0.0
 
 
 def new_workspace(network):
@@ -472,28 +461,22 @@ def _assemble(net, state, ws):
     return tau, pi
 
 
-def _reuse_sweep(sweep, ws):
-    """Copy the block outputs, kernel roots, div x and tension v of `sweep` into ws."""
-    for name in ("q", "qstar", "r", "rstar", "root", "s", "sstar", "div_x", "tension_v"):
-        getattr(ws, name)[...] = getattr(sweep, name)
-
-
-def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None, sweep=None):
+def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None, swept=False):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs`/`active_nodes` are boolean masks; omitting them
     activates everything.  The workspace caches must be valid for the
     inactive blocks (iteration 0 must activate all blocks).  `params` is
     the output of `step_parameters(net, cfg)`, computed here if omitted.
-    `sweep` is a workspace that `residual` filled at the current state:
-    every block is then active, whatever the masks say, and its outputs are
-    copied from `sweep` instead of evaluated again, which gives the same
-    bits.
+    `swept=True` says that `residual` has just evaluated every block into
+    ws at the current state: every block is then active, whatever the
+    masks say, and the step takes that evaluation (block outputs,
+    directions, tau and pi) as it is instead of evaluating again.
     """
     t0 = time.perf_counter()
     if params is None:
         params = step_parameters(net, cfg)
-    if sweep is not None:
+    if swept:
         active_arcs = active_nodes = None
     if active_arcs is None:
         active_arcs = np.ones(net.n_arcs, dtype=bool)
@@ -502,13 +485,13 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
     if not active_arcs.any() or not active_nodes.any():
         raise ConfigurationError("activation sets must be nonempty")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # non-finite values are caught below and reported as NumericalFailure
-        if sweep is None:
+    if swept:
+        tau, pi = ws.tau, ws.pi
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # non-finite values are caught below and reported as NumericalFailure
             _sweep_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
-        else:
-            _reuse_sweep(sweep, ws)
-        tau, pi = _assemble(net, state, ws)
+            tau, pi = _assemble(net, state, ws)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
@@ -525,7 +508,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
         ):
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
-    ws.tau, ws.pi, ws.theta = tau, pi, theta
+    ws.tau, ws.pi = tau, pi
     record = TraceRecord(
         n=state.n,
         tau=tau,
@@ -546,11 +529,11 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     The square root of tau (with every block active) augmented with the
     primal agreement terms |q - x|^2 and |s - div x|^2; zero exactly at
     solutions of the underlying inclusion for the given step parameters.
-    `params` is as for `step`.  The full sweep is written into the
-    workspace `sweep` when one is given (it must not be the workspace of
-    the iteration), so that the next `step` can take it as its `sweep`;
-    the capacity kernels start from its `root`.  Without `sweep` they
-    start cold.
+    `params` is as for `step`.  The full evaluation (block outputs, kernel
+    roots, directions, tau and pi) is written into the workspace `sweep`
+    when one is given, whose capacity kernels start from its own `root`;
+    when it is the workspace of the iteration, the next `step` can take
+    it with `swept=True`.  Without `sweep` the kernels start cold.
     """
     if params is None:
         params = step_parameters(net, cfg)
@@ -558,9 +541,9 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     everything = np.ones(net.n_arcs, dtype=bool), np.ones(net.n_nodes, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep_blocks(net, ops, params, state, ws, *everything)
-        tau, _ = _assemble(net, state, ws)
+        ws.tau, ws.pi = _assemble(net, state, ws)
     gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - ws.div_x) ** 2))
-    return float(np.sqrt(tau + gap))
+    return float(np.sqrt(ws.tau + gap))
 
 
 # --------------------------------------------------------------------------
@@ -583,20 +566,18 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
     params = step_parameters(net, cfg)
     ws = new_workspace(net)
-    # a residual sweep evaluates every block at the point the next step
-    # starts from; that step activates them all and copies them from it
-    sweep_ws, sweep = new_workspace(net), None
+    # a residual check evaluates every block into ws at the point the next
+    # step starts from; that step activates them all and takes it as it is
+    swept = False
     trace = []
     reason = Termination.ITER_LIMIT
-    for k in range(cfg.max_iter):
+    while state.n < cfg.max_iter:
         arc_mask, node_mask = scheduler.select(state.n)
         try:
-            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params, sweep)
-            sweep = None
-            if ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0:
-                sweep_ws.root[:] = ws.root  # its kernels start from the iteration's roots
-                record.residual = residual(net, ops, cfg, state, params, sweep_ws)
-                sweep = sweep_ws
+            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params, swept)
+            swept = ws.tau == 0.0 or state.n % cfg.check_interval == 0
+            if swept:
+                record.residual = residual(net, ops, cfg, state, params, ws)
         except NumericalFailure:
             reason = Termination.NUMERICAL_FAILURE
             break

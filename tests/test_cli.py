@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from netequil import ProblemFormatWarning, solver
-from netequil.cli import main
+from netequil.cli import _apply_overrides, _build_parser, main
 from netequil.fileio import parse_problem, parse_solution, serialize_solution
 
 TWO_ARC = "problems/two_arc.prob"
@@ -188,6 +188,26 @@ class TestSolve:
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(prob), "--out", out, "--max-iter", "300", "--quiet"]) == 0
         assert main(["check", str(prob), out, "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "file_T, flag, want_T, kind",
+    [
+        (0, "full", 0, solver.Full),
+        (2, "full", 2, solver.Full),
+        (0, "roundrobin:3", 2, solver.RoundRobin),
+        (5, "roundrobin:3", 5, solver.RoundRobin),
+        (1, "randomsweep:0.3", 3, solver.RandomSweep),
+    ],
+)
+def test_scheduler_flag_raises_T_to_its_default_and_keeps_a_larger_one(
+    two_arc_path, file_T, flag, want_T, kind
+):
+    problem = parse_problem(two_arc_path)
+    problem = replace(problem, config=replace(problem.config, T=file_T))
+    args = _build_parser().parse_args(["solve", two_arc_path, "--scheduler", flag])
+    cfg = _apply_overrides(problem, args)
+    assert cfg.T == want_T and isinstance(cfg.scheduler, kind)
 
 
 class TestTraceReproducibility:

@@ -138,6 +138,17 @@ def test_halley_raises_when_it_does_not_converge():
     assert lambert_w(math.exp(50.0)) == pytest.approx(lambert_w_exp(50.0), rel=1e-15)
 
 
+def test_halley_near_the_branch_point_stops_within_three_passes(monkeypatch):
+    # the step test allows for the conditioning 1/|1 + w| of W near -1/e;
+    # without that, 200 of these draws ran all 50 passes
+    x = np.random.default_rng(0).uniform(-math.exp(-1.0), -0.3, 100_000)
+    monkeypatch.setattr(lambertw, "_MAX_ITER", 3)
+    monkeypatch.setattr(lambertw, "_RESIDUAL_ULPS", -1.0)  # no element accepted unconverged
+    w = lambert_w(x)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(w * np.exp(w) - x) <= eps * np.abs(x) * (1.0 + np.abs(w)))
+
+
 def test_halley_on_an_empty_batch():
     assert _halley(np.array([]), np.array([])).size == 0
     assert np.array_equal(lambert_w_exp(np.array([600.0, 1e4])), [lambert_w_exp(600.0), lambert_w_exp(1e4)])
@@ -156,10 +167,13 @@ def test_w_exp_of_minus_infinity_is_zero():
 
 
 def test_w_exp_raises_when_its_newton_iteration_does_not_converge(monkeypatch):
-    # beyond z ~ 1e154 the Newton step overflows to inf, which is no root
-    for z in (1e155, 1e300):
-        with pytest.raises(NumericalFailure, match="Newton iteration did not converge"):
-            lambert_w_exp(z)
+    # beyond z ~ 1e154 the product in the Newton step overflows; dividing
+    # first there, the iteration still reaches the root of w + log(w) = z
+    zs = [1e155, 1e200, 1e300, 1.7e308]
+    for z in zs:
+        w = lambert_w_exp(z)
+        assert w == z and w + math.log(w) == z
+    assert np.array_equal(lambert_w_exp(np.array(zs)), zs)
     # from w0 = z - log(z), one pass does not converge
     monkeypatch.setattr(lambertw, "_MAX_ITER", 1)
     with pytest.raises(NumericalFailure, match="Newton iteration did not converge"):

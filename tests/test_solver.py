@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from netequil import (
     step,
     step_parameters,
 )
-from netequil import operators, oracle
+from netequil import operators, oracle, solver
 from netequil.fileio import Problem, parse_problem, serialize_problem
 from netequil.operators import (
     TRC,
@@ -68,6 +69,14 @@ class TestSchedulers:
         for n in range(5):
             arcs, nodes = sched.select(n)
             assert arcs.all() and nodes.all()
+
+    def test_full_is_a_one_group_round_robin(self, braess):
+        net, _, _ = braess
+        sched, ref = make_scheduler(Full(), net, 0), make_scheduler(RoundRobin(1), net, 0)
+        for n in range(4):
+            for got, want in zip(sched.select(n), ref.select(n)):
+                assert np.array_equal(got, want) and got.all()
+        sched.select = ref.select  # a tracer may wrap select on the returned object
 
     def test_round_robin_alternates_and_covers(self, two_arc):
         _, net, _ = two_arc
@@ -715,6 +724,50 @@ def test_workspace_roots_follow_the_evaluated_arcs(two_arc):
     assert np.isfinite(ws.root[0]) and np.isnan(ws.root[1])
     # the root is the scalar resolvent of the arc's row total, at C*gamma
     assert ws.root[0] == pytest.approx(float(np.sum(ws.q[0])), rel=1e-12)
+
+
+def test_run_allocates_one_workspace(monkeypatch):
+    net, ops = mixed_multicommodity_instance(3)
+    made, real = [], solver.new_workspace
+    monkeypatch.setattr(solver, "new_workspace", lambda network: made.append(1) or real(network))
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=30, check_interval=7, tol=1e-300)
+    _, trace, _ = run(net, ops, cfg)
+    assert sum(r.residual is not None for r in trace) == 4
+    assert len(made) == 1
+
+
+class KernelCalled(Exception):
+    pass
+
+
+def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
+    net, ops = mixed_multicommodity_instance(4)
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2)
+    sched = make_scheduler(cfg.scheduler, net, cfg.T)
+    state, ws = initial_state(net), new_workspace(net)
+    for _ in range(5):
+        step(net, ops, cfg, state, ws, *sched.select(state.n))
+    ref_state, ref_ws = copy.deepcopy(state), copy.deepcopy(ws)
+    residual(net, ops, cfg, state, sweep=ws)
+    check = ws.tau, ws.pi
+
+    def kernel_called(*args, **kwargs):
+        raise KernelCalled
+
+    families = ops.families
+    ops.families = tuple((kernel_called, arcs, params) for _, arcs, params in families)
+    with pytest.raises(KernelCalled):
+        step(net, ops, cfg, copy.deepcopy(state), copy.deepcopy(ws))
+    record = step(net, ops, cfg, state, ws, *sched.select(state.n), swept=True)
+    assert (record.tau, record.pi) == check
+    assert (record.active_arcs, record.active_nodes) == (net.n_arcs, net.n_nodes)
+    # a step that evaluates every block from the workspace as it was before the check
+    ops.families = families
+    ref = step(net, ops, cfg, ref_state, ref_ws)
+    assert (record.tau, record.pi, record.theta) == (ref.tau, ref.pi, ref.theta)
+    for got, want in zip((state.x, state.xstar, state.v), (ref_state.x, ref_state.xstar, ref_state.v)):
+        assert np.array_equal(got, want)
+    assert state.n == ref_state.n == 6
 
 
 # ---------------------------------------------------------------------------
