@@ -4,8 +4,9 @@ Find a flow and a potential on a directed multigraph such that, on every
 arc, the tension lies in the capacity relation of the flow plus the
 normal cone of its constraint set, and at every node the divergence
 matches the supply.  Every relation enters the algorithm only through its
-resolvent, each arc and node block can be activated independently, and a
-relaxed projection step couples the blocks.
+resolvent, each arc block can be activated independently (every node
+block, a constant supply, is evaluated at every step), and a relaxed
+projection step couples the blocks.
 
 The pieces:
 

@@ -230,20 +230,20 @@ def _suite_two_arc():
 
 def _suite_sweeping():
     from .network import Network
-    from .solver import RandomSweep, make_scheduler
+    from .operators import BPR, ArcOperator, Box, FixedSupply, OperatorSet, SeparableLift
+    from .solver import RandomSweep, SolverConfig, make_scheduler, run
 
     net = Network(range(5), [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (1, 3)], 1)
-    sched = make_scheduler(RandomSweep(seed=3, activation_prob=0.2), net, 3)
-    arc_hist, node_hist = [], []
-    for n in range(300 + 4):
-        am, nm = sched.select(n)
-        arc_hist.append(am)
-        node_hist.append(nm)
-    ok = all(
-        np.any(arc_hist[n : n + 4], axis=0).all() and np.any(node_hist[n : n + 4], axis=0).all()
-        for n in range(300)
-    )
-    return ok, "every window of T+1 iterations covers all blocks" if ok else "coverage violated"
+    spec = RandomSweep(seed=3, activation_prob=0.2)
+    sched = make_scheduler(spec, net, 3)
+    arc_hist = [sched.select(n) for n in range(300 + 4)]
+    covered = all(np.any(arc_hist[n : n + 4], axis=0).all() for n in range(300))
+    arc = ArcOperator(SeparableLift(BPR(alpha=0.15, rho=1.0, theta=1.0, p=4.0)), Box.orthant(1))
+    supplies = [FixedSupply((s,)) for s in (2.0, 0.0, -1.0, 0.0, -1.0)]
+    ops = OperatorSet(net, [arc] * net.n_arcs, supplies)
+    _, trace, _ = run(net, ops, SolverConfig(scheduler=spec, T=3, max_iter=40, tol=1e-300))
+    ok = covered and len(trace) == 40 and all(rec.active_nodes == net.n_nodes for rec in trace)
+    return ok, "every T+1 window covers all arcs, every step all nodes" if ok else "coverage violated"
 
 
 def _cmd_selftest(args):

@@ -662,10 +662,6 @@ def _scheduler_token(spec):
     if isinstance(spec, Full):
         return "full", None
     if isinstance(spec, RoundRobin):
-        if spec.node_groups is not None and spec.node_groups != spec.arc_groups:
-            raise ConfigurationError(
-                "the file format carries a single round-robin group count"
-            )
         return f"roundrobin:{spec.arc_groups}", None
     if isinstance(spec, RandomSweep):
         return f"randomsweep:{_fmt(spec.activation_prob)}", spec.seed

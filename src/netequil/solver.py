@@ -4,11 +4,12 @@ The iterate is the triple (x, x*, v*): per-arc flows, per-arc duals, and
 per-node potentials, each stored as an array with one row per entity and
 one column per commodity.  One iteration
 
-  1. activates a subset of arc blocks and node blocks chosen by the
-     scheduler (iteration 0 always activates everything),
-  2. evaluates the capacity, constraint-cone, and supply resolvents of
-     the active blocks, caching their primal/dual outputs; inactive
-     blocks keep the outputs from their last activation,
+  1. activates the arc blocks chosen by the scheduler (iteration 0
+     always activates every arc) and every node block,
+  2. evaluates the capacity and constraint-cone resolvents of the active
+     arcs, caching their primal/dual outputs (inactive arcs keep the
+     outputs from their last activation), and the supply resolvents of
+     all nodes, which are constants, so s* is closed form in div x,
   3. assembles the step directions t* (arcs), u (arc duals), t (nodes)
      from the cached outputs and the current divergence/tension values,
   4. forms the coordination scalars tau (squared direction norm) and pi
@@ -43,7 +44,9 @@ an evaluation of every block at the point the next iteration starts from.
 included, as it is.  The sweep condition only asks that each block be
 activated at least once in every T + 1 iterations, so activating more
 blocks than the scheduler chose keeps it; the scheduler is still queried
-at every iteration.
+at every iteration.  Only the arcs are worth rationing: a node block costs
+one vector operation on the div x every step forms anyway, so every step
+activates all of them.
 
 Each capacity kernel starts from the root its arc had at its previous
 evaluation in the run (the workspace's ``root``, which the residual
@@ -58,6 +61,7 @@ runs are bitwise reproducible under every scheduler.
 from __future__ import annotations
 
 import enum
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -92,84 +96,74 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _is_int(value):
+    """True for Python and numpy integers, False for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class Full:
-    """Activate every arc and node block at every iteration."""
+    """Activate every arc block at every iteration."""
 
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cycle through fixed partitions of the arc and node index sets.
+    """Cycle through a fixed partition of the arc index set.
 
-    Arc j belongs to arc group j % arc_groups; iteration n >= 1 activates
-    group n % arc_groups (iteration 0 activates everything).  Group counts
-    must not exceed the sweep bound T + 1, otherwise some window of T + 1
-    iterations misses a group.
+    Arc j belongs to group j % arc_groups; iteration n >= 1 activates
+    group n % arc_groups (iteration 0 activates everything).  The group
+    count must not exceed the sweep bound T + 1, otherwise some window of
+    T + 1 iterations misses a group.  Node blocks are not rationed: every
+    step activates all of them (see `step`).
     """
 
     arc_groups: int
-    node_groups: Optional[int] = None
 
     def __post_init__(self):
-        for count in (self.arc_groups, self.node_groups):
-            if count is not None and (not isinstance(count, int) or count < 1):
-                raise ConfigurationError(
-                    "round-robin group counts must be positive integers"
-                )
+        if not _is_int(self.arc_groups) or self.arc_groups < 1:
+            raise ConfigurationError("round-robin group count must be a positive integer")
 
 
 @dataclass(frozen=True)
 class RandomSweep:
-    """Activate each block independently with fixed probability.
+    """Activate each arc block independently with fixed probability.
 
-    Any block that has not been active during the last T iterations is
+    Any arc that has not been active during the last T iterations is
     force-included, which makes the sweep condition hold deterministically
     for every realization.  If a draw selects nothing, the least recently
-    activated block is activated.
+    activated arc is activated.  Node blocks are not rationed: every step
+    activates all of them (see `step`).
     """
 
     seed: int = 0
     activation_prob: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.activation_prob <= 1.0:
-            raise ConfigurationError(
-                "random-sweep activation probability must lie in [0, 1]"
-            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigurationError("random-sweep seed must be a nonnegative integer")
+        prob = self.activation_prob
+        if not (isinstance(prob, numbers.Real) and 0.0 <= prob <= 1.0):
+            raise ConfigurationError("random-sweep activation probability must lie in [0, 1]")
 
 
 class _RoundRobinScheduler:
-    def __init__(self, network, T, spec):
-        arc_groups = spec.arc_groups
-        node_groups = spec.node_groups if spec.node_groups is not None else spec.arc_groups
-        for label, count, size in (
-            ("arc", arc_groups, network.n_arcs),
-            ("node", node_groups, network.n_nodes),
-        ):
-            if count > size:
-                raise ConfigurationError(
-                    f"round-robin {label} group count {count} exceeds the {size} available blocks"
-                )
-            if count > T + 1:
-                raise ConfigurationError(
-                    f"round-robin {label} group count {count} cannot satisfy the sweep bound T={T}: "
-                    f"some window of {T + 1} iterations would miss a group"
-                )
-        self._arc_group = np.arange(network.n_arcs) % arc_groups
-        self._node_group = np.arange(network.n_nodes) % node_groups
-        self._arc_groups = arc_groups
-        self._node_groups = node_groups
+    def __init__(self, network, T, groups):
+        if groups > network.n_arcs:
+            raise ConfigurationError(
+                f"round-robin group count {groups} exceeds the {network.n_arcs} available blocks"
+            )
+        if groups > T + 1:
+            raise ConfigurationError(
+                f"round-robin group count {groups} cannot satisfy the sweep bound T={T}: "
+                f"some window of {T + 1} iterations would miss a group"
+            )
+        self._group = np.arange(network.n_arcs) % groups
+        self._groups = groups
 
     def select(self, n):
         if n == 0:
-            return (
-                np.ones(self._arc_group.size, dtype=bool),
-                np.ones(self._node_group.size, dtype=bool),
-            )
-        return (
-            self._arc_group == n % self._arc_groups,
-            self._node_group == n % self._node_groups,
-        )
+            return np.ones(self._group.size, dtype=bool)
+        return self._group == n % self._groups
 
 
 class _RandomSweepScheduler:
@@ -177,17 +171,8 @@ class _RandomSweepScheduler:
         self._rng = np.random.default_rng(spec.seed)
         self._prob = float(spec.activation_prob)
         self._T = T
-        self._last_arc = np.zeros(network.n_arcs, dtype=np.int64)
-        self._last_node = np.zeros(network.n_nodes, dtype=np.int64)
+        self._last = np.zeros(network.n_arcs, dtype=np.int64)
         self._expected_n = 0
-
-    def _pick(self, n, last):
-        active = self._rng.random(last.size) < self._prob
-        active |= n - last >= self._T + 1
-        if not active.any():
-            active[np.argmin(last)] = True
-        last[active] = n
-        return active
 
     def select(self, n):
         if n != self._expected_n:
@@ -196,21 +181,28 @@ class _RandomSweepScheduler:
             )
         self._expected_n += 1
         if n == 0:
-            return (
-                np.ones(self._last_arc.size, dtype=bool),
-                np.ones(self._last_node.size, dtype=bool),
-            )
-        return self._pick(n, self._last_arc), self._pick(n, self._last_node)
+            return np.ones(self._last.size, dtype=bool)
+        last = self._last
+        active = self._rng.random(last.size) < self._prob
+        active |= n - last >= self._T + 1
+        if not active.any():
+            active[np.argmin(last)] = True
+        last[active] = n
+        return active
 
 
 def make_scheduler(spec, network, T):
-    """Instantiate the scheduler for one run, validating it against T."""
-    if T < 0 or not isinstance(T, (int, np.integer)):
+    """Instantiate the arc scheduler for one run, validating it against T.
+
+    Its `select(n)` returns the boolean mask of the arcs that iteration n
+    activates.
+    """
+    if not _is_int(T) or T < 0:
         raise ConfigurationError("sweep bound T must be a nonnegative integer")
     if isinstance(spec, Full):
-        return _RoundRobinScheduler(network, T, RoundRobin(1))
+        return _RoundRobinScheduler(network, T, 1)
     if isinstance(spec, RoundRobin):
-        return _RoundRobinScheduler(network, T, spec)
+        return _RoundRobinScheduler(network, T, spec.arc_groups)
     if isinstance(spec, RandomSweep):
         return _RandomSweepScheduler(network, T, spec)
     raise ConfigurationError(f"unknown scheduler spec {spec!r}")
@@ -242,21 +234,26 @@ class SolverConfig:
     check_interval: int = 10
 
     def __post_init__(self):
-        if isinstance(self.relaxation, tuple):
-            fn, lo, hi = self.relaxation
-            if not callable(fn) or not 0.0 < lo <= hi < 2.0:
-                raise ConfigurationError(
-                    "relaxation schedule must be (fn, inf, sup) with 0 < inf <= sup < 2"
-                )
-        elif not 0.0 < float(self.relaxation) < 2.0:
-            raise ConfigurationError("relaxation must lie strictly between 0 and 2")
-        if not isinstance(self.T, (int, np.integer)) or self.T < 0:
+        try:
+            if isinstance(self.relaxation, tuple):
+                fn, lo, hi = self.relaxation
+                valid = callable(fn) and 0.0 < lo <= hi < 2.0
+            else:
+                valid = 0.0 < self.relaxation < 2.0
+        except (TypeError, ValueError):  # not numbers, or a tuple of the wrong length
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                "relaxation must be a number strictly between 0 and 2, "
+                "or a schedule (fn, inf, sup) with 0 < inf <= sup < 2"
+            )
+        if not _is_int(self.T) or self.T < 0:
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
         if not self.tol > 0:
             raise ConfigurationError("tol must be positive")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+        if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
-        if not isinstance(self.check_interval, (int, np.integer)) or self.check_interval < 1:
+        if not _is_int(self.check_interval) or self.check_interval < 1:
             raise ConfigurationError("check_interval must be a positive integer")
 
     def relaxation_at(self, n):
@@ -344,8 +341,10 @@ def initial_state(network, x=None, xstar=None, v=None):
 class IterationWorkspace:
     """Cached block outputs, kernel roots and the latest coordination scalars.
 
-    Rows of inactive blocks keep the values from their last activation;
-    iteration 0 activates everything, so nothing is read uninitialized.
+    Every step evaluates every node block, so s and s* always belong to
+    the current point.  The arc rows (q, q*, r, r*) of inactive arcs keep
+    the values from their last activation; iteration 0 activates every
+    arc, so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
     last evaluation into this workspace (nan before the first), which the
     next evaluation starts from: an arc's result depends on its own input
@@ -379,7 +378,11 @@ def new_workspace(network):
 
 @dataclass
 class TraceRecord:
-    """Per-iteration diagnostics; residual is None when not evaluated."""
+    """Per-iteration diagnostics; residual is None when not evaluated.
+
+    active_nodes always equals the node count, since every step activates
+    every node block.
+    """
 
     n: int
     tau: float
@@ -403,24 +406,19 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _active(mask):
-    """Indices of the set entries of `mask`, and the matching row selector:
-    slice(None) when every entry is set, so that gathers become views."""
-    idx = np.flatnonzero(mask)
-    return idx, (slice(None) if idx.size == mask.size else idx)
+def _sweep_blocks(net, ops, params, state, ws, arc_mask):
+    """Evaluate the resolvents of the active arcs and of every node into ws.
 
-
-def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
-    """Evaluate the resolvents of the active blocks into the rows of ws.
-
-    Fills q, q*, r, r* and the kernel roots for the active arcs, s, s*
-    for the active nodes, and div x and tension v for all of them.
+    Fills q, q*, r, r* and the kernel roots for the arcs set in arc_mask,
+    s, s* for every node, and div x and tension v.
     """
     gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
     ws.tension_v = net.tension(v)
     ws.div_x = div_x = net.divergence(x)
-    act, rows = _active(arc_mask)
+    act = np.flatnonzero(arc_mask)
+    # slice(None) when every arc is active, so that the gathers are views
+    rows = slice(None) if act.size == arc_mask.size else act
     xa, xsa, gam = x[rows], xstar[rows], gammas[rows]
     lstar = xsa - ws.tension_v[rows]
     root = ws.root[rows]
@@ -433,10 +431,9 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask, node_mask):
     ws.r[rows] = r
     ws.rstar[rows] = xsa + (xa - r) / mu
 
-    _, nrows = _active(node_mask)
-    supply = ops.supplies[nrows]
-    ws.s[nrows] = supply
-    ws.sstar[nrows] = v[nrows] + (div_x[nrows] - supply) / sigmas[nrows, None]
+    # a node's resolvent is its constant supply: s* is closed form in div x
+    ws.s[:] = ops.supplies
+    ws.sstar = v + (div_x - ops.supplies) / sigmas[:, None]
 
 
 def _assemble(net, state, ws):
@@ -461,36 +458,40 @@ def _assemble(net, state, ws):
     return tau, pi
 
 
-def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=None, swept=False):
+def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False):
     """Execute one iteration in place; returns the TraceRecord.
 
-    `active_arcs`/`active_nodes` are boolean masks; omitting them
-    activates everything.  The workspace caches must be valid for the
-    inactive blocks (iteration 0 must activate all blocks).  `params` is
-    the output of `step_parameters(net, cfg)`, computed here if omitted.
-    `swept=True` says that `residual` has just evaluated every block into
-    ws at the current state: every block is then active, whatever the
-    masks say, and the step takes that evaluation (block outputs,
-    directions, tau and pi) as it is instead of evaluating again.
+    `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
+    arc set; omitting it activates every arc.  Every node block is active
+    at every step: its resolvent is the constant supply, so s* costs one
+    vector operation on the div x the step forms anyway.  The workspace
+    rows of inactive arcs must be valid (iteration 0 must activate every
+    arc).  `params` is the output of `step_parameters(net, cfg)`, computed
+    here if omitted.  `swept=True` says that `residual` has just evaluated
+    every block into ws at the current state: every arc is then active,
+    whatever the mask says, and the step takes that evaluation (block
+    outputs, directions, tau and pi) as it is instead of evaluating again.
     """
     t0 = time.perf_counter()
+    if active_arcs is not None and not (
+        isinstance(active_arcs, np.ndarray)
+        and active_arcs.dtype == bool
+        and active_arcs.shape == (net.n_arcs,)
+    ):
+        raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
     if params is None:
         params = step_parameters(net, cfg)
-    if swept:
-        active_arcs = active_nodes = None
-    if active_arcs is None:
+    if swept or active_arcs is None:
         active_arcs = np.ones(net.n_arcs, dtype=bool)
-    if active_nodes is None:
-        active_nodes = np.ones(net.n_nodes, dtype=bool)
-    if not active_arcs.any() or not active_nodes.any():
-        raise ConfigurationError("activation sets must be nonempty")
+    if not active_arcs.any():
+        raise ConfigurationError("the arc activation set must be nonempty")
 
     if swept:
         tau, pi = ws.tau, ws.pi
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             # non-finite values are caught below and reported as NumericalFailure
-            _sweep_blocks(net, ops, params, state, ws, active_arcs, active_nodes)
+            _sweep_blocks(net, ops, params, state, ws, active_arcs)
             tau, pi = _assemble(net, state, ws)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
@@ -516,7 +517,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, active_nodes=None, params=N
         theta=theta,
         relaxation=lam,
         active_arcs=int(np.count_nonzero(active_arcs)),
-        active_nodes=int(np.count_nonzero(active_nodes)),
+        active_nodes=net.n_nodes,
         millis=(time.perf_counter() - t0) * 1e3,
     )
     state.n += 1
@@ -538,9 +539,8 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     if params is None:
         params = step_parameters(net, cfg)
     ws = sweep if sweep is not None else new_workspace(net)
-    everything = np.ones(net.n_arcs, dtype=bool), np.ones(net.n_nodes, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        _sweep_blocks(net, ops, params, state, ws, *everything)
+        _sweep_blocks(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
         ws.tau, ws.pi = _assemble(net, state, ws)
     gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - ws.div_x) ** 2))
     return float(np.sqrt(ws.tau + gap))
@@ -572,9 +572,9 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     trace = []
     reason = Termination.ITER_LIMIT
     while state.n < cfg.max_iter:
-        arc_mask, node_mask = scheduler.select(state.n)
+        arc_mask = scheduler.select(state.n)
         try:
-            record = step(net, ops, cfg, state, ws, arc_mask, node_mask, params, swept)
+            record = step(net, ops, cfg, state, ws, arc_mask, params=params, swept=swept)
             swept = ws.tau == 0.0 or state.n % cfg.check_interval == 0
             if swept:
                 record.residual = residual(net, ops, cfg, state, params, ws)

@@ -99,3 +99,19 @@ def grid_instance(k, n_comm, seed):
         [FixedSupply((corner.get(node, 0.0),) * n_comm) for node in nodes],
     )
     return net, ops
+
+
+def bpr_operators(net, rng):
+    """A BPR (p = 4) capacity on every arc of `net` and the supplies of a random
+    nonnegative flow, so that every draw is feasible."""
+    n_comm = net.n_commodities
+    specs = [
+        BPR(alpha=0.15, rho=float(rng.uniform(1, 3)), theta=float(rng.uniform(1, 2)), p=4.0)
+        for _ in range(net.n_arcs)
+    ]
+    supply = net.divergence(rng.uniform(0.0, 2.0, (net.n_arcs, n_comm)))
+    return OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.orthant(n_comm)) for spec in specs],
+        [FixedSupply(tuple(row)) for row in supply],
+    )

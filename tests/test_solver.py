@@ -45,7 +45,7 @@ from netequil.operators import (
     SeparableLift,
 )
 
-from conftest import grid_instance, random_network
+from conftest import bpr_operators, grid_instance, random_network
 
 
 def solved_state(net, inst):
@@ -67,23 +67,21 @@ class TestSchedulers:
         _, net, _ = two_arc
         sched = make_scheduler(Full(), net, 0)
         for n in range(5):
-            arcs, nodes = sched.select(n)
-            assert arcs.all() and nodes.all()
+            assert sched.select(n).all()
 
     def test_full_is_a_one_group_round_robin(self, braess):
         net, _, _ = braess
         sched, ref = make_scheduler(Full(), net, 0), make_scheduler(RoundRobin(1), net, 0)
         for n in range(4):
-            for got, want in zip(sched.select(n), ref.select(n)):
-                assert np.array_equal(got, want) and got.all()
+            got, want = sched.select(n), ref.select(n)
+            assert np.array_equal(got, want) and got.all()
         sched.select = ref.select  # a tracer may wrap select on the returned object
 
     def test_round_robin_alternates_and_covers(self, two_arc):
         _, net, _ = two_arc
         sched = make_scheduler(RoundRobin(2), net, 1)
-        arcs0, nodes0 = sched.select(0)
-        assert arcs0.all() and nodes0.all()  # iteration 0 activates everything
-        history = [sched.select(n)[0] for n in range(1, 12)]
+        assert sched.select(0).all()  # iteration 0 activates everything
+        history = [sched.select(n) for n in range(1, 12)]
         for n, mask in zip(range(1, 12), history):
             expected = np.arange(2) % 2 == n % 2
             assert np.array_equal(mask, expected)
@@ -93,7 +91,7 @@ class TestSchedulers:
     def test_random_sweep_forces_stale_blocks(self):
         net = Network(range(4), [(i, (i + 1) % 4) for i in range(4)], 1)
         sched = make_scheduler(RandomSweep(seed=5, activation_prob=0.0), net, 3)
-        arc_hist = [sched.select(n)[0] for n in range(100)]
+        arc_hist = [sched.select(n) for n in range(100)]
         for n in range(100 - 4):
             window = np.any(arc_hist[n : n + 4], axis=0)
             assert window.all()  # with p = 0, staleness alone activates every 4th
@@ -102,12 +100,13 @@ class TestSchedulers:
         net = Network(range(3), [(0, 1), (1, 2), (2, 0)], 1)
         sched = make_scheduler(RandomSweep(seed=11, activation_prob=0.05), net, 50)
         for n in range(200):
-            arcs, nodes = sched.select(n)
-            assert arcs.any() and nodes.any()
+            arcs = sched.select(n)
+            assert arcs.dtype == bool and arcs.shape == (net.n_arcs,) and arcs.any()
 
     def test_sweep_condition_all_schedulers(self):
         rng = np.random.default_rng(2)
         net = random_network(rng, max_nodes=8, max_arcs=15)
+        ops = bpr_operators(net, rng)
         cases = [
             (Full(), 0),
             (RoundRobin(2), 2),
@@ -115,14 +114,14 @@ class TestSchedulers:
         ]
         for spec, T in cases:
             sched = make_scheduler(spec, net, T)
-            arc_hist, node_hist = [], []
-            for n in range(300 + T + 1):
-                a, m = sched.select(n)
-                arc_hist.append(a)
-                node_hist.append(m)
+            arc_hist = [sched.select(n) for n in range(300 + T + 1)]
             for n in range(300):
                 assert np.any(arc_hist[n : n + T + 1], axis=0).all()
-                assert np.any(node_hist[n : n + T + 1], axis=0).all()
+            # every step activates every node
+            cfg = SolverConfig(scheduler=spec, T=T, max_iter=60, tol=1e-300)
+            _, trace, _ = run(net, ops, cfg)
+            assert len(trace) == 60
+            assert all(rec.active_nodes == net.n_nodes for rec in trace)
 
     def test_round_robin_rejected_when_groups_exceed_window(self, two_arc):
         _, net, _ = two_arc
@@ -139,14 +138,33 @@ class TestSchedulers:
         with pytest.raises(ConfigurationError, match="probability"):
             make_scheduler(RandomSweep(seed=0, activation_prob=1.5), net, 1)
 
+    def test_sweep_bound_of_the_wrong_type_rejected_before_it_is_compared(self, two_arc):
+        _, net, _ = two_arc
+        for T in ("2", 1.0, True, None):
+            with pytest.raises(ConfigurationError, match="sweep bound T"):
+                make_scheduler(Full(), net, T)
+        assert make_scheduler(Full(), net, np.int64(2)).select(1).all()
+
+    @pytest.mark.parametrize("groups", [True, 2.0, "2", 0, -1])
+    def test_round_robin_group_count_must_be_a_positive_integer(self, groups):
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            RoundRobin(groups)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_random_sweep_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            RandomSweep(seed=seed)
+
+    def test_round_robin_has_no_node_groups(self):
+        with pytest.raises(TypeError):
+            RoundRobin(3, node_groups=2)
+
     def test_random_sweep_is_deterministic_per_seed(self, two_arc):
         _, net, _ = two_arc
         a = make_scheduler(RandomSweep(seed=9, activation_prob=0.5), net, 2)
         b = make_scheduler(RandomSweep(seed=9, activation_prob=0.5), net, 2)
         for n in range(50):
-            am, nm = a.select(n)
-            bm, bn = b.select(n)
-            assert np.array_equal(am, bm) and np.array_equal(nm, bn)
+            assert np.array_equal(a.select(n), b.select(n))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +178,18 @@ class TestConfig:
             SolverConfig(relaxation=2.0)
         with pytest.raises(ConfigurationError):
             SolverConfig(relaxation=0.0)
+
+    @pytest.mark.parametrize(
+        "relaxation", ["x", "1.5", None, (lambda n: 1.0, 0.5), (lambda n: 1.0, "0.5", 1.0)]
+    )
+    def test_relaxation_of_the_wrong_type_rejected(self, relaxation):
+        with pytest.raises(ConfigurationError, match="relaxation"):
+            SolverConfig(relaxation=relaxation)
+
+    @pytest.mark.parametrize("field", ["T", "max_iter", "check_interval"])
+    def test_bool_is_not_an_iteration_count(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a"):
+            SolverConfig(**{field: True})
 
     def test_relaxation_schedule_with_bounds(self, two_arc):
         _, net, ops = two_arc
@@ -284,7 +314,7 @@ class TestStep:
 
     def test_negative_pi_with_positive_tau_leaves_state_bitwise(self, two_arc):
         # fill the caches from a non-solution, teleport to the solution, then
-        # activate only one block: the stale cut cannot separate a point of
+        # activate only one arc: the stale cut cannot separate a point of
         # the solution set, so pi <= 0 and the relaxed projection is skipped
         inst, net, ops = two_arc
         cfg = SolverConfig()
@@ -296,15 +326,7 @@ class TestStep:
         solved = solved_state(net, inst)
         state.x, state.xstar, state.v = solved.x, solved.xstar, solved.v
         before = (state.x.copy(), state.xstar.copy(), state.v.copy())
-        record = step(
-            net,
-            ops,
-            cfg,
-            state,
-            ws,
-            np.array([True, False]),
-            np.array([True, False]),
-        )
+        record = step(net, ops, cfg, state, ws, np.array([True, False]))
         assert record.tau > 0.0
         assert record.pi <= 0.0
         assert record.theta == 0.0
@@ -330,29 +352,61 @@ class TestStep:
         cfg = SolverConfig()
         state, ws = initial_state(net), new_workspace(net)
         step(net, ops, cfg, state, ws)
-        cached = {k: getattr(ws, k).copy() for k in ("q", "qstar", "r", "rstar", "s", "sstar")}
-        step(net, ops, cfg, state, ws, np.array([True, False]), np.array([False, True]))
+        cached = {k: getattr(ws, k).copy() for k in ("q", "qstar", "r", "rstar")}
+        record = step(net, ops, cfg, state, ws, np.array([True, False]))
         for key in ("q", "qstar", "r", "rstar"):
             assert np.array_equal(getattr(ws, key)[1], cached[key][1])
-        for key in ("s", "sstar"):
-            assert np.array_equal(getattr(ws, key)[0], cached[key][0])
+        # every step activates every node
+        assert record.active_nodes == net.n_nodes
+        assert np.array_equal(ws.s, ops.supplies)
 
-    def test_t_node_refreshed_for_inactive_nodes(self, two_arc):
-        # t carries div(q), which moves when any arc updates, so inactive
-        # nodes still get a fresh t every iteration
+    def test_sstar_is_fresh_for_every_node_after_a_partial_step(self, two_arc):
         _, net, ops = two_arc
         cfg = SolverConfig()
         state, ws = initial_state(net), new_workspace(net)
         step(net, ops, cfg, state, ws)
-        t_before = ws.t_node.copy()
-        step(net, ops, cfg, state, ws, np.array([True, True]), np.array([True, False]))
-        assert not np.array_equal(ws.t_node[1], t_before[1])
+        stale = ws.sstar.copy()
+        x, v = state.x.copy(), state.v.copy()
+        step(net, ops, cfg, state, ws, np.array([True, False]))
+        _, _, sigma = step_parameters(net, cfg)
+        fresh = v + (net.divergence(x) - ops.supplies) / sigma[:, None]
+        assert np.array_equal(ws.sstar, fresh)
+        assert (ws.sstar != stale).all()  # the first step moved every node's s*
 
     def test_empty_activation_rejected(self, two_arc):
         _, net, ops = two_arc
         state, ws = initial_state(net), new_workspace(net)
         with pytest.raises(ConfigurationError, match="nonempty"):
-            step(net, ops, SolverConfig(), state, ws, np.array([False, False]), None)
+            step(net, ops, SolverConfig(), state, ws, np.array([False, False]))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.array([0, 2]),  # an index array, which a mask read would take as arc 1 only
+            np.array([True, False, True, True]),  # one entry short
+            [True, False, True, True, True],  # a list
+            np.array([[True, False, True, True, True]]),
+        ],
+        ids=["indices", "short", "list", "2d"],
+    )
+    def test_arc_mask_must_be_a_boolean_array_with_one_entry_per_arc(self, braess, mask):
+        net, ops, _ = braess
+        state, ws = initial_state(net), new_workspace(net)
+        with pytest.raises(ConfigurationError, match=r"boolean array of shape \(5,\)"):
+            step(net, ops, SolverConfig(), state, ws, mask)
+        with pytest.raises(ConfigurationError, match="boolean array"):
+            step(net, ops, SolverConfig(), state, ws, mask, swept=True)
+        assert state.n == 0 and not state.x.any()
+
+    def test_node_mask_passed_positionally_fails(self, two_arc):
+        # params and swept are keyword-only, so an old step(..., arcs, nodes)
+        # call cannot bind a node mask to params
+        _, net, ops = two_arc
+        state, ws = initial_state(net), new_workspace(net)
+        mask = np.array([True, True])
+        with pytest.raises(TypeError):
+            step(net, ops, SolverConfig(), state, ws, mask, mask)
+        assert state.n == 0
 
     def test_non_finite_input_raises_numerical_failure(self, two_arc):
         _, net, ops = two_arc
@@ -540,10 +594,10 @@ def manual_run(net, ops, cfg):
     state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
     checked = False
     for k in range(cfg.max_iter):
-        arcs, nodes = sched.select(state.n)
+        arcs = sched.select(state.n)
         if checked:
-            arcs, nodes = np.ones_like(arcs), np.ones_like(nodes)
-        record = step(net, ops, cfg, state, ws, arcs, nodes)
+            arcs = np.ones_like(arcs)
+        record = step(net, ops, cfg, state, ws, arcs)
         checked = ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0
         if checked:
             sweep.root[:] = ws.root
@@ -614,11 +668,11 @@ def test_step_after_a_residual_check_activates_every_block(spec, T):
     sched = make_scheduler(spec, net, T)
     checked = False
     for rec in trace:
-        arcs, nodes = sched.select(rec.n)
+        arcs = sched.select(rec.n)
         if checked:
             assert (rec.active_arcs, rec.active_nodes) == (net.n_arcs, net.n_nodes)
         else:
-            assert (rec.active_arcs, rec.active_nodes) == (arcs.sum(), nodes.sum())
+            assert (rec.active_arcs, rec.active_nodes) == (arcs.sum(), net.n_nodes)
         checked = rec.residual is not None
 
 
@@ -720,7 +774,7 @@ def test_workspace_roots_follow_the_evaluated_arcs(two_arc):
     cfg = SolverConfig()
     state, ws = initial_state(net), new_workspace(net)
     assert np.isnan(ws.root).all()
-    step(net, ops, cfg, state, ws, np.array([True, False]), np.array([True, True]))
+    step(net, ops, cfg, state, ws, np.array([True, False]))
     assert np.isfinite(ws.root[0]) and np.isnan(ws.root[1])
     # the root is the scalar resolvent of the arc's row total, at C*gamma
     assert ws.root[0] == pytest.approx(float(np.sum(ws.q[0])), rel=1e-12)
@@ -746,7 +800,7 @@ def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
     state, ws = initial_state(net), new_workspace(net)
     for _ in range(5):
-        step(net, ops, cfg, state, ws, *sched.select(state.n))
+        step(net, ops, cfg, state, ws, sched.select(state.n))
     ref_state, ref_ws = copy.deepcopy(state), copy.deepcopy(ws)
     residual(net, ops, cfg, state, sweep=ws)
     check = ws.tau, ws.pi
@@ -758,7 +812,7 @@ def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
     ops.families = tuple((kernel_called, arcs, params) for _, arcs, params in families)
     with pytest.raises(KernelCalled):
         step(net, ops, cfg, copy.deepcopy(state), copy.deepcopy(ws))
-    record = step(net, ops, cfg, state, ws, *sched.select(state.n), swept=True)
+    record = step(net, ops, cfg, state, ws, sched.select(state.n), swept=True)
     assert (record.tau, record.pi) == check
     assert (record.active_arcs, record.active_nodes) == (net.n_arcs, net.n_nodes)
     # a step that evaluates every block from the workspace as it was before the check
@@ -840,6 +894,17 @@ def test_two_arc_with_costs_times_1e3_converges_at_1e_10_times_the_scale():
     assert reason is Termination.CONVERGED
     flow, _, _ = analytic_two_arc(inst)
     np.testing.assert_allclose(state.x[:, 0], flow, atol=1e-6)
+
+
+def test_round_robin_on_a_small_grid_converges_within_1500_iterations():
+    # with node blocks rationed like arcs this run took 1,830 iterations;
+    # with every node active at every step it takes 1,270
+    net, ops = grid_instance(3, 2, 1)
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=1_500)
+    state, trace, reason = run(net, ops, cfg)
+    assert reason is Termination.CONVERGED
+    assert all(rec.active_nodes == net.n_nodes for rec in trace)
+    assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])

@@ -54,3 +54,33 @@ def test_oracle_shares_no_code_path_with_the_solver():
 )
 def test_solver_path_rule_flags(line):
     assert solver_paths_named(line)
+
+
+def print_calls(source):
+    """The line numbers of the calls to the builtin print in `source`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_library_modules_print_nothing(path):
+    # only the command line writes to the terminal; the library reports
+    # through return values, exceptions and warnings
+    lines = print_calls(path.read_text())
+    assert not lines, f"{path.name}: print on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "print('x')",
+        "print(f'{n}', file=sys.stderr)",
+        "def f():\n    if True:\n        print()",
+        "value = [print(v) for v in values]",
+    ],
+)
+def test_print_rule_flags(line):
+    assert print_calls(line)
