@@ -24,10 +24,23 @@ Problem files are line-oriented text with a versioned header::
     tol = 1e-06
     scheduler = roundrobin:2
 
-'#' starts a comment; tokens carry no internal whitespace.  Capacity
-families: ``bpr(alpha,rho,theta,p)``, ``log(omega,theta)``,
+'#' starts a comment; tokens carry no internal whitespace.  A file may
+hold only the sections of its kind, each at most once.  Apart from
+[arcs], every line of a section has one of three shapes, and one reader
+parses each shape in both file kinds:
+
+- ``id``: [commodities], [nodes];
+- ``id v1 ... vC``, one value per commodity: [supplies], and [flow],
+  [arc_dual], [potential] of solution files;
+- ``key = value``: [solver], and [meta] of solution files.
+
+An id or key appears at most once in its section.  Capacity families:
+``bpr(alpha,rho,theta,p)``, ``log(omega,theta)``,
 ``trc(alpha,beta,delta,omega)``, ``powerexp(alpha,theta,p)``, and
-``prox(phi=affine(a,b)|quadratic(a)|power(q), lo, hi)``.  An omitted
+``prox(phi=affine(a,b)|quadratic(a)|power(q), lo, hi)``.  One table,
+`_FAMILIES`, maps each family name to its spec class for reading and
+writing alike: the dataclass fields of the class are the keys its token
+takes, in the order they are written, each at most once.  An omitted
 ``r=`` spec defaults to the nonnegative orthant with a warning; nodes
 without a supply line get zero supply.  Schedulers are ``full``,
 ``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key); when
@@ -36,6 +49,17 @@ sweep, and 0 otherwise.  A missing ``gamma``, ``mu`` or ``sigma`` key
 leaves that step parameter to be derived from the graph (see
 ``solver.step_parameters``); `serialize_problem` writes these keys only
 when they were set.
+
+Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown
+section, ``unknown-key`` for an unknown key, ``unknown-family`` for a
+spec naming no family of its kind, ``duplicate-id`` for a repeated
+section, id, key or spec parameter, ``dangling-node`` for an undeclared
+id, ``missing-commodity`` for a value count that does not match the
+commodities, ``bad-scheduler`` for an unknown scheduler, and
+``param-range`` for a value its spec rejects: out-of-range or non-finite
+parameters and supplies, and [solver] settings that `solver.SolverConfig`,
+`solver.step_parameters` or `solver.make_scheduler` reject on the parsed
+network.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
@@ -46,8 +70,7 @@ serialized file reproduces every value bit for bit.
 
 from __future__ import annotations
 
-import io
-import math
+import dataclasses
 import re
 import warnings
 from dataclasses import dataclass
@@ -71,7 +94,15 @@ from .operators import (
     QuadraticPhi,
     SeparableLift,
 )
-from .solver import Full, RandomSweep, RoundRobin, SolverConfig, Termination
+from .solver import (
+    Full,
+    RandomSweep,
+    RoundRobin,
+    SolverConfig,
+    Termination,
+    make_scheduler,
+    step_parameters,
+)
 
 __all__ = [
     "Problem",
@@ -97,6 +128,9 @@ TRACE_COLUMNS = (
     "residual",
     "millis",
 )
+_PROBLEM_SECTIONS = ("commodities", "nodes", "arcs", "supplies", "solver")
+_SOLUTION_SECTIONS = ("meta", "flow", "arc_dual", "potential")
+_META_KEYS = ("residual", "iterations", "termination")
 
 
 @dataclass
@@ -151,15 +185,48 @@ class Solution:
 
 
 # --------------------------------------------------------------------------
-# low-level reading helpers
+# the family table
 # --------------------------------------------------------------------------
+
+_FAMILIES = {
+    "bpr": BPR,
+    "log": Logarithmic,
+    "trc": TRC,
+    "powerexp": PowerExp,
+    "prox": IntervalProx,
+    "affine": AffinePhi,
+    "quadratic": QuadraticPhi,
+    "power": PowerPhi,
+}
+
+# class -> (family name, {key: True for a field annotated float, False for
+# a nested phi spec}), keys in the order the token writes them
+_SPEC_FORMAT = {
+    cls: (name, {f.name: f.type == "float" for f in dataclasses.fields(cls)})
+    for name, cls in _FAMILIES.items()
+}
+
+# what a spec position takes, by the method its class must have
+_KINDS = {"family": "capacity", "prox": "phi"}
+
+
+def _named_boxes(n_comm):
+    """The constraint sets a file names instead of listing their intervals."""
+    return {"orthant": Box.orthant(n_comm), "free": Box.free(n_comm)}
+
+
+# --------------------------------------------------------------------------
+# reading: sections, tokens, and one reader per line shape
+# --------------------------------------------------------------------------
+# A location `where` is the (section, entity, line) triple that
+# ProblemFormatError takes after its code and message.
 
 
 def _read_text(source):
     if hasattr(source, "read"):
         return source.read()
     text = str(source)
-    if not text.strip() or "\n" in text or text.startswith("netequil-"):
+    if not text.strip() or "\n" in text:
         return text
     with open(text, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -173,50 +240,127 @@ def _logical_lines(text):
             yield lineno, content
 
 
-def _sections(text, header, kind):
-    lines = list(_logical_lines(text))
-    if not lines or lines[0][1] != header:
+def _sections(text, header, kind, names):
+    """{section: [(line_number, content), ...]} of a file of this kind.
+
+    `names` are the sections the kind allows; each may appear once.
+    """
+    lines = _logical_lines(text)
+    first = next(lines, None)
+    if first is None or first[1] != header:
         raise ProblemFormatError(
-            "syntax", f"first line must be {header!r}", line=lines[0][0] if lines else 1
+            "syntax", f"first line must be {header!r}", line=first[0] if first else 1
         )
-    sections = {}
-    current = None
-    for lineno, content in lines[1:]:
+    sections, current = {}, None
+    for lineno, content in lines:
         if content.startswith("[") and content.endswith("]"):
-            current = content[1:-1].strip()
-            sections.setdefault(current, [])
-            continue
-        if current is None:
+            name = content[1:-1].strip()
+            if name not in names:
+                raise ProblemFormatError(
+                    "syntax", f"unknown section [{name}] in {kind} file", name, None, lineno
+                )
+            if name in sections:
+                raise ProblemFormatError(
+                    "duplicate-id", f"section [{name}] appears twice", name, None, lineno
+                )
+            current = sections[name] = []
+        elif current is None:
             raise ProblemFormatError(
                 "syntax", f"content before any section in {kind} file", line=lineno
             )
-        sections[current].append((lineno, content))
+        else:
+            current.append((lineno, content))
     return sections
 
 
-def _float(token, section, entity, lineno):
+def _float(token, where):
     try:
         return float(token)
     except ValueError:
-        raise ProblemFormatError(
-            "syntax", f"not a number: {token!r}", section=section, entity=entity, line=lineno
-        ) from None
+        raise ProblemFormatError("syntax", f"not a number: {token!r}", *where) from None
 
 
-def _int(token, section, entity, lineno):
+def _int(token, where):
     try:
         return int(token)
     except ValueError:
-        raise ProblemFormatError(
-            "syntax", f"not an integer: {token!r}", section=section, entity=entity, line=lineno
-        ) from None
+        raise ProblemFormatError("syntax", f"not an integer: {token!r}", *where) from None
 
 
-_CALL_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\((.*)\)$")
+def _construct(cls, args, label, where):
+    """cls(**args), reporting a rejected argument as param-range."""
+    try:
+        return cls(**args)
+    except (ConfigurationError, TypeError) as exc:
+        raise ProblemFormatError("param-range", f"{label}: {exc}", *where) from None
+
+
+def _read_ids(entries, section):
+    """'id' lines -> {id: line number} in file order; each id once."""
+    ids = {}
+    for lineno, content in entries:
+        name, *extra = content.split()
+        where = (section, name, lineno)
+        if extra:
+            raise ProblemFormatError("syntax", f"unexpected token {extra[0]!r} after the id", *where)
+        if name in ids:
+            raise ProblemFormatError("duplicate-id", f"duplicate id {name!r}", *where)
+        ids[name] = lineno
+    return ids
+
+
+def _read_rows(entries, ids, n_comm, section):
+    """'id v1 ... vC' lines -> {id: (values, where)} in file order.
+
+    Each line names one of `ids`, each at most once, with one value per
+    commodity.
+    """
+    rows = {}
+    for lineno, content in entries:
+        name, *values = content.split()
+        where = (section, name, lineno)
+        if name not in ids:
+            raise ProblemFormatError("dangling-node", f"undeclared id {name!r}", *where)
+        if name in rows:
+            raise ProblemFormatError("duplicate-id", f"duplicate entry {name!r}", *where)
+        if len(values) != n_comm:
+            raise ProblemFormatError(
+                "missing-commodity",
+                f"{name!r} lists {len(values)} values for {n_comm} commodities",
+                *where,
+            )
+        rows[name] = (tuple(_float(v, where) for v in values), where)
+    return rows
+
+
+def _read_keys(entries, keys, section):
+    """'key = value' lines -> {key: (value, where)}; each of `keys` at most once."""
+    found = {}
+    for lineno, content in entries:
+        key, eq, value = content.partition("=")
+        if not eq:
+            raise ProblemFormatError(
+                "syntax", f"expected key = value, got {content!r}", section, None, lineno
+            )
+        key = key.strip()
+        where = (section, key, lineno)
+        if key not in keys:
+            raise ProblemFormatError("unknown-key", f"unknown {section} key {key!r}", *where)
+        if key in found:
+            raise ProblemFormatError("duplicate-id", f"key {key!r} is set twice", *where)
+        found[key] = (value.strip(), where)
+    return found
+
+
+_NAME = r"[a-zA-Z_][a-zA-Z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_CALL_RE = re.compile(rf"^({_NAME})\((.*)\)$")
 
 
 def _split_args(body):
     """Split 'a=1,b=f(x,y)' on top-level commas."""
+    if "(" not in body:
+        return body.split(",") if body else []
     parts, depth, start = [], 0, 0
     for pos, ch in enumerate(body):
         if ch == "(":
@@ -226,166 +370,75 @@ def _split_args(body):
         elif ch == "," and depth == 0:
             parts.append(body[start:pos])
             start = pos + 1
-    tail = body[start:]
-    if tail or parts:
-        parts.append(tail)
+    parts.append(body[start:])
     return parts
 
 
-def _parse_callspec(token, section, entity, lineno):
+def _parse_callspec(token, where):
     """'name(k=v,...)' -> (name, {k: v}); values are floats or nested calls."""
     match = _CALL_RE.match(token)
     if match is None:
-        if re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_]*", token):
+        if _NAME_RE.fullmatch(token):
             return token, {}
-        raise ProblemFormatError(
-            "syntax", f"malformed spec {token!r}", section=section, entity=entity, line=lineno
-        )
+        raise ProblemFormatError("syntax", f"malformed spec {token!r}", *where)
     name, body = match.groups()
     kwargs = {}
     for part in _split_args(body):
         if not part:
             continue
-        if "=" not in part:
+        key, eq, value = part.partition("=")
+        if not eq:
             raise ProblemFormatError(
-                "syntax",
-                f"expected key=value in {token!r}, got {part!r}",
-                section=section,
-                entity=entity,
-                line=lineno,
+                "syntax", f"expected key=value in {token!r}, got {part!r}", *where
             )
-        key, value = part.split("=", 1)
-        if "(" in value:
-            kwargs[key] = _parse_callspec(value, section, entity, lineno)
-        else:
-            kwargs[key] = _float(value, section, entity, lineno)
+        if key in kwargs:
+            raise ProblemFormatError("duplicate-id", f"{name} repeats parameter {key!r}", *where)
+        kwargs[key] = _parse_callspec(value, where) if "(" in value else _float(value, where)
     return name, kwargs
 
 
-# --------------------------------------------------------------------------
-# operator spec construction
-# --------------------------------------------------------------------------
-
-_PHI_FAMILIES = {
-    "affine": (AffinePhi, {"a", "b"}),
-    "quadratic": (QuadraticPhi, {"a"}),
-    "power": (PowerPhi, {"q"}),
-}
-
-_CAPACITY_FAMILIES = {
-    "bpr": (BPR, {"alpha", "rho", "theta", "p"}),
-    "log": (Logarithmic, {"omega", "theta"}),
-    "trc": (TRC, {"alpha", "beta", "delta", "omega"}),
-    "powerexp": (PowerExp, {"alpha", "theta", "p"}),
-}
-
-
-def _build_capacity(name, kwargs, section, entity, lineno):
-    if name in _CAPACITY_FAMILIES:
-        cls, allowed = _CAPACITY_FAMILIES[name]
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise ProblemFormatError(
-                "param-range",
-                f"{name} does not take parameter(s) {sorted(unknown)}",
-                section=section,
-                entity=entity,
-                line=lineno,
-            )
-        try:
-            return cls(**kwargs)
-        except (ConfigurationError, TypeError) as exc:
-            raise ProblemFormatError(
-                "param-range", f"{name}: {exc}", section=section, entity=entity, line=lineno
-            ) from None
-    if name == "prox":
-        phi_spec = kwargs.pop("phi", None)
-        if not isinstance(phi_spec, tuple):
-            raise ProblemFormatError(
-                "unknown-family",
-                "prox requires phi=affine(...)|quadratic(...)|power(...)",
-                section=section,
-                entity=entity,
-                line=lineno,
-            )
-        phi_name, phi_kwargs = phi_spec
-        if phi_name not in _PHI_FAMILIES:
-            raise ProblemFormatError(
-                "unknown-family",
-                f"unknown phi family {phi_name!r}",
-                section=section,
-                entity=entity,
-                line=lineno,
-            )
-        phi_cls, allowed = _PHI_FAMILIES[phi_name]
-        if set(phi_kwargs) - allowed:
-            raise ProblemFormatError(
-                "param-range",
-                f"{phi_name} does not take {sorted(set(phi_kwargs) - allowed)}",
-                section=section,
-                entity=entity,
-                line=lineno,
-            )
-        try:
-            phi = phi_cls(**phi_kwargs)
-            return IntervalProx(
-                phi, kwargs.pop("lo", -math.inf), kwargs.pop("hi", math.inf)
-            )
-        except (ConfigurationError, TypeError) as exc:
-            raise ProblemFormatError(
-                "param-range", f"prox: {exc}", section=section, entity=entity, line=lineno
-            ) from None
-    raise ProblemFormatError(
-        "unknown-family",
-        f"unknown capacity family {name!r}",
-        section=section,
-        entity=entity,
-        line=lineno,
-    )
+def _build(call, kind, where):
+    """Spec object of a parsed call whose class has the method `kind` (see _KINDS)."""
+    name, kwargs = call
+    cls = _FAMILIES.get(name)
+    if not hasattr(cls, kind):
+        raise ProblemFormatError("unknown-family", f"unknown {_KINDS[kind]} family {name!r}", *where)
+    fields = _SPEC_FORMAT[cls][1]
+    for key, number in fields.items():
+        if not number:
+            nested = kwargs.get(key)
+            if not isinstance(nested, tuple):
+                phis = "|".join(f"{n}(...)" for n, c in _FAMILIES.items() if hasattr(c, "prox"))
+                raise ProblemFormatError("unknown-family", f"{name} requires {key}={phis}", *where)
+            kwargs[key] = _build(nested, "prox", where)
+    unknown = kwargs.keys() - fields.keys()
+    if unknown:
+        raise ProblemFormatError(
+            "param-range", f"{name} does not take parameter(s) {sorted(unknown)}", *where
+        )
+    return _construct(cls, kwargs, name, where)
 
 
-def _build_box(token, n_comm, section, entity, lineno):
-    if token == "orthant":
-        return Box.orthant(n_comm)
-    if token == "free":
-        return Box.free(n_comm)
+def _build_box(token, n_comm, where):
     match = _CALL_RE.match(token)
     if match is None or match.group(1) != "box":
         raise ProblemFormatError(
             "syntax",
             f"constraint spec must be orthant, free, or box(lo:hi,...), got {token!r}",
-            section=section,
-            entity=entity,
-            line=lineno,
+            *where,
         )
     lo, hi = [], []
-    intervals = _split_args(match.group(2))
-    for part in intervals:
-        if ":" not in part:
-            raise ProblemFormatError(
-                "syntax",
-                f"box interval must be lo:hi, got {part!r}",
-                section=section,
-                entity=entity,
-                line=lineno,
-            )
-        a, b = part.split(":", 1)
-        lo.append(_float(a, section, entity, lineno))
-        hi.append(_float(b, section, entity, lineno))
+    for part in _split_args(match.group(2)):
+        a, colon, b = part.partition(":")
+        if not colon:
+            raise ProblemFormatError("syntax", f"box interval must be lo:hi, got {part!r}", *where)
+        lo.append(_float(a, where))
+        hi.append(_float(b, where))
     if len(lo) != n_comm:
         raise ProblemFormatError(
-            "missing-commodity",
-            f"box lists {len(lo)} intervals for {n_comm} commodities",
-            section=section,
-            entity=entity,
-            line=lineno,
+            "missing-commodity", f"box lists {len(lo)} intervals for {n_comm} commodities", *where
         )
-    try:
-        return Box(tuple(lo), tuple(hi))
-    except ConfigurationError as exc:
-        raise ProblemFormatError(
-            "param-range", str(exc), section=section, entity=entity, line=lineno
-        ) from None
+    return _construct(Box, {"lo": tuple(lo), "hi": tuple(hi)}, "box", where)
 
 
 # --------------------------------------------------------------------------
@@ -394,20 +447,19 @@ def _build_box(token, n_comm, section, entity, lineno):
 
 
 def _parse_scheduler(token, seed, section, lineno):
+    where = (section, "scheduler", lineno)
     if token == "full":
         return Full(), 0
     if token.startswith("roundrobin:"):
-        groups = _int(token.split(":", 1)[1], section, "scheduler", lineno)
+        groups = _int(token.split(":", 1)[1], where)
         return RoundRobin(groups), groups - 1
     if token.startswith("randomsweep:"):
-        prob = _float(token.split(":", 1)[1], section, "scheduler", lineno)
+        prob = _float(token.split(":", 1)[1], where)
         return RandomSweep(seed=seed, activation_prob=prob), 3
     raise ProblemFormatError(
         "bad-scheduler",
         f"scheduler must be full, roundrobin:K, or randomsweep:p, got {token!r}",
-        section=section,
-        entity="scheduler",
-        line=lineno,
+        *where,
     )
 
 
@@ -431,182 +483,115 @@ def parse_problem(source):
 
     Every constraint violation raises ProblemFormatError with a stable
     diagnostic code and the (section, entity, line) location; parameter
-    constraints of the operator specs are enforced here, so solving never
-    trips over bad configuration later.
+    constraints of the operator specs and of the solver settings are
+    enforced here, so solving never trips over bad configuration later.
     """
-    text = _read_text(source)
-    sections = _sections(text, PROBLEM_HEADER, "problem")
-
+    sections = _sections(_read_text(source), PROBLEM_HEADER, "problem", _PROBLEM_SECTIONS)
     for required in ("commodities", "nodes", "arcs"):
-        if required not in sections or not sections[required]:
+        if not sections.get(required):
             raise ProblemFormatError("syntax", f"missing or empty [{required}] section")
-
-    commodities = []
-    for lineno, content in sections["commodities"]:
-        name = content.split()[0]
-        if name in commodities:
-            raise ProblemFormatError(
-                "duplicate-id", f"duplicate commodity {name!r}", "commodities", name, lineno
-            )
-        commodities.append(name)
+    commodities = _read_ids(sections["commodities"], "commodities")
+    nodes = _read_ids(sections["nodes"], "nodes")
     n_comm = len(commodities)
+    boxes = _named_boxes(n_comm)
 
-    nodes = []
-    for lineno, content in sections["nodes"]:
-        name = content.split()[0]
-        if name in nodes:
-            raise ProblemFormatError(
-                "duplicate-id", f"duplicate node {name!r}", "nodes", name, lineno
-            )
-        nodes.append(name)
-
-    arc_ids, arc_pairs, arc_ops = [], [], []
+    arc_ids, arc_pairs, arc_ops = {}, [], []
     for lineno, content in sections["arcs"]:
         tokens = content.split()
+        arc_id = tokens[0]
+        where = ("arcs", arc_id, lineno)
         if len(tokens) < 4:
-            raise ProblemFormatError(
-                "syntax",
-                "arc line needs: id tail head q=... [r=...]",
-                "arcs",
-                tokens[0] if tokens else None,
-                lineno,
-            )
-        arc_id, tail, head = tokens[0], tokens[1], tokens[2]
+            raise ProblemFormatError("syntax", "arc line needs: id tail head q=... [r=...]", *where)
+        tail, head = tokens[1], tokens[2]
         if arc_id in arc_ids:
-            raise ProblemFormatError(
-                "duplicate-id", f"duplicate arc {arc_id!r}", "arcs", arc_id, lineno
-            )
+            raise ProblemFormatError("duplicate-id", f"duplicate arc {arc_id!r}", *where)
         for endpoint in (tail, head):
             if endpoint not in nodes:
                 raise ProblemFormatError(
                     "dangling-node",
                     f"arc {arc_id!r} references undeclared node {endpoint!r}",
-                    "arcs",
-                    arc_id,
-                    lineno,
+                    *where,
                 )
         if tail == head:
-            raise ProblemFormatError(
-                "param-range", f"arc {arc_id!r} is a self-loop at {tail!r}", "arcs", arc_id, lineno
-            )
-        q_spec = None
-        r_spec = None
+            raise ProblemFormatError("param-range", f"arc {arc_id!r} is a self-loop at {tail!r}", *where)
+        specs = {}
         for token in tokens[3:]:
-            if token.startswith("q="):
-                q_spec = token[2:]
-            elif token.startswith("r="):
-                r_spec = token[2:]
-            else:
-                raise ProblemFormatError(
-                    "syntax", f"unexpected token {token!r}", "arcs", arc_id, lineno
-                )
-        if q_spec is None:
-            raise ProblemFormatError(
-                "syntax", f"arc {arc_id!r} has no q= capacity spec", "arcs", arc_id, lineno
-            )
-        name, kwargs = _parse_callspec(q_spec, "arcs", arc_id, lineno)
-        capacity = _build_capacity(name, kwargs, "arcs", arc_id, lineno)
-        if r_spec is None:
+            if not token.startswith(("q=", "r=")):
+                raise ProblemFormatError("syntax", f"unexpected token {token!r}", *where)
+            if token[0] in specs:
+                raise ProblemFormatError("duplicate-id", f"arc {arc_id!r} repeats {token[:2]}", *where)
+            specs[token[0]] = token[2:]
+        if "q" not in specs:
+            raise ProblemFormatError("syntax", f"arc {arc_id!r} has no q= capacity spec", *where)
+        capacity = _build(_parse_callspec(specs["q"], where), "family", where)
+        if "r" in specs:
+            box = boxes.get(specs["r"]) or _build_box(specs["r"], n_comm, where)
+        else:
             warnings.warn(
                 f"arc {arc_id!r}: no constraint set given, defaulting to the nonnegative orthant",
                 ProblemFormatWarning,
                 stacklevel=2,
             )
-            box = Box.orthant(n_comm)
-        else:
-            box = _build_box(r_spec, n_comm, "arcs", arc_id, lineno)
-        arc_ids.append(arc_id)
+            box = boxes["orthant"]
+        arc_ids[arc_id] = lineno
         arc_pairs.append((tail, head))
         arc_ops.append(ArcOperator(SeparableLift(capacity), box))
 
-    supplies = {node: (0.0,) * n_comm for node in nodes}
-    for lineno, content in sections.get("supplies", []):
-        tokens = content.split()
-        node = tokens[0]
-        if node not in supplies:
-            raise ProblemFormatError(
-                "dangling-node", f"supply for undeclared node {node!r}", "supplies", node, lineno
-            )
-        values = tokens[1:]
-        if len(values) != n_comm:
-            raise ProblemFormatError(
-                "missing-commodity",
-                f"supply for {node!r} lists {len(values)} values for {n_comm} commodities",
-                "supplies",
-                node,
-                lineno,
-            )
-        supplies[node] = tuple(_float(v, "supplies", node, lineno) for v in values)
-
-    config = _parse_solver_section(sections.get("solver", []))
+    supplies = dict.fromkeys(nodes, FixedSupply((0.0,) * n_comm))
+    rows = _read_rows(sections.get("supplies", ()), nodes, n_comm, "supplies")
+    for node, (values, where) in rows.items():
+        supplies[node] = _construct(FixedSupply, {"supply": values}, "supply", where)
 
     try:
         network = Network(nodes, arc_pairs, commodities)
-        operators = OperatorSet(
-            network, arc_ops, [FixedSupply(supplies[node]) for node in nodes]
-        )
+        operators = OperatorSet(network, arc_ops, supplies.values())
     except ConfigurationError as exc:  # pragma: no cover - guarded above
         raise ProblemFormatError("param-range", str(exc)) from None
+    config = _parse_solver_section(sections.get("solver", ()), network)
     return Problem(network, tuple(arc_ids), operators, config)
 
 
-def _parse_solver_section(entries):
-    raw = {}
-    for lineno, content in entries:
-        if "=" not in content:
-            raise ProblemFormatError(
-                "syntax", f"expected key = value, got {content!r}", "solver", None, lineno
-            )
-        key, value = (part.strip() for part in content.split("=", 1))
-        if key not in _SOLVER_KEYS:
-            raise ProblemFormatError(
-                "unknown-key", f"unknown solver key {key!r}", "solver", key, lineno
-            )
-        raw[key] = (lineno, value)
+def _parse_solver_section(entries, network):
+    """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network."""
+    raw = _read_keys(entries, _SOLVER_KEYS, "solver")
 
-    def take_float(key, default):
-        if key not in raw:
-            return default
-        lineno, value = raw[key]
-        return _float(value, "solver", key, lineno)
+    def take(key, read, default):
+        return read(*raw[key]) if key in raw else default
 
-    def take_int(key, default):
-        if key not in raw:
-            return default
-        lineno, value = raw[key]
-        return _int(value, "solver", key, lineno)
-
-    seed = take_int("seed", 0)
-    scheduler, t_default = Full(), 0
-    if "scheduler" in raw:
-        lineno, value = raw["scheduler"]
-        scheduler, t_default = _parse_scheduler(value, seed, "solver", lineno)
-    kwargs = dict(
-        gamma=take_float("gamma", None),
-        mu=take_float("mu", None),
-        sigma=take_float("sigma", None),
-        relaxation=take_float("lambda", 1.8),
-        T=take_int("T", t_default),
-        scheduler=scheduler,
-        tol=take_float("tol", 1e-6),
-        max_iter=take_int("max_iter", 10**6),
-        check_interval=take_int("check_interval", 10),
-    )
-    if "threads" in raw:
-        take_int("threads", 1)  # still rejects a value that is not an integer
-        warnings.warn(
-            f"line {raw['threads'][0]}: solver key 'threads' is obsolete and ignored",
-            ProblemFormatWarning,
-            stacklevel=3,
-        )
+    seed = take("seed", _int, 0)
     try:
-        return SolverConfig(**kwargs)
+        scheduler, t_default = Full(), 0
+        if "scheduler" in raw:
+            value, (_, _, lineno) = raw["scheduler"]
+            scheduler, t_default = _parse_scheduler(value, seed, "solver", lineno)
+        kwargs = dict(
+            gamma=take("gamma", _float, None),
+            mu=take("mu", _float, None),
+            sigma=take("sigma", _float, None),
+            relaxation=take("lambda", _float, 1.8),
+            T=take("T", _int, t_default),
+            scheduler=scheduler,
+            tol=take("tol", _float, 1e-6),
+            max_iter=take("max_iter", _int, 10**6),
+            check_interval=take("check_interval", _int, 10),
+        )
+        if "threads" in raw:
+            take("threads", _int, 1)  # still rejects a value that is not an integer
+            warnings.warn(
+                f"line {raw['threads'][1][2]}: solver key 'threads' is obsolete and ignored",
+                ProblemFormatWarning,
+                stacklevel=3,
+            )
+        config = SolverConfig(**kwargs)
+        step_parameters(network, config)
+        make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:
         raise ProblemFormatError("param-range", str(exc), section="solver") from None
+    return config
 
 
 # --------------------------------------------------------------------------
-# problem serialization
+# writing: one writer per line shape
 # --------------------------------------------------------------------------
 
 
@@ -614,36 +599,43 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _capacity_token(spec):
-    if isinstance(spec, BPR):
-        return f"bpr(alpha={_fmt(spec.alpha)},rho={_fmt(spec.rho)},theta={_fmt(spec.theta)},p={_fmt(spec.p)})"
-    if isinstance(spec, Logarithmic):
-        return f"log(omega={_fmt(spec.omega)},theta={_fmt(spec.theta)})"
-    if isinstance(spec, TRC):
-        return f"trc(alpha={_fmt(spec.alpha)},beta={_fmt(spec.beta)},delta={_fmt(spec.delta)},omega={_fmt(spec.omega)})"
-    if isinstance(spec, PowerExp):
-        return f"powerexp(alpha={_fmt(spec.alpha)},theta={_fmt(spec.theta)},p={_fmt(spec.p)})"
-    if isinstance(spec, IntervalProx):
-        phi = spec.phi
-        if isinstance(phi, AffinePhi):
-            inner = f"affine(a={_fmt(phi.a)},b={_fmt(phi.b)})"
-        elif isinstance(phi, QuadraticPhi):
-            inner = f"quadratic(a={_fmt(phi.a)})"
-        elif isinstance(phi, PowerPhi):
-            inner = f"power(q={_fmt(phi.q)})"
-        else:
-            raise ConfigurationError("a user-supplied phi cannot be serialized")
-        return f"prox(phi={inner},lo={_fmt(spec.lo)},hi={_fmt(spec.hi)})"
-    raise ConfigurationError(f"cannot serialize capacity spec {spec!r}")
+def _render(header, sections):
+    """File text: the header line, then each (name, lines) section after a blank line."""
+    lines = [header]
+    for name, body in sections:
+        lines += ["", f"[{name}]", *body]
+    return "\n".join(lines) + "\n"
 
 
-def _box_token(box, n_comm):
-    if box == Box.orthant(n_comm):
-        return "orthant"
-    if box == Box.free(n_comm):
-        return "free"
-    parts = ",".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in zip(box.lo, box.hi))
-    return f"box({parts})"
+def _row_lines(ids, rows):
+    """'id v1 ... vC' lines."""
+    return [f"{name} {' '.join(map(_fmt, row))}" for name, row in zip(ids, rows)]
+
+
+def _key_lines(pairs):
+    """'key = value' lines."""
+    return [f"{key} = {value}" for key, value in pairs]
+
+
+def _spec_token(spec):
+    """'name(key=value,...)' of a capacity or phi spec, keys in field order."""
+    entry = _SPEC_FORMAT.get(type(spec))
+    if entry is None:
+        raise ConfigurationError(f"cannot serialize {spec!r}: not a family of the file format")
+    name, fields = entry
+    args = ",".join(
+        f"{key}={_fmt(getattr(spec, key)) if number else _spec_token(getattr(spec, key))}"
+        for key, number in fields.items()
+    )
+    return f"{name}({args})"
+
+
+def _box_token(box, names):
+    """Name of box in `names` (box -> name), else box(lo:hi,...)."""
+    name = names.get(box)
+    if name is not None:
+        return name
+    return "box(" + ",".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in zip(box.lo, box.hi)) + ")"
 
 
 def _id_tokens(kind, ids):
@@ -670,27 +662,16 @@ def _scheduler_token(spec):
 
 def serialize_problem(problem):
     """Render a Problem back into file text (parse of which is identical)."""
-    net = problem.network
+    net, ops, cfg = problem.network, problem.operators, problem.config
     nodes = _id_tokens("node", net.nodes)
-    out = io.StringIO()
-    out.write(PROBLEM_HEADER + "\n\n[commodities]\n")
-    for name in _id_tokens("commodity", net.commodities):
-        out.write(f"{name}\n")
-    out.write("\n[nodes]\n")
-    for name in nodes:
-        out.write(f"{name}\n")
-    out.write("\n[arcs]\n")
-    for arc_id, (tail, head), op in zip(
-        _id_tokens("arc", problem.arc_ids), net.arcs, problem.operators.arc_operators
-    ):
-        q = _capacity_token(op.q.scalar)
-        r = _box_token(op.r, net.n_commodities)
-        out.write(f"{arc_id} {tail} {head} q={q} r={r}\n")
-    out.write("\n[supplies]\n")
-    for name, op in zip(nodes, problem.operators.node_operators):
-        values = " ".join(_fmt(v) for v in op.supply)
-        out.write(f"{name} {values}\n")
-    cfg = problem.config
+    commodities = _id_tokens("commodity", net.commodities)
+    box_names = {box: name for name, box in _named_boxes(net.n_commodities).items()}
+    arcs = [
+        f"{arc_id} {tail} {head} q={_spec_token(op.q.scalar)} r={_box_token(op.r, box_names)}"
+        for arc_id, (tail, head), op in zip(
+            _id_tokens("arc", problem.arc_ids), net.arcs, ops.arc_operators
+        )
+    ]
     # a step parameter left at None (derived from the graph) is not written
     steps = {name: getattr(cfg, name) for name in ("gamma", "mu", "sigma")}
     for name, value in steps.items():
@@ -699,19 +680,21 @@ def serialize_problem(problem):
     if isinstance(cfg.relaxation, tuple):
         raise ConfigurationError("the file format carries a constant relaxation only")
     sched_token, seed = _scheduler_token(cfg.scheduler)
-    out.write("\n[solver]\n")
-    for name, value in steps.items():
-        if value is not None:
-            out.write(f"{name} = {_fmt(value)}\n")
-    out.write(f"lambda = {_fmt(cfg.relaxation)}\n")
-    out.write(f"T = {cfg.T}\n")
-    out.write(f"scheduler = {sched_token}\n")
+    solver = [(name, _fmt(value)) for name, value in steps.items() if value is not None]
+    solver += [("lambda", _fmt(cfg.relaxation)), ("T", cfg.T), ("scheduler", sched_token)]
     if seed is not None:
-        out.write(f"seed = {seed}\n")
-    out.write(f"tol = {_fmt(cfg.tol)}\n")
-    out.write(f"max_iter = {cfg.max_iter}\n")
-    out.write(f"check_interval = {cfg.check_interval}\n")
-    return out.getvalue()
+        solver.append(("seed", seed))
+    solver += [("tol", _fmt(cfg.tol)), ("max_iter", cfg.max_iter), ("check_interval", cfg.check_interval)]
+    return _render(
+        PROBLEM_HEADER,
+        [
+            ("commodities", commodities),
+            ("nodes", nodes),
+            ("arcs", arcs),
+            ("supplies", _row_lines(nodes, (op.supply for op in ops.node_operators))),
+            ("solver", _key_lines(solver)),
+        ],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -720,89 +703,60 @@ def serialize_problem(problem):
 
 
 def serialize_solution(solution):
-    out = io.StringIO()
-    out.write(SOLUTION_HEADER + "\n\n[meta]\n")
-    out.write(f"residual = {_fmt(solution.residual)}\n")
-    out.write(f"iterations = {solution.iterations}\n")
-    out.write(f"termination = {solution.termination}\n")
     arc_ids = _id_tokens("arc", solution.arc_ids)
-    for section, ids, table in (
-        ("flow", arc_ids, solution.flow),
-        ("arc_dual", arc_ids, solution.arc_dual),
-        ("potential", _id_tokens("node", solution.node_ids), solution.potential),
-    ):
-        out.write(f"\n[{section}]\n")
-        for name, row in zip(ids, np.atleast_2d(table)):
-            values = " ".join(_fmt(v) for v in row)
-            out.write(f"{name} {values}\n")
-    return out.getvalue()
-
-
-def _parse_vector_section(entries, ids, n_comm, section):
-    table = np.zeros((len(ids), n_comm))
-    index = {name: k for k, name in enumerate(ids)}
-    seen = set()
-    for lineno, content in entries:
-        tokens = content.split()
-        name = tokens[0]
-        if name not in index:
-            raise ProblemFormatError(
-                "dangling-node", f"unknown entity {name!r}", section, name, lineno
-            )
-        if name in seen:
-            raise ProblemFormatError(
-                "duplicate-id", f"duplicate entry {name!r}", section, name, lineno
-            )
-        seen.add(name)
-        if len(tokens) - 1 != n_comm:
-            raise ProblemFormatError(
-                "missing-commodity",
-                f"{name!r} lists {len(tokens) - 1} values for {n_comm} commodities",
-                section,
-                name,
-                lineno,
-            )
-        table[index[name]] = [_float(v, section, name, lineno) for v in tokens[1:]]
-    missing = set(ids) - seen
-    if missing:
-        raise ProblemFormatError(
-            "missing-commodity", f"section lacks entries for {sorted(missing)}", section
-        )
-    return table
+    meta = [
+        ("residual", _fmt(solution.residual)),
+        ("iterations", solution.iterations),
+        ("termination", solution.termination),
+    ]
+    return _render(
+        SOLUTION_HEADER,
+        [
+            ("meta", _key_lines(meta)),
+            ("flow", _row_lines(arc_ids, np.atleast_2d(solution.flow))),
+            ("arc_dual", _row_lines(arc_ids, np.atleast_2d(solution.arc_dual))),
+            (
+                "potential",
+                _row_lines(_id_tokens("node", solution.node_ids), np.atleast_2d(solution.potential)),
+            ),
+        ],
+    )
 
 
 def parse_solution(source, problem):
     """Parse a solution file against the Problem it belongs to."""
-    text = _read_text(source)
-    sections = _sections(text, SOLUTION_HEADER, "solution")
-    meta = {}
-    for lineno, content in sections.get("meta", []):
-        if "=" not in content:
-            raise ProblemFormatError("syntax", f"expected key = value, got {content!r}", "meta", None, lineno)
-        key, value = (part.strip() for part in content.split("=", 1))
-        meta[key] = (lineno, value)
-    for key in ("residual", "iterations", "termination"):
+    sections = _sections(_read_text(source), SOLUTION_HEADER, "solution", _SOLUTION_SECTIONS)
+    meta = _read_keys(sections.get("meta", ()), _META_KEYS, "meta")
+    for key in _META_KEYS:
         if key not in meta:
             raise ProblemFormatError("syntax", f"[meta] lacks {key!r}", "meta", key)
-    termination = meta["termination"][1]
+    termination, where = meta["termination"]
     if termination not in {t.value for t in Termination}:
-        raise ProblemFormatError(
-            "syntax", f"unknown termination {termination!r}", "meta", "termination", meta["termination"][0]
-        )
+        raise ProblemFormatError("syntax", f"unknown termination {termination!r}", *where)
     n_comm = problem.network.n_commodities
-    flow = _parse_vector_section(sections.get("flow", []), problem.arc_ids, n_comm, "flow")
-    dual = _parse_vector_section(sections.get("arc_dual", []), problem.arc_ids, n_comm, "arc_dual")
-    potential = _parse_vector_section(
-        sections.get("potential", []), problem.network.nodes, n_comm, "potential"
-    )
+    tables = []
+    for section, ids in (
+        ("flow", problem.arc_ids),
+        ("arc_dual", problem.arc_ids),
+        ("potential", problem.network.nodes),
+    ):
+        known = set(ids)
+        rows = _read_rows(sections.get(section, ()), known, n_comm, section)
+        missing = known - rows.keys()
+        if missing:
+            raise ProblemFormatError(
+                "missing-commodity", f"section lacks entries for {sorted(missing)}", section
+            )
+        tables.append(np.array([rows[name][0] for name in ids], dtype=float).reshape(len(ids), n_comm))
+    flow, dual, potential = tables
     return Solution(
         arc_ids=tuple(problem.arc_ids),
         node_ids=tuple(problem.network.nodes),
         flow=flow,
         arc_dual=dual,
         potential=potential,
-        residual=_float(meta["residual"][1], "meta", "residual", meta["residual"][0]),
-        iterations=_int(meta["iterations"][1], "meta", "iterations", meta["iterations"][0]),
+        residual=_float(*meta["residual"]),
+        iterations=_int(*meta["iterations"]),
         termination=termination,
     )
 

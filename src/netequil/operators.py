@@ -4,8 +4,9 @@ Every monotone relation the solver touches appears here exclusively
 through its resolvent J_{gamma*A}: the map sending x to the unique p with
 x in p + gamma*A(p).  Scalar capacity operators act on the total flux of
 an arc and are lifted to R^C (one coordinate per commodity) by a uniform
-shift; box constraint sets resolve to projections, and fixed node
-supplies resolve to constants.
+shift; box constraint sets resolve to projections, and a fixed node
+supply resolves to its constant, which the solver reads from
+``OperatorSet.supplies``.
 
 All specs are immutable and validate their parameters at construction.
 Resolvent evaluation is total on real input; the only error it raises is
@@ -576,17 +577,14 @@ class ArcOperator:
 
 @dataclass(frozen=True)
 class FixedSupply:
-    """Node relation pinning the divergence to a constant supply vector."""
+    """Node relation pinning the divergence to a constant, finite supply vector."""
 
     supply: tuple
 
     def __post_init__(self):
         supply = _float_tuple(self.supply)
+        _require(all(map(math.isfinite, supply)), f"supply must be finite, got {supply}")
         object.__setattr__(self, "supply", supply)
-
-    def resolvent(self, sigma, y):
-        # independent of both the step parameter and the input
-        return np.asarray(self.supply, dtype=float)
 
 
 class OperatorSet:

@@ -341,10 +341,11 @@ def initial_state(network, x=None, xstar=None, v=None):
 class IterationWorkspace:
     """Cached block outputs, kernel roots and the latest coordination scalars.
 
-    Every step evaluates every node block, so s and s* always belong to
-    the current point.  The arc rows (q, q*, r, r*) of inactive arcs keep
-    the values from their last activation; iteration 0 activates every
-    arc, so nothing is read uninitialized.
+    Every step evaluates every node block, so s* always belongs to the
+    current point; a node block's primal output s is its supply, which
+    is read from `OperatorSet.supplies`.  The arc rows (q, q*, r, r*) of
+    inactive arcs keep the values from their last activation; iteration 0
+    activates every arc, so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
     last evaluation into this workspace (nan before the first), which the
     next evaluation starts from: an arc's result depends on its own input
@@ -357,7 +358,6 @@ class IterationWorkspace:
     qstar: np.ndarray
     r: np.ndarray
     rstar: np.ndarray
-    s: np.ndarray
     sstar: np.ndarray
     t_node: np.ndarray
     tstar: np.ndarray
@@ -373,7 +373,7 @@ def new_workspace(network):
     a = network.zero_flow
     n = network.zero_potential
     root = np.full(network.n_arcs, np.nan)
-    return IterationWorkspace(a(), a(), a(), a(), n(), n(), n(), a(), a(), root, n(), a())
+    return IterationWorkspace(a(), a(), a(), a(), n(), n(), a(), a(), root, n(), a())
 
 
 @dataclass
@@ -410,7 +410,7 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask):
     """Evaluate the resolvents of the active arcs and of every node into ws.
 
     Fills q, q*, r, r* and the kernel roots for the arcs set in arc_mask,
-    s, s* for every node, and div x and tension v.
+    s* for every node, and div x and tension v.
     """
     gammas, mus, sigmas = params
     x, xstar, v = state.x, state.xstar, state.v
@@ -432,18 +432,17 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask):
     ws.rstar[rows] = xsa + (xa - r) / mu
 
     # a node's resolvent is its constant supply: s* is closed form in div x
-    ws.s[:] = ops.supplies
     ws.sstar = v + (div_x - ops.supplies) / sigmas[:, None]
 
 
-def _assemble(net, state, ws):
+def _assemble(net, ops, state, ws):
     """Directions t, t*, u from the cached block outputs; returns (tau, pi).
 
     t is refreshed for every node and t*/u for every arc, active or not.
     pi reads the div x and tension v held in ws, which must be those of
     the current state.
     """
-    np.subtract(ws.s, net.divergence(ws.q), out=ws.t_node)
+    np.subtract(ops.supplies, net.divergence(ws.q), out=ws.t_node)
     np.add(ws.qstar, ws.rstar, out=ws.tstar)
     ws.tstar -= net.tension(ws.sstar)
     np.subtract(ws.r, ws.q, out=ws.u)
@@ -453,7 +452,7 @@ def _assemble(net, state, ws):
     pi = float(
         ((x - ws.q) * (ws.qstar + xstar - ws.tension_v)).sum()
         + ((x - ws.r) * (ws.rstar - xstar)).sum()
-        + ((ws.div_x - ws.s) * (ws.sstar - state.v)).sum()
+        + ((ws.div_x - ops.supplies) * (ws.sstar - state.v)).sum()
     )
     return tau, pi
 
@@ -492,7 +491,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         with np.errstate(over="ignore", invalid="ignore"):
             # non-finite values are caught below and reported as NumericalFailure
             _sweep_blocks(net, ops, params, state, ws, active_arcs)
-            tau, pi = _assemble(net, state, ws)
+            tau, pi = _assemble(net, ops, state, ws)
     if not np.isfinite(tau) or not np.isfinite(pi):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
@@ -541,8 +540,8 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     ws = sweep if sweep is not None else new_workspace(net)
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep_blocks(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
-        ws.tau, ws.pi = _assemble(net, state, ws)
-    gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ws.s - ws.div_x) ** 2))
+        ws.tau, ws.pi = _assemble(net, ops, state, ws)
+    gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - ws.div_x) ** 2))
     return float(np.sqrt(ws.tau + gap))
 
 

@@ -94,11 +94,30 @@ class TestSolve:
         assert main(["solve", str(bad), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a  3", "a  nan", "[param-range] supply"),  # solved to numerical_failure before
+            ("[supplies]", "[suplies]", "unknown section [suplies]"),  # solved to zero flow
+            ("max_iter = 100000", "scheduler = roundrobin:5", "[param-range]"),
+        ],
+    )
+    def test_input_rejected_at_parse_exits_1(self, two_arc_path, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "bad.prob"
+        bad.write_text(read(two_arc_path).decode().replace(old, new))
+        assert main(["solve", str(bad), "--out", str(tmp_path / "s.sol"), "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_path_named_netequil_is_read_as_a_path(self, two_arc_path, tmp_path, monkeypatch):
+        (tmp_path / "netequil-two_arc.prob").write_bytes(read(two_arc_path))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "netequil-two_arc.prob", "--out", "s.sol", "--quiet"]) == 0
+
     def test_missing_file_exit_code(self):
         assert main(["solve", "/nonexistent/file.prob", "--quiet"]) == 1
 
     def test_numerical_failure_exit_code(self, two_arc_path, tmp_path):
-        text = open(two_arc_path).read().replace("a  3", "a  inf")
+        text = open(two_arc_path).read().replace("a  3", "a  1e308")
         poisoned = tmp_path / "poisoned.prob"
         poisoned.write_text(text)
         out = str(tmp_path / "s.sol")

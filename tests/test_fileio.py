@@ -30,7 +30,18 @@ from netequil.fileio import (
     serialize_solution,
     write_trace,
 )
-from netequil.operators import BPR, TRC, IntervalProx, Logarithmic, PowerExp
+from netequil import fileio, operators
+from netequil.operators import (
+    BPR,
+    TRC,
+    AffinePhi,
+    CustomPhi,
+    IntervalProx,
+    Logarithmic,
+    PowerExp,
+    PowerPhi,
+    QuadraticPhi,
+)
 
 MINIMAL = """netequil-problem v1
 [commodities]
@@ -44,11 +55,15 @@ e1 a b q=bpr(alpha=1,rho=1,theta=1,p=1) r=orthant
 a 1
 b -1
 """
+# a second arc, so that two round-robin groups fit the network
+TWO_ARCS = MINIMAL.replace(
+    "[supplies]", "e2 a b q=bpr(alpha=2,rho=1,theta=1,p=1) r=free\n[supplies]"
+)
 
 
-def expect_code(text, code):
+def expect_code(text, code, parse=parse_problem):
     with pytest.raises(ProblemFormatError) as err:
-        parse_problem(text)
+        parse(text)
     assert err.value.code == code
     return err.value
 
@@ -140,7 +155,7 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert cfg.max_iter == 123
 
     def test_roundrobin_defaults_T(self):
-        cfg = parse_problem(MINIMAL + "[solver]\nscheduler = roundrobin:2\n").config
+        cfg = parse_problem(TWO_ARCS + "[solver]\nscheduler = roundrobin:2\n").config
         assert cfg.scheduler == RoundRobin(2)
         assert cfg.T == 1
 
@@ -148,6 +163,91 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         text = MINIMAL.replace("a 1\nb -1\n", "a 1\n")
         problem = parse_problem(text)
         assert problem.operators.supplies[1, 0] == 0.0
+
+    def test_repeated_supply_line_rejected(self):
+        err = expect_code(MINIMAL.replace("a 1\n", "a 3\na 5\n"), "duplicate-id")
+        assert (err.section, err.entity, err.line) == ("supplies", "a", 11)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_supply_names_the_node_and_line(self, value):
+        err = expect_code(MINIMAL.replace("b -1\n", f"b {value}\n"), "param-range")
+        assert (err.section, err.entity, err.line) == ("supplies", "b", 11)
+
+    def test_repeated_solver_key_rejected(self):
+        err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\ntol = 1\n", "duplicate-id")
+        assert (err.section, err.entity, err.line) == ("solver", "tol", 14)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bpr(alpha=1,alpha=2,rho=1,theta=1,p=1)",
+            "prox(phi=affine(a=1,a=2))",
+            "prox(phi=affine(a=1),phi=affine(a=2))",
+        ],
+    )
+    def test_repeated_spec_parameter_rejected(self, spec):
+        bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", spec)
+        assert expect_code(bad, "duplicate-id").entity == "e1"
+
+    @pytest.mark.parametrize("token", ["r=free", "q=bpr(alpha=1,rho=1,theta=1,p=1)"])
+    def test_repeated_arc_spec_rejected(self, token):
+        expect_code(MINIMAL.replace("r=orthant", f"r=orthant {token}"), "duplicate-id")
+
+    def test_prox_rejects_an_unknown_key_like_every_family(self):
+        bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", "prox(phi=affine(a=1),lo=0,zz=3)")
+        err = expect_code(bad, "param-range")
+        assert "zz" in str(err) and err.entity == "e1"
+
+    @pytest.mark.parametrize("phi", ["bpr(alpha=1,rho=1,theta=1,p=1)", "nope(a=1)", "3"])
+    def test_prox_phi_must_name_a_phi_family(self, phi):
+        bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", f"prox(phi={phi})")
+        expect_code(bad, "unknown-family")
+
+    def test_phi_family_is_no_capacity(self):
+        bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", "affine(a=1)")
+        expect_code(bad, "unknown-family")
+
+    @pytest.mark.parametrize(
+        "old, new, section, line",
+        [
+            ("[supplies]", "[suplies]", "suplies", 9),
+            ("[supplies]", "[meta]", "meta", 9),
+            ("[supplies]", "[supplies]\n[supplies]", "supplies", 10),
+            ("[arcs]\n", "[arcs]\n[arcs]\n", "arcs", 8),
+        ],
+    )
+    def test_unknown_or_repeated_section_rejected(self, old, new, section, line):
+        code = "duplicate-id" if old in new else "syntax"
+        err = expect_code(MINIMAL.replace(old, new), code)
+        assert (err.section, err.line) == (section, line)
+
+    @pytest.mark.parametrize(
+        "old, new, section", [("c1\n", "c1 extra\n", "commodities"), ("b\n[arcs]", "b x\n[arcs]", "nodes")]
+    )
+    def test_extra_token_on_an_id_line_rejected(self, old, new, section):
+        err = expect_code(MINIMAL.replace(old, new), "syntax")
+        assert err.section == section
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "scheduler = roundrobin:0",
+            "scheduler = randomsweep:2",
+            "scheduler = randomsweep:0.5\nseed = -1",
+            "gamma = -1",
+            "sigma = nan",
+            "scheduler = roundrobin:5",  # more groups than the two arcs
+            "scheduler = roundrobin:2\nT = 0",  # a window of T + 1 misses a group
+        ],
+    )
+    def test_solver_settings_that_solving_rejects_are_param_range(self, block):
+        err = expect_code(TWO_ARCS + f"[solver]\n{block}\n", "param-range")
+        assert err.section == "solver"
+
+    def test_path_starting_with_netequil_is_read_as_a_path(self, tmp_path, monkeypatch):
+        (tmp_path / "netequil-minimal.prob").write_text(MINIMAL)
+        monkeypatch.chdir(tmp_path)
+        assert parse_problem("netequil-minimal.prob") == parse_problem(MINIMAL)
 
     def test_never_panics_on_junk(self):
         for junk in ["", "netequil-problem v1\nloose text", MINIMAL.replace("[nodes]", "")]:
@@ -165,7 +265,7 @@ class TestRoundTrip:
         ],
     )
     def test_problem_round_trip_identity(self, extra):
-        first = parse_problem(MINIMAL + extra)
+        first = parse_problem(TWO_ARCS + extra)
         second = parse_problem(serialize_problem(first))
         assert first == second
         assert serialize_problem(first) == serialize_problem(second)
@@ -275,6 +375,81 @@ class TestRoundTrip:
         ).replace("termination = converged", "termination = maybe")
         with pytest.raises(ProblemFormatError):
             parse_solution(text, problem)
+
+
+# every capacity family, every phi and every box kind, with the token
+# serialize_problem writes for it
+GOLDEN_ARCS = [
+    (BPR(alpha=0.15, rho=2.0, theta=0.1, p=4.0), Box.orthant(2),
+     "q=bpr(alpha=0.15,rho=2.0,theta=0.1,p=4.0) r=orthant"),
+    (Logarithmic(omega=3.0, theta=0.5), Box.free(2),
+     "q=log(omega=3.0,theta=0.5) r=free"),
+    (TRC(1.0, 2.0, 3.0, 4.0), Box((0.0, -math.inf), (1.0, 0.30000000000000004)),
+     "q=trc(alpha=1.0,beta=2.0,delta=3.0,omega=4.0) r=box(0.0:1.0,-inf:0.30000000000000004)"),
+    (PowerExp(2.0, 1.0, 0.5), Box.orthant(2),
+     "q=powerexp(alpha=2.0,theta=1.0,p=0.5) r=orthant"),
+    (IntervalProx(AffinePhi(1.0, -0.5), 0.0, 5.0), Box.orthant(2),
+     "q=prox(phi=affine(a=1.0,b=-0.5),lo=0.0,hi=5.0) r=orthant"),
+    (IntervalProx(QuadraticPhi(2.0)), Box.orthant(2),
+     "q=prox(phi=quadratic(a=2.0),lo=-inf,hi=inf) r=orthant"),
+    (IntervalProx(PowerPhi(1.5), lo=-1.0), Box.orthant(2),
+     "q=prox(phi=power(q=1.5),lo=-1.0,hi=inf) r=orthant"),
+]
+
+
+def golden_problem(arcs=GOLDEN_ARCS):
+    net = Network(["a", "b"], [("a", "b")] * len(arcs), ["c1", "c2"])
+    arc_ops = [ArcOperator(SeparableLift(spec), box) for spec, box, _ in arcs]
+    ops = OperatorSet(net, arc_ops, [FixedSupply((1.0, 2.0)), FixedSupply((-1.0, -2.0))])
+    return Problem(net, tuple(f"e{j}" for j in range(len(arcs))), ops, SolverConfig())
+
+
+class TestTokens:
+    def test_every_family_phi_and_box_token_byte_for_byte(self):
+        text = serialize_problem(golden_problem())
+        arc_lines = text.split("[arcs]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        assert arc_lines == [f"e{j} a b {token}" for j, (_, _, token) in enumerate(GOLDEN_ARCS)]
+        assert parse_problem(text) == golden_problem()
+
+    def test_every_exported_spec_class_is_in_the_family_table(self):
+        exported = {getattr(operators, name) for name in operators.__all__}
+        specs = {
+            cls for cls in exported
+            if isinstance(cls, type) and (hasattr(cls, "family") or hasattr(cls, "prox"))
+        }
+        assert set(fileio._FAMILIES.values()) == specs - {CustomPhi}
+        golden = {type(spec) for spec, _, _ in GOLDEN_ARCS}
+        golden |= {type(spec.phi) for spec, _, _ in GOLDEN_ARCS if isinstance(spec, IntervalProx)}
+        assert golden == specs - {CustomPhi}  # so the round trip above covers each of them
+
+    def test_custom_phi_cannot_be_written(self):
+        custom = IntervalProx(CustomPhi(lambda gamma, xi: xi, lambda s: (0.0, 0.0)))
+        problem = golden_problem([(custom, Box.orthant(2), None)])
+        with pytest.raises(ConfigurationError, match="not a family of the file format"):
+            serialize_problem(problem)
+
+
+class TestSolutionSections:
+    def text(self):
+        return serialize_solution(
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
+                     np.zeros((2, 1)), 0.0, 1, "converged")
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ("[meta]\n", "[meta]\nextra = 1\n", "unknown-key"),
+            ("[meta]\n", "[meta]\nresidual = 1.0\n", "duplicate-id"),
+            ("[flow]\n", "[flow]\n[flow]\n", "duplicate-id"),
+            ("[flow]\ne1 1.0\n", "[flow]\ne1 1.0\ne1 1.0\n", "duplicate-id"),
+            ("[potential]\n", "[extra]\ne1 1.0\n\n[potential]\n", "syntax"),
+        ],
+    )
+    def test_rejected(self, old, new, code):
+        text = self.text()
+        assert old in text
+        expect_code(text.replace(old, new), code, lambda t: parse_solution(t, parse_problem(MINIMAL)))
 
 
 class TestTrace:

@@ -338,16 +338,19 @@ class TestBoxAndSupply:
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             Box((1.0,), (0.0,))
 
-    def test_fixed_supply_ignores_input_and_step(self):
-        supply = FixedSupply((2.0, -1.0))
-        rng = np.random.default_rng(59)
-        for sigma in [0.1, 1.0, 10.0]:
-            y = rng.standard_normal(2)
-            np.testing.assert_array_equal(supply.resolvent(sigma, y), [2.0, -1.0])
+    def test_operator_set_holds_each_supply_exactly(self):
+        # the solver reads a node block's resolvent, its constant supply, from here
+        supplies = [(2.0, -1.0), (0.0, 0.0), (0.1, -0.30000000000000004)]
+        net = Network(["a", "b", "c"], [("a", "b"), ("b", "c")], 2)
+        arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(2))
+        ops = OperatorSet(net, [arc, arc], [FixedSupply(s) for s in supplies])
+        assert ops.supplies.dtype == np.float64
+        assert ops.supplies.tolist() == [list(s) for s in supplies]
 
-    def test_zero_supply(self):
-        supply = FixedSupply((0.0,))
-        assert supply.resolvent(1.0, np.array([123.0]))[0] == 0.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_supply_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="supply must be finite"):
+            FixedSupply((1.0, bad))
 
 
 class TestOperatorSet:

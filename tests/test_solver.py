@@ -353,12 +353,15 @@ class TestStep:
         state, ws = initial_state(net), new_workspace(net)
         step(net, ops, cfg, state, ws)
         cached = {k: getattr(ws, k).copy() for k in ("q", "qstar", "r", "rstar")}
+        x, v = state.x.copy(), state.v.copy()
         record = step(net, ops, cfg, state, ws, np.array([True, False]))
         for key in ("q", "qstar", "r", "rstar"):
             assert np.array_equal(getattr(ws, key)[1], cached[key][1])
-        # every step activates every node
+        # every step activates every node: s* is that of the step's point,
+        # whose node outputs s are the supplies
         assert record.active_nodes == net.n_nodes
-        assert np.array_equal(ws.s, ops.supplies)
+        sigma = step_parameters(net, cfg)[2]
+        assert np.array_equal(ws.sstar, v + (net.divergence(x) - ops.supplies) / sigma[:, None])
 
     def test_sstar_is_fresh_for_every_node_after_a_partial_step(self, two_arc):
         _, net, ops = two_arc
@@ -863,7 +866,7 @@ def test_pi_is_the_sum_of_block_gaps(case):
     gaps = (
         np.sum((x - ws.q) ** 2 / gamma[:, None])
         + np.sum((x - ws.r) ** 2 / mu[:, None])
-        + np.sum((net.divergence(x) - ws.s) ** 2 / sigma[:, None])
+        + np.sum((net.divergence(x) - ops.supplies) ** 2 / sigma[:, None])
     )
     assert record.pi == pytest.approx(gaps, rel=1e-4 if case == "near" else 1e-10, abs=0.0)
     terms = [
@@ -872,7 +875,7 @@ def test_pi_is_the_sum_of_block_gaps(case):
         np.sum(ws.u * xstar),
         -np.sum(ws.r * ws.rstar),
         np.sum(ws.t_node * v),
-        -np.sum(ws.s * ws.sstar),
+        -np.sum(ops.supplies * ws.sstar),
     ]
     assert record.pi == pytest.approx(sum(terms), abs=1e-13 * max(abs(t) for t in terms))
 
