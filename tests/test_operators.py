@@ -26,8 +26,11 @@ from netequil import (
     SeparableLift,
     SolverConfig,
     Termination,
+    initial_state,
+    new_workspace,
     run,
     scalar_resolvent,
+    step,
     wardrop_residual,
 )
 
@@ -337,6 +340,34 @@ class TestBoxAndSupply:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             Box((1.0,), (0.0,))
+
+    def test_fixed_supply_ignores_input_and_step(self):
+        # a node block's primal output s is its supply whatever the point and sigma
+        net = Network(["a", "b"], [("a", "b")], 2)
+        arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(2))
+        ops = OperatorSet(net, [arc], [FixedSupply((2.0, -1.0)), FixedSupply((-2.0, 1.0))])
+        rng = np.random.default_rng(59)
+        for sigma in [0.1, 1.0, 10.0]:
+            x, v = rng.standard_normal((1, 2)), rng.standard_normal((2, 2))
+            state, ws = initial_state(net, x=x.copy(), v=v.copy()), new_workspace(net)
+            step(net, ops, SolverConfig(sigma=sigma), state, ws)
+            np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
+            np.testing.assert_array_equal(ws.t_node, ops.supplies - net.divergence(ws.q))
+            np.testing.assert_array_equal(
+                ws.sstar, v + (net.divergence(x) - ops.supplies) / sigma
+            )
+
+    def test_zero_supply(self):
+        net = Network(["a", "b"], [("a", "b")], 1)
+        arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(1))
+        ops = OperatorSet(net, [arc], [FixedSupply((0.0,))] * 2)
+        assert ops.supplies.tolist() == [[0.0], [0.0]]
+        v = np.array([[123.0], [0.0]])
+        state, ws = initial_state(net, v=v.copy()), new_workspace(net)
+        step(net, ops, SolverConfig(sigma=1.0), state, ws)
+        # at zero flow a zero supply leaves s* = v and t = -div q
+        np.testing.assert_array_equal(ws.sstar, v)
+        np.testing.assert_array_equal(ws.t_node, -net.divergence(ws.q))
 
     def test_operator_set_holds_each_supply_exactly(self):
         # the solver reads a node block's resolvent, its constant supply, from here
