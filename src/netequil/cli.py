@@ -128,6 +128,8 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigurationError(f"--tol must be a finite positive number, got {args.tol!r}")
     problem = fileio.parse_problem(args.problem)
     solution = fileio.parse_solution(args.solution, problem)
     tol = args.tol if args.tol is not None else problem.config.tol

@@ -19,11 +19,12 @@ converged in _MAX_ITER passes, and so does a nan or +inf z.  An optional
 Winitzki's approximation as Halley's starting point where it lies within
 _WARM_SPAN (5%) of it; a start farther away, or nan, is ignored.
 
-Both functions take a float or an array and work elementwise.  Each
-iteration runs on the array of still-unconverged elements only, so an
-element's result depends on its own argument (and start), never on which
-other elements share its call; a float argument is the size-1 case and
-returns a float.
+Both functions take a float or an array and work elementwise.  Halley
+iterates the whole array and freezes each element under a mask at the
+pass where it converges; the Newton branch iterates on the array of
+still-unconverged elements only.  Either way an element's result depends
+on its own argument (and start), never on which other elements share its
+call; a float argument is the size-1 case and returns a float.
 """
 
 import math
@@ -71,35 +72,35 @@ def _halley(x, w):
     An element stops at the first pass whose step is at most
     1e-15 * (1 + |w|) / min(1, |1 + w|).  Near the branch point a rounding
     error in the residual moves w by about eps / |1 + w|, so an unscaled
-    test would keep stepping on rounding noise.  An element still running
-    after _MAX_ITER passes is accepted if its residual
-    |w*exp(w) - x| is at rounding level, _RESIDUAL_ULPS * eps * |x| * (1 + |w|)
-    (a half-ulp error in w moves w*exp(w) by about eps * |x| * |1 + w| / 2),
-    and otherwise raises NumericalFailure.
+    test would keep stepping on rounding noise.  A stopped element is
+    frozen under a mask: later passes still compute its step but no longer
+    apply it.  An element still running after _MAX_ITER passes is accepted
+    if its residual |w*exp(w) - x| is at rounding level,
+    _RESIDUAL_ULPS * eps * |x| * (1 + |w|) (a half-ulp error in w moves
+    w*exp(w) by about eps * |x| * |1 + w| / 2), and otherwise raises
+    NumericalFailure.  `w` is refined in place and returned.
     """
-    out = np.empty_like(x)
     if not x.size:
-        return out
-    idx = np.arange(x.size)
+        return w
+    active = np.ones(x.size, dtype=bool)
     for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w = w - dw
-        done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(w)) / np.minimum(1.0, np.abs(w + 1.0))
-        if np.count_nonzero(done):
-            out[idx[done]] = w[done]
-            more = ~done
-            if not np.count_nonzero(more):
-                return out
-            idx, x, w = idx[more], x[more], w[more]
-    if np.all(np.abs(w * np.exp(w) - x) <= _RESIDUAL_ULPS * _EPS * np.abs(x) * (1.0 + np.abs(w))):
-        out[idx] = w
-        return out
+        t = w - dw
+        done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(t)) / np.minimum(1.0, np.abs(t + 1.0))
+        np.copyto(w, t, where=active)
+        active &= ~done
+        if not np.count_nonzero(active):
+            return w
+    rest = active.nonzero()[0]
+    x, wr = x[rest], w[rest]
+    if np.all(np.abs(wr * np.exp(wr) - x) <= _RESIDUAL_ULPS * _EPS * np.abs(x) * (1.0 + np.abs(wr))):
+        return w
     raise NumericalFailure(
         f"Lambert W Halley iteration did not converge in {_MAX_ITER} passes "
-        f"(x = {float(x[0])!r}, last w = {float(w[0])!r})"
+        f"(x = {float(x[0])!r}, last w = {float(wr[0])!r})"
     )
 
 

@@ -77,6 +77,9 @@ class Network:
         n_comm = len(self.commodities)
         ends = np.concatenate([self.tails, self.heads])
         self._div_slots = (ends[:, None] * n_comm + np.arange(n_comm)).ravel()
+        self._flow_shape = (len(self.arcs), n_comm)
+        self._potential_shape = (len(self.nodes), n_comm)
+        self._potential_size = len(self.nodes) * n_comm
 
     @property
     def n_nodes(self):
@@ -124,20 +127,14 @@ class Network:
 
     def check_flow(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_arcs, self.n_commodities):
-            raise ConfigurationError(
-                f"flow shape {x.shape} does not match "
-                f"({self.n_arcs}, {self.n_commodities})"
-            )
+        if x.shape != self._flow_shape:
+            raise ConfigurationError(f"flow shape {x.shape} does not match {self._flow_shape}")
         return x
 
     def check_potential(self, v):
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_nodes, self.n_commodities):
-            raise ConfigurationError(
-                f"potential shape {v.shape} does not match "
-                f"({self.n_nodes}, {self.n_commodities})"
-            )
+        if v.shape != self._potential_shape:
+            raise ConfigurationError(f"potential shape {v.shape} does not match {self._potential_shape}")
         return v
 
     # ----- the linear maps -------------------------------------------------
@@ -149,11 +146,13 @@ class Network:
         arc order, so results are bitwise reproducible across runs.
         """
         x = self.check_flow(x)
-        weights = np.concatenate([x, -x]).ravel()
-        out = np.bincount(self._div_slots, weights, self.n_nodes * self.n_commodities)
-        return out.reshape(self.n_nodes, self.n_commodities)
+        weights = np.empty((2 * len(x), x.shape[1]))  # [x; -x]
+        weights[: len(x)] = x
+        np.negative(x, out=weights[len(x) :])
+        out = np.bincount(self._div_slots, weights.ravel(), self._potential_size)
+        return out.reshape(self._potential_shape)
 
     def tension(self, v):
         """Per-arc potential difference head minus tail, an (n_arcs, C) array."""
         v = self.check_potential(v)
-        return v[self.heads] - v[self.tails]
+        return v.take(self.heads, 0) - v.take(self.tails, 0)

@@ -32,17 +32,25 @@ Scalar capacity families
 
 Batched kernels
 ---------------
-Each family has one resolvent implementation, a kernel
-``kernel(gamma, xi, *params)`` acting elementwise on equal-length 1-d
-arrays; ``spec.family()`` names a spec's kernel and its parameters.  An
-``OperatorSet`` groups its arcs by kernel and evaluates each group in one
-call; ``spec.resolvent`` and ``phi.prox`` are the size-1 case.  BPR runs
+Each family has one resolvent implementation, a kernel acting
+elementwise on equal-length 1-d arrays and split in two at the step
+parameter: ``kernel.prepare(gamma, *params)`` returns the per-element
+constants that depend only on gamma and the spec (BPR's gamma*theta and
+log k, Lambert's log(gamma*theta*a), TRC's quadratic coefficients, the
+prox kernels' gamma products), and ``kernel.solve(xi, *consts,
+start=None)`` does the work that depends on xi.  Calling
+``kernel(gamma, xi, *params)`` runs both; ``spec.family()`` names a spec's
+kernel and its parameters, and ``spec.resolvent`` and ``phi.prox`` are the
+size-1 call.  An ``OperatorSet`` groups its arcs by kernel;
+``OperatorSet.bind(gamma)`` prepares every group once for per-arc step
+parameters, and ``capacity_resolvent`` then solves each group in one call,
+gathering the constants of the listed arcs on a partial sweep.  BPR runs
 Newton on log s, which decreases monotonically to the root from an upper
-bound, so it needs no bracket and no bisection (see ``_bpr_kernel``).
+bound, so it needs no bracket and no bisection (see ``_bpr_solve``).
 Logarithmic and PowerExp share one kernel, whose parameters say which
 formula each element takes, so their arcs make one ``lambert_w_exp`` call
 (a Halley iteration) per batch.  Both iterations stop each element on its
-own test and leave stopped elements unchanged.  Every kernel also takes
+own test and leave stopped elements unchanged.  Every solve also takes
 an optional ``start``, the root each element had at an earlier evaluation
 (nan for none): BPR takes one Newton step from it, Logarithmic/PowerExp
 hand the matching W to Halley, and the closed-form kernels ignore it.
@@ -92,14 +100,40 @@ def _require(cond, what):
 
 
 # --------------------------------------------------------------------------
-# batched resolvent kernels: kernel(gamma, xi, *params) on 1-d arrays
+# batched resolvent kernels: prepare(gamma, *params) once per step size,
+# solve(xi, *consts, start=None) per evaluation, on 1-d arrays
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """A family's resolvent split at the step size.
+
+    ``prepare(gamma, *params)`` returns the per-element constants that
+    depend only on gamma and the spec; ``solve(xi, *consts, start=None)``
+    does the work that depends on xi.  Calling the kernel runs both.
+    """
+
+    prepare: Callable
+    solve: Callable
+
+    def __call__(self, gamma, xi, *params, start=None):
+        return self.solve(xi, *self.prepare(gamma, *params), start=start)
+
 
 _BPR_MAX_ITER = 200
 _BPR_YTOL = 2.0**-30  # smallest Newton decrease of log s that continues the iteration
 
 
-def _bpr_kernel(gamma, xi, alpha, rho, theta, p, start=None):
+def _bpr_prepare(gamma, alpha, rho, theta, p):
+    """(gamma*theta, k, log k, p, p - 1) with k = alpha*gamma*theta/rho**p."""
+    gt = gamma * theta
+    agt = alpha * gt
+    logk = np.log(agt) - p * np.log(rho)  # no overflow of rho**p
+    return gt, agt / rho**p, logk, p, p - 1.0
+
+
+def _bpr_solve(xi, gt, k, logk, p, pm1, start=None):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
     With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
@@ -125,26 +159,27 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p, start=None):
     starts from the smaller of that point and y0.  A missing, non-finite
     or non-positive start leaves y0 in place.
     """
-    gt = gamma * theta
     c = xi - gt
-    # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
-    out = np.where(c == np.inf, np.nan, c)
-    live = np.flatnonzero((c > 0.0) & (c < np.inf))
-    if not live.size:
-        return out
-    c, p = c[live], p[live]
-    agt = alpha[live] * gt[live]
-    k, pm1 = agt / rho[live] ** p, p - 1.0
-    logc, logk = np.log(c), np.log(agt) - p * np.log(rho[live])  # no overflow of rho**p
+    live = ((c > 0.0) & (c < np.inf)).nonzero()[0]
+    whole = live.size == c.size
+    if not whole:
+        # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
+        out = np.where(c == np.inf, np.nan, c)
+        if not live.size:
+            return out
+        c, k, logk, p, pm1 = c[live], k[live], logk[live], p[live], pm1[live]
+        if start is not None:
+            start = start[live]
+    logc = np.log(c)
     y = np.minimum(logc, (logc - logk) / p)
     if start is not None:
         # a start <= 0, inf or nan makes the step nan, and fmin keeps y0 there
         with np.errstate(divide="ignore", invalid="ignore"):
-            ys = np.log(start[live])
+            ys = np.log(start)
             lse = np.logaddexp(ys, logk + p * ys)
             y = np.fmin(ys - (lse - logc) / (p - pm1 * np.exp(ys - lse)), y)
     # stopped elements keep their y, so a result does not depend on its batch
-    active = np.ones(live.size, dtype=bool)
+    active = np.ones(y.size, dtype=bool)
     for _ in range(_BPR_MAX_ITER):
         lse = np.logaddexp(y, logk + p * y)
         # h'(y) = p - (p - 1)*exp(y - lse); fmin keeps y where the step is nan (k = inf, y = -inf)
@@ -152,41 +187,59 @@ def _bpr_kernel(gamma, xi, alpha, rho, theta, p, start=None):
         down = t < y - _BPR_YTOL
         np.copyto(y, t, where=active)
         active &= down
-        if not active.any():
+        if not np.count_nonzero(active):
             break
     else:
         raise NumericalFailure("BPR root refinement stalled")
     s = np.exp(y)
     ks = k * s**pm1
     finished = s - (s + s * ks - c) / (1.0 + p * ks)
-    out[live] = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
+    root = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
+    if whole:
+        return root
+    out[live] = root
     return out
 
 
-def _lambert_kernel(gamma, xi, is_log, a, theta, start=None):
-    """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) resolvents.
+def _lambert_prepare(gamma, is_log, a, theta):
+    """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) constants.
 
-    Both are one W(exp(z)) solve, so a batch mixing the two families makes
-    one ``lambert_w_exp`` call.  z, the warm start and the output pick each
-    element's own formula; the other family's formula is evaluated and
-    discarded, and may hit log(0) (Logarithmic theta = 0) or overflow.
+    Each element gets both families' constants; the other family's may be
+    log(0) (Logarithmic theta = 0) or overflow, and are never selected.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_gta = np.log(gamma * theta * a)
-        z = np.where(is_log, np.log(a / gamma) + theta + (a - xi) / gamma, log_gta + a * xi)
+        log_a_theta = np.log(a / gamma) + theta
+    return log_gta, log_a_theta, np.nextafter(a, -np.inf), gamma, a, is_log != 0.0
+
+
+def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start=None):
+    """Logarithmic and PowerExp resolvents, both one W(exp(z)) solve.
+
+    A batch mixing the two families makes one ``lambert_w_exp`` call.  z,
+    the warm start and the output pick each element's own formula; the
+    other family's formula is evaluated and discarded, and may overflow.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = np.where(is_log, log_a_theta + (a - xi) / gamma, log_gta + a * xi)
         if start is not None:
             # the W of an earlier root
             start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
     w = lambert_w_exp(z, start)
     # where W underflowed the exact Logarithmic value sits strictly below omega
-    return np.where(is_log, np.minimum(a - gamma * w, np.nextafter(a, -np.inf)), xi - w / a)
+    return np.where(is_log, np.minimum(a - gamma * w, below_a), xi - w / a)
 
 
-def _trc_kernel(gamma, xi, alpha, beta, delta, omega, start=None):
+def _trc_prepare(gamma, alpha, beta, delta, omega):
     ga = gamma * alpha
-    m = xi - gamma * delta
-    root = np.sqrt(ga * ga * (m - omega) ** 2 + (2.0 * ga + 1.0) * gamma * gamma * beta)
-    return (-root + ga * (m + omega) + m) / (2.0 * ga + 1.0)
+    den = 2.0 * ga + 1.0
+    return ga, ga * ga, den * gamma * gamma * beta, gamma * delta, omega, den
+
+
+def _trc_solve(xi, ga, ga2, shift, gd, omega, den, start=None):
+    m = xi - gd
+    root = np.sqrt(ga2 * (m - omega) ** 2 + shift)
+    return (-root + ga * (m + omega) + m) / den
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi
@@ -197,30 +250,55 @@ def _clamp(s, lo, hi):
     return np.minimum(np.maximum(s, lo), hi)
 
 
-def _affine_kernel(gamma, xi, lo, hi, a, start=None):
-    return _clamp(xi - gamma * a, lo, hi)
+def _affine_prepare(gamma, lo, hi, a):
+    return lo, hi, gamma * a
 
 
-def _quadratic_kernel(gamma, xi, lo, hi, a, start=None):
-    return _clamp(xi / (1.0 + gamma * a), lo, hi)
+def _affine_solve(xi, lo, hi, ga, start=None):
+    return _clamp(xi - ga, lo, hi)
 
 
-def _power_kernel(gamma, xi, lo, hi, q, start=None):
+def _quadratic_prepare(gamma, lo, hi, a):
+    return lo, hi, 1.0 + gamma * a
+
+
+def _quadratic_solve(xi, lo, hi, den, start=None):
+    return _clamp(xi / den, lo, hi)
+
+
+def _power_prepare(gamma, lo, hi, q):
+    return lo, hi, gamma, -1.5 * gamma, 2.25 * gamma * gamma, 1.0 + 2.0 * gamma, q == 1.0, q == 2.0
+
+
+def _power_solve(xi, lo, hi, gamma, b, disc, den, q1, q2, start=None):
     mag = np.abs(xi)
     # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
-    u = 0.5 * (-1.5 * gamma + np.sqrt(2.25 * gamma * gamma + 4.0 * mag))
+    u = 0.5 * (b + np.sqrt(disc + 4.0 * mag))
     s = np.where(
-        q == 1.0,
+        q1,
         np.copysign(np.maximum(mag - gamma, 0.0), xi),
-        np.where(q == 2.0, xi / (1.0 + 2.0 * gamma), np.copysign(u * u, xi)),
+        np.where(q2, xi / den, np.copysign(u * u, xi)),
     )
     return _clamp(s, lo, hi)
 
 
-def _custom_kernel(gamma, xi, lo, hi, phi, start=None):
+def _custom_prepare(gamma, lo, hi, phi):
+    return lo, hi, gamma, phi
+
+
+def _custom_solve(xi, lo, hi, gamma, phi, start=None):
     """The scalar fallback: one user prox call per element."""
     s = [f.prox(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
     return _clamp(np.array(s, dtype=float), lo, hi)
+
+
+_bpr_kernel = _Kernel(_bpr_prepare, _bpr_solve)
+_lambert_kernel = _Kernel(_lambert_prepare, _lambert_solve)
+_trc_kernel = _Kernel(_trc_prepare, _trc_solve)
+_affine_kernel = _Kernel(_affine_prepare, _affine_solve)
+_quadratic_kernel = _Kernel(_quadratic_prepare, _quadratic_solve)
+_power_kernel = _Kernel(_power_prepare, _power_solve)
+_custom_kernel = _Kernel(_custom_prepare, _custom_solve)
 
 
 def _stack(rows, n, width):
@@ -645,37 +723,46 @@ class OperatorSet:
             self._arc_family[arcs] = f
             self._arc_member[arcs] = np.arange(arcs.size)
 
-    def capacity_resolvent(self, arcs, gamma, x, start=None):
+    def bind(self, gamma):
+        """The family kernels' constants at the per-arc step parameters gamma.
+
+        `gamma` holds one entry per arc.  Each family's kernel is prepared
+        at C*gamma for all of its arcs, C being the commodity count (see
+        SeparableLift); `capacity_resolvent` takes the result, so a run
+        whose step parameters stay fixed binds once.
+        """
+        scaled = self.network.n_commodities * gamma
+        return tuple(kernel.prepare(scaled[arcs], *params) for kernel, arcs, params in self.families)
+
+    def capacity_resolvent(self, arcs, bound, x, start=None):
         """Capacity-lift resolvents of the listed arcs, one row each.
 
-        `arcs` holds distinct arc indices in ascending order; row k of the
-        (len(arcs), C) array `x` and the step parameter gamma[k] belong to
-        arc arcs[k].  Each row total is resolved by its family kernel with
-        parameter C*gamma, and the row is shifted uniformly to match
-        (see SeparableLift).  `start`, if given, is a float array with one
-        entry per row: the kernel's root for that arc at an earlier call
-        (nan for none), which the iterative kernels start from.  It is
-        overwritten with this call's roots.
+        `arcs` holds distinct arc indices in ascending order, and row k of
+        the (len(arcs), C) array `x` belongs to arc arcs[k].  `bound` is
+        `bind(gamma)` for the per-arc step parameters gamma; a partial
+        sweep gathers the constants of its arcs from it.  Each row total
+        is resolved by its family kernel with parameter C*gamma, and the
+        row is shifted uniformly to match (see SeparableLift).  `start`, if
+        given, is a float array with one entry per row: the kernel's root
+        for that arc at an earlier call (nan for none), which the
+        iterative kernels start from.  It is overwritten with this call's
+        roots.
         """
         n = x.shape[1]
-        total = x.sum(axis=1)
-        scaled = n * gamma
-        out = np.empty_like(total)
+        total = x.sum(1)
+        # each family gathers its starts before it writes its roots over them
+        out = np.empty_like(total) if start is None else start
         if arcs.size == self.network.n_arcs:
-            for kernel, members, params in self.families:
+            for (kernel, members, _), consts in zip(self.families, bound):
                 warm = None if start is None else start[members]
-                out[members] = kernel(scaled[members], total[members], *params, start=warm)
+                out[members] = kernel.solve(total[members], *consts, start=warm)
         else:
             family = self._arc_family[arcs]
             member = self._arc_member[arcs]
-            for f, (kernel, _, params) in enumerate(self.families):
-                rows = np.flatnonzero(family == f)
+            for f, ((kernel, _, _), consts) in enumerate(zip(self.families, bound)):
+                rows = (family == f).nonzero()[0]
                 if rows.size:
                     pick = member[rows]
                     warm = None if start is None else start[rows]
-                    out[rows] = kernel(
-                        scaled[rows], total[rows], *(a[pick] for a in params), start=warm
-                    )
-        if start is not None:
-            start[:] = out
+                    out[rows] = kernel.solve(total[rows], *(c[pick] for c in consts), start=warm)
         return x + ((out - total) / n)[:, None]

@@ -48,6 +48,9 @@ at every iteration.  Only the arcs are worth rationing: a node block costs
 one vector operation on the div x every step forms anyway, so every step
 activates all of them.
 
+The step parameters are fixed for a run, so ``run`` prepares the
+capacity kernels' constants for them once (``OperatorSet.bind``) and
+each evaluation only solves.
 Each capacity kernel starts from the root its arc had at its previous
 evaluation in the run (the workspace's ``root``, which the residual
 checks share), since the point moves by one relaxed step per iteration;
@@ -61,6 +64,7 @@ runs are bitwise reproducible under every scheduler.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 import time
 import warnings
@@ -185,7 +189,7 @@ class _RandomSweepScheduler:
         last = self._last
         active = self._rng.random(last.size) < self._prob
         active |= n - last >= self._T + 1
-        if not active.any():
+        if not np.count_nonzero(active):
             active[np.argmin(last)] = True
         last[active] = n
         return active
@@ -249,8 +253,8 @@ class SolverConfig:
             )
         if not _is_int(self.T) or self.T < 0:
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
-        if not self.tol > 0:
-            raise ConfigurationError("tol must be positive")
+        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError("tol must be a finite positive number")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
         if not _is_int(self.check_interval) or self.check_interval < 1:
@@ -300,8 +304,9 @@ def step_parameters(net, cfg):
       which involves no incidence and has column norm 1.
 
     Explicit scalars broadcast and explicit arrays are taken as given.
-    `run` computes the arrays once and hands them to every `step` and
-    `residual`; direct calls that omit them validate cfg themselves.
+    `run` computes the arrays once, binds the capacity kernels to gamma
+    (see `OperatorSet.bind`), and hands both to every `step` and
+    `residual`; direct calls that omit them do both themselves.
     """
     gamma, mu, sigma = cfg.gamma, cfg.mu, cfg.sigma
     if gamma is None:
@@ -406,28 +411,38 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
+def _bound_parameters(net, ops, cfg):
+    """(gamma, mu, sigma, bound): `step_parameters` and the kernels bound to gamma."""
+    gammas, mus, sigmas = step_parameters(net, cfg)
+    return gammas, mus, sigmas, ops.bind(gammas)
+
+
 def _sweep_blocks(net, ops, params, state, ws, arc_mask):
     """Evaluate the resolvents of the active arcs and of every node into ws.
 
     Fills q, q*, r, r* and the kernel roots for the arcs set in arc_mask,
     s* for every node, and div x and tension v.
     """
-    gammas, mus, sigmas = params
+    gammas, mus, sigmas, bound = params
     x, xstar, v = state.x, state.xstar, state.v
     ws.tension_v = net.tension(v)
     ws.div_x = div_x = net.divergence(x)
-    act = np.flatnonzero(arc_mask)
-    # slice(None) when every arc is active, so that the gathers are views
-    rows = slice(None) if act.size == arc_mask.size else act
-    xa, xsa, gam = x[rows], xstar[rows], gammas[rows]
-    lstar = xsa - ws.tension_v[rows]
-    root = ws.root[rows]
-    q = ops.capacity_resolvent(act, gam, xa - gam[:, None] * lstar, root)
-    ws.root[rows] = root
+    act = arc_mask.nonzero()[0]
+    per_arc = (x, xstar, gammas, mus, ws.tension_v, ops.box_lo, ops.box_hi, ws.root)
+    if act.size == arc_mask.size:
+        rows = slice(None)  # every arc: work on the arrays themselves
+        xa, xsa, gam, mu, tv, lo, hi, root = per_arc
+    else:
+        rows = act  # gather the active rows, and write root back below
+        xa, xsa, gam, mu, tv, lo, hi, root = (a.take(act, 0) for a in per_arc)
+    gam, mu = gam[:, None], mu[:, None]
+    lstar = xsa - tv
+    q = ops.capacity_resolvent(act, bound, xa - gam * lstar, root)
+    if rows is act:
+        ws.root[act] = root
     ws.q[rows] = q
-    ws.qstar[rows] = (xa - q) / gam[:, None] - lstar
-    mu = mus[rows, None]
-    r = np.minimum(np.maximum(xa + mu * xsa, ops.box_lo[rows]), ops.box_hi[rows])
+    ws.qstar[rows] = (xa - q) / gam - lstar
+    r = np.minimum(np.maximum(xa + mu * xsa, lo), hi)
     ws.r[rows] = r
     ws.rstar[rows] = xsa + (xa - r) / mu
 
@@ -465,11 +480,13 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     at every step: its resolvent is the constant supply, so s* costs one
     vector operation on the div x the step forms anyway.  The workspace
     rows of inactive arcs must be valid (iteration 0 must activate every
-    arc).  `params` is the output of `step_parameters(net, cfg)`, computed
-    here if omitted.  `swept=True` says that `residual` has just evaluated
-    every block into ws at the current state: every arc is then active,
-    whatever the mask says, and the step takes that evaluation (block
-    outputs, directions, tau and pi) as it is instead of evaluating again.
+    arc).  `params` is (gamma, mu, sigma, bound): the arrays of
+    `step_parameters(net, cfg)` and `ops.bind(gamma)`, formed here if
+    omitted, as `run` forms them once per run.  `swept=True` says that
+    `residual` has just evaluated every block into ws at the current
+    state: every arc is then active, whatever the mask says, and the step
+    takes that evaluation (block outputs, directions, tau and pi) as it is
+    instead of evaluating again.
     """
     t0 = time.perf_counter()
     if active_arcs is not None and not (
@@ -479,10 +496,11 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     ):
         raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
     if params is None:
-        params = step_parameters(net, cfg)
+        params = _bound_parameters(net, ops, cfg)
     if swept or active_arcs is None:
         active_arcs = np.ones(net.n_arcs, dtype=bool)
-    if not active_arcs.any():
+    n_active = int(np.count_nonzero(active_arcs))
+    if not n_active:
         raise ConfigurationError("the arc activation set must be nonempty")
 
     if swept:
@@ -492,7 +510,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
             # non-finite values are caught below and reported as NumericalFailure
             _sweep_blocks(net, ops, params, state, ws, active_arcs)
             tau, pi = _assemble(net, ops, state, ws)
-    if not np.isfinite(tau) or not np.isfinite(pi):
+    if not (math.isfinite(tau) and math.isfinite(pi)):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
     lam = cfg.relaxation_at(state.n)
@@ -501,11 +519,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         state.x -= theta * ws.tstar
         state.xstar -= theta * ws.u
         state.v -= theta * ws.t_node
-        if not (
-            np.isfinite(state.x).all()
-            and np.isfinite(state.xstar).all()
-            and np.isfinite(state.v).all()
-        ):
+        if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (state.x, state.xstar, state.v)):
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
     ws.tau, ws.pi = tau, pi
@@ -515,7 +529,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         pi=pi,
         theta=theta,
         relaxation=lam,
-        active_arcs=int(np.count_nonzero(active_arcs)),
+        active_arcs=n_active,
         active_nodes=net.n_nodes,
         millis=(time.perf_counter() - t0) * 1e3,
     )
@@ -536,13 +550,13 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     it with `swept=True`.  Without `sweep` the kernels start cold.
     """
     if params is None:
-        params = step_parameters(net, cfg)
+        params = _bound_parameters(net, ops, cfg)
     ws = sweep if sweep is not None else new_workspace(net)
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep_blocks(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
         ws.tau, ws.pi = _assemble(net, ops, state, ws)
-    gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - ws.div_x) ** 2))
-    return float(np.sqrt(ws.tau + gap))
+        gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - ws.div_x) ** 2))
+        return float(np.sqrt(ws.tau + gap))
 
 
 # --------------------------------------------------------------------------
@@ -559,11 +573,14 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     ``check_interval`` iterations and immediately whenever tau = 0; once it
     is at most tol, the run converges if `oracle.wardrop_residual` (which
     calls each capacity's ``subdiff``; warnings silenced) is at most tol too.
+    The step parameters are validated and the capacity kernels bound to
+    gamma (`OperatorSet.bind`) once, before the first iteration; every
+    `step` and `residual` of the run takes that binding.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     state = initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
-    params = step_parameters(net, cfg)
+    params = _bound_parameters(net, ops, cfg)
     ws = new_workspace(net)
     # a residual check evaluates every block into ws at the point the next
     # step starts from; that step activates them all and takes it as it is

@@ -1,4 +1,5 @@
 import pathlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,28 @@ class TestSolve:
         poisoned.write_text(text)
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
+
+    def test_numerical_failure_raises_no_warning(self, two_arc_path, tmp_path):
+        # the final residual of a run that overflowed is computed with warnings off
+        text = open(two_arc_path).read().replace("a  3", "a  1e308")
+        poisoned = tmp_path / "poisoned.prob"
+        poisoned.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(poisoned), "--out", str(tmp_path / "s.sol"), "--quiet"]) == 3
+        assert [str(w.message) for w in caught] == []
+
+    def test_non_finite_tol_flag_is_input_error(self, two_arc_path, tmp_path, capsys):
+        assert main(["solve", two_arc_path, "--out", str(tmp_path / "s.sol"), "--tol", "inf"]) == 1
+        assert "tol must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_check_rejects_a_tol_that_is_not_finite_and_positive(self, two_arc_path, tmp_path, capsys, tol):
+        out = str(tmp_path / "s.sol")
+        assert main(["solve", two_arc_path, "--out", out, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["check", two_arc_path, out, "--tol", tol, "--quiet"]) == 1
+        assert "--tol must be a finite positive number" in capsys.readouterr().err
 
     def test_scheduler_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")

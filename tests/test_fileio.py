@@ -236,6 +236,8 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
             "scheduler = randomsweep:0.5\nseed = -1",
             "gamma = -1",
             "sigma = nan",
+            "tol = inf",  # would report converged far from an equilibrium
+            "tol = nan",
             "scheduler = roundrobin:5",  # more groups than the two arcs
             "scheduler = roundrobin:2\nT = 0",  # a window of T + 1 misses a group
         ],

@@ -737,10 +737,11 @@ def test_operator_set_solves_logarithmic_and_powerexp_arcs_in_one_lambert_call(m
 
     monkeypatch.setattr(operators, "lambert_w_exp", counted)
     x = np.ones((net.n_arcs, 2))
+    bound = ops.bind(np.ones(net.n_arcs))
     for arcs, want in (([0, 1, 2, 3, 4], [2]), ([1, 3], [2]), ([3], [1]), ([0, 2], [])):
         arcs = np.array(arcs)
         sizes.clear()
-        ops.capacity_resolvent(arcs, np.ones(arcs.size), x[arcs])
+        ops.capacity_resolvent(arcs, bound, x[arcs])
         assert sizes == want
 
 
@@ -757,11 +758,12 @@ def test_capacity_resolvent_start_returns_the_roots():
         x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
         gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
         scaled = gamma * net.n_commodities
+        bound = ops.bind(gamma)
         for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
             # no usable start: the cold result, and the roots come back in place
             start = np.full(arcs.size, np.nan)
-            out = ops.capacity_resolvent(arcs, gamma[arcs], x[arcs], start)
-            assert np.array_equal(out, ops.capacity_resolvent(arcs, gamma[arcs], x[arcs]))
+            out = ops.capacity_resolvent(arcs, bound, x[arcs], start)
+            assert np.array_equal(out, ops.capacity_resolvent(arcs, bound, x[arcs]))
             roots = [scalar_resolvent(specs[j], scaled[j], x[j].sum()) for j in arcs]
             assert np.array_equal(start, roots)
 
@@ -776,15 +778,15 @@ def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
         [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
     )
     x = 10.0 + rng.standard_normal((net.n_arcs, net.n_commodities))
-    gamma = np.ones(net.n_arcs)
+    bound = ops.bind(np.ones(net.n_arcs))
     arcs = np.arange(net.n_arcs)
     roots = np.full(net.n_arcs, np.nan)
-    cold = ops.capacity_resolvent(arcs, gamma, x, roots)
+    cold = ops.capacity_resolvent(arcs, bound, x, roots)
     monkeypatch.setattr(operators, "_BPR_MAX_ITER", 1)
     with pytest.raises(NumericalFailure):
-        ops.capacity_resolvent(arcs, gamma, x)
+        ops.capacity_resolvent(arcs, bound, x)
     for rows in (arcs, arcs[::2]):
-        warm = ops.capacity_resolvent(rows, gamma[rows], x[rows], roots[rows])
+        warm = ops.capacity_resolvent(rows, bound, x[rows], roots[rows])
         np.testing.assert_allclose(warm, cold[rows], rtol=1e-14)
 
 
@@ -801,9 +803,33 @@ def test_capacity_resolvent_matches_lift_resolvent_bitwise():
         x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
         gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
         single = np.array([SeparableLift(s).resolvent(g, row) for s, g, row in zip(specs, gamma, x)])
+        bound = ops.bind(gamma)
         for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
-            out = ops.capacity_resolvent(arcs, gamma[arcs], x[arcs])
+            out = ops.capacity_resolvent(arcs, bound, x[arcs])
             assert np.array_equal(out, single[arcs])
+
+
+@pytest.mark.parametrize("family", BATCH_FAMILIES)
+def test_bound_batches_match_size1_resolvents_bitwise(family):
+    # one commodity, so each arc's kernel sees its draw's gamma and xi as they are
+    rng = np.random.default_rng(BATCH_FAMILIES.index(family) + 300)
+    items = regime_draws(family, rng, 300)
+    net = Network(["a", "b"], [("a", "b")] * len(items), 1)
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.free(1)) for spec, _, _ in items],
+        [FixedSupply((0.0,))] * 2,
+    )
+    gamma = np.array([g for _, g, _ in items])
+    x = np.array([[xi] for _, _, xi in items])
+    single = np.array([spec.resolvent(g, xi) for spec, g, xi in items])
+    lifted = np.array([SeparableLift(spec).resolvent(g, row) for (spec, g, _), row in zip(items, x)])
+    bound = ops.bind(gamma)
+    for arcs in (np.arange(len(items)), np.flatnonzero(rng.random(len(items)) < 0.3)):
+        roots = np.full(arcs.size, np.nan)
+        out = ops.capacity_resolvent(arcs, bound, x[arcs], roots)
+        assert np.array_equal(roots, single[arcs])
+        assert np.array_equal(out, lifted[arcs])
 
 
 def mixed_family_instance(custom):

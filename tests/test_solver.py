@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -185,6 +186,11 @@ class TestConfig:
     def test_relaxation_of_the_wrong_type_rejected(self, relaxation):
         with pytest.raises(ConfigurationError, match="relaxation"):
             SolverConfig(relaxation=relaxation)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6, "1e-6", None])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigurationError, match="tol must be a finite positive number"):
+            SolverConfig(tol=tol)
 
     @pytest.mark.parametrize("field", ["T", "max_iter", "check_interval"])
     def test_bool_is_not_an_iteration_count(self, field):
@@ -793,6 +799,38 @@ def test_run_allocates_one_workspace(monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("max_iter", [30, 90])
+def test_run_binds_the_kernels_once(max_iter, monkeypatch):
+    net, ops = mixed_multicommodity_instance(3)
+    bound, real = [], ops.bind
+    monkeypatch.setattr(ops, "bind", lambda gamma: bound.append(1) or real(gamma))
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=max_iter, check_interval=7, tol=1e-300)
+    _, trace, _ = run(net, ops, cfg)
+    assert len(trace) == max_iter
+    assert len(bound) == 1
+
+
+def test_runs_with_different_gamma_on_one_operator_set_match_fresh_operator_sets():
+    # the binding belongs to the run, so a run never sees constants bound to another gamma
+    net, ops = mixed_multicommodity_instance(6)
+    probe = initial_state(net)
+    probe.x[:] = 0.5
+    rng = np.random.default_rng(6)
+    for gamma in (0.5, 0.2, rng.uniform(0.1, 1.0, net.n_arcs), 0.5):
+        cfg = SolverConfig(
+            gamma=gamma, scheduler=RandomSweep(seed=2, activation_prob=0.4), T=3,
+            max_iter=120, check_interval=9, tol=1e-300,
+        )
+        state, trace, _ = run(net, ops, cfg)
+        fresh_net, fresh_ops = mixed_multicommodity_instance(6)
+        ref_state, ref_trace, _ = run(fresh_net, fresh_ops, cfg)
+        for got, want in zip((state.x, state.xstar, state.v), (ref_state.x, ref_state.xstar, ref_state.v)):
+            assert np.array_equal(got, want)
+        rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
+        assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
+        assert residual(net, ops, cfg, probe) == residual(fresh_net, fresh_ops, cfg, probe)
+
+
 class KernelCalled(Exception):
     pass
 
@@ -812,7 +850,9 @@ def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
         raise KernelCalled
 
     families = ops.families
-    ops.families = tuple((kernel_called, arcs, params) for _, arcs, params in families)
+    ops.families = tuple(
+        (dataclasses.replace(kernel, solve=kernel_called), arcs, params) for kernel, arcs, params in families
+    )
     with pytest.raises(KernelCalled):
         step(net, ops, cfg, copy.deepcopy(state), copy.deepcopy(ws))
     record = step(net, ops, cfg, state, ws, sched.select(state.n), swept=True)

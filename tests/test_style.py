@@ -18,9 +18,13 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+KERNEL_NAMES = ("*resolvent*", "*_kernel", "*prepare", "*solve", "bind")
+
+
 def solver_paths_named(source):
     """The imports of solver or lambertw in `source`, and the names of the
-    form *resolvent* or *_kernel that it reads or binds."""
+    capacity kernels' entry points that it reads or binds: *resolvent*,
+    *_kernel, a kernel's prepare/solve halves and OperatorSet.bind."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -31,7 +35,7 @@ def solver_paths_named(source):
             modules = []
         found += [m for m in modules if {"solver", "lambertw"} & set(m.split("."))]
         name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
-        if isinstance(name, str) and any(fnmatch.fnmatch(name, p) for p in ("*resolvent*", "*_kernel")):
+        if isinstance(name, str) and any(fnmatch.fnmatch(name, p) for p in KERNEL_NAMES):
             found.append(name)
     return found
 
@@ -50,6 +54,9 @@ def test_oracle_shares_no_code_path_with_the_solver():
         "ops.capacity_resolvent(a)",
         "spec.resolvent(1.0, 2.0)",
         "y = _bpr_kernel(x)",
+        "consts = _trc_prepare(g, a, b, d, w)",
+        "s = kernel.solve(xi, *consts)",
+        "bound = ops.bind(gamma)",
     ],
 )
 def test_solver_path_rule_flags(line):
