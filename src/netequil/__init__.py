@@ -68,6 +68,7 @@ from .solver import (
     run,
     step,
     step_parameters,
+    sweep_bound,
 )
 
 __version__ = "0.1.0"
@@ -101,6 +102,7 @@ __all__ = [
     "Termination",
     "initial_state",
     "new_workspace",
+    "sweep_bound",
     "make_scheduler",
     "step",
     "step_parameters",

@@ -73,17 +73,17 @@ def _apply_overrides(problem, args):
     if args.max_iter is not None:
         updates["max_iter"] = args.max_iter
     if args.scheduler is not None:
-        seed = args.seed if args.seed is not None else _scheduler_seed(cfg)
-        sched, t_default = fileio._parse_scheduler(args.scheduler, seed, "flags", 0)
+        seed = args.seed
+        if seed is None and isinstance(cfg.scheduler, RandomSweep):
+            seed = cfg.scheduler.seed
+        sched = fileio._parse_scheduler(args.scheduler, ("flags", "scheduler", 0), seed)
         updates["scheduler"] = sched
-        updates["T"] = max(cfg.T, t_default)
+        if cfg.T is not None:
+            # a T the file sets is raised to the new scheduler's bound if below it
+            updates["T"] = max(cfg.T, solver.sweep_bound(sched))
     elif args.seed is not None and isinstance(cfg.scheduler, RandomSweep):
         updates["scheduler"] = replace(cfg.scheduler, seed=args.seed)
     return replace(cfg, **updates) if updates else cfg
-
-
-def _scheduler_seed(cfg):
-    return cfg.scheduler.seed if isinstance(cfg.scheduler, RandomSweep) else 0
 
 
 def _cmd_solve(args):

@@ -43,12 +43,14 @@ writing alike: the dataclass fields of the class are the keys its token
 takes, in the order they are written, each at most once.  An omitted
 ``r=`` spec defaults to the nonnegative orthant with a warning; nodes
 without a supply line get zero supply.  Schedulers are ``full``,
-``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key); when
-``T`` is not given it defaults to K-1 for round-robin, 3 for random
-sweep, and 0 otherwise.  A missing ``gamma``, ``mu`` or ``sigma`` key
-leaves that step parameter to be derived from the graph (see
-``solver.step_parameters``); `serialize_problem` writes these keys only
-when they were set.
+``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key).  One
+table, `_SOLVER_KEYS`, maps each [solver] key to its field of
+`solver.SolverConfig` for reading and writing alike.  A missing key
+leaves the field at its `SolverConfig` default: a missing ``T`` takes the
+scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``,
+``mu`` or ``sigma`` is derived from the graph
+(``solver.step_parameters``).  `serialize_problem` writes no key for a
+field left at None.
 
 Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown
 section, ``unknown-key`` for an unknown key, ``unknown-family`` for a
@@ -446,16 +448,18 @@ def _build_box(token, n_comm, where):
 # --------------------------------------------------------------------------
 
 
-def _parse_scheduler(token, seed, section, lineno):
-    where = (section, "scheduler", lineno)
+def _parse_scheduler(token, where, seed=None):
+    """Scheduler spec of a 'full', 'roundrobin:K' or 'randomsweep:p' token.
+
+    `seed` is the random sweep's seed, None for the spec's default.
+    """
     if token == "full":
-        return Full(), 0
+        return Full()
     if token.startswith("roundrobin:"):
-        groups = _int(token.split(":", 1)[1], where)
-        return RoundRobin(groups), groups - 1
+        return RoundRobin(_int(token.split(":", 1)[1], where))
     if token.startswith("randomsweep:"):
         prob = _float(token.split(":", 1)[1], where)
-        return RandomSweep(seed=seed, activation_prob=prob), 3
+        return RandomSweep(activation_prob=prob) if seed is None else RandomSweep(seed, prob)
     raise ProblemFormatError(
         "bad-scheduler",
         f"scheduler must be full, roundrobin:K, or randomsweep:p, got {token!r}",
@@ -463,18 +467,21 @@ def _parse_scheduler(token, seed, section, lineno):
     )
 
 
+# [solver] key -> (SolverConfig field, reader), in the order the writer
+# writes them.  A key that is absent leaves the field at its default, and
+# a field left at None is not written.  The scheduler field is the
+# `scheduler` token with the `seed` key (see _parse_scheduler).
 _SOLVER_KEYS = {
-    "gamma",
-    "mu",
-    "sigma",
-    "lambda",
-    "T",
-    "scheduler",
-    "seed",
-    "tol",
-    "max_iter",
-    "check_interval",
-    "threads",  # obsolete: read and ignored, with a warning
+    "gamma": ("gamma", _float),
+    "mu": ("mu", _float),
+    "sigma": ("sigma", _float),
+    "lambda": ("relaxation", _float),
+    "T": ("T", _int),
+    "scheduler": ("scheduler", None),
+    "seed": ("scheduler", _int),
+    "tol": ("tol", _float),
+    "max_iter": ("max_iter", _int),
+    "check_interval": ("check_interval", _int),
 }
 
 
@@ -554,34 +561,15 @@ def parse_problem(source):
 def _parse_solver_section(entries, network):
     """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network."""
     raw = _read_keys(entries, _SOLVER_KEYS, "solver")
-
-    def take(key, read, default):
-        return read(*raw[key]) if key in raw else default
-
-    seed = take("seed", _int, 0)
+    kwargs = {
+        name: read(*raw[key])
+        for key, (name, read) in _SOLVER_KEYS.items()
+        if key in raw and name != "scheduler"
+    }
+    seed = _int(*raw["seed"]) if "seed" in raw else None
     try:
-        scheduler, t_default = Full(), 0
         if "scheduler" in raw:
-            value, (_, _, lineno) = raw["scheduler"]
-            scheduler, t_default = _parse_scheduler(value, seed, "solver", lineno)
-        kwargs = dict(
-            gamma=take("gamma", _float, None),
-            mu=take("mu", _float, None),
-            sigma=take("sigma", _float, None),
-            relaxation=take("lambda", _float, 1.8),
-            T=take("T", _int, t_default),
-            scheduler=scheduler,
-            tol=take("tol", _float, 1e-6),
-            max_iter=take("max_iter", _int, 10**6),
-            check_interval=take("check_interval", _int, 10),
-        )
-        if "threads" in raw:
-            take("threads", _int, 1)  # still rejects a value that is not an integer
-            warnings.warn(
-                f"line {raw['threads'][1][2]}: solver key 'threads' is obsolete and ignored",
-                ProblemFormatWarning,
-                stacklevel=3,
-            )
+            kwargs["scheduler"] = _parse_scheduler(*raw["scheduler"], seed)
         config = SolverConfig(**kwargs)
         step_parameters(network, config)
         make_scheduler(config.scheduler, network, config.T)
@@ -672,19 +660,17 @@ def serialize_problem(problem):
             _id_tokens("arc", problem.arc_ids), net.arcs, ops.arc_operators
         )
     ]
-    # a step parameter left at None (derived from the graph) is not written
-    steps = {name: getattr(cfg, name) for name in ("gamma", "mu", "sigma")}
-    for name, value in steps.items():
-        if value is not None and not np.isscalar(value):
-            raise ConfigurationError(f"the file format carries scalar {name} only")
-    if isinstance(cfg.relaxation, tuple):
-        raise ConfigurationError("the file format carries a constant relaxation only")
-    sched_token, seed = _scheduler_token(cfg.scheduler)
-    solver = [(name, _fmt(value)) for name, value in steps.items() if value is not None]
-    solver += [("lambda", _fmt(cfg.relaxation)), ("T", cfg.T), ("scheduler", sched_token)]
-    if seed is not None:
-        solver.append(("seed", seed))
-    solver += [("tol", _fmt(cfg.tol)), ("max_iter", cfg.max_iter), ("check_interval", cfg.check_interval)]
+    scheduler = dict(zip(("scheduler", "seed"), _scheduler_token(cfg.scheduler)))
+    solver = []
+    for key, (name, read) in _SOLVER_KEYS.items():
+        value = scheduler[key] if name == "scheduler" else getattr(cfg, name)
+        if value is None:
+            continue
+        if read is _float:
+            if not np.isscalar(value):
+                raise ConfigurationError(f"the file format carries scalar {name} only")
+            value = _fmt(value)
+        solver.append((key, value))
     return _render(
         PROBLEM_HEADER,
         [

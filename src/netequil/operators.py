@@ -10,7 +10,8 @@ supply resolves to its constant, which the solver reads from
 
 All specs are immutable and validate their parameters at construction.
 Resolvent evaluation is total on real input; the only error it raises is
-NumericalFailure, when the BPR root refinement stalls.
+NumericalFailure, when the BPR root refinement stalls, apart from the
+ConfigurationError of a size-1 call whose gamma is not finite and positive.
 
 Scalar capacity families
 ------------------------
@@ -325,17 +326,31 @@ def _columns(rows):
 
 
 def _call1(kernel, gamma, xi, params):
-    """A kernel at a single point: the size-1 batch."""
+    """A kernel at a single point: the size-1 batch.
+
+    gamma must be finite and positive, as `solver.step_parameters`
+    requires of every step parameter; ConfigurationError otherwise.
+    """
     gamma_xi = np.array([[gamma], [xi]], dtype=float)
+    if not (math.isfinite(gamma_xi[0, 0]) and gamma_xi[0, 0] > 0):
+        raise ConfigurationError(f"resolvent parameter must be finite and positive, got {gamma!r}")
     return float(kernel(gamma_xi[0], gamma_xi[1], *_columns([params]))[0])
 
 
 class _Capacity:
-    """Scalar capacity spec whose resolvent is the size-1 case of its family kernel."""
+    """Scalar capacity spec whose resolvent is the size-1 case of its family kernel.
+
+    Its subdifferential is the single value {value(s)}, or None outside the
+    domain, where `value` returns None.
+    """
 
     def resolvent(self, gamma, xi):
         kernel, params = self.family()
         return _call1(kernel, gamma, xi, params)
+
+    def subdiff(self, s):
+        v = self.value(s)
+        return None if v is None else (v, v)
 
 
 # --------------------------------------------------------------------------
@@ -363,10 +378,6 @@ class BPR(_Capacity):
             return self.theta
         return self.theta * (1.0 + self.alpha * (s / self.rho) ** self.p)
 
-    def subdiff(self, s):
-        v = self.value(s)
-        return (v, v)
-
     def family(self):
         return _bpr_kernel, (self.alpha, self.rho, self.theta, self.p)
 
@@ -386,10 +397,6 @@ class Logarithmic(_Capacity):
         if s >= self.omega:
             return None
         return self.theta + math.log(self.omega / (self.omega - s))
-
-    def subdiff(self, s):
-        v = self.value(s)
-        return None if v is None else (v, v)
 
     def family(self):
         return _lambert_kernel, (True, self.omega, self.theta)
@@ -414,10 +421,6 @@ class TRC(_Capacity):
         d = s - self.omega
         return self.delta + self.alpha * d + math.sqrt(self.alpha**2 * d * d + self.beta)
 
-    def subdiff(self, s):
-        v = self.value(s)
-        return (v, v)
-
     def family(self):
         return _trc_kernel, (self.alpha, self.beta, self.delta, self.omega)
 
@@ -437,10 +440,6 @@ class PowerExp(_Capacity):
 
     def value(self, s):
         return self.theta * math.exp(self.p * s * math.log(self.alpha))
-
-    def subdiff(self, s):
-        v = self.value(s)
-        return (v, v)
 
     def family(self):
         return _lambert_kernel, (False, self.p * math.log(self.alpha), self.theta)
@@ -580,8 +579,6 @@ class IntervalProx(_Capacity):
 
 def scalar_resolvent(spec, gamma, xi):
     """Evaluate the resolvent J_{gamma*c} of a scalar capacity spec at xi."""
-    if not gamma > 0:
-        raise ConfigurationError(f"resolvent parameter must be positive, got {gamma!r}")
     return spec.resolvent(gamma, float(xi))
 
 

@@ -199,9 +199,12 @@ def frank_wolfe_reference(net, bpr_specs, supplies, iterations=10_000):
 # --------------------------------------------------------------------------
 
 
-def _slack(bound, tol):
-    # the boundary_tol rule: points within this of a finite bound sit on it
-    return tol * (1.0 + np.abs(np.where(np.isfinite(bound), bound, 0.0)))
+BOUNDARY_TOL = 1e-7
+
+
+def _slack(bound):
+    # points within this of a finite bound sit on it
+    return BOUNDARY_TOL * (1.0 + np.abs(np.where(np.isfinite(bound), bound, 0.0)))
 
 
 def _pairs(rows):
@@ -233,15 +236,15 @@ def _arc_violations(h, at_lo, at_hi, sub):
     return np.sqrt((d * d).sum(axis=1).min(axis=0))
 
 
-def wardrop_residual(net, ops, flow, potential, boundary_tol=1e-7):
+def wardrop_residual(net, ops, flow, potential):
     """Worst violation of the equilibrium inclusions at (flow, potential).
 
     For each arc: the distance, minimised exactly, from the tension to the
     set of cost values plus normal-cone elements of the constraint box at
-    the flow.  A flow within ``boundary_tol`` (times 1 + |bound|) of a box
-    bound sits on it; a total flux that close to an ``IntervalProx`` bound
-    is evaluated at the bound, where the subdifferential holds the normal
-    cone.  For each node: the norm of divergence minus supply.  Zero exactly
+    the flow.  A flow within the constant ``BOUNDARY_TOL`` = 1e-7 (times
+    1 + |bound|) of a box bound sits on it; a total flux that close to an
+    ``IntervalProx`` bound is evaluated at the bound, where the
+    subdifferential holds the normal cone.  For each node: the norm of divergence minus supply.  Zero exactly
     at equilibria; +inf with a diagnostic warning when the flow leaves the
     domain of a capacity operator or of its constraint set.
     """
@@ -251,7 +254,7 @@ def wardrop_residual(net, ops, flow, potential, boundary_tol=1e-7):
     free = (-math.inf, math.inf)
     total = flow.sum(axis=1)
     for end in _pairs([(s.lo, s.hi) if isinstance(s, IntervalProx) else free for s in specs]).T:
-        total = np.where(np.abs(total - end) <= _slack(end, boundary_tol), end, total)
+        total = np.where(np.abs(total - end) <= _slack(end), end, total)
     subs = [spec.subdiff(t) for spec, t in zip(specs, total.tolist())]
     if None in subs:
         j = subs.index(None)
@@ -259,7 +262,7 @@ def wardrop_residual(net, ops, flow, potential, boundary_tol=1e-7):
         warnings.warn(msg, stacklevel=2)
         return math.inf
     lo, hi = ops.box_lo, ops.box_hi
-    slack_lo, slack_hi = _slack(lo, boundary_tol), _slack(hi, boundary_tol)
+    slack_lo, slack_hi = _slack(lo), _slack(hi)
     outside = ((flow < lo - slack_lo) | (flow > hi + slack_hi)).any(axis=1)
     if outside.any():
         warnings.warn(f"arc {outside.argmax()}: flow leaves its constraint box", stacklevel=2)

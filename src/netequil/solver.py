@@ -87,6 +87,7 @@ __all__ = [
     "Termination",
     "initial_state",
     "new_workspace",
+    "sweep_bound",
     "make_scheduler",
     "step_parameters",
     "step",
@@ -195,13 +196,33 @@ class _RandomSweepScheduler:
         return active
 
 
-def make_scheduler(spec, network, T):
+def sweep_bound(spec):
+    """The sweep bound T a scheduler spec runs under when none is given.
+
+    0 for `Full`, k - 1 for `RoundRobin(k)` (the smallest T that its k
+    groups satisfy) and 3 for `RandomSweep`, whose force-inclusion then
+    activates each arc at least once in every 4 iterations.  The library,
+    problem files and the CLI all take T from this rule.
+    """
+    if isinstance(spec, Full):
+        return 0
+    if isinstance(spec, RoundRobin):
+        return spec.arc_groups - 1
+    if isinstance(spec, RandomSweep):
+        return 3
+    raise ConfigurationError(f"unknown scheduler spec {spec!r}")
+
+
+def make_scheduler(spec, network, T=None):
     """Instantiate the arc scheduler for one run, validating it against T.
 
-    Its `select(n)` returns the boolean mask of the arcs that iteration n
+    T None takes the spec's own bound, `sweep_bound(spec)`.  Its
+    `select(n)` returns the boolean mask of the arcs that iteration n
     activates.
     """
-    if not _is_int(T) or T < 0:
+    if T is None:
+        T = sweep_bound(spec)
+    elif not _is_int(T) or T < 0:
         raise ConfigurationError("sweep bound T must be a nonnegative integer")
     if isinstance(spec, Full):
         return _RoundRobinScheduler(network, T, 1)
@@ -219,39 +240,29 @@ def make_scheduler(spec, network, T):
 
 @dataclass
 class SolverConfig:
-    """Step parameters, relaxation schedule, scheduling, and stopping rule.
+    """Step parameters, relaxation, scheduling, and stopping rule.
 
     gamma/mu are per-arc and sigma per-node; scalars broadcast, and None
     (the default) derives them from the graph (see `step_parameters`).  The
-    relaxation is either a constant in ]0, 2[ or a triple
-    (fn, inf, sup) with 0 < inf <= sup < 2 bounding the values of fn(n).
+    relaxation is a constant in ]0, 2[.  T, the sweep bound, is a
+    nonnegative integer; None (the default) takes the scheduler's own
+    bound (see `sweep_bound`).
     """
 
     gamma: Union[None, float, np.ndarray] = None
     mu: Union[None, float, np.ndarray] = None
     sigma: Union[None, float, np.ndarray] = None
-    relaxation: Union[float, tuple] = 1.8
-    T: int = 0
+    relaxation: float = 1.8
+    T: Optional[int] = None
     scheduler: object = field(default_factory=Full)
     tol: float = 1e-6
     max_iter: int = 10**6
     check_interval: int = 10
 
     def __post_init__(self):
-        try:
-            if isinstance(self.relaxation, tuple):
-                fn, lo, hi = self.relaxation
-                valid = callable(fn) and 0.0 < lo <= hi < 2.0
-            else:
-                valid = 0.0 < self.relaxation < 2.0
-        except (TypeError, ValueError):  # not numbers, or a tuple of the wrong length
-            valid = False
-        if not valid:
-            raise ConfigurationError(
-                "relaxation must be a number strictly between 0 and 2, "
-                "or a schedule (fn, inf, sup) with 0 < inf <= sup < 2"
-            )
-        if not _is_int(self.T) or self.T < 0:
+        if not (isinstance(self.relaxation, numbers.Real) and 0.0 < self.relaxation < 2.0):
+            raise ConfigurationError("relaxation must be a number strictly between 0 and 2")
+        if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
         if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError("tol must be a finite positive number")
@@ -259,17 +270,6 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be a nonnegative integer")
         if not _is_int(self.check_interval) or self.check_interval < 1:
             raise ConfigurationError("check_interval must be a positive integer")
-
-    def relaxation_at(self, n):
-        if isinstance(self.relaxation, tuple):
-            fn, lo, hi = self.relaxation
-            lam = float(fn(n))
-            if not lo <= lam <= hi:
-                raise ConfigurationError(
-                    f"relaxation schedule produced {lam} outside its stated bounds [{lo}, {hi}]"
-                )
-            return lam
-        return float(self.relaxation)
 
 
 def _positive_per_entity(value, size, name, entities):
@@ -513,7 +513,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     if not (math.isfinite(tau) and math.isfinite(pi)):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
-    lam = cfg.relaxation_at(state.n)
+    lam = float(cfg.relaxation)
     theta = lam * max(pi, 0.0) / tau if tau > 0.0 else 0.0
     if theta != 0.0:
         state.x -= theta * ws.tstar

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netequil import ProblemFormatWarning, solver
+from netequil import solver
 from netequil.cli import _apply_overrides, _build_parser, main
 from netequil.fileio import parse_problem, parse_solution, serialize_solution
 
@@ -164,15 +164,11 @@ class TestSolve:
         # check with an explicit tolerance stricter than the solution quality
         assert main(["check", two_arc_path, out, "--tol", "1e-12", "--quiet"]) == 2
 
-    def test_threads_key_is_ignored_with_warning(self, two_arc_path, tmp_path):
-        plain = str(tmp_path / "plain.sol")
-        assert main(["solve", two_arc_path, "--out", plain, "--quiet"]) == 0
+    def test_threads_key_is_an_input_error(self, two_arc_path, tmp_path, capsys):
         threaded_path = tmp_path / "threaded.prob"
         threaded_path.write_bytes(read(two_arc_path) + b"threads = 2\n")
-        out = str(tmp_path / "threaded.sol")
-        with pytest.warns(ProblemFormatWarning, match="'threads' is obsolete"):
-            assert main(["solve", str(threaded_path), "--out", out, "--quiet"]) == 0
-        assert read(out) == read(plain)
+        assert main(["solve", str(threaded_path), "--quiet"]) == 1
+        assert "[unknown-key] unknown solver key 'threads'" in capsys.readouterr().err
 
     def test_max_iter_is_a_total_budget_across_reruns(self, two_arc_path, tmp_path):
         # with costs scaled by 100 the splitting residual passes tol long
@@ -240,6 +236,7 @@ class TestSolve:
         (0, "roundrobin:3", 2, solver.RoundRobin),
         (5, "roundrobin:3", 5, solver.RoundRobin),
         (1, "randomsweep:0.3", 3, solver.RandomSweep),
+        (None, "roundrobin:3", None, solver.RoundRobin),  # a T the file omits stays derived
     ],
 )
 def test_scheduler_flag_raises_T_to_its_default_and_keeps_a_larger_one(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -20,6 +21,7 @@ from netequil import (
     RoundRobin,
     TraceRecord,
     step_parameters,
+    sweep_bound,
 )
 from netequil.fileio import (
     Problem,
@@ -150,14 +152,45 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert cfg.gamma == 0.5
         assert cfg.relaxation == 1.2
         assert cfg.scheduler == RandomSweep(seed=7, activation_prob=0.25)
-        assert cfg.T == 3  # randomsweep default window
+        assert cfg.T is None and sweep_bound(cfg.scheduler) == 3  # randomsweep default window
         assert cfg.tol == 1e-8
         assert cfg.max_iter == 123
 
     def test_roundrobin_defaults_T(self):
         cfg = parse_problem(TWO_ARCS + "[solver]\nscheduler = roundrobin:2\n").config
         assert cfg.scheduler == RoundRobin(2)
-        assert cfg.T == 1
+        assert cfg.T is None and sweep_bound(cfg.scheduler) == 1
+
+    def test_threads_key_is_unknown_at_its_line(self):
+        err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\nthreads = 2\n", "unknown-key")
+        assert (err.section, err.entity, err.line) == ("solver", "threads", 14)
+
+    def test_every_solver_setting_but_the_scheduler_has_exactly_one_key(self):
+        # so no setting reaches the library without the file format, or the reverse
+        targets = [name for name, _ in fileio._SOLVER_KEYS.values()]
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert set(targets) == set(fields)
+        assert all(targets.count(name) == 1 for name in fields if name != "scheduler")
+
+    def test_empty_solver_section_gives_the_default_config(self):
+        cfg, default = parse_problem(MINIMAL + "[solver]\n").config, SolverConfig()
+        for f in dataclasses.fields(SolverConfig):
+            assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+
+    def test_every_solver_field_set_is_written_in_key_order(self):
+        problem = parse_problem(TWO_ARCS)
+        problem.config = SolverConfig(
+            gamma=0.25, mu=2.0, sigma=3.0, relaxation=1.5, T=4,
+            scheduler=RandomSweep(seed=5, activation_prob=0.25),
+            tol=1e-08, max_iter=77, check_interval=3,
+        )
+        text = serialize_problem(problem)
+        assert text.split("[solver]\n", 1)[1] == (
+            "gamma = 0.25\nmu = 2.0\nsigma = 3.0\nlambda = 1.5\nT = 4\n"
+            "scheduler = randomsweep:0.25\nseed = 5\ntol = 1e-08\nmax_iter = 77\n"
+            "check_interval = 3\n"
+        )
+        assert parse_problem(text) == problem
 
     def test_supply_defaults_to_zero(self):
         text = MINIMAL.replace("a 1\nb -1\n", "a 1\n")

@@ -405,6 +405,32 @@ class TestOperatorSet:
             scalar_resolvent(spec, 0.0, 1.0)
 
 
+IDENTITY = CustomPhi(lambda gamma, xi: xi, lambda s: (0.0, 0.0))
+SIZE1_CALLS = {
+    "bpr": lambda g: BPR(1.0, 1.0, 1.0, 4.0).resolvent(g, 3.0),
+    "log": lambda g: Logarithmic(5.0, 1.0).resolvent(g, 3.0),
+    "trc": lambda g: TRC(1.0, 1.0, 1.0, 1.0).resolvent(g, 3.0),
+    "powerexp": lambda g: PowerExp(2.0, 1.0, 0.5).resolvent(g, 3.0),
+    "prox-affine": lambda g: IntervalProx(AffinePhi(1.0), 0.0, 5.0).resolvent(g, 3.0),
+    "prox-quadratic": lambda g: IntervalProx(QuadraticPhi(1.0)).resolvent(g, 3.0),
+    "prox-power": lambda g: IntervalProx(PowerPhi(1.5)).resolvent(g, 3.0),
+    "prox-custom": lambda g: IntervalProx(IDENTITY).resolvent(g, 3.0),
+    "affine": lambda g: AffinePhi(1.0).prox(g, 3.0),
+    "quadratic": lambda g: QuadraticPhi(1.0).prox(g, 3.0),
+    "power": lambda g: PowerPhi(1.5).prox(g, 3.0),
+    "scalar_resolvent": lambda g: scalar_resolvent(TRC(1.0, 1.0, 1.0, 1.0), g, 3.0),
+    "lift": lambda g: SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)).resolvent(g, [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", SIZE1_CALLS.values(), ids=SIZE1_CALLS.keys())
+def test_every_size1_resolvent_requires_a_finite_positive_gamma(call, gamma):
+    # the rule step_parameters applies; a bad gamma gave a silent wrong number
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        call(gamma)
+
+
 # ---------------------------------------------------------------------------
 # the batched kernels: spec.family() names a kernel and its parameters; the
 # scalar resolvent is the size-1 batch

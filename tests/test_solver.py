@@ -12,7 +12,6 @@ from netequil import (
     Full,
     Network,
     NumericalFailure,
-    ProblemFormatWarning,
     RandomSweep,
     RoundRobin,
     SolverConfig,
@@ -28,6 +27,7 @@ from netequil import (
     scalar_resolvent,
     step,
     step_parameters,
+    sweep_bound,
 )
 from netequil import operators, oracle, solver
 from netequil.fileio import Problem, parse_problem, serialize_problem
@@ -141,10 +141,12 @@ class TestSchedulers:
 
     def test_sweep_bound_of_the_wrong_type_rejected_before_it_is_compared(self, two_arc):
         _, net, _ = two_arc
-        for T in ("2", 1.0, True, None):
+        for T in ("2", 1.0, True):
             with pytest.raises(ConfigurationError, match="sweep bound T"):
                 make_scheduler(Full(), net, T)
         assert make_scheduler(Full(), net, np.int64(2)).select(1).all()
+        # None is not rejected: it takes the scheduler's own bound
+        assert make_scheduler(RoundRobin(2), net, None).select(1).tolist() == [False, True]
 
     @pytest.mark.parametrize("groups", [True, 2.0, "2", 0, -1])
     def test_round_robin_group_count_must_be_a_positive_integer(self, groups):
@@ -181,7 +183,15 @@ class TestConfig:
             SolverConfig(relaxation=0.0)
 
     @pytest.mark.parametrize(
-        "relaxation", ["x", "1.5", None, (lambda n: 1.0, 0.5), (lambda n: 1.0, "0.5", 1.0)]
+        "relaxation",
+        [
+            "x",
+            "1.5",
+            None,
+            (lambda n: 1.0, 0.5),
+            (lambda n: 1.0, "0.5", 1.0),
+            (lambda n: 1.0, 0.5, 1.5),  # a schedule (fn, inf, sup): the relaxation is a number
+        ],
     )
     def test_relaxation_of_the_wrong_type_rejected(self, relaxation):
         with pytest.raises(ConfigurationError, match="relaxation"):
@@ -196,19 +206,6 @@ class TestConfig:
     def test_bool_is_not_an_iteration_count(self, field):
         with pytest.raises(ConfigurationError, match=f"{field} must be a"):
             SolverConfig(**{field: True})
-
-    def test_relaxation_schedule_with_bounds(self, two_arc):
-        _, net, ops = two_arc
-        cfg = SolverConfig(relaxation=(lambda n: 1.0 + 0.5 / (n + 1), 1.0, 1.5))
-        state, trace, reason = run(net, ops, cfg)
-        assert reason is Termination.CONVERGED
-        assert trace[0].relaxation == 1.5
-
-    def test_relaxation_schedule_violating_bounds_raises(self, two_arc):
-        _, net, ops = two_arc
-        cfg = SolverConfig(relaxation=(lambda n: 1.99, 0.5, 1.0))
-        with pytest.raises(ConfigurationError, match="stated bounds"):
-            run(net, ops, cfg)
 
     def test_step_parameters_must_be_positive(self, two_arc):
         _, net, ops = two_arc
@@ -534,18 +531,6 @@ class TestRun:
             assert reason is Termination.CONVERGED
             np.testing.assert_allclose(state.x[:, 0], flow, atol=1e-5)
 
-    def test_threads_key_parses_to_the_same_run_bitwise(self, braess):
-        net, ops, _ = braess
-        cfg = SolverConfig(max_iter=50, tol=1e-300)
-        text = serialize_problem(Problem(net, tuple("abcde"), ops, cfg))
-        assert "threads" not in text
-        with pytest.warns(ProblemFormatWarning, match="'threads' is obsolete"):
-            problem = parse_problem(text + "threads = 3\n")
-        plain, _, _ = run(net, ops, cfg)
-        parsed, _, _ = run(problem.network, problem.operators, problem.config)
-        assert np.array_equal(plain.x, parsed.x)
-        assert np.array_equal(plain.v, parsed.v)
-
     def test_bpr_stall_ends_run_with_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(operators, "_BPR_MAX_ITER", 0)
         net = Network(["a", "b"], [("a", "b"), ("a", "b")], 1)
@@ -664,6 +649,42 @@ def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
             (r.tau, r.pi, r.theta, r.residual, r.active_arcs, r.active_nodes) for r in ref_trace
         ]
         assert any(r.residual is not None for r in trace)
+
+
+def run_fingerprint(net, ops, cfg):
+    """A run's termination, final state and trace rows, comparable bit for bit with ==."""
+    state, trace, reason = run(net, ops, cfg)
+    rows = [
+        (r.n, r.tau, r.pi, r.theta, r.relaxation, r.active_arcs, r.active_nodes, r.residual)
+        for r in trace
+    ]
+    return reason, state.n, state.x.tobytes(), state.xstar.tobytes(), state.v.tobytes(), rows
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_an_omitted_sweep_bound_is_the_schedulers_own(spec, T):
+    # T left at None runs bit for bit as T = sweep_bound(spec): 0, k - 1 and 3
+    net, ops = mixed_multicommodity_instance(3)
+    cfg = SolverConfig(scheduler=spec, max_iter=90, check_interval=7, tol=1e-300)
+    assert cfg.T is None and sweep_bound(spec) == T
+    derived = run_fingerprint(net, ops, cfg)
+    assert derived == run_fingerprint(net, ops, dataclasses.replace(cfg, T=T))
+    # only Full activates every arc at every step
+    active = np.mean([row[5] for row in derived[-1]])
+    assert (active < net.n_arcs) == (T > 0)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in SCHEDULES], ids=["full", "roundrobin3", "randomsweep"])
+def test_a_problem_without_T_solves_the_same_from_its_file(spec):
+    net, ops = mixed_multicommodity_instance(4)
+    cfg = SolverConfig(scheduler=spec, max_iter=90, check_interval=7, tol=1e-300)
+    text = serialize_problem(Problem(net, tuple(f"e{j}" for j in range(net.n_arcs)), ops, cfg))
+    assert "\nT = " not in text
+    parsed = parse_problem(text)
+    assert parsed.config == cfg
+    assert run_fingerprint(parsed.network, parsed.operators, parsed.config) == run_fingerprint(
+        net, ops, cfg
+    )
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES[1:], ids=["roundrobin3", "randomsweep"])
