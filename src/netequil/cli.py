@@ -72,17 +72,19 @@ def _apply_overrides(problem, args):
         updates["tol"] = args.tol
     if args.max_iter is not None:
         updates["max_iter"] = args.max_iter
+    sched = cfg.scheduler
     if args.scheduler is not None:
-        seed = args.seed
-        if seed is None and isinstance(cfg.scheduler, RandomSweep):
-            seed = cfg.scheduler.seed
+        # a new random sweep keeps the file's seed unless --seed sets one
+        seed = sched.seed if isinstance(sched, RandomSweep) else None
         sched = fileio._parse_scheduler(args.scheduler, ("flags", "scheduler", 0), seed)
         updates["scheduler"] = sched
         if cfg.T is not None:
             # a T the file sets is raised to the new scheduler's bound if below it
             updates["T"] = max(cfg.T, solver.sweep_bound(sched))
-    elif args.seed is not None and isinstance(cfg.scheduler, RandomSweep):
-        updates["scheduler"] = replace(cfg.scheduler, seed=args.seed)
+    if args.seed is not None:
+        if not isinstance(sched, RandomSweep):
+            raise ConfigurationError("--seed needs a randomsweep:p scheduler")
+        updates["scheduler"] = replace(sched, seed=args.seed)
     return replace(cfg, **updates) if updates else cfg
 
 

@@ -43,7 +43,8 @@ writing alike: the dataclass fields of the class are the keys its token
 takes, in the order they are written, each at most once.  An omitted
 ``r=`` spec defaults to the nonnegative orthant with a warning; nodes
 without a supply line get zero supply.  Schedulers are ``full``,
-``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key).  One
+``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key, which
+no other scheduler takes).  One
 table, `_SOLVER_KEYS`, maps each [solver] key to its field of
 `solver.SolverConfig` for reading and writing alike.  A missing key
 leaves the field at its `SolverConfig` default: a missing ``T`` takes the
@@ -59,9 +60,9 @@ section, id, key or spec parameter, ``dangling-node`` for an undeclared
 id, ``missing-commodity`` for a value count that does not match the
 commodities, ``bad-scheduler`` for an unknown scheduler, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
-parameters and supplies, and [solver] settings that `solver.SolverConfig`,
+parameters and supplies, [solver] settings that `solver.SolverConfig`,
 `solver.step_parameters` or `solver.make_scheduler` reject on the parsed
-network.
+network, and a ``seed`` without a random sweep.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
@@ -575,6 +576,8 @@ def _parse_solver_section(entries, network):
         make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:
         raise ProblemFormatError("param-range", str(exc), section="solver") from None
+    if seed is not None and not isinstance(config.scheduler, RandomSweep):
+        raise ProblemFormatError("param-range", "seed needs scheduler = randomsweep:p", *raw["seed"][1])
     return config
 
 

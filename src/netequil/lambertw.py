@@ -14,10 +14,12 @@ exp(z) would overflow it instead solves w + log(w) = z by Newton
 iteration; the capacity resolvents route through it so that transiently
 huge arguments inside the solver loop stay finite.  Halley and Newton
 raise NumericalFailure rather than return an element they have not
-converged in _MAX_ITER passes, and so does a nan or +inf z.  An optional
-`start` (say, the W an element had at its previous evaluation) replaces
+converged in _MAX_ITER passes, and so does a nan or +inf z.  A `start`
+(say, the W an element had at its previous evaluation) replaces
 Winitzki's approximation as Halley's starting point where it lies within
-_WARM_SPAN (5%) of it; a start farther away, or nan, is ignored.
+_WARM_SPAN (5%) of it; a start farther away is ignored, and a nan start
+is a cold start, from Winitzki's approximation.  `start` None is the
+all-nan start.
 
 Both functions take a float or an array and work elementwise.  Halley
 iterates the whole array and freezes each element under a mask at the
@@ -61,8 +63,6 @@ def _winitzki(x):
 def _start(x, warm):
     """Halley's starting points for W(x), x >= 0: `warm` where it is near Winitzki's."""
     w = _winitzki(x)
-    if warm is None:
-        return w
     return np.where(np.abs(warm - w) <= _WARM_SPAN * w, warm, w)
 
 
@@ -137,12 +137,11 @@ def lambert_w_exp(z, start=None):
     steps w <- w * (1 + z - log(w)) / (1 + w) from w0 = z - log(z), with
     the division taken first where that product overflows (z beyond
     about 1e154), so every finite z has a finite result.
-    `start`, of z's shape, holds optional guesses of the result for the
-    Halley branch (see the module docstring).
+    `start`, of z's shape, holds guesses of the result for the Halley
+    branch, nan for none; None is all nan (see the module docstring).
     """
     z, restore = _as_batch(z)
-    if start is not None:
-        start = _as_batch(start)[0]
+    start = np.full(z.size, np.nan) if start is None else _as_batch(start)[0]
     with np.errstate(all="ignore"):
         small = z <= _EXP_SWITCH
         if np.count_nonzero(small) == z.size:
@@ -150,7 +149,7 @@ def lambert_w_exp(z, start=None):
             return restore(_halley(x, _start(x, start)))
         out = np.empty_like(z)
         x = np.exp(z[small])
-        out[small] = _halley(x, _start(x, None if start is None else start[small]))
+        out[small] = _halley(x, _start(x, start[small]))
         idx = np.flatnonzero(~small)
         zl = z[idx]
         bad = ~np.isfinite(zl)

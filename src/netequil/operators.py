@@ -28,8 +28,9 @@ Scalar capacity families
                  xi - W(gamma*theta*alpha**(p*xi)*p*log(alpha))/(p*log(alpha)).
 ``IntervalProx`` subdifferential of phi + indicator of a closed interval
                  [lo, hi]; resolvent is the interval projection composed
-                 after the prox of phi (supported phi: affine, quadratic,
-                 |.|**q for q in {1, 3/2, 2}, or a user-supplied one).
+                 after the prox of phi (phi is AffinePhi, QuadraticPhi,
+                 PowerPhi with q in {1, 3/2, 2}, or a user-supplied
+                 CustomPhi).
 
 Batched kernels
 ---------------
@@ -38,11 +39,10 @@ elementwise on equal-length 1-d arrays and split in two at the step
 parameter: ``kernel.prepare(gamma, *params)`` returns the per-element
 constants that depend only on gamma and the spec (BPR's gamma*theta and
 log k, Lambert's log(gamma*theta*a), TRC's quadratic coefficients, the
-prox kernels' gamma products), and ``kernel.solve(xi, *consts,
-start=None)`` does the work that depends on xi.  Calling
-``kernel(gamma, xi, *params)`` runs both; ``spec.family()`` names a spec's
-kernel and its parameters, and ``spec.resolvent`` and ``phi.prox`` are the
-size-1 call.  An ``OperatorSet`` groups its arcs by kernel;
+prox kernels' gamma products), and ``kernel.solve(xi, *consts, start)``
+does the work that depends on xi.  Calling ``kernel(gamma, xi, *params)``
+runs both; ``spec.family()`` names a spec's kernel and its parameters,
+and ``spec.resolvent`` and ``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by kernel;
 ``OperatorSet.bind(gamma)`` prepares every group once for per-arc step
 parameters, and ``capacity_resolvent`` then solves each group in one call,
 gathering the constants of the listed arcs on a partial sweep.  BPR runs
@@ -52,13 +52,15 @@ Logarithmic and PowerExp share one kernel, whose parameters say which
 formula each element takes, so their arcs make one ``lambert_w_exp`` call
 (a Halley iteration) per batch.  Both iterations stop each element on its
 own test and leave stopped elements unchanged.  Every solve also takes
-an optional ``start``, the root each element had at an earlier evaluation
-(nan for none): BPR takes one Newton step from it, Logarithmic/PowerExp
-hand the matching W to Halley, and the closed-form kernels ignore it.
-Without a start a kernel runs from its cold starting point.  So an
-element's result depends on its own input and its own previous root,
-never on which other arcs share its batch.  A user-supplied ``CustomPhi``
-prox is the one family evaluated by a scalar loop.
+a ``start``, the root each element had at an earlier evaluation: BPR
+takes one Newton step from it, Logarithmic/PowerExp hand the matching W
+to Halley, and the closed-form kernels ignore it.  A nan start is a cold
+start, from the kernel's own starting point; the public entry points
+(calling a kernel, ``capacity_resolvent``, ``lambert_w_exp``) take
+``start=None`` for an all-nan start.  So an element's result depends on
+its own input and its own previous root, never on which other arcs share
+its batch.  A user-supplied ``CustomPhi`` prox is the one family
+evaluated by a scalar loop.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation); the equilibrium check calls ``subdiff``, no kernel does.
@@ -102,7 +104,7 @@ def _require(cond, what):
 
 # --------------------------------------------------------------------------
 # batched resolvent kernels: prepare(gamma, *params) once per step size,
-# solve(xi, *consts, start=None) per evaluation, on 1-d arrays
+# solve(xi, *consts, start) per evaluation, on 1-d arrays
 # --------------------------------------------------------------------------
 
 
@@ -111,14 +113,18 @@ class _Kernel:
     """A family's resolvent split at the step size.
 
     ``prepare(gamma, *params)`` returns the per-element constants that
-    depend only on gamma and the spec; ``solve(xi, *consts, start=None)``
-    does the work that depends on xi.  Calling the kernel runs both.
+    depend only on gamma and the spec; ``solve(xi, *consts, start)`` does
+    the work that depends on xi, from one start per element, where nan is
+    a cold start.  Calling the kernel runs both; its `start` None is the
+    all-nan start.
     """
 
     prepare: Callable
     solve: Callable
 
     def __call__(self, gamma, xi, *params, start=None):
+        if start is None:
+            start = np.full(np.shape(xi), np.nan)
         return self.solve(xi, *self.prepare(gamma, *params), start=start)
 
 
@@ -134,7 +140,7 @@ def _bpr_prepare(gamma, alpha, rho, theta, p):
     return gt, agt / rho**p, logk, p, p - 1.0
 
 
-def _bpr_solve(xi, gt, k, logk, p, pm1, start=None):
+def _bpr_solve(xi, gt, k, logk, p, pm1, start):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
     With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
@@ -154,31 +160,24 @@ def _bpr_solve(xi, gt, k, logk, p, pm1, start=None):
     a step from an s that underflowed to 0.  For p = 1 the result is
     within 2 ulp of c/(1 + k).
 
-    `start` optionally holds an earlier root per element (nan for none).
-    One unrestricted Newton step from log(start) lands at or above the
-    root, since h is convex and increasing, so the monotone iteration
-    starts from the smaller of that point and y0.  A missing, non-finite
-    or non-positive start leaves y0 in place.
+    `start` holds an earlier root per element.  One unrestricted Newton
+    step from log(start) lands at or above the root, since h is convex and
+    increasing, so the monotone iteration starts from the smaller of that
+    point and y0.  A nan, infinite or non-positive start leaves y0 in
+    place.
     """
     c = xi - gt
+    # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
+    out = np.where(c == np.inf, np.nan, c)
     live = ((c > 0.0) & (c < np.inf)).nonzero()[0]
-    whole = live.size == c.size
-    if not whole:
-        # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
-        out = np.where(c == np.inf, np.nan, c)
-        if not live.size:
-            return out
-        c, k, logk, p, pm1 = c[live], k[live], logk[live], p[live], pm1[live]
-        if start is not None:
-            start = start[live]
+    c, k, logk, p, pm1, start = c[live], k[live], logk[live], p[live], pm1[live], start[live]
     logc = np.log(c)
     y = np.minimum(logc, (logc - logk) / p)
-    if start is not None:
-        # a start <= 0, inf or nan makes the step nan, and fmin keeps y0 there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ys = np.log(start)
-            lse = np.logaddexp(ys, logk + p * ys)
-            y = np.fmin(ys - (lse - logc) / (p - pm1 * np.exp(ys - lse)), y)
+    # a start <= 0, inf or nan makes the step nan, and fmin keeps y0 there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ys = np.log(start)
+        lse = np.logaddexp(ys, logk + p * ys)
+        y = np.fmin(ys - (lse - logc) / (p - pm1 * np.exp(ys - lse)), y)
     # stopped elements keep their y, so a result does not depend on its batch
     active = np.ones(y.size, dtype=bool)
     for _ in range(_BPR_MAX_ITER):
@@ -195,10 +194,7 @@ def _bpr_solve(xi, gt, k, logk, p, pm1, start=None):
     s = np.exp(y)
     ks = k * s**pm1
     finished = s - (s + s * ks - c) / (1.0 + p * ks)
-    root = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
-    if whole:
-        return root
-    out[live] = root
+    out[live] = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
     return out
 
 
@@ -214,7 +210,7 @@ def _lambert_prepare(gamma, is_log, a, theta):
     return log_gta, log_a_theta, np.nextafter(a, -np.inf), gamma, a, is_log != 0.0
 
 
-def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start=None):
+def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start):
     """Logarithmic and PowerExp resolvents, both one W(exp(z)) solve.
 
     A batch mixing the two families makes one ``lambert_w_exp`` call.  z,
@@ -223,9 +219,8 @@ def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start=No
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = np.where(is_log, log_a_theta + (a - xi) / gamma, log_gta + a * xi)
-        if start is not None:
-            # the W of an earlier root
-            start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
+        # the W of an earlier root
+        start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
     w = lambert_w_exp(z, start)
     # where W underflowed the exact Logarithmic value sits strictly below omega
     return np.where(is_log, np.minimum(a - gamma * w, below_a), xi - w / a)
@@ -237,7 +232,7 @@ def _trc_prepare(gamma, alpha, beta, delta, omega):
     return ga, ga * ga, den * gamma * gamma * beta, gamma * delta, omega, den
 
 
-def _trc_solve(xi, ga, ga2, shift, gd, omega, den, start=None):
+def _trc_solve(xi, ga, ga2, shift, gd, omega, den, start):
     m = xi - gd
     root = np.sqrt(ga2 * (m - omega) ** 2 + shift)
     return (-root + ga * (m + omega) + m) / den
@@ -255,7 +250,7 @@ def _affine_prepare(gamma, lo, hi, a):
     return lo, hi, gamma * a
 
 
-def _affine_solve(xi, lo, hi, ga, start=None):
+def _affine_solve(xi, lo, hi, ga, start):
     return _clamp(xi - ga, lo, hi)
 
 
@@ -263,7 +258,7 @@ def _quadratic_prepare(gamma, lo, hi, a):
     return lo, hi, 1.0 + gamma * a
 
 
-def _quadratic_solve(xi, lo, hi, den, start=None):
+def _quadratic_solve(xi, lo, hi, den, start):
     return _clamp(xi / den, lo, hi)
 
 
@@ -271,7 +266,7 @@ def _power_prepare(gamma, lo, hi, q):
     return lo, hi, gamma, -1.5 * gamma, 2.25 * gamma * gamma, 1.0 + 2.0 * gamma, q == 1.0, q == 2.0
 
 
-def _power_solve(xi, lo, hi, gamma, b, disc, den, q1, q2, start=None):
+def _power_solve(xi, lo, hi, gamma, b, disc, den, q1, q2, start):
     mag = np.abs(xi)
     # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
     u = 0.5 * (b + np.sqrt(disc + 4.0 * mag))
@@ -287,9 +282,9 @@ def _custom_prepare(gamma, lo, hi, phi):
     return lo, hi, gamma, phi
 
 
-def _custom_solve(xi, lo, hi, gamma, phi, start=None):
-    """The scalar fallback: one user prox call per element."""
-    s = [f.prox(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
+def _custom_solve(xi, lo, hi, gamma, phi, start):
+    """The scalar fallback: one user prox_fn call per element."""
+    s = [f.prox_fn(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
     return _clamp(np.array(s, dtype=float), lo, hi)
 
 
@@ -515,8 +510,11 @@ class PowerPhi(_Phi):
 
 
 @dataclass(frozen=True)
-class CustomPhi:
-    """Escape hatch: user-supplied scalar prox and subdifferential, both required."""
+class CustomPhi(_Phi):
+    """Escape hatch: user-supplied scalar prox and subdifferential, both required.
+
+    Its kernel calls prox_fn(gamma, xi) once per element.
+    """
 
     prox_fn: Callable[[float, float], float]
     subdiff_fn: Callable[[float], Optional[tuple]]
@@ -524,8 +522,8 @@ class CustomPhi:
     def __post_init__(self):
         _require(callable(self.subdiff_fn), "CustomPhi requires a callable subdiff_fn")
 
-    def prox(self, gamma, xi):
-        return self.prox_fn(gamma, xi)
+    def prox_family(self):
+        return _custom_kernel, (self,)
 
     def subdiff(self, s):
         return self.subdiff_fn(s)
@@ -547,7 +545,7 @@ class IntervalProx(_Capacity):
         _require(not math.isnan(self.lo) and not math.isnan(self.hi), "IntervalProx bounds must not be nan")
         _require(self.lo <= self.hi, "IntervalProx requires lo <= hi")
         _require(
-            hasattr(self.phi, "prox") and hasattr(self.phi, "subdiff"),
+            isinstance(self.phi, _Phi),
             "IntervalProx phi must be AffinePhi, QuadraticPhi, PowerPhi, or CustomPhi",
         )
 
@@ -571,10 +569,8 @@ class IntervalProx(_Capacity):
         return (lo_g, hi_g)
 
     def family(self):
-        if isinstance(self.phi, _Phi):
-            kernel, params = self.phi.prox_family()
-            return kernel, (self.lo, self.hi) + params
-        return _custom_kernel, (self.lo, self.hi, self.phi)
+        kernel, params = self.phi.prox_family()
+        return kernel, (self.lo, self.hi) + params
 
 
 def scalar_resolvent(spec, gamma, xi):
@@ -739,20 +735,20 @@ class OperatorSet:
         `bind(gamma)` for the per-arc step parameters gamma; a partial
         sweep gathers the constants of its arcs from it.  Each row total
         is resolved by its family kernel with parameter C*gamma, and the
-        row is shifted uniformly to match (see SeparableLift).  `start`, if
-        given, is a float array with one entry per row: the kernel's root
-        for that arc at an earlier call (nan for none), which the
-        iterative kernels start from.  It is overwritten with this call's
-        roots.
+        row is shifted uniformly to match (see SeparableLift).  `start` is
+        a float array with one entry per row: the kernel's root for that
+        arc at an earlier call, which the iterative kernels start from; nan
+        is a cold start, and None is the all-nan start.  It is overwritten
+        with this call's roots.
         """
         n = x.shape[1]
         total = x.sum(1)
+        if start is None:
+            start = np.full(total.size, np.nan)
         # each family gathers its starts before it writes its roots over them
-        out = np.empty_like(total) if start is None else start
         if arcs.size == self.network.n_arcs:
             for (kernel, members, _), consts in zip(self.families, bound):
-                warm = None if start is None else start[members]
-                out[members] = kernel.solve(total[members], *consts, start=warm)
+                start[members] = kernel.solve(total[members], *consts, start=start[members])
         else:
             family = self._arc_family[arcs]
             member = self._arc_member[arcs]
@@ -760,6 +756,5 @@ class OperatorSet:
                 rows = (family == f).nonzero()[0]
                 if rows.size:
                     pick = member[rows]
-                    warm = None if start is None else start[rows]
-                    out[rows] = kernel.solve(total[rows], *(c[pick] for c in consts), start=warm)
-        return x + ((out - total) / n)[:, None]
+                    start[rows] = kernel.solve(total[rows], *(c[pick] for c in consts), start=start[rows])
+        return x + ((start - total) / n)[:, None]

@@ -244,7 +244,8 @@ class SolverConfig:
 
     gamma/mu are per-arc and sigma per-node; scalars broadcast, and None
     (the default) derives them from the graph (see `step_parameters`).  The
-    relaxation is a constant in ]0, 2[.  T, the sweep bound, is a
+    relaxation is a constant in ]0, 2[, not a bool.  The scheduler is a
+    `Full`, `RoundRobin` or `RandomSweep` spec.  T, the sweep bound, is a
     nonnegative integer; None (the default) takes the scheduler's own
     bound (see `sweep_bound`).
     """
@@ -260,8 +261,10 @@ class SolverConfig:
     check_interval: int = 10
 
     def __post_init__(self):
-        if not (isinstance(self.relaxation, numbers.Real) and 0.0 < self.relaxation < 2.0):
+        r = self.relaxation
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and 0.0 < r < 2.0):
             raise ConfigurationError("relaxation must be a number strictly between 0 and 2")
+        sweep_bound(self.scheduler)  # a spec no scheduler runs raises here, not in run
         if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
         if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):

@@ -156,6 +156,14 @@ class TestSolve:
     def test_bad_scheduler_flag_is_input_error(self, two_arc_path):
         assert main(["solve", two_arc_path, "--scheduler", "perhaps", "--quiet"]) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--scheduler", "full"], ["--scheduler", "roundrobin:2"]])
+    def test_seed_flag_without_a_random_sweep_is_input_error(self, two_arc_path, tmp_path, capsys, flags):
+        out = tmp_path / "s.sol"
+        argv = ["solve", two_arc_path, "--out", str(out), "--seed", "5", "--quiet", *flags]
+        assert main(argv) == 1
+        assert "--seed needs a randomsweep:p scheduler" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
         assert main(["solve", two_arc_path, "--out", out, "--tol", "1e-4", "--quiet"]) == 0
@@ -247,6 +255,16 @@ def test_scheduler_flag_raises_T_to_its_default_and_keeps_a_larger_one(
     args = _build_parser().parse_args(["solve", two_arc_path, "--scheduler", flag])
     cfg = _apply_overrides(problem, args)
     assert cfg.T == want_T and isinstance(cfg.scheduler, kind)
+
+
+@pytest.mark.parametrize("seed_flag, want_seed", [([], 42), (["--seed", "5"], 5)])
+def test_a_new_random_sweep_keeps_the_files_seed_unless_the_flag_sets_one(
+    two_arc_path, seed_flag, want_seed
+):
+    problem = parse_problem(two_arc_path)
+    problem = replace(problem, config=replace(problem.config, scheduler=solver.RandomSweep(42, 0.5)))
+    args = _build_parser().parse_args(["solve", two_arc_path, "--scheduler", "randomsweep:0.3", *seed_flag])
+    assert _apply_overrides(problem, args).scheduler == solver.RandomSweep(want_seed, 0.3)
 
 
 class TestTraceReproducibility:

@@ -279,6 +279,14 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         err = expect_code(TWO_ARCS + f"[solver]\n{block}\n", "param-range")
         assert err.section == "solver"
 
+    @pytest.mark.parametrize("scheduler", ["scheduler = full\n", "scheduler = roundrobin:2\n", ""])
+    def test_a_seed_without_a_random_sweep_is_param_range_at_its_line(self, scheduler):
+        # no scheduler but a random sweep draws, and the writer would drop the seed
+        text = TWO_ARCS + f"[solver]\n{scheduler}seed = 7\n"
+        err = expect_code(text, "param-range")
+        line = text.splitlines().index("seed = 7") + 1
+        assert (err.section, err.entity, err.line) == ("solver", "seed", line)
+
     def test_path_starting_with_netequil_is_read_as_a_path(self, tmp_path, monkeypatch):
         (tmp_path / "netequil-minimal.prob").write_text(MINIMAL)
         monkeypatch.chdir(tmp_path)

@@ -269,6 +269,18 @@ class TestIntervalProx:
         with pytest.raises(ConfigurationError, match="IntervalProx phi"):
             IntervalProx(ProxOnly())
 
+    def test_duck_typed_phi_rejected(self):
+        # only the four phi classes have a prox kernel; wrap any other phi in CustomPhi
+        class Duck:
+            def prox(self, gamma, xi):
+                return xi
+
+            def subdiff(self, s):
+                return (0.0, 0.0)
+
+        with pytest.raises(ConfigurationError, match="IntervalProx phi"):
+            IntervalProx(Duck())
+
 
 class TestSeparableLift:
     def test_single_commodity_reduces_to_scalar(self):
@@ -405,7 +417,15 @@ class TestOperatorSet:
             scalar_resolvent(spec, 0.0, 1.0)
 
 
-IDENTITY = CustomPhi(lambda gamma, xi: xi, lambda s: (0.0, 0.0))
+PROX_FN_CALLS = []
+
+
+def recorded_identity(gamma, xi):
+    PROX_FN_CALLS.append((gamma, xi))
+    return xi
+
+
+IDENTITY = CustomPhi(recorded_identity, lambda s: (0.0, 0.0))
 SIZE1_CALLS = {
     "bpr": lambda g: BPR(1.0, 1.0, 1.0, 4.0).resolvent(g, 3.0),
     "log": lambda g: Logarithmic(5.0, 1.0).resolvent(g, 3.0),
@@ -418,6 +438,7 @@ SIZE1_CALLS = {
     "affine": lambda g: AffinePhi(1.0).prox(g, 3.0),
     "quadratic": lambda g: QuadraticPhi(1.0).prox(g, 3.0),
     "power": lambda g: PowerPhi(1.5).prox(g, 3.0),
+    "custom": lambda g: IDENTITY.prox(g, 3.0),
     "scalar_resolvent": lambda g: scalar_resolvent(TRC(1.0, 1.0, 1.0, 1.0), g, 3.0),
     "lift": lambda g: SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)).resolvent(g, [1.0, 2.0]),
 }
@@ -427,8 +448,10 @@ SIZE1_CALLS = {
 @pytest.mark.parametrize("call", SIZE1_CALLS.values(), ids=SIZE1_CALLS.keys())
 def test_every_size1_resolvent_requires_a_finite_positive_gamma(call, gamma):
     # the rule step_parameters applies; a bad gamma gave a silent wrong number
+    PROX_FN_CALLS.clear()
     with pytest.raises(ConfigurationError, match="finite and positive"):
         call(gamma)
+    assert PROX_FN_CALLS == []  # a user prox never sees the bad gamma
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +461,14 @@ def test_every_size1_resolvent_requires_a_finite_positive_gamma(call, gamma):
 
 
 def regime_draws(family, rng, n=600):
-    """(spec, gamma, xi) draws for one family, mixing the branches of its kernel."""
+    """(spec, gamma, xi) draws for one family, mixing the branches of its kernel.
+
+    "bpr-all-live" keeps every BPR draw on the root branch (c > 0),
+    "bpr-none-live" keeps every one off it (c <= 0), and "bpr-empty" has none.
+    """
     out = []
+    if family == "bpr-empty":
+        n = 0
     for i in range(n):
         if family in DRAWS:
             spec, gamma, xi = DRAWS[family](rng)
@@ -463,6 +492,12 @@ def regime_draws(family, rng, n=600):
             phi = CustomPhi(lambda g, x: x / (1.0 + g), lambda s: (s, s))
             spec = IntervalProx(phi, lo=rng.uniform(-5.0, 0.0))
             gamma, xi = 10.0 ** rng.uniform(-2, 1), rng.uniform(-40.0, 40.0)
+        elif family == "bpr-all-live":
+            spec, gamma, _ = draw_bpr(rng)
+            xi = gamma * spec.theta + rng.uniform(1e-3, 40.0)
+        elif family == "bpr-none-live":
+            spec, gamma, _ = draw_bpr(rng)
+            xi = gamma * spec.theta - (0.0 if i % 5 == 0 else rng.uniform(1e-3, 40.0))
         out.append((spec, gamma, xi))
     return out
 
@@ -487,14 +522,18 @@ def batch_resolvent(items, start=None):
 
 
 BATCH_FAMILIES = ["bpr", "log", "trc", "powerexp", "prox", "custom"]
+BPR_BATCHES = ["bpr-all-live", "bpr-none-live", "bpr-empty"]
 
 
-@pytest.mark.parametrize("family", BATCH_FAMILIES)
+@pytest.mark.parametrize("family", BATCH_FAMILIES + BPR_BATCHES)
 def test_batch_matches_size1_calls_bitwise(family):
-    rng = np.random.default_rng(BATCH_FAMILIES.index(family) + 100)
+    rng = np.random.default_rng((BATCH_FAMILIES + BPR_BATCHES).index(family) + 100)
     items = regime_draws(family, rng)
     single = np.array([spec.resolvent(gamma, xi) for spec, gamma, xi in items])
     assert np.array_equal(batch_resolvent(items), single)
+    if not items:  # batch_resolvent calls no kernel for an empty batch; call BPR's
+        kernel, params = BPR(1.0, 1.0, 1.0, 4.0).family()
+        assert kernel(*[np.empty(0)] * (2 + len(params))).shape == (0,)
     # an element's result does not depend on which elements share its batch
     order = rng.permutation(len(items))
     cut = len(items) // 3
@@ -502,6 +541,13 @@ def test_batch_matches_size1_calls_bitwise(family):
     for part in (order[:cut], order[cut:]):
         shuffled[part] = batch_resolvent([items[i] for i in part])
     assert np.array_equal(shuffled, single)
+
+
+@pytest.mark.parametrize("family", BATCH_FAMILIES)
+def test_a_kernel_without_a_start_is_the_all_nan_start_bitwise(family):
+    # nan is the one cold start; a start of None only spells it
+    items = regime_draws(family, np.random.default_rng(BATCH_FAMILIES.index(family) + 400))
+    assert np.array_equal(batch_resolvent(items), batch_resolvent(items, np.full(len(items), np.nan)))
 
 
 @pytest.mark.parametrize("family", sorted(DRAWS))

@@ -191,11 +191,18 @@ class TestConfig:
             (lambda n: 1.0, 0.5),
             (lambda n: 1.0, "0.5", 1.0),
             (lambda n: 1.0, 0.5, 1.5),  # a schedule (fn, inf, sup): the relaxation is a number
+            True,  # a bool is not a relaxation, as it is not an iteration count
         ],
     )
     def test_relaxation_of_the_wrong_type_rejected(self, relaxation):
         with pytest.raises(ConfigurationError, match="relaxation"):
             SolverConfig(relaxation=relaxation)
+
+    @pytest.mark.parametrize("scheduler", ["full", None, Full, 0])
+    def test_a_scheduler_that_is_not_a_spec_is_rejected_at_construction(self, scheduler):
+        # not first inside run, when make_scheduler meets it
+        with pytest.raises(ConfigurationError, match="unknown scheduler spec"):
+            SolverConfig(scheduler=scheduler)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6, "1e-6", None])
     def test_tol_must_be_finite_and_positive(self, tol):

@@ -2,9 +2,13 @@
 
 import ast
 import fnmatch
+import inspect
 import pathlib
+import types
 
 import pytest
+
+from netequil import operators
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "netequil"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -91,3 +95,26 @@ def test_library_modules_print_nothing(path):
 )
 def test_print_rule_flags(line):
     assert print_calls(line)
+
+
+def kernel_solves_with_a_start_default(module):
+    """The names of the `_Kernel` objects in `module` whose solve gives `start` a default."""
+    return [
+        name
+        for name, value in vars(module).items()
+        if isinstance(value, module._Kernel)
+        and inspect.signature(value.solve).parameters["start"].default is not inspect.Parameter.empty
+    ]
+
+
+def test_every_kernel_solve_requires_its_start():
+    # nan is the one cold start: only the public entry points spell it start=None
+    kernels = [v for v in vars(operators).values() if isinstance(v, operators._Kernel)]
+    assert len(kernels) == 7
+    assert kernel_solves_with_a_start_default(operators) == []
+
+
+def test_kernel_start_rule_flags():
+    module = types.SimpleNamespace(_Kernel=operators._Kernel)
+    module.k = operators._Kernel(None, lambda xi, c, start=None: xi)
+    assert kernel_solves_with_a_start_default(module) == ["k"]
