@@ -42,10 +42,11 @@ log k, Lambert's log(gamma*theta*a), TRC's quadratic coefficients, the
 prox kernels' gamma products), and ``kernel.solve(xi, *consts, start)``
 does the work that depends on xi.  Calling ``kernel(gamma, xi, *params)``
 runs both; ``spec.family()`` names a spec's kernel and its parameters,
-and ``spec.resolvent`` and ``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by kernel;
-``OperatorSet.bind(gamma)`` prepares every group once for per-arc step
-parameters, and ``capacity_resolvent`` then solves each group in one call,
-gathering the constants of the listed arcs on a partial sweep.  BPR runs
+and ``spec.resolvent`` and ``phi.prox`` are the size-1 call.  An
+``OperatorSet`` groups its arcs by kernel; ``OperatorSet.bind(gamma)``
+prepares every group once for per-arc step parameters, and
+``capacity_resolvent`` then solves each group in one call, gathering the
+constants of the listed arcs on a partial sweep.  BPR runs
 Newton on log s, which decreases monotonically to the root from an upper
 bound, so it needs no bracket and no bisection (see ``_bpr_solve``).
 Logarithmic and PowerExp share one kernel, whose parameters say which
@@ -511,10 +512,7 @@ class PowerPhi(_Phi):
 
 @dataclass(frozen=True)
 class CustomPhi(_Phi):
-    """Escape hatch: user-supplied scalar prox and subdifferential, both required.
-
-    Its kernel calls prox_fn(gamma, xi) once per element.
-    """
+    """Escape hatch: user-supplied scalar prox and subdifferential, both required."""
 
     prox_fn: Callable[[float, float], float]
     subdiff_fn: Callable[[float], Optional[tuple]]
