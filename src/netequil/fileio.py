@@ -62,7 +62,9 @@ commodities, ``bad-scheduler`` for an unknown scheduler, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
 parameters and supplies, [solver] settings that `solver.SolverConfig`,
 `solver.step_parameters` or `solver.make_scheduler` reject on the parsed
-network, and a ``seed`` without a random sweep.
+network, a ``seed`` without a random sweep, and supplies of a commodity
+that do not sum to zero over a weakly connected component
+(``operators.OperatorSet``), reported in the [supplies] section.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
@@ -553,8 +555,8 @@ def parse_problem(source):
     try:
         network = Network(nodes, arc_pairs, commodities)
         operators = OperatorSet(network, arc_ops, supplies.values())
-    except ConfigurationError as exc:  # pragma: no cover - guarded above
-        raise ProblemFormatError("param-range", str(exc)) from None
+    except ConfigurationError as exc:  # unbalanced supplies; the rest is guarded above
+        raise ProblemFormatError("param-range", str(exc), section="supplies") from None
     config = _parse_solver_section(sections.get("solver", ()), network)
     return Problem(network, tuple(arc_ids), operators, config)
 

@@ -99,21 +99,6 @@ class Network:
         except KeyError:
             raise ConfigurationError(f"unknown node {node!r}") from None
 
-    def incidence(self, node, arc):
-        """Incidence coefficient of `node` on arc index `arc`.
-
-        +1 if the node is the arc's initial node, -1 if its terminal
-        node, 0 otherwise.
-        """
-        i = self.node_index(node)
-        if not 0 <= arc < self.n_arcs:
-            raise ConfigurationError(f"unknown arc index {arc!r}")
-        if self.tails[arc] == i:
-            return 1
-        if self.heads[arc] == i:
-            return -1
-        return 0
-
     # ----- array factories and shape checks -------------------------------
 
     def zero_flow(self):

@@ -632,9 +632,6 @@ class Box:
         """All of R^C (no constraint)."""
         return Box((-math.inf,) * n_commodities, (math.inf,) * n_commodities)
 
-    def project(self, x):
-        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
-
 
 @dataclass(frozen=True)
 class ArcOperator:
@@ -656,13 +653,38 @@ class FixedSupply:
         object.__setattr__(self, "supply", supply)
 
 
+BALANCE_TOL = 1e-12
+
+
+def _component_roots(network):
+    """Per node, the least node index in its weakly connected component.
+
+    Each pass hooks the larger of the two labels an arc joins onto the
+    smaller, then follows every label to its root; labels are always
+    roots at the top of the loop, so it stops once no arc joins two.
+    """
+    label = np.arange(network.n_nodes)
+    while True:
+        lt, lh = label[network.tails], label[network.heads]
+        if np.array_equal(lt, lh):
+            return label
+        np.minimum.at(label, np.maximum(lt, lh), np.minimum(lt, lh))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
 class OperatorSet:
     """Per-arc and per-node operator specs bound to one network.
 
     Stacks the box bounds into (n_arcs, C) arrays and the supplies into an
     (n_nodes, C) array, and groups the arcs by capacity family with each
     family's parameters as per-arc arrays, so the solver can evaluate
-    whole blocks at once.
+    whole blocks at once.  The supplies of each commodity must balance on
+    every weakly connected component, since a flow moves supply only
+    along arcs: a component and commodity whose |sum of supplies| exceeds
+    BALANCE_TOL times its sum of |supplies| raises, naming the commodity
+    and a node of the component.
     """
 
     def __init__(self, network, arc_operators, node_operators):
@@ -702,6 +724,7 @@ class OperatorSet:
         self.box_lo = _stack((op.r.lo for op in arc_operators), n_arcs, n_comm)
         self.box_hi = _stack((op.r.hi for op in arc_operators), n_arcs, n_comm)
         self.supplies = _stack((op.supply for op in node_operators), len(node_operators), n_comm)
+        self._check_balance()
 
         # (kernel, arc indices, per-arc parameter arrays) per family
         self.families = tuple(
@@ -713,6 +736,21 @@ class OperatorSet:
         for f, (_, arcs, _) in enumerate(self.families):
             self._arc_family[arcs] = f
             self._arc_member[arcs] = np.arange(arcs.size)
+
+    def _check_balance(self):
+        net = self.network
+        n_comm = net.n_commodities
+        slots = (_component_roots(net)[:, None] * n_comm + np.arange(n_comm)).ravel()
+        size = net.n_nodes * n_comm
+        net_supply = np.bincount(slots, self.supplies.ravel(), size)
+        scale = np.bincount(slots, np.abs(self.supplies).ravel(), size)
+        unbalanced = (np.abs(net_supply) > BALANCE_TOL * scale).nonzero()[0]
+        if unbalanced.size:
+            root, c = divmod(int(unbalanced[0]), n_comm)
+            raise ConfigurationError(
+                f"commodity {net.commodities[c]!r}: supplies sum to {float(net_supply[unbalanced[0]])!r}, "
+                f"not 0, over the nodes connected to {net.nodes[root]!r}"
+            )
 
     def bind(self, gamma):
         """The family kernels' constants at the per-arc step parameters gamma.

@@ -75,6 +75,28 @@ def random_network(rng, max_nodes=20, max_arcs=60, max_comm=4):
     return Network(range(n_nodes), pairs, n_comm)
 
 
+def weak_components(net):
+    """Node index lists of the weakly connected components of `net`, each in
+    ascending order, found by a breadth-first search over the arc list."""
+    neighbours = [[] for _ in range(net.n_nodes)]
+    for t, h in zip(net.tails.tolist(), net.heads.tolist()):
+        neighbours[t].append(h)
+        neighbours[h].append(t)
+    seen, components = set(), []
+    for start in range(net.n_nodes):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        for i in members:  # the list grows while it is read
+            for m in neighbours[i]:
+                if m not in seen:
+                    seen.add(m)
+                    members.append(m)
+        components.append(sorted(members))
+    return components
+
+
 def grid_instance(k, n_comm, seed):
     """k x k grid, a BPR (p = 4) arc each way along every edge, and demand 4
     per commodity from one corner to the opposite one."""

@@ -118,15 +118,26 @@ class TestSolve:
         assert main(["solve", "/nonexistent/file.prob", "--quiet"]) == 1
 
     def test_numerical_failure_exit_code(self, two_arc_path, tmp_path):
-        text = open(two_arc_path).read().replace("a  3", "a  1e308")
+        text = open(two_arc_path).read().replace("a  3", "a  1e308").replace("b  -3", "b  -1e308")
         poisoned = tmp_path / "poisoned.prob"
         poisoned.write_text(text)
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
 
+    def test_unbalanced_supplies_exit_1_at_parse_naming_the_commodity(self, two_arc_path, tmp_path, capsys):
+        # not 2 at the iteration limit, with nothing to say why
+        text = open(two_arc_path).read().replace("b  -3", "b  -2")
+        unbalanced = tmp_path / "unbalanced.prob"
+        unbalanced.write_text(text)
+        out = tmp_path / "s.sol"
+        assert main(["solve", str(unbalanced), "--out", str(out), "--max-iter", "2000"]) == 1
+        err = capsys.readouterr().err
+        assert "[param-range] commodity 'freight': supplies sum to 1.0" in err
+        assert not out.exists()
+
     def test_numerical_failure_raises_no_warning(self, two_arc_path, tmp_path):
         # the final residual of a run that overflowed is computed with warnings off
-        text = open(two_arc_path).read().replace("a  3", "a  1e308")
+        text = open(two_arc_path).read().replace("a  3", "a  1e308").replace("b  -3", "b  -1e308")
         poisoned = tmp_path / "poisoned.prob"
         poisoned.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
@@ -184,9 +195,11 @@ class TestSolve:
         # solve makes keeps iterating until both pass or --max-iter is spent
         prob = scaled_two_arc(two_arc_path, tmp_path, 100)
         out = str(tmp_path / "s.sol")
-        code = main(["solve", prob, "--out", out, "--max-iter", "1000", "--quiet"])
+        assert main(["solve", prob, "--out", out, "--quiet"]) == 0
+        budget = parse_solution(out, parse_problem(prob)).iterations - 1
+        code = main(["solve", prob, "--out", out, "--max-iter", str(budget), "--quiet"])
         assert code == 2
-        assert parse_solution(out, parse_problem(prob)).iterations <= 1000
+        assert parse_solution(out, parse_problem(prob)).iterations <= budget
 
     def test_scaled_two_arc_solve_then_check_passes(self, two_arc_path, tmp_path):
         # costs x100 and x1e3, within the file's own max_iter: a separator

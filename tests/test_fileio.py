@@ -193,9 +193,18 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert parse_problem(text) == problem
 
     def test_supply_defaults_to_zero(self):
-        text = MINIMAL.replace("a 1\nb -1\n", "a 1\n")
+        # c has no supply line; a and b keep theirs, so the supplies still balance
+        text = MINIMAL.replace("b\n[arcs]", "b\nc\n[arcs]").replace(
+            "[supplies]", "e2 b c q=bpr(alpha=1,rho=1,theta=1,p=1) r=orthant\n[supplies]"
+        )
         problem = parse_problem(text)
-        assert problem.operators.supplies[1, 0] == 0.0
+        assert problem.operators.supplies[2, 0] == 0.0
+
+    @pytest.mark.parametrize("rows", ["a 1\n", "a 1\nb -2\n"])
+    def test_unbalanced_supplies_are_param_range_naming_the_commodity(self, rows):
+        err = expect_code(MINIMAL.replace("a 1\nb -1\n", rows), "param-range")
+        assert err.section == "supplies"
+        assert "commodity 'c1'" in str(err) and "'a'" in str(err)
 
     def test_repeated_supply_line_rejected(self):
         err = expect_code(MINIMAL.replace("a 1\n", "a 3\na 5\n"), "duplicate-id")
@@ -314,7 +323,8 @@ class TestRoundTrip:
         assert serialize_problem(first) == serialize_problem(second)
 
     def test_round_trip_preserves_awkward_floats(self):
-        text = MINIMAL.replace("theta=1", "theta=0.1").replace("a 1", "a 0.30000000000000004")
+        awkward = "a 0.30000000000000004\nb -0.30000000000000004"
+        text = MINIMAL.replace("theta=1", "theta=0.1").replace("a 1\nb -1", awkward)
         first = parse_problem(text)
         second = parse_problem(serialize_problem(first))
         assert first == second

@@ -32,26 +32,36 @@ class TestConstruction:
         assert Network(["a", "b"], [("a", "b")], 3).commodities == (0, 1, 2)
 
 
+def unit_flow(net, arc):
+    """One unit of every commodity on arc index `arc`, nothing elsewhere."""
+    x = net.zero_flow()
+    x[arc] = 1.0
+    return x
+
+
 class TestIncidence:
+    # the incidence coefficient of node i on arc j is div_i of a unit flow on j
     def test_tail_head_and_off_arc(self):
         net = single_arc_net()
-        assert net.incidence("a", 0) == 1
-        assert net.incidence("b", 0) == -1
-        assert net.incidence("c", 0) == 0
+        div = net.divergence(unit_flow(net, 0))[:, 0]
+        assert div[net.node_index("a")] == 1
+        assert div[net.node_index("b")] == -1
+        assert div[net.node_index("c")] == 0
 
     def test_unknown_ids_are_domain_errors(self):
         net = single_arc_net()
         with pytest.raises(ConfigurationError, match="unknown node"):
-            net.incidence("z", 0)
-        with pytest.raises(ConfigurationError, match="unknown arc"):
-            net.incidence("a", 5)
+            net.node_index("z")
+        with pytest.raises(ConfigurationError, match="flow shape"):
+            net.divergence(np.zeros((6, 1)))  # a flow that names an arc 5
 
     def test_exactly_one_plus_and_one_minus_per_arc(self):
         rng = np.random.default_rng(3)
         net = random_network(rng)
         for j in range(net.n_arcs):
-            values = [net.incidence(i, j) for i in net.nodes]
-            assert sorted(v for v in values if v != 0) == [-1, 1]
+            values = net.divergence(unit_flow(net, j))
+            for column in values.T:
+                assert sorted(v for v in column if v != 0) == [-1, 1]
 
 
 class TestDivergence:
@@ -78,10 +88,12 @@ class TestDivergence:
         rng = np.random.default_rng(6)
         net = random_network(rng, max_nodes=6, max_arcs=12)
         x = rng.standard_normal((net.n_arcs, net.n_commodities))
+        # +1 where the node is the arc's tail, -1 where it is its head
+        eps = [[(i == t) - (i == h) for t, h in net.arcs] for i in net.nodes]
         via_eps = np.array(
             [
-                sum(net.incidence(i, j) * x[j] for j in range(net.n_arcs))
-                for i in net.nodes
+                sum(eps[i][j] * x[j] for j in range(net.n_arcs))
+                for i in range(net.n_nodes)
             ]
         )
         np.testing.assert_allclose(net.divergence(x), via_eps, atol=1e-12)

@@ -35,7 +35,7 @@ from netequil import (
 )
 
 from netequil import lambertw, operators
-from conftest import random_network
+from conftest import random_network, weak_components
 
 # ---------------------------------------------------------------------------
 # random draws per family; the evaluation point is kept inside the window
@@ -331,23 +331,36 @@ class TestSeparableLift:
             assert lhs <= rhs + 1e-10
 
 
+def box_projection(box, x):
+    """The solver's projection of x onto `box`: r of a one-arc step at
+    x* = 0 and mu = 1, from the box rows the OperatorSet holds."""
+    n_comm = len(box.lo)
+    net = Network(["a", "b"], [("a", "b")], n_comm)
+    arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), box)
+    ops = OperatorSet(net, [arc], [FixedSupply((0.0,) * n_comm)] * 2)
+    assert ops.box_lo.tolist() == [list(box.lo)] and ops.box_hi.tolist() == [list(box.hi)]
+    state, ws = initial_state(net, x=np.array([x], dtype=float)), new_workspace(net)
+    step(net, ops, SolverConfig(mu=1.0), state, ws)
+    return ws.r[0]
+
+
 class TestBoxAndSupply:
     def test_points_inside_are_fixed(self):
         box = Box((-1.0, 0.0), (1.0, 2.0))
         x = np.array([0.5, 1.0])
-        assert np.array_equal(box.project(x), x)
+        assert np.array_equal(box_projection(box, x), x)
 
     def test_orthant_clamp(self):
         box = Box.orthant(2)
-        np.testing.assert_array_equal(box.project(np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(box_projection(box, np.array([-1.0, 2.0])), [0.0, 2.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(53)
         box = Box((-2.0, 0.0, -math.inf), (0.5, 1.0, math.inf))
         for _ in range(100):
             x = rng.standard_normal(3) * 5
-            once = box.project(x)
-            assert np.array_equal(box.project(once), once)
+            once = box_projection(box, x)
+            assert np.array_equal(box_projection(box, once), once)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="lo <= hi"):
@@ -383,10 +396,10 @@ class TestBoxAndSupply:
 
     def test_operator_set_holds_each_supply_exactly(self):
         # the solver reads a node block's resolvent, its constant supply, from here
-        supplies = [(2.0, -1.0), (0.0, 0.0), (0.1, -0.30000000000000004)]
-        net = Network(["a", "b", "c"], [("a", "b"), ("b", "c")], 2)
+        supplies = [(2.0, -1.0), (0.0, 0.0), (0.1, -0.30000000000000004), (-2.1, 1.3)]
+        net = Network(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")], 2)
         arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(2))
-        ops = OperatorSet(net, [arc, arc], [FixedSupply(s) for s in supplies])
+        ops = OperatorSet(net, [arc] * 3, [FixedSupply(s) for s in supplies])
         assert ops.supplies.dtype == np.float64
         assert ops.supplies.tolist() == [list(s) for s in supplies]
 
@@ -410,6 +423,47 @@ class TestOperatorSet:
                 [ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(1))],
                 [FixedSupply((0.0, 0.0))] * 2,
             )
+
+    @staticmethod
+    def trc_operators(net, supply):
+        arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(net.n_commodities))
+        return OperatorSet(net, [arc] * net.n_arcs, [FixedSupply(tuple(row)) for row in supply])
+
+    def test_supplies_that_balance_only_across_components_are_rejected(self):
+        # a -> b and c -> d: the +1 at a can reach b only, the -1 at d comes from c only
+        net = Network("abcd", [("a", "b"), ("c", "d")], 1)
+        message = r"commodity 0: supplies sum to 1\.0, not 0, over the nodes connected to 'a'"
+        with pytest.raises(ConfigurationError, match=message):
+            self.trc_operators(net, [[1.0], [0.0], [0.0], [-1.0]])
+        self.trc_operators(net, [[1.0], [-1.0], [2.0], [-2.0]])  # each component balances
+
+    def test_a_node_without_arcs_must_have_zero_supply(self):
+        net = Network(["a", "b", "idle"], [("a", "b")], ["car", "truck"])
+        with pytest.raises(ConfigurationError, match="commodity 'truck'.*connected to 'idle'"):
+            self.trc_operators(net, [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
+
+    def test_balance_allows_rounding(self):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17, not 0
+        net = Network("abc", [("a", "b"), ("b", "c")], 1)
+        ops = self.trc_operators(net, [[0.1], [0.2], [-0.3]])
+        assert ops.supplies.sum() != 0.0
+
+    def test_each_unbalanced_component_and_commodity_is_named(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            net = random_network(rng, max_nodes=12, max_arcs=10, max_comm=3)
+            supply = rng.uniform(-2.0, 2.0, (net.n_nodes, net.n_commodities))
+            components = weak_components(net)
+            for members in components:
+                supply[members[-1]] -= supply[members].sum(axis=0)
+            self.trc_operators(net, supply)
+            members = components[rng.integers(len(components))]
+            c = int(rng.integers(net.n_commodities))
+            supply[members[rng.integers(len(members))], c] += 0.25
+            with pytest.raises(ConfigurationError) as err:
+                self.trc_operators(net, supply)
+            assert str(err.value).startswith(f"commodity {c}: ")
+            assert str(err.value).endswith(f"connected to {members[0]}")
 
     def test_gamma_must_be_positive(self):
         spec = TRC(1.0, 1.0, 1.0, 1.0)

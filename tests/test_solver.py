@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ from netequil.operators import (
     SeparableLift,
 )
 
-from conftest import bpr_operators, grid_instance, random_network
+from conftest import bpr_operators, grid_instance, random_network, weak_components
 
 
 def solved_state(net, inst):
@@ -265,7 +266,7 @@ class TestConfig:
         assert degree == [4, 3, 2, 1, 0]
         assert np.array_equal(gamma, np.full(5, 0.5))
         assert np.array_equal(mu, np.ones(5))
-        assert np.array_equal(sigma, [2.0, 1.5, 1.0, 0.5, 0.5])
+        assert np.array_equal(sigma, [8.0, 4.5, 2.0, 0.5, 0.5])
 
     def test_explicit_step_parameters_are_honoured(self, braess):
         net, ops, _ = braess
@@ -627,7 +628,8 @@ def mixed_multicommodity_instance(seed):
         for j in range(net.n_arcs)
     ]
     supply = rng.uniform(-2.0, 2.0, (net.n_nodes, n_comm))
-    supply[-1] -= supply.sum(axis=0)
+    for members in weak_components(net):
+        supply[members[-1]] -= supply[members].sum(axis=0)
     return net, OperatorSet(net, arcs, [FixedSupply(tuple(row)) for row in supply])
 
 
@@ -976,6 +978,32 @@ def test_round_robin_on_a_small_grid_converges_within_1500_iterations():
     assert reason is Termination.CONVERGED
     assert all(rec.active_nodes == net.n_nodes for rec in trace)
     assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
+
+
+PROBLEM_DIR = pathlib.Path(__file__).resolve().parent.parent / "problems"
+DEGREE_CASES = {
+    "two_arc": lambda: parse_problem(PROBLEM_DIR / "two_arc.prob"),
+    "braess": lambda: parse_problem(PROBLEM_DIR / "braess.prob"),
+    "grid3": lambda: grid_instance(3, 1, 0),
+    "grid4": lambda: grid_instance(4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGREE_CASES))
+def test_derived_sigma_takes_no_more_iterations_than_half_the_degree(case):
+    # sigma_i = max(deg(i), 1)^2 / 2 against the diagonal of K diag(gamma) K^T,
+    # max(deg(i), 1) / 2: 30 against 40 iterations on two-arc, 70 against 70 on
+    # Braess, 340 against 440 and 2,830 against 4,230 on the grids; Full only,
+    # since random sweep counts move with last-bit changes
+    made = DEGREE_CASES[case]()
+    net, ops = (made.network, made.operators) if isinstance(made, Problem) else made
+    degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
+    counts = []
+    for sigma in (None, np.maximum(degree, 1) / 2.0):
+        state, _, reason = run(net, ops, SolverConfig(sigma=sigma, tol=1e-6, max_iter=20_000))
+        assert reason is Termination.CONVERGED
+        counts.append(state.n)
+    assert counts[0] <= counts[1]
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
