@@ -980,10 +980,14 @@ def test_round_robin_on_a_small_grid_converges_within_1500_iterations():
     assert wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
 
 
-PROBLEM_DIR = pathlib.Path(__file__).resolve().parent.parent / "problems"
+def problem_file(name):
+    problem = parse_problem(pathlib.Path(__file__).resolve().parent.parent / "problems" / name)
+    return problem.network, problem.operators
+
+
 DEGREE_CASES = {
-    "two_arc": lambda: parse_problem(PROBLEM_DIR / "two_arc.prob"),
-    "braess": lambda: parse_problem(PROBLEM_DIR / "braess.prob"),
+    "two_arc": lambda: problem_file("two_arc.prob"),
+    "braess": lambda: problem_file("braess.prob"),
     "grid3": lambda: grid_instance(3, 1, 0),
     "grid4": lambda: grid_instance(4, 2, 3),
 }
@@ -995,8 +999,7 @@ def test_derived_sigma_takes_no_more_iterations_than_half_the_degree(case):
     # max(deg(i), 1) / 2: 30 against 40 iterations on two-arc, 70 against 70 on
     # Braess, 340 against 440 and 2,830 against 4,230 on the grids; Full only,
     # since random sweep counts move with last-bit changes
-    made = DEGREE_CASES[case]()
-    net, ops = (made.network, made.operators) if isinstance(made, Problem) else made
+    net, ops = DEGREE_CASES[case]()
     degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
     counts = []
     for sigma in (None, np.maximum(degree, 1) / 2.0):
