@@ -12,14 +12,21 @@ exactly 1 for x >= 0, allows for the ill-conditioning of W near -1/e.
 ``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
 exp(z) would overflow it instead solves w + log(w) = z by Newton
 iteration; the capacity resolvents route through it so that transiently
-huge arguments inside the solver loop stay finite.  Halley and Newton
-raise NumericalFailure rather than return an element they have not
-converged in _MAX_ITER passes, and so does a nan or +inf z.  A `start`
-(say, the W an element had at its previous evaluation) replaces
-Winitzki's approximation as Halley's starting point where it lies within
-_WARM_SPAN (5%) of it; a start farther away is ignored, and a nan start
-is a cold start, from Winitzki's approximation.  `start` None is the
-all-nan start.
+huge arguments inside the solver loop stay finite.  Below that switch
+x = exp(z) >= 0, so Halley stops from its cubic rate: at the first step
+of at most _DELTA * w with _DELTA = 1e-7, which leaves an error below
+half an ulp for every W it meets there (the derivation is in
+``_halley``), a pass earlier than the 1e-15 test would.  Halley and
+Newton raise NumericalFailure rather than return an element they have
+not converged in _MAX_ITER passes, and so does a nan or +inf z.  A
+`start` (say, the W an element had at its previous evaluation) is
+Halley's starting point in place of Winitzki's approximation wherever
+|w + log(w) - z| <= _WARM_SPAN (2), that is, wherever w*exp(w) lies
+within a factor exp(2) of exp(z).  Any other start, nan, inf, <= 0 or
+far from the root (10 times it or a tenth, say), is a cold start, from
+Winitzki's approximation, so it returns the cold result bitwise; and
+Winitzki's approximation is evaluated only for those elements.  `start`
+None is the all-nan start.
 
 Both functions take a float or an array and work elementwise.  Halley
 iterates the whole array and freezes each element under a mask at the
@@ -41,9 +48,12 @@ _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50
 _EPS = np.finfo(float).eps
 _RESIDUAL_ULPS = 4.0
-# Winitzki is within 2% of W for x >= 0, so a start farther than this from
-# it is no better; Halley from far off moves w by only about 2 per pass
-_WARM_SPAN = 0.05
+# Halley's stop test for x >= 0: a step of at most _DELTA * w leaves an
+# error below half an ulp of w (see _halley)
+_DELTA = 1e-7
+# a start w is used where |w + log(w) - z| is at most this (see _start);
+# from farther off Halley moves w by only about 2 per pass
+_WARM_SPAN = 2.0
 
 
 def _as_batch(x):
@@ -60,38 +70,85 @@ def _winitzki(x):
     return log_x1 * (1.0 - np.log1p(log_x1) / (2.0 + log_x1))
 
 
-def _start(x, warm):
-    """Halley's starting points for W(x), x >= 0: `warm` where it is near Winitzki's."""
-    w = _winitzki(x)
-    return np.where(np.abs(warm - w) <= _WARM_SPAN * w, warm, w)
+def _start(z, x, start):
+    """Halley's starting points for W(x), x = exp(z) <= exp(_EXP_SWITCH).
+
+    An element takes its `start` where that passes one test,
+    |w + log(w) - z| <= _WARM_SPAN (2): w*exp(w) lies within a factor
+    exp(2) of x, that is, the first Newton step on w + log(w) = z moves w
+    by at most 2*w/(1 + w).  Every other element is a cold start, from
+    Winitzki's approximation: nan, inf, zero and negative starts fail the
+    test, and so does every start 10 times or a tenth of the root
+    (|w + log(w) - z| > log(10) for those), from which Halley moves w by
+    only about 2 per pass.  So a start that fails returns the cold result
+    bitwise, and Winitzki's approximation is evaluated only for the
+    elements that fail.  From starts at the edges of the test, with
+    |w + log(w) - z| = 2, Halley took at most 4 passes over a fine grid of
+    z.  `start` None is the all-nan start.
+    """
+    if start is None:
+        return _winitzki(x)
+    near = np.abs(start + np.log(start) - z) <= _WARM_SPAN
+    if np.count_nonzero(near) == near.size:
+        return start
+    far = ~near
+    w = start.copy()
+    w[far] = _winitzki(x[far])
+    return w
 
 
-def _halley(x, w):
+def _halley(x, w, positive=False):
     """Refine starting points w toward W(x) elementwise, for x > -1/e.
 
-    An element stops at the first pass whose step is at most
-    1e-15 * (1 + |w|) / min(1, |1 + w|).  Near the branch point a rounding
-    error in the residual moves w by about eps / |1 + w|, so an unscaled
-    test would keep stepping on rounding noise.  A stopped element is
+    Each pass takes the Halley step dw = f / (f' - f * f'' / (2 * f')) of
+    f(w) = w*exp(w) - x, and an element stops at the first pass whose step
+    passes the stop test; that step is applied.  A stopped element is
     frozen under a mask: later passes still compute its step but no longer
-    apply it.  An element still running after _MAX_ITER passes is accepted
-    if its residual |w*exp(w) - x| is at rounding level,
+    apply it, so its result does not depend on the other elements.
+
+    For ``lambert_w`` the test is |dw| <= 1e-15 * (1 + |w|) / min(1, |1 + w|).
+    Near the branch point a rounding error in the residual moves w by about
+    eps / |1 + w|, so an unscaled test would keep stepping on rounding
+    noise; and there Halley's error constant grows like 1/|1 + w|**2, so a
+    looser test would not be safe.
+
+    With `positive`, for ``lambert_w_exp``, every x >= 0, so W >= 0 and the
+    divisor is 1.  The test is then |dw| <= _DELTA * w, from Halley's cubic
+    rate: a step from an error e leaves the error K * e**3 with
+    K = (w**2 + 4*w + 6) / (12 * (1 + w)**2), and 1/12 < K <= 1/2 for
+    w >= 0, while the step itself is e to within K * e**3.  A step of at
+    most _DELTA * w therefore leaves a relative error of at most
+    K * _DELTA**3 * w**2, and half an ulp of w is at least eps/4 of w.
+    K * w**2 grows with w, and W(exp(z)) < 480 below the _EXP_SWITCH where
+    this path ends; at w = 480 and _DELTA = 1e-7 the bound is 0.35 of
+    eps/4.  The test is relative to w because the rounding of a step is
+    about eps * |dw|: an absolute test would accept steps large against a
+    small w, whose rounding alone moves its last bits.  The 1e-15 test
+    accepts one pass later, a pass that moves w by rounding noise.
+
+    An element still running after _MAX_ITER passes is accepted if its
+    residual |w*exp(w) - x| is at rounding level,
     _RESIDUAL_ULPS * eps * |x| * (1 + |w|) (a half-ulp error in w moves
     w*exp(w) by about eps * |x| * |1 + w| / 2), and otherwise raises
-    NumericalFailure.  `w` is refined in place and returned.
+    NumericalFailure.  Returns the refined w; the array `w` is left as it is.
     """
     if not x.size:
         return w
-    active = np.ones(x.size, dtype=bool)
-    for _ in range(_MAX_ITER):
+    for k in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         t = w - dw
-        done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(t)) / np.minimum(1.0, np.abs(t + 1.0))
-        np.copyto(w, t, where=active)
-        active &= ~done
+        if positive:
+            done = np.abs(dw) <= _DELTA * t
+        else:
+            done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(t)) / np.minimum(1.0, np.abs(t + 1.0))
+        if k:
+            np.copyto(w, t, where=active)
+            active &= ~done
+        else:  # every element takes the first step
+            w, active = t, ~done
         if not np.count_nonzero(active):
             return w
     rest = active.nonzero()[0]
@@ -107,12 +164,14 @@ def _halley(x, w):
 def lambert_w(x):
     """Principal branch W(x), defined for x >= -1/e; W(x) >= -1.
 
-    Raises ValueError below the branch point (a couple of ulp of slack
-    absorbs rounding in arguments meant to sit exactly on it).
+    Raises ValueError for a nan or +inf argument and below the branch
+    point (a couple of ulp of slack absorbs rounding in arguments meant to
+    sit exactly on it).
     """
     x, restore = _as_batch(x)
-    if np.isnan(x).any():
-        raise ValueError("lambert_w: argument is nan")
+    finite = x < np.inf
+    if not finite.all():
+        raise ValueError(f"lambert_w: argument is {float(x[~finite][0])!r}")
     below = x < _BRANCH_POINT
     if below.any():
         near = _BRANCH_POINT - x[below] <= 4.0 * math.ulp(_BRANCH_POINT)
@@ -137,19 +196,24 @@ def lambert_w_exp(z, start=None):
     steps w <- w * (1 + z - log(w)) / (1 + w) from w0 = z - log(z), with
     the division taken first where that product overflows (z beyond
     about 1e154), so every finite z has a finite result.
-    `start`, of z's shape, holds guesses of the result for the Halley
-    branch, nan for none; None is all nan (see the module docstring).
+    `start`, of z's shape (ValueError otherwise), holds guesses of the
+    result for the Halley branch, nan for none; None is all nan (see the
+    module docstring).
     """
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != np.shape(z):
+            raise ValueError(f"lambert_w_exp: start has shape {start.shape}, z has shape {np.shape(z)}")
+        start = start.ravel()
     z, restore = _as_batch(z)
-    start = np.full(z.size, np.nan) if start is None else _as_batch(start)[0]
     with np.errstate(all="ignore"):
         small = z <= _EXP_SWITCH
         if np.count_nonzero(small) == z.size:
             x = np.exp(z)
-            return restore(_halley(x, _start(x, start)))
+            return restore(_halley(x, _start(z, x, start), positive=True))
         out = np.empty_like(z)
         x = np.exp(z[small])
-        out[small] = _halley(x, _start(x, start[small]))
+        out[small] = _halley(x, _start(z[small], x, None if start is None else start[small]), positive=True)
         idx = np.flatnonzero(~small)
         zl = z[idx]
         bad = ~np.isfinite(zl)

@@ -742,13 +742,19 @@ class OperatorSet:
         n_comm = net.n_commodities
         slots = (_component_roots(net)[:, None] * n_comm + np.arange(n_comm)).ravel()
         size = net.n_nodes * n_comm
-        net_supply = np.bincount(slots, self.supplies.ravel(), size)
-        scale = np.bincount(slots, np.abs(self.supplies).ravel(), size)
+        # scaled exactly by 2**-shift, 2**shift > n_nodes, so no sum of a
+        # component's supplies overflows
+        shift = net.n_nodes.bit_length()
+        supplies = np.ldexp(self.supplies, -shift).ravel()
+        net_supply = np.bincount(slots, supplies, size)
+        scale = np.bincount(slots, np.abs(supplies), size)
         unbalanced = (np.abs(net_supply) > BALANCE_TOL * scale).nonzero()[0]
         if unbalanced.size:
             root, c = divmod(int(unbalanced[0]), n_comm)
+            with np.errstate(over="ignore"):  # a sum beyond the float range reads inf
+                total = float(np.ldexp(net_supply[unbalanced[0]], shift))
             raise ConfigurationError(
-                f"commodity {net.commodities[c]!r}: supplies sum to {float(net_supply[unbalanced[0]])!r}, "
+                f"commodity {net.commodities[c]!r}: supplies sum to {total!r}, "
                 f"not 0, over the nodes connected to {net.nodes[root]!r}"
             )
 

@@ -135,6 +135,19 @@ class TestSolve:
         assert "[param-range] commodity 'freight': supplies sum to 1.0" in err
         assert not out.exists()
 
+    def test_supplies_whose_sum_overflows_exit_1_at_parse(self, two_arc_path, tmp_path, capsys):
+        # three nodes on the path a -> b -> c; an unscaled sum overflows to inf
+        text = open(two_arc_path).read().replace("a  3", "a  1e308").replace("b  -3", "b  1e308\nc  -1e308")
+        text = text.replace("b\n\n[arcs]", "b\nc\n\n[arcs]").replace(
+            "\n\n[supplies]", "\nnext  b  c  q=bpr(alpha=1,rho=1,theta=1,p=1)  r=orthant\n\n[supplies]"
+        )
+        path = tmp_path / "overflow.prob"
+        path.write_text(text)
+        out = tmp_path / "s.sol"
+        assert main(["solve", str(path), "--out", str(out)]) == 1
+        assert "[param-range] commodity 'freight': supplies sum to 1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_raises_no_warning(self, two_arc_path, tmp_path):
         # the final residual of a run that overflowed is computed with warnings off
         text = open(two_arc_path).read().replace("a  3", "a  1e308").replace("b  -3", "b  -1e308")

@@ -206,6 +206,14 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert err.section == "supplies"
         assert "commodity 'c1'" in str(err) and "'a'" in str(err)
 
+    def test_supplies_whose_sum_overflows_are_param_range(self):
+        text = MINIMAL.replace("b\n[arcs]", "b\nc\n[arcs]").replace(
+            "[supplies]", "e2 b c q=bpr(alpha=1,rho=1,theta=1,p=1) r=orthant\n[supplies]"
+        )
+        err = expect_code(text.replace("a 1\nb -1\n", "a 1e308\nb 1e308\nc -1e308\n"), "param-range")
+        assert err.section == "supplies"
+        assert "commodity 'c1': supplies sum to 1e+308" in str(err)
+
     def test_repeated_supply_line_rejected(self):
         err = expect_code(MINIMAL.replace("a 1\n", "a 3\na 5\n"), "duplicate-id")
         assert (err.section, err.entity, err.line) == ("supplies", "a", 11)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -116,9 +117,10 @@ def test_w_exp_start_near_the_root_is_used_and_any_other_ignored():
     rng = np.random.default_rng(23)
     switch = 700.0 * math.log(2.0)
     zs = np.concatenate([rng.uniform(-700.0, switch, 400), switch + 10.0 ** rng.uniform(-3, 6, 100)])
-    cold = lambert_w_exp(zs)
+    cold, cold_passes = halley_passes(zs)
     for far in (cold * 10.0, cold / 10.0, -cold, np.zeros_like(cold), np.full_like(cold, np.nan)):
-        assert np.array_equal(lambert_w_exp(zs, far), cold)
+        w, passes = halley_passes(zs, far)
+        assert np.array_equal(w, cold) and passes <= cold_passes + 1
     for near in (cold, cold * (1.0 + 1e-3), cold * (1.0 - 1e-3)):
         np.testing.assert_allclose(lambert_w_exp(zs, near), cold, rtol=1e-15)
     # the scalar call is the size-1 case
@@ -192,3 +194,123 @@ def test_w_exp_large_arguments_keep_their_bits():
     }
     got = lambert_w_exp(np.array(list(frozen)))
     assert [float(w).hex() for w in got] == list(frozen.values())
+
+
+class CountingNumpy:
+    """numpy with its exp calls counted: lambert_w_exp takes one for exp(z)
+    and one per Halley pass."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
+def halley_passes(z, start=None):
+    """(lambert_w_exp(z, start), the Halley passes it took); the Newton branch
+    beyond the switch takes no exp."""
+    counter = CountingNumpy()
+    lambertw.np = counter
+    try:
+        w = lambert_w_exp(z, start)
+    finally:
+        lambertw.np = np
+    return w, counter.exp_calls - 1
+
+
+def reference_w_exp(z):
+    """Independent reference: w + log(w) = z by Newton in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        zd = decimal.Decimal(float(z))
+        # from below the root: Newton on this concave, increasing equation stays below it
+        w = zd - zd.ln() if z > 2.0 else zd.exp() / (1 + zd.exp())
+        for _ in range(100):
+            step = (w + w.ln() - zd) / (1 + 1 / w)
+            w -= step
+            if abs(step) <= w * decimal.Decimal("1e-40"):
+                return float(w)
+    raise AssertionError(f"reference did not converge at z = {z!r}")
+
+
+def within_ulps(got, want, ulps):
+    return all(abs(g - r) <= ulps * math.ulp(r) for g, r in zip(got.tolist(), want))
+
+
+# below the switch W(exp(z)) stays under 480
+SWITCH = 700.0 * math.log(2.0)
+
+
+def test_w_exp_cold_and_warm_within_four_ulp_of_a_decimal_reference():
+    rng = np.random.default_rng(29)
+    zs = np.concatenate([rng.uniform(-700.0, 480.0, 300), [-700.0, -1e-9, 0.0, 1.0, 30.0, 480.0]])
+    ref = [reference_w_exp(z) for z in zs]
+    root = np.array(ref)
+    assert within_ulps(lambert_w_exp(zs), ref, 4)
+    for off in (1e-2, 1e-3, 1e-6):
+        for sign in (1.0, -1.0):
+            assert within_ulps(lambert_w_exp(zs, root * (1.0 + sign * off)), ref, 4), (off, sign)
+
+
+def test_w_exp_from_near_starts_takes_at_most_two_halley_passes():
+    # a start 1e-3 off leaves an error of K * (1e-3 * w)**3 after one pass,
+    # which the second pass's step accepts while K * 1e-9 * w**2 <= 1e-7,
+    # up to W of about 33 (z of about 36); beyond, 1e-3 of w is a large
+    # absolute error and a third pass follows.  The 1e-15 test took three
+    zs = np.random.default_rng(31).uniform(-700.0, 30.0, 2000)
+    cold = lambert_w_exp(zs)
+    for start in (cold * (1.0 + 1e-3), cold * (1.0 - 1e-3), cold * (1.0 + 1e-6)):
+        w, passes = halley_passes(zs, start)
+        assert passes <= 2
+        np.testing.assert_allclose(w, cold, rtol=1e-15)
+    # from the root itself one pass moves w by rounding at most
+    w, passes = halley_passes(zs, cold)
+    assert passes == 1
+    np.testing.assert_allclose(w, cold, rtol=1e-15)
+
+
+def test_w_exp_takes_every_start_within_the_span_and_converges_from_it(monkeypatch):
+    # |w + log(w) - z| <= 2: w*exp(w) within a factor exp(2) of exp(z)
+    zs = np.random.default_rng(41).uniform(-700.0, SWITCH - 2.0, 2000)
+    cold = lambert_w_exp(zs)
+    calls = []
+    winitzki = lambertw._winitzki
+    monkeypatch.setattr(lambertw, "_winitzki", lambda x: calls.append(x.size) or winitzki(x))
+    for shift in (-1.99, 1.99):
+        start = lambert_w_exp(zs + shift)
+        calls.clear()
+        w, passes = halley_passes(zs, start)
+        assert calls == [] and passes <= 4
+        np.testing.assert_allclose(w, cold, rtol=1e-15)
+    # only the far elements evaluate Winitzki's approximation, and return their cold result
+    far = np.arange(zs.size) % 4 == 0
+    w = lambert_w_exp(zs, cold * np.where(far, 10.0, 1.0))
+    assert calls == [500]
+    assert np.array_equal(w[far], cold[far])
+    np.testing.assert_allclose(w, cold, rtol=1e-15)
+
+
+def test_w_exp_rejects_a_start_of_another_shape():
+    with pytest.raises(ValueError, match=r"start has shape \(1,\), z has shape \(3,\)"):
+        lambert_w_exp(np.array([0.0, 1.0, 2.0]), np.array([0.5]))
+    with pytest.raises(ValueError, match=r"start has shape \(2,\), z has shape \(3,\)"):
+        lambert_w_exp(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.7]))
+    with pytest.raises(ValueError, match=r"start has shape \(1,\), z has shape \(\)"):
+        lambert_w_exp(1.0, [1.0])
+    zs = np.linspace(-5.0, 5.0, 6)
+    start = lambert_w_exp(zs) * (1.0 + 1e-3)
+    assert np.array_equal(lambert_w_exp(zs.reshape(2, 3), start.reshape(2, 3)).ravel(), lambert_w_exp(zs, start))
+
+
+def test_lambert_w_of_infinity_raises_before_iterating(monkeypatch):
+    monkeypatch.setattr(lambertw, "_halley", None)  # any iteration would raise TypeError
+    for x in (math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(ValueError, match="lambert_w: argument is inf"):
+            lambert_w(x)
+    with pytest.raises(ValueError, match="lambert_w: argument is nan"):
+        lambert_w(math.nan)

@@ -442,6 +442,21 @@ class TestOperatorSet:
         with pytest.raises(ConfigurationError, match="commodity 'truck'.*connected to 'idle'"):
             self.trc_operators(net, [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
 
+    def test_supplies_whose_sum_overflows_are_rejected(self):
+        # 1e308 + 1e308 - 1e308 overflows to inf in an unscaled sum, and
+        # inf > 1e-12 * inf is false
+        net = Network("abc", [("a", "b"), ("b", "c")], 1)
+        message = r"commodity 0: supplies sum to 1e\+308, not 0, over the nodes connected to 'a'"
+        with pytest.raises(ConfigurationError, match=message):
+            self.trc_operators(net, [[1e308], [1e308], [-1e308]])
+        with pytest.raises(ConfigurationError, match="supplies sum to inf, not 0"):
+            self.trc_operators(net, [[1.7e308], [1.7e308], [-1e307]])
+        self.trc_operators(net, [[1e308], [-1.7e308], [0.7e308]])  # balances
+        # a tiny imbalance on a second component keeps its precision
+        net = Network("abcd", [("a", "b"), ("c", "d")], 1)
+        with pytest.raises(ConfigurationError, match="supplies sum to -1e-300, not 0, over the nodes connected to 'c'"):
+            self.trc_operators(net, [[1e308], [-1e308], [1e-300], [-2e-300]])
+
     def test_balance_allows_rounding(self):
         # 0.1 + 0.2 - 0.3 is 5.6e-17, not 0
         net = Network("abc", [("a", "b"), ("b", "c")], 1)
