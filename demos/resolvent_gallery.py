@@ -25,7 +25,7 @@ gamma = 0.8
 grid = np.linspace(-3.0, 6.0, 19)
 
 for name, spec in FAMILIES.items():
-    values = np.array([nq.scalar_resolvent(spec, gamma, xi) for xi in grid])
+    values = np.array([spec.resolvent(gamma, xi) for xi in grid])
     # the resolvent identity s + gamma*c(s) = xi, where c is single-valued
     worst = 0.0
     for xi, s in zip(grid, values):
@@ -56,7 +56,7 @@ else:
     fine = np.linspace(-3.0, 6.0, 400)
     fig, ax = plt.subplots(figsize=(7, 5))
     for name, spec in FAMILIES.items():
-        ax.plot(fine, [nq.scalar_resolvent(spec, gamma, xi) for xi in fine], label=name)
+        ax.plot(fine, [spec.resolvent(gamma, xi) for xi in fine], label=name)
     ax.plot(fine, fine, "k:", lw=0.8, label="identity (zero operator)")
     ax.set_xlabel("input xi")
     ax.set_ylabel(f"J_[{gamma}c](xi)")

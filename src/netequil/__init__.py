@@ -44,7 +44,6 @@ from .operators import (
     PowerPhi,
     QuadraticPhi,
     SeparableLift,
-    scalar_resolvent,
 )
 from .oracle import (
     TwoArcInstance,
@@ -91,7 +90,6 @@ __all__ = [
     "ArcOperator",
     "FixedSupply",
     "OperatorSet",
-    "scalar_resolvent",
     "Full",
     "RoundRobin",
     "RandomSweep",

@@ -76,7 +76,10 @@ def _apply_overrides(problem, args):
     if args.scheduler is not None:
         # a new random sweep keeps the file's seed unless --seed sets one
         seed = sched.seed if isinstance(sched, RandomSweep) else None
-        sched = fileio._parse_scheduler(args.scheduler, ("flags", "scheduler", 0), seed)
+        try:
+            sched = fileio._parse_scheduler(args.scheduler, (), seed)
+        except (ProblemFormatError, ConfigurationError) as exc:
+            raise ConfigurationError(f"--scheduler: {exc}") from None
         updates["scheduler"] = sched
         if cfg.T is not None:
             # a T the file sets is raised to the new scheduler's bound if below it

@@ -60,11 +60,11 @@ section, id, key or spec parameter, ``dangling-node`` for an undeclared
 id, ``missing-commodity`` for a value count that does not match the
 commodities, ``bad-scheduler`` for an unknown scheduler, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
-parameters and supplies, [solver] settings that `solver.SolverConfig`,
-`solver.step_parameters` or `solver.make_scheduler` reject on the parsed
-network, a ``seed`` without a random sweep, and supplies of a commodity
-that do not sum to zero over a weakly connected component
-(``operators.OperatorSet``), reported in the [supplies] section.
+parameters, supplies and solution values, [solver] settings that
+`solver.SolverConfig`, `solver.step_parameters` or `solver.make_scheduler`
+reject on the parsed network, a ``seed`` without a random sweep, and
+supplies of a commodity that do not sum to zero over a weakly connected
+component (``operators.OperatorSet``), reported in the [supplies] section.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
@@ -138,32 +138,27 @@ _SOLUTION_SECTIONS = ("meta", "flow", "arc_dual", "potential")
 _META_KEYS = ("residual", "iterations", "termination")
 
 
-@dataclass
+@dataclass(eq=False)
 class Problem:
-    """Parsed problem: network, named arcs, operators, solver settings."""
+    """Parsed problem: network, named arcs, operators, solver settings.
+
+    Compared by identity; two problems are the same when `serialize_problem`
+    writes the same text for both.
+    """
 
     network: Network
     arc_ids: tuple
     operators: OperatorSet
     config: SolverConfig
 
-    def __eq__(self, other):
-        if not isinstance(other, Problem):
-            return NotImplemented
-        return (
-            self.network.nodes == other.network.nodes
-            and self.network.arcs == other.network.arcs
-            and self.network.commodities == other.network.commodities
-            and self.arc_ids == other.arc_ids
-            and self.operators.arc_operators == other.operators.arc_operators
-            and self.operators.node_operators == other.operators.node_operators
-            and self.config == other.config
-        )
 
-
-@dataclass
+@dataclass(eq=False)
 class Solution:
-    """Solver output as stored on disk."""
+    """Solver output as stored on disk.
+
+    Compared by identity, like `Problem`; `serialize_solution` gives the
+    text to compare.
+    """
 
     arc_ids: tuple
     node_ids: tuple
@@ -173,20 +168,6 @@ class Solution:
     residual: float
     iterations: int
     termination: str
-
-    def __eq__(self, other):
-        if not isinstance(other, Solution):
-            return NotImplemented
-        return (
-            self.arc_ids == other.arc_ids
-            and self.node_ids == other.node_ids
-            and np.array_equal(self.flow, other.flow)
-            and np.array_equal(self.arc_dual, other.arc_dual)
-            and np.array_equal(self.potential, other.potential)
-            and self.residual == other.residual
-            and self.iterations == other.iterations
-            and self.termination == other.termination
-        )
 
 
 # --------------------------------------------------------------------------
@@ -738,7 +719,12 @@ def parse_solution(source, problem):
             raise ProblemFormatError(
                 "missing-commodity", f"section lacks entries for {sorted(missing)}", section
             )
-        tables.append(np.array([rows[name][0] for name in ids], dtype=float).reshape(len(ids), n_comm))
+        table = np.array([rows[name][0] for name in ids], dtype=float).reshape(len(ids), n_comm)
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            name = ids[bad[0]]
+            raise ProblemFormatError("param-range", f"{name!r} has a non-finite value", *rows[name][1])
+        tables.append(table)
     flow, dual, potential = tables
     return Solution(
         arc_ids=tuple(problem.arc_ids),

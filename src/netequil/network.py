@@ -50,20 +50,20 @@ class Network:
             raise ConfigurationError("commodity set must be nonempty")
         self.nodes = tuple(nodes)
         self.commodities = tuple(commodities)
-        self._node_index = {v: i for i, v in enumerate(self.nodes)}
+        position = {v: i for i, v in enumerate(self.nodes)}
 
         tails, heads = [], []
         for j, pair in enumerate(arcs):
             tail, head = pair
             for endpoint in (tail, head):
-                if endpoint not in self._node_index:
+                if endpoint not in position:
                     raise ConfigurationError(
                         f"arc {j}: endpoint {endpoint!r} is not a declared node"
                     )
             if tail == head:
                 raise ConfigurationError(f"arc {j}: self-loop at node {tail!r}")
-            tails.append(self._node_index[tail])
-            heads.append(self._node_index[head])
+            tails.append(position[tail])
+            heads.append(position[head])
         if not tails:
             raise ConfigurationError("arc set must be nonempty")
         self.tails = np.asarray(tails, dtype=np.intp)
@@ -93,12 +93,6 @@ class Network:
     def n_commodities(self):
         return len(self.commodities)
 
-    def node_index(self, node):
-        try:
-            return self._node_index[node]
-        except KeyError:
-            raise ConfigurationError(f"unknown node {node!r}") from None
-
     # ----- array factories and shape checks -------------------------------
 
     def zero_flow(self):
@@ -106,9 +100,6 @@ class Network:
 
     def zero_potential(self):
         return np.zeros((self.n_nodes, self.n_commodities))
-
-    def zero_arc_dual(self):
-        return np.zeros((self.n_arcs, self.n_commodities))
 
     def check_flow(self, x):
         x = np.asarray(x, dtype=float)

@@ -94,7 +94,6 @@ __all__ = [
     "ArcOperator",
     "FixedSupply",
     "OperatorSet",
-    "scalar_resolvent",
 ]
 
 
@@ -571,11 +570,6 @@ class IntervalProx(_Capacity):
         return kernel, (self.lo, self.hi) + params
 
 
-def scalar_resolvent(spec, gamma, xi):
-    """Evaluate the resolvent J_{gamma*c} of a scalar capacity spec at xi."""
-    return spec.resolvent(gamma, float(xi))
-
-
 # --------------------------------------------------------------------------
 # lifts, constraint sets, supplies
 # --------------------------------------------------------------------------
@@ -599,7 +593,7 @@ class SeparableLift:
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         total = float(np.sum(x))
-        eta = (scalar_resolvent(self.scalar, n * gamma, total) - total) / n
+        eta = (self.scalar.resolvent(n * gamma, total) - total) / n
         return x + eta
 
 

@@ -39,9 +39,7 @@ class TwoArcInstance:
     """Two parallel arcs a -> b, one commodity, affine costs a_j + b_j * flux.
 
     Demand d > 0 leaves node a and enters node b; flows are confined to
-    the nonnegative orthant.  ``interior`` records whether both arcs
-    carry flow at equilibrium, which holds iff each arc's free-flow cost
-    undercuts the other arc's cost at full demand.
+    the nonnegative orthant.
     """
 
     a1: float
@@ -57,13 +55,6 @@ class TwoArcInstance:
             raise ConfigurationError("two-arc instance requires positive slopes")
         if not self.demand > 0:
             raise ConfigurationError("two-arc instance requires positive demand")
-
-    @property
-    def interior(self):
-        return (
-            self.a1 - self.a2 < self.b2 * self.demand
-            and self.a2 - self.a1 < self.b1 * self.demand
-        )
 
     def cost(self, arc, flux):
         a, b = (self.a1, self.b1) if arc == 0 else (self.a2, self.b2)
@@ -218,9 +209,10 @@ def _arc_violations(h, at_lo, at_hi, sub):
     f(y) = dist(h - y*ones, N(x))**2 is a sum of squares and squared hinges:
     convex, continuously differentiable, and quadratic on each piece between
     consecutive entries of h.  On the piece just above an entry (or below
-    them all), the coordinates in play are the interior ones, those at the
-    lower bound whose entry lies above the piece and those at the upper
-    bound whose entry does not; the piece's stationary point is their mean.
+    them all), the coordinates in play are those strictly inside the box,
+    those at the lower bound whose entry lies above the piece and those at
+    the upper bound whose entry does not; the piece's stationary point is
+    their mean.
     Some such mean minimises f: a piece with none in play (mean taken as 0)
     has f = 0 and borders one whose mean is their shared end, or f is 0
     everywhere.  So f is minimised over sub[j] at the clip of one of them.
@@ -245,11 +237,17 @@ def wardrop_residual(net, ops, flow, potential):
     1 + |bound|) of a box bound sits on it; a total flux that close to an
     ``IntervalProx`` bound is evaluated at the bound, where the
     subdifferential holds the normal cone.  For each node: the norm of divergence minus supply.  Zero exactly
-    at equilibria; +inf with a diagnostic warning when the flow leaves the
-    domain of a capacity operator or of its constraint set.
+    at equilibria; +inf with a diagnostic warning when a flow or potential
+    entry is not finite, or the flow leaves the domain of a capacity
+    operator or of its constraint set.
     """
-    flow = net.check_flow(flow)
-    tension = net.tension(net.check_potential(potential))
+    flow, potential = net.check_flow(flow), net.check_potential(potential)
+    for kind, name, values in (("arc", "flow", flow), ("node", "potential", potential)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            warnings.warn(f"{kind} {bad[0]}: {name} {values[bad[0]].tolist()} is not finite", stacklevel=2)
+            return math.inf
+    tension = net.tension(potential)
     specs = [op.q.scalar for op in ops.arc_operators]
     free = (-math.inf, math.inf)
     total = flow.sum(axis=1)

@@ -106,6 +106,11 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
 
 
+def _is_real(value):
+    """True for real numbers, False for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Full:
     """Activate every arc block at every iteration."""
@@ -146,8 +151,7 @@ class RandomSweep:
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigurationError("random-sweep seed must be a nonnegative integer")
-        prob = self.activation_prob
-        if not (isinstance(prob, numbers.Real) and 0.0 <= prob <= 1.0):
+        if not (_is_real(self.activation_prob) and 0.0 <= self.activation_prob <= 1.0):
             raise ConfigurationError("random-sweep activation probability must lie in [0, 1]")
 
 
@@ -261,13 +265,12 @@ class SolverConfig:
     check_interval: int = 10
 
     def __post_init__(self):
-        r = self.relaxation
-        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and 0.0 < r < 2.0):
+        if not (_is_real(self.relaxation) and 0.0 < self.relaxation < 2.0):
             raise ConfigurationError("relaxation must be a number strictly between 0 and 2")
         sweep_bound(self.scheduler)  # a spec no scheduler runs raises here, not in run
         if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
-        if not (isinstance(self.tol, numbers.Real) and math.isfinite(self.tol) and self.tol > 0):
+        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
             raise ConfigurationError("tol must be a finite positive number")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
@@ -346,13 +349,9 @@ class SolverState:
     n: int = 0
 
 
-def initial_state(network, x=None, xstar=None, v=None):
-    """All-zero starting point unless components are given."""
-    return SolverState(
-        network.check_flow(x) if x is not None else network.zero_flow(),
-        network.check_flow(xstar) if xstar is not None else network.zero_arc_dual(),
-        network.check_potential(v) if v is not None else network.zero_potential(),
-    )
+def initial_state(network):
+    """The all-zero starting point."""
+    return SolverState(network.zero_flow(), network.zero_flow(), network.zero_potential())
 
 
 @dataclass

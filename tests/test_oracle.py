@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ class TestAnalyticTwoArc:
     def test_corner_solution_with_complementarity(self):
         # arc 1 at zero flow costs 10, above arc 2 at full demand (cost 1)
         inst = TwoArcInstance(10.0, 0.0, 1.0, 1.0, 1.0)
-        assert not inst.interior
         flow, lam, _ = analytic_two_arc(inst)
         np.testing.assert_allclose(flow, [0.0, 1.0], atol=1e-14)
         assert lam == pytest.approx(1.0)
@@ -206,6 +206,26 @@ class TestWardropResidual:
             wr = wardrop_residual(net, ops, np.array([[2.0]]), np.zeros((2, 1)))
         assert wr == np.inf
 
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("flow", math.nan, "arc 1: flow [nan] is not finite"),
+            ("flow", math.inf, "arc 1: flow [inf] is not finite"),
+            ("potential", math.nan, "node 1: potential [nan] is not finite"),
+            ("potential", -math.inf, "node 1: potential [-inf] is not finite"),
+        ],
+    )
+    def test_non_finite_input_returns_sentinel_with_one_warning(self, two_arc, kind, value, message):
+        # nan used to pass through as the residual, and inf leaked numpy's RuntimeWarning
+        _, net, ops = two_arc
+        point = {"flow": np.array([[2.0], [1.0]]), "potential": np.array([[0.0], [3.0]])}
+        point[kind][1, 0] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wr = wardrop_residual(net, ops, point["flow"], point["potential"])
+        assert wr == math.inf
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, message)]
+
     def test_flow_outside_box_returns_sentinel(self, two_arc):
         _, net, ops = two_arc
         with pytest.warns(UserWarning, match="constraint box"):
@@ -253,9 +273,10 @@ def _grid_violations(h, at_lo, at_hi, c_lo, c_hi, points=2001):
 
 @pytest.mark.parametrize("n_comm", [1, 2, 3, 4])
 def test_arc_violation_is_the_exact_minimum(n_comm):
-    # each coordinate is interior, at its lower bound, at its upper bound or
-    # at both; [c_lo, c_hi] is finite, a point or a half-line; a third of the
-    # tension entries are rounded to integers so that breakpoints tie
+    # each coordinate is strictly inside its box, at its lower bound, at its
+    # upper bound or at both; [c_lo, c_hi] is finite, a point or a half-line;
+    # a third of the tension entries are rounded to integers so that
+    # breakpoints tie
     rng = np.random.default_rng(n_comm)
     for _ in range(5):
         n = 500

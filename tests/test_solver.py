@@ -16,6 +16,7 @@ from netequil import (
     RandomSweep,
     RoundRobin,
     SolverConfig,
+    SolverState,
     Termination,
     TwoArcInstance,
     analytic_two_arc,
@@ -25,7 +26,6 @@ from netequil import (
     residual,
     run,
     wardrop_residual,
-    scalar_resolvent,
     step,
     step_parameters,
     sweep_bound,
@@ -159,6 +159,11 @@ class TestSchedulers:
         with pytest.raises(ConfigurationError, match="seed"):
             RandomSweep(seed=seed)
 
+    @pytest.mark.parametrize("prob", [True, np.bool_(True), "0.5", None, 1.5])
+    def test_random_sweep_probability_rejected_at_construction(self, prob):
+        with pytest.raises(ConfigurationError, match="probability"):
+            RandomSweep(activation_prob=prob)
+
     def test_round_robin_has_no_node_groups(self):
         with pytest.raises(TypeError):
             RoundRobin(3, node_groups=2)
@@ -205,7 +210,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown scheduler spec"):
             SolverConfig(scheduler=scheduler)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6, "1e-6", None])
+    # a tol of True would be kept as 1 and written back as tol = 1.0
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6, "1e-6", None, True])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ConfigurationError, match="tol must be a finite positive number"):
             SolverConfig(tol=tol)
@@ -548,7 +554,7 @@ class TestRun:
         ]
         ops = OperatorSet(net, arcs, [FixedSupply((3.0,)), FixedSupply((-3.0,))])
         with pytest.raises(NumericalFailure, match="BPR root"):
-            scalar_resolvent(arcs[0].q.scalar, 1.0, 10.0)
+            arcs[0].q.scalar.resolvent(1.0, 10.0)
         state, trace, reason = run(net, ops, SolverConfig(max_iter=50))
         assert reason is Termination.NUMERICAL_FAILURE
 
@@ -905,8 +911,7 @@ def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
 def far_from_solution(seed):
     net, ops = mixed_multicommodity_instance(seed)
     rng = np.random.default_rng(seed)
-    state = initial_state(
-        net,
+    state = SolverState(
         rng.uniform(0.0, 3.0, (net.n_arcs, net.n_commodities)),
         rng.standard_normal((net.n_arcs, net.n_commodities)),
         rng.standard_normal((net.n_nodes, net.n_commodities)),

@@ -1,13 +1,16 @@
 """Source rules that no other test would catch."""
 
 import ast
+import collections
 import fnmatch
+import importlib
 import inspect
 import pathlib
 import types
 
 import pytest
 
+import netequil
 from netequil import operators
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "netequil"
@@ -117,3 +120,27 @@ def test_kernel_start_rule_flags():
     module = types.SimpleNamespace(_Kernel=operators._Kernel)
     module.k = operators._Kernel(None, lambda xi, c, start=None: xi)
     assert kernel_solves_with_a_start_default(module) == ["k"]
+
+
+def export_faults(module):
+    """The entries of `module.__all__` that name nothing or appear twice."""
+    exported = getattr(module, "__all__", [])
+    missing = [name for name in exported if not hasattr(module, name)]
+    repeated = [name for name, n in collections.Counter(exported).items() if n > 1]
+    return missing + repeated
+
+
+MODULES = [netequil] + [
+    importlib.import_module(f"netequil.{p.stem}") for p in SOURCES if p.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_export_resolves_once(module):
+    # a deleted name must not linger in an export list
+    assert export_faults(module) == []
+
+
+def test_export_rule_flags():
+    module = types.SimpleNamespace(__all__=["a", "gone", "a"], a=1)
+    assert export_faults(module) == ["gone", "a"]
