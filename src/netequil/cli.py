@@ -65,30 +65,33 @@ def _build_parser():
     return parser
 
 
+def _flag(flag, make, *args, **kwargs):
+    """make(*args, **kwargs), naming `flag` in front of the reason it is rejected."""
+    try:
+        return make(*args, **kwargs)
+    except (ProblemFormatError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from None
+
+
 def _apply_overrides(problem, args):
     cfg = problem.config
-    updates = {}
     if args.tol is not None:
-        updates["tol"] = args.tol
+        cfg = _flag("--tol", replace, cfg, tol=args.tol)
     if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
+        cfg = _flag("--max-iter", replace, cfg, max_iter=args.max_iter)
     sched = cfg.scheduler
     if args.scheduler is not None:
         # a new random sweep keeps the file's seed unless --seed sets one
         seed = sched.seed if isinstance(sched, RandomSweep) else None
-        try:
-            sched = fileio._parse_scheduler(args.scheduler, (), seed)
-        except (ProblemFormatError, ConfigurationError) as exc:
-            raise ConfigurationError(f"--scheduler: {exc}") from None
-        updates["scheduler"] = sched
+        sched = _flag("--scheduler", fileio._parse_scheduler, args.scheduler, (), seed)
         if cfg.T is not None:
             # a T the file sets is raised to the new scheduler's bound if below it
-            updates["T"] = max(cfg.T, solver.sweep_bound(sched))
+            cfg = replace(cfg, T=max(cfg.T, solver.sweep_bound(sched)))
     if args.seed is not None:
         if not isinstance(sched, RandomSweep):
             raise ConfigurationError("--seed needs a randomsweep:p scheduler")
-        updates["scheduler"] = replace(sched, seed=args.seed)
-    return replace(cfg, **updates) if updates else cfg
+        sched = _flag("--seed", replace, sched, seed=args.seed)
+    return replace(cfg, scheduler=sched)
 
 
 def _cmd_solve(args):

@@ -37,7 +37,7 @@ parses each shape in both file kinds:
 An id or key appears at most once in its section.  Capacity families:
 ``bpr(alpha,rho,theta,p)``, ``log(omega,theta)``,
 ``trc(alpha,beta,delta,omega)``, ``powerexp(alpha,theta,p)``, and
-``prox(phi=affine(a,b)|quadratic(a)|power(q), lo, hi)``.  One table,
+``prox(phi=affine(a)|quadratic(a)|power(q), lo, hi)``.  One table,
 `_FAMILIES`, maps each family name to its spec class for reading and
 writing alike: the dataclass fields of the class are the keys its token
 takes, in the order they are written, each at most once.  An omitted
@@ -46,7 +46,9 @@ without a supply line get zero supply.  Schedulers are ``full``,
 ``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key, which
 no other scheduler takes).  One
 table, `_SOLVER_KEYS`, maps each [solver] key to its field of
-`solver.SolverConfig` for reading and writing alike.  A missing key
+`solver.SolverConfig` for reading and writing alike.  The relaxation and
+the residual-check interval are constants of the solver
+(``solver.RELAXATION``, ``solver.CHECK_INTERVAL``), not keys.  A missing key
 leaves the field at its `SolverConfig` default: a missing ``T`` takes the
 scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``,
 ``mu`` or ``sigma`` is derived from the graph
@@ -69,7 +71,8 @@ component (``operators.OperatorSet``), reported in the [supplies] section.
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [arc_dual], [potential] sections); traces are CSV with
 the fixed column order n, tau, pi, theta, lambda, active_arcs,
-active_nodes, residual, millis.  Floats serialize via repr, so parsing a
+active_nodes, residual, millis, where lambda is always
+``solver.RELAXATION``.  Floats serialize via repr, so parsing a
 serialized file reproduces every value bit for bit.
 """
 
@@ -100,6 +103,7 @@ from .operators import (
     SeparableLift,
 )
 from .solver import (
+    RELAXATION,
     Full,
     RandomSweep,
     RoundRobin,
@@ -459,13 +463,11 @@ _SOLVER_KEYS = {
     "gamma": ("gamma", _float),
     "mu": ("mu", _float),
     "sigma": ("sigma", _float),
-    "lambda": ("relaxation", _float),
     "T": ("T", _int),
     "scheduler": ("scheduler", None),
     "seed": ("scheduler", _int),
     "tol": ("tol", _float),
     "max_iter": ("max_iter", _int),
-    "check_interval": ("check_interval", _int),
 }
 
 
@@ -751,11 +753,12 @@ def write_trace(records, stream, timing=False):
     ``timing=True`` to record wall time instead.
     """
     stream.write(",".join(TRACE_COLUMNS) + "\n")
+    lam = _fmt(RELAXATION)
     for rec in records:
         residual = "" if rec.residual is None else _fmt(rec.residual)
         millis = _fmt(rec.millis) if timing else "0"
         stream.write(
             f"{rec.n},{_fmt(rec.tau)},{_fmt(rec.pi)},{_fmt(rec.theta)},"
-            f"{_fmt(rec.relaxation)},{rec.active_arcs},{rec.active_nodes},"
+            f"{lam},{rec.active_arcs},{rec.active_nodes},"
             f"{residual},{millis}\n"
         )

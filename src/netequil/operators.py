@@ -102,6 +102,11 @@ def _require(cond, what):
         raise ConfigurationError(what)
 
 
+def _holds_a_real(lo, hi):
+    """True when the interval [lo, hi] contains a real number; False if a bound is nan."""
+    return lo <= hi and lo < math.inf and hi > -math.inf
+
+
 # --------------------------------------------------------------------------
 # batched resolvent kernels: prepare(gamma, *params) once per step size,
 # solve(xi, *consts, start) per evaluation, on 1-d arrays
@@ -455,13 +460,12 @@ class _Phi:
 
 @dataclass(frozen=True)
 class AffinePhi(_Phi):
-    """phi(s) = a*s + b."""
+    """phi(s) = a*s."""
 
     a: float
-    b: float = 0.0
 
     def __post_init__(self):
-        _require(math.isfinite(self.a) and math.isfinite(self.b), "AffinePhi requires finite coefficients")
+        _require(math.isfinite(self.a), "AffinePhi requires a finite coefficient")
 
     def prox_family(self):
         return _affine_kernel, (self.a,)
@@ -539,8 +543,7 @@ class IntervalProx(_Capacity):
     hi: float = math.inf
 
     def __post_init__(self):
-        _require(not math.isnan(self.lo) and not math.isnan(self.hi), "IntervalProx bounds must not be nan")
-        _require(self.lo <= self.hi, "IntervalProx requires lo <= hi")
+        _require(_holds_a_real(self.lo, self.hi), "IntervalProx requires lo <= hi, lo < inf and hi > -inf")
         _require(
             isinstance(self.phi, _Phi),
             "IntervalProx phi must be AffinePhi, QuadraticPhi, PowerPhi, or CustomPhi",
@@ -614,7 +617,7 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         _require(len(lo) == len(hi), "Box bounds must have equal length")
-        _require(all(a <= b for a, b in zip(lo, hi)), "Box requires lo <= hi per commodity")
+        _require(all(map(_holds_a_real, lo, hi)), "Box requires lo <= hi, lo < inf and hi > -inf")
 
     @staticmethod
     def orthant(n_commodities):

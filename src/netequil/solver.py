@@ -14,7 +14,13 @@ one column per commodity.  One iteration
      from the cached outputs and the current divergence/tension values,
   4. forms the coordination scalars tau (squared direction norm) and pi
      (separation value) and takes the relaxed projection step
-     theta = relaxation * max(pi, 0) / tau.
+     theta = RELAXATION * max(pi, 0) / tau.
+
+Two constants of the method are not settings.  The relaxation
+``RELAXATION`` = 1.8 lies in the interval ]0, 2[ that the convergence
+theorem of Combettes & Eckstein allows for a fixed relaxation.  The
+residual is checked every ``CHECK_INTERVAL`` = 10 iterations, since each
+check costs one full sweep of every block.
 
 pi is the separator in the form that does not cancel near a solution,
 
@@ -34,7 +40,7 @@ tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
 itself re-evaluates every block at the current point (full activation) and
 augments tau with the primal agreement terms |q - x| and |s - div x|; it
-vanishes exactly at solutions and is checked every ``check_interval``
+vanishes exactly at solutions and is checked every ``CHECK_INTERVAL``
 iterations.  In the metric of the step parameters, not of costs, it only
 gates the stop: ``run`` stops once the equilibrium residual that
 ``netequil check`` recomputes is at most tol too.  That full sweep is also
@@ -69,7 +75,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -94,6 +100,9 @@ __all__ = [
     "residual",
     "run",
 ]
+
+RELAXATION = 1.8
+CHECK_INTERVAL = 10
 
 
 # --------------------------------------------------------------------------
@@ -242,31 +251,32 @@ def make_scheduler(spec, network, T=None):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Step parameters, relaxation, scheduling, and stopping rule.
+    """Step parameters, scheduling, and stopping rule; immutable once built.
 
-    gamma/mu are per-arc and sigma per-node; scalars broadcast, and None
-    (the default) derives them from the graph (see `step_parameters`).  The
-    relaxation is a constant in ]0, 2[, not a bool.  The scheduler is a
-    `Full`, `RoundRobin` or `RandomSweep` spec.  T, the sweep bound, is a
-    nonnegative integer; None (the default) takes the scheduler's own
-    bound (see `sweep_bound`).
+    gamma/mu are per-arc and sigma per-node numbers, not bools; scalars
+    broadcast, and None (the default) derives them from the graph (see
+    `step_parameters`).  The scheduler is a `Full`, `RoundRobin` or
+    `RandomSweep` spec.  T, the sweep bound, is a nonnegative integer;
+    None (the default) takes the scheduler's own bound (see
+    `sweep_bound`).  `check_interval` reads the constant `CHECK_INTERVAL`;
+    it is not a field, so no config sets it.
     """
 
     gamma: Union[None, float, np.ndarray] = None
     mu: Union[None, float, np.ndarray] = None
     sigma: Union[None, float, np.ndarray] = None
-    relaxation: float = 1.8
     T: Optional[int] = None
     scheduler: object = field(default_factory=Full)
     tol: float = 1e-6
     max_iter: int = 10**6
-    check_interval: int = 10
+    check_interval: ClassVar[int] = CHECK_INTERVAL
 
     def __post_init__(self):
-        if not (_is_real(self.relaxation) and 0.0 < self.relaxation < 2.0):
-            raise ConfigurationError("relaxation must be a number strictly between 0 and 2")
+        for name in ("gamma", "mu", "sigma"):
+            if np.asarray(getattr(self, name)).dtype == bool:
+                raise ConfigurationError(f"{name} must be a number or an array of numbers, not a bool")
         sweep_bound(self.scheduler)  # a spec no scheduler runs raises here, not in run
         if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
@@ -274,8 +284,6 @@ class SolverConfig:
             raise ConfigurationError("tol must be a finite positive number")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
-        if not _is_int(self.check_interval) or self.check_interval < 1:
-            raise ConfigurationError("check_interval must be a positive integer")
 
 
 def _positive_per_entity(value, size, name, entities):
@@ -405,7 +413,6 @@ class TraceRecord:
     tau: float
     pi: float
     theta: float
-    relaxation: float
     active_arcs: int
     active_nodes: int
     residual: Optional[float] = None
@@ -525,8 +532,7 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     if not (math.isfinite(tau) and math.isfinite(pi)):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
-    lam = float(cfg.relaxation)
-    theta = lam * max(pi, 0.0) / tau if tau > 0.0 else 0.0
+    theta = RELAXATION * max(pi, 0.0) / tau if tau > 0.0 else 0.0
     if theta != 0.0:
         state.x -= theta * ws.tstar
         state.xstar -= theta * ws.u
@@ -540,7 +546,6 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         tau=tau,
         pi=pi,
         theta=theta,
-        relaxation=lam,
         active_arcs=n_active,
         active_nodes=net.n_nodes,
         millis=(time.perf_counter() - t0) * 1e3,
@@ -582,7 +587,7 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     Returns (state, trace, termination).  The flow/potential pair in the
     final state is the approximate equilibrium; the arc duals are the
     auxiliary constraint multipliers.  The residual is evaluated every
-    ``check_interval`` iterations and immediately whenever tau = 0; once it
+    ``CHECK_INTERVAL`` iterations and immediately whenever tau = 0; once it
     is at most tol, the run converges if `oracle.wardrop_residual` (which
     calls each capacity's ``subdiff``; warnings silenced) is at most tol too.
     The step parameters are validated and the capacity kernels bound to
@@ -603,7 +608,7 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
         arc_mask = scheduler.select(state.n)
         try:
             record = step(net, ops, cfg, state, ws, arc_mask, params=params, swept=swept)
-            swept = ws.tau == 0.0 or state.n % cfg.check_interval == 0
+            swept = ws.tau == 0.0 or state.n % CHECK_INTERVAL == 0
             if swept:
                 record.residual = residual(net, ops, cfg, state, params, ws)
         except NumericalFailure:

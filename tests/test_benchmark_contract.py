@@ -1,0 +1,59 @@
+"""What the benchmark in perfbench/ reads of the package, checked without running it.
+
+perfbench/ is only imported here, never changed: a change to the package
+that breaks one of these names or formats fails here first.
+"""
+
+import pathlib
+import sys
+import types
+
+import pytest
+
+from netequil import cli, solver
+from netequil.fileio import TRACE_COLUMNS, parse_problem, serialize_problem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import bench  # noqa: E402
+import tracing  # noqa: E402
+
+WORKLOADS = sorted(bench.WORKLOADS)
+
+
+def instance(name):
+    return bench.WORKLOADS[name].generate(1, 0)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_blocks_are_sized_by_the_solvers_check_interval(name):
+    # the timing blocks end at the residual checks
+    assert instance(name).config.check_interval == solver.CHECK_INTERVAL
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_a_generated_problem_file_round_trips(name):
+    text = serialize_problem(instance(name).problem())
+    assert serialize_problem(parse_problem(text)) == text
+
+
+def test_every_attribute_the_tracer_patches_exists():
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+
+
+def test_a_cli_trace_has_the_columns_the_benchmark_reads(tmp_path):
+    # bench._read_cli_counts reads active_arcs and residual by position
+    inst = instance("cli_roundtrip")
+    prob, trace = tmp_path / "p.prob", tmp_path / "t.csv"
+    prob.write_text(serialize_problem(inst.problem()))
+    argv = ["solve", str(prob), "--out", str(tmp_path / "s.sol"), "--trace", str(trace), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_OK
+    header = trace.read_text().splitlines()[0].split(",")
+    assert header == list(TRACE_COLUMNS)
+    assert (header[5], header[7]) == ("active_arcs", "residual")
+    _, records, _ = solver.run(inst.network, inst.operators, inst.config)
+    counts, _ = bench._read_cli_counts(types.SimpleNamespace(trace_path=trace), inst.network.n_arcs, 0)
+    assert counts == (len(records), bench.arc_evals(records, inst.network.n_arcs))

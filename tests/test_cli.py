@@ -101,6 +101,9 @@ class TestSolve:
             ("a  3", "a  nan", "[param-range] supply"),  # solved to numerical_failure before
             ("[supplies]", "[suplies]", "unknown section [suplies]"),  # solved to zero flow
             ("max_iter = 100000", "scheduler = roundrobin:5", "[param-range]"),
+            # an interval with no real point: solved to numerical_failure, residual inf, before
+            ("q=bpr(alpha=1,rho=1,theta=1,p=1)", "q=prox(phi=affine(a=1),lo=inf)", "[param-range]"),
+            ("r=orthant", "r=box(inf:inf)", "[param-range]"),
         ],
     )
     def test_input_rejected_at_parse_exits_1(self, two_arc_path, tmp_path, capsys, old, new, message):
@@ -161,6 +164,23 @@ class TestSolve:
     def test_non_finite_tol_flag_is_input_error(self, two_arc_path, tmp_path, capsys):
         assert main(["solve", two_arc_path, "--out", str(tmp_path / "s.sol"), "--tol", "inf"]) == 1
         assert "tol must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tol", "0"], "error: --tol: tol must be a finite positive number"),
+            (["--max-iter", "-5"], "error: --max-iter: max_iter must be a nonnegative integer"),
+            (
+                ["--seed", "-1", "--scheduler", "randomsweep:0.5"],
+                "error: --seed: random-sweep seed must be a nonnegative integer",
+            ),
+        ],
+    )
+    def test_a_rejected_flag_value_is_named_in_the_error(self, two_arc_path, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.sol"
+        assert main(["solve", two_arc_path, "--out", str(out), "--quiet", *flags]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_check_rejects_a_tol_that_is_not_finite_and_positive(self, two_arc_path, tmp_path, capsys, tol):

@@ -33,6 +33,7 @@ from netequil.fileio import (
     write_trace,
 )
 from netequil import fileio, operators
+from netequil.solver import RELAXATION
 from netequil.operators import (
     BPR,
     TRC,
@@ -145,12 +146,11 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
 
     def test_solver_overrides(self):
         text = MINIMAL + (
-            "[solver]\ngamma = 0.5\nlambda = 1.2\nscheduler = randomsweep:0.25\n"
+            "[solver]\ngamma = 0.5\nscheduler = randomsweep:0.25\n"
             "seed = 7\ntol = 1e-08\nmax_iter = 123\n"
         )
         cfg = parse_problem(text).config
         assert cfg.gamma == 0.5
-        assert cfg.relaxation == 1.2
         assert cfg.scheduler == RandomSweep(seed=7, activation_prob=0.25)
         assert cfg.T is None and sweep_bound(cfg.scheduler) == 3  # randomsweep default window
         assert cfg.tol == 1e-8
@@ -164,6 +164,12 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_threads_key_is_unknown_at_its_line(self):
         err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\nthreads = 2\n", "unknown-key")
         assert (err.section, err.entity, err.line) == ("solver", "threads", 14)
+
+    @pytest.mark.parametrize("key", ["lambda", "check_interval"])
+    def test_keys_of_the_solver_constants_are_unknown_at_their_line(self, key):
+        # every file written before the relaxation and the check interval became constants has them
+        err = expect_code(MINIMAL + f"[solver]\ntol = 1e-06\n{key} = 1\n", "unknown-key")
+        assert (err.section, err.entity, err.line) == ("solver", key, 14)
 
     def test_every_solver_setting_but_the_scheduler_has_exactly_one_key(self):
         # so no setting reaches the library without the file format, or the reverse
@@ -180,15 +186,14 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_every_solver_field_set_is_written_in_key_order(self):
         problem = parse_problem(TWO_ARCS)
         problem.config = SolverConfig(
-            gamma=0.25, mu=2.0, sigma=3.0, relaxation=1.5, T=4,
+            gamma=0.25, mu=2.0, sigma=3.0, T=4,
             scheduler=RandomSweep(seed=5, activation_prob=0.25),
-            tol=1e-08, max_iter=77, check_interval=3,
+            tol=1e-08, max_iter=77,
         )
         text = serialize_problem(problem)
         assert text.split("[solver]\n", 1)[1] == (
-            "gamma = 0.25\nmu = 2.0\nsigma = 3.0\nlambda = 1.5\nT = 4\n"
+            "gamma = 0.25\nmu = 2.0\nsigma = 3.0\nT = 4\n"
             "scheduler = randomsweep:0.25\nseed = 5\ntol = 1e-08\nmax_iter = 77\n"
-            "check_interval = 3\n"
         )
         assert serialize_problem(parse_problem(text)) == text
 
@@ -247,6 +252,25 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", "prox(phi=affine(a=1),lo=0,zz=3)")
         err = expect_code(bad, "param-range")
         assert "zz" in str(err) and err.entity == "e1"
+
+    def test_affine_takes_no_intercept(self):
+        # every affine token was written with a b= before AffinePhi dropped it
+        bad = MINIMAL.replace("bpr(alpha=1,rho=1,theta=1,p=1)", "prox(phi=affine(a=1,b=0),lo=0)")
+        err = expect_code(bad, "param-range")
+        assert "['b']" in str(err) and (err.section, err.entity, err.line) == ("arcs", "e1", 8)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("q=bpr(alpha=1,rho=1,theta=1,p=1)", "q=prox(phi=affine(a=1),lo=inf)"),
+            ("q=bpr(alpha=1,rho=1,theta=1,p=1)", "q=prox(phi=affine(a=1),hi=-inf)"),
+            ("r=orthant", "r=box(inf:inf)"),
+            ("r=orthant", "r=box(-inf:-inf)"),
+        ],
+    )
+    def test_an_interval_without_a_real_point_is_param_range_at_its_arc(self, old, new):
+        err = expect_code(MINIMAL.replace(old, new), "param-range")
+        assert (err.section, err.entity, err.line) == ("arcs", "e1", 8)
 
     @pytest.mark.parametrize("phi", ["bpr(alpha=1,rho=1,theta=1,p=1)", "nope(a=1)", "3"])
     def test_prox_phi_must_name_a_phi_family(self, phi):
@@ -466,8 +490,8 @@ GOLDEN_ARCS = [
      "q=trc(alpha=1.0,beta=2.0,delta=3.0,omega=4.0) r=box(0.0:1.0,-inf:0.30000000000000004)"),
     (PowerExp(2.0, 1.0, 0.5), Box.orthant(2),
      "q=powerexp(alpha=2.0,theta=1.0,p=0.5) r=orthant"),
-    (IntervalProx(AffinePhi(1.0, -0.5), 0.0, 5.0), Box.orthant(2),
-     "q=prox(phi=affine(a=1.0,b=-0.5),lo=0.0,hi=5.0) r=orthant"),
+    (IntervalProx(AffinePhi(-0.5), 0.0, 5.0), Box.orthant(2),
+     "q=prox(phi=affine(a=-0.5),lo=0.0,hi=5.0) r=orthant"),
     (IntervalProx(QuadraticPhi(2.0)), Box.orthant(2),
      "q=prox(phi=quadratic(a=2.0),lo=-inf,hi=inf) r=orthant"),
     (IntervalProx(PowerPhi(1.5), lo=-1.0), Box.orthant(2),
@@ -533,9 +557,9 @@ class TestSolutionSections:
 class TestTrace:
     def records(self):
         return [
-            TraceRecord(n=0, tau=1.5, pi=0.5, theta=0.6, relaxation=1.8,
+            TraceRecord(n=0, tau=1.5, pi=0.5, theta=0.6,
                         active_arcs=2, active_nodes=2, residual=None, millis=12.5),
-            TraceRecord(n=1, tau=0.25, pi=-0.1, theta=0.0, relaxation=1.8,
+            TraceRecord(n=1, tau=0.25, pi=-0.1, theta=0.0,
                         active_arcs=1, active_nodes=2, residual=1e-7, millis=3.5),
         ]
 
@@ -545,6 +569,7 @@ class TestTrace:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,tau,pi,theta,lambda,active_arcs,active_nodes,residual,millis"
         assert lines[1].endswith(",0")  # millis constant unless timing is requested
+        assert [line.split(",")[4] for line in lines[1:]] == [repr(RELAXATION)] * 2
         assert lines[1].split(",")[7] == ""  # no residual recorded
         assert lines[2].split(",")[7] == repr(1e-7)
 

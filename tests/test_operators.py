@@ -246,6 +246,20 @@ class TestIntervalProx:
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             IntervalProx(AffinePhi(a=0.0), lo=2.0, hi=1.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_interval_without_a_real_point_rejected(self, lo, hi):
+        # lo = inf used to construct, and its resolvent returned inf
+        with pytest.raises(ConfigurationError, match="lo < inf and hi > -inf"):
+            IntervalProx(AffinePhi(a=1.0), lo=lo, hi=hi)
+
+    def test_affine_phi_takes_the_slope_only(self):
+        # no resolvent or subdifferential read an intercept
+        assert AffinePhi(2.0).subdiff(5.0) == (2.0, 2.0)
+        with pytest.raises(TypeError):
+            AffinePhi(1.0, 0.0)
+
     def test_custom_phi_callback(self):
         spec = IntervalProx(
             CustomPhi(lambda gamma, xi: xi - gamma, lambda s: (1.0, 1.0)), lo=0.0, hi=math.inf
@@ -365,6 +379,11 @@ class TestBoxAndSupply:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             Box((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("lo, hi", [((0.0, math.inf), (1.0, math.inf)), ((0.0, -math.inf), (1.0, -math.inf))])
+    def test_a_commodity_interval_without_a_real_point_rejected(self, lo, hi):
+        with pytest.raises(ConfigurationError, match="lo < inf and hi > -inf"):
+            Box(lo, hi)
 
     def test_fixed_supply_ignores_input_and_step(self):
         # a node block's primal output s is its supply whatever the point and sigma

@@ -183,10 +183,8 @@ class TestSchedulers:
 
 class TestConfig:
     def test_relaxation_range(self):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(relaxation=2.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(relaxation=0.0)
+        # the convergence theorem allows any fixed relaxation in ]0, 2[
+        assert 0.0 < solver.RELAXATION < 2.0
 
     @pytest.mark.parametrize(
         "relaxation",
@@ -196,13 +194,37 @@ class TestConfig:
             None,
             (lambda n: 1.0, 0.5),
             (lambda n: 1.0, "0.5", 1.0),
-            (lambda n: 1.0, 0.5, 1.5),  # a schedule (fn, inf, sup): the relaxation is a number
-            True,  # a bool is not a relaxation, as it is not an iteration count
+            (lambda n: 1.0, 0.5, 1.5),
+            True,
         ],
     )
     def test_relaxation_of_the_wrong_type_rejected(self, relaxation):
-        with pytest.raises(ConfigurationError, match="relaxation"):
+        # the relaxation is the constant RELAXATION: no value of any type is a setting
+        with pytest.raises(TypeError, match="relaxation"):
             SolverConfig(relaxation=relaxation)
+
+    def test_the_check_interval_is_the_constant_and_no_setting(self):
+        assert SolverConfig().check_interval == SolverConfig.check_interval == solver.CHECK_INTERVAL
+        assert "check_interval" not in {f.name for f in dataclasses.fields(SolverConfig)}
+        with pytest.raises(TypeError, match="check_interval"):
+            SolverConfig(check_interval=5)
+
+    @pytest.mark.parametrize(
+        "field, value", [("tol", -1.0), ("gamma", 0.5), ("scheduler", Full()), ("check_interval", 5)]
+    )
+    def test_a_config_cannot_be_changed_after_its_checks(self, field, value):
+        # a tol of -1 assigned after construction used to spend the whole budget
+        cfg = SolverConfig(max_iter=50)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert dataclasses.replace(cfg, tol=1e-3).tol == 1e-3
+
+    @pytest.mark.parametrize("field", ["gamma", "mu", "sigma"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), np.array([True, True]), [True, False]])
+    def test_bool_is_not_a_step_parameter(self, field, value):
+        # a gamma of True would run as 1.0 and be written back as gamma = 1.0
+        with pytest.raises(ConfigurationError, match=f"{field} must be a number"):
+            SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("scheduler", ["full", None, Full, 0])
     def test_a_scheduler_that_is_not_a_spec_is_rejected_at_construction(self, scheduler):
@@ -216,7 +238,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="tol must be a finite positive number"):
             SolverConfig(tol=tol)
 
-    @pytest.mark.parametrize("field", ["T", "max_iter", "check_interval"])
+    @pytest.mark.parametrize("field", ["T", "max_iter"])
     def test_bool_is_not_an_iteration_count(self, field):
         with pytest.raises(ConfigurationError, match=f"{field} must be a"):
             SolverConfig(**{field: True})
@@ -245,7 +267,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=message):
             run(net, ops, cfg)
 
-    @pytest.mark.parametrize("field", ["max_iter", "check_interval"])
+    @pytest.mark.parametrize("field", ["max_iter"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
     def test_iteration_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be a"):
@@ -253,9 +275,9 @@ class TestConfig:
 
     def test_iteration_counts_accept_numpy_integers(self, two_arc):
         _, net, ops = two_arc
-        cfg = SolverConfig(max_iter=np.int64(20), check_interval=np.int32(4), tol=1e-300)
+        cfg = SolverConfig(max_iter=np.int64(20), T=np.int32(0), tol=1e-300)
         _, trace, _ = run(net, ops, cfg)
-        assert len(trace) == 20 and trace[3].residual is not None
+        assert len(trace) == 20 and trace[9].residual is not None
 
     def test_per_entity_step_parameters(self, two_arc):
         _, net, ops = two_arc
@@ -361,7 +383,7 @@ class TestStep:
             assert record.theta >= 0.0
             if record.tau > 0.0 and record.pi > 0.0:
                 assert record.theta == pytest.approx(
-                    record.relaxation * record.pi / record.tau, rel=1e-12
+                    solver.RELAXATION * record.pi / record.tau, rel=1e-12
                 )
 
     def test_inactive_caches_bitwise_stable(self, two_arc):
@@ -508,13 +530,16 @@ class TestRun:
         assert not state.x.any()
 
     def test_check_interval_does_not_change_iterates(self, two_arc):
+        # under Full a residual check evaluates what the next step would; a
+        # plain loop of steps, which never checks, reaches the same point
         _, net, ops = two_arc
-        iterates = []
-        for interval in (5, 10):
-            cfg = SolverConfig(check_interval=interval, max_iter=40, tol=1e-300)
-            state, _, _ = run(net, ops, cfg)
-            iterates.append((state.x.copy(), state.xstar.copy(), state.v.copy()))
-        for a, b in zip(*iterates):
+        cfg = SolverConfig(max_iter=40, tol=1e-300)
+        state, trace, _ = run(net, ops, cfg)
+        assert sum(r.residual is not None for r in trace) == 4
+        plain, ws = initial_state(net), new_workspace(net)
+        for _ in range(cfg.max_iter):
+            step(net, ops, cfg, plain, ws)
+        for a, b in zip((state.x, state.xstar, state.v), (plain.x, plain.xstar, plain.v)):
             assert np.array_equal(a, b)
 
     def test_numerical_failure_reported(self):
@@ -606,7 +631,7 @@ def manual_run(net, ops, cfg):
         if checked:
             arcs = np.ones_like(arcs)
         record = step(net, ops, cfg, state, ws, arcs)
-        checked = ws.tau == 0.0 or (k + 1) % cfg.check_interval == 0
+        checked = ws.tau == 0.0 or (k + 1) % solver.CHECK_INTERVAL == 0
         if checked:
             sweep.root[:] = ws.root
             record.residual = residual(net, ops, cfg, state, sweep=sweep)
@@ -645,9 +670,9 @@ SCHEDULES = [(Full(), 0), (RoundRobin(3), 2), (RandomSweep(seed=5, activation_pr
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
 def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
     cases = [
-        # residual checks at odd offsets, never converging
+        # residual checks at shifting cycle offsets (10 mod 3 = 1), never converging
         (*mixed_multicommodity_instance(seed), SolverConfig(
-            scheduler=spec, T=T, max_iter=90, check_interval=7, tol=1e-300
+            scheduler=spec, T=T, max_iter=90, tol=1e-300
         ))
         for seed in (3, 4)
     ]
@@ -670,7 +695,7 @@ def run_fingerprint(net, ops, cfg):
     """A run's termination, final state and trace rows, comparable bit for bit with ==."""
     state, trace, reason = run(net, ops, cfg)
     rows = [
-        (r.n, r.tau, r.pi, r.theta, r.relaxation, r.active_arcs, r.active_nodes, r.residual)
+        (r.n, r.tau, r.pi, r.theta, r.active_arcs, r.active_nodes, r.residual)
         for r in trace
     ]
     return reason, state.n, state.x.tobytes(), state.xstar.tobytes(), state.v.tobytes(), rows
@@ -680,19 +705,19 @@ def run_fingerprint(net, ops, cfg):
 def test_an_omitted_sweep_bound_is_the_schedulers_own(spec, T):
     # T left at None runs bit for bit as T = sweep_bound(spec): 0, k - 1 and 3
     net, ops = mixed_multicommodity_instance(3)
-    cfg = SolverConfig(scheduler=spec, max_iter=90, check_interval=7, tol=1e-300)
+    cfg = SolverConfig(scheduler=spec, max_iter=90, tol=1e-300)
     assert cfg.T is None and sweep_bound(spec) == T
     derived = run_fingerprint(net, ops, cfg)
     assert derived == run_fingerprint(net, ops, dataclasses.replace(cfg, T=T))
     # only Full activates every arc at every step
-    active = np.mean([row[5] for row in derived[-1]])
+    active = np.mean([row[4] for row in derived[-1]])
     assert (active < net.n_arcs) == (T > 0)
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in SCHEDULES], ids=["full", "roundrobin3", "randomsweep"])
 def test_a_problem_without_T_solves_the_same_from_its_file(spec):
     net, ops = mixed_multicommodity_instance(4)
-    cfg = SolverConfig(scheduler=spec, max_iter=90, check_interval=7, tol=1e-300)
+    cfg = SolverConfig(scheduler=spec, max_iter=90, tol=1e-300)
     text = serialize_problem(Problem(net, tuple(f"e{j}" for j in range(net.n_arcs)), ops, cfg))
     assert "\nT = " not in text
     parsed = parse_problem(text)
@@ -706,9 +731,9 @@ def test_a_problem_without_T_solves_the_same_from_its_file(spec):
 def test_step_after_a_residual_check_activates_every_block(spec, T):
     # the residual sweep has evaluated every block at that step's point
     net, ops = mixed_multicommodity_instance(3)
-    cfg = SolverConfig(scheduler=spec, T=T, max_iter=90, check_interval=7, tol=1e-300)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=90, tol=1e-300)
     _, trace, _ = run(net, ops, cfg)
-    assert sum(r.residual is not None for r in trace) == 12
+    assert sum(r.residual is not None for r in trace) == 9
     # the scheduler is still queried at every iteration; elsewhere its choice stands
     sched = make_scheduler(spec, net, T)
     checked = False
@@ -800,7 +825,7 @@ def test_equilibrium_check_in_run_is_silent_and_an_inf_keeps_it_going(two_arc, m
 def test_two_runs_on_one_operator_set_are_bitwise_equal(spec, T):
     # the kernel roots live in the run's workspace, not in the OperatorSet
     net, ops = mixed_multicommodity_instance(6)
-    cfg = SolverConfig(scheduler=spec, T=T, max_iter=120, check_interval=9, tol=1e-300)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=120, tol=1e-300)
     probe = initial_state(net)
     probe.x[:] = 0.5
     cold = residual(net, ops, cfg, probe)
@@ -829,9 +854,9 @@ def test_run_allocates_one_workspace(monkeypatch):
     net, ops = mixed_multicommodity_instance(3)
     made, real = [], solver.new_workspace
     monkeypatch.setattr(solver, "new_workspace", lambda network: made.append(1) or real(network))
-    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=30, check_interval=7, tol=1e-300)
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=30, tol=1e-300)
     _, trace, _ = run(net, ops, cfg)
-    assert sum(r.residual is not None for r in trace) == 4
+    assert sum(r.residual is not None for r in trace) == 3
     assert len(made) == 1
 
 
@@ -840,7 +865,7 @@ def test_run_binds_the_kernels_once(max_iter, monkeypatch):
     net, ops = mixed_multicommodity_instance(3)
     bound, real = [], ops.bind
     monkeypatch.setattr(ops, "bind", lambda gamma: bound.append(1) or real(gamma))
-    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=max_iter, check_interval=7, tol=1e-300)
+    cfg = SolverConfig(scheduler=RoundRobin(3), T=2, max_iter=max_iter, tol=1e-300)
     _, trace, _ = run(net, ops, cfg)
     assert len(trace) == max_iter
     assert len(bound) == 1
@@ -855,7 +880,7 @@ def test_runs_with_different_gamma_on_one_operator_set_match_fresh_operator_sets
     for gamma in (0.5, 0.2, rng.uniform(0.1, 1.0, net.n_arcs), 0.5):
         cfg = SolverConfig(
             gamma=gamma, scheduler=RandomSweep(seed=2, activation_prob=0.4), T=3,
-            max_iter=120, check_interval=9, tol=1e-300,
+            max_iter=120, tol=1e-300,
         )
         state, trace, _ = run(net, ops, cfg)
         fresh_net, fresh_ops = mixed_multicommodity_instance(6)
