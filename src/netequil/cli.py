@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import fileio, oracle, solver
-from .errors import ConfigurationError, ProblemFormatError
+from .errors import ConfigurationError, NumericalFailure, ProblemFormatError
 from .solver import RandomSweep, Termination
 
 EXIT_OK = 0
@@ -98,12 +98,17 @@ def _cmd_solve(args):
     problem = fileio.parse_problem(args.problem)
     cfg = _apply_overrides(problem, args)
     net, ops = problem.network, problem.operators
+    if args.scheduler is not None:  # checked on the network here, not unnamed inside run
+        _flag("--scheduler", solver.make_scheduler, cfg.scheduler, net, cfg.T)
 
     state, trace, reason = solver.run(net, ops, cfg)
     if reason is Termination.CONVERGED:
         final_residual = trace[-1].residual  # the stopping check, at the final state
     else:
-        final_residual = solver.residual(net, ops, cfg, state)
+        try:
+            final_residual = solver.residual(net, ops, cfg, state)
+        except NumericalFailure:  # no residual can be evaluated at the final state
+            final_residual = math.inf
     solution = fileio.Solution(
         arc_ids=tuple(problem.arc_ids),
         node_ids=tuple(net.nodes),

@@ -52,8 +52,8 @@ the residual-check interval are constants of the solver
 leaves the field at its `SolverConfig` default: a missing ``T`` takes the
 scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``,
 ``mu`` or ``sigma`` is derived from the graph
-(``solver.step_parameters``).  `serialize_problem` writes no key for a
-field left at None.
+(``solver.step_parameters``).  `serialize_problem` writes every
+`SolverConfig`, and no key for a field left at None.
 
 Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown
 section, ``unknown-key`` for an unknown key, ``unknown-family`` for a
@@ -63,8 +63,8 @@ id, ``missing-commodity`` for a value count that does not match the
 commodities, ``bad-scheduler`` for an unknown scheduler, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
 parameters, supplies and solution values, [solver] settings that
-`solver.SolverConfig`, `solver.step_parameters` or `solver.make_scheduler`
-reject on the parsed network, a ``seed`` without a random sweep, and
+`solver.SolverConfig` or `solver.make_scheduler` reject on the parsed
+network, a ``seed`` without a random sweep, and
 supplies of a commodity that do not sum to zero over a weakly connected
 component (``operators.OperatorSet``), reported in the [supplies] section.
 
@@ -110,7 +110,6 @@ from .solver import (
     SolverConfig,
     Termination,
     make_scheduler,
-    step_parameters,
 )
 
 __all__ = [
@@ -557,7 +556,6 @@ def _parse_solver_section(entries, network):
         if "scheduler" in raw:
             kwargs["scheduler"] = _parse_scheduler(*raw["scheduler"], seed)
         config = SolverConfig(**kwargs)
-        step_parameters(network, config)
         make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:
         raise ProblemFormatError("param-range", str(exc), section="solver") from None
@@ -652,13 +650,8 @@ def serialize_problem(problem):
     solver = []
     for key, (name, read) in _SOLVER_KEYS.items():
         value = scheduler[key] if name == "scheduler" else getattr(cfg, name)
-        if value is None:
-            continue
-        if read is _float:
-            if not np.isscalar(value):
-                raise ConfigurationError(f"the file format carries scalar {name} only")
-            value = _fmt(value)
-        solver.append((key, value))
+        if value is not None:
+            solver.append((key, _fmt(value) if read is _float else value))
     return _render(
         PROBLEM_HEADER,
         [

@@ -32,9 +32,9 @@ evaluated at the current point, its term is |primal gap|^2 / step
 parameter, so pi is a sum of small nonnegative terms where the plain
 form is a difference of large ones.
 
-Each block's step parameter (gamma for the capacity resolvent, mu for the
-box, sigma for the node supply) defaults to a value derived from the
-graph; see `step_parameters`.
+The step parameters are one number gamma for every capacity resolvent,
+one mu for every box and a per-node sigma for the supplies, each derived
+from the graph unless the config sets it; see `step_parameters`.
 
 tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
@@ -75,7 +75,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -118,6 +118,11 @@ def _is_int(value):
 def _is_real(value):
     """True for real numbers, False for bools."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_positive_real(value):
+    """True for finite positive real numbers, False for bools."""
+    return _is_real(value) and math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -255,8 +260,8 @@ def make_scheduler(spec, network, T=None):
 class SolverConfig:
     """Step parameters, scheduling, and stopping rule; immutable once built.
 
-    gamma/mu are per-arc and sigma per-node numbers, not bools; scalars
-    broadcast, and None (the default) derives them from the graph (see
+    gamma, mu and sigma are each one finite positive number, not a bool,
+    or None (the default), which derives it from the graph (see
     `step_parameters`).  The scheduler is a `Full`, `RoundRobin` or
     `RandomSweep` spec.  T, the sweep bound, is a nonnegative integer;
     None (the default) takes the scheduler's own bound (see
@@ -264,9 +269,9 @@ class SolverConfig:
     it is not a field, so no config sets it.
     """
 
-    gamma: Union[None, float, np.ndarray] = None
-    mu: Union[None, float, np.ndarray] = None
-    sigma: Union[None, float, np.ndarray] = None
+    gamma: Optional[float] = None
+    mu: Optional[float] = None
+    sigma: Optional[float] = None
     T: Optional[int] = None
     scheduler: object = field(default_factory=Full)
     tol: float = 1e-6
@@ -275,30 +280,20 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("gamma", "mu", "sigma"):
-            if np.asarray(getattr(self, name)).dtype == bool:
-                raise ConfigurationError(f"{name} must be a number or an array of numbers, not a bool")
+            value = getattr(self, name)
+            if value is not None and not _is_positive_real(value):
+                raise ConfigurationError(f"{name} must be a number, finite and positive, or None")
         sweep_bound(self.scheduler)  # a spec no scheduler runs raises here, not in run
         if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
-        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+        if not _is_positive_real(self.tol):
             raise ConfigurationError("tol must be a finite positive number")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
 
 
-def _positive_per_entity(value, size, name, entities):
-    arr = np.asarray(value, dtype=float)
-    try:
-        arr = np.broadcast_to(arr, (size,)).copy()
-    except ValueError:
-        raise ConfigurationError(f"{name} has {arr.size} entries for {size} {entities}") from None
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-        raise ConfigurationError(f"{name} must be strictly positive")
-    return arr
-
-
 def step_parameters(net, cfg):
-    """Validated per-entity (gamma, mu, sigma) arrays of cfg on net.
+    """(gamma, mu, sigma) of cfg on net: two floats and a per-node array.
 
     A parameter that cfg leaves at None is derived from the graph.  The
     arc steps follow the diagonal preconditioning of Pock & Chambolle
@@ -327,24 +322,17 @@ def step_parameters(net, cfg):
     - mu_j = 1.  The box block reads x + mu_j x* through the identity,
       which involves no incidence and has column norm 1.
 
-    Explicit scalars broadcast and explicit arrays are taken as given.
-    `run` computes the arrays once, binds the capacity kernels to gamma
-    (see `OperatorSet.bind`), and hands both to every `step` and
-    `residual`; direct calls that omit them do both themselves.
+    An explicit sigma is broadcast to every node.  `run` computes the
+    values once, binds the capacity kernels to gamma (see
+    `OperatorSet.bind`), and hands both to every `step` and `residual`;
+    direct calls that omit them do both themselves.
     """
-    gamma, mu, sigma = cfg.gamma, cfg.mu, cfg.sigma
-    if gamma is None:
-        gamma = 0.5
-    if mu is None:
-        mu = 1.0
-    if sigma is None:
+    gamma = 0.5 if cfg.gamma is None else float(cfg.gamma)
+    mu = 1.0 if cfg.mu is None else float(cfg.mu)
+    if cfg.sigma is None:
         degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
-        sigma = np.maximum(degree, 1) ** 2 / 2.0
-    return (
-        _positive_per_entity(gamma, net.n_arcs, "gamma", "arcs"),
-        _positive_per_entity(mu, net.n_arcs, "mu", "arcs"),
-        _positive_per_entity(sigma, net.n_nodes, "sigma", "nodes"),
-    )
+        return gamma, mu, np.maximum(degree, 1) ** 2 / 2.0
+    return gamma, mu, np.full(net.n_nodes, float(cfg.sigma))
 
 
 @dataclass
@@ -432,8 +420,8 @@ class Termination(enum.Enum):
 
 def _bound_parameters(net, ops, cfg):
     """(gamma, mu, sigma, bound): `step_parameters` and the kernels bound to gamma."""
-    gammas, mus, sigmas = step_parameters(net, cfg)
-    return gammas, mus, sigmas, ops.bind(gammas)
+    gamma, mu, sigma = step_parameters(net, cfg)
+    return gamma, mu, sigma, ops.bind(np.full(net.n_arcs, gamma))
 
 
 def _sweep_blocks(net, ops, params, state, ws, arc_mask):
@@ -442,31 +430,30 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask):
     Fills q, q*, r, r* and the kernel roots for the arcs set in arc_mask,
     s* for every node, and div x and tension v.
     """
-    gammas, mus, sigmas, bound = params
+    gamma, mu, sigma, bound = params
     x, xstar, v = state.x, state.xstar, state.v
     ws.tension_v = net.tension(v)
     ws.div_x = div_x = net.divergence(x)
     act = arc_mask.nonzero()[0]
-    per_arc = (x, xstar, gammas, mus, ws.tension_v, ops.box_lo, ops.box_hi, ws.root)
+    per_arc = (x, xstar, ws.tension_v, ops.box_lo, ops.box_hi, ws.root)
     if act.size == arc_mask.size:
         rows = slice(None)  # every arc: work on the arrays themselves
-        xa, xsa, gam, mu, tv, lo, hi, root = per_arc
+        xa, xsa, tv, lo, hi, root = per_arc
     else:
         rows = act  # gather the active rows, and write root back below
-        xa, xsa, gam, mu, tv, lo, hi, root = (a.take(act, 0) for a in per_arc)
-    gam, mu = gam[:, None], mu[:, None]
+        xa, xsa, tv, lo, hi, root = (a.take(act, 0) for a in per_arc)
     lstar = xsa - tv
-    q = ops.capacity_resolvent(act, bound, xa - gam * lstar, root)
+    q = ops.capacity_resolvent(act, bound, xa - gamma * lstar, root)
     if rows is act:
         ws.root[act] = root
     ws.q[rows] = q
-    ws.qstar[rows] = (xa - q) / gam - lstar
+    ws.qstar[rows] = (xa - q) / gamma - lstar
     r = np.minimum(np.maximum(xa + mu * xsa, lo), hi)
     ws.r[rows] = r
     ws.rstar[rows] = xsa + (xa - r) / mu
 
     # a node's resolvent is its constant supply: s* is closed form in div x
-    ws.sstar = v + (div_x - ops.supplies) / sigmas[:, None]
+    ws.sstar = v + (div_x - ops.supplies) / sigma[:, None]
 
 
 def _assemble(net, ops, state, ws):
@@ -499,9 +486,11 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     at every step: its resolvent is the constant supply, so s* costs one
     vector operation on the div x the step forms anyway.  The workspace
     rows of inactive arcs must be valid (iteration 0 must activate every
-    arc).  `params` is (gamma, mu, sigma, bound): the arrays of
-    `step_parameters(net, cfg)` and `ops.bind(gamma)`, formed here if
-    omitted, as `run` forms them once per run.  `swept=True` says that
+    arc).  `params` is (gamma, mu, sigma, bound): the two floats and the
+    per-node array of `step_parameters(net, cfg)`, and the kernels bound
+    to gamma on every arc; `run` forms them once per run, and a step that
+    omits them forms them itself.  A per-node sigma that no config holds,
+    such as max(deg(i), 1) / 2, goes in here.  `swept=True` says that
     `residual` has just evaluated every block into ws at the current
     state: every arc is then active, whatever the mask says, and the step
     takes that evaluation (block outputs, directions, tau and pi) as it is
@@ -590,7 +579,7 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     ``CHECK_INTERVAL`` iterations and immediately whenever tau = 0; once it
     is at most tol, the run converges if `oracle.wardrop_residual` (which
     calls each capacity's ``subdiff``; warnings silenced) is at most tol too.
-    The step parameters are validated and the capacity kernels bound to
+    The step parameters are formed and the capacity kernels bound to
     gamma (`OperatorSet.bind`) once, before the first iteration; every
     `step` and `residual` of the run takes that binding.
     """

@@ -7,10 +7,11 @@ that breaks one of these names or formats fails here first.
 import pathlib
 import sys
 import types
+from dataclasses import replace
 
 import pytest
 
-from netequil import cli, solver
+from netequil import cli, operators, solver
 from netequil.fileio import TRACE_COLUMNS, parse_problem, serialize_problem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -34,6 +35,18 @@ def test_blocks_are_sized_by_the_solvers_check_interval(name):
 def test_a_generated_problem_file_round_trips(name):
     text = serialize_problem(instance(name).problem())
     assert serialize_problem(parse_problem(text)) == text
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_a_run_never_calls_the_lifted_resolvent(name, monkeypatch):
+    # layers.micro_timings times every input a run passes to
+    # SeparableLift.resolvent through operators.scalar_resolvent, which
+    # no longer exists: one such call would make a --trace run raise
+    calls = []
+    monkeypatch.setattr(operators.SeparableLift, "resolvent", lambda *args: calls.append(args))
+    inst = instance(name)
+    _, records, _ = solver.run(inst.network, inst.operators, replace(inst.config, max_iter=30))
+    assert len(records) == 30 and calls == []
 
 
 def test_every_attribute_the_tracer_patches_exists():

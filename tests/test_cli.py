@@ -127,6 +127,18 @@ class TestSolve:
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
 
+    def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(self, two_arc_path, tmp_path, capsys):
+        # the residual fails at the final point too; solve still writes the solution
+        text = open(two_arc_path).read().replace(
+            "low  a  b  q=bpr(alpha=0.5,rho=1,theta=2,p=1)", "low  a  b  q=log(omega=1e308,theta=2)"
+        )
+        path = tmp_path / "log_arc.prob"
+        path.write_text(text)
+        out = tmp_path / "s.sol"
+        assert main(["solve", str(path), "--out", str(out)]) == 3
+        assert "numerical_failure: 0 iterations, residual inf" in capsys.readouterr().err
+        assert "residual = inf\n" in out.read_text()
+
     def test_unbalanced_supplies_exit_1_at_parse_naming_the_commodity(self, two_arc_path, tmp_path, capsys):
         # not 2 at the iteration limit, with nothing to say why
         text = open(two_arc_path).read().replace("b  -3", "b  -2")
@@ -174,6 +186,7 @@ class TestSolve:
                 ["--seed", "-1", "--scheduler", "randomsweep:0.5"],
                 "error: --seed: random-sweep seed must be a nonnegative integer",
             ),
+            (["--scheduler", "roundrobin:5"], "error: --scheduler: round-robin group count 5 exceeds"),
         ],
     )
     def test_a_rejected_flag_value_is_named_in_the_error(self, two_arc_path, tmp_path, capsys, flags, message):

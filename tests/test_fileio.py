@@ -196,6 +196,7 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
             "scheduler = randomsweep:0.25\nseed = 5\ntol = 1e-08\nmax_iter = 77\n"
         )
         assert serialize_problem(parse_problem(text)) == text
+        assert parse_problem(text).config == problem.config
 
     def test_supply_defaults_to_zero(self):
         # c has no supply line; a and b keep theirs, so the supplies still balance
@@ -396,7 +397,7 @@ class TestRoundTrip:
         cfg = problem.config
         assert (cfg.gamma, cfg.mu, cfg.sigma) == (None, None, None)
         gamma, mu, sigma = step_parameters(problem.network, cfg)
-        assert np.array_equal(gamma, [0.5]) and np.array_equal(mu, [1.0])
+        assert (gamma, mu) == (0.5, 1.0)
         assert np.array_equal(sigma, [0.5, 0.5])  # one arc at each node
 
     def test_explicit_step_keys_round_trip_unchanged(self):
