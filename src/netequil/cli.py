@@ -113,7 +113,6 @@ def _cmd_solve(args):
         arc_ids=tuple(problem.arc_ids),
         node_ids=tuple(net.nodes),
         flow=state.x,
-        arc_dual=state.xstar,
         potential=state.v,
         residual=final_residual,
         iterations=state.n,
@@ -174,35 +173,69 @@ def _suite_lambert_w():
     return worst <= 1e-12, f"worst identity error {worst:.2e}"
 
 
-def _suite_resolvent_identity():
+def _capacity_draws(rng, rounds):
+    """(spec, gamma, xi) draws, one per capacity family per round."""
     from .operators import BPR, TRC, Logarithmic, PowerExp
 
-    rng = np.random.default_rng(20240)
-    worst = 0.0
-    for _ in range(200):
+    draws = []
+    for _ in range(rounds):
         gamma = 10.0 ** rng.uniform(-2, 1)
         xi = rng.uniform(-30.0, 30.0)
         log_spec = Logarithmic(10.0 ** rng.uniform(-1, 1), rng.uniform(0.0, 3.0))
         # past omega + gamma*(theta + ~15) the output is within an ulp of
         # omega and the identity cannot be evaluated in double precision
         log_xi = log_spec.omega + gamma * (log_spec.theta - rng.uniform(-15.0, 40.0))
-        for spec, point in (
-            (BPR(*(10.0 ** rng.uniform(-1, 1, size=3)), p=rng.uniform(0.5, 4.0)), xi),
-            (log_spec, log_xi),
-            (TRC(*(10.0 ** rng.uniform(-1, 1, size=4))), xi),
-            (
-                PowerExp(
-                    1.0 + 10.0 ** rng.uniform(-1, 1),
-                    10.0 ** rng.uniform(-1, 1),
-                    rng.uniform(0.2, 2.0),
-                ),
-                xi,
-            ),
-        ):
-            s = spec.resolvent(gamma, point)
-            err = abs(s + gamma * spec.value(s) - point) / max(1.0, abs(point))
-            worst = max(worst, err)
-    return worst <= 1e-8, f"worst identity error {worst:.2e}"
+        draws += [
+            (BPR(*(10.0 ** rng.uniform(-1, 1, size=3)), p=rng.uniform(0.5, 4.0)), gamma, xi),
+            (log_spec, gamma, log_xi),
+            (TRC(*(10.0 ** rng.uniform(-1, 1, size=4))), gamma, xi),
+            (PowerExp(1.0 + 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1), rng.uniform(0.2, 2.0)), gamma, xi),
+        ]
+    return draws
+
+
+def _suite_resolvent_identity():
+    rng = np.random.default_rng(20240)
+    worst = 0.0
+    for spec, gamma, xi in _capacity_draws(rng, 200):
+        s = spec.resolvent(gamma, xi)
+        worst = max(worst, abs(s + gamma * spec.value(s) - xi) / max(1.0, abs(xi)))
+    arc_worst = _arc_block_inclusion(rng)
+    ok = worst <= 1e-8 and arc_worst <= 1e-9
+    return ok, f"worst identity error {worst:.2e}, arc block inclusion error {arc_worst:.2e}"
+
+
+def _arc_block_inclusion(rng):
+    """Worst error of x = J(xi) for an arc block, cost plus box, over random draws.
+
+    For C = 1-3 commodities and random boxes (orthants, finite and
+    half-open), x must lie in the box B and w = (xi - x)/gamma - c(sum x)
+    in its normal cone at x: 0 where lo < x < hi, <= 0 at lo, >= 0 at hi.
+    An x outside B counts as inf, the rest relative to max(1, |xi|/gamma,
+    |c|).  Lower bounds are at most 0, so every box meets the
+    Logarithmic domain, and its total stays below omega/2, off the pole.
+    """
+    from .network import Network
+    from .operators import ArcOperator, Box, FixedSupply, Logarithmic, OperatorSet, SeparableLift
+
+    worst = 0.0
+    for trial, (spec, gamma, _) in enumerate(_capacity_draws(rng, 40)):
+        n = 1 + trial % 3
+        lo = np.where(rng.random(n) < 0.3, -np.inf, -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5))
+        hi = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(0.0, 3.0, n))
+        xi = rng.uniform(-10.0, spec.omega / (2 * n) if isinstance(spec, Logarithmic) else 10.0, n)
+        ops = OperatorSet(
+            Network("ab", [("a", "b")], n), [ArcOperator(SeparableLift(spec), Box(lo, hi))], [FixedSupply((0.0,) * n)] * 2
+        )
+        x = ops.capacity_resolvent(np.arange(1), ops.bind(np.full(1, gamma)), xi[None, :])[0]
+        c = spec.value(float(x.sum()))
+        if c is None or not ((lo <= x) & (x <= hi)).all():
+            return math.inf
+        w = (xi - x) / gamma - c
+        w = np.where(x <= lo, np.maximum(w, 0.0), w)
+        w = np.where(x >= hi, np.minimum(w, 0.0) * (x > lo), w)
+        worst = max(worst, float(np.abs(w).max()) / max(1.0, float(np.abs(xi).max()) / gamma, abs(c)))
+    return worst
 
 
 def _suite_adjointness():

@@ -31,7 +31,7 @@ parses each shape in both file kinds:
 
 - ``id``: [commodities], [nodes];
 - ``id v1 ... vC``, one value per commodity: [supplies], and [flow],
-  [arc_dual], [potential] of solution files;
+  [potential] of solution files;
 - ``key = value``: [solver], and [meta] of solution files.
 
 An id or key appears at most once in its section.  Capacity families:
@@ -50,8 +50,8 @@ table, `_SOLVER_KEYS`, maps each [solver] key to its field of
 the residual-check interval are constants of the solver
 (``solver.RELAXATION``, ``solver.CHECK_INTERVAL``), not keys.  A missing key
 leaves the field at its `SolverConfig` default: a missing ``T`` takes the
-scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``,
-``mu`` or ``sigma`` is derived from the graph
+scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``
+or ``sigma`` is derived from the graph
 (``solver.step_parameters``).  `serialize_problem` writes every
 `SolverConfig`, and no key for a field left at None.
 
@@ -69,7 +69,7 @@ supplies of a commodity that do not sum to zero over a weakly connected
 component (``operators.OperatorSet``), reported in the [supplies] section.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
-[meta], [flow], [arc_dual], [potential] sections); traces are CSV with
+[meta], [flow], [potential] sections); traces are CSV with
 the fixed column order n, tau, pi, theta, lambda, active_arcs,
 active_nodes, residual, millis, where lambda is always
 ``solver.RELAXATION``.  Floats serialize via repr, so parsing a
@@ -137,7 +137,7 @@ TRACE_COLUMNS = (
     "millis",
 )
 _PROBLEM_SECTIONS = ("commodities", "nodes", "arcs", "supplies", "solver")
-_SOLUTION_SECTIONS = ("meta", "flow", "arc_dual", "potential")
+_SOLUTION_SECTIONS = ("meta", "flow", "potential")
 _META_KEYS = ("residual", "iterations", "termination")
 
 
@@ -166,7 +166,6 @@ class Solution:
     arc_ids: tuple
     node_ids: tuple
     flow: np.ndarray
-    arc_dual: np.ndarray
     potential: np.ndarray
     residual: float
     iterations: int
@@ -460,7 +459,6 @@ def _parse_scheduler(token, where, seed=None):
 # `scheduler` token with the `seed` key (see _parse_scheduler).
 _SOLVER_KEYS = {
     "gamma": ("gamma", _float),
-    "mu": ("mu", _float),
     "sigma": ("sigma", _float),
     "T": ("T", _int),
     "scheduler": ("scheduler", None),
@@ -681,7 +679,6 @@ def serialize_solution(solution):
         [
             ("meta", _key_lines(meta)),
             ("flow", _row_lines(arc_ids, np.atleast_2d(solution.flow))),
-            ("arc_dual", _row_lines(arc_ids, np.atleast_2d(solution.arc_dual))),
             (
                 "potential",
                 _row_lines(_id_tokens("node", solution.node_ids), np.atleast_2d(solution.potential)),
@@ -704,7 +701,6 @@ def parse_solution(source, problem):
     tables = []
     for section, ids in (
         ("flow", problem.arc_ids),
-        ("arc_dual", problem.arc_ids),
         ("potential", problem.network.nodes),
     ):
         known = set(ids)
@@ -720,12 +716,11 @@ def parse_solution(source, problem):
             name = ids[bad[0]]
             raise ProblemFormatError("param-range", f"{name!r} has a non-finite value", *rows[name][1])
         tables.append(table)
-    flow, dual, potential = tables
+    flow, potential = tables
     return Solution(
         arc_ids=tuple(problem.arc_ids),
         node_ids=tuple(problem.network.nodes),
         flow=flow,
-        arc_dual=dual,
         potential=potential,
         residual=_float(*meta["residual"]),
         iterations=_int(*meta["iterations"]),

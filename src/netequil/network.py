@@ -4,7 +4,7 @@ A network is a finite ordered node set, a finite ordered list of directed
 arcs (tail, head) with tail != head, and a finite ordered commodity set.
 Parallel arcs are allowed; self-loops are not.  Per-arc quantities live in
 R^C with one coordinate per commodity: a flow is an (n_arcs, C) array, a
-potential an (n_nodes, C) array, and an arc dual again (n_arcs, C).
+potential an (n_nodes, C) array, and a tension again (n_arcs, C).
 
 Divergence of a flow at a node is outgoing minus incoming flux; tension of
 a potential across an arc is head value minus tail value.  The two maps

@@ -3,10 +3,12 @@
 Every monotone relation the solver touches appears here exclusively
 through its resolvent J_{gamma*A}: the map sending x to the unique p with
 x in p + gamma*A(p).  Scalar capacity operators act on the total flux of
-an arc and are lifted to R^C (one coordinate per commodity) by a uniform
-shift; box constraint sets resolve to projections, and a fixed node
-supply resolves to its constant, which the solver reads from
-``OperatorSet.supplies``.
+an arc, and an arc's relation on R^C (one coordinate per commodity) is
+its capacity on the total plus the normal cone of its commodity box,
+resolved as one block by ``OperatorSet.capacity_resolvent``: the family
+kernel at k*gamma on the total of the k commodities off their bounds,
+then a clamp into the box.  A fixed node supply resolves to its
+constant, which the solver reads from ``OperatorSet.supplies``.
 
 All specs are immutable and validate their parameters at construction.
 Resolvent evaluation is total on real input; the only error it raises is
@@ -44,9 +46,10 @@ does the work that depends on xi.  Calling ``kernel(gamma, xi, *params)``
 runs both; ``spec.family()`` names a spec's kernel and its parameters,
 and ``spec.resolvent`` and ``phi.prox`` are the size-1 call.  An
 ``OperatorSet`` groups its arcs by kernel; ``OperatorSet.bind(gamma)``
-prepares every group once for per-arc step parameters, and
-``capacity_resolvent`` then solves each group in one call, gathering the
-constants of the listed arcs on a partial sweep.  BPR runs
+prepares every group once for per-arc step parameters, at k*gamma for
+every commodity count k = 1, ..., C, and ``capacity_resolvent`` then
+solves each group in one call, gathering each listed arc's constants at
+its own k.  BPR runs
 Newton on log s, which decreases monotonically to the root from an upper
 bound, so it needs no bracket and no bisection (see ``_bpr_solve``).
 Logarithmic and PowerExp share one kernel, whose parameters say which
@@ -59,8 +62,9 @@ to Halley, and the closed-form kernels ignore it.  A nan start is a cold
 start, from the kernel's own starting point; the public entry points
 (calling a kernel, ``capacity_resolvent``, ``lambert_w_exp``) take
 ``start=None`` for an all-nan start.  So an element's result depends on
-its own input and its own previous root, never on which other arcs share
-its batch.  A user-supplied ``CustomPhi`` prox is the one family
+its own input and its own previous root, and an arc's block result on
+those and its own previous output, never on which other arcs share its
+batch.  A user-supplied ``CustomPhi`` prox is the one family
 evaluated by a scalar loop.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
@@ -396,7 +400,8 @@ class Logarithmic(_Capacity):
     def value(self, s):
         if s >= self.omega:
             return None
-        return self.theta + math.log(self.omega / (self.omega - s))
+        # log1p keeps the digits that log(omega/(omega - s)) loses for small |s|
+        return self.theta + math.log1p(s / (self.omega - s))
 
     def family(self):
         return _lambert_kernel, (True, self.omega, self.theta)
@@ -419,7 +424,11 @@ class TRC(_Capacity):
 
     def value(self, s):
         d = s - self.omega
-        return self.delta + self.alpha * d + math.sqrt(self.alpha**2 * d * d + self.beta)
+        root = math.sqrt(self.alpha**2 * d * d + self.beta)
+        if d > 0:
+            return self.delta + self.alpha * d + root
+        # alpha*d + root cancels for d << 0; its conjugate form does not
+        return self.delta + self.beta / (root - self.alpha * d)
 
     def family(self):
         return _trc_kernel, (self.alpha, self.beta, self.delta, self.omega)
@@ -728,11 +737,13 @@ class OperatorSet:
             (kernel, np.array(arcs, dtype=np.intp), _columns(rows))
             for kernel, (arcs, rows) in groups.items()
         )
+        # per arc, its family and the element of its family's bound
+        # constants at k = 0 (see `bind`), to which `_roots` adds k
         self._arc_family = np.empty(network.n_arcs, dtype=np.intp)
-        self._arc_member = np.empty(network.n_arcs, dtype=np.intp)
+        self._arc_slot = np.empty(network.n_arcs, dtype=np.intp)
         for f, (_, arcs, _) in enumerate(self.families):
             self._arc_family[arcs] = f
-            self._arc_member[arcs] = np.arange(arcs.size)
+            self._arc_slot[arcs] = np.arange(arcs.size) * n_comm - 1
 
     def _check_balance(self):
         net = self.network
@@ -756,44 +767,139 @@ class OperatorSet:
             )
 
     def bind(self, gamma):
-        """The family kernels' constants at the per-arc step parameters gamma.
+        """The family kernels' constants at k*gamma for k = 1, ..., C.
 
-        `gamma` holds one entry per arc.  Each family's kernel is prepared
-        at C*gamma for all of its arcs, C being the commodity count (see
-        SeparableLift); `capacity_resolvent` takes the result, so a run
+        `gamma` holds one entry per arc, and C is the commodity count.  A
+        family of m arcs is prepared once on m*C elements: element
+        member*C + k - 1 at k times its arc's gamma, the parameter at which
+        `capacity_resolvent` solves an arc with k of its commodities off
+        their bounds.  `capacity_resolvent` takes the result, so a run
         whose step parameters stay fixed binds once.
         """
-        scaled = self.network.n_commodities * gamma
-        return tuple(kernel.prepare(scaled[arcs], *params) for kernel, arcs, params in self.families)
+        n_comm = self.network.n_commodities
+        ks = np.arange(1, n_comm + 1)
+        return tuple(
+            kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *(np.repeat(p, n_comm) for p in params))
+            for kernel, arcs, params in self.families
+        )
 
-    def capacity_resolvent(self, arcs, bound, x, start=None):
-        """Capacity-lift resolvents of the listed arcs, one row each.
+    def _roots(self, arcs, bound, total, k, start):
+        """Family kernel roots J_{k*gamma*c}(total), one per listed arc, written over `start`.
 
-        `arcs` holds distinct arc indices in ascending order, and row k of
-        the (len(arcs), C) array `x` belongs to arc arcs[k].  `bound` is
-        `bind(gamma)` for the per-arc step parameters gamma; a partial
-        sweep gathers the constants of its arcs from it.  Each row total
-        is resolved by its family kernel with parameter C*gamma, and the
-        row is shifted uniformly to match (see SeparableLift).  `start` is
-        a float array with one entry per row: the kernel's root for that
-        arc at an earlier call, which the iterative kernels start from; nan
-        is a cold start, and None is the all-nan start.  It is overwritten
-        with this call's roots.
+        `k` holds each row's commodity count k (or is the one count of every
+        row); `start` holds each row's earlier root (nan for a cold start).
         """
-        n = x.shape[1]
-        total = x.sum(1)
+        every = arcs.size == self.network.n_arcs
+        slot = (self._arc_slot if every else self._arc_slot[arcs]) + k
+        family = None if every else self._arc_family[arcs]
+        for f, ((kernel, members, _), consts) in enumerate(zip(self.families, bound)):
+            rows = members if every else (family == f).nonzero()[0]
+            if rows.size:
+                pick = slot[rows]
+                start[rows] = kernel.solve(total[rows], *[c[pick] for c in consts], start=start[rows])
+        return start
+
+    def capacity_resolvent(self, arcs, bound, xi, start=None, guess=None):
+        """Resolvents of the listed arcs' blocks, capacity and box together, one row each.
+
+        An arc's block is the cost on its total flux plus the normal cone
+        of its box B = [lo, hi], so its resolvent at xi is the x with
+        xi - x in gamma*c(sum x)*1 + gamma*N_B(x): x = clamp(xi + eta,
+        lo, hi) for one shift eta.  Where k commodities end strictly
+        inside their bounds and the rest sit on one, sum x = S_k + k*eta,
+        with S_k the sum of the free xi and of the bounds, so the total
+        T = sum x is J_{k*gamma*c}(S_k), the family kernel at k*gamma, and
+        eta = (T - S_k)/k.  eta is unique, since eta + gamma*c(T(eta))
+        increases strictly in eta.  With one commodity x = clamp(T, lo,
+        hi), T = J_{gamma*c}(xi).
+
+        With C > 1 the free set is guessed: the commodities strictly
+        inside their bounds in `guess` (a point of each row's box, say
+        the arc's previous output; None takes clamp(xi, lo, hi)), plus
+        the commodity with the largest xi - lo, which is off its lower
+        bound whenever any commodity is.  One kernel call per family
+        solves the guess, and a row keeps its result when the clamp
+        reproduces the guessed pattern.  It keeps it too when every free
+        commodity ends below its lower bound and none was guessed on an
+        upper one: then the row sits wholly on its lower bounds at the
+        resolvent, which the clamp gives exactly (an unused arc of an
+        orthant).  The other rows, rare near a solution, are solved by
+        variable fixing (`_fix_variables`).
+
+        `arcs` holds distinct arc indices in ascending order, and row j
+        of the (len(arcs), C) arrays `xi` and `guess` belongs to arc
+        arcs[j].  `bound` is `bind(gamma)` for the per-arc step
+        parameters gamma; a partial sweep gathers the constants of its
+        arcs from it.  `start` is a float array with one entry per row:
+        the kernel's root for that arc at an earlier call, which the
+        iterative kernels start from; nan is a cold start, and None is
+        the all-nan start.  It is overwritten with this call's roots.
+        Each row depends only on its own xi, guess and start.
+        """
+        n_rows, n_comm = xi.shape
         if start is None:
-            start = np.full(total.size, np.nan)
-        # each family gathers its starts before it writes its roots over them
+            start = np.full(n_rows, np.nan)
         if arcs.size == self.network.n_arcs:
-            for (kernel, members, _), consts in zip(self.families, bound):
-                start[members] = kernel.solve(total[members], *consts, start=start[members])
+            lo, hi = self.box_lo, self.box_hi
         else:
-            family = self._arc_family[arcs]
-            member = self._arc_member[arcs]
-            for f, ((kernel, _, _), consts) in enumerate(zip(self.families, bound)):
-                rows = (family == f).nonzero()[0]
-                if rows.size:
-                    pick = member[rows]
-                    start[rows] = kernel.solve(total[rows], *(c[pick] for c in consts), start=start[rows])
-        return x + ((start - total) / n)[:, None]
+            lo, hi = self.box_lo.take(arcs, 0), self.box_hi.take(arcs, 0)
+        if n_comm == 1:
+            root = self._roots(arcs, bound, xi[:, 0], 1, start)
+            return np.minimum(np.maximum(root[:, None], lo), hi)
+        if guess is None:
+            guess = np.minimum(np.maximum(xi, lo), hi)
+        rise = xi - lo
+        # flat index of each row's top commodity, the largest xi - lo
+        top = rise.argmax(1) + np.arange(0, n_rows * n_comm, n_comm)
+        free = (guess > lo) & (guess < hi)
+        free.put(top, True)
+        k = np.add.reduce(free, 1)
+        base = np.where(free, xi, guess)  # a fixed commodity at its bound in guess
+        total = np.add.reduce(base, 1)
+        root = self._roots(arcs, bound, total, k, start)
+        eta = (root - total) / k
+        y = xi + eta[:, None]
+        x = np.minimum(np.maximum(y, lo), hi)
+        agree = x == np.where(free, y, base)
+        # below the top commodity's lower breakpoint every commodity is on
+        # its lower bound, as the clamp gives it; that holds at the resolvent
+        # unless a commodity was guessed on its upper bound
+        agree |= free & (eta < -rise.take(top))[:, None]
+        if not agree.all():
+            miss = (~agree.all(1)).nonzero()[0]
+            pick = start[miss]
+            x[miss] = self._fix_variables(arcs[miss], bound, xi[miss], lo[miss], hi[miss], pick)
+            start[miss] = pick
+        return x
+
+    def _fix_variables(self, arcs, bound, xi, lo, hi, start):
+        """`capacity_resolvent` rows by variable fixing, from the all-free pattern.
+
+        Each pass solves the rows' current patterns, as
+        `capacity_resolvent` does, and finishes a row whose clamp leaves
+        every free commodity inside its bounds.  Otherwise the side whose
+        free commodities overshoot their bounds by more in total is fixed
+        at those bounds: by the monotonicity of eta + gamma*c(T(eta)),
+        they sit there at the resolvent (the variable fixing of Kiwiel,
+        Math. Program. 112, 2008).  A row that has fixed every commodity
+        is finished too, so every pass fixes a commodity of each row it
+        leaves live, and at most C passes run.
+        """
+        x, fixed = xi.copy(), np.zeros(xi.shape, dtype=bool)  # x holds the fixed bounds
+        live = np.arange(len(xi))
+        while live.size:
+            was, lo_l, hi_l = fixed[live], lo[live], hi[live]
+            base = np.where(was, x[live], xi[live])
+            total = np.add.reduce(base, 1)
+            k = np.add.reduce(~was, 1)
+            root = start[live]
+            start[live] = self._roots(arcs[live], bound, total, k, root)
+            y = np.where(was, base, base + ((root - total) / k)[:, None])
+            below, above = y < lo_l, y > hi_l
+            under = np.add.reduce(np.where(below, lo_l - y, 0.0), 1)
+            over = np.add.reduce(np.where(above, y - hi_l, 0.0), 1)
+            side = np.where((under >= over)[:, None], below, above)
+            x[live] = np.where(side, np.where(below, lo_l, hi_l), y)
+            fixed[live] = now = was | side
+            live = live[side.any(1) & ~now.all(1)]
+        return x

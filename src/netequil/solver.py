@@ -1,17 +1,22 @@
 """Block-iterative primal-dual splitting solver for network equilibrium.
 
-The iterate is the triple (x, x*, v*): per-arc flows, per-arc duals, and
-per-node potentials, each stored as an array with one row per entity and
-one column per commodity.  One iteration
+The iterate is the pair (x, v*): per-arc flows and per-node potentials,
+each stored as an array with one row per entity and one column per
+commodity.  Each arc is one block, its flow-tension relation: the cost
+on the arc's total flux plus the normal cone of its commodity box, a
+maximal monotone operator that the convergence theorem of Combettes &
+Eckstein (Math. Program. 168, 2018) takes as one block.  Each node is
+one block, its fixed supply.  One iteration
 
   1. activates the arc blocks chosen by the scheduler (iteration 0
      always activates every arc) and every node block,
-  2. evaluates the capacity and constraint-cone resolvents of the active
-     arcs, caching their primal/dual outputs (inactive arcs keep the
-     outputs from their last activation), and the supply resolvents of
-     all nodes, which are constants, so s* is closed form in div x,
-  3. assembles the step directions t* (arcs), u (arc duals), t (nodes)
-     from the cached outputs and the current divergence/tension values,
+  2. evaluates the resolvents of the active arcs
+     (``OperatorSet.capacity_resolvent``), caching their primal/dual
+     outputs (inactive arcs keep the outputs from their last
+     activation), and the supply resolvents of all nodes, which are
+     constants, so s* is closed form in div x,
+  3. assembles the step directions t* (arcs) and t (nodes) from the
+     cached outputs and the current divergence/tension values,
   4. forms the coordination scalars tau (squared direction norm) and pi
      (separation value) and takes the relaxed projection step
      theta = RELAXATION * max(pi, 0) / tau.
@@ -24,17 +29,17 @@ check costs one full sweep of every block.
 
 pi is the separator in the form that does not cancel near a solution,
 
-  pi = <x - q, q* + x* - tension v> + <x - r, r* - x*> + <div x - s, s* - v>,
+  pi = <x - q, q* - tension v> + <div x - s, s* - v>,
 
 which adjointness of divergence and tension makes equal to the plain
-<x, t*> - <q, q*> + <u, x*> - <r, r*> + <t, v> - <s, s*>.  For a block
-evaluated at the current point, its term is |primal gap|^2 / step
-parameter, so pi is a sum of small nonnegative terms where the plain
-form is a difference of large ones.
+<x, t*> - <q, q*> + <t, v> - <s, s*>.  For a block evaluated at the
+current point, its term is |primal gap|^2 / step parameter, so pi is a
+sum of small nonnegative terms where the plain form is a difference of
+large ones.
 
-The step parameters are one number gamma for every capacity resolvent,
-one mu for every box and a per-node sigma for the supplies, each derived
-from the graph unless the config sets it; see `step_parameters`.
+The step parameters are one number gamma for every arc block and a
+per-node sigma for the supplies, each derived from the graph unless the
+config sets it; see `step_parameters`.
 
 tau = 0 only happens when the cached evaluation already certifies the
 current point, so it triggers an immediate residual check.  The residual
@@ -57,14 +62,16 @@ activates all of them.
 The step parameters are fixed for a run, so ``run`` prepares the
 capacity kernels' constants for them once (``OperatorSet.bind``) and
 each evaluation only solves.
-Each capacity kernel starts from the root its arc had at its previous
-evaluation in the run (the workspace's ``root``, which the residual
-checks share), since the point moves by one relaxed step per iteration;
-a fresh workspace starts cold.
+Each arc's resolvent starts from its arc's previous evaluation in the
+run, since the point moves by one relaxed step per iteration: its kernel
+from the root it returned then (the workspace's ``root``, which the
+residual checks share), and its guess of which commodities sit on their
+bounds from the output q it gave then; a fresh workspace starts cold.
 Reductions for tau and pi always run in ascending arc-then-node order,
-and each capacity resolvent depends only on its own arc's input and its
-own previous root, never on which other arcs are evaluated with it, so
-runs are bitwise reproducible under every scheduler.
+and each arc's resolvent depends only on its own input, its own previous
+root and its own previous output, never on which other arcs are
+evaluated with it, so runs are bitwise reproducible under every
+scheduler.
 """
 
 from __future__ import annotations
@@ -260,7 +267,7 @@ def make_scheduler(spec, network, T=None):
 class SolverConfig:
     """Step parameters, scheduling, and stopping rule; immutable once built.
 
-    gamma, mu and sigma are each one finite positive number, not a bool,
+    gamma and sigma are each one finite positive number, not a bool,
     or None (the default), which derives it from the graph (see
     `step_parameters`).  The scheduler is a `Full`, `RoundRobin` or
     `RandomSweep` spec.  T, the sweep bound, is a nonnegative integer;
@@ -270,7 +277,6 @@ class SolverConfig:
     """
 
     gamma: Optional[float] = None
-    mu: Optional[float] = None
     sigma: Optional[float] = None
     T: Optional[int] = None
     scheduler: object = field(default_factory=Full)
@@ -279,7 +285,7 @@ class SolverConfig:
     check_interval: ClassVar[int] = CHECK_INTERVAL
 
     def __post_init__(self):
-        for name in ("gamma", "mu", "sigma"):
+        for name in ("gamma", "sigma"):
             value = getattr(self, name)
             if value is not None and not _is_positive_real(value):
                 raise ConfigurationError(f"{name} must be a number, finite and positive, or None")
@@ -293,61 +299,49 @@ class SolverConfig:
 
 
 def step_parameters(net, cfg):
-    """(gamma, mu, sigma) of cfg on net: two floats and a per-node array.
+    """(gamma, sigma) of cfg on net: a float and a per-node array.
 
-    A parameter that cfg leaves at None is derived from the graph.  The
-    arc steps follow the diagonal preconditioning of Pock & Chambolle
-    (ICCV 2011) applied to the incidence map K (the divergence), whose
-    column for arc j has two unit entries, +1 at its tail and -1 at its
-    head; the node step is an empirical rule:
+    A parameter that cfg leaves at None is derived from the graph by the
+    diagonal preconditioning of Pock & Chambolle (ICCV 2011), applied to
+    the incidence map K (the divergence), whose column for arc j has two
+    unit entries, +1 at its tail and -1 at its head:
 
-    - gamma_j = 1 / |K e_j|^2 = 1/2.  The flow step of an arc is one over
-      the squared norm of its incidence column, the same for every arc.
-    - sigma_i = max(deg(i), 1)^2 / 2, where deg(i) counts the arcs at
-      node i (parallel arcs once each).  This is not the Pock & Chambolle
-      value, the diagonal entry deg(i)/2 of K diag(gamma) K^T: it is the
-      rule that took the fewest iterations, at gamma = 1/2 under the Full
-      scheduler, among powers of the degree measured on generated grid,
-      mixed-family and two-arc/Braess instances (about 18% fewer than
-      deg(i)/2 on a 10x10 grid with four OD pairs, 36-39% fewer on more
-      loaded grids, and never more on those instances).
-      Any fixed positive sigma keeps the convergence theorem of Combettes
-      & Eckstein (Math. Program. 168, 2018).  A node with one arc or none
-      gets 1/2, which keeps sigma finite and positive.  Two trade-offs:
-      random sweeps that activate a third to a half of the arcs can take
-      more iterations than with deg(i)/2 (up to about 15%), and sigma
-      does not follow an explicit gamma, so a caller who sets gamma
-      should set sigma too (a derived sigma with gamma = 1/4 or 1 took
-      15-50% more iterations than deg(i)/2 did).
-    - mu_j = 1.  The box block reads x + mu_j x* through the identity,
-      which involves no incidence and has column norm 1.
+    - gamma_j = 1 / |K e_j|^2 = 1/2.  The step of an arc block is one
+      over the squared norm of its incidence column, the same for every
+      arc.
+    - sigma_i = gamma * max(deg(i), 1), the diagonal entry of
+      K diag(gamma) K^T at node i, where deg(i) counts the arcs at node i
+      (parallel arcs once each).  At the derived gamma this is
+      max(deg(i), 1) / 2; a node with one arc or none gets gamma, which
+      keeps sigma finite and positive.  A derived sigma follows an
+      explicit gamma.
 
-    An explicit sigma is broadcast to every node.  `run` computes the
-    values once, binds the capacity kernels to gamma (see
-    `OperatorSet.bind`), and hands both to every `step` and `residual`;
-    direct calls that omit them do both themselves.
+    Any fixed positive sigma keeps the convergence theorem of Combettes &
+    Eckstein (Math. Program. 168, 2018).  An explicit sigma is broadcast
+    to every node.  `run` computes the values once, binds the capacity
+    kernels to gamma (see `OperatorSet.bind`), and hands both to every
+    `step` and `residual`; direct calls that omit them do both
+    themselves.
     """
     gamma = 0.5 if cfg.gamma is None else float(cfg.gamma)
-    mu = 1.0 if cfg.mu is None else float(cfg.mu)
     if cfg.sigma is None:
         degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
-        return gamma, mu, np.maximum(degree, 1) ** 2 / 2.0
-    return gamma, mu, np.full(net.n_nodes, float(cfg.sigma))
+        return gamma, gamma * np.maximum(degree, 1)
+    return gamma, np.full(net.n_nodes, float(cfg.sigma))
 
 
 @dataclass
 class SolverState:
-    """Current iterate (x, x*, v*) plus the iteration counter."""
+    """Current iterate (x, v*) plus the iteration counter."""
 
     x: np.ndarray
-    xstar: np.ndarray
     v: np.ndarray
     n: int = 0
 
 
 def initial_state(network):
     """The all-zero starting point."""
-    return SolverState(network.zero_flow(), network.zero_flow(), network.zero_potential())
+    return SolverState(network.zero_flow(), network.zero_potential())
 
 
 @dataclass
@@ -356,25 +350,23 @@ class IterationWorkspace:
 
     Every step evaluates every node block, so s* always belongs to the
     current point; a node block's primal output s is its supply, which
-    is read from `OperatorSet.supplies`.  The arc rows (q, q*, r, r*) of
+    is read from `OperatorSet.supplies`.  The arc rows (q, q*) of
     inactive arcs keep the values from their last activation; iteration 0
     activates every arc, so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
-    last evaluation into this workspace (nan before the first), which the
-    next evaluation starts from: an arc's result depends on its own input
-    and its own previous root, never on which other arcs share its batch.
+    last evaluation into this workspace (nan before the first), and q the
+    output, which the next evaluation starts from (q is 0 before the
+    first): an arc's result depends on its own input, root and q, never
+    on which other arcs share its batch.
     `div_x` and `tension_v` are div x and tension v at the point of the
     last evaluation, which the separator pi reads.
     """
 
     q: np.ndarray
     qstar: np.ndarray
-    r: np.ndarray
-    rstar: np.ndarray
     sstar: np.ndarray
     t_node: np.ndarray
     tstar: np.ndarray
-    u: np.ndarray
     root: np.ndarray
     div_x: np.ndarray
     tension_v: np.ndarray
@@ -386,7 +378,7 @@ def new_workspace(network):
     a = network.zero_flow
     n = network.zero_potential
     root = np.full(network.n_arcs, np.nan)
-    return IterationWorkspace(a(), a(), a(), a(), n(), n(), a(), a(), root, n(), a())
+    return IterationWorkspace(a(), a(), n(), n(), a(), root, n(), a())
 
 
 @dataclass
@@ -419,60 +411,51 @@ class Termination(enum.Enum):
 
 
 def _bound_parameters(net, ops, cfg):
-    """(gamma, mu, sigma, bound): `step_parameters` and the kernels bound to gamma."""
-    gamma, mu, sigma = step_parameters(net, cfg)
-    return gamma, mu, sigma, ops.bind(np.full(net.n_arcs, gamma))
+    """(gamma, sigma, bound): `step_parameters` and the kernels bound to gamma."""
+    gamma, sigma = step_parameters(net, cfg)
+    return gamma, sigma, ops.bind(np.full(net.n_arcs, gamma))
 
 
 def _sweep_blocks(net, ops, params, state, ws, arc_mask):
     """Evaluate the resolvents of the active arcs and of every node into ws.
 
-    Fills q, q*, r, r* and the kernel roots for the arcs set in arc_mask,
-    s* for every node, and div x and tension v.
+    Fills q, q* and the kernel roots for the arcs set in arc_mask, s* for
+    every node, and div x and tension v.
     """
-    gamma, mu, sigma, bound = params
-    x, xstar, v = state.x, state.xstar, state.v
+    gamma, sigma, bound = params
+    x, v = state.x, state.v
     ws.tension_v = net.tension(v)
     ws.div_x = div_x = net.divergence(x)
     act = arc_mask.nonzero()[0]
-    per_arc = (x, xstar, ws.tension_v, ops.box_lo, ops.box_hi, ws.root)
-    if act.size == arc_mask.size:
-        rows = slice(None)  # every arc: work on the arrays themselves
-        xa, xsa, tv, lo, hi, root = per_arc
-    else:
-        rows = act  # gather the active rows, and write root back below
-        xa, xsa, tv, lo, hi, root = (a.take(act, 0) for a in per_arc)
-    lstar = xsa - tv
-    q = ops.capacity_resolvent(act, bound, xa - gamma * lstar, root)
-    if rows is act:
+    if act.size == arc_mask.size:  # every arc: work on the arrays themselves
+        xi = x + gamma * ws.tension_v
+        ws.q = q = ops.capacity_resolvent(act, bound, xi, ws.root, ws.q)
+        ws.qstar = (xi - q) / gamma
+    else:  # gather the active rows, and scatter their results back
+        root = ws.root.take(act)
+        xi = x.take(act, 0) + gamma * ws.tension_v.take(act, 0)
+        q = ops.capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
         ws.root[act] = root
-    ws.q[rows] = q
-    ws.qstar[rows] = (xa - q) / gamma - lstar
-    r = np.minimum(np.maximum(xa + mu * xsa, lo), hi)
-    ws.r[rows] = r
-    ws.rstar[rows] = xsa + (xa - r) / mu
+        ws.q[act] = q
+        ws.qstar[act] = (xi - q) / gamma
 
     # a node's resolvent is its constant supply: s* is closed form in div x
     ws.sstar = v + (div_x - ops.supplies) / sigma[:, None]
 
 
 def _assemble(net, ops, state, ws):
-    """Directions t, t*, u from the cached block outputs; returns (tau, pi).
+    """Directions t, t* from the cached block outputs; returns (tau, pi).
 
-    t is refreshed for every node and t*/u for every arc, active or not.
+    t is refreshed for every node and t* for every arc, active or not.
     pi reads the div x and tension v held in ws, which must be those of
     the current state.
     """
     np.subtract(ops.supplies, net.divergence(ws.q), out=ws.t_node)
-    np.add(ws.qstar, ws.rstar, out=ws.tstar)
-    ws.tstar -= net.tension(ws.sstar)
-    np.subtract(ws.r, ws.q, out=ws.u)
+    np.subtract(ws.qstar, net.tension(ws.sstar), out=ws.tstar)
     # fixed reduction order: arc terms first, then node terms
-    tau = float((ws.tstar * ws.tstar).sum() + (ws.u * ws.u).sum() + (ws.t_node * ws.t_node).sum())
-    x, xstar = state.x, state.xstar
+    tau = float((ws.tstar * ws.tstar).sum() + (ws.t_node * ws.t_node).sum())
     pi = float(
-        ((x - ws.q) * (ws.qstar + xstar - ws.tension_v)).sum()
-        + ((x - ws.r) * (ws.rstar - xstar)).sum()
+        ((state.x - ws.q) * (ws.qstar - ws.tension_v)).sum()
         + ((ws.div_x - ops.supplies) * (ws.sstar - state.v)).sum()
     )
     return tau, pi
@@ -486,11 +469,11 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     at every step: its resolvent is the constant supply, so s* costs one
     vector operation on the div x the step forms anyway.  The workspace
     rows of inactive arcs must be valid (iteration 0 must activate every
-    arc).  `params` is (gamma, mu, sigma, bound): the two floats and the
-    per-node array of `step_parameters(net, cfg)`, and the kernels bound
-    to gamma on every arc; `run` forms them once per run, and a step that
-    omits them forms them itself.  A per-node sigma that no config holds,
-    such as max(deg(i), 1) / 2, goes in here.  `swept=True` says that
+    arc).  `params` is (gamma, sigma, bound): the float and the per-node
+    array of `step_parameters(net, cfg)`, and the kernels bound to gamma
+    on every arc; `run` forms them once per run, and a step that omits
+    them forms them itself.  A per-node sigma that no config holds, such
+    as max(deg(i), 1)^2 / 2, goes in here.  `swept=True` says that
     `residual` has just evaluated every block into ws at the current
     state: every arc is then active, whatever the mask says, and the step
     takes that evaluation (block outputs, directions, tau and pi) as it is
@@ -524,9 +507,8 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     theta = RELAXATION * max(pi, 0.0) / tau if tau > 0.0 else 0.0
     if theta != 0.0:
         state.x -= theta * ws.tstar
-        state.xstar -= theta * ws.u
         state.v -= theta * ws.t_node
-        if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (state.x, state.xstar, state.v)):
+        if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (state.x, state.v)):
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
     ws.tau, ws.pi = tau, pi
@@ -551,9 +533,9 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     solutions of the underlying inclusion for the given step parameters.
     `params` is as for `step`.  The full evaluation (block outputs, kernel
     roots, directions, tau and pi) is written into the workspace `sweep`
-    when one is given, whose capacity kernels start from its own `root`;
-    when it is the workspace of the iteration, the next `step` can take
-    it with `swept=True`.  Without `sweep` the kernels start cold.
+    when one is given, whose arc resolvents start from its own `root` and
+    q; when it is the workspace of the iteration, the next `step` can take
+    it with `swept=True`.  Without `sweep` they start cold.
     """
     if params is None:
         params = _bound_parameters(net, ops, cfg)
@@ -574,8 +556,7 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     """Iterate from zero until the point is an equilibrium within tol or max_iter.
 
     Returns (state, trace, termination).  The flow/potential pair in the
-    final state is the approximate equilibrium; the arc duals are the
-    auxiliary constraint multipliers.  The residual is evaluated every
+    final state is the approximate equilibrium.  The residual is evaluated every
     ``CHECK_INTERVAL`` iterations and immediately whenever tau = 0; once it
     is at most tol, the run converges if `oracle.wardrop_residual` (which
     calls each capacity's ``subdiff``; warnings silenced) is at most tol too.

@@ -169,7 +169,6 @@ def test_criterion_7_fejer_monotonicity():
         return float(
             np.sqrt(
                 np.sum((s.x - zbar.x) ** 2)
-                + np.sum((s.xstar - zbar.xstar) ** 2)
                 + np.sum((s.v - zbar.v) ** 2)
             )
         )
@@ -227,14 +226,13 @@ def test_criterion_9_degenerate_branches():
     state.x[:, 0] = flow
     state.v[:, 0] = [-lam / 2, lam / 2]
     ws = new_workspace(net)
-    before = (state.x.copy(), state.xstar.copy(), state.v.copy())
+    before = (state.x.copy(), state.v.copy())
     rec_tau = step(net, ops, cfg, state, ws)
     tau_ok = (
         rec_tau.tau == 0.0
         and rec_tau.theta == 0.0
         and np.array_equal(state.x, before[0])
-        and np.array_equal(state.xstar, before[1])
-        and np.array_equal(state.v, before[2])
+        and np.array_equal(state.v, before[1])
     )
 
     # pi <= 0 < tau: stale caches from a non-solution, evaluated at the solution
@@ -244,17 +242,15 @@ def test_criterion_9_degenerate_branches():
     ws = new_workspace(net)
     step(net, ops, cfg, state, ws)
     state.x = np.array([[2.0], [1.0]])
-    state.xstar = np.zeros((2, 1))
     state.v = np.array([[-1.5], [1.5]])
-    before = (state.x.copy(), state.xstar.copy(), state.v.copy())
+    before = (state.x.copy(), state.v.copy())
     rec_pi = step(net, ops, cfg, state, ws, np.array([True, False]))
     pi_ok = (
         rec_pi.tau > 0.0
         and rec_pi.pi <= 0.0
         and rec_pi.theta == 0.0
         and np.array_equal(state.x, before[0])
-        and np.array_equal(state.xstar, before[1])
-        and np.array_equal(state.v, before[2])
+        and np.array_equal(state.v, before[1])
     )
     ok = tau_ok and pi_ok
     report(

@@ -70,3 +70,13 @@ def test_a_cli_trace_has_the_columns_the_benchmark_reads(tmp_path):
     _, records, _ = solver.run(inst.network, inst.operators, inst.config)
     counts, _ = bench._read_cli_counts(types.SimpleNamespace(trace_path=trace), inst.network.n_arcs, 0)
     assert counts == (len(records), bench.arc_evals(records, inst.network.n_arcs))
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_check_accepts_the_solution_that_solve_writes(name, tmp_path):
+    # bench.py solves each problem file through the CLI and then checks what
+    # it wrote, so every section of a written solution must parse back
+    prob, sol = tmp_path / "p.prob", tmp_path / "s.sol"
+    prob.write_text(serialize_problem(instance(name).problem()))
+    assert cli.main(["solve", str(prob), "--out", str(sol), "--quiet"]) == cli.EXIT_OK
+    assert cli.main(["check", str(prob), str(sol), "--quiet"]) == cli.EXIT_OK

@@ -171,6 +171,11 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         err = expect_code(MINIMAL + f"[solver]\ntol = 1e-06\n{key} = 1\n", "unknown-key")
         assert (err.section, err.entity, err.line) == ("solver", key, 14)
 
+    def test_the_mu_key_of_the_deleted_box_block_is_unknown_at_its_line(self):
+        # files written while each arc's box was a block of its own may hold it
+        err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\nmu = 1.0\n", "unknown-key")
+        assert (err.section, err.entity, err.line) == ("solver", "mu", 14)
+
     def test_every_solver_setting_but_the_scheduler_has_exactly_one_key(self):
         # so no setting reaches the library without the file format, or the reverse
         targets = [name for name, _ in fileio._SOLVER_KEYS.values()]
@@ -186,13 +191,13 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_every_solver_field_set_is_written_in_key_order(self):
         problem = parse_problem(TWO_ARCS)
         problem.config = SolverConfig(
-            gamma=0.25, mu=2.0, sigma=3.0, T=4,
+            gamma=0.25, sigma=3.0, T=4,
             scheduler=RandomSweep(seed=5, activation_prob=0.25),
             tol=1e-08, max_iter=77,
         )
         text = serialize_problem(problem)
         assert text.split("[solver]\n", 1)[1] == (
-            "gamma = 0.25\nmu = 2.0\nsigma = 3.0\nT = 4\n"
+            "gamma = 0.25\nsigma = 3.0\nT = 4\n"
             "scheduler = randomsweep:0.25\nseed = 5\ntol = 1e-08\nmax_iter = 77\n"
         )
         assert serialize_problem(parse_problem(text)) == text
@@ -395,29 +400,29 @@ class TestRoundTrip:
     def test_missing_step_keys_are_derived_from_the_graph(self):
         problem = parse_problem(MINIMAL + "[solver]\ntol = 1e-06\n")
         cfg = problem.config
-        assert (cfg.gamma, cfg.mu, cfg.sigma) == (None, None, None)
-        gamma, mu, sigma = step_parameters(problem.network, cfg)
-        assert (gamma, mu) == (0.5, 1.0)
+        assert (cfg.gamma, cfg.sigma) == (None, None)
+        gamma, sigma = step_parameters(problem.network, cfg)
+        assert gamma == 0.5
         assert np.array_equal(sigma, [0.5, 0.5])  # one arc at each node
 
     def test_explicit_step_keys_round_trip_unchanged(self):
-        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nmu = 2.5\nsigma = 1e-3\n"
+        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nsigma = 1e-3\n"
         first = parse_problem(text)
-        assert (first.config.gamma, first.config.mu, first.config.sigma) == (0.30000000000000004, 2.5, 1e-3)
+        assert (first.config.gamma, first.config.sigma) == (0.30000000000000004, 1e-3)
         written = serialize_problem(first)
-        for line in ("gamma = 0.30000000000000004\n", "mu = 2.5\n", "sigma = 0.001\n"):
+        for line in ("gamma = 0.30000000000000004\n", "sigma = 0.001\n"):
             assert line in written
         assert serialize_problem(parse_problem(written)) == written
 
     @pytest.mark.parametrize(
         "explicit",
-        [{}, {"mu": 2.0}, {"gamma": 0.25, "sigma": 3.0}, {"gamma": 1.0, "mu": 1.0, "sigma": 1.0}],
+        [{}, {"sigma": 2.0}, {"gamma": 0.25, "sigma": 3.0}, {"gamma": 1.0}],
     )
     def test_serialize_writes_only_the_step_keys_that_were_set(self, explicit):
         problem = self.two_node_problem(["a", "b"])
         problem.config = SolverConfig(**explicit)
         written = serialize_problem(problem)
-        for name in ("gamma", "mu", "sigma"):
+        for name in ("gamma", "sigma"):
             assert (f"\n{name} = " in written) == (name in explicit)
         assert serialize_problem(parse_problem(written)) == written
 
@@ -427,7 +432,6 @@ class TestRoundTrip:
             arc_ids=("e1",),
             node_ids=("a", "b"),
             flow=np.array([[1.0 / 3.0]]),
-            arc_dual=np.array([[-1e-9]]),
             potential=np.array([[0.0], [math.pi]]),
             residual=2.5e-7,
             iterations=17,
@@ -437,29 +441,26 @@ class TestRoundTrip:
         assert serialize_solution(parse_solution(text, problem)) == text
 
     def test_solution_with_tuple_arc_id_is_rejected_by_name(self):
-        solution = Solution((("e", 1),), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
-                            np.zeros((2, 1)), 0.0, 1, "converged")
+        solution = Solution((("e", 1),), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
         with pytest.raises(ConfigurationError, match=r"arc id \('e', 1\)"):
             serialize_solution(solution)
 
     def test_solution_validates_entities(self):
         problem = parse_problem(MINIMAL)
         text = serialize_solution(
-            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
-                     np.zeros((2, 1)), 0.0, 1, "converged")
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
         ).replace("e1", "zz")
         with pytest.raises(ProblemFormatError) as err:
             parse_solution(text, problem)
         assert err.value.code == "dangling-node"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("section", ["flow", "arc_dual", "potential"])
+    @pytest.mark.parametrize("section", ["flow", "potential"])
     def test_solution_rejects_non_finite_values_at_their_line(self, section, value):
         # a nan flow used to parse, and check then printed a nan residual
         problem = parse_problem(MINIMAL)
         lines = serialize_solution(
-            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
-                     np.zeros((2, 1)), 0.0, 1, "converged")
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
         ).splitlines()
         line = lines.index(f"[{section}]") + 2  # the section's first row, 1-based
         entity = lines[line - 1].split()[0]
@@ -473,8 +474,7 @@ class TestRoundTrip:
     def test_solution_rejects_unknown_termination(self):
         problem = parse_problem(MINIMAL)
         text = serialize_solution(
-            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
-                     np.zeros((2, 1)), 0.0, 1, "converged")
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
         ).replace("termination = converged", "termination = maybe")
         with pytest.raises(ProblemFormatError):
             parse_solution(text, problem)
@@ -535,8 +535,7 @@ class TestTokens:
 class TestSolutionSections:
     def text(self):
         return serialize_solution(
-            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((1, 1)),
-                     np.zeros((2, 1)), 0.0, 1, "converged")
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
         )
 
     @pytest.mark.parametrize(
@@ -547,6 +546,8 @@ class TestSolutionSections:
             ("[flow]\n", "[flow]\n[flow]\n", "duplicate-id"),
             ("[flow]\ne1 1.0\n", "[flow]\ne1 1.0\ne1 1.0\n", "duplicate-id"),
             ("[potential]\n", "[extra]\ne1 1.0\n\n[potential]\n", "syntax"),
+            # solutions written while the solver carried arc duals hold this section
+            ("[potential]\n", "[arc_dual]\ne1 0.0\n\n[potential]\n", "syntax"),
         ],
     )
     def test_rejected(self, old, new, code):

@@ -345,17 +345,14 @@ class TestSeparableLift:
 
 
 def box_projection(box, x):
-    """The solver's projection of x onto `box`: r of a one-arc step at
-    x* = 0 and mu = 1, from the box rows the OperatorSet holds."""
+    """The projection of x onto `box`: the resolvent of an arc block whose
+    cost is 0, from the box rows the OperatorSet holds."""
     n_comm = len(box.lo)
     net = Network(["a", "b"], [("a", "b")], n_comm)
-    arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), box)
+    arc = ArcOperator(SeparableLift(IntervalProx(AffinePhi(0.0))), box)
     ops = OperatorSet(net, [arc], [FixedSupply((0.0,) * n_comm)] * 2)
     assert ops.box_lo.tolist() == [list(box.lo)] and ops.box_hi.tolist() == [list(box.hi)]
-    state = SolverState(np.array([x], dtype=float), net.zero_flow(), net.zero_potential())
-    ws = new_workspace(net)
-    step(net, ops, SolverConfig(mu=1.0), state, ws)
-    return ws.r[0]
+    return ops.capacity_resolvent(np.arange(1), ops.bind(np.ones(1)), np.array([x], dtype=float))[0]
 
 
 class TestBoxAndSupply:
@@ -393,7 +390,7 @@ class TestBoxAndSupply:
         rng = np.random.default_rng(59)
         for sigma in [0.1, 1.0, 10.0]:
             x, v = rng.standard_normal((1, 2)), rng.standard_normal((2, 2))
-            state, ws = SolverState(x.copy(), net.zero_flow(), v.copy()), new_workspace(net)
+            state, ws = SolverState(x.copy(), v.copy()), new_workspace(net)
             step(net, ops, SolverConfig(sigma=sigma), state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
             np.testing.assert_array_equal(ws.t_node, ops.supplies - net.divergence(ws.q))
@@ -407,7 +404,7 @@ class TestBoxAndSupply:
         ops = OperatorSet(net, [arc], [FixedSupply((0.0,))] * 2)
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
-        state, ws = SolverState(net.zero_flow(), net.zero_flow(), v.copy()), new_workspace(net)
+        state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net)
         step(net, ops, SolverConfig(sigma=1.0), state, ws)
         # at zero flow a zero supply leaves s* = v and t = -div q
         np.testing.assert_array_equal(ws.sstar, v)
@@ -950,6 +947,8 @@ def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
 
 
 def test_capacity_resolvent_matches_lift_resolvent_bitwise():
+    # in a free box every commodity is free: the arc block's resolvent is
+    # the lift's uniform shift, and with one commodity the kernel root itself
     rng = np.random.default_rng(61)
     for _ in range(20):
         net = random_network(rng, max_comm=6)
@@ -961,7 +960,10 @@ def test_capacity_resolvent_matches_lift_resolvent_bitwise():
         )
         x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
         gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
-        single = np.array([SeparableLift(s).resolvent(g, row) for s, g, row in zip(specs, gamma, x)])
+        if net.n_commodities == 1:
+            single = np.array([[s.resolvent(g, row[0])] for s, g, row in zip(specs, gamma, x)])
+        else:
+            single = np.array([SeparableLift(s).resolvent(g, row) for s, g, row in zip(specs, gamma, x)])
         bound = ops.bind(gamma)
         for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
             out = ops.capacity_resolvent(arcs, bound, x[arcs])
@@ -982,13 +984,112 @@ def test_bound_batches_match_size1_resolvents_bitwise(family):
     gamma = np.array([g for _, g, _ in items])
     x = np.array([[xi] for _, _, xi in items])
     single = np.array([spec.resolvent(g, xi) for spec, g, xi in items])
-    lifted = np.array([SeparableLift(spec).resolvent(g, row) for (spec, g, _), row in zip(items, x)])
     bound = ops.bind(gamma)
     for arcs in (np.arange(len(items)), np.flatnonzero(rng.random(len(items)) < 0.3)):
         roots = np.full(arcs.size, np.nan)
         out = ops.capacity_resolvent(arcs, bound, x[arcs], roots)
         assert np.array_equal(roots, single[arcs])
-        assert np.array_equal(out, lifted[arcs])
+        assert np.array_equal(out[:, 0], single[arcs])
+
+
+def reference_arc_resolvent(spec, gamma, xi, lo, hi):
+    """The resolvent of c(sum x)*1 + N_[lo, hi] at xi, one arc by a slow scan.
+
+    x = clamp(xi + eta, lo, hi) for the one eta with eta in
+    -gamma*c(sum x).  The breakpoints lo - xi and hi - xi cut the eta axis
+    into segments, on each of which a fixed set of k commodities is
+    free; the scan walks them upwards and solves each with k >= 1 by
+    spec.resolvent(k*gamma, S).  A segment's root left of it puts eta at
+    the flat (k = 0) segment just before, where x sits on its bounds.
+    """
+    cuts = sorted({float(b - z) for b, z in zip((*lo, *hi), (*xi, *xi)) if math.isfinite(b)})
+    edges = [-math.inf, *cuts, math.inf]
+    flat = None
+    for a, b in zip(edges[:-1], edges[1:]):
+        if math.isinf(a) and math.isinf(b):
+            mid = 0.0
+        elif math.isinf(a):
+            mid = b - 1.0
+        elif math.isinf(b):
+            mid = a + 1.0
+        else:
+            mid = 0.5 * (a + b)
+        y = xi + mid
+        free = (y > lo) & (y < hi)
+        base = np.where(free, xi, np.where(y <= lo, lo, hi))
+        k, total = int(free.sum()), float(base.sum())
+        if k == 0:
+            flat = base
+            continue
+        eta = (spec.resolvent(k * gamma, total) - total) / k
+        if eta < a:
+            return flat if flat is not None else np.clip(xi + a, lo, hi)
+        if eta <= b:
+            return np.clip(xi + eta, lo, hi)
+        flat = None
+    return flat
+
+
+def arc_block_draws(rng, n_comm, n_arcs):
+    """(spec, gamma) of every family, a box per arc and a point of it per arc.
+
+    The boxes are orthants, free, finite, half-open on either side, and
+    with lo = hi for some commodities; the points, which serve as guesses,
+    sit on a bound or strictly inside at random.
+    """
+    families = BATCH_FAMILIES
+    draws = [regime_draws(families[j % len(families)], rng, 1)[0][:2] for j in range(n_arcs)]
+    lo = rng.uniform(-3.0, 1.0, (n_arcs, n_comm))
+    hi = lo + rng.uniform(0.0, 4.0, (n_arcs, n_comm))
+    kind = rng.integers(6, size=(n_arcs, 1))
+    lo = np.where(kind == 0, 0.0, np.where((kind == 1) | (kind == 3), -math.inf, lo))
+    hi = np.where((kind == 0) | (kind == 1) | (kind == 4), math.inf, hi)
+    hi = np.where((kind == 5) & (rng.random((n_arcs, n_comm)) < 0.3), lo, hi)
+    guess = np.clip(rng.standard_normal((n_arcs, n_comm)) * 2.0, lo, hi)
+    snap = rng.random((n_arcs, n_comm))
+    guess = np.where((snap < 0.3) & np.isfinite(lo), lo, np.where((snap > 0.8) & np.isfinite(hi), hi, guess))
+    return draws, lo, hi, guess
+
+
+@pytest.mark.parametrize("n_comm", [1, 2, 3])
+def test_arc_block_resolvent_matches_a_breakpoint_scan(n_comm, monkeypatch):
+    rng = np.random.default_rng(400 + n_comm)
+    fixed_rows = []
+    fix = OperatorSet._fix_variables
+
+    def counted(self, arcs, *args):
+        fixed_rows.extend(arcs.tolist())
+        return fix(self, arcs, *args)
+
+    monkeypatch.setattr(OperatorSet, "_fix_variables", counted)
+    for _ in range(8):
+        n_arcs = 60
+        draws, lo, hi, guess = arc_block_draws(rng, n_comm, n_arcs)
+        net = Network(["a", "b"], [("a", "b")] * n_arcs, n_comm)
+        arcs = [ArcOperator(SeparableLift(spec), Box(l, h)) for (spec, _), l, h in zip(draws, lo, hi)]
+        ops = OperatorSet(net, arcs, [FixedSupply((0.0,) * n_comm)] * 2)
+        gamma = np.array([g for _, g in draws])
+        bound = ops.bind(gamma)
+        xi = rng.uniform(-20.0, 20.0, (n_arcs, n_comm)) * 10.0 ** rng.uniform(-1, 1, (n_arcs, 1))
+        want = np.array([reference_arc_resolvent(spec, g, *row) for (spec, g), *row in zip(draws, xi, lo, hi)])
+        scale = 1.0 + np.abs(xi).max(1, keepdims=True)
+        for rows in (np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.4)):
+            for start in (None, guess[rows]):
+                got = ops.capacity_resolvent(rows, bound, xi[rows], guess=start)
+                assert np.all(np.abs(got - want[rows]) <= 1e-12 * scale[rows])
+                assert np.all((lo[rows] <= got) & (got <= hi[rows]))
+            # a row alone is bitwise the row of the batch, from a cold or a warm start
+            roots = np.full(rows.size, np.nan)
+            ops.capacity_resolvent(rows, bound, xi[rows], roots, guess[rows])
+            starts = np.where(rng.random(rows.size) < 0.5, np.nan, roots + 1e-3 * rng.standard_normal(rows.size))
+            batch_roots = starts.copy()
+            batch = ops.capacity_resolvent(rows, bound, xi[rows], batch_roots, guess[rows])
+            for r, j in enumerate(rows):
+                root = starts[r : r + 1].copy()
+                alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
+                assert np.array_equal(alone[0], batch[r]) and np.array_equal(root, batch_roots[r : r + 1], equal_nan=True)
+    # some rows went to variable fixing; with one commodity none does
+    assert bool(fixed_rows) == (n_comm > 1)
 
 
 def mixed_family_instance(custom):
