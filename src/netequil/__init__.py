@@ -11,8 +11,8 @@ projection step couples the blocks.
 The pieces:
 
 - :mod:`netequil.network`   network data type, divergence and tension
-- :mod:`netequil.operators` resolvent toolbox (capacity families, boxes,
-  supplies, the separable commodity lift)
+- :mod:`netequil.operators` resolvent toolbox (capacity families, the
+  arc block of a capacity and its box, boxes, supplies)
 - :mod:`netequil.lambertw`  Lambert W, used by two capacity resolvents
 - :mod:`netequil.solver`    the block-iterative iteration and its driver
 - :mod:`netequil.oracle`    independent desk-scale reference solutions

@@ -195,12 +195,18 @@ def _capacity_draws(rng, rounds):
 
 
 def _suite_resolvent_identity():
+    from .operators import Logarithmic
+
     rng = np.random.default_rng(20240)
+    draws = _capacity_draws(rng, 200)
+    arc_worst = _arc_block_inclusion(rng)
+    for _ in range(200):  # Logarithmic roots near 0, far below omega
+        gamma, theta, omega = 10.0 ** rng.uniform(-2, 1), rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(4, 300)
+        draws.append((Logarithmic(omega, theta), gamma, gamma * (theta + rng.uniform(-3.0, 3.0))))
     worst = 0.0
-    for spec, gamma, xi in _capacity_draws(rng, 200):
+    for spec, gamma, xi in draws:
         s = spec.resolvent(gamma, xi)
         worst = max(worst, abs(s + gamma * spec.value(s) - xi) / max(1.0, abs(xi)))
-    arc_worst = _arc_block_inclusion(rng)
     ok = worst <= 1e-8 and arc_worst <= 1e-9
     return ok, f"worst identity error {worst:.2e}, arc block inclusion error {arc_worst:.2e}"
 

@@ -23,7 +23,8 @@ Scalar capacity families
                  on the nonnegative axis when xi >= gamma*theta, and is
                  xi - gamma*theta otherwise.
 ``Logarithmic``  theta + log(omega/(omega - s)) on s < omega; resolvent
-                 omega - gamma*W((omega/gamma)*exp(theta + (omega-xi)/gamma)).
+                 omega - gamma*W((omega/gamma)*exp(theta + (omega-xi)/gamma)),
+                 refined by one Newton step where it is far below omega.
 ``TRC``          delta + alpha*(s-omega) + sqrt(alpha^2*(s-omega)^2 + beta);
                  closed-form resolvent.
 ``PowerExp``     theta*alpha**(p*s) with alpha > 1; resolvent
@@ -212,19 +213,31 @@ def _lambert_prepare(gamma, is_log, a, theta):
 
     Each element gets both families' constants; the other family's may be
     log(0) (Logarithmic theta = 0) or overflow, and are never selected.
+    The last two, gamma*theta and 2**-10 * omega (0 for PowerExp), serve
+    the Logarithmic refinement of a root far below omega (see
+    `_lambert_solve`).
     """
+    is_log = is_log != 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_gta = np.log(gamma * theta * a)
+        gt = gamma * theta
+        log_gta = np.log(gt * a)
         log_a_theta = np.log(a / gamma) + theta
-    return log_gta, log_a_theta, np.nextafter(a, -np.inf), gamma, a, is_log != 0.0
+    near = np.where(is_log, np.ldexp(a, -10), 0.0)
+    return log_gta, log_a_theta, np.nextafter(a, -np.inf), gamma, a, is_log, gt, near
 
 
-def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start):
+def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, gt, near, start):
     """Logarithmic and PowerExp resolvents, both one W(exp(z)) solve.
 
     A batch mixing the two families makes one ``lambert_w_exp`` call.  z,
     the warm start and the output pick each element's own formula; the
     other family's formula is evaluated and discarded, and may overflow.
+    A Logarithmic root s = omega - gamma*W with |s| < `near` = 2**-10 *
+    omega has lost digits to that difference, about an ulp of omega.  One
+    Newton step on s + gamma*(theta - log1p(-s/omega)) = xi, which does
+    not cancel there, restores them.  It is written as a fixed-point
+    update, not s - F/F', which would cancel again where the W form is off
+    by more than the root itself.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = np.where(is_log, log_a_theta + (a - xi) / gamma, log_gta + a * xi)
@@ -232,7 +245,13 @@ def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, start):
         start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
     w = lambert_w_exp(z, start)
     # where W underflowed the exact Logarithmic value sits strictly below omega
-    return np.where(is_log, np.minimum(a - gamma * w, below_a), xi - w / a)
+    s = np.where(is_log, np.minimum(a - gamma * w, below_a), xi - w / a)
+    refine = np.abs(s) < near
+    if refine.any():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = a - s
+            s = np.where(refine, (xi - gt + gamma * (np.log1p(-s / a) + s / d)) / (1.0 + gamma / d), s)
+    return s
 
 
 def _trc_prepare(gamma, alpha, beta, delta, omega):
@@ -589,11 +608,14 @@ class IntervalProx(_Capacity):
 
 @dataclass(frozen=True)
 class SeparableLift:
-    """Vector operator on R^C built from a scalar capacity on the total flux.
+    """An arc's scalar capacity cost, acting on the arc's total flux.
 
-    Its resolvent shifts every coordinate by the same amount
+    The arc block resolves it together with the arc's box
+    (`OperatorSet.capacity_resolvent`).  `resolvent` is that block's
+    resolvent only for a free box: it shifts every coordinate by
     eta = (J_{C*gamma*c}(sum x) - sum x) / C, where C is the number of
-    commodities; the scalar resolvent is evaluated with parameter C*gamma.
+    commodities.  No run calls it; it stays as a size-1 reference for
+    the tests and the benchmark's layer timings.
     """
 
     scalar: object

@@ -8,9 +8,10 @@ slack rule at box and ``IntervalProx`` bounds.  The only shared code is
 the network data type, so agreement with the splitting solver is a
 genuine cross-check.
 
-All oracles are single-commodity; multicommodity validation leans on the
-separable-lift structure (costs depend on total flux, so commodity totals
-behave like a single-commodity problem).
+``wardrop_residual`` checks every commodity of every arc: each
+commodity's tension against the cost of the arc's total flux plus the
+normal cone of that commodity's interval of the box.  Only the reference
+solutions, Frank-Wolfe and the two-arc instance, are single-commodity.
 """
 
 from __future__ import annotations

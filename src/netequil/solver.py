@@ -133,11 +133,6 @@ def _is_positive_real(value):
 
 
 @dataclass(frozen=True)
-class Full:
-    """Activate every arc block at every iteration."""
-
-
-@dataclass(frozen=True)
 class RoundRobin:
     """Cycle through a fixed partition of the arc index set.
 
@@ -153,6 +148,13 @@ class RoundRobin:
     def __post_init__(self):
         if not _is_int(self.arc_groups) or self.arc_groups < 1:
             raise ConfigurationError("round-robin group count must be a positive integer")
+
+
+@dataclass(frozen=True)
+class Full(RoundRobin):
+    """Activate every arc block at every iteration: the one-group `RoundRobin`."""
+
+    arc_groups: int = field(default=1, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -224,13 +226,11 @@ class _RandomSweepScheduler:
 def sweep_bound(spec):
     """The sweep bound T a scheduler spec runs under when none is given.
 
-    0 for `Full`, k - 1 for `RoundRobin(k)` (the smallest T that its k
-    groups satisfy) and 3 for `RandomSweep`, whose force-inclusion then
+    k - 1 for `RoundRobin(k)` (the smallest T that its k groups satisfy),
+    so 0 for `Full`, and 3 for `RandomSweep`, whose force-inclusion then
     activates each arc at least once in every 4 iterations.  The library,
     problem files and the CLI all take T from this rule.
     """
-    if isinstance(spec, Full):
-        return 0
     if isinstance(spec, RoundRobin):
         return spec.arc_groups - 1
     if isinstance(spec, RandomSweep):
@@ -249,8 +249,6 @@ def make_scheduler(spec, network, T=None):
         T = sweep_bound(spec)
     elif not _is_int(T) or T < 0:
         raise ConfigurationError("sweep bound T must be a nonnegative integer")
-    if isinstance(spec, Full):
-        return _RoundRobinScheduler(network, T, 1)
     if isinstance(spec, RoundRobin):
         return _RoundRobinScheduler(network, T, spec.arc_groups)
     if isinstance(spec, RandomSweep):
@@ -358,8 +356,6 @@ class IterationWorkspace:
     output, which the next evaluation starts from (q is 0 before the
     first): an arc's result depends on its own input, root and q, never
     on which other arcs share its batch.
-    `div_x` and `tension_v` are div x and tension v at the point of the
-    last evaluation, which the separator pi reads.
     """
 
     q: np.ndarray
@@ -368,8 +364,6 @@ class IterationWorkspace:
     t_node: np.ndarray
     tstar: np.ndarray
     root: np.ndarray
-    div_x: np.ndarray
-    tension_v: np.ndarray
     tau: float = 0.0
     pi: float = 0.0
 
@@ -377,8 +371,7 @@ class IterationWorkspace:
 def new_workspace(network):
     a = network.zero_flow
     n = network.zero_potential
-    root = np.full(network.n_arcs, np.nan)
-    return IterationWorkspace(a(), a(), n(), n(), a(), root, n(), a())
+    return IterationWorkspace(a(), a(), n(), n(), a(), np.full(network.n_arcs, np.nan))
 
 
 @dataclass
@@ -416,24 +409,25 @@ def _bound_parameters(net, ops, cfg):
     return gamma, sigma, ops.bind(np.full(net.n_arcs, gamma))
 
 
-def _sweep_blocks(net, ops, params, state, ws, arc_mask):
-    """Evaluate the resolvents of the active arcs and of every node into ws.
+def _evaluate(net, ops, params, state, ws, arc_mask):
+    """Evaluate the active arcs and every node at state into ws; returns div x.
 
-    Fills q, q* and the kernel roots for the arcs set in arc_mask, s* for
-    every node, and div x and tension v.
+    Fills q, q* and the kernel roots for the arcs set in arc_mask and s*
+    for every node, then the directions t for every node and t* for every
+    arc, active or not, and tau and pi.
     """
     gamma, sigma, bound = params
     x, v = state.x, state.v
-    ws.tension_v = net.tension(v)
-    ws.div_x = div_x = net.divergence(x)
+    tension_v = net.tension(v)
+    div_x = net.divergence(x)
     act = arc_mask.nonzero()[0]
     if act.size == arc_mask.size:  # every arc: work on the arrays themselves
-        xi = x + gamma * ws.tension_v
+        xi = x + gamma * tension_v
         ws.q = q = ops.capacity_resolvent(act, bound, xi, ws.root, ws.q)
         ws.qstar = (xi - q) / gamma
     else:  # gather the active rows, and scatter their results back
         root = ws.root.take(act)
-        xi = x.take(act, 0) + gamma * ws.tension_v.take(act, 0)
+        xi = x.take(act, 0) + gamma * tension_v.take(act, 0)
         q = ops.capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
         ws.root[act] = root
         ws.q[act] = q
@@ -441,24 +435,14 @@ def _sweep_blocks(net, ops, params, state, ws, arc_mask):
 
     # a node's resolvent is its constant supply: s* is closed form in div x
     ws.sstar = v + (div_x - ops.supplies) / sigma[:, None]
-
-
-def _assemble(net, ops, state, ws):
-    """Directions t, t* from the cached block outputs; returns (tau, pi).
-
-    t is refreshed for every node and t* for every arc, active or not.
-    pi reads the div x and tension v held in ws, which must be those of
-    the current state.
-    """
     np.subtract(ops.supplies, net.divergence(ws.q), out=ws.t_node)
     np.subtract(ws.qstar, net.tension(ws.sstar), out=ws.tstar)
     # fixed reduction order: arc terms first, then node terms
-    tau = float((ws.tstar * ws.tstar).sum() + (ws.t_node * ws.t_node).sum())
-    pi = float(
-        ((state.x - ws.q) * (ws.qstar - ws.tension_v)).sum()
-        + ((ws.div_x - ops.supplies) * (ws.sstar - state.v)).sum()
+    ws.tau = float((ws.tstar * ws.tstar).sum() + (ws.t_node * ws.t_node).sum())
+    ws.pi = float(
+        ((x - ws.q) * (ws.qstar - tension_v)).sum() + ((div_x - ops.supplies) * (ws.sstar - v)).sum()
     )
-    return tau, pi
+    return div_x
 
 
 def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False):
@@ -494,13 +478,11 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     if not n_active:
         raise ConfigurationError("the arc activation set must be nonempty")
 
-    if swept:
-        tau, pi = ws.tau, ws.pi
-    else:
+    if not swept:
         with np.errstate(over="ignore", invalid="ignore"):
             # non-finite values are caught below and reported as NumericalFailure
-            _sweep_blocks(net, ops, params, state, ws, active_arcs)
-            tau, pi = _assemble(net, ops, state, ws)
+            _evaluate(net, ops, params, state, ws, active_arcs)
+    tau, pi = ws.tau, ws.pi
     if not (math.isfinite(tau) and math.isfinite(pi)):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
 
@@ -511,7 +493,6 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (state.x, state.v)):
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
-    ws.tau, ws.pi = tau, pi
     record = TraceRecord(
         n=state.n,
         tau=tau,
@@ -541,9 +522,8 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
         params = _bound_parameters(net, ops, cfg)
     ws = sweep if sweep is not None else new_workspace(net)
     with np.errstate(over="ignore", invalid="ignore"):
-        _sweep_blocks(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
-        ws.tau, ws.pi = _assemble(net, ops, state, ws)
-        gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - ws.div_x) ** 2))
+        div_x = _evaluate(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
+        gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - div_x) ** 2))
         return float(np.sqrt(ws.tau + gap))
 
 

@@ -49,6 +49,20 @@ def test_a_run_never_calls_the_lifted_resolvent(name, monkeypatch):
     assert len(records) == 30 and calls == []
 
 
+def test_grid_full_runs_alike_bitwise_under_full_and_the_one_group_round_robin():
+    # grid_full is the workload that runs Full, which is RoundRobin(1)
+    inst = instance("grid_full")
+    assert isinstance(inst.config.scheduler, solver.Full)
+    runs = [
+        solver.run(inst.network, inst.operators, replace(inst.config, scheduler=spec))
+        for spec in (solver.Full(), solver.RoundRobin(1))
+    ]
+    (full, full_trace, full_end), (rr, rr_trace, rr_end) = runs
+    assert full_end is rr_end is solver.Termination.CONVERGED
+    assert full.x.tobytes() == rr.x.tobytes() and full.v.tobytes() == rr.v.tobytes()
+    assert [replace(r, millis=0.0) for r in full_trace] == [replace(r, millis=0.0) for r in rr_trace]
+
+
 def test_every_attribute_the_tracer_patches_exists():
     tracer = tracing.Tracer()
     try:

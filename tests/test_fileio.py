@@ -161,6 +161,15 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert cfg.scheduler == RoundRobin(2)
         assert cfg.T is None and sweep_bound(cfg.scheduler) == 1
 
+    def test_full_and_the_one_group_round_robin_keep_their_own_tokens(self):
+        problem = parse_problem(TWO_ARCS)
+        for spec, token in ((Full(), "full"), (RoundRobin(1), "roundrobin:1")):
+            problem.config = dataclasses.replace(problem.config, scheduler=spec)
+            text = serialize_problem(problem)
+            assert f"\nscheduler = {token}\n" in text
+            parsed = parse_problem(text).config.scheduler
+            assert type(parsed) is type(spec) and parsed == spec
+
     def test_threads_key_is_unknown_at_its_line(self):
         err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\nthreads = 2\n", "unknown-key")
         assert (err.section, err.entity, err.line) == ("solver", "threads", 14)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 import zlib
@@ -157,6 +158,81 @@ class TestLogarithmic:
             Logarithmic(omega=0.0, theta=1.0)
         with pytest.raises(ConfigurationError, match="theta >= 0"):
             Logarithmic(omega=1.0, theta=-0.5)
+
+
+def decimal_log_root(spec, gamma, xi, start):
+    """The Logarithmic resolvent in 50-digit decimals, rounded once.
+
+    Newton on F(s) = s + gamma*(theta - log(1 - s/omega)) - xi, which is
+    convex and increasing, from `start` when it lies below omega.  If an
+    iterate reaches omega, Newton restarts from a point where F >= 0, from
+    which it decreases monotonically to the root: max(xi - gamma*theta, 0)
+    or, if less, a point so close to omega that the log dominates.  A root
+    within the 50-digit rounding of omega is returned as omega.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        w, t, g, x = D(spec.omega), D(spec.theta), D(gamma), D(xi)
+
+        def newton(s):
+            for _ in range(400):
+                if s >= w:
+                    return None
+                d = w - s
+                step = (s + g * (t - (d / w).ln()) - x) / (1 + g / d)
+                s -= step
+                if step == 0 or abs(step) <= abs(s) * D("1e-45"):
+                    return s
+            raise RuntimeError("decimal Newton did not converge")
+
+        s = newton(D(start)) if start < spec.omega else None
+        if s is None:
+            pole = w * (-(abs(x) + g * t + w) / g - 1).exp()
+            s = newton(min(max(x - g * t, D(0)), w - pole))
+        return float(w if s is None else s)
+
+
+def test_a_logarithmic_root_far_below_omega_keeps_its_digits():
+    # omega - gamma*W cancels when the root is small against omega
+    rng = np.random.default_rng(20261019)
+    errors = []
+    for _ in range(1500):
+        omega, theta, gamma = 10.0 ** rng.uniform([-3, -3, -3], [8, 3, 3])
+        xi = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 5))
+        spec = Logarithmic(omega, theta)
+        s = spec.resolvent(gamma, xi)
+        root = decimal_log_root(spec, gamma, xi, s)
+        if omega - root >= 1e-3 * omega:  # off the pole
+            errors.append(abs(s - root) / abs(root))
+    assert len(errors) > 1200
+    assert max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "omega, theta, gamma, xi",
+    [
+        (1e16, 2.0, 0.5, 0.0),  # omega - gamma*W gave -2.0 for the root -1
+        (1e17, 2.0, 0.5, 0.0),  # and 0.0 from here on
+        (1e100, 2.0, 0.5, 0.0),
+        (1e300, 2.0, 0.5, 0.0),
+        (4.06e32, 0.372, 1.583, -2.521),
+        # the W form gives 2.9e17 and -9.0e15 here, off by more than the
+        # root, where the Newton step s - F/F' would give 0.0 and -2.0
+        (1.49e33, 0.622, 0.74, 0.114),
+        (7.54e31, 0.129, 0.927, -2.229),
+    ],
+)
+def test_a_logarithmic_root_near_zero_under_a_large_omega(omega, theta, gamma, xi):
+    spec = Logarithmic(omega, theta)
+    s = spec.resolvent(gamma, xi)
+    assert s == pytest.approx(decimal_log_root(spec, gamma, xi, s), rel=1e-15, abs=0.0)
+    assert abs(s + gamma * spec.value(s) - xi) <= 1e-15 * max(1.0, abs(xi))
+
+
+def test_a_logarithmic_omega_whose_w_argument_overflows_fails_by_name():
+    with pytest.raises(NumericalFailure, match="non-finite argument"):
+        Logarithmic(1e308, 2.0).resolvent(0.5, 0.0)
 
 
 def invert_capacity(spec, gamma, xi, lo=-1e6, hi=1e6, iters=300):

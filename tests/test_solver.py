@@ -78,6 +78,16 @@ class TestSchedulers:
             assert np.array_equal(got, want) and got.all()
         sched.select = ref.select  # a tracer may wrap select on the returned object
 
+    def test_full_is_the_round_robin_spec_of_one_group(self):
+        assert isinstance(Full(), RoundRobin) and Full().arc_groups == 1
+        assert sweep_bound(Full()) == sweep_bound(RoundRobin(1)) == 0
+        # still its own spec: it compares, prints and is written as itself
+        assert Full() != RoundRobin(1) and repr(Full()) == "Full()"
+        with pytest.raises(TypeError):
+            Full(3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(Full(), arc_groups=2)
+
     def test_round_robin_alternates_and_covers(self, two_arc):
         _, net, _ = two_arc
         sched = make_scheduler(RoundRobin(2), net, 1)

@@ -3,7 +3,7 @@
 import ast
 import collections
 import fnmatch
-import importlib
+import importlib.util
 import inspect
 import pathlib
 import types
@@ -144,3 +144,53 @@ def test_every_export_resolves_once(module):
 def test_export_rule_flags():
     module = types.SimpleNamespace(__all__=["a", "gone", "a"], a=1)
     assert export_faults(module) == ["gone", "a"]
+
+
+def load_code_lines():
+    path = PACKAGE.parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CODE_LINES_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code: 1
+
+# a comment line: not counted
+"""a later string is no docstring: 2"""
+
+
+def f(x):  # 3
+    """Function docstring."""
+    text = """a multi-line string: 4
+    that is no docstring: 5"""
+    return (x +  # 6
+            1)  # 7
+
+
+class C:  # 8
+    """Class
+    docstring.
+    """
+
+    async def g(self):  # 9
+        """Method docstring."""
+        return 1  # 10
+'''
+
+
+def test_the_code_line_counter_skips_blanks_comments_and_docstrings():
+    assert load_code_lines().code_lines(CODE_LINES_SNIPPET) == 10
+
+
+def test_the_code_line_counter_reports_every_module_and_the_total(capsys):
+    counter = load_code_lines()
+    counter.main([str(PACKAGE)])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in rows] == [p.stem for p in SOURCES] + ["total"]
+    counts = [int(n) for _, n in rows]
+    assert counts[:-1] == [counter.code_lines(p.read_text()) for p in SOURCES]
+    assert counts[-1] == sum(counts[:-1])
