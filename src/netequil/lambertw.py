@@ -34,6 +34,15 @@ pass where it converges; the Newton branch iterates on the array of
 still-unconverged elements only.  Either way an element's result depends
 on its own argument (and start), never on which other elements share its
 call; a float argument is the size-1 case and returns a float.
+
+Each function silences numpy's floating-point warnings for its own call
+(one ``np.errstate`` per call), so a nan, zero or infinite start and an
+argument of any size leak none.  The Logarithmic/PowerExp kernel in
+``operators`` sets no error state of its own and calls
+``lambert_w_exp`` once per batch, through the ``operators`` module name,
+with z = z0 + z1*xi and the W at which its output formula returns the
+arc's earlier root as the start; a solver evaluation thus enters one
+error state of its own and this one.
 """
 
 import math

@@ -32,6 +32,9 @@ class Network:
         allowed; a self-loop raises with a diagnostic naming the arc.
     commodities : sequence of hashable, or int
         Commodity identifiers, or a count k meaning ``range(k)``.
+
+    ``every_arc`` is the read-only all-true arc mask, shared by every
+    step that activates every arc.
     """
 
     def __init__(self, nodes, arcs, commodities=1):
@@ -73,13 +76,16 @@ class Network:
         self.arcs = tuple(
             (self.nodes[t], self.nodes[h]) for t, h in zip(tails, heads)
         )
-        # flat (node, commodity) slot of every entry of [x; -x], for divergence
         n_comm = len(self.commodities)
-        ends = np.concatenate([self.tails, self.heads])
-        self._div_slots = (ends[:, None] * n_comm + np.arange(n_comm)).ravel()
         self._flow_shape = (len(self.arcs), n_comm)
         self._potential_shape = (len(self.nodes), n_comm)
-        self._potential_size = len(self.nodes) * n_comm
+        self._potential_size = size = len(self.nodes) * n_comm
+        # for one flow x and for a pair (x, q): the flat (flow, node,
+        # commodity) slot of every entry of [x; -x] and of [x; q; -x; -q]
+        ends = [(e[:, None] * n_comm + np.arange(n_comm)).ravel() for e in (self.tails, self.heads)]
+        self._div_slots = {m: np.concatenate([e + i * size for e in ends for i in range(m)]) for m in (1, 2)}
+        self.every_arc = np.ones(len(self.arcs), dtype=bool)
+        self.every_arc.flags.writeable = False
 
     @property
     def n_nodes(self):
@@ -121,14 +127,28 @@ class Network:
         Accumulates outgoing flux then incoming flux, each in ascending
         arc order, so results are bitwise reproducible across runs.
         """
-        x = self.check_flow(x)
-        weights = np.empty((2 * len(x), x.shape[1]))  # [x; -x]
-        weights[: len(x)] = x
-        np.negative(x, out=weights[len(x) :])
-        out = np.bincount(self._div_slots, weights.ravel(), self._potential_size)
-        return out.reshape(self._potential_shape)
+        return self._divergence(self.check_flow(x))[0]
 
     def tension(self, v):
         """Per-arc potential difference head minus tail, an (n_arcs, C) array."""
-        v = self.check_potential(v)
+        return self._tension(self.check_potential(v))
+
+    def _divergence(self, *flows):
+        """The divergences of one or two float (n_arcs, C) flows, from one bincount.
+
+        The solver passes its own arrays, which are not checked again.
+        Each node accumulates its outgoing then its incoming flux in
+        ascending arc order, whether a flow comes alone or paired, so each
+        result is bitwise the same.
+        """
+        m = len(flows)
+        weights = np.empty((2, m) + self._flow_shape)  # [flows; -flows]
+        for i, flow in enumerate(flows):
+            weights[0, i] = flow
+        np.negative(weights[0], out=weights[1])
+        out = np.bincount(self._div_slots[m], weights.ravel(), m * self._potential_size)
+        return out.reshape((m,) + self._potential_shape)
+
+    def _tension(self, v):
+        """`tension` of a float (n_nodes, C) potential of the solver's own, unchecked."""
         return v.take(self.heads, 0) - v.take(self.tails, 0)

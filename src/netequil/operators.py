@@ -40,33 +40,45 @@ Batched kernels
 Each family has one resolvent implementation, a kernel acting
 elementwise on equal-length 1-d arrays and split in two at the step
 parameter: ``kernel.prepare(gamma, *params)`` returns the per-element
-constants that depend only on gamma and the spec (BPR's gamma*theta and
-log k, Lambert's log(gamma*theta*a), TRC's quadratic coefficients, the
-prox kernels' gamma products), and ``kernel.solve(xi, *consts, start)``
-does the work that depends on xi.  Calling ``kernel(gamma, xi, *params)``
-runs both; ``spec.family()`` names a spec's kernel and its parameters,
-and ``spec.resolvent`` and ``phi.prox`` are the size-1 call.  An
-``OperatorSet`` groups its arcs by kernel; ``OperatorSet.bind(gamma)``
-prepares every group once for per-arc step parameters, at k*gamma for
-every commodity count k = 1, ..., C, and ``capacity_resolvent`` then
-solves each group in one call, gathering each listed arc's constants at
-its own k.  BPR runs
-Newton on log s, which decreases monotonically to the root from an upper
-bound, so it needs no bracket and no bisection (see ``_bpr_solve``).
-Logarithmic and PowerExp share one kernel, whose parameters say which
-formula each element takes, so their arcs make one ``lambert_w_exp`` call
-(a Halley iteration) per batch.  Both iterations stop each element on its
-own test and leave stopped elements unchanged.  Every solve also takes
-a ``start``, the root each element had at an earlier evaluation: BPR
-takes one Newton step from it, Logarithmic/PowerExp hand the matching W
-to Halley, and the closed-form kernels ignore it.  A nan start is a cold
-start, from the kernel's own starting point; the public entry points
-(calling a kernel, ``capacity_resolvent``, ``lambert_w_exp``) take
-``start=None`` for an all-nan start.  So an element's result depends on
-its own input and its own previous root, and an arc's block result on
-those and its own previous output, never on which other arcs share its
-batch.  A user-supplied ``CustomPhi`` prox is the one family
-evaluated by a scalar loop.
+constants that depend only on gamma and the spec (BPR's gamma*theta,
+log k and stop radius, the Lambert kernel's coefficients, TRC's
+quadratic coefficients, the prox kernels' gamma products), and
+``kernel.solve(xi, *consts, start)`` does the work that depends on xi.
+Calling ``kernel(gamma, xi, *params)`` runs both; ``spec.family()``
+names a spec's kernel and its parameters, and ``spec.resolvent`` and
+``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by
+kernel; ``OperatorSet.bind(gamma)`` prepares every group once for
+per-arc step parameters, at k*gamma for every commodity count
+k = 1, ..., C, and ``capacity_resolvent`` then solves each group in one
+call, gathering each listed arc's constants at its own k.  A sweep of
+every arc reads them from a memo in the binding, which holds until an
+arc's k changes; with one commodity it holds for the whole run.
+
+BPR runs Newton on log s, which decreases monotonically to the root
+from an upper bound, so it needs no bracket and no bisection; its
+quadratic rate stops each element at the first step within its radius
+(see ``_bpr_solve``).  Logarithmic and PowerExp share one kernel, whose
+coefficients hold each element's own formula, z = z0 + z1*xi and
+s = min(o0 + o1*xi + o2*W, cap), so their arcs make one
+``lambert_w_exp`` call (a Halley iteration) per batch.  Both iterations
+stop each element on its own test and leave stopped elements unchanged.
+Every solve also takes a ``start``, the root each element had at an
+earlier evaluation: BPR takes one Newton step from it, Logarithmic/
+PowerExp hand Halley the W at which their formula returns it, and the
+closed-form kernels ignore it.  A nan start is a cold start, from the
+kernel's own starting point; the public entry points (calling a kernel,
+``capacity_resolvent``, ``lambert_w_exp``) take ``start=None`` for an
+all-nan start.  So an element's result depends on its own input and its
+own previous root, and an arc's block result on those and its own
+previous output, never on which other arcs share its batch.  A
+user-supplied ``CustomPhi`` prox is the one family evaluated by a
+scalar loop.
+
+The kernels' halves and ``OperatorSet._roots`` set no numpy error
+state: the solver silences floating-point warnings once per evaluation,
+and each public entry point (calling a kernel, ``spec.resolvent``,
+``phi.prox``, ``bind``, ``capacity_resolvent``) silences its own, as
+``lambert_w_exp`` does.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation); the equilibrium check calls ``subdiff``, no kernel does.
@@ -135,22 +147,33 @@ class _Kernel:
     def __call__(self, gamma, xi, *params, start=None):
         if start is None:
             start = np.full(np.shape(xi), np.nan)
-        return self.solve(xi, *self.prepare(gamma, *params), start=start)
+        with np.errstate(all="ignore"):
+            return self.solve(xi, *self.prepare(gamma, *params), start=start)
 
 
 _BPR_MAX_ITER = 200
-_BPR_YTOL = 2.0**-30  # smallest Newton decrease of log s that continues the iteration
+_BPR_ERROR = 1e-10  # bound on the error in log s that a final Newton step leaves
 
 
 def _bpr_prepare(gamma, alpha, rho, theta, p):
-    """(gamma*theta, k, log k, p, p - 1) with k = alpha*gamma*theta/rho**p."""
+    """(gamma*theta, k, log k, p, p - 1, r): k = alpha*gamma*theta/rho**p, r the stop radius.
+
+    r is the largest Newton step on log s that `_bpr_solve` takes as
+    final: (p - 1)**2/(8*min(1, p)) * r**2 <= _BPR_ERROR, and r is at
+    most min(1, p)/(2*K*max(1, p)) with K that first factor (see
+    `_bpr_solve`); it is inf for p = 1.
+    """
     gt = gamma * theta
     agt = alpha * gt
     logk = np.log(agt) - p * np.log(rho)  # no overflow of rho**p
-    return gt, agt / rho**p, logk, p, p - 1.0
+    pm1 = p - 1.0
+    lo, hi = np.minimum(p, 1.0), np.maximum(p, 1.0)
+    K = pm1 * pm1 / (8.0 * lo)
+    r = np.minimum(np.sqrt(_BPR_ERROR / K), lo / (2.0 * K * hi))
+    return gt, agt / rho**p, logk, p, pm1, r
 
 
-def _bpr_solve(xi, gt, k, logk, p, pm1, start):
+def _bpr_solve(xi, gt, k, logk, p, pm1, r, start):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
     With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
@@ -158,99 +181,126 @@ def _bpr_solve(xi, gt, k, logk, p, pm1, start):
     equation reads h(y) = logaddexp(y, log k + p*y) - log c = 0, and h is
     convex and increasing for every p > 0, so Newton started from the
     upper bound y0 = min(log c, (log c - log k)/p) decreases monotonically
-    to the root: no bracket and no bisection are needed.  An element
-    stops at the first step that does not decrease its y by more than
-    _BPR_YTOL, and keeps that step: in floating point the iteration would
-    otherwise creep down by single ulps for several more passes, and a
-    batch waits for its slowest element.  As h' lies between min(1, p)
-    and max(1, p), y is then within O(_BPR_YTOL**2) of the root.  exp(y)
-    carries a relative error of about eps*max(|log c|, |log k|), so one
-    Newton step on k*s**p + s - c in linear space finishes the root; it is
-    kept only where it moves s by less than 1e-8 relative, which rules out
-    a step from an s that underflowed to 0.  For p = 1 the result is
+    to the root: no bracket and no bisection are needed.
+
+    The stop comes from Newton's quadratic rate.  h' = 1 + (p - 1)*lam
+    with lam in [0, 1] the share of k*s**p in k*s**p + s, so h' lies
+    between m = min(1, p) and M = max(1, p), and h'' = (p - 1)**2 *
+    lam*(1 - lam) <= (p - 1)**2/4.  A Newton step from an error e lands
+    at the error e' = h''*e**2/(2*h') in [0, K*e**2], K = (p - 1)**2/(8*m),
+    and moves y by d = |e - e'|.  From above (e > 0), d = h/h' >= m*e/M,
+    so a step of d <= r started within (M/m)*r <= 1/(2*K) of the root
+    (the cap on r in `_bpr_prepare`); there e - d = e' <= K*e**2 <= e/2,
+    so e <= 2*d and e' <= 4*K*d**2 <= 4*_BPR_ERROR.  From below (e < 0,
+    only from a start), d >= |e| and e' <= K*d**2.  So an element stops
+    at the first step that moves its y by at most its radius r, keeps
+    that step, and its y then exceeds the root by at most 4e-10; a batch
+    waits for its slowest element, and the linear step below finishes
+    the root.  exp(y) carries a relative error of about
+    eps*max(|log c|, |log k|) as well, so one Newton step on
+    k*s**p + s - c in linear space, whose relative error contracts to
+    about |p - 1|/2 times its square, finishes the root; it is kept
+    only where it moves s by less than 1e-8 relative, which rules out a
+    step from an s that underflowed to 0.  For p = 1, K = 0 and r = inf:
+    h is linear, and the first step is final.  The result is then
     within 2 ulp of c/(1 + k).
 
     `start` holds an earlier root per element.  One unrestricted Newton
     step from log(start) lands at or above the root, since h is convex and
-    increasing, so the monotone iteration starts from the smaller of that
-    point and y0.  A nan, infinite or non-positive start leaves y0 in
-    place.
+    increasing, and counts as pass 0: the iteration starts from the
+    smaller of that point and y0, and it is final where it moved by at
+    most r and was not capped by y0.  A nan, infinite or non-positive
+    start makes that step nan, which leaves y0 in place and is never
+    final.
     """
     c = xi - gt
     # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
     out = np.where(c == np.inf, np.nan, c)
     live = ((c > 0.0) & (c < np.inf)).nonzero()[0]
-    c, k, logk, p, pm1, start = c[live], k[live], logk[live], p[live], pm1[live], start[live]
+    if not live.size:
+        return out
+    c, k, logk, p, pm1, r, start = c[live], k[live], logk[live], p[live], pm1[live], r[live], start[live]
     logc = np.log(c)
-    y = np.minimum(logc, (logc - logk) / p)
-    # a start <= 0, inf or nan makes the step nan, and fmin keeps y0 there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ys = np.log(start)
-        lse = np.logaddexp(ys, logk + p * ys)
-        y = np.fmin(ys - (lse - logc) / (p - pm1 * np.exp(ys - lse)), y)
+    ys = np.log(start)
+    lse = np.logaddexp(ys, logk + p * ys)
+    y1 = ys - (lse - logc) / (p - pm1 * np.exp(ys - lse))
+    # fmin keeps y0 where the step is nan; such an element, like one the
+    # cap moved, is not final
+    y = np.fmin(y1, np.minimum(logc, (logc - logk) / p))
+    active = np.abs(y - ys) > r
+    active |= y != y1
     # stopped elements keep their y, so a result does not depend on its batch
-    active = np.ones(y.size, dtype=bool)
-    for _ in range(_BPR_MAX_ITER):
-        lse = np.logaddexp(y, logk + p * y)
-        # h'(y) = p - (p - 1)*exp(y - lse); fmin keeps y where the step is nan (k = inf, y = -inf)
-        t = np.fmin(y - (lse - logc) / (p - pm1 * np.exp(y - lse)), y)
-        down = t < y - _BPR_YTOL
-        np.copyto(y, t, where=active)
-        active &= down
-        if not np.count_nonzero(active):
-            break
-    else:
-        raise NumericalFailure("BPR root refinement stalled")
+    if np.count_nonzero(active):
+        for _ in range(_BPR_MAX_ITER):
+            lse = np.logaddexp(y, logk + p * y)
+            # h'(y) = p - (p - 1)*exp(y - lse); fmin keeps y where the step is nan (k = inf, y = -inf)
+            t = np.fmin(y - (lse - logc) / (p - pm1 * np.exp(y - lse)), y)
+            far = t < y - r
+            np.copyto(y, t, where=active)
+            active &= far
+            if not np.count_nonzero(active):
+                break
+        else:
+            raise NumericalFailure("BPR root refinement stalled")
     s = np.exp(y)
     ks = k * s**pm1
-    finished = s - (s + s * ks - c) / (1.0 + p * ks)
-    out[live] = np.where(np.abs(finished - s) <= 1e-8 * s, finished, s)
+    step = (s + s * ks - c) / (1.0 + p * ks)
+    out[live] = np.where(np.abs(step) <= 1e-8 * s, s - step, s)
     return out
 
 
 def _lambert_prepare(gamma, is_log, a, theta):
-    """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) constants.
+    """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) coefficients.
 
-    Each element gets both families' constants; the other family's may be
-    log(0) (Logarithmic theta = 0) or overflow, and are never selected.
-    The last two, gamma*theta and 2**-10 * omega (0 for PowerExp), serve
-    the Logarithmic refinement of a root far below omega (see
-    `_lambert_solve`).
+    (z0, z1, o0, o1, o2, cap, gamma*theta, near): `_lambert_solve` forms
+    z = z0 + z1*xi and s = min(o0 + o1*xi + o2*W, cap), which is
+
+      Logarithmic  z = log(omega/gamma) + theta + omega/gamma - xi/gamma,
+                   s = min(omega - gamma*W, the float below omega);
+      PowerExp     z = log(gamma*theta*a) + a*xi,  s = xi - W/a.
+
+    gamma*theta and near = 2**-10 * omega (0 for PowerExp) serve the
+    Logarithmic refinement of a root far below omega.  The formula the
+    other family would take may be log(0) (Logarithmic theta = 0) or
+    overflow; it is never selected.
     """
     is_log = is_log != 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gt = gamma * theta
-        log_gta = np.log(gt * a)
-        log_a_theta = np.log(a / gamma) + theta
-    near = np.where(is_log, np.ldexp(a, -10), 0.0)
-    return log_gta, log_a_theta, np.nextafter(a, -np.inf), gamma, a, is_log, gt, near
+    gt = gamma * theta
+    return (
+        np.where(is_log, np.log(a / gamma) + theta + a / gamma, np.log(gt * a)),
+        np.where(is_log, -1.0 / gamma, a),
+        np.where(is_log, a, 0.0),
+        np.where(is_log, 0.0, 1.0),
+        np.where(is_log, -gamma, -1.0 / a),
+        np.where(is_log, np.nextafter(a, -np.inf), np.inf),
+        gt,
+        np.where(is_log, np.ldexp(a, -10), 0.0),
+    )
 
 
-def _lambert_solve(xi, log_gta, log_a_theta, below_a, gamma, a, is_log, gt, near, start):
+def _lambert_solve(xi, z0, z1, o0, o1, o2, cap, gt, near, start):
     """Logarithmic and PowerExp resolvents, both one W(exp(z)) solve.
 
-    A batch mixing the two families makes one ``lambert_w_exp`` call.  z,
-    the warm start and the output pick each element's own formula; the
-    other family's formula is evaluated and discarded, and may overflow.
-    A Logarithmic root s = omega - gamma*W with |s| < `near` = 2**-10 *
-    omega has lost digits to that difference, about an ulp of omega.  One
-    Newton step on s + gamma*(theta - log1p(-s/omega)) = xi, which does
-    not cancel there, restores them.  It is written as a fixed-point
-    update, not s - F/F', which would cancel again where the W form is off
-    by more than the root itself.
+    A batch mixing the two families makes one ``lambert_w_exp`` call, on
+    z = z0 + z1*xi, and maps W to s = min(o0 + o1*xi + o2*W, cap); the
+    coefficients (`_lambert_prepare`) hold each element's own formula.  An
+    earlier root becomes the W at which that map returns it, Halley's
+    warm start.  A Logarithmic root s = omega - gamma*W with |s| < `near`
+    = 2**-10 * omega has lost digits to that difference, about an ulp of
+    omega.  One Newton step on s + gamma*(theta - log1p(-s/omega)) = xi,
+    which does not cancel there, restores them; o0 is omega and -o2 is
+    gamma there.  It is written as a fixed-point update, not s - F/F',
+    which would cancel again where the W form is off by more than the
+    root itself.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = np.where(is_log, log_a_theta + (a - xi) / gamma, log_gta + a * xi)
-        # the W of an earlier root
-        start = np.where(is_log, (a - start) / gamma, np.exp(log_gta + a * start))
-    w = lambert_w_exp(z, start)
+    base = o0 + o1 * xi
+    w = lambert_w_exp(z0 + z1 * xi, (start - base) / o2)
     # where W underflowed the exact Logarithmic value sits strictly below omega
-    s = np.where(is_log, np.minimum(a - gamma * w, below_a), xi - w / a)
+    s = np.minimum(base + o2 * w, cap)
     refine = np.abs(s) < near
-    if refine.any():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = a - s
-            s = np.where(refine, (xi - gt + gamma * (np.log1p(-s / a) + s / d)) / (1.0 + gamma / d), s)
+    if np.count_nonzero(refine):
+        d = o0 - s
+        s = np.where(refine, (xi - gt - o2 * (np.log1p(-s / o0) + s / d)) / (1.0 - o2 / d), s)
     return s
 
 
@@ -702,6 +752,22 @@ def _component_roots(network):
             label, up = up, up[up]
 
 
+class _Binding:
+    """`OperatorSet.bind`'s result: the family kernels' constants for one gamma.
+
+    `consts` holds each family's prepared constants.  `at_k` memoizes
+    them gathered at each member's k for a sweep of every arc, and `k` is
+    the k they were gathered at (-1 before the first sweep).
+    """
+
+    __slots__ = ("consts", "k", "at_k")
+
+    def __init__(self, consts):
+        self.consts = consts
+        self.k = -1
+        self.at_k = None
+
+
 class OperatorSet:
     """Per-arc and per-node operator specs bound to one network.
 
@@ -766,6 +832,11 @@ class OperatorSet:
         for f, (_, arcs, _) in enumerate(self.families):
             self._arc_family[arcs] = f
             self._arc_slot[arcs] = np.arange(arcs.size) * n_comm - 1
+        # every arc in family order (None when that is ascending order),
+        # and where each family's run ends
+        order = np.concatenate([arcs for _, arcs, _ in self.families])
+        self._by_family = None if np.array_equal(order, np.arange(network.n_arcs)) else order
+        self._family_ends = np.cumsum([arcs.size for _, arcs, _ in self.families]).tolist()
 
     def _check_balance(self):
         net = self.network
@@ -796,29 +867,61 @@ class OperatorSet:
         member*C + k - 1 at k times its arc's gamma, the parameter at which
         `capacity_resolvent` solves an arc with k of its commodities off
         their bounds.  `capacity_resolvent` takes the result, so a run
-        whose step parameters stay fixed binds once.
+        whose step parameters stay fixed binds once.  The binding also
+        memoizes the constants a sweep of every arc gathers at the arcs'
+        k, for as long as no arc's k changes: with one commodity, for the
+        whole run.
         """
         n_comm = self.network.n_commodities
         ks = np.arange(1, n_comm + 1)
-        return tuple(
-            kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *(np.repeat(p, n_comm) for p in params))
-            for kernel, arcs, params in self.families
-        )
+        with np.errstate(all="ignore"):
+            return _Binding(
+                tuple(
+                    kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *(np.repeat(p, n_comm) for p in params))
+                    for kernel, arcs, params in self.families
+                )
+            )
+
+    def _consts_at(self, bound, k):
+        """Each family's bound constants at each member's k, for a sweep of every arc."""
+        if bound.k is not k and not np.equal(bound.k, k).all():
+            slot = self._arc_slot + k
+            bound.at_k = [
+                [c[slot[members]] for c in consts]
+                for (_, members, _), consts in zip(self.families, bound.consts)
+            ]
+            bound.k = k
+        return bound.at_k
 
     def _roots(self, arcs, bound, total, k, start):
         """Family kernel roots J_{k*gamma*c}(total), one per listed arc, written over `start`.
 
         `k` holds each row's commodity count k (or is the one count of every
         row); `start` holds each row's earlier root (nan for a cold start).
+        The rows are put in family order, each family's run is solved in
+        one call, and the roots go back in one scatter.
         """
-        every = arcs.size == self.network.n_arcs
-        slot = (self._arc_slot if every else self._arc_slot[arcs]) + k
-        family = None if every else self._arc_family[arcs]
-        for f, ((kernel, members, _), consts) in enumerate(zip(self.families, bound)):
-            rows = members if every else (family == f).nonzero()[0]
-            if rows.size:
-                pick = slot[rows]
-                start[rows] = kernel.solve(total[rows], *[c[pick] for c in consts], start=start[rows])
+        full = arcs.size == self.network.n_arcs
+        if full:
+            order, ends = self._by_family, self._family_ends
+            at_k = self._consts_at(bound, k)
+        else:
+            family = self._arc_family[arcs]
+            order = np.argsort(family, kind="stable")
+            ends = np.cumsum(np.bincount(family, minlength=len(self.families))).tolist()
+            pick = (self._arc_slot[arcs] + k)[order]
+        if order is None:  # the rows already come in family order
+            roots = start
+        else:
+            total, roots = total[order], start[order]
+        b = 0
+        for f, ((kernel, _, _), e) in enumerate(zip(self.families, ends)):
+            if e > b:
+                consts = at_k[f] if full else [c[pick[b:e]] for c in bound.consts[f]]
+                roots[b:e] = kernel.solve(total[b:e], *consts, start=roots[b:e])
+            b = e
+        if order is not None:
+            start[order] = roots
         return start
 
     def capacity_resolvent(self, arcs, bound, xi, start=None, guess=None):
@@ -858,9 +961,14 @@ class OperatorSet:
         the all-nan start.  It is overwritten with this call's roots.
         Each row depends only on its own xi, guess and start.
         """
-        n_rows, n_comm = xi.shape
         if start is None:
-            start = np.full(n_rows, np.nan)
+            start = np.full(len(xi), np.nan)
+        with np.errstate(all="ignore"):
+            return self._capacity_resolvent(arcs, bound, xi, start, guess)
+
+    def _capacity_resolvent(self, arcs, bound, xi, start, guess):
+        """`capacity_resolvent` with a start array and warnings left to the caller."""
+        n_rows, n_comm = xi.shape
         if arcs.size == self.network.n_arcs:
             lo, hi = self.box_lo, self.box_hi
         else:

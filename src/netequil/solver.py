@@ -191,10 +191,11 @@ class _RoundRobinScheduler:
             )
         self._group = np.arange(network.n_arcs) % groups
         self._groups = groups
+        self._every = network.every_arc
 
     def select(self, n):
-        if n == 0:
-            return np.ones(self._group.size, dtype=bool)
+        if n == 0 or self._groups == 1:
+            return self._every
         return self._group == n % self._groups
 
 
@@ -205,6 +206,7 @@ class _RandomSweepScheduler:
         self._T = T
         self._last = np.zeros(network.n_arcs, dtype=np.int64)
         self._expected_n = 0
+        self._every = network.every_arc
 
     def select(self, n):
         if n != self._expected_n:
@@ -213,7 +215,7 @@ class _RandomSweepScheduler:
             )
         self._expected_n += 1
         if n == 0:
-            return np.ones(self._last.size, dtype=bool)
+            return self._every
         last = self._last
         active = self._rng.random(last.size) < self._prob
         active |= n - last >= self._T + 1
@@ -243,7 +245,8 @@ def make_scheduler(spec, network, T=None):
 
     T None takes the spec's own bound, `sweep_bound(spec)`.  Its
     `select(n)` returns the boolean mask of the arcs that iteration n
-    activates.
+    activates; where that is every arc, the network's read-only
+    `every_arc`.
     """
     if T is None:
         T = sweep_bound(spec)
@@ -414,34 +417,37 @@ def _evaluate(net, ops, params, state, ws, arc_mask):
 
     Fills q, q* and the kernel roots for the arcs set in arc_mask and s*
     for every node, then the directions t for every node and t* for every
-    arc, active or not, and tau and pi.
+    arc, active or not, and tau and pi.  The caller silences numpy's
+    warnings: non-finite values surface in tau and pi.
     """
     gamma, sigma, bound = params
     x, v = state.x, state.v
-    tension_v = net.tension(v)
-    div_x = net.divergence(x)
+    tension_v = net._tension(v)
     act = arc_mask.nonzero()[0]
     if act.size == arc_mask.size:  # every arc: work on the arrays themselves
         xi = x + gamma * tension_v
-        ws.q = q = ops.capacity_resolvent(act, bound, xi, ws.root, ws.q)
+        ws.q = q = ops._capacity_resolvent(act, bound, xi, ws.root, ws.q)
         ws.qstar = (xi - q) / gamma
     else:  # gather the active rows, and scatter their results back
+        n_comm = x.shape[1]
+        flat = (act[:, None] * n_comm + np.arange(n_comm)).ravel()
         root = ws.root.take(act)
         xi = x.take(act, 0) + gamma * tension_v.take(act, 0)
-        q = ops.capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
-        ws.root[act] = root
-        ws.q[act] = q
-        ws.qstar[act] = (xi - q) / gamma
+        q = ops._capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
+        ws.root.put(act, root)
+        ws.q.put(flat, q)
+        ws.qstar.put(flat, (xi - q) / gamma)
 
+    div_x, div_q = net._divergence(x, ws.q)
     # a node's resolvent is its constant supply: s* is closed form in div x
-    ws.sstar = v + (div_x - ops.supplies) / sigma[:, None]
-    np.subtract(ops.supplies, net.divergence(ws.q), out=ws.t_node)
-    np.subtract(ws.qstar, net.tension(ws.sstar), out=ws.tstar)
+    gap = div_x - ops.supplies
+    ws.sstar = v + gap / sigma[:, None]
+    np.subtract(ops.supplies, div_q, out=ws.t_node)
+    np.subtract(ws.qstar, net._tension(ws.sstar), out=ws.tstar)
     # fixed reduction order: arc terms first, then node terms
-    ws.tau = float((ws.tstar * ws.tstar).sum() + (ws.t_node * ws.t_node).sum())
-    ws.pi = float(
-        ((x - ws.q) * (ws.qstar - tension_v)).sum() + ((div_x - ops.supplies) * (ws.sstar - v)).sum()
-    )
+    add = np.add.reduce
+    ws.tau = float(add(ws.tstar * ws.tstar, None) + add(ws.t_node * ws.t_node, None))
+    ws.pi = float(add((x - ws.q) * (ws.qstar - tension_v), None) + add(gap * (ws.sstar - v), None))
     return div_x
 
 
@@ -473,13 +479,13 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     if params is None:
         params = _bound_parameters(net, ops, cfg)
     if swept or active_arcs is None:
-        active_arcs = np.ones(net.n_arcs, dtype=bool)
+        active_arcs = net.every_arc
     n_active = int(np.count_nonzero(active_arcs))
     if not n_active:
         raise ConfigurationError("the arc activation set must be nonempty")
 
     if not swept:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             # non-finite values are caught below and reported as NumericalFailure
             _evaluate(net, ops, params, state, ws, active_arcs)
     tau, pi = ws.tau, ws.pi
@@ -490,7 +496,8 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
     if theta != 0.0:
         state.x -= theta * ws.tstar
         state.v -= theta * ws.t_node
-        if not all(np.count_nonzero(np.isfinite(a)) == a.size for a in (state.x, state.v)):
+        finite = np.count_nonzero(np.isfinite(state.x)) + np.count_nonzero(np.isfinite(state.v))
+        if finite != state.x.size + state.v.size:
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
     record = TraceRecord(
@@ -521,9 +528,10 @@ def residual(net, ops, cfg, state, params=None, sweep=None):
     if params is None:
         params = _bound_parameters(net, ops, cfg)
     ws = sweep if sweep is not None else new_workspace(net)
-    with np.errstate(over="ignore", invalid="ignore"):
-        div_x = _evaluate(net, ops, params, state, ws, np.ones(net.n_arcs, dtype=bool))
-        gap = float(np.sum((ws.q - state.x) ** 2) + np.sum((ops.supplies - div_x) ** 2))
+    with np.errstate(all="ignore"):
+        div_x = _evaluate(net, ops, params, state, ws, net.every_arc)
+        add = np.add.reduce
+        gap = float(add((ws.q - state.x) ** 2, None) + add((ops.supplies - div_x) ** 2, None))
         return float(np.sqrt(ws.tau + gap))
 
 

@@ -4,7 +4,9 @@ perfbench/ is only imported here, never changed: a change to the package
 that breaks one of these names or formats fails here first.
 """
 
+import importlib.util
 import pathlib
+import re
 import sys
 import types
 from dataclasses import replace
@@ -14,7 +16,8 @@ import pytest
 from netequil import cli, operators, solver
 from netequil.fileio import TRACE_COLUMNS, parse_problem, serialize_problem
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import bench  # noqa: E402
 import tracing  # noqa: E402
 
@@ -47,6 +50,26 @@ def test_a_run_never_calls_the_lifted_resolvent(name, monkeypatch):
     inst = instance(name)
     _, records, _ = solver.run(inst.network, inst.operators, replace(inst.config, max_iter=30))
     assert len(records) == 30 and calls == []
+
+
+def test_every_evaluation_of_a_mixed_sweep_run_calls_the_patched_lambert_solve(monkeypatch):
+    # the tracer's lambertw.* metrics time operators.lambert_w_exp, patched
+    # by name: a kernel that reached W another way would read 0 there
+    calls, per_evaluation = [], []
+    solve, evaluate = operators.lambert_w_exp, solver._evaluate
+    monkeypatch.setattr(operators, "lambert_w_exp", lambda *args: calls.append(1) or solve(*args))
+
+    def counted(*args):
+        before = len(calls)
+        out = evaluate(*args)
+        per_evaluation.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(solver, "_evaluate", counted)
+    inst = instance("mixed_sweep")
+    _, records, _ = solver.run(inst.network, inst.operators, replace(inst.config, max_iter=30))
+    assert len(records) == 30 and len(per_evaluation) >= 30
+    assert min(per_evaluation) >= 1
 
 
 def test_grid_full_runs_alike_bitwise_under_full_and_the_one_group_round_robin():
@@ -94,3 +117,21 @@ def test_check_accepts_the_solution_that_solve_writes(name, tmp_path):
     prob.write_text(serialize_problem(instance(name).problem()))
     assert cli.main(["solve", str(prob), "--out", str(sol), "--quiet"]) == cli.EXIT_OK
     assert cli.main(["check", str(prob), str(sol), "--quiet"]) == cli.EXIT_OK
+
+
+def test_the_run_hash_tool_prints_one_line_per_run_and_repeats_itself(capsys):
+    spec = importlib.util.spec_from_file_location("run_hashes", ROOT / "tools" / "run_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    outputs = []
+    for _ in range(2):
+        tool.main(["--workload", "cli_roundtrip", "--instances", "1", "--seeds", "1"])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = [line.split() for line in outputs[0].splitlines()]
+    hashes = [row for row in lines if row[0] == "hash"]
+    assert [row[1:4] for row in hashes] == [["cli_roundtrip", "0", label] for label in tool.SCHEDULERS]
+    assert all(len(row) == 5 and re.fullmatch("[0-9a-f]{64}", row[4]) for row in hashes)
+    counts = [row for row in lines if row[0] == "iterations"]
+    assert [row[1:4] for row in counts] == [["cli_roundtrip", "1", str(i)] for i in range(8)]
+    assert all(int(row[4]) > 0 for row in counts) and len(hashes) + len(counts) == len(lines)

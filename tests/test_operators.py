@@ -868,6 +868,58 @@ def test_bpr_kernel_from_its_own_roots_needs_one_pass(monkeypatch):
     assert (np.abs(warm - cold) <= 4e-15 * np.abs(cold)).all()
 
 
+def bpr_draws_off_the_upper_bound(rng, n):
+    """BPR stress arguments, live and with p at least 0.1 from 1, whose root s
+    has k*s**p and s each at least 1e-3 of c: there the root lies well apart
+    from the upper bound y0 in log s, and a Newton step lands below y0."""
+    args = bpr_stress_draw(rng, n)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    s = kernel(*args)
+    gamma, xi, _, _, theta, p = args
+    share = s / (xi - gamma * theta)
+    keep = (share > 1e-3) & (share < 1.0 - 1e-3) & (np.abs(p - 1.0) > 0.1)
+    return [a[keep] for a in args], s[keep]
+
+
+def bpr_radius(p):
+    """The stop radius r with (p - 1)**2/(8*min(1, p)) * r**2 = 1e-10."""
+    return np.sqrt(8e-10 * np.minimum(p, 1.0)) / np.abs(p - 1.0)
+
+
+def test_bpr_warm_start_within_its_radius_needs_no_loop_pass(monkeypatch):
+    args, cold = bpr_draws_off_the_upper_bound(np.random.default_rng(76), 20_000)
+    assert cold.size > 5_000
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    monkeypatch.setattr(operators, "_BPR_MAX_ITER", 0)
+    with pytest.raises(NumericalFailure, match="BPR root"):
+        kernel(*args)
+    # the warm step from the root itself is pass 0, and final; so is a step
+    # from half the radius above the root, in log s.  Each result is then
+    # the linear finishing step from within 4e-10 of the root, so warm and
+    # cold results differ only by that step's rounding: over these draws,
+    # by up to 5 ulp, and by at most 2 ulp for all but a few
+    for start in (cold, cold * np.exp(0.5 * bpr_radius(args[-1]))):
+        warm = kernel(*args, start=start.copy())
+        ulps = np.abs(warm - cold) / np.spacing(cold)
+        assert ulps.max() <= 8.0 and np.count_nonzero(ulps > 2.0) <= 1e-2 * ulps.size
+
+
+def test_bpr_newton_steps_beyond_the_radius_are_not_final(monkeypatch):
+    args, cold = bpr_draws_off_the_upper_bound(np.random.default_rng(77), 2_000)
+    kernel = BPR(1.0, 1.0, 1.0, 1.0).family()[0]
+    p = args[-1]
+    # the prepared radius keeps the error bound of a final step
+    r = kernel.prepare(args[0], *args[2:])[-1]
+    assert (r <= bpr_radius(p) * (1.0 + 1e-12)).all() and (r >= 0.5 * bpr_radius(p)).all()
+    monkeypatch.setattr(operators, "_BPR_MAX_ITER", 0)
+    # a warm step that moves log s by twice the radius needs a loop pass
+    start = cold * np.exp(2.0 * bpr_radius(p))
+    for j in range(0, cold.size, 10):
+        one = [a[j : j + 1] for a in args]
+        with pytest.raises(NumericalFailure, match="BPR root"):
+            kernel(*one, start=start[j : j + 1])
+
+
 @pytest.mark.parametrize("family", ["log", "powerexp"])
 def test_lambert_kernels_from_their_own_roots_need_one_halley_pass(family, monkeypatch):
     items = array_draws("one-pass-", family, 500)
@@ -886,22 +938,24 @@ def test_lambert_kernels_from_their_own_roots_need_one_halley_pass(family, monke
 
 
 def reference_lambert_resolvent(spec, gamma, xi, start=None):
-    """The Logarithmic or PowerExp resolvent through that family's own formulas."""
+    """The Logarithmic or PowerExp resolvent through that family's own coefficients.
+
+    W = W(exp(z0 + z1*xi)), started from the W at which s = min(o0 + o1*xi +
+    o2*W, cap) returns `start`, and mapped to s by that formula.
+    """
     gamma, xi = np.array([gamma]), np.array([xi])
-    start = None if start is None else np.array([start])
     if isinstance(spec, Logarithmic):
         omega = spec.omega
-        z = np.log(omega / gamma) + spec.theta + (omega - xi) / gamma
-        if start is not None:
-            start = (omega - start) / gamma
-        out = np.minimum(omega - gamma * lambertw.lambert_w_exp(z, start), np.nextafter(omega, -np.inf))
+        z0 = np.log(omega / gamma) + spec.theta + omega / gamma
+        z1, o0, o1, o2, cap = -1.0 / gamma, omega, 0.0, -gamma, np.nextafter(omega, -np.inf)
     else:
         pl = spec.p * math.log(spec.alpha)
-        log_gtp = np.log(gamma * spec.theta * pl)
-        if start is not None:
-            with np.errstate(over="ignore"):
-                start = np.exp(log_gtp + pl * start)
-        out = xi - lambertw.lambert_w_exp(log_gtp + pl * xi, start) / pl
+        z0 = np.log(gamma * spec.theta * pl)
+        z1, o0, o1, o2, cap = pl, 0.0, 1.0, -1.0 / pl, math.inf
+    base = o0 + o1 * xi
+    if start is not None:
+        start = (np.array([start]) - base) / o2
+    out = np.minimum(base + o2 * lambertw.lambert_w_exp(z0 + z1 * xi, start), cap)
     return float(out[0])
 
 
@@ -956,6 +1010,59 @@ def test_logarithmic_with_theta_zero_raises_no_warning():
     # every start kind, including inf and nan, warning-free and nan-free
     for _ in warm_calls(lambda start: batch_resolvent(items, start), cold):
         pass
+
+
+EVERY_KERNEL = [
+    BPR(0.15, 2.0, 1.0, 4.0),
+    BPR(1.0, 2.0, 1.0, 1.0),
+    Logarithmic(8.0, 1.5),
+    Logarithmic(8.0, 0.0),
+    TRC(0.5, 0.1, 1.0, 1.0),
+    PowerExp(2.0, 1.0, 0.3),
+    IntervalProx(AffinePhi(0.5), 0.0, 5.0),
+    IntervalProx(QuadraticPhi(1.0)),
+    IntervalProx(PowerPhi(1.5), -1.0, 1.0),
+    IntervalProx(CustomPhi(lambda gamma, xi: xi / (1.0 + gamma), lambda s: (s, s))),
+]
+HUGE_XI = [-1e300, 1e300, 1.0]
+BAD_STARTS = [math.nan, 0.0, math.inf]
+
+
+def test_public_entry_points_raise_no_runtime_warning():
+    # the kernels leave numpy's warnings to their callers, so each public
+    # entry point silences its own: nan, 0 and inf starts, |xi| = 1e300
+    points = [(xi, start) for xi in HUGE_XI for start in BAD_STARTS]
+    xi, start = (np.array(col) for col in zip(*points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in EVERY_KERNEL:  # calling a kernel, and the size-1 call
+            batch_resolvent([(spec, 0.5, x) for x in xi], start.copy())
+            for x in HUGE_XI:
+                spec.resolvent(0.5, x)
+        for phi in (AffinePhi(0.5), QuadraticPhi(1.0), PowerPhi(1.0), PowerPhi(1.5), PowerPhi(2.0)):
+            for x in HUGE_XI:
+                phi.prox(0.5, x)
+        # bind, then capacity_resolvent on every arc and on some
+        n_arcs = len(EVERY_KERNEL)
+        net = Network(["a", "b"], [("a", "b")] * n_arcs, 2)
+        boxes = [Box.orthant(2), Box.free(2)]
+        ops = OperatorSet(
+            net,
+            [ArcOperator(SeparableLift(spec), boxes[j % 2]) for j, spec in enumerate(EVERY_KERNEL)],
+            [FixedSupply((0.0, 0.0))] * 2,
+        )
+        bound = ops.bind(np.full(n_arcs, 0.5))
+        for x in HUGE_XI:
+            for s in BAD_STARTS:
+                for arcs in (np.arange(n_arcs), np.arange(0, n_arcs, 3)):
+                    rows = np.full((arcs.size, 2), x)
+                    ops.capacity_resolvent(arcs, bound, rows, np.full(arcs.size, s))
+        for z in HUGE_XI:
+            for s in BAD_STARTS:
+                lambertw.lambert_w_exp(np.array([z]), np.array([s]))
+        # an argument beyond the float range still fails by name
+        with pytest.raises(NumericalFailure, match="non-finite argument"):
+            Logarithmic(1e308, 2.0).resolvent(0.5, 0.0)
 
 
 def test_operator_set_solves_logarithmic_and_powerexp_arcs_in_one_lambert_call(monkeypatch):
@@ -1020,6 +1127,31 @@ def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
     for rows in (arcs, arcs[::2]):
         warm = ops.capacity_resolvent(rows, bound, x[rows], roots[rows])
         np.testing.assert_allclose(warm, cold[rows], rtol=1e-14)
+
+
+def test_a_binding_reused_across_k_patterns_matches_a_fresh_binding_per_call():
+    # a sweep of every arc reads the constants at each arc's k from a memo
+    # in the binding, which must follow every change of the k pattern
+    rng = np.random.default_rng(64)
+    n_arcs, n_comm = 40, 3
+    net = Network(["a", "b"], [("a", "b")] * n_arcs, n_comm)
+    specs = [DRAWS[sorted(DRAWS)[j % 4]](rng)[0] for j in range(n_arcs)]
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.orthant(n_comm)) for spec in specs],
+        [FixedSupply((0.0,) * n_comm)] * 2,
+    )
+    gamma = 10.0 ** rng.uniform(-1, 1, n_arcs)
+    bound = ops.bind(gamma)
+    every, some = np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.5)
+    points = [rng.uniform(-5.0, 5.0, (n_arcs, n_comm)) for _ in range(4)]
+    patterns = set()
+    for xi in points + points[::-1]:  # each pattern twice, the repeats back to back
+        patterns.add(tuple((xi > 0.0).sum(1).tolist()))
+        for arcs in (every, some):
+            got = ops.capacity_resolvent(arcs, bound, xi[arcs])
+            assert np.array_equal(got, ops.capacity_resolvent(arcs, ops.bind(gamma), xi[arcs]))
+    assert len(patterns) == len(points)
 
 
 def test_capacity_resolvent_matches_lift_resolvent_bitwise():

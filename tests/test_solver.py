@@ -632,10 +632,11 @@ class TestRun:
 def manual_run(net, ops, cfg, params=None):
     """`run` spelled out with the public step and residual, no sweep reused.
 
-    Like `run`, the residual starts its kernels from the iteration's roots,
-    the step after a residual check activates every block, the scheduler
-    is still queried at every iteration, and a residual within tol stops
-    the loop only if the public equilibrium residual is within tol too.
+    Like `run`, the residual starts its kernels from the iteration's roots
+    and its guesses from the iteration's q, the step after a residual
+    check activates every block, the scheduler is still queried at every
+    iteration, and a residual within tol stops the loop only if the public
+    equilibrium residual is within tol too.
     """
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
     state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
@@ -647,7 +648,7 @@ def manual_run(net, ops, cfg, params=None):
         record = step(net, ops, cfg, state, ws, arcs, params=params)
         checked = ws.tau == 0.0 or (k + 1) % solver.CHECK_INTERVAL == 0
         if checked:
-            sweep.root[:] = ws.root
+            sweep.root[:], sweep.q[:] = ws.root, ws.q
             record.residual = residual(net, ops, cfg, state, params, sweep)
         trace.append(record)
         if record.residual is not None and record.residual <= cfg.tol:
@@ -920,6 +921,28 @@ def test_run_allocates_one_workspace(monkeypatch):
     _, trace, _ = run(net, ops, cfg)
     assert sum(r.residual is not None for r in trace) == 3
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
+def test_a_run_sets_numpys_error_state_once_per_evaluation(spec, T, monkeypatch):
+    # the kernels leave it to step and residual; lambert_w_exp keeps its own
+    entered, evaluations, lambert_calls = [], [], []
+
+    class Counted(np.errstate):
+        def __enter__(self):
+            entered.append(1)
+            return super().__enter__()
+
+    evaluate, solve = solver._evaluate, operators.lambert_w_exp
+    monkeypatch.setattr(np, "errstate", Counted)
+    monkeypatch.setattr(solver, "_evaluate", lambda *args: evaluations.append(1) or evaluate(*args))
+    monkeypatch.setattr(operators, "lambert_w_exp", lambda *args: lambert_calls.append(1) or solve(*args))
+    net, ops = mixed_multicommodity_instance(5)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=60, tol=1e-300)
+    _, trace, _ = run(net, ops, cfg)
+    assert len(trace) == 60 and lambert_calls
+    # one more for the binding, once per run
+    assert len(entered) == len(evaluations) + len(lambert_calls) + 1
 
 
 @pytest.mark.parametrize("max_iter", [30, 90])

@@ -70,6 +70,51 @@ def test_solver_path_rule_flags(line):
     assert solver_paths_named(line)
 
 
+QUIET_NAMES = ("_*_prepare", "_*_solve", "_roots")
+
+
+def functions_that_set_error_state(source):
+    """The kernels' prepare/solve halves and `_roots` in `source` that name
+    np.errstate or np.seterr: those leave numpy's warnings to their callers,
+    which silence them once per evaluation."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            fnmatch.fnmatch(node.name, p) for p in QUIET_NAMES
+        ):
+            for inner in ast.walk(node):
+                name = getattr(inner, "attr", None) or getattr(inner, "id", None)
+                if name in ("errstate", "seterr"):
+                    found.append(node.name)
+                    break
+    return found
+
+
+def test_kernels_and_roots_leave_the_error_state_to_their_callers():
+    source = (PACKAGE / "operators.py").read_text()
+    names = [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+    assert {"_bpr_solve", "_lambert_prepare", "_lambert_solve", "_roots"} <= set(names)
+    assert functions_that_set_error_state(source) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "def _bpr_solve(xi):\n    with np.errstate(all='ignore'):\n        return xi",
+        "def _roots(self):\n    if True:\n        with numpy.errstate(divide='ignore') as e:\n            pass",
+        "def _trc_prepare(g):\n    np.seterr(all='ignore')",
+        "def _lambert_solve(xi):\n    from numpy import errstate\n    with errstate(over='ignore'):\n        pass",
+    ],
+)
+def test_error_state_rule_flags(snippet):
+    assert functions_that_set_error_state(snippet)
+
+
+def test_error_state_rule_passes_the_public_entry_points():
+    snippet = "def capacity_resolvent(self):\n    with np.errstate(all='ignore'):\n        pass"
+    assert functions_that_set_error_state(snippet) == []
+
+
 def print_calls(source):
     """The line numbers of the calls to the builtin print in `source`."""
     return [
