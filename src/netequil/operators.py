@@ -47,10 +47,12 @@ quadratic coefficients, the prox kernels' gamma products), and
 Calling ``kernel(gamma, xi, *params)`` runs both; ``spec.family()``
 names a spec's kernel and its parameters, and ``spec.resolvent`` and
 ``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by
-kernel; ``OperatorSet.bind(gamma)`` prepares every group once for
+kernel and keeps each group's parameters as one (n_params, m) float
+table; ``OperatorSet.bind(gamma)`` prepares every group once for
 per-arc step parameters, at k*gamma for every commodity count
-k = 1, ..., C, and ``capacity_resolvent`` then solves each group in one
-call, gathering each listed arc's constants at its own k.  A sweep of
+k = 1, ..., C, into one (n_consts, m*C) float table per group, and
+``capacity_resolvent`` then solves each group in one call, gathering
+the listed arcs' columns at their own k with one ``take``.  A sweep of
 every arc reads them from a memo in the binding, which holds until an
 arc's k changes; with one commodity it holds for the whole run.
 
@@ -71,8 +73,9 @@ kernel's own starting point; the public entry points (calling a kernel,
 all-nan start.  So an element's result depends on its own input and its
 own previous root, and an arc's block result on those and its own
 previous output, never on which other arcs share its batch.  A
-user-supplied ``CustomPhi`` prox is the one family evaluated by a
-scalar loop.
+user-supplied ``CustomPhi`` carries its own kernel, a scalar loop that
+calls its prox once per element: the arcs sharing one instance form one
+family, and no table holds a Python object.
 
 The kernels' halves and ``OperatorSet._roots`` set no numpy error
 state: the solver silences floating-point warnings once per evaluation,
@@ -356,14 +359,8 @@ def _power_solve(xi, lo, hi, gamma, b, disc, den, q1, q2, start):
     return _clamp(s, lo, hi)
 
 
-def _custom_prepare(gamma, lo, hi, phi):
-    return lo, hi, gamma, phi
-
-
-def _custom_solve(xi, lo, hi, gamma, phi, start):
-    """The scalar fallback: one user prox_fn call per element."""
-    s = [f.prox_fn(g, x) for f, g, x in zip(phi, gamma.tolist(), xi.tolist())]
-    return _clamp(np.array(s, dtype=float), lo, hi)
+def _custom_prepare(gamma, lo, hi):
+    return lo, hi, gamma
 
 
 _bpr_kernel = _Kernel(_bpr_prepare, _bpr_solve)
@@ -372,7 +369,6 @@ _trc_kernel = _Kernel(_trc_prepare, _trc_solve)
 _affine_kernel = _Kernel(_affine_prepare, _affine_solve)
 _quadratic_kernel = _Kernel(_quadratic_prepare, _quadratic_solve)
 _power_kernel = _Kernel(_power_prepare, _power_solve)
-_custom_kernel = _Kernel(_custom_prepare, _custom_solve)
 
 
 def _stack(rows, n, width):
@@ -381,21 +377,9 @@ def _stack(rows, n, width):
     return flat.reshape(n, width)
 
 
-def _column(values):
-    try:
-        return np.array(values, dtype=float)
-    except TypeError:  # user-supplied phi objects
-        col = np.empty(len(values), dtype=object)
-        col[:] = values
-        return col
-
-
-def _columns(rows):
-    """Per-arc parameter tuples as one contiguous 1-d array per parameter."""
-    try:
-        return tuple(_stack(rows, len(rows), len(rows[0])).T.copy())
-    except TypeError:  # a column of user-supplied phi objects
-        return tuple(_column(values) for values in zip(*rows))
+def _table(rows):
+    """Per-arc parameter tuples as one (n_params, n) float table, a row per parameter."""
+    return _stack(rows, len(rows), len(rows[0])).T.copy()
 
 
 def _call1(kernel, gamma, xi, params):
@@ -407,7 +391,7 @@ def _call1(kernel, gamma, xi, params):
     gamma_xi = np.array([[gamma], [xi]], dtype=float)
     if not (math.isfinite(gamma_xi[0, 0]) and gamma_xi[0, 0] > 0):
         raise ConfigurationError(f"resolvent parameter must be finite and positive, got {gamma!r}")
-    return float(kernel(gamma_xi[0], gamma_xi[1], *_columns([params]))[0])
+    return float(kernel(gamma_xi[0], gamma_xi[1], *_table([params]))[0])
 
 
 class _Capacity:
@@ -593,16 +577,26 @@ class PowerPhi(_Phi):
 
 @dataclass(frozen=True)
 class CustomPhi(_Phi):
-    """Escape hatch: user-supplied scalar prox and subdifferential, both required."""
+    """Escape hatch: user-supplied scalar prox and subdifferential, both required.
+
+    Each instance carries its own kernel, whose solve calls `prox_fn` once
+    per element, so the arcs sharing an instance form one family.
+    """
 
     prox_fn: Callable[[float, float], float]
     subdiff_fn: Callable[[float], Optional[tuple]]
 
     def __post_init__(self):
         _require(callable(self.subdiff_fn), "CustomPhi requires a callable subdiff_fn")
+        object.__setattr__(self, "_kernel", _Kernel(_custom_prepare, self._prox_solve))
+
+    def _prox_solve(self, xi, lo, hi, gamma, start):
+        """The scalar fallback: one prox_fn call per element."""
+        s = [self.prox_fn(g, x) for g, x in zip(gamma.tolist(), xi.tolist())]
+        return _clamp(np.array(s, dtype=float), lo, hi)
 
     def prox_family(self):
-        return _custom_kernel, (self,)
+        return self._kernel, ()
 
     def subdiff(self, s):
         return self.subdiff_fn(s)
@@ -755,9 +749,10 @@ def _component_roots(network):
 class _Binding:
     """`OperatorSet.bind`'s result: the family kernels' constants for one gamma.
 
-    `consts` holds each family's prepared constants.  `at_k` memoizes
-    them gathered at each member's k for a sweep of every arc, and `k` is
-    the k they were gathered at (-1 before the first sweep).
+    `consts` holds each family's prepared constants as one (n_consts,
+    m*C) float table.  `at_k` memoizes the rows of each table gathered at
+    each member's k for a sweep of every arc, and `k` is the k they were
+    gathered at (-1 before the first sweep).
     """
 
     __slots__ = ("consts", "k", "at_k")
@@ -820,9 +815,9 @@ class OperatorSet:
         self.supplies = _stack((op.supply for op in node_operators), len(node_operators), n_comm)
         self._check_balance()
 
-        # (kernel, arc indices, per-arc parameter arrays) per family
+        # (kernel, arc indices, (n_params, m) parameter table) per family
         self.families = tuple(
-            (kernel, np.array(arcs, dtype=np.intp), _columns(rows))
+            (kernel, np.array(arcs, dtype=np.intp), _table(rows))
             for kernel, (arcs, rows) in groups.items()
         )
         # per arc, its family and the element of its family's bound
@@ -877,7 +872,7 @@ class OperatorSet:
         with np.errstate(all="ignore"):
             return _Binding(
                 tuple(
-                    kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *(np.repeat(p, n_comm) for p in params))
+                    np.array(kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *params.repeat(n_comm, 1)), float)
                     for kernel, arcs, params in self.families
                 )
             )
@@ -887,7 +882,7 @@ class OperatorSet:
         if bound.k is not k and not np.equal(bound.k, k).all():
             slot = self._arc_slot + k
             bound.at_k = [
-                [c[slot[members]] for c in consts]
+                tuple(consts.take(slot[members], 1))
                 for (_, members, _), consts in zip(self.families, bound.consts)
             ]
             bound.k = k
@@ -917,7 +912,7 @@ class OperatorSet:
         b = 0
         for f, ((kernel, _, _), e) in enumerate(zip(self.families, ends)):
             if e > b:
-                consts = at_k[f] if full else [c[pick[b:e]] for c in bound.consts[f]]
+                consts = at_k[f] if full else bound.consts[f].take(pick[b:e], 1)
                 roots[b:e] = kernel.solve(total[b:e], *consts, start=roots[b:e])
             b = e
         if order is not None:

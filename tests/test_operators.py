@@ -507,6 +507,8 @@ class TestOperatorSet:
         good_arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(2))
         with pytest.raises(ConfigurationError, match="arc operators"):
             OperatorSet(net, [], [FixedSupply((0.0, 0.0))] * 2)
+        with pytest.raises(ConfigurationError, match="1 node operators for 2 nodes"):
+            OperatorSet(net, [good_arc], [FixedSupply((0.0, 0.0))])
         with pytest.raises(ConfigurationError, match="supply has"):
             OperatorSet(net, [good_arc], [FixedSupply((0.0,)), FixedSupply((0.0, 0.0))])
         with pytest.raises(ConfigurationError, match="box has"):
@@ -1343,3 +1345,53 @@ def test_custom_phi_mixed_with_batched_families_solves():
     assert 0.0 < float(np.sum(state.x[4])) < 5.0
     net, ops = mixed_family_instance(custom=True)
     assert wardrop_residual(net, ops, state.x, state.v) <= 1e-6
+
+
+def test_bind_returns_one_float_table_per_family():
+    # a partial sweep gathers a family's constants with one take, so no
+    # family may keep a column of objects, a CustomPhi's included
+    net, ops = mixed_family_instance(custom=True)
+    n_comm = net.n_commodities
+    bound = ops.bind(np.full(net.n_arcs, 0.5))
+    assert len(bound.consts) == len(ops.families) == 4
+    for (_, arcs, params), table in zip(ops.families, bound.consts):
+        assert params.dtype == table.dtype == np.float64
+        assert params.ndim == table.ndim == 2
+        assert params.shape[1] == arcs.size and table.shape[1] == arcs.size * n_comm
+
+
+def test_arcs_sharing_a_custom_phi_form_one_family_and_two_instances_two():
+    def prox(gamma, xi):
+        return xi / (1.0 + gamma)
+
+    def subdiff(s):
+        return (s, s)
+
+    shared, other = CustomPhi(prox, subdiff), CustomPhi(prox, subdiff)
+    assert shared == other  # equal, but two instances carry two kernels
+    specs = [
+        IntervalProx(shared, -1.0, 2.0),
+        IntervalProx(other, 0.0, 5.0),
+        IntervalProx(shared, hi=0.5),
+        IntervalProx(other),
+        BPR(alpha=0.15, rho=1.0, theta=1.0, p=4.0),
+    ]
+    net = Network(["a", "b"], [("a", "b")] * len(specs))
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(spec), Box.free(1)) for spec in specs],
+        [FixedSupply((0.0,)), FixedSupply((0.0,))],
+    )
+    assert [arcs.tolist() for _, arcs, _ in ops.families] == [[0, 2], [1, 3], [4]]
+    gamma = np.array([0.5, 2.0, 1.5, 0.25, 1.0])
+    xi = np.array([3.0, -4.0, 1.0, 7.0, 2.0])
+    bound = ops.bind(gamma)
+    for arcs in (np.arange(5), np.array([0, 3]), np.array([1, 2, 4])):
+        got = ops.capacity_resolvent(arcs, bound, xi[arcs, None])[:, 0]
+        want = [
+            specs[j].resolvent(gamma[j], xi[j])
+            if j == 4
+            else min(max(specs[j].phi.prox(gamma[j], xi[j]), specs[j].lo), specs[j].hi)
+            for j in arcs
+        ]
+        assert np.array_equal(got, want)

@@ -115,6 +115,53 @@ def test_error_state_rule_passes_the_public_entry_points():
     assert functions_that_set_error_state(snippet) == []
 
 
+def names_the_object_dtype(node):
+    return (
+        (isinstance(node, ast.Name) and node.id == "object")
+        or (isinstance(node, ast.Attribute) and node.attr == "object_")
+        or (isinstance(node, ast.Constant) and node.value in ("O", "object"))
+    )
+
+
+def object_array_lines(source):
+    """The lines of `source` with a call that takes the object dtype: an
+    argument or keyword naming object, np.object_, "O" or "object"."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(map(names_the_object_dtype, node.args + [kw.value for kw in node.keywords]))
+    ]
+
+
+def test_operators_build_no_object_array():
+    # every family's parameters and bound constants are one float table,
+    # which a partial sweep gathers with one take
+    assert object_array_lines((PACKAGE / "operators.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "col = np.empty(n, dtype=object)",
+        "col = np.array(values, dtype='O')",
+        "col = values.astype(np.object_)",
+        "def f(n):\n    return np.full(n, None, object)",
+    ],
+)
+def test_object_array_rule_flags(snippet):
+    assert object_array_lines(snippet)
+
+
+def test_object_array_rule_passes_float_tables_and_object_attributes():
+    snippet = (
+        "table = np.array(rows, dtype=float).T.copy()\n"
+        "object.__setattr__(self, '_kernel', kernel)\n"
+        "phi: object = None"
+    )
+    assert object_array_lines(snippet) == []
+
+
 def print_calls(source):
     """The line numbers of the calls to the builtin print in `source`."""
     return [
