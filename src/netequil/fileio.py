@@ -372,8 +372,6 @@ def _parse_callspec(token, where):
     name, body = match.groups()
     kwargs = {}
     for part in _split_args(body):
-        if not part:
-            continue
         key, eq, value = part.partition("=")
         if not eq:
             raise ProblemFormatError(

@@ -1,12 +1,13 @@
 """Independent reference solutions and equilibrium checks at desk scale.
 
 Nothing here calls into the resolvent machinery: costs are evaluated
-straight from their defining formulas, reference flows come from a closed
-form or from Frank-Wolfe with label-correcting shortest paths, and the
-equilibrium residual measures the defining inclusions exactly, with one
-slack rule at box and ``IntervalProx`` bounds.  The only shared code is
-the network data type, so agreement with the splitting solver is a
-genuine cross-check.
+straight from their defining formulas (the specs' ``value``/``subdiff``,
+which no kernel calls), reference flows come from a closed form or from
+Frank-Wolfe with label-correcting shortest paths, and the equilibrium
+residual measures the defining inclusions exactly, with one slack rule
+at box and ``IntervalProx`` bounds.  The only other shared code is the
+network data type, so agreement with the splitting solver is a genuine
+cross-check.
 
 ``wardrop_residual`` checks every commodity of every arc: each
 commodity's tension against the cost of the arc's total flux plus the
@@ -116,13 +117,6 @@ def analytic_two_arc(inst):
 # --------------------------------------------------------------------------
 
 
-def _bpr_cost(spec, flux):
-    # evaluated locally: the oracle must not share the solver's code paths
-    if flux < 0.0:
-        return spec.theta
-    return spec.theta * (1.0 + spec.alpha * (flux / spec.rho) ** spec.p)
-
-
 def _shortest_path_arcs(net, costs, origin, destination):
     """Label-correcting search; returns the arc indices of a cheapest path."""
     dist = np.full(net.n_nodes, np.inf)
@@ -178,7 +172,7 @@ def frank_wolfe_reference(net, bpr_specs, supplies, iterations=10_000):
 
     x = np.zeros(net.n_arcs)
     for k in range(iterations):
-        costs = np.array([_bpr_cost(spec, flux) for spec, flux in zip(bpr_specs, x)])
+        costs = np.array([spec.value(flux) for spec, flux in zip(bpr_specs, x)])
         target = np.zeros(net.n_arcs)
         for j in _shortest_path_arcs(net, costs, origin, destination):
             target[j] += demand

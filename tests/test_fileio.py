@@ -565,6 +565,72 @@ class TestSolutionSections:
         expect_code(text.replace(old, new), code, lambda t: parse_solution(t, parse_problem(MINIMAL)))
 
 
+SPEC = "bpr(alpha=1,rho=1,theta=1,p=1)"
+
+
+class TestInputRejections:
+    """Each rejection of a malformed input, with its code and location."""
+
+    @pytest.mark.parametrize(
+        "old, new, code, section, entity, line",
+        [
+            ("c1\n", "c1\nc1\n", "duplicate-id", "commodities", "c1", 4),
+            ("b\n[arcs]", "b\nb\n[arcs]", "duplicate-id", "nodes", "b", 7),
+            (f"q={SPEC} r=orthant", "", "syntax", "arcs", "e1", 8),  # fewer than 4 tokens
+            ("r=orthant", "r=orthant x=1", "syntax", "arcs", "e1", 8),
+            (f"q={SPEC} ", "", "syntax", "arcs", "e1", 8),  # no q=
+            (SPEC, "bpr(alpha=1", "syntax", "arcs", "e1", 8),
+            (SPEC, "bpr", "param-range", "arcs", "e1", 8),  # a bare name takes no parameters
+            (SPEC, "nope", "unknown-family", "arcs", "e1", 8),
+            (SPEC, "bpr(alpha=1,rho,theta=1,p=1)", "syntax", "arcs", "e1", 8),
+            ("r=orthant", "r=cube", "syntax", "arcs", "e1", 8),
+            ("r=orthant", "r=ball(0:1)", "syntax", "arcs", "e1", 8),
+            ("r=orthant", "r=box(0)", "syntax", "arcs", "e1", 8),
+            ("r=orthant", "r=box(0:1,0:1)", "missing-commodity", "arcs", "e1", 8),
+            ("b -1\n", "b -1\n[solver]\ntol 1e-06\n", "syntax", "solver", None, 13),
+        ],
+    )
+    def test_problem_rejected_at_its_location(self, old, new, code, section, entity, line):
+        assert old in MINIMAL
+        err = expect_code(MINIMAL.replace(old, new), code)
+        assert (err.section, err.entity, err.line) == (section, entity, line)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(SPEC, "bpr(alpha=1,,rho=1,theta=1,p=1,)"), ("r=orthant", "r=box(0:inf,)")],
+    )
+    def test_an_empty_spec_parameter_is_syntax(self, old, new):
+        err = expect_code(MINIMAL.replace(old, new), "syntax")
+        assert (err.section, err.entity, err.line) == ("arcs", "e1", 8)
+
+    def test_a_problem_is_read_from_a_stream(self):
+        text = serialize_problem(parse_problem(MINIMAL))
+        assert serialize_problem(parse_problem(io.StringIO(MINIMAL))) == text
+        err = expect_code(io.StringIO(MINIMAL.replace("r=orthant", "r=cube")), "syntax")
+        assert (err.section, err.entity, err.line) == ("arcs", "e1", 8)
+
+    def test_an_unknown_scheduler_spec_cannot_be_written(self):
+        # SolverConfig rejects such a spec before any problem holds one
+        with pytest.raises(ConfigurationError, match="cannot serialize scheduler"):
+            fileio._scheduler_token(object())
+
+    @pytest.mark.parametrize(
+        "old, code, section, entity",
+        [
+            ("iterations = 1\n", "syntax", "meta", "iterations"),
+            ("e1 1.0\n", "missing-commodity", "flow", None),
+            ("b 0.0\n", "missing-commodity", "potential", None),
+        ],
+    )
+    def test_solution_missing_an_entry_rejected(self, old, code, section, entity):
+        text = serialize_solution(
+            Solution(("e1",), ("a", "b"), np.ones((1, 1)), np.zeros((2, 1)), 0.0, 1, "converged")
+        )
+        assert old in text
+        err = expect_code(text.replace(old, ""), code, lambda t: parse_solution(t, parse_problem(MINIMAL)))
+        assert (err.section, err.entity, err.line) == (section, entity, None)
+
+
 class TestTrace:
     def records(self):
         return [

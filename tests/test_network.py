@@ -23,6 +23,20 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="not a declared node"):
             Network(["a", "b"], [("a", "z")], 1)
 
+    @pytest.mark.parametrize(
+        "nodes, arcs, commodities, message",
+        [
+            ([], [], 1, "node set must be nonempty"),
+            (["a", "b"], [("a", "b")], [], "commodity set must be nonempty"),
+            (["a", "b"], [("a", "b")], 0, "commodity set must be nonempty"),
+            (["a", "b"], [], 1, "arc set must be nonempty"),
+            (["a", "b"], [("a", "b")], ["c", "c"], "duplicate commodity"),
+        ],
+    )
+    def test_empty_or_repeated_sets_rejected(self, nodes, arcs, commodities, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Network(nodes, arcs, commodities)
+
     def test_parallel_arcs_allowed(self):
         net = Network(["a", "b"], [("a", "b"), ("a", "b")], 2)
         assert net.n_arcs == 2

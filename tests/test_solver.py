@@ -149,6 +149,18 @@ class TestSchedulers:
         with pytest.raises(ConfigurationError, match="probability"):
             make_scheduler(RandomSweep(seed=0, activation_prob=1.5), net, 1)
 
+    def test_random_sweep_queried_out_of_order_rejected(self, two_arc):
+        _, net, _ = two_arc
+        sched = make_scheduler(RandomSweep(seed=0, activation_prob=0.5), net, 1)
+        sched.select(0)
+        with pytest.raises(ConfigurationError, match="sequentially \\(expected n=1\\)"):
+            sched.select(2)
+
+    def test_unknown_spec_with_an_explicit_sweep_bound_rejected(self, two_arc):
+        _, net, _ = two_arc
+        with pytest.raises(ConfigurationError, match="unknown scheduler spec"):
+            make_scheduler(object(), net, 1)
+
     def test_sweep_bound_of_the_wrong_type_rejected_before_it_is_compared(self, two_arc):
         _, net, _ = two_arc
         for T in ("2", 1.0, True):
