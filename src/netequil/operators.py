@@ -26,7 +26,8 @@ Scalar capacity families
                  omega - gamma*W((omega/gamma)*exp(theta + (omega-xi)/gamma)),
                  refined by one Newton step where it is far below omega.
 ``TRC``          delta + alpha*(s-omega) + sqrt(alpha^2*(s-omega)^2 + beta);
-                 closed-form resolvent.
+                 closed-form resolvent, in a form that does not cancel
+                 where the root is small against its terms.
 ``PowerExp``     theta*alpha**(p*s) with alpha > 1; resolvent
                  xi - W(gamma*theta*alpha**(p*xi)*p*log(alpha))/(p*log(alpha)).
 ``IntervalProx`` subdifferential of phi + indicator of a closed interval
@@ -310,13 +311,23 @@ def _lambert_solve(xi, z0, z1, o0, o1, o2, cap, gt, near, start):
 def _trc_prepare(gamma, alpha, beta, delta, omega):
     ga = gamma * alpha
     den = 2.0 * ga + 1.0
-    return ga, ga * ga, den * gamma * gamma * beta, gamma * delta, omega, den
+    g2b = gamma * gamma * beta
+    return ga, ga * ga, den * g2b, gamma * delta, omega, den, 2.0 * ga * omega, g2b
 
 
-def _trc_solve(xi, ga, ga2, shift, gd, omega, den, start):
+def _trc_solve(xi, ga, ga2, shift, gd, omega, den, gaw2, g2b, start):
+    """TRC resolvent: the smaller root s = (a - root)/den of a quadratic.
+
+    With m = xi - gamma*delta, a = m + gamma*alpha*(m + omega) and
+    root = sqrt((gamma*alpha)**2*(m - omega)**2 + den*gamma**2*beta).
+    Where a > 0 and s is small against a, a - root cancels; there
+    s = (a**2 - root**2)/(den*(a + root)), and a**2 - root**2 is
+    den*(m*(m + 2*gamma*alpha*omega) - gamma**2*beta), which does not.
+    """
     m = xi - gd
     root = np.sqrt(ga2 * (m - omega) ** 2 + shift)
-    return (-root + ga * (m + omega) + m) / den
+    a = ga * (m + omega) + m
+    return np.where(a > 0.0, (m * (m + gaw2) - g2b) / (a + root), (a - root) / den)
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi

@@ -268,6 +268,55 @@ class TestTRC:
             TRC(alpha=1.0, beta=0.0, delta=1.0, omega=1.0)
 
 
+def decimal_trc_root(spec, gamma, xi):
+    """The TRC resolvent in 50-digit decimals, rounded once.
+
+    Starts from the smaller root (a - root)/den of the quadratic that the
+    resolvent equation squares to, which 50 digits hold even where it
+    cancels, then takes Newton steps on the equation itself,
+    F(s) = s + gamma*(delta + alpha*d + sqrt(alpha**2*d**2 + beta)) - xi
+    with d = s - omega, until a step moves s by at most 1e-30 of it.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, t, w, g, x = map(D, (spec.alpha, spec.beta, spec.delta, spec.omega, gamma, xi))
+        m, ga = x - g * t, g * a
+        den = 2 * ga + 1
+        s = (m + ga * (m + w) - (ga * ga * (m - w) ** 2 + den * g * g * b).sqrt()) / den
+        for _ in range(100):
+            d = s - w
+            r = (a * a * d * d + b).sqrt()
+            step = (s + g * (t + a * d + r) - x) / (1 + g * a * (1 + a * d / r))
+            s -= step
+            if abs(step) <= abs(s) * D("1e-30"):
+                return float(s)
+        raise RuntimeError("decimal Newton did not converge")
+
+
+def test_a_trc_root_small_against_its_terms_keeps_its_digits():
+    # a - root cancels where the root is small against omega
+    rng = np.random.default_rng(20261020)
+    errors = []
+    for _ in range(3000):
+        alpha, beta, delta, omega, gamma = 10.0 ** rng.uniform(-3, 3, 5)
+        xi = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 5))
+        spec = TRC(alpha, beta, delta, omega)
+        root = decimal_trc_root(spec, gamma, xi)
+        errors.append(abs(spec.resolvent(gamma, xi) - root) / abs(root))
+    assert max(errors) <= 1e-12
+
+
+def test_a_trc_root_far_below_omega_matches_its_50_digit_root():
+    # the cancelling form gave 0.016879206652765603, 6.0e-12 off
+    spec = TRC(
+        alpha=407.1613682452466, beta=348.38504870150666, delta=0.09206591630978468, omega=857.3657961264771
+    )
+    gamma, xi = 0.013367483029094742, 0.01811656667442454
+    s = spec.resolvent(gamma, xi)
+    assert s == pytest.approx(decimal_trc_root(spec, gamma, xi), rel=1e-15, abs=0.0)
+
+
 class TestPowerExp:
     def test_vanishing_operator_limit(self):
         spec = PowerExp(alpha=2.0, theta=1e-12, p=1.0)
