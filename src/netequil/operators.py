@@ -591,7 +591,8 @@ class CustomPhi(_Phi):
     """Escape hatch: user-supplied scalar prox and subdifferential, both required.
 
     Each instance carries its own kernel, whose solve calls `prox_fn` once
-    per element, so the arcs sharing an instance form one family.
+    per element, so the arcs sharing an instance form one family, solved
+    in one call per sweep; arcs given an instance each take a call each.
     """
 
     prox_fn: Callable[[float, float], float]
