@@ -14,9 +14,10 @@ exp(z) would overflow it instead solves w + log(w) = z by Newton
 iteration; the capacity resolvents route through it so that transiently
 huge arguments inside the solver loop stay finite.  Below that switch
 x = exp(z) >= 0, so Halley stops from its cubic rate: at the first step
-of at most _DELTA * w with _DELTA = 1e-7, which leaves an error below
-half an ulp for every W it meets there (the derivation is in
-``_halley``), a pass earlier than the 1e-15 test would.  Halley and
+|dw| within the radius min(2**-6 * w, cbrt(eps/8 * w)), taken once from
+the first pass's w, which leaves an error far below half an ulp for
+every W it meets there (the derivation is in ``_halley``), often a pass
+earlier than a test relative to w alone could.  Halley and
 Newton raise NumericalFailure rather than return an element they have
 not converged in _MAX_ITER passes, and so does a nan or +inf z.  A
 `start` (say, the W an element had at its previous evaluation) is
@@ -42,7 +43,9 @@ argument of any size leak none.  The Logarithmic/PowerExp kernel in
 ``lambert_w_exp`` once per batch, through the ``operators`` module name,
 with z = z0 + z1*xi and the W at which its output formula returns the
 arc's earlier root as the start; a solver evaluation thus enters one
-error state of its own and this one.
+error state of its own and this one.  A 1-d float array, as that call
+passes, is used as it is, without the copy and reshape that other
+arguments take.
 """
 
 import math
@@ -56,21 +59,32 @@ _BRANCH_POINT = -math.exp(-1.0)
 _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50
 _EPS = np.finfo(float).eps
+_FLOAT = np.dtype(float)
 _RESIDUAL_ULPS = 4.0
-# Halley's stop test for x >= 0: a step of at most _DELTA * w leaves an
-# error below half an ulp of w (see _halley)
-_DELTA = 1e-7
+# Halley's stop radius for x >= 0, min(_GUARD * w, cbrt(_CUBIC * w)): a
+# step within it leaves an error far below half an ulp of w (see _halley)
+_GUARD = 2.0**-6
+_CUBIC = _EPS / 8.0
 # a start w is used where |w + log(w) - z| is at most this (see _start);
 # from farther off Halley moves w by only about 2 per pass
 _WARM_SPAN = 2.0
 
 
 def _as_batch(x):
-    """(1-d float array, function restoring the caller's shape or float)."""
+    """(1-d float array, function restoring the caller's shape or float).
+
+    A 1-d float array, as the kernels pass, is its own batch: no copy.
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == _FLOAT:
+        return x, _same
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return arr.reshape(1), lambda w: float(w[0])
     return np.ascontiguousarray(arr).ravel(), lambda w: w.reshape(arr.shape)
+
+
+def _same(w):
+    return w
 
 
 def _winitzki(x):
@@ -122,18 +136,25 @@ def _halley(x, w, positive=False):
     looser test would not be safe.
 
     With `positive`, for ``lambert_w_exp``, every x >= 0, so W >= 0 and the
-    divisor is 1.  The test is then |dw| <= _DELTA * w, from Halley's cubic
-    rate: a step from an error e leaves the error K * e**3 with
-    K = (w**2 + 4*w + 6) / (12 * (1 + w)**2), and 1/12 < K <= 1/2 for
-    w >= 0, while the step itself is e to within K * e**3.  A step of at
-    most _DELTA * w therefore leaves a relative error of at most
-    K * _DELTA**3 * w**2, and half an ulp of w is at least eps/4 of w.
-    K * w**2 grows with w, and W(exp(z)) < 480 below the _EXP_SWITCH where
-    this path ends; at w = 480 and _DELTA = 1e-7 the bound is 0.35 of
-    eps/4.  The test is relative to w because the rounding of a step is
-    about eps * |dw|: an absolute test would accept steps large against a
-    small w, whose rounding alone moves its last bits.  The 1e-15 test
-    accepts one pass later, a pass that moves w by rounding noise.
+    divisor is 1.  The test is then |dw| <= radius, with radius =
+    min(2**-6 * w, cbrt(eps/8 * w)) taken once, from the w of the first
+    pass, and it comes from Halley's cubic rate: a step from an error e
+    leaves the error K * e**3 with K = (w**2 + 4*w + 6) / (12 * (1 + w)**2),
+    and 1/12 < K <= 1/2 for w >= 0, while the step itself is e to within
+    K * e**3.  A step within the cubic radius therefore leaves an error of
+    at most K * eps/8 * w1 <= eps/16 * w1, w1 the first pass's w, while
+    half an ulp of the root W is at least eps/4 * W.  From Winitzki's
+    start w1 is within 1e-5 of W, and from every start within the span
+    (see `_start`) within a factor 1.3 (checked over a fine grid of z at
+    the span's edges), so the error stays below a third of that half
+    ulp.  The 2**-6 guard keeps the step's own rounding small: a step is
+    computed to about eps times the w it starts from, so it must start
+    within a small factor of the root.  Below w of about 3e-6 the cubic
+    radius exceeds w/64; there the pure cubic test accepts a step several
+    times larger than W itself, and warm results near W = 1e-10 drifted
+    1.5e-15 from the cold ones.  The radius exceeds 1e-7 * w, the bound
+    of a test relative to w alone with the same accuracy at W = 480,
+    wherever w < 167, and so often accepts a pass earlier than it would.
 
     An element still running after _MAX_ITER passes is accepted if its
     residual |w*exp(w) - x| is at rounding level,
@@ -150,7 +171,9 @@ def _halley(x, w, positive=False):
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         t = w - dw
         if positive:
-            done = np.abs(dw) <= _DELTA * t
+            if not k:  # the stop radius, from the first pass's w
+                radius = np.minimum(_GUARD * t, np.cbrt(_CUBIC * t))
+            done = np.abs(dw) <= radius
         else:
             done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(t)) / np.minimum(1.0, np.abs(t + 1.0))
         if k:

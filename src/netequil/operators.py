@@ -44,18 +44,26 @@ parameter: ``kernel.prepare(gamma, *params)`` returns the per-element
 constants that depend only on gamma and the spec (BPR's gamma*theta,
 log k and stop radius, the Lambert kernel's coefficients, TRC's
 quadratic coefficients, the prox kernels' gamma products), and
-``kernel.solve(xi, *consts, start)`` does the work that depends on xi.
+``kernel.solve(xi, consts, start)`` does the work that depends on xi,
+with those constants as one (n_consts, n) float table, a row each.
 Calling ``kernel(gamma, xi, *params)`` runs both; ``spec.family()``
 names a spec's kernel and its parameters, and ``spec.resolvent`` and
 ``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by
-kernel and keeps each group's parameters as one (n_params, m) float
-table; ``OperatorSet.bind(gamma)`` prepares every group once for
+kernel, keeps each group's parameters as one (n_params, m) float table,
+and orders its arcs family by family (ascending within each family)
+once.  ``OperatorSet.bind(gamma)`` prepares every group once for
 per-arc step parameters, at k*gamma for every commodity count
-k = 1, ..., C, into one (n_consts, m*C) float table per group, and
-``capacity_resolvent`` then solves each group in one call, gathering
-the listed arcs' columns at their own k with one ``take``.  A sweep of
-every arc reads them from a memo in the binding, which holds until an
-arc's k changes; with one commodity it holds for the whole run.
+k = 1, ..., C, into one float table holding every group's constants
+side by side in that order, and ``capacity_resolvent`` solves each
+group in one call.  The solver hands a partial sweep's rows over in
+family order, so the constants of all its rows at their own k come
+with one ``take`` and each family's run of rows is a slice, found with
+one search; the public ``capacity_resolvent``, which takes its arcs in
+ascending order, puts them in family order itself.  A sweep of every
+arc reads the constants from a memo in the binding, which holds until
+an arc's k changes (with one commodity, for the whole run), and puts
+its rows in family order for the kernels unless the arcs come so
+already.
 
 BPR runs Newton on log s, which decreases monotonically to the root
 from an upper bound, so it needs no bracket and no bisection; its
@@ -130,7 +138,7 @@ def _holds_a_real(lo, hi):
 
 # --------------------------------------------------------------------------
 # batched resolvent kernels: prepare(gamma, *params) once per step size,
-# solve(xi, *consts, start) per evaluation, on 1-d arrays
+# solve(xi, consts, start) per evaluation, on 1-d arrays and a table
 # --------------------------------------------------------------------------
 
 
@@ -139,8 +147,9 @@ class _Kernel:
     """A family's resolvent split at the step size.
 
     ``prepare(gamma, *params)`` returns the per-element constants that
-    depend only on gamma and the spec; ``solve(xi, *consts, start)`` does
-    the work that depends on xi, from one start per element, where nan is
+    depend only on gamma and the spec; ``solve(xi, consts, start)`` does
+    the work that depends on xi, with those constants stacked into one
+    (n_consts, n) float table, from one start per element, where nan is
     a cold start.  Calling the kernel runs both; its `start` None is the
     all-nan start.
     """
@@ -152,7 +161,7 @@ class _Kernel:
         if start is None:
             start = np.full(np.shape(xi), np.nan)
         with np.errstate(all="ignore"):
-            return self.solve(xi, *self.prepare(gamma, *params), start=start)
+            return self.solve(xi, np.array(self.prepare(gamma, *params), float), start)
 
 
 _BPR_MAX_ITER = 200
@@ -177,7 +186,7 @@ def _bpr_prepare(gamma, alpha, rho, theta, p):
     return gt, agt / rho**p, logk, p, pm1, r
 
 
-def _bpr_solve(xi, gt, k, logk, p, pm1, r, start):
+def _bpr_solve(xi, consts, start):
     """BPR resolvent: xi - gamma*theta below the kink, else the root below.
 
     With c = xi - gamma*theta > 0 and k = alpha*gamma*theta/rho**p, the
@@ -217,13 +226,15 @@ def _bpr_solve(xi, gt, k, logk, p, pm1, r, start):
     start makes that step nan, which leaves y0 in place and is never
     final.
     """
-    c = xi - gt
+    c = xi - consts[0]
     # c < 0: pure shift; c = 0: root 0; c = inf surfaces as a numerical failure
-    out = np.where(c == np.inf, np.nan, c)
-    live = ((c > 0.0) & (c < np.inf)).nonzero()[0]
+    below = c < np.inf
+    out = np.where(below, c, np.nan)
+    live = ((c > 0.0) & below).nonzero()[0]
     if not live.size:
         return out
-    c, k, logk, p, pm1, r, start = c[live], k[live], logk[live], p[live], pm1[live], r[live], start[live]
+    c, start = c.take(live), start.take(live)
+    _, k, logk, p, pm1, r = consts.take(live, 1)
     logc = np.log(c)
     ys = np.log(start)
     lse = np.logaddexp(ys, logk + p * ys)
@@ -249,7 +260,7 @@ def _bpr_solve(xi, gt, k, logk, p, pm1, r, start):
     s = np.exp(y)
     ks = k * s**pm1
     step = (s + s * ks - c) / (1.0 + p * ks)
-    out[live] = np.where(np.abs(step) <= 1e-8 * s, s - step, s)
+    out.put(live, np.where(np.abs(step) <= 1e-8 * s, s - step, s))
     return out
 
 
@@ -282,7 +293,7 @@ def _lambert_prepare(gamma, is_log, a, theta):
     )
 
 
-def _lambert_solve(xi, z0, z1, o0, o1, o2, cap, gt, near, start):
+def _lambert_solve(xi, consts, start):
     """Logarithmic and PowerExp resolvents, both one W(exp(z)) solve.
 
     A batch mixing the two families makes one ``lambert_w_exp`` call, on
@@ -297,6 +308,7 @@ def _lambert_solve(xi, z0, z1, o0, o1, o2, cap, gt, near, start):
     which would cancel again where the W form is off by more than the
     root itself.
     """
+    z0, z1, o0, o1, o2, cap, gt, near = consts
     base = o0 + o1 * xi
     w = lambert_w_exp(z0 + z1 * xi, (start - base) / o2)
     # where W underflowed the exact Logarithmic value sits strictly below omega
@@ -312,22 +324,27 @@ def _trc_prepare(gamma, alpha, beta, delta, omega):
     ga = gamma * alpha
     den = 2.0 * ga + 1.0
     g2b = gamma * gamma * beta
-    return ga, ga * ga, den * g2b, gamma * delta, omega, den, 2.0 * ga * omega, g2b
+    return ga, np.sqrt(den * g2b), gamma * delta, omega, den, 2.0 * ga * omega, g2b
 
 
-def _trc_solve(xi, ga, ga2, shift, gd, omega, den, gaw2, g2b, start):
+def _trc_solve(xi, consts, start):
     """TRC resolvent: the smaller root s = (a - root)/den of a quadratic.
 
     With m = xi - gamma*delta, a = m + gamma*alpha*(m + omega) and
-    root = sqrt((gamma*alpha)**2*(m - omega)**2 + den*gamma**2*beta).
-    Where a > 0 and s is small against a, a - root cancels; there
+    root = hypot(gamma*alpha*(m - omega), sqrt(den*gamma**2*beta)), which
+    does not overflow where the square of either term would.  Where a > 0
+    and s is small against a, a - root cancels; there
     s = (a**2 - root**2)/(den*(a + root)), and a**2 - root**2 is
-    den*(m*(m + 2*gamma*alpha*omega) - gamma**2*beta), which does not.
+    den*(m*(m + 2*gamma*alpha*omega) - gamma**2*beta), which does not.  It
+    is divided by a + root before the product is formed, so that no
+    product of two m overflows: both roots are finite for every finite xi.
     """
+    ga, sq, gd, omega, den, gaw2, g2b = consts
     m = xi - gd
-    root = np.sqrt(ga2 * (m - omega) ** 2 + shift)
+    root = np.hypot(ga * (m - omega), sq)
     a = ga * (m + omega) + m
-    return np.where(a > 0.0, (m * (m + gaw2) - g2b) / (a + root), (a - root) / den)
+    d = a + root
+    return np.where(a > 0.0, (m + gaw2) * (m / d) - g2b / d, (a - root) / den)
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi
@@ -342,7 +359,8 @@ def _affine_prepare(gamma, lo, hi, a):
     return lo, hi, gamma * a
 
 
-def _affine_solve(xi, lo, hi, ga, start):
+def _affine_solve(xi, consts, start):
+    lo, hi, ga = consts
     return _clamp(xi - ga, lo, hi)
 
 
@@ -350,7 +368,8 @@ def _quadratic_prepare(gamma, lo, hi, a):
     return lo, hi, 1.0 + gamma * a
 
 
-def _quadratic_solve(xi, lo, hi, den, start):
+def _quadratic_solve(xi, consts, start):
+    lo, hi, den = consts
     return _clamp(xi / den, lo, hi)
 
 
@@ -358,7 +377,8 @@ def _power_prepare(gamma, lo, hi, q):
     return lo, hi, gamma, -1.5 * gamma, 2.25 * gamma * gamma, 1.0 + 2.0 * gamma, q == 1.0, q == 2.0
 
 
-def _power_solve(xi, lo, hi, gamma, b, disc, den, q1, q2, start):
+def _power_solve(xi, consts, start):
+    lo, hi, gamma, b, disc, den, q1, q2 = consts
     mag = np.abs(xi)
     # q = 3/2: substitute u = sqrt(|s|); u solves u**2 + 1.5*gamma*u = |xi|
     u = 0.5 * (b + np.sqrt(disc + 4.0 * mag))
@@ -602,8 +622,9 @@ class CustomPhi(_Phi):
         _require(callable(self.subdiff_fn), "CustomPhi requires a callable subdiff_fn")
         object.__setattr__(self, "_kernel", _Kernel(_custom_prepare, self._prox_solve))
 
-    def _prox_solve(self, xi, lo, hi, gamma, start):
+    def _prox_solve(self, xi, consts, start):
         """The scalar fallback: one prox_fn call per element."""
+        lo, hi, gamma = consts
         s = [self.prox_fn(g, x) for g, x in zip(gamma.tolist(), xi.tolist())]
         return _clamp(np.array(s, dtype=float), lo, hi)
 
@@ -761,16 +782,23 @@ def _component_roots(network):
 class _Binding:
     """`OperatorSet.bind`'s result: the family kernels' constants for one gamma.
 
-    `consts` holds each family's prepared constants as one (n_consts,
-    m*C) float table.  `at_k` memoizes the rows of each table gathered at
-    each member's k for a sweep of every arc, and `k` is the k they were
-    gathered at (-1 before the first sweep).
+    `table` holds every family's prepared constants side by side, family
+    after family in `OperatorSet._perm` order, member by member and k by
+    k within each, so the constants of any rows are gathered with one
+    ``take``; `rows` is each family's n_consts, its rows of the table (the
+    rest of a family's column is 0), and `consts` each family's own
+    (n_consts, m*C) part of it.  `at_k` memoizes the table's columns at
+    each arc's k for a sweep of every arc, in family order, and `k` is
+    the k they were gathered at (-1 before the first sweep).
     """
 
-    __slots__ = ("consts", "k", "at_k")
+    __slots__ = ("table", "rows", "consts", "k", "at_k")
 
     def __init__(self, consts):
-        self.consts = consts
+        self.rows = [c.shape[0] for c in consts]
+        self.table = np.concatenate([np.pad(c, ((0, max(self.rows) - c.shape[0]), (0, 0))) for c in consts], 1)
+        ends = itertools.accumulate(c.shape[1] for c in consts)
+        self.consts = [self.table[: c.shape[0], e - c.shape[1] : e] for c, e in zip(consts, ends)]
         self.k = -1
         self.at_k = None
 
@@ -832,18 +860,19 @@ class OperatorSet:
             (kernel, np.array(arcs, dtype=np.intp), _table(rows))
             for kernel, (arcs, rows) in groups.items()
         )
-        # per arc, its family and the element of its family's bound
-        # constants at k = 0 (see `bind`), to which `_roots` adds k
-        self._arc_family = np.empty(network.n_arcs, dtype=np.intp)
-        self._arc_slot = np.empty(network.n_arcs, dtype=np.intp)
-        for f, (_, arcs, _) in enumerate(self.families):
-            self._arc_family[arcs] = f
-            self._arc_slot[arcs] = np.arange(arcs.size) * n_comm - 1
-        # every arc in family order (None when that is ascending order),
-        # and where each family's run ends
-        order = np.concatenate([arcs for _, arcs, _ in self.families])
-        self._by_family = None if np.array_equal(order, np.arange(network.n_arcs)) else order
-        self._family_ends = np.cumsum([arcs.size for _, arcs, _ in self.families]).tolist()
+        # `_perm` lists every arc in family order, ascending within each
+        # family, and `_family_ends` where each family's run ends in it;
+        # `_rank` is each arc's place in `_perm` (`_in_order` when that is
+        # the arc itself), and `_arc_slot` the column of the bound table
+        # (see `bind`) that holds its constants at k = 0, to which `_roots`
+        # adds k
+        self._perm = np.concatenate([arcs for _, arcs, _ in self.families])
+        self._family_ends = np.cumsum([arcs.size for _, arcs, _ in self.families])
+        self._rank = np.argsort(self._perm)
+        self._in_order = bool(np.array_equal(self._perm, np.arange(n_arcs)))
+        self._arc_slot = self._rank * n_comm - 1
+        # the flat index of every (arc, commodity) entry of a flow
+        self._entries = np.arange(n_arcs * n_comm).reshape(n_arcs, n_comm)
 
     def _check_balance(self):
         net = self.network
@@ -873,7 +902,9 @@ class OperatorSet:
         family of m arcs is prepared once on m*C elements: element
         member*C + k - 1 at k times its arc's gamma, the parameter at which
         `capacity_resolvent` solves an arc with k of its commodities off
-        their bounds.  `capacity_resolvent` takes the result, so a run
+        their bounds.  The families' constants sit side by side in one
+        table (see `_Binding`), so arc j's constants at k are its column
+        `_arc_slot[j] + k`.  `capacity_resolvent` takes the result, so a run
         whose step parameters stay fixed binds once.  The binding also
         memoizes the constants a sweep of every arc gathers at the arcs'
         k, for as long as no arc's k changes: with one commodity, for the
@@ -883,52 +914,44 @@ class OperatorSet:
         ks = np.arange(1, n_comm + 1)
         with np.errstate(all="ignore"):
             return _Binding(
-                tuple(
+                [
                     np.array(kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *params.repeat(n_comm, 1)), float)
                     for kernel, arcs, params in self.families
-                )
+                ]
             )
 
     def _consts_at(self, bound, k):
         """Each family's bound constants at each member's k, for a sweep of every arc."""
-        if bound.k is not k and not np.equal(bound.k, k).all():
-            slot = self._arc_slot + k
-            bound.at_k = [
-                tuple(consts.take(slot[members], 1))
-                for (_, members, _), consts in zip(self.families, bound.consts)
-            ]
+        if bound.k is not k and np.count_nonzero(bound.k != k):
+            bound.at_k = bound.table.take((self._arc_slot + k).take(self._perm), 1)
             bound.k = k
         return bound.at_k
 
     def _roots(self, arcs, bound, total, k, start):
-        """Family kernel roots J_{k*gamma*c}(total), one per listed arc, written over `start`.
+        """Family kernel roots J_{k*gamma*c}(total), one per row, written over `start`.
 
-        `k` holds each row's commodity count k (or is the one count of every
-        row); `start` holds each row's earlier root (nan for a cold start).
-        The rows are put in family order, each family's run is solved in
-        one call, and the roots go back in one scatter.
+        `arcs` lists the rows' arcs in family order (ascending within each
+        family, as `_perm` lists them), or is None for every arc in
+        ascending order.  `k` holds each row's commodity count k (or is
+        the one count of every row); `start` holds each row's earlier root
+        (nan for a cold start).  Each family's run of rows is solved in
+        one call: the rows of a sweep of every arc are put in family order
+        for it, and their roots put back, unless the arcs come in family
+        order already; any other call finds the runs with one search.
         """
-        full = arcs.size == self.network.n_arcs
-        if full:
-            order, ends = self._by_family, self._family_ends
-            at_k = self._consts_at(bound, k)
+        if arcs is None:
+            table, ends = self._consts_at(bound, k), self._family_ends.tolist()
+            total, roots = (total, start) if self._in_order else (total.take(self._perm), start.take(self._perm))
         else:
-            family = self._arc_family[arcs]
-            order = np.argsort(family, kind="stable")
-            ends = np.cumsum(np.bincount(family, minlength=len(self.families))).tolist()
-            pick = (self._arc_slot[arcs] + k)[order]
-        if order is None:  # the rows already come in family order
-            roots = start
-        else:
-            total, roots = total[order], start[order]
+            table = bound.table.take(self._arc_slot.take(arcs) + k, 1)
+            ends, roots = self._rank.take(arcs).searchsorted(self._family_ends).tolist(), start
         b = 0
-        for f, ((kernel, _, _), e) in enumerate(zip(self.families, ends)):
+        for (kernel, _, _), n, e in zip(self.families, bound.rows, ends):
             if e > b:
-                consts = at_k[f] if full else bound.consts[f].take(pick[b:e], 1)
-                roots[b:e] = kernel.solve(total[b:e], *consts, start=roots[b:e])
+                roots[b:e] = kernel.solve(total[b:e], table[:n, b:e], roots[b:e])
             b = e
-        if order is not None:
-            start[order] = roots
+        if roots is not start:
+            start.put(self._perm, roots)
         return start
 
     def capacity_resolvent(self, arcs, bound, xi, start=None, guess=None):
@@ -966,17 +989,29 @@ class OperatorSet:
         the kernel's root for that arc at an earlier call, which the
         iterative kernels start from; nan is a cold start, and None is
         the all-nan start.  It is overwritten with this call's roots.
-        Each row depends only on its own xi, guess and start.
+        Each row depends only on its own xi, guess and start.  The rows
+        of some of the arcs are solved in family order (see `_roots`) and
+        put back in the order given.
         """
         if start is None:
             start = np.full(len(xi), np.nan)
         with np.errstate(all="ignore"):
-            return self._capacity_resolvent(arcs, bound, xi, start, guess)
+            if arcs.size == self.network.n_arcs:
+                return self._capacity_resolvent(None, bound, xi, start, guess)
+            order = np.argsort(self._rank[arcs])  # the rows in family order
+            x, roots, guess = np.empty(xi.shape), start[order], guess if guess is None else guess[order]
+            x[order] = self._capacity_resolvent(arcs[order], bound, xi[order], roots, guess)
+            start[order] = roots
+            return x
 
     def _capacity_resolvent(self, arcs, bound, xi, start, guess):
-        """`capacity_resolvent` with a start array and warnings left to the caller."""
+        """`capacity_resolvent` with a start array and warnings left to the caller.
+
+        `arcs` lists the rows' arcs in family order, or is None for every
+        arc in ascending order (see `_roots`).
+        """
         n_rows, n_comm = xi.shape
-        if arcs.size == self.network.n_arcs:
+        if arcs is None:
             lo, hi = self.box_lo, self.box_hi
         else:
             lo, hi = self.box_lo.take(arcs, 0), self.box_hi.take(arcs, 0)
@@ -985,9 +1020,9 @@ class OperatorSet:
             return np.minimum(np.maximum(root[:, None], lo), hi)
         if guess is None:
             guess = np.minimum(np.maximum(xi, lo), hi)
-        rise = xi - lo
+        fall = lo - xi
         # flat index of each row's top commodity, the largest xi - lo
-        top = rise.argmax(1) + np.arange(0, n_rows * n_comm, n_comm)
+        top = fall.argmin(1) + self._entries[:n_rows, 0]
         free = (guess > lo) & (guess < hi)
         free.put(top, True)
         k = np.add.reduce(free, 1)
@@ -1001,26 +1036,28 @@ class OperatorSet:
         # below the top commodity's lower breakpoint every commodity is on
         # its lower bound, as the clamp gives it; that holds at the resolvent
         # unless a commodity was guessed on its upper bound
-        agree |= free & (eta < -rise.take(top))[:, None]
-        if not agree.all():
-            miss = (~agree.all(1)).nonzero()[0]
-            pick = start[miss]
-            x[miss] = self._fix_variables(arcs[miss], bound, xi[miss], lo[miss], hi[miss], pick)
+        agree |= free & (eta < fall.take(top))[:, None]
+        if np.count_nonzero(agree) != agree.size:
+            # the rows to fix, in family order (in a sweep of every arc, row j is arc j)
+            miss = ~agree.all(1)
+            miss = self._perm.compress(miss.take(self._perm)) if arcs is None else miss.nonzero()[0]
+            pick, fixing = start[miss], miss if arcs is None else arcs[miss]
+            x[miss] = self._fix_variables(fixing, bound, xi[miss], lo[miss], hi[miss], pick)
             start[miss] = pick
         return x
 
     def _fix_variables(self, arcs, bound, xi, lo, hi, start):
         """`capacity_resolvent` rows by variable fixing, from the all-free pattern.
 
-        Each pass solves the rows' current patterns, as
-        `capacity_resolvent` does, and finishes a row whose clamp leaves
-        every free commodity inside its bounds.  Otherwise the side whose
-        free commodities overshoot their bounds by more in total is fixed
-        at those bounds: by the monotonicity of eta + gamma*c(T(eta)),
-        they sit there at the resolvent (the variable fixing of Kiwiel,
-        Math. Program. 112, 2008).  A row that has fixed every commodity
-        is finished too, so every pass fixes a commodity of each row it
-        leaves live, and at most C passes run.
+        `arcs` lists the rows' arcs in family order.  Each pass solves the
+        rows' current patterns, as `capacity_resolvent` does, and finishes
+        a row whose clamp leaves every free commodity inside its bounds.
+        Otherwise the side whose free commodities overshoot their bounds
+        by more in total is fixed at those bounds: by the monotonicity of
+        eta + gamma*c(T(eta)), they sit there at the resolvent (the
+        variable fixing of Kiwiel, Math. Program. 112, 2008).  A row that
+        has fixed every commodity is finished too, so every pass fixes a
+        commodity of each row it leaves live, and at most C passes run.
         """
         x, fixed = xi.copy(), np.zeros(xi.shape, dtype=bool)  # x holds the fixed bounds
         live = np.arange(len(xi))

@@ -218,7 +218,7 @@ class _RandomSweepScheduler:
             return self._every
         last = self._last
         active = self._rng.random(last.size) < self._prob
-        active |= n - last >= self._T + 1
+        active |= last <= n - self._T - 1  # idle for T iterations
         if not np.count_nonzero(active):
             active[np.argmin(last)] = True
         last[active] = n
@@ -417,22 +417,25 @@ def _evaluate(net, ops, params, state, ws, arc_mask):
 
     Fills q, q* and the kernel roots for the arcs set in arc_mask and s*
     for every node, then the directions t for every node and t* for every
-    arc, active or not, and tau and pi.  The caller silences numpy's
-    warnings: non-finite values surface in tau and pi.
+    arc, active or not, and tau and pi.  The network's `every_arc` mask
+    resolves the arrays themselves; any other mask gathers its arcs' rows
+    in the operator set's family order, in which `capacity_resolvent`
+    solves them without sorting.  The caller silences numpy's warnings:
+    non-finite values surface in tau and pi.
     """
     gamma, sigma, bound = params
     x, v = state.x, state.v
     tension_v = net._tension(v)
-    act = arc_mask.nonzero()[0]
-    if act.size == arc_mask.size:  # every arc: work on the arrays themselves
-        xi = x + gamma * tension_v
-        ws.q = q = ops._capacity_resolvent(act, bound, xi, ws.root, ws.q)
+    xi = x + gamma * tension_v
+    if arc_mask is net.every_arc:  # every arc: work on the arrays themselves
+        ws.q = q = ops._capacity_resolvent(None, bound, xi, ws.root, ws.q)
         ws.qstar = (xi - q) / gamma
-    else:  # gather the active rows, and scatter their results back
-        n_comm = x.shape[1]
-        flat = (act[:, None] * n_comm + np.arange(n_comm)).ravel()
+    else:  # gather the active rows in family order, and scatter their results back
+        perm = ops._perm
+        act = perm.compress(arc_mask.take(perm))
+        flat = ops._entries.take(act, 0)
         root = ws.root.take(act)
-        xi = x.take(act, 0) + gamma * tension_v.take(act, 0)
+        xi = xi.take(act, 0)
         q = ops._capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
         ws.root.put(act, root)
         ws.q.put(flat, q)

@@ -135,3 +135,40 @@ def test_the_run_hash_tool_prints_one_line_per_run_and_repeats_itself(capsys):
     counts = [row for row in lines if row[0] == "iterations"]
     assert [row[1:4] for row in counts] == [["cli_roundtrip", "1", str(i)] for i in range(8)]
     assert all(int(row[4]) > 0 for row in counts) and len(hashes) + len(counts) == len(lines)
+
+
+def _no_sort_numpy(numpy):
+    """A copy of the numpy namespace whose argsort and bincount raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argsort or bincount called")
+
+    return types.SimpleNamespace(**{**vars(numpy), "argsort": refuse, "bincount": refuse})
+
+
+def test_a_mixed_sweep_run_sorts_and_counts_no_arc_in_the_operators(monkeypatch):
+    # a partial sweep takes its active arcs in family order from the one
+    # permutation built with the operator set, and finds each family's run
+    # with one search: no sort, no count per step
+    inst = instance("mixed_sweep")
+    monkeypatch.setattr(operators, "np", _no_sort_numpy(operators.np))
+    _, records, reason = solver.run(inst.network, inst.operators, inst.config)
+    assert reason is solver.Termination.CONVERGED
+    assert sum(0 < r.active_arcs < inst.network.n_arcs for r in records) > len(records) // 2
+
+
+def test_the_tree_comparison_tool_times_the_repo_against_itself(capsys):
+    spec = importlib.util.spec_from_file_location("compare_trees", ROOT / "tools" / "compare_trees.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    before = dict(sys.modules)
+    tool.main([str(ROOT), str(ROOT), "--workload", "cli_roundtrip", "--rounds", "1"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # each tree is a package of its own, and the real one is left in place
+    assert sys.modules["netequil"] is before["netequil"] and sys.modules["instances"] is before["instances"]
+    assert [row[:3] for row in lines[:3]] == [["iterations", "cli_roundtrip", str(i)] for i in range(3)]
+    assert all(int(row[3]) == int(row[4]) > 0 for row in lines[:3])
+    assert lines[3][:2] == ["round", "0"] and len(lines) == 5
+    old, new, ratio = map(float, lines[3][2:])
+    assert old > 0 and new > 0 and ratio == pytest.approx(new / old, rel=1e-3)
+    assert lines[4][:2] == ["ratio", "median"]

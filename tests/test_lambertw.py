@@ -274,6 +274,39 @@ def test_w_exp_from_near_starts_takes_at_most_two_halley_passes():
     np.testing.assert_allclose(w, cold, rtol=1e-15)
 
 
+def test_w_exp_from_a_start_a_millionth_off_stops_after_one_halley_pass():
+    # the first step moves w by its error e, within the radius
+    # cbrt(eps/8 * w) while (1e-6 * w)**3 <= eps/8 * w, that is up to W of
+    # about 5.3, and (1e-7 * w)**3 up to W of about 167
+    for off, top in ((1e-6, 5.0), (1e-7, 30.0)):
+        w = np.geomspace(1e-3, top, 500)
+        zs = w + np.log(w)
+        cold = lambert_w_exp(zs)
+        np.testing.assert_allclose(cold, w, rtol=1e-15)
+        for sign in (1.0, -1.0):
+            got, passes = halley_passes(zs, cold * (1.0 + sign * off))
+            assert passes == 1, (off, sign)
+            np.testing.assert_allclose(got, cold, rtol=1e-15)
+    # one step from 1e-6 off at W = 30 leaves an error K*e**3 of about
+    # 2.4e-15, beyond half an ulp of 30 (1.8e-15): it must not stop there
+    z = np.array([30.0 + math.log(30.0)])
+    got, passes = halley_passes(z, lambert_w_exp(z) * (1.0 + 1e-6))
+    assert passes == 2 and got[0] == pytest.approx(30.0, rel=1e-15)
+
+
+def test_w_exp_warm_results_for_tiny_w_match_the_cold_ones():
+    # below w of about 3e-6 the stop radius is 2**-6 * w, not the cubic
+    # radius: without that guard a step several times larger than W passed,
+    # and warm results near W = 1e-10 drifted 1.5e-15 from the cold ones
+    zs = np.random.default_rng(43).uniform(-700.0, -20.0, 2000)
+    cold = lambert_w_exp(zs)
+    assert cold.max() < 1e-8
+    starts = [cold * (1.0 + 1e-3), cold * (1.0 - 1e-3), cold * (1.0 + 1e-6)]
+    starts += [lambert_w_exp(zs + shift) for shift in (-1.99, 1.99)]
+    for start in starts:
+        np.testing.assert_allclose(lambert_w_exp(zs, start), cold, rtol=1e-15)
+
+
 def test_w_exp_takes_every_start_within_the_span_and_converges_from_it(monkeypatch):
     # |w + log(w) - z| <= 2: w*exp(w) within a factor exp(2) of exp(z)
     zs = np.random.default_rng(41).uniform(-700.0, SWITCH - 2.0, 2000)

@@ -317,6 +317,19 @@ def test_a_trc_root_far_below_omega_matches_its_50_digit_root():
     assert s == pytest.approx(decimal_trc_root(spec, gamma, xi), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("exponent", [150, 154, 155, 156, 200, 250, 300])
+def test_a_trc_root_at_a_huge_xi_matches_its_50_digit_root(sign, exponent):
+    # the squares in root and the product m*m overflowed beyond |xi| of
+    # about 1e154 (nan above, -inf below), though both roots are finite:
+    # about xi/3 above and xi - gamma*delta below
+    xi = sign * 10.0**exponent
+    for spec, gamma in ((TRC(1.0, 1.0, 1.0, 1.0), 1.0), (TRC(0.3, 2.0, 5.0, 7.0), 0.25)):
+        s = spec.resolvent(gamma, xi)
+        assert s == pytest.approx(decimal_trc_root(spec, gamma, xi), rel=1e-15, abs=0.0)
+    assert TRC(1.0, 1.0, 1.0, 1.0).resolvent(1.0, xi) == pytest.approx(xi / 3.0 if sign > 0 else xi - 1.0, rel=1e-15)
+
+
 class TestPowerExp:
     def test_vanishing_operator_limit(self):
         spec = PowerExp(alpha=2.0, theta=1e-12, p=1.0)
@@ -1349,6 +1362,55 @@ def test_arc_block_resolvent_matches_a_breakpoint_scan(n_comm, monkeypatch):
                 assert np.array_equal(alone[0], batch[r]) and np.array_equal(root, batch_roots[r : r + 1], equal_nan=True)
     # some rows went to variable fixing; with one commodity none does
     assert bool(fixed_rows) == (n_comm > 1)
+
+
+def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
+    # the kernels solve each family's run of rows, so the rows a sweep of
+    # every arc hands to variable fixing must be put in family order too:
+    # here four families interleave arc by arc, and every row misses its
+    # guess (all on their upper bounds, where the resolvent is inside)
+    n_arcs, n_comm = 24, 3
+    specs = [
+        BPR(alpha=0.15, rho=2.0, theta=1.0, p=4.0),
+        Logarithmic(omega=8.0, theta=0.5),
+        TRC(alpha=0.5, beta=0.1, delta=1.0, omega=1.0),
+        IntervalProx(QuadraticPhi(2.0), lo=-1.0, hi=6.0),
+    ]
+    net = Network(["a", "b"], [("a", "b")] * n_arcs, n_comm)
+    box = Box((0.0,) * n_comm, (1.0,) * n_comm)
+    ops = OperatorSet(
+        net,
+        [ArcOperator(SeparableLift(specs[j % 4]), box) for j in range(n_arcs)],
+        [FixedSupply((0.0,) * n_comm)] * 2,
+    )
+    assert [arcs.tolist() for _, arcs, _ in ops.families] == [list(range(f, n_arcs, 4)) for f in range(4)]
+    rng = np.random.default_rng(2510)
+    bound = ops.bind(rng.uniform(0.2, 2.0, n_arcs))
+    xi = rng.uniform(-0.2, 1.0, (n_arcs, n_comm))
+    guess = np.ones((n_arcs, n_comm))
+    fixed = []
+    fix = OperatorSet._fix_variables
+
+    def recorded(self, arcs, *args):
+        fixed.append(arcs.copy())
+        return fix(self, arcs, *args)
+
+    monkeypatch.setattr(OperatorSet, "_fix_variables", recorded)
+    for start in (None, rng.uniform(0.5, 2.0, n_arcs)):
+        roots = np.full(n_arcs, np.nan) if start is None else start.copy()
+        fixed.clear()
+        got = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, guess)
+        assert [a.tolist() for a in fixed] == [ops._perm.tolist()]
+        for j in range(n_arcs):
+            root = roots[j : j + 1] * np.nan if start is None else start[j : j + 1].copy()
+            alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
+            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1])
+    # guessed from the resolvent itself, the even arcs keep their guess
+    fixed.clear()
+    mixed = np.where((np.arange(n_arcs) % 2 == 0)[:, None], got, guess)
+    again = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots.copy(), mixed)
+    assert [a.tolist() for a in fixed] == [[j for j in ops._perm.tolist() if j % 2]]
+    np.testing.assert_allclose(again, got, rtol=1e-13, atol=1e-15)
 
 
 def mixed_family_instance(custom):
