@@ -782,23 +782,20 @@ def _component_roots(network):
 class _Binding:
     """`OperatorSet.bind`'s result: the family kernels' constants for one gamma.
 
-    `table` holds every family's prepared constants side by side, family
-    after family in `OperatorSet._perm` order, member by member and k by
-    k within each, so the constants of any rows are gathered with one
-    ``take``; `rows` is each family's n_consts, its rows of the table (the
-    rest of a family's column is 0), and `consts` each family's own
-    (n_consts, m*C) part of it.  `at_k` memoizes the table's columns at
-    each arc's k for a sweep of every arc, in family order, and `k` is
-    the k they were gathered at (-1 before the first sweep).
+    `table` holds every family's prepared constants, an (n_consts, m*C)
+    float table each, side by side in `OperatorSet._perm` order, so the
+    constants of any rows are gathered with one ``take``; `rows` is each
+    family's n_consts, its rows of the table (the rest of its columns is
+    0).  `at_k` memoizes the table's columns at each arc's k for a sweep
+    of every arc, in family order, and `k` is the k they were gathered at
+    (-1 before the first sweep).
     """
 
-    __slots__ = ("table", "rows", "consts", "k", "at_k")
+    __slots__ = ("table", "rows", "k", "at_k")
 
     def __init__(self, consts):
         self.rows = [c.shape[0] for c in consts]
         self.table = np.concatenate([np.pad(c, ((0, max(self.rows) - c.shape[0]), (0, 0))) for c in consts], 1)
-        ends = itertools.accumulate(c.shape[1] for c in consts)
-        self.consts = [self.table[: c.shape[0], e - c.shape[1] : e] for c, e in zip(consts, ends)]
         self.k = -1
         self.at_k = None
 

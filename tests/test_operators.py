@@ -1458,17 +1458,23 @@ def test_custom_phi_mixed_with_batched_families_solves():
     assert wardrop_residual(net, ops, state.x, state.v) <= 1e-6
 
 
-def test_bind_returns_one_float_table_per_family():
-    # a partial sweep gathers a family's constants with one take, so no
+def test_bind_returns_one_float_table_for_every_family():
+    # a partial sweep gathers its rows' constants with one take, so no
     # family may keep a column of objects, a CustomPhi's included
     net, ops = mixed_family_instance(custom=True)
     n_comm = net.n_commodities
     bound = ops.bind(np.full(net.n_arcs, 0.5))
-    assert len(bound.consts) == len(ops.families) == 4
-    for (_, arcs, params), table in zip(ops.families, bound.consts):
-        assert params.dtype == table.dtype == np.float64
-        assert params.ndim == table.ndim == 2
-        assert params.shape[1] == arcs.size and table.shape[1] == arcs.size * n_comm
+    assert len(bound.rows) == len(ops.families) == 4
+    assert bound.table.dtype == np.float64 and bound.table.shape == (max(bound.rows), net.n_arcs * n_comm)
+    b = 0
+    for (kernel, arcs, params), n in zip(ops.families, bound.rows):
+        assert params.dtype == np.float64 and params.ndim == 2 and params.shape[1] == arcs.size
+        # the family's own columns, in the order `_perm` lists its arcs, hold its prepared constants
+        table = bound.table[:, b : b + arcs.size * n_comm]
+        gamma = np.tile(0.5 * np.arange(1, n_comm + 1), arcs.size)  # member*C + k - 1 at k*gamma
+        assert np.array_equal(table[:n], np.array(kernel.prepare(gamma, *params.repeat(n_comm, 1)), float))
+        assert not table[n:].any()
+        b += arcs.size * n_comm
 
 
 def test_arcs_sharing_a_custom_phi_form_one_family_and_two_instances_two():
