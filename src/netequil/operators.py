@@ -986,9 +986,9 @@ class OperatorSet:
         the kernel's root for that arc at an earlier call, which the
         iterative kernels start from; nan is a cold start, and None is
         the all-nan start.  It is overwritten with this call's roots.
-        Each row depends only on its own xi, guess and start.  The rows
-        of some of the arcs are solved in family order (see `_roots`) and
-        put back in the order given.
+        Each row depends only on its own xi, guess and start.  The rows of
+        a partial set of arcs are solved in family order (see `_roots`)
+        and come back in the order given.
         """
         if start is None:
             start = np.full(len(xi), np.nan)

@@ -259,8 +259,8 @@ def test_w_exp_cold_and_warm_within_four_ulp_of_a_decimal_reference():
 
 def test_w_exp_from_near_starts_takes_at_most_two_halley_passes():
     # a start 1e-3 off leaves an error of K * (1e-3 * w)**3 after one pass,
-    # which the second pass's step accepts while K * 1e-9 * w**2 <= 1e-7,
-    # up to W of about 33 (z of about 36); beyond, 1e-3 of w is a large
+    # which the second pass's step accepts while it is within the radius
+    # cbrt(eps/8 * w), up to W of about 50; beyond, 1e-3 of w is a large
     # absolute error and a third pass follows.  The 1e-15 test took three
     zs = np.random.default_rng(31).uniform(-700.0, 30.0, 2000)
     cold = lambert_w_exp(zs)

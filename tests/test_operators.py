@@ -1458,7 +1458,7 @@ def test_custom_phi_mixed_with_batched_families_solves():
     assert wardrop_residual(net, ops, state.x, state.v) <= 1e-6
 
 
-def test_bind_returns_one_float_table_for_every_family():
+def test_bind_returns_one_float_table_per_family():
     # a partial sweep gathers its rows' constants with one take, so no
     # family may keep a column of objects, a CustomPhi's included
     net, ops = mixed_family_instance(custom=True)
