@@ -42,7 +42,7 @@ for name, spec in FAMILIES.items():
           f"1-Lipschitz: {bool((steps <= np.diff(grid) + 1e-12).all())}\n")
 
 # the Lambert W function powers the logarithmic and exponential families
-print("Lambert W spot checks: W(0) =", nq.lambert_w(0.0), " W(e) =", nq.lambert_w(np.e))
+print("Lambert W spot checks: W(0) =", nq.lambert_w_exp(-np.inf), " W(e) =", nq.lambert_w_exp(1.0))
 print("overflow-free form: W(exp(1000)) =", nq.lambert_w_exp(1000.0))
 
 try:

@@ -27,7 +27,7 @@ from .errors import (
     ProblemFormatError,
     ProblemFormatWarning,
 )
-from .lambertw import lambert_w, lambert_w_exp
+from .lambertw import lambert_w_exp
 from .network import Network
 from .operators import (
     BPR,
@@ -74,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Network",
-    "lambert_w",
     "lambert_w_exp",
     "BPR",
     "Logarithmic",

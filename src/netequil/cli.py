@@ -159,17 +159,14 @@ def _cmd_check(args):
 
 
 def _suite_lambert_w():
-    from .lambertw import lambert_w
+    from .lambertw import lambert_w_exp
 
-    grid = np.concatenate(
-        [
-            -np.exp(-1.0) + np.geomspace(1e-9, 1e6 + np.exp(-1.0), 500),
-            [0.0, np.e],
-        ]
-    )
-    worst = max(
-        abs(lambert_w(x) * math.exp(lambert_w(x)) - x) / max(1.0, abs(x)) for x in grid
-    )
+    # the positive part of a grid from -1/e, then W(0) and W(e)
+    x = -np.exp(-1.0) + np.geomspace(1e-9, 1e6 + np.exp(-1.0), 500)
+    x = x[x > 0.0]
+    w = lambert_w_exp(np.concatenate([np.log(x), [-np.inf, 1.0]]))
+    x = np.concatenate([x, [0.0, np.e]])
+    worst = float(np.max(np.abs(w * np.exp(w) - x) / np.maximum(1.0, x)))
     return worst <= 1e-12, f"worst identity error {worst:.2e}"
 
 

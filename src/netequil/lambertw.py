@@ -1,43 +1,35 @@
-"""Principal-branch Lambert W function and a large-argument companion.
+"""Lambert W of an exponential, W(exp(z)), for any real z.
 
-``lambert_w(x)`` inverts w * exp(w) = x for x >= -1/e by Halley iteration.
-Near the branch point -1/e it starts from a series in
-p = sqrt(2*(e*x + 1)); for x >= -0.25 from Winitzki's approximation
-L*(1 - log(1 + L)/(2 + L)) with L = log(1 + x), which is within 2% of
-W(x) for x >= 0 and within 4% on [-0.25, 0).  Convergence is declared at
-|dw| <= 1e-15 * (1 + |w|) / min(1, |1 + w|), which the cubic rate of
-Halley turns into a residual |w*exp(w) - x| of a few ulp; the divisor,
-exactly 1 for x >= 0, allows for the ill-conditioning of W near -1/e.
+``lambert_w_exp(z, start)`` inverts w * exp(w) = exp(z).  When exp(z)
+would overflow it instead solves w + log(w) = z by Newton iteration; the
+capacity resolvents route through it so that transiently huge arguments
+inside the solver loop stay finite.  Below that switch Halley iterates on
+w * exp(w) = x, x = exp(z) >= 0, from Winitzki's approximation
+L*(1 - log(1 + L)/(2 + L)), L = log(1 + x), which is within 2% of W(x).
+It stops from its cubic rate: at the first step |dw| within the radius
+min(2**-6 * w, cbrt(eps/8 * w)), taken once from the first pass's w,
+which leaves an error far below half an ulp for every W it meets there
+(the derivation is in ``_halley``), often a pass earlier than a test
+relative to w alone could.  Halley and Newton raise NumericalFailure
+rather than return an element they have not converged in _MAX_ITER
+passes, and so does a nan or +inf z.  A `start` (say, the W an element
+had at its previous evaluation) is Halley's starting point in place of
+Winitzki's approximation wherever |w + log(w) - z| <= _WARM_SPAN (2),
+that is, wherever w*exp(w) lies within a factor exp(2) of exp(z).  Any
+other start, nan, inf, <= 0 or far from the root (10 times it or a
+tenth, say), is a cold start, from Winitzki's approximation, so it
+returns the cold result bitwise; and Winitzki's approximation is
+evaluated only for those elements.  `start` None is the all-nan start.
 
-``lambert_w_exp(z, start)`` evaluates W(exp(z)) for any real z.  When
-exp(z) would overflow it instead solves w + log(w) = z by Newton
-iteration; the capacity resolvents route through it so that transiently
-huge arguments inside the solver loop stay finite.  Below that switch
-x = exp(z) >= 0, so Halley stops from its cubic rate: at the first step
-|dw| within the radius min(2**-6 * w, cbrt(eps/8 * w)), taken once from
-the first pass's w, which leaves an error far below half an ulp for
-every W it meets there (the derivation is in ``_halley``), often a pass
-earlier than a test relative to w alone could.  Halley and
-Newton raise NumericalFailure rather than return an element they have
-not converged in _MAX_ITER passes, and so does a nan or +inf z.  A
-`start` (say, the W an element had at its previous evaluation) is
-Halley's starting point in place of Winitzki's approximation wherever
-|w + log(w) - z| <= _WARM_SPAN (2), that is, wherever w*exp(w) lies
-within a factor exp(2) of exp(z).  Any other start, nan, inf, <= 0 or
-far from the root (10 times it or a tenth, say), is a cold start, from
-Winitzki's approximation, so it returns the cold result bitwise; and
-Winitzki's approximation is evaluated only for those elements.  `start`
-None is the all-nan start.
-
-Both functions take a float or an array and work elementwise.  Halley
-iterates the whole array and freezes each element under a mask at the
+It takes a float or an array and works elementwise.  Halley iterates
+the whole array and freezes each element under a mask at the
 pass where it converges; the Newton branch iterates on the array of
 still-unconverged elements only.  Either way an element's result depends
 on its own argument (and start), never on which other elements share its
 call; a float argument is the size-1 case and returns a float.
 
-Each function silences numpy's floating-point warnings for its own call
-(one ``np.errstate`` per call), so a nan, zero or infinite start and an
+It silences numpy's floating-point warnings for its own call (one
+``np.errstate`` per call), so a nan, zero or infinite start and an
 argument of any size leak none.  The Logarithmic/PowerExp kernel in
 ``operators`` sets no error state of its own and calls
 ``lambert_w_exp`` once per batch, through the ``operators`` module name,
@@ -54,15 +46,14 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-_BRANCH_POINT = -math.exp(-1.0)
 # beyond this, form W(exp(z)) without evaluating exp(z)
 _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50
 _EPS = np.finfo(float).eps
 _FLOAT = np.dtype(float)
 _RESIDUAL_ULPS = 4.0
-# Halley's stop radius for x >= 0, min(_GUARD * w, cbrt(_CUBIC * w)): a
-# step within it leaves an error far below half an ulp of w (see _halley)
+# Halley's stop radius, min(_GUARD * w, cbrt(_CUBIC * w)): a step
+# within it leaves an error far below half an ulp of w (see _halley)
 _GUARD = 2.0**-6
 _CUBIC = _EPS / 8.0
 # a start w is used where |w + log(w) - z| is at most this (see _start);
@@ -88,7 +79,7 @@ def _same(w):
 
 
 def _winitzki(x):
-    """Starting point for W(x), x >= -0.25."""
+    """Starting point for W(x), x >= 0."""
     log_x1 = np.log1p(x)
     return log_x1 * (1.0 - np.log1p(log_x1) / (2.0 + log_x1))
 
@@ -120,8 +111,8 @@ def _start(z, x, start):
     return w
 
 
-def _halley(x, w, positive=False):
-    """Refine starting points w toward W(x) elementwise, for x > -1/e.
+def _halley(x, w):
+    """Refine starting points w toward W(x) elementwise, for x >= 0.
 
     Each pass takes the Halley step dw = f / (f' - f * f'' / (2 * f')) of
     f(w) = w*exp(w) - x, and an element stops at the first pass whose step
@@ -129,53 +120,47 @@ def _halley(x, w, positive=False):
     frozen under a mask: later passes still compute its step but no longer
     apply it, so its result does not depend on the other elements.
 
-    For ``lambert_w`` the test is |dw| <= 1e-15 * (1 + |w|) / min(1, |1 + w|).
-    Near the branch point a rounding error in the residual moves w by about
-    eps / |1 + w|, so an unscaled test would keep stepping on rounding
-    noise; and there Halley's error constant grows like 1/|1 + w|**2, so a
-    looser test would not be safe.
-
-    With `positive`, for ``lambert_w_exp``, every x >= 0, so W >= 0 and the
-    divisor is 1.  The test is then |dw| <= radius, with radius =
-    min(2**-6 * w, cbrt(eps/8 * w)) taken once, from the w of the first
-    pass, and it comes from Halley's cubic rate: a step from an error e
-    leaves the error K * e**3 with K = (w**2 + 4*w + 6) / (12 * (1 + w)**2),
-    and 1/12 < K <= 1/2 for w >= 0, while the step itself is e to within
-    K * e**3.  A step within the cubic radius therefore leaves an error of
-    at most K * eps/8 * w1 <= eps/16 * w1, w1 the first pass's w, while
-    half an ulp of the root W is at least eps/4 * W.  From Winitzki's
-    start w1 is within 1e-5 of W, and from every start within the span
-    (see `_start`) within a factor 1.3 (checked over a fine grid of z at
-    the span's edges), so the error stays below a third of that half
-    ulp.  The 2**-6 guard keeps the step's own rounding small: a step is
-    computed to about eps times the w it starts from, so it must start
-    within a small factor of the root.  Below w of about 3e-6 the cubic
-    radius exceeds w/64; there the pure cubic test accepts a step several
-    times larger than W itself, and warm results near W = 1e-10 drifted
-    1.5e-15 from the cold ones.  The radius exceeds 1e-7 * w, the bound
-    of a test relative to w alone with the same accuracy at W = 480,
-    wherever w < 167, and so often accepts a pass earlier than it would.
+    The test is |dw| <= radius, with radius = min(2**-6 * w, cbrt(eps/8 * w))
+    taken once, from the w of the first pass, and it comes from Halley's
+    cubic rate: a step from an error e leaves the error K * e**3 with
+    K = (w**2 + 4*w + 6) / (12 * (1 + w)**2), and 1/12 < K <= 1/2 for
+    w >= 0, while the step itself is e to within K * e**3.  A step within
+    the cubic radius therefore leaves an error of at most
+    K * eps/8 * w1 <= eps/16 * w1, w1 the first pass's w, while half an
+    ulp of the root W is at least eps/4 * W.  From Winitzki's start w1 is
+    within 1e-5 of W, and from every start within the span (see `_start`)
+    within a factor 1.3 (checked over a fine grid of z at the span's
+    edges), so the error stays below a third of that half ulp.  The 2**-6
+    guard keeps the step's own rounding small: a step is computed to about
+    eps times the w it starts from, so it must start within a small factor
+    of the root.  Below w of about 3e-6 the cubic radius exceeds w/64;
+    there the pure cubic test accepts a step several times larger than W
+    itself, and warm results near W = 1e-10 drifted 1.5e-15 from the cold
+    ones.  The radius exceeds 1e-7 * w, the bound of a test relative to w
+    alone with the same accuracy at W = 480, wherever w < 167, and so
+    often accepts a pass earlier than it would.
 
     An element still running after _MAX_ITER passes is accepted if its
     residual |w*exp(w) - x| is at rounding level,
-    _RESIDUAL_ULPS * eps * |x| * (1 + |w|) (a half-ulp error in w moves
-    w*exp(w) by about eps * |x| * |1 + w| / 2), and otherwise raises
-    NumericalFailure.  Returns the refined w; the array `w` is left as it is.
+    _RESIDUAL_ULPS * eps * x * (1 + w) (a half-ulp error in w moves
+    w*exp(w) by about eps * x * (1 + w) / 2), and otherwise raises
+    NumericalFailure.  A start whose step exceeds the radius can land at
+    rounding level in one pass: the PowerExp kernel recovers a warm start
+    W of about 1e-14 from an output s close to its input, with the
+    cancellation error of that difference, beyond 2**-6 * W.  With one
+    pass allowed, this acceptance takes such an element; with _MAX_ITER
+    passes, the second pass stops it first.  Returns the refined w; the
+    array `w` is left as it is.
     """
-    if not x.size:
-        return w
     for k in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         t = w - dw
-        if positive:
-            if not k:  # the stop radius, from the first pass's w
-                radius = np.minimum(_GUARD * t, np.cbrt(_CUBIC * t))
-            done = np.abs(dw) <= radius
-        else:
-            done = np.abs(dw) <= 1e-15 * (1.0 + np.abs(t)) / np.minimum(1.0, np.abs(t + 1.0))
+        if not k:  # the stop radius, from the first pass's w
+            radius = np.minimum(_GUARD * t, np.cbrt(_CUBIC * t))
+        done = np.abs(dw) <= radius
         if k:
             np.copyto(w, t, where=active)
             active &= ~done
@@ -191,34 +176,6 @@ def _halley(x, w, positive=False):
         f"Lambert W Halley iteration did not converge in {_MAX_ITER} passes "
         f"(x = {float(x[0])!r}, last w = {float(wr[0])!r})"
     )
-
-
-def lambert_w(x):
-    """Principal branch W(x), defined for x >= -1/e; W(x) >= -1.
-
-    Raises ValueError for a nan or +inf argument and below the branch
-    point (a couple of ulp of slack absorbs rounding in arguments meant to
-    sit exactly on it).
-    """
-    x, restore = _as_batch(x)
-    finite = x < np.inf
-    if not finite.all():
-        raise ValueError(f"lambert_w: argument is {float(x[~finite][0])!r}")
-    below = x < _BRANCH_POINT
-    if below.any():
-        near = _BRANCH_POINT - x[below] <= 4.0 * math.ulp(_BRANCH_POINT)
-        if not near.all():
-            bad = float(x[below][~near][0])
-            raise ValueError(f"lambert_w: argument {bad!r} is below -1/e")
-        x = np.where(below, _BRANCH_POINT, x)
-    w = np.full_like(x, -1.0)  # W(-1/e) = -1
-    inner = np.flatnonzero(x != _BRANCH_POINT)
-    x = x[inner]
-    with np.errstate(all="ignore"):
-        p = np.sqrt(np.maximum(2.0 * (math.e * x + 1.0), 0.0))
-        near_branch = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-        w[inner] = _halley(x, np.where(x < -0.25, near_branch, _winitzki(x)))
-    return restore(w)
 
 
 def lambert_w_exp(z, start=None):
@@ -242,10 +199,10 @@ def lambert_w_exp(z, start=None):
         small = z <= _EXP_SWITCH
         if np.count_nonzero(small) == z.size:
             x = np.exp(z)
-            return restore(_halley(x, _start(z, x, start), positive=True))
+            return restore(_halley(x, _start(z, x, start)))
         out = np.empty_like(z)
         x = np.exp(z[small])
-        out[small] = _halley(x, _start(z[small], x, None if start is None else start[small]), positive=True)
+        out[small] = _halley(x, _start(z[small], x, None if start is None else start[small]))
         idx = np.flatnonzero(~small)
         zl = z[idx]
         bad = ~np.isfinite(zl)

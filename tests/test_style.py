@@ -56,7 +56,7 @@ def test_oracle_shares_no_code_path_with_the_solver():
     "line",
     [
         "from . import solver",
-        "from .lambertw import lambert_w",
+        "from .lambertw import lambert_w_exp",
         "import netequil.solver as s",
         "ops.capacity_resolvent(a)",
         "spec.resolvent(1.0, 2.0)",
