@@ -5,9 +5,9 @@ straight from their defining formulas (the specs' ``value``/``subdiff``,
 which no kernel calls), reference flows come from a closed form or from
 Frank-Wolfe with label-correcting shortest paths, and the equilibrium
 residual measures the defining inclusions exactly, with one slack rule
-at box and ``IntervalProx`` bounds.  The only other shared code is the
-network data type, so agreement with the splitting solver is a genuine
-cross-check.
+at box and ``IntervalProx`` bounds and at the ``Logarithmic`` pole.  The
+only other shared code is the network data type, so agreement with the
+splitting solver is a genuine cross-check.
 
 ``wardrop_residual`` checks every commodity of every arc: each
 commodity's tension against the cost of the arc's total flux plus the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError
 from .network import Network
-from .operators import BPR, ArcOperator, Box, FixedSupply, IntervalProx, OperatorSet, SeparableLift
+from .operators import BPR, ArcOperator, Box, FixedSupply, IntervalProx, Logarithmic, OperatorSet, SeparableLift
 
 __all__ = [
     "TwoArcInstance",
@@ -231,10 +231,14 @@ def wardrop_residual(net, ops, flow, potential):
     the flow.  A flow within the constant ``BOUNDARY_TOL`` = 1e-7 (times
     1 + |bound|) of a box bound sits on it; a total flux that close to an
     ``IntervalProx`` bound is evaluated at the bound, where the
-    subdifferential holds the normal cone.  For each node: the norm of divergence minus supply.  Zero exactly
-    at equilibria; +inf with a diagnostic warning when a flow or potential
-    entry is not finite, or the flow leaves the domain of a capacity
-    operator or of its constraint set.
+    subdifferential holds the normal cone.  A total that close to a
+    ``Logarithmic`` pole omega, on either side, sits at the pole, where
+    the costs are [value(omega - slack), +inf): the cost of every total
+    within the slack below the pole, and beyond.  For each node: the norm
+    of divergence minus supply.  Zero exactly at equilibria; +inf with a
+    diagnostic warning when a flow or potential entry is not finite, or
+    the flow leaves the domain of a capacity operator or of its
+    constraint set.
     """
     flow, potential = net.check_flow(flow), net.check_potential(potential)
     for kind, name, values in (("arc", "flow", flow), ("node", "potential", potential)):
@@ -248,7 +252,13 @@ def wardrop_residual(net, ops, flow, potential):
     total = flow.sum(axis=1)
     for end in _pairs([(s.lo, s.hi) if isinstance(s, IntervalProx) else free for s in specs]).T:
         total = np.where(np.abs(total - end) <= _slack(end), end, total)
-    subs = [spec.subdiff(t) for spec, t in zip(specs, total.tolist())]
+    pole = np.array([s.omega if isinstance(s, Logarithmic) else math.inf for s in specs])
+    slack = _slack(pole)
+    at_pole = (np.abs(total - pole) <= slack).tolist()
+    subs = [
+        (spec.value(edge), math.inf) if at else spec.subdiff(t)
+        for spec, t, at, edge in zip(specs, total.tolist(), at_pole, (pole - slack).tolist())
+    ]
     if None in subs:
         j = subs.index(None)
         msg = f"arc {j}: flow total {total[j]} is outside the capacity operator's domain"

@@ -259,6 +259,37 @@ class TestWardropResidual:
             far = x + np.array(past).reshape(-1, 1)
             assert wardrop_residual(net, ops, far, potential) == np.inf
 
+    @staticmethod
+    def _one_log_arc(total):
+        """(net, ops, x) of one arc a -> b at the flow `total`, which the
+        supplies balance, costing Logarithmic(omega=2, theta=1)."""
+        net = Network(["a", "b"], [("a", "b")], 1)
+        arc = ArcOperator(SeparableLift(Logarithmic(omega=2.0, theta=1.0)), Box.orthant(1))
+        ops = OperatorSet(net, [arc], [FixedSupply((total,)), FixedSupply((-total,))])
+        return net, ops, np.array([[total]])
+
+    @pytest.mark.parametrize("offset", [-2e-7, -1e-12, 0.0, 1e-12, 2e-7])
+    def test_logarithmic_pole_gets_the_box_slack(self, offset):
+        # a total within the slack 3e-7 of omega = 2 sits at the pole, where the
+        # costs are [value(omega - slack), inf): no float total may lie closer
+        # to omega than the equilibrium flux of a large tension
+        net, ops, x = self._one_log_arc(2.0 + offset)
+        floor = Logarithmic(omega=2.0, theta=1.0).value(2.0 - 3e-7)
+        for tension in (floor, 55.0, 1e300):
+            assert wardrop_residual(net, ops, x, np.array([[0.0], [tension]])) <= 1e-12
+        assert wardrop_residual(net, ops, x, np.array([[0.0], [10.0]])) == pytest.approx(floor - 10.0, rel=1e-12)
+
+    def test_logarithmic_total_past_the_pole_slack_is_checked_as_it_is(self):
+        potential = np.array([[0.0], [55.0]])
+        # below the slack the total has its own cost, far below the tension
+        net, ops, x = self._one_log_arc(2.0 - 1e-5)
+        cost = Logarithmic(omega=2.0, theta=1.0).value(2.0 - 1e-5)
+        assert wardrop_residual(net, ops, x, potential) == pytest.approx(55.0 - cost, rel=1e-12)
+        # beyond it the total leaves the domain
+        net, ops, x = self._one_log_arc(2.0 + 1e-5)
+        with pytest.warns(UserWarning, match="outside the capacity"):
+            assert wardrop_residual(net, ops, x, potential) == np.inf
+
 
 def _grid_violations(h, at_lo, at_hi, c_lo, c_hi, points=2001):
     """Minimum of the per-arc violation over an even grid of y, and the grid step."""
