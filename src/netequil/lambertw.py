@@ -22,8 +22,8 @@ returns the cold result bitwise; and Winitzki's approximation is
 evaluated only for those elements.  `start` None is the all-nan start.
 
 It takes a float or an array and works elementwise.  Halley iterates
-the whole array and freezes each element under a mask at the
-pass where it converges; the Newton branch iterates on the array of
+the whole array and freezes each element under a mask at the pass where
+it converges; the Newton branch iterates on the array of
 still-unconverged elements only.  Either way an element's result depends
 on its own argument (and start), never on which other elements share its
 call; a float argument is the size-1 case and returns a float.
