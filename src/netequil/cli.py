@@ -1,18 +1,21 @@
 """Batch command line front end.
 
     netequil solve <problem> [--out FILE] [--trace FILE] [--tol X]
-                   [--max-iter N] [--scheduler full|roundrobin:K|randomsweep:p]
-                   [--seed N] [--timing] [--quiet]
+                   [--max-iter N]
+                   [--scheduler full|roundrobin:K|randomsweep:p[:seed]]
+                   [--timing] [--quiet]
     netequil check <problem> <solution> [--tol X] [--quiet]
     netequil selftest
 
-Exit codes: 0 converged / check passed, 1 input error, 2 iteration limit
-or failed check, 3 numerical failure.
+Exit codes: 0 converged / check passed (and --help), 1 input error,
+a malformed command line included, 2 iteration limit or failed check,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import fileio, oracle, solver
 from .errors import ConfigurationError, NumericalFailure, ProblemFormatError
-from .solver import RandomSweep, Termination
+from .solver import Termination
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -45,9 +48,9 @@ def _build_parser():
     sol.add_argument("--max-iter", type=int, help="override the iteration budget")
     sol.add_argument(
         "--scheduler",
-        help="override block scheduling: full, roundrobin:K, or randomsweep:p",
+        help="override block scheduling: full, roundrobin:K, or randomsweep:p[:seed] "
+        "(seed 0 if left out)",
     )
-    sol.add_argument("--seed", type=int, help="random-sweep seed override")
     sol.add_argument(
         "--timing",
         action="store_true",
@@ -79,19 +82,17 @@ def _apply_overrides(problem, args):
         cfg = _flag("--tol", replace, cfg, tol=args.tol)
     if args.max_iter is not None:
         cfg = _flag("--max-iter", replace, cfg, max_iter=args.max_iter)
-    sched = cfg.scheduler
     if args.scheduler is not None:
-        # a new random sweep keeps the file's seed unless --seed sets one
-        seed = sched.seed if isinstance(sched, RandomSweep) else None
-        sched = _flag("--scheduler", fileio._parse_scheduler, args.scheduler, (), seed)
-        if cfg.T is not None:
-            # a T the file sets is raised to the new scheduler's bound if below it
-            cfg = replace(cfg, T=max(cfg.T, solver.sweep_bound(sched)))
-    if args.seed is not None:
-        if not isinstance(sched, RandomSweep):
-            raise ConfigurationError("--seed needs a randomsweep:p scheduler")
-        sched = _flag("--seed", replace, sched, seed=args.seed)
-    return replace(cfg, scheduler=sched)
+        sched = _flag("--scheduler", fileio._parse_scheduler, args.scheduler, ())
+        # a T the file sets is raised to the new scheduler's bound if below it
+        T = None if cfg.T is None else max(cfg.T, solver.sweep_bound(sched))
+        cfg = replace(cfg, scheduler=sched, T=T)
+    return cfg
+
+
+def _open(path, default):
+    """The file at path opened for writing, else `default` in a context that leaves it open."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(default)
 
 
 def _cmd_solve(args):
@@ -101,32 +102,28 @@ def _cmd_solve(args):
     if args.scheduler is not None:  # checked on the network here, not unnamed inside run
         _flag("--scheduler", solver.make_scheduler, cfg.scheduler, net, cfg.T)
 
-    state, trace, reason = solver.run(net, ops, cfg)
-    if reason is Termination.CONVERGED:
-        final_residual = trace[-1].residual  # the stopping check, at the final state
-    else:
-        try:
-            final_residual = solver.residual(net, ops, cfg, state)
-        except NumericalFailure:  # no residual can be evaluated at the final state
-            final_residual = math.inf
-    solution = fileio.Solution(
-        arc_ids=tuple(problem.arc_ids),
-        node_ids=tuple(net.nodes),
-        flow=state.x,
-        potential=state.v,
-        residual=final_residual,
-        iterations=state.n,
-        termination=reason.value,
-    )
-    text = fileio.serialize_solution(solution)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            fileio.write_trace(trace, handle, timing=args.timing)
+    # both outputs are opened before the run, so a bad path costs no solve
+    with _open(args.out, sys.stdout) as out, _open(args.trace, None) as trace_file:
+        state, trace, reason = solver.run(net, ops, cfg)
+        if reason is Termination.CONVERGED:
+            final_residual = trace[-1].residual  # the stopping check, at the final state
+        else:
+            try:
+                final_residual = solver.residual(net, ops, cfg, state)
+            except NumericalFailure:  # no residual can be evaluated at the final state
+                final_residual = math.inf
+        solution = fileio.Solution(
+            arc_ids=tuple(problem.arc_ids),
+            node_ids=tuple(net.nodes),
+            flow=state.x,
+            potential=state.v,
+            residual=final_residual,
+            iterations=state.n,
+            termination=reason.value,
+        )
+        out.write(fileio.serialize_solution(solution))
+        if trace_file:
+            fileio.write_trace(trace, trace_file, timing=args.timing)
     if not args.quiet:
         print(
             f"{reason.value}: {state.n} iterations, residual {final_residual:.3e}",
@@ -140,17 +137,15 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigurationError(f"--tol must be a finite positive number, got {args.tol!r}")
     problem = fileio.parse_problem(args.problem)
+    cfg = problem.config if args.tol is None else _flag("--tol", replace, problem.config, tol=args.tol)
     solution = fileio.parse_solution(args.solution, problem)
-    tol = args.tol if args.tol is not None else problem.config.tol
     wr = oracle.wardrop_residual(
         problem.network, problem.operators, solution.flow, solution.potential
     )
     if not args.quiet:
-        print(f"equilibrium residual {wr:.3e} (tolerance {tol:.3e})", file=sys.stderr)
-    return EXIT_OK if wr <= tol else EXIT_ITER_LIMIT
+        print(f"equilibrium residual {wr:.3e} (tolerance {cfg.tol:.3e})", file=sys.stderr)
+    return EXIT_OK if wr <= cfg.tol else EXIT_ITER_LIMIT
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +309,10 @@ def _cmd_selftest(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     handler = {"solve": _cmd_solve, "check": _cmd_check, "selftest": _cmd_selftest}[args.command]
     try:
         with warnings.catch_warnings():

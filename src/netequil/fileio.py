@@ -43,30 +43,33 @@ writing alike: the dataclass fields of the class are the keys its token
 takes, in the order they are written, each at most once.  An omitted
 ``r=`` spec defaults to the nonnegative orthant with a warning; nodes
 without a supply line get zero supply.  Schedulers are ``full``,
-``roundrobin:K``, or ``randomsweep:p`` (seed via the ``seed`` key, which
-no other scheduler takes).  One
-table, `_SOLVER_KEYS`, maps each [solver] key to its field of
-`solver.SolverConfig` for reading and writing alike.  The relaxation and
-the residual-check interval are constants of the solver
-(``solver.RELAXATION``, ``solver.CHECK_INTERVAL``), not keys.  A missing key
-leaves the field at its `SolverConfig` default: a missing ``T`` takes the
-scheduler's own bound (``solver.sweep_bound``), and a missing ``gamma``
-or ``sigma`` is derived from the graph
-(``solver.step_parameters``).  `serialize_problem` writes every
-`SolverConfig`, and no key for a field left at None.
+``roundrobin:K``, or ``randomsweep:p[:seed]``, whose seed is 0 when left
+out; the writer always writes it.  One table, `_SCHEDULERS`, maps each
+scheduler name to its spec class and the fields its ':'-separated values
+fill, and another, `_SOLVER_KEYS`, holds one [solver] key per field of
+`solver.SolverConfig`, each named after its field; both serve reading and
+writing alike.  The relaxation and the residual-check interval are
+constants of the solver (``solver.RELAXATION``,
+``solver.CHECK_INTERVAL``), not keys.  A missing key leaves the field at
+its `SolverConfig` default: a missing ``T`` takes the scheduler's own
+bound (``solver.sweep_bound``), and a missing ``gamma`` or ``sigma`` is
+derived from the graph (``solver.step_parameters``).
+`serialize_problem` writes every `SolverConfig`, and no key for a field
+left at None.
 
 Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown
 section, ``unknown-key`` for an unknown key, ``unknown-family`` for a
 spec naming no family of its kind, ``duplicate-id`` for a repeated
 section, id, key or spec parameter, ``dangling-node`` for an undeclared
 id, ``missing-commodity`` for a value count that does not match the
-commodities, ``bad-scheduler`` for an unknown scheduler, and
+commodities, ``bad-scheduler`` for a scheduler token with an unknown
+name, too many values or none where one is required, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
 parameters, supplies and solution values, [solver] settings that
 `solver.SolverConfig` or `solver.make_scheduler` reject on the parsed
-network, a ``seed`` without a random sweep, and
-supplies of a commodity that do not sum to zero over a weakly connected
-component (``operators.OperatorSet``), reported in the [supplies] section.
+network, and supplies of a commodity that do not sum to zero over a
+weakly connected component (``operators.OperatorSet``), reported in the
+[supplies] section.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [potential] sections); traces are CSV with
@@ -275,6 +278,14 @@ def _int(token, where):
         raise ProblemFormatError("syntax", f"not an integer: {token!r}", *where) from None
 
 
+def _fmt(value):
+    return repr(float(value))
+
+
+# (reader, writer) of a float and of an integer setting
+_FLOAT, _INT = (_float, _fmt), (_int, str)
+
+
 def _construct(cls, args, label, where):
     """cls(**args), reporting a rejected argument as param-range."""
     try:
@@ -432,37 +443,49 @@ def _build_box(token, n_comm, where):
 # --------------------------------------------------------------------------
 
 
-def _parse_scheduler(token, where, seed=None):
-    """Scheduler spec of a 'full', 'roundrobin:K' or 'randomsweep:p' token.
-
-    `seed` is the random sweep's seed, None for the spec's default.
-    """
-    if token == "full":
-        return Full()
-    if token.startswith("roundrobin:"):
-        return RoundRobin(_int(token.split(":", 1)[1], where))
-    if token.startswith("randomsweep:"):
-        prob = _float(token.split(":", 1)[1], where)
-        return RandomSweep(activation_prob=prob) if seed is None else RandomSweep(seed, prob)
-    raise ProblemFormatError(
-        "bad-scheduler",
-        f"scheduler must be full, roundrobin:K, or randomsweep:p, got {token!r}",
-        *where,
-    )
+# scheduler name -> (spec class, {field: (reader, writer)}): the fields
+# that the ':'-separated values after the name fill, in order.  A token
+# gives the first value at least, a value it leaves out takes the spec's
+# default, and the writer writes every one.  The writer takes the first
+# class that the spec is an instance of, so Full precedes its base class.
+_SCHEDULERS = {
+    "full": (Full, {}),
+    "roundrobin": (RoundRobin, {"arc_groups": _INT}),
+    "randomsweep": (RandomSweep, {"activation_prob": _FLOAT, "seed": _INT}),
+}
 
 
-# [solver] key -> (SolverConfig field, reader), in the order the writer
-# writes them.  A key that is absent leaves the field at its default, and
-# a field left at None is not written.  The scheduler field is the
-# `scheduler` token with the `seed` key (see _parse_scheduler).
+def _parse_scheduler(token, where):
+    """Scheduler spec of a 'full', 'roundrobin:K' or 'randomsweep:p[:seed]' token."""
+    name, *values = token.split(":")
+    cls, fields = _SCHEDULERS.get(name, (None, {}))
+    if cls is None or not min(1, len(fields)) <= len(values) <= len(fields):
+        raise ProblemFormatError(
+            "bad-scheduler",
+            f"scheduler must be full, roundrobin:K, or randomsweep:p[:seed], got {token!r}",
+            *where,
+        )
+    return cls(**{key: read(value, where) for (key, (read, _)), value in zip(fields.items(), values)})
+
+
+def _scheduler_token(spec):
+    """The token of spec that `_parse_scheduler` reads back, every value written."""
+    for name, (cls, fields) in _SCHEDULERS.items():
+        if isinstance(spec, cls):
+            return ":".join([name, *(write(getattr(spec, key)) for key, (_, write) in fields.items())])
+    raise ConfigurationError(f"cannot serialize scheduler {spec!r}")
+
+
+# [solver] key -> (reader, writer) of the SolverConfig field of that name,
+# in the order the writer writes them.  A key that is absent leaves the
+# field at its default, and a field left at None is not written.
 _SOLVER_KEYS = {
-    "gamma": ("gamma", _float),
-    "sigma": ("sigma", _float),
-    "T": ("T", _int),
-    "scheduler": ("scheduler", None),
-    "seed": ("scheduler", _int),
-    "tol": ("tol", _float),
-    "max_iter": ("max_iter", _int),
+    "gamma": _FLOAT,
+    "sigma": _FLOAT,
+    "T": _INT,
+    "scheduler": (_parse_scheduler, _scheduler_token),
+    "tol": _FLOAT,
+    "max_iter": _INT,
 }
 
 
@@ -542,31 +565,19 @@ def parse_problem(source):
 def _parse_solver_section(entries, network):
     """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network."""
     raw = _read_keys(entries, _SOLVER_KEYS, "solver")
-    kwargs = {
-        name: read(*raw[key])
-        for key, (name, read) in _SOLVER_KEYS.items()
-        if key in raw and name != "scheduler"
-    }
-    seed = _int(*raw["seed"]) if "seed" in raw else None
     try:
-        if "scheduler" in raw:
-            kwargs["scheduler"] = _parse_scheduler(*raw["scheduler"], seed)
-        config = SolverConfig(**kwargs)
+        config = SolverConfig(
+            **{key: read(*raw[key]) for key, (read, _) in _SOLVER_KEYS.items() if key in raw}
+        )
         make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:
         raise ProblemFormatError("param-range", str(exc), section="solver") from None
-    if seed is not None and not isinstance(config.scheduler, RandomSweep):
-        raise ProblemFormatError("param-range", "seed needs scheduler = randomsweep:p", *raw["seed"][1])
     return config
 
 
 # --------------------------------------------------------------------------
 # writing: one writer per line shape
 # --------------------------------------------------------------------------
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def _render(header, sections):
@@ -620,16 +631,6 @@ def _id_tokens(kind, ids):
     return tokens
 
 
-def _scheduler_token(spec):
-    if isinstance(spec, Full):
-        return "full", None
-    if isinstance(spec, RoundRobin):
-        return f"roundrobin:{spec.arc_groups}", None
-    if isinstance(spec, RandomSweep):
-        return f"randomsweep:{_fmt(spec.activation_prob)}", spec.seed
-    raise ConfigurationError(f"cannot serialize scheduler {spec!r}")
-
-
 def serialize_problem(problem):
     """Render a Problem back into file text (parse of which is identical)."""
     net, ops, cfg = problem.network, problem.operators, problem.config
@@ -642,12 +643,11 @@ def serialize_problem(problem):
             _id_tokens("arc", problem.arc_ids), net.arcs, ops.arc_operators
         )
     ]
-    scheduler = dict(zip(("scheduler", "seed"), _scheduler_token(cfg.scheduler)))
-    solver = []
-    for key, (name, read) in _SOLVER_KEYS.items():
-        value = scheduler[key] if name == "scheduler" else getattr(cfg, name)
-        if value is not None:
-            solver.append((key, _fmt(value) if read is _float else value))
+    solver = [
+        (key, write(getattr(cfg, key)))
+        for key, (_, write) in _SOLVER_KEYS.items()
+        if getattr(cfg, key) is not None
+    ]
     return _render(
         PROBLEM_HEADER,
         [

@@ -287,9 +287,7 @@ def test_criterion_10_cli(tmp_path):
                 "--trace",
                 str(trace),
                 "--scheduler",
-                "randomsweep:0.5",
-                "--seed",
-                "99",
+                "randomsweep:0.5:99",
                 "--quiet",
             ]
         )

@@ -36,6 +36,10 @@ def read(path):
         return handle.read()
 
 
+def not_called(*args, **kwargs):
+    raise AssertionError("solver.run was called")
+
+
 class TestSolve:
     def test_solve_writes_solution_and_exits_zero(self, two_arc_path, tmp_path, capsys):
         out = str(tmp_path / "two_arc.sol")
@@ -183,8 +187,8 @@ class TestSolve:
             (["--tol", "0"], "error: --tol: tol must be a finite positive number"),
             (["--max-iter", "-5"], "error: --max-iter: max_iter must be a nonnegative integer"),
             (
-                ["--seed", "-1", "--scheduler", "randomsweep:0.5"],
-                "error: --seed: random-sweep seed must be a nonnegative integer",
+                ["--scheduler", "randomsweep:0.5:-1"],
+                "error: --scheduler: random-sweep seed must be a nonnegative integer",
             ),
             (["--scheduler", "roundrobin:5"], "error: --scheduler: round-robin group count 5 exceeds"),
         ],
@@ -201,7 +205,7 @@ class TestSolve:
         assert main(["solve", two_arc_path, "--out", out, "--quiet"]) == 0
         capsys.readouterr()
         assert main(["check", two_arc_path, out, "--tol", tol, "--quiet"]) == 1
-        assert "--tol must be a finite positive number" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --tol: tol must be a finite positive number")
 
     def test_scheduler_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
@@ -222,13 +226,36 @@ class TestSolve:
             assert err.startswith("error: --scheduler: ") and reason in err
             assert "section" not in err and "line" not in err
 
-    @pytest.mark.parametrize("flags", [[], ["--scheduler", "full"], ["--scheduler", "roundrobin:2"]])
-    def test_seed_flag_without_a_random_sweep_is_input_error(self, two_arc_path, tmp_path, capsys, flags):
-        out = tmp_path / "s.sol"
-        argv = ["solve", two_arc_path, "--out", str(out), "--seed", "5", "--quiet", *flags]
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", TWO_ARC, "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+            (["solve", TWO_ARC, "--max-iter", "1.5"], "argument --max-iter: invalid int value: '1.5'"),
+            (["check", TWO_ARC], "the following arguments are required: solution"),
+            # the seed is the last value of a randomsweep:p:seed token
+            (["solve", TWO_ARC, "--seed", "5"], "unrecognized arguments: --seed 5"),
+        ],
+    )
+    def test_a_malformed_command_line_is_input_error(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(solver, "run", not_called)
         assert main(argv) == 1
-        assert "--seed needs a randomsweep:p scheduler" in capsys.readouterr().err
-        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "randomsweep:p[:seed]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_an_output_path_that_cannot_be_opened_fails_before_solving(
+        self, two_arc_path, tmp_path, monkeypatch, capsys, flag
+    ):
+        monkeypatch.setattr(solver, "run", not_called)
+        bad = str(tmp_path / "missing" / "x")
+        argv = ["solve", two_arc_path, "--out", str(tmp_path / "s.sol"), "--trace", str(tmp_path / "t.csv")]
+        argv[argv.index(flag) + 1] = bad
+        assert main([*argv, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"No such file or directory: '{bad}'" in err
 
     def test_tol_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
@@ -325,13 +352,11 @@ def test_scheduler_flag_raises_T_to_its_default_and_keeps_a_larger_one(
     assert cfg.T == want_T and isinstance(cfg.scheduler, kind)
 
 
-@pytest.mark.parametrize("seed_flag, want_seed", [([], 42), (["--seed", "5"], 5)])
-def test_a_new_random_sweep_keeps_the_files_seed_unless_the_flag_sets_one(
-    two_arc_path, seed_flag, want_seed
-):
+@pytest.mark.parametrize("flag, want_seed", [("randomsweep:0.3", 0), ("randomsweep:0.3:5", 5)])
+def test_the_scheduler_flag_replaces_the_files_spec_seed_included(two_arc_path, flag, want_seed):
     problem = parse_problem(two_arc_path)
     problem = replace(problem, config=replace(problem.config, scheduler=solver.RandomSweep(42, 0.5)))
-    args = _build_parser().parse_args(["solve", two_arc_path, "--scheduler", "randomsweep:0.3", *seed_flag])
+    args = _build_parser().parse_args(["solve", two_arc_path, "--scheduler", flag])
     assert _apply_overrides(problem, args).scheduler == solver.RandomSweep(want_seed, 0.3)
 
 
@@ -349,9 +374,7 @@ class TestTraceReproducibility:
                     "--trace",
                     str(trace),
                     "--scheduler",
-                    "randomsweep:0.5",
-                    "--seed",
-                    "1234",
+                    "randomsweep:0.5:1234",
                     "--quiet",
                 ]
             )
@@ -372,9 +395,7 @@ class TestTraceReproducibility:
                     "--trace",
                     str(trace),
                     "--scheduler",
-                    "randomsweep:0.5",
-                    "--seed",
-                    seed,
+                    f"randomsweep:0.5:{seed}",
                     "--quiet",
                 ]
             )

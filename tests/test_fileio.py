@@ -146,8 +146,8 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
 
     def test_solver_overrides(self):
         text = MINIMAL + (
-            "[solver]\ngamma = 0.5\nscheduler = randomsweep:0.25\n"
-            "seed = 7\ntol = 1e-08\nmax_iter = 123\n"
+            "[solver]\ngamma = 0.5\nscheduler = randomsweep:0.25:7\n"
+            "tol = 1e-08\nmax_iter = 123\n"
         )
         cfg = parse_problem(text).config
         assert cfg.gamma == 0.5
@@ -185,12 +185,49 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         err = expect_code(MINIMAL + "[solver]\ntol = 1e-06\nmu = 1.0\n", "unknown-key")
         assert (err.section, err.entity, err.line) == ("solver", "mu", 14)
 
-    def test_every_solver_setting_but_the_scheduler_has_exactly_one_key(self):
+    def test_every_solver_setting_has_exactly_one_key(self):
         # so no setting reaches the library without the file format, or the reverse
-        targets = [name for name, _ in fileio._SOLVER_KEYS.values()]
-        fields = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert set(targets) == set(fields)
-        assert all(targets.count(name) == 1 for name in fields if name != "scheduler")
+        assert list(fileio._SOLVER_KEYS) == [f.name for f in dataclasses.fields(SolverConfig)]
+
+    def test_the_seed_key_of_files_written_before_it_joined_the_token_is_unknown_at_its_line(self):
+        # such a file says scheduler = randomsweep:p with seed = N; the token is now randomsweep:p:N
+        text = MINIMAL + "[solver]\nscheduler = randomsweep:0.5\nseed = 7\n"
+        err = expect_code(text, "unknown-key")
+        assert (err.section, err.entity, err.line) == ("solver", "seed", 14)
+
+    def test_a_random_sweep_without_a_seed_has_seed_0(self):
+        cfg = parse_problem(TWO_ARCS + "[solver]\nscheduler = randomsweep:0.25\n").config
+        assert cfg.scheduler == RandomSweep(seed=0, activation_prob=0.25)
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1])
+    def test_a_random_sweep_token_round_trips_with_its_seed(self, seed):
+        problem = parse_problem(TWO_ARCS)
+        problem.config = dataclasses.replace(problem.config, scheduler=RandomSweep(seed, 0.3))
+        text = serialize_problem(problem)
+        assert f"\nscheduler = randomsweep:0.3:{seed}\n" in text
+        assert parse_problem(text).config.scheduler == RandomSweep(seed, 0.3)
+        assert serialize_problem(parse_problem(text)) == text
+
+    @pytest.mark.parametrize(
+        "token, code",
+        [
+            ("sometimes:1", "bad-scheduler"),  # unknown name
+            ("full:1", "bad-scheduler"),  # too many values
+            ("roundrobin:2:1", "bad-scheduler"),
+            ("randomsweep:0.5:1:2", "bad-scheduler"),
+            ("roundrobin", "bad-scheduler"),  # a required value missing
+            ("randomsweep", "bad-scheduler"),
+            ("roundrobin:x", "syntax"),  # not a number
+            ("randomsweep:x", "syntax"),
+            ("randomsweep:0.5:x", "syntax"),
+            ("randomsweep:0.5:1.5", "syntax"),
+            ("randomsweep:0.5:", "syntax"),
+            ("randomsweep:2:1", "param-range"),  # a value the spec rejects
+        ],
+    )
+    def test_scheduler_token_diagnostics(self, token, code):
+        err = expect_code(TWO_ARCS + f"[solver]\nscheduler = {token}\n", code)
+        assert err.section == "solver"
 
     def test_empty_solver_section_gives_the_default_config(self):
         cfg, default = parse_problem(MINIMAL + "[solver]\n").config, SolverConfig()
@@ -207,7 +244,7 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         text = serialize_problem(problem)
         assert text.split("[solver]\n", 1)[1] == (
             "gamma = 0.25\nsigma = 3.0\nT = 4\n"
-            "scheduler = randomsweep:0.25\nseed = 5\ntol = 1e-08\nmax_iter = 77\n"
+            "scheduler = randomsweep:0.25:5\ntol = 1e-08\nmax_iter = 77\n"
         )
         assert serialize_problem(parse_problem(text)) == text
         assert parse_problem(text).config == problem.config
@@ -322,7 +359,7 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         [
             "scheduler = roundrobin:0",
             "scheduler = randomsweep:2",
-            "scheduler = randomsweep:0.5\nseed = -1",
+            "scheduler = randomsweep:0.5:-1",
             "gamma = -1",
             "sigma = nan",
             "tol = inf",  # would report converged far from an equilibrium
@@ -334,14 +371,6 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_solver_settings_that_solving_rejects_are_param_range(self, block):
         err = expect_code(TWO_ARCS + f"[solver]\n{block}\n", "param-range")
         assert err.section == "solver"
-
-    @pytest.mark.parametrize("scheduler", ["scheduler = full\n", "scheduler = roundrobin:2\n", ""])
-    def test_a_seed_without_a_random_sweep_is_param_range_at_its_line(self, scheduler):
-        # no scheduler but a random sweep draws, and the writer would drop the seed
-        text = TWO_ARCS + f"[solver]\n{scheduler}seed = 7\n"
-        err = expect_code(text, "param-range")
-        line = text.splitlines().index("seed = 7") + 1
-        assert (err.section, err.entity, err.line) == ("solver", "seed", line)
 
     def test_path_starting_with_netequil_is_read_as_a_path(self, tmp_path, monkeypatch):
         (tmp_path / "netequil-minimal.prob").write_text(MINIMAL)
@@ -361,7 +390,7 @@ class TestRoundTrip:
         [
             "",
             "[solver]\nscheduler = roundrobin:2\nT = 1\n",
-            "[solver]\nscheduler = randomsweep:0.5\nseed = 42\ngamma = 0.125\n",
+            "[solver]\nscheduler = randomsweep:0.5:42\ngamma = 0.125\n",
         ],
     )
     def test_problem_round_trip_identity(self, extra):

@@ -405,6 +405,19 @@ class TestIntervalProx:
         assert spec.resolvent(2.0, 5.0) == 3.0
         assert spec.resolvent(2.0, 1.0) == 0.0
 
+    def test_value_is_the_one_subgradient_and_none_for_a_set_or_outside(self):
+        spec = IntervalProx(AffinePhi(a=2.0), lo=0.0, hi=5.0)
+        assert spec.value(1.0) == 2.0
+        assert spec.value(0.0) is None  # the bound's normal cone adds (-inf, 2]
+        assert spec.value(6.0) is None
+        assert IntervalProx(PowerPhi(1.0), lo=-1.0, hi=1.0).value(0.0) is None  # |s| at its kink
+
+    def test_subdiff_is_none_where_the_phi_subdifferential_is(self):
+        phi = CustomPhi(lambda gamma, xi: xi, lambda s: None if s < 0.0 else (1.0, 1.0))
+        spec = IntervalProx(phi, lo=-1.0, hi=1.0)
+        assert spec.subdiff(-0.5) is None and spec.value(-0.5) is None
+        assert spec.subdiff(0.5) == (1.0, 1.0)
+
     def test_custom_phi_requires_a_subdifferential(self):
         # without one the equilibrium check that ends a run could never pass
         with pytest.raises(TypeError):

@@ -101,6 +101,8 @@ class TestAnalyticTwoArc:
             TwoArcInstance(1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ConfigurationError, match="slopes"):
             TwoArcInstance(1.0, 1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="nonnegative intercepts"):
+            TwoArcInstance(1.0, -0.5, 1.0, 1.0, 1.0)
 
     def test_bpr_realization_needs_positive_intercepts(self):
         inst = TwoArcInstance(10.0, 0.0, 1.0, 1.0, 1.0)
@@ -150,6 +152,12 @@ class TestFrankWolfe:
         specs = [op.q.scalar for op in ops.arc_operators]
         with pytest.raises(ConfigurationError, match="balance"):
             frank_wolfe_reference(net, specs, np.array([3.0, -2.0]))
+
+    def test_a_spec_count_other_than_the_arc_count_is_rejected(self, two_arc):
+        _, net, ops = two_arc
+        specs = [op.q.scalar for op in ops.arc_operators]
+        with pytest.raises(ConfigurationError, match="one congestion spec per arc"):
+            frank_wolfe_reference(net, specs[:1], np.array([3.0, -3.0]))
 
 
 class TestWardropResidual:

@@ -483,6 +483,20 @@ class TestStep:
         with pytest.raises(NumericalFailure, match="iteration 0"):
             step(net, ops, SolverConfig(), state, ws)
 
+    @pytest.mark.parametrize(
+        "tau, pi, x0, t0",
+        [
+            (1e-300, 1e10, 0.0, 1.0),  # theta = 1.8 pi/tau overflows
+            (1.0, 1.0, 1e308, -1e308),  # x - theta t* overflows at theta = 1.8
+        ],
+    )
+    def test_an_update_that_overflows_from_finite_scalars_raises(self, two_arc, tau, pi, x0, t0):
+        _, net, ops = two_arc
+        state, ws = initial_state(net), new_workspace(net)
+        state.x[0, 0], ws.tstar[0, 0], ws.tau, ws.pi = x0, t0, tau, pi
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite iterate"):
+            step(net, ops, SolverConfig(), state, ws, swept=True)
+
 
 # ---------------------------------------------------------------------------
 # residual
