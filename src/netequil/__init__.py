@@ -18,101 +18,26 @@ The pieces:
 - :mod:`netequil.oracle`    independent desk-scale reference solutions
 - :mod:`netequil.fileio`    problem/solution/trace file formats
 - :mod:`netequil.cli`       the ``netequil`` command line front end
+
+Each module's ``__all__`` declares its public names, and the package
+re-exports those of every module but ``fileio`` and ``cli``.
 """
 
-from .errors import (
-    ConfigurationError,
-    InfeasibilityError,
-    NumericalFailure,
-    ProblemFormatError,
-    ProblemFormatWarning,
-)
-from .lambertw import lambert_w_exp
-from .network import Network
-from .operators import (
-    BPR,
-    TRC,
-    AffinePhi,
-    ArcOperator,
-    Box,
-    CustomPhi,
-    FixedSupply,
-    IntervalProx,
-    Logarithmic,
-    OperatorSet,
-    PowerExp,
-    PowerPhi,
-    QuadraticPhi,
-    SeparableLift,
-)
-from .oracle import (
-    TwoArcInstance,
-    analytic_two_arc,
-    frank_wolfe_reference,
-    wardrop_residual,
-)
-from .solver import (
-    Full,
-    IterationWorkspace,
-    RandomSweep,
-    RoundRobin,
-    SolverConfig,
-    SolverState,
-    Termination,
-    TraceRecord,
-    initial_state,
-    make_scheduler,
-    new_workspace,
-    residual,
-    run,
-    step,
-    step_parameters,
-    sweep_bound,
-)
+from .errors import *
+from .lambertw import *
+from .network import *
+from .operators import *
+from .oracle import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Network",
-    "lambert_w_exp",
-    "BPR",
-    "Logarithmic",
-    "TRC",
-    "PowerExp",
-    "AffinePhi",
-    "QuadraticPhi",
-    "PowerPhi",
-    "CustomPhi",
-    "IntervalProx",
-    "SeparableLift",
-    "Box",
-    "ArcOperator",
-    "FixedSupply",
-    "OperatorSet",
-    "Full",
-    "RoundRobin",
-    "RandomSweep",
-    "SolverConfig",
-    "SolverState",
-    "IterationWorkspace",
-    "TraceRecord",
-    "Termination",
-    "initial_state",
-    "new_workspace",
-    "sweep_bound",
-    "make_scheduler",
-    "step",
-    "step_parameters",
-    "residual",
-    "run",
-    "TwoArcInstance",
-    "analytic_two_arc",
-    "frank_wolfe_reference",
-    "wardrop_residual",
-    "ConfigurationError",
-    "NumericalFailure",
-    "InfeasibilityError",
-    "ProblemFormatError",
-    "ProblemFormatWarning",
-    "__version__",
-]
+__all__ = (
+    errors.__all__
+    + lambertw.__all__
+    + network.__all__
+    + operators.__all__
+    + oracle.__all__
+    + solver.__all__
+    + ["__version__"]
+)

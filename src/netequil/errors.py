@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigurationError",
+    "NumericalFailure",
+    "InfeasibilityError",
+    "ProblemFormatError",
+    "ProblemFormatWarning",
+]
+
 
 class ConfigurationError(ValueError):
     """Invalid operator parameters, step sizes, or scheduler settings."""

@@ -65,11 +65,14 @@ id, ``missing-commodity`` for a value count that does not match the
 commodities, ``bad-scheduler`` for a scheduler token with an unknown
 name, too many values or none where one is required, and
 ``param-range`` for a value its spec rejects: out-of-range or non-finite
-parameters, supplies and solution values, [solver] settings that
-`solver.SolverConfig` or `solver.make_scheduler` reject on the parsed
-network, and supplies of a commodity that do not sum to zero over a
-weakly connected component (``operators.OperatorSet``), reported in the
-[supplies] section.
+parameters, supplies and solution values, a negative ``iterations`` or
+``residual`` in [meta] (an inf or nan residual is read, since ``solve``
+writes one when no residual can be evaluated), a [solver] setting that
+its scheduler spec or `solver.SolverConfig` rejects, at its line, a
+scheduler that `solver.make_scheduler` rejects on the parsed network and
+T, at the scheduler line, and supplies of a commodity that do not sum to
+zero over a weakly connected component (``operators.OperatorSet``),
+reported in the [supplies] section.
 
 Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [potential] sections); traces are CSV with
@@ -563,15 +566,28 @@ def parse_problem(source):
 
 
 def _parse_solver_section(entries, network):
-    """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network."""
+    """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network.
+
+    A scheduler spec and `SolverConfig` check each setting on its own, so
+    once the config is rejected, each setting is read and checked again
+    alone, in key order, and the first one rejected is reported at its
+    line.  What `solver.make_scheduler` rejects, which depends on the
+    network and T as well, is reported at the scheduler line: the default
+    `Full` fits every T on every network of at least one arc, which is
+    every network that a problem file holds.
+    """
     raw = _read_keys(entries, _SOLVER_KEYS, "solver")
+    settings = [(key, read, raw[key]) for key, (read, _) in _SOLVER_KEYS.items() if key in raw]
     try:
-        config = SolverConfig(
-            **{key: read(*raw[key]) for key, (read, _) in _SOLVER_KEYS.items() if key in raw}
-        )
+        config = SolverConfig(**{key: read(*entry) for key, read, entry in settings})
         make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:
-        raise ProblemFormatError("param-range", str(exc), section="solver") from None
+        for key, read, (value, where) in settings:
+            try:
+                SolverConfig(**{key: read(value, where)})
+            except ConfigurationError as own:
+                raise ProblemFormatError("param-range", str(own), *where) from None
+        raise ProblemFormatError("param-range", str(exc), *raw["scheduler"][1]) from None
     return config
 
 
@@ -695,6 +711,10 @@ def parse_solution(source, problem):
     termination, where = meta["termination"]
     if termination not in {t.value for t in Termination}:
         raise ProblemFormatError("syntax", f"unknown termination {termination!r}", *where)
+    residual, iterations = _float(*meta["residual"]), _int(*meta["iterations"])
+    for key, value in (("residual", residual), ("iterations", iterations)):
+        if value < 0:
+            raise ProblemFormatError("param-range", f"{key} is negative: {value!r}", *meta[key][1])
     n_comm = problem.network.n_commodities
     tables = []
     for section, ids in (
@@ -720,8 +740,8 @@ def parse_solution(source, problem):
         node_ids=tuple(problem.network.nodes),
         flow=flow,
         potential=potential,
-        residual=_float(*meta["residual"]),
-        iterations=_int(*meta["iterations"]),
+        residual=residual,
+        iterations=iterations,
         termination=termination,
     )
 

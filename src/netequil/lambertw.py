@@ -46,6 +46,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+__all__ = ["lambert_w_exp"]
+
 # beyond this, form W(exp(z)) without evaluating exp(z)
 _EXP_SWITCH = 700.0 * math.log(2.0)
 _MAX_ITER = 50

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+__all__ = ["Network"]
+
 
 class Network:
     """Immutable directed multigraph with a commodity set.

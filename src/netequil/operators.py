@@ -11,9 +11,15 @@ then a clamp into the box.  A fixed node supply resolves to its
 constant, which the solver reads from ``OperatorSet.supplies``.
 
 All specs are immutable and validate their parameters at construction.
-Resolvent evaluation is total on real input; the only error it raises is
-NumericalFailure, when the BPR root refinement stalls, apart from the
-ConfigurationError of a size-1 call whose gamma is not finite and positive.
+Resolvent evaluation does not check that xi is finite.  It raises
+NumericalFailure when the BPR root refinement stalls, when Halley or
+Newton in ``lambert_w_exp`` does not converge, and when ``lambert_w_exp``
+gets a nan or +inf argument: Logarithmic at a nan or -inf xi, PowerExp at
+a nan or +inf xi.  The other non-finite xi pass through: BPR and TRC give
+nan at nan and +inf and -inf at -inf, Logarithmic gives nan at +inf,
+PowerExp gives -inf at -inf, and IntervalProx gives nan at nan and
+clamps an infinite xi into [lo, hi].  A size-1 call also raises
+ConfigurationError when its gamma is not finite and positive.
 
 Scalar capacity families
 ------------------------

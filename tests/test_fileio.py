@@ -228,6 +228,7 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_scheduler_token_diagnostics(self, token, code):
         err = expect_code(TWO_ARCS + f"[solver]\nscheduler = {token}\n", code)
         assert err.section == "solver"
+        assert (err.entity, err.line) == ("scheduler", 14)
 
     def test_empty_solver_section_gives_the_default_config(self):
         cfg, default = parse_problem(MINIMAL + "[solver]\n").config, SolverConfig()
@@ -355,22 +356,28 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
         assert err.section == section
 
     @pytest.mark.parametrize(
-        "block",
+        "block, entity, line",
         [
-            "scheduler = roundrobin:0",
-            "scheduler = randomsweep:2",
-            "scheduler = randomsweep:0.5:-1",
-            "gamma = -1",
-            "sigma = nan",
-            "tol = inf",  # would report converged far from an equilibrium
-            "tol = nan",
-            "scheduler = roundrobin:5",  # more groups than the two arcs
-            "scheduler = roundrobin:2\nT = 0",  # a window of T + 1 misses a group
+            ("scheduler = roundrobin:0", "scheduler", 14),
+            ("scheduler = randomsweep:2", "scheduler", 14),
+            ("scheduler = randomsweep:0.5:-1", "scheduler", 14),
+            ("gamma = -1", "gamma", 14),
+            ("sigma = nan", "sigma", 14),
+            ("T = -1", "T", 14),
+            ("tol = inf", "tol", 14),  # would report converged far from an equilibrium
+            ("tol = nan", "tol", 14),
+            ("gamma = 0.5\ntol = 0", "tol", 15),
+            ("max_iter = -2", "max_iter", 14),
+            # what make_scheduler rejects on the network and T is at the scheduler line
+            ("scheduler = roundrobin:5", "scheduler", 14),  # more groups than the two arcs
+            ("scheduler = roundrobin:2\nT = 0", "scheduler", 14),  # a window of T + 1 misses a group
+            ("T = 0\nscheduler = roundrobin:2", "scheduler", 15),
         ],
     )
-    def test_solver_settings_that_solving_rejects_are_param_range(self, block):
+    def test_solver_settings_that_solving_rejects_are_param_range(self, block, entity, line):
         err = expect_code(TWO_ARCS + f"[solver]\n{block}\n", "param-range")
         assert err.section == "solver"
+        assert (err.entity, err.line) == (entity, line)
 
     def test_path_starting_with_netequil_is_read_as_a_path(self, tmp_path, monkeypatch):
         (tmp_path / "netequil-minimal.prob").write_text(MINIMAL)
@@ -592,6 +599,20 @@ class TestSolutionSections:
         text = self.text()
         assert old in text
         expect_code(text.replace(old, new), code, lambda t: parse_solution(t, parse_problem(MINIMAL)))
+
+    @pytest.mark.parametrize(
+        "key, value", [("iterations", "-50"), ("residual", "-1.19e-07"), ("residual", "-inf")]
+    )
+    def test_negative_metadata_is_param_range_at_its_line(self, key, value):
+        problem, lines = parse_problem(MINIMAL), self.text().splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{key} = "))
+        lines[line - 1] = f"{key} = {value}"
+        err = expect_code("\n".join(lines) + "\n", "param-range", lambda t: parse_solution(t, problem))
+        assert (err.section, err.entity, err.line) == ("meta", key, line)
+        # solve writes an inf residual where none can be evaluated
+        for residual in ("inf", "nan"):
+            text = self.text().replace("residual = 0.0", f"residual = {residual}")
+            assert math.isnan(parse_solution(text, problem).residual) == (residual == "nan")
 
 
 SPEC = "bpr(alpha=1,rho=1,theta=1,p=1)"

@@ -238,6 +238,46 @@ def test_export_rule_flags():
     assert export_faults(module) == ["gone", "a"]
 
 
+def reexport_faults(package, modules):
+    """How `package.__all__` strays from the `__all__` lists of `modules`.
+
+    The modules that define no `__all__`, then the names that only one of
+    `package.__all__` and the union of the modules' lists plus `__version__`
+    holds, then each class or function that a module lists but another
+    module defines, which would declare one name in two lists.
+    """
+    faults = [module.__name__ for module in modules if not hasattr(module, "__all__")]
+    declared = {"__version__"}.union(*(getattr(module, "__all__", ()) for module in modules))
+    faults += sorted(declared.symmetric_difference(package.__all__))
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name, None)
+            if isinstance(value, (type, types.FunctionType)) and value.__module__ != module.__name__:
+                faults.append(f"{module.__name__}.{name}")
+    return faults
+
+
+REEXPORTED = ["errors", "lambertw", "network", "operators", "oracle", "solver"]
+
+
+def test_the_package_exports_exactly_what_its_modules_declare():
+    # each public name is declared once, in its own module's __all__
+    modules = [importlib.import_module(f"netequil.{name}") for name in REEXPORTED]
+    assert reexport_faults(netequil, modules) == []
+
+
+def test_reexport_rule_flags():
+    def f():
+        pass
+
+    f.__module__ = "pkg.a"
+    a = types.ModuleType("pkg.a")
+    a.__all__, a.f, a.Network = ["f", "Network"], f, netequil.Network
+    b = types.ModuleType("pkg.b")  # no __all__
+    package = types.SimpleNamespace(__all__=["f", "Network", "extra"])
+    assert reexport_faults(package, [a, b]) == ["pkg.b", "__version__", "extra", "pkg.a.Network"]
+
+
 def load_code_lines():
     path = PACKAGE.parent.parent / "tools" / "code_lines.py"
     spec = importlib.util.spec_from_file_location("code_lines", path)
