@@ -212,6 +212,8 @@ def _arc_block_inclusion(rng):
     An x outside B counts as inf, the rest relative to max(1, |xi|/gamma,
     |c|).  Lower bounds are at most 0, so every box meets the
     Logarithmic domain, and its total stays below omega/2, off the pole.
+    Every fourth draw straddles the free-flow screen: lower bounds 0 and
+    the largest xi at gamma*c(0)*(1 +- 1e-9), the others below it.
     """
     from .network import Network
     from .operators import ArcOperator, Box, FixedSupply, Logarithmic, OperatorSet, SeparableLift
@@ -222,6 +224,10 @@ def _arc_block_inclusion(rng):
         lo = np.where(rng.random(n) < 0.3, -np.inf, -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5))
         hi = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(0.0, 3.0, n))
         xi = rng.uniform(-10.0, spec.omega / (2 * n) if isinstance(spec, Logarithmic) else 10.0, n)
+        if trial % 4 == 3:
+            lo, t = np.zeros(n), gamma * spec.value(0.0)
+            xi = t - rng.uniform(0.0, 2.0, n) * max(t, 1.0)
+            xi[rng.integers(n)] = t * (1.0 + rng.choice((-1e-9, 1e-9)))
         ops = OperatorSet(
             Network("ab", [("a", "b")], n), [ArcOperator(SeparableLift(spec), Box(lo, hi))], [FixedSupply((0.0,) * n)] * 2
         )

@@ -33,9 +33,12 @@ Scalar capacity families
                  refined by one Newton step where it is far below omega.
 ``TRC``          delta + alpha*(s-omega) + sqrt(alpha^2*(s-omega)^2 + beta);
                  closed-form resolvent, in a form that does not cancel
-                 where the root is small against its terms.
+                 where the root is small against its terms, scaled so that
+                 it stays finite for every finite xi.
 ``PowerExp``     theta*alpha**(p*s) with alpha > 1; resolvent
-                 xi - W(gamma*theta*alpha**(p*xi)*p*log(alpha))/(p*log(alpha)).
+                 xi - W(gamma*theta*alpha**(p*xi)*p*log(alpha))/(p*log(alpha)),
+                 or (log W - log(gamma*theta*p*log(alpha)))/(p*log(alpha))
+                 where W > 1, which does not cancel at a large xi.
 ``IntervalProx`` subdifferential of phi + indicator of a closed interval
                  [lo, hi]; resolvent is the interval projection composed
                  after the prox of phi (phi is AffinePhi, QuadraticPhi,
@@ -91,6 +94,15 @@ previous output, never on which other arcs share its batch.  A
 user-supplied ``CustomPhi`` carries its own kernel, a scalar loop that
 calls its prox once per element: the arcs sharing one instance form one
 family, and no table holds a Python object.
+
+With C > 1 commodities, ``capacity_resolvent`` first screens each row
+against its arc's free-flow threshold, which ``bind`` takes from each
+kernel's ``free_flow``: an arc whose lower bounds are all 0 rests there,
+its result lo exactly, when its largest xi - lo is below gamma times its
+capacity's largest value at a total of 0.  Only the other rows go to the
+kernels, compacted in family order, so a family none of whose rows is
+live makes no call; a screened row keeps its start.  One commodity is
+not screened: its kernels handle a row below the kink themselves.
 
 The kernels' halves and ``OperatorSet._roots`` set no numpy error
 state: the solver silences floating-point warnings once per evaluation,
@@ -157,11 +169,14 @@ class _Kernel:
     the work that depends on xi, with those constants stacked into one
     (n_consts, n) float table, from one start per element, where nan is
     a cold start.  Calling the kernel runs both; its `start` None is the
-    all-nan start.
+    all-nan start.  ``free_flow(gamma, *params)`` is gamma*c+(0), the
+    largest value of the capacity at a total of 0, or -inf where the
+    family does not say (see `OperatorSet.bind`).
     """
 
     prepare: Callable
     solve: Callable
+    free_flow: Callable = lambda gamma, *params: np.full(np.shape(gamma), -np.inf)
 
     def __call__(self, gamma, xi, *params, start=None):
         if start is None:
@@ -306,9 +321,12 @@ def _lambert_solve(xi, consts, start):
     z = z0 + z1*xi, and maps W to s = min(o0 + o1*xi + o2*W, cap); the
     coefficients (`_lambert_prepare`) hold each element's own formula.  An
     earlier root becomes the W at which that map returns it, Halley's
-    warm start.  A Logarithmic root s = omega - gamma*W with |s| < `near`
-    = 2**-10 * omega has lost digits to that difference, about an ulp of
-    omega.  One Newton step on s + gamma*(theta - log1p(-s/omega)) = xi,
+    warm start.  A PowerExp root s = xi - W/a cancels where W/a is large
+    against s; where W > 1 it is formed as (log W - z0)/a instead, which
+    W + log W = z gives and which does not cancel there (o1 = 1 marks
+    PowerExp, and -o2 is 1/a).  A Logarithmic root s = omega - gamma*W
+    with |s| < `near` = 2**-10 * omega has lost digits to that
+    difference, about an ulp of omega.  One Newton step on s + gamma*(theta - log1p(-s/omega)) = xi,
     which does not cancel there, restores them; o0 is omega and -o2 is
     gamma there.  It is written as a fixed-point update, not s - F/F',
     which would cancel again where the W form is off by more than the
@@ -317,8 +335,12 @@ def _lambert_solve(xi, consts, start):
     z0, z1, o0, o1, o2, cap, gt, near = consts
     base = o0 + o1 * xi
     w = lambert_w_exp(z0 + z1 * xi, (start - base) / o2)
+    s = base + o2 * w
+    big = o1 * w > 1.0  # PowerExp where W > 1
+    if np.count_nonzero(big):
+        s = np.where(big, o2 * (z0 - np.log(w)), s)
     # where W underflowed the exact Logarithmic value sits strictly below omega
-    s = np.minimum(base + o2 * w, cap)
+    s = np.minimum(s, cap)
     refine = np.abs(s) < near
     if np.count_nonzero(refine):
         d = o0 - s
@@ -327,30 +349,51 @@ def _lambert_solve(xi, consts, start):
 
 
 def _trc_prepare(gamma, alpha, beta, delta, omega):
+    """(gamma*alpha, lam*sqrt(den*gamma**2*beta), gamma*delta, lam*omega,
+    lam*2*gamma*alpha*omega, lam*gamma**2*beta, lam), den = 2*gamma*alpha + 1
+    and lam the power of two with lam*den < 1/2 (see `_trc_solve`).
+    """
     ga = gamma * alpha
     den = 2.0 * ga + 1.0
     g2b = gamma * gamma * beta
-    return ga, np.sqrt(den * g2b), gamma * delta, omega, den, 2.0 * ga * omega, g2b
+    lam = np.ldexp(1.0, -np.frexp(den)[1] - 1)
+    return ga, lam * np.sqrt(den * g2b), gamma * delta, lam * omega, lam * (2.0 * ga * omega), lam * g2b, lam
+
+
+def _trc_free_flow(gamma, alpha, beta, delta, omega):
+    """gamma*c(0) in the conjugate form, which does not cancel for large alpha*omega."""
+    aw = alpha * omega
+    return gamma * (delta + beta / (np.hypot(aw, np.sqrt(beta)) + aw))
 
 
 def _trc_solve(xi, consts, start):
     """TRC resolvent: the smaller root s = (a - root)/den of a quadratic.
 
-    With m = xi - gamma*delta, a = m + gamma*alpha*(m + omega) and
-    root = hypot(gamma*alpha*(m - omega), sqrt(den*gamma**2*beta)), which
-    does not overflow where the square of either term would.  Where a > 0
-    and s is small against a, a - root cancels; there
-    s = (a**2 - root**2)/(den*(a + root)), and a**2 - root**2 is
-    den*(m*(m + 2*gamma*alpha*omega) - gamma**2*beta), which does not.  It
-    is divided by a + root before the product is formed, so that no
-    product of two m overflows: both roots are finite for every finite xi.
+    With m = xi - gamma*delta, den = 2*gamma*alpha + 1,
+    a = m + gamma*alpha*(m + omega) and root = hypot(gamma*alpha*(m -
+    omega), sqrt(den*gamma**2*beta)), which does not overflow where the
+    square of either term would.  Both forms below avoid the cancellation
+    of a - root.  Where a > 0, s = (a**2 - root**2)/(den*(a + root)), and
+    a**2 - root**2 is den*(m*(m + 2*gamma*alpha*omega) - gamma**2*beta);
+    it is divided by a + root before the product is formed, so that no
+    product of two m overflows.  Where a <= 0, m < omega, and
+    s = m - gamma**2*beta/(root - gamma*alpha*(m - omega)), which the
+    conjugate of m - s = (gamma*alpha*(m - omega) + root)/den gives; it
+    stays finite where s is within rounding of the largest float.  a and
+    root are formed from lam*m, with omega and the other terms scaled by
+    lam too, and lam*den < 1/2 keeps each of them below |m| in size: the
+    root is finite for every finite m.  lam is a power of two, so the
+    scaling is exact and moves no bit while no term overflows or falls
+    below the normal range.
     """
-    ga, sq, gd, omega, den, gaw2, g2b = consts
+    ga, sq, gd, omega, gaw2, g2b, lam = consts
     m = xi - gd
-    root = np.hypot(ga * (m - omega), sq)
-    a = ga * (m + omega) + m
+    ml = m * lam
+    t = ga * (ml - omega)
+    root = np.hypot(t, sq)
+    a = ga * (ml + omega) + ml
     d = a + root
-    return np.where(a > 0.0, (m + gaw2) * (m / d) - g2b / d, (a - root) / den)
+    return np.where(a > 0.0, (ml + gaw2) * (m / d) - g2b / d, m - g2b / (root - t))
 
 
 # The interval-prox kernels take (lo, hi) first and clamp the prox of phi
@@ -359,6 +402,11 @@ def _trc_solve(xi, consts, start):
 
 def _clamp(s, lo, hi):
     return np.minimum(np.maximum(s, lo), hi)
+
+
+def _at_zero(lo, hi, g):
+    """gamma*sup of the capacity at 0 from g = gamma*sup dphi(0): finite where 0 is in [lo, hi)."""
+    return np.where((lo <= 0.0) & (hi > 0.0), g, -np.inf)
 
 
 def _affine_prepare(gamma, lo, hi, a):
@@ -400,12 +448,15 @@ def _custom_prepare(gamma, lo, hi):
     return lo, hi, gamma
 
 
-_bpr_kernel = _Kernel(_bpr_prepare, _bpr_solve)
-_lambert_kernel = _Kernel(_lambert_prepare, _lambert_solve)
-_trc_kernel = _Kernel(_trc_prepare, _trc_solve)
-_affine_kernel = _Kernel(_affine_prepare, _affine_solve)
-_quadratic_kernel = _Kernel(_quadratic_prepare, _quadratic_solve)
-_power_kernel = _Kernel(_power_prepare, _power_solve)
+_bpr_kernel = _Kernel(_bpr_prepare, _bpr_solve, lambda gamma, alpha, rho, theta, p: gamma * theta)
+_lambert_kernel = _Kernel(_lambert_prepare, _lambert_solve, lambda gamma, is_log, a, theta: gamma * theta)
+_trc_kernel = _Kernel(_trc_prepare, _trc_solve, _trc_free_flow)
+_affine_kernel = _Kernel(_affine_prepare, _affine_solve, lambda gamma, lo, hi, a: _at_zero(lo, hi, gamma * a))
+_quadratic_kernel = _Kernel(_quadratic_prepare, _quadratic_solve, lambda gamma, lo, hi, a: _at_zero(lo, hi, 0.0))
+# |s| (q = 1) has sup dphi(0) = 1; |s|**1.5 and s**2 have 0
+_power_kernel = _Kernel(
+    _power_prepare, _power_solve, lambda gamma, lo, hi, q: _at_zero(lo, hi, np.where(q == 1.0, gamma, 0.0))
+)
 
 
 def _stack(rows, n, width):
@@ -765,6 +816,11 @@ class FixedSupply:
 
 
 BALANCE_TOL = 1e-12
+# a free-flow threshold's relative margin: about 2**12 times the few ulp
+# by which it and the kernels' own kink, formed from gamma and the
+# parameters in other operations, can differ; a row within it of the
+# threshold goes to its kernel
+_SCREEN_MARGIN = 2.0**-40
 
 
 def _component_roots(network):
@@ -794,12 +850,14 @@ class _Binding:
     family's n_consts, its rows of the table (the rest of its columns is
     0).  `at_k` memoizes the table's columns at each arc's k for a sweep
     of every arc, in family order, and `k` is the k they were gathered at
-    (-1 before the first sweep).
+    (-1 before the first sweep).  `screen` holds each arc's free-flow
+    threshold, in ascending arc order (see `OperatorSet.bind`).
     """
 
-    __slots__ = ("table", "rows", "k", "at_k")
+    __slots__ = ("table", "rows", "k", "at_k", "screen")
 
-    def __init__(self, consts):
+    def __init__(self, consts, screen):
+        self.screen = screen
         self.rows = [c.shape[0] for c in consts]
         self.table = np.concatenate([np.pad(c, ((0, max(self.rows) - c.shape[0]), (0, 0))) for c in consts], 1)
         self.k = -1
@@ -912,15 +970,32 @@ class OperatorSet:
         memoizes the constants a sweep of every arc gathers at the arcs'
         k, for as long as no arc's k changes: with one commodity, for the
         whole run.
+
+        It also holds each arc's free-flow threshold t, which
+        `capacity_resolvent` screens its rows with.  An arc's block
+        resolvent at xi is lo exactly when xi - lo lies in
+        gamma*c(L)*1 + gamma*N_B(lo), L = sum lo: when max(xi - lo) <=
+        gamma*c+(L), with c+ the largest value of c.  For an arc whose
+        lower bounds are all 0 (L = 0) that is the family kernel's
+        `free_flow` at its gamma, taken from the kernel's parameters
+        alone, never from the specs' `value` or `subdiff`; every other
+        arc, and a family whose kernel does not say (CustomPhi), gets
+        -inf and is never screened.  t is that value less _SCREEN_MARGIN
+        of its size, and a row is screened only strictly below it.
         """
         n_comm = self.network.n_commodities
         ks = np.arange(1, n_comm + 1)
+        screen = np.full(len(self.arc_operators), -np.inf)
         with np.errstate(all="ignore"):
+            for kernel, arcs, params in self.families:
+                screen[arcs] = kernel.free_flow(gamma[arcs], *params)
+            screen = np.where(np.any(self.box_lo, 1), -np.inf, screen - _SCREEN_MARGIN * np.abs(screen))
             return _Binding(
                 [
                     np.array(kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *params.repeat(n_comm, 1)), float)
                     for kernel, arcs, params in self.families
-                ]
+                ],
+                screen,
             )
 
     def _consts_at(self, bound, k):
@@ -991,8 +1066,12 @@ class OperatorSet:
         arcs from it.  `start` is a float array with one entry per row:
         the kernel's root for that arc at an earlier call, which the
         iterative kernels start from; nan is a cold start, and None is
-        the all-nan start.  It is overwritten with this call's roots.
-        Each row depends only on its own xi, guess and start.  The rows of
+        the all-nan start.  It is overwritten with this call's roots,
+        except for a row that the free-flow screen (see `bind`) puts on
+        its lower bounds without a kernel call: with C > 1, a row whose
+        arc has lower bounds 0 and whose largest xi stays below the
+        arc's threshold gamma*c+(0).  That row keeps its start.  Each row
+        depends only on its own xi, guess and start.  The rows of
         a partial set of arcs are solved in family order (see `_roots`)
         and come back in the order given.
         """
@@ -1021,11 +1100,32 @@ class OperatorSet:
         if n_comm == 1:
             root = self._roots(arcs, bound, xi[:, 0], 1, start)
             return np.minimum(np.maximum(root[:, None], lo), hi)
+        fall = lo - xi
+        top = fall.argmin(1)  # each row's top commodity, the largest xi - lo
+        low = fall.take(top + self._entries[:n_rows, 0])
+        # a row whose largest xi - lo is below its arc's free-flow threshold
+        # rests on its lower bounds (see `bind`): only the others are solved
+        rest = low > -(bound.screen if arcs is None else bound.screen.take(arcs))
+        if not np.count_nonzero(rest):
+            return self._solve_rows(arcs, bound, xi, lo, hi, top, low, start, guess)
+        x = lo.copy()
+        live = self._perm.compress(~rest.take(self._perm)) if arcs is None else (~rest).nonzero()[0]
+        if live.size:
+            pick, guess = start.take(live), guess if guess is None else guess.take(live, 0)
+            xi, lo, hi, top, low = (a.take(live, 0) for a in (xi, lo, hi, top, low))
+            x[live] = self._solve_rows(live if arcs is None else arcs.take(live), bound, xi, lo, hi, top, low, pick, guess)
+            start.put(live, pick)
+        return x
+
+    def _solve_rows(self, arcs, bound, xi, lo, hi, top, low, start, guess):
+        """`_capacity_resolvent` for C > 1 on unscreened rows, by their family kernels.
+
+        `top` holds each row's top commodity and `low` its lo - xi.
+        """
+        n_rows = len(xi)
         if guess is None:
             guess = np.minimum(np.maximum(xi, lo), hi)
-        fall = lo - xi
-        # flat index of each row's top commodity, the largest xi - lo
-        top = fall.argmin(1) + self._entries[:n_rows, 0]
+        top = top + self._entries[:n_rows, 0]  # flat index of each row's top commodity
         free = (guess > lo) & (guess < hi)
         free.put(top, True)
         k = np.add.reduce(free, 1)
@@ -1039,7 +1139,7 @@ class OperatorSet:
         # below the top commodity's lower breakpoint every commodity is on
         # its lower bound, as the clamp gives it; that holds at the resolvent
         # unless a commodity was guessed on its upper bound
-        agree |= free & (eta < fall.take(top))[:, None]
+        agree |= free & (eta < low)[:, None]
         if np.count_nonzero(agree) != agree.size:
             # the rows to fix, in family order (in a sweep of every arc, row j is arc j)
             miss = ~agree.all(1)

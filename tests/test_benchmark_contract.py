@@ -52,24 +52,42 @@ def test_a_run_never_calls_the_lifted_resolvent(name, monkeypatch):
     assert len(records) == 30 and calls == []
 
 
-def test_every_evaluation_of_a_mixed_sweep_run_calls_the_patched_lambert_solve(monkeypatch):
+def test_every_lambert_kernel_call_of_a_mixed_sweep_run_calls_the_patched_lambert_solve(monkeypatch):
     # the tracer's lambertw.* metrics time operators.lambert_w_exp, patched
-    # by name: a kernel that reached W another way would read 0 there
+    # by name: a kernel that reached W another way would read 0 there.  A
+    # batch whose rows all rest on their lower bounds is screened and makes
+    # no call, so each evaluation with a live Lambert row makes one per
+    # kernel call
     calls, per_evaluation = [], []
     solve, evaluate = operators.lambert_w_exp, solver._evaluate
     monkeypatch.setattr(operators, "lambert_w_exp", lambda *args: calls.append(1) or solve(*args))
+    inst = instance("mixed_sweep")
+    ops = inst.operators
+    kernel_calls = []
+
+    def kernel_solve(xi, consts, start):
+        before = len(calls)
+        out = lambert_solve(xi, consts, start)
+        kernel_calls.append((xi.size, len(calls) - before))
+        return out
+
+    (lambert,) = [f for f in ops.families if f[0] is operators._lambert_kernel]
+    lambert_solve = lambert[0].solve
+    wrapped = (replace(lambert[0], solve=kernel_solve),) + lambert[1:]
+    monkeypatch.setattr(ops, "families", tuple(wrapped if f is lambert else f for f in ops.families))
 
     def counted(*args):
-        before = len(calls)
+        before, kernel_before = len(calls), len(kernel_calls)
         out = evaluate(*args)
-        per_evaluation.append(len(calls) - before)
+        per_evaluation.append((len(kernel_calls) - kernel_before, len(calls) - before))
         return out
 
     monkeypatch.setattr(solver, "_evaluate", counted)
-    inst = instance("mixed_sweep")
-    _, records, _ = solver.run(inst.network, inst.operators, replace(inst.config, max_iter=30))
+    _, records, _ = solver.run(inst.network, ops, replace(inst.config, max_iter=30))
     assert len(records) == 30 and len(per_evaluation) >= 30
-    assert min(per_evaluation) >= 1
+    assert kernel_calls and all(size >= 1 and n == 1 for size, n in kernel_calls)
+    assert all(n_kernel == n_w for n_kernel, n_w in per_evaluation)
+    assert sum(n_kernel >= 1 for n_kernel, _ in per_evaluation) >= 10
 
 
 def test_grid_full_runs_alike_bitwise_under_full_and_the_one_group_round_robin():

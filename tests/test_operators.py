@@ -318,13 +318,19 @@ def test_a_trc_root_far_below_omega_matches_its_50_digit_root():
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("exponent", [150, 154, 155, 156, 200, 250, 300])
-def test_a_trc_root_at_a_huge_xi_matches_its_50_digit_root(sign, exponent):
+@pytest.mark.parametrize("size", [1e150, 1e154, 1e155, 1e156, 1e200, 1e250, 1e300, 1e306, 1e307, 1e308, 1.7976931348623157e308])
+def test_a_trc_root_at_a_huge_xi_matches_its_50_digit_root(sign, size):
     # the squares in root and the product m*m overflowed beyond |xi| of
     # about 1e154 (nan above, -inf below), though both roots are finite:
-    # about xi/3 above and xi - gamma*delta below
-    xi = sign * 10.0**exponent
-    for spec, gamma in ((TRC(1.0, 1.0, 1.0, 1.0), 1.0), (TRC(0.3, 2.0, 5.0, 7.0), 0.25)):
+    # about xi/3 above and xi - gamma*delta below; a = m + gamma*alpha*(m +
+    # omega) overflowed in the last decade of the float range (0.0 at 1e308)
+    xi = sign * size
+    for spec, gamma in (
+        (TRC(1.0, 1.0, 1.0, 1.0), 1.0),
+        (TRC(0.3, 2.0, 5.0, 7.0), 0.25),
+        (TRC(1.0, 2.0, 3.0, 4.0), 0.5),
+        (TRC(50.0, 2.0, 3.0, 4.0), 20.0),
+    ):
         s = spec.resolvent(gamma, xi)
         assert s == pytest.approx(decimal_trc_root(spec, gamma, xi), rel=1e-15, abs=0.0)
     assert TRC(1.0, 1.0, 1.0, 1.0).resolvent(1.0, xi) == pytest.approx(xi / 3.0 if sign > 0 else xi - 1.0, rel=1e-15)
@@ -345,6 +351,41 @@ class TestPowerExp:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError, match="alpha > 1"):
             PowerExp(alpha=1.0, theta=1.0, p=1.0)
+
+
+def decimal_powerexp_root(spec, gamma, xi):
+    """The PowerExp resolvent in 50-digit decimals, rounded once, for xi > gamma*theta.
+
+    Newton on F(s) = s + gamma*theta*exp(a*s) - xi, a = p*log(alpha), from
+    log(xi/(gamma*theta))/a, where F > 0: F is convex and increasing, so
+    the steps fall monotonically to the root.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = D(spec.p) * D(spec.alpha).ln()
+        gt, x = D(gamma) * D(spec.theta), D(xi)
+        s = (x / gt).ln() / a
+        for _ in range(200):
+            e = gt * (a * s).exp()
+            step = (s + e - x) / (1 + a * e)
+            s -= step
+            if abs(step) <= abs(s) * D("1e-40"):
+                return float(s)
+        raise RuntimeError("decimal Newton did not converge")
+
+
+@pytest.mark.parametrize("xi", [3.0, 50.0, 1e5, 1e10, 1e17, 1e20, 1e100, 1e300, 1.7976931348623157e308])
+def test_a_powerexp_root_at_a_large_xi_matches_its_50_digit_root(xi):
+    # s = xi - W/a cancelled: 68.43856239318848 at 1e10, 128.0 at 1e17 and
+    # 0.0 from 1e20 on; s = (log W - log(gamma*theta*a))/a does not
+    specs = [(PowerExp(2.0, 1.0, 0.5), 0.5), (PowerExp(1.5, 1e-3, 2.0), 3.0), (PowerExp(50.0, 20.0, 0.1), 0.01)]
+    for spec, gamma in specs:
+        assert spec.resolvent(gamma, xi) == pytest.approx(decimal_powerexp_root(spec, gamma, xi), rel=1e-14, abs=0.0)
+    # the size-1 calls are the batch's elements, bitwise
+    kernel, params = zip(*(spec.family() for spec, _ in specs))
+    batch = kernel[0](np.array([g for _, g in specs]), np.full(len(specs), xi), *operators._table(params))
+    assert batch.tolist() == [spec.resolvent(gamma, xi) for spec, gamma in specs]
 
 
 class TestIntervalProx:
@@ -1018,7 +1059,8 @@ def reference_lambert_resolvent(spec, gamma, xi, start=None):
     """The Logarithmic or PowerExp resolvent through that family's own coefficients.
 
     W = W(exp(z0 + z1*xi)), started from the W at which s = min(o0 + o1*xi +
-    o2*W, cap) returns `start`, and mapped to s by that formula.
+    o2*W, cap) returns `start`, and mapped to s by that formula; a PowerExp
+    W > 1 is mapped by s = o2*(z0 - log W), its form that does not cancel.
     """
     gamma, xi = np.array([gamma]), np.array([xi])
     if isinstance(spec, Logarithmic):
@@ -1032,8 +1074,10 @@ def reference_lambert_resolvent(spec, gamma, xi, start=None):
     base = o0 + o1 * xi
     if start is not None:
         start = (np.array([start]) - base) / o2
-    out = np.minimum(base + o2 * lambertw.lambert_w_exp(z0 + z1 * xi, start), cap)
-    return float(out[0])
+    w = lambertw.lambert_w_exp(z0 + z1 * xi, start)
+    if isinstance(spec, PowerExp) and w[0] > 1.0:
+        return float(o2 * (z0 - np.log(w))[0])
+    return float(np.minimum(base + o2 * w, cap)[0])
 
 
 def lambert_draws(rng):
@@ -1152,7 +1196,8 @@ def test_operator_set_solves_logarithmic_and_powerexp_arcs_in_one_lambert_call(m
         return solve(z, start)
 
     monkeypatch.setattr(operators, "lambert_w_exp", counted)
-    x = np.ones((net.n_arcs, 2))
+    # above both arcs' free-flow thresholds gamma*theta, 1.5 and 1, so no row is screened
+    x = np.full((net.n_arcs, 2), 2.0)
     bound = ops.bind(np.ones(net.n_arcs))
     for arcs, want in (([0, 1, 2, 3, 4], [2]), ([1, 3], [2]), ([3], [1]), ([0, 2], [])):
         arcs = np.array(arcs)
@@ -1409,20 +1454,23 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
         return fix(self, arcs, *args)
 
     monkeypatch.setattr(OperatorSet, "_fix_variables", recorded)
+    # rows below their arc's free-flow threshold rest on lo and are never fixed
+    live = [j for j in ops._perm.tolist() if xi[j].max() >= bound.screen[j]]
     for start in (None, rng.uniform(0.5, 2.0, n_arcs)):
         roots = np.full(n_arcs, np.nan) if start is None else start.copy()
         fixed.clear()
         got = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, guess)
-        assert [a.tolist() for a in fixed] == [ops._perm.tolist()]
+        assert [a.tolist() for a in fixed] == [live]
         for j in range(n_arcs):
             root = roots[j : j + 1] * np.nan if start is None else start[j : j + 1].copy()
             alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
-            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1])
+            # a screened row keeps its start, nan when cold
+            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1], equal_nan=True)
     # guessed from the resolvent itself, the even arcs keep their guess
     fixed.clear()
     mixed = np.where((np.arange(n_arcs) % 2 == 0)[:, None], got, guess)
     again = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots.copy(), mixed)
-    assert [a.tolist() for a in fixed] == [[j for j in ops._perm.tolist() if j % 2]]
+    assert [a.tolist() for a in fixed] == [[j for j in live if j % 2]]
     np.testing.assert_allclose(again, got, rtol=1e-13, atol=1e-15)
 
 
@@ -1525,3 +1573,143 @@ def test_arcs_sharing_a_custom_phi_form_one_family_and_two_instances_two():
             for j in arcs
         ]
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the free-flow screen: a row whose largest xi - lo is below its arc's
+# gamma*c+(0) rests on its lower bounds and makes no kernel call
+# ---------------------------------------------------------------------------
+
+
+SCREEN_SPECS = [
+    BPR(0.15, 2.0, 1.3, 4.0),
+    BPR(1.0, 0.5, 0.7, 0.6),
+    Logarithmic(8.0, 1.5),
+    Logarithmic(3.0, 0.0),
+    TRC(0.5, 0.1, 1.0, 1.0),
+    TRC(40.0, 3.0, 0.2, 900.0),
+    PowerExp(2.0, 1.0, 0.3),
+    IntervalProx(AffinePhi(0.7), lo=-1.0, hi=5.0),
+    IntervalProx(AffinePhi(-0.4), lo=0.0, hi=5.0),
+    IntervalProx(AffinePhi(0.7), lo=-2.0, hi=0.0),
+    IntervalProx(QuadraticPhi(2.0), lo=0.0, hi=math.inf),
+    IntervalProx(PowerPhi(1.0), lo=-1.0, hi=3.0),
+    IntervalProx(PowerPhi(1.0), lo=0.0, hi=3.0),
+    IntervalProx(PowerPhi(1.5), lo=-math.inf, hi=math.inf),
+    IntervalProx(PowerPhi(2.0), lo=-3.0, hi=0.0),
+    IntervalProx(CustomPhi(lambda gamma, xi: xi - gamma * 0.5, lambda s: (0.5, 0.5)), lo=0.0, hi=5.0),
+]
+
+
+def free_flow(spec, gamma):
+    """gamma*c+(0) from the spec's own subdifferential; -inf, never screened,
+    where 0 is not in [lo, hi) and for a CustomPhi."""
+    if isinstance(spec, IntervalProx) and (isinstance(spec.phi, CustomPhi) or not spec.lo <= 0.0 < spec.hi):
+        return -math.inf
+    return gamma * spec.subdiff(0.0)[1]
+
+
+def screen_boxes(n_comm):
+    """Orthant, finite, half-open and free boxes; only the first two have lower bounds 0."""
+    return [
+        Box.orthant(n_comm),
+        Box((0.0,) * n_comm, (2.0,) * n_comm),
+        Box((-1.0,) * n_comm, (math.inf,) * n_comm),
+        Box((-math.inf,) * n_comm, (1.0,) * n_comm),
+        Box.free(n_comm),
+    ]
+
+
+def screen_instance(n_comm):
+    """One arc per spec and box, with each arc's gamma and free-flow threshold."""
+    arcs = [ArcOperator(SeparableLift(spec), box) for spec in SCREEN_SPECS for box in screen_boxes(n_comm)]
+    net = Network(["a", "b"], [("a", "b")] * len(arcs), n_comm)
+    ops = OperatorSet(net, arcs, [FixedSupply((0.0,) * n_comm)] * 2)
+    gamma = 10.0 ** np.linspace(-1.0, 1.0, len(arcs))
+    t = np.array([free_flow(op.q.scalar, g) for op, g in zip(arcs, gamma)])
+    return ops, gamma, t
+
+
+def straddling_rows(rng, t, lo, scale):
+    """Rows whose top commodity sits at t + (scale - 1)*|t| above lo (t = 0:
+    scale - 1; t = -inf: scale), the others below it."""
+    n_arcs, n_comm = lo.shape
+    finite_t = np.where(np.isfinite(t), t, 1.0)
+    top_value = np.where(finite_t != 0.0, finite_t + (scale - 1.0) * np.abs(finite_t), scale - 1.0)
+    xi = top_value[:, None] - rng.uniform(0.0, 3.0, (n_arcs, n_comm))
+    xi[np.arange(n_arcs), rng.integers(n_comm, size=n_arcs)] = top_value
+    return np.where(np.isfinite(lo), lo, 0.0) + xi
+
+
+def unscreened(bound):
+    """A copy of a binding that screens no row: every row goes to its kernel."""
+    copy = operators._Binding.__new__(operators._Binding)
+    for name in operators._Binding.__slots__:
+        setattr(copy, name, getattr(bound, name))
+    copy.screen = np.full_like(bound.screen, -np.inf)
+    return copy
+
+
+@pytest.mark.parametrize("n_comm", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 - 1e-14, 1.0 + 1e-9])
+def test_rows_at_the_free_flow_threshold_match_the_kernel_path(n_comm, scale):
+    # 1 - 1e-14 lies within the screen's margin, so those rows are solved
+    # unless the threshold is 0
+    rng = np.random.default_rng(int(7000 + 10 * n_comm + 1e9 * (scale - 1.0)))
+    ops, gamma, t = screen_instance(n_comm)
+    n_arcs = ops.network.n_arcs
+    bound = ops.bind(gamma)
+    xi = straddling_rows(rng, t, ops.box_lo, scale)
+    sentinel = rng.uniform(0.5, 2.0, n_arcs)
+    for arcs in (np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.5)):
+        for guess in (None, np.clip(xi[arcs], ops.box_lo[arcs], ops.box_hi[arcs])):
+            roots, kernel_roots = sentinel[arcs].copy(), sentinel[arcs].copy()
+            got = ops.capacity_resolvent(arcs, bound, xi[arcs], roots, guess)
+            want = ops.capacity_resolvent(arcs, unscreened(bound), xi[arcs], kernel_roots, guess)
+            assert np.array_equal(got, want)
+            # below the threshold a row with lower bounds 0 is screened and
+            # keeps its start; at or above it every row is solved
+            below = np.where(t[arcs] == 0.0, scale < 1.0, scale <= 1.0 - 1e-9)  # the margin is relative
+            screened = below & (n_comm > 1) & np.isfinite(t[arcs]) & ~np.any(ops.box_lo[arcs], 1)
+            assert np.array_equal(roots == sentinel[arcs], screened | (kernel_roots == sentinel[arcs]))
+            assert np.array_equal(roots[~screened], kernel_roots[~screened], equal_nan=True)
+            assert np.array_equal(got[screened], ops.box_lo[arcs][screened])
+            if scale <= 1.0 - 1e-9 and n_comm > 1:
+                assert screened.sum() >= arcs.size // 4
+
+
+def test_screened_results_and_roots_do_not_depend_on_batch_mates():
+    rng = np.random.default_rng(7100)
+    ops, gamma, t = screen_instance(3)
+    n_arcs = ops.network.n_arcs
+    bound = ops.bind(gamma)
+    xi = straddling_rows(rng, t, ops.box_lo, 1.0) * rng.uniform(0.5, 1.5, (n_arcs, 1))
+    start = rng.uniform(0.5, 2.0, n_arcs)
+    roots = start.copy()
+    whole = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, xi)
+    assert 0 < np.count_nonzero(roots == start) < n_arcs  # some rows screened, some solved
+    for part in (np.arange(0, n_arcs, 3), np.flatnonzero(rng.random(n_arcs) < 0.3)):
+        pick = start[part].copy()
+        got = ops.capacity_resolvent(part, bound, xi[part], pick, xi[part])
+        assert np.array_equal(got, whole[part]) and np.array_equal(pick, roots[part])
+    for j in range(n_arcs):
+        pick = start[[j]].copy()
+        got = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], pick, xi[[j]])
+        assert np.array_equal(got[0], whole[j]) and np.array_equal(pick, roots[[j]])
+
+
+def test_bind_reads_no_value_or_subdiff(monkeypatch):
+    # the oracle checks through value/subdiff; the screen must not share them
+    def forbidden(*args):
+        raise AssertionError("bind read a spec's value or subdiff")
+
+    rng = np.random.default_rng(7200)
+    ops, gamma, t = screen_instance(2)
+    for cls in (BPR, Logarithmic, TRC, PowerExp, IntervalProx, AffinePhi, QuadraticPhi, PowerPhi, CustomPhi):
+        for name in ("value", "subdiff"):
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, forbidden)
+    bound = ops.bind(gamma)
+    xi = straddling_rows(rng, t, ops.box_lo, 1.0 - 1e-9)
+    ops.capacity_resolvent(np.arange(ops.network.n_arcs), bound, xi)
+    assert np.isfinite(bound.screen).sum() >= 2 * (len(SCREEN_SPECS) - 4)
