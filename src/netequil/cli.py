@@ -212,22 +212,25 @@ def _arc_block_inclusion(rng):
     An x outside B counts as inf, the rest relative to max(1, |xi|/gamma,
     |c|).  Lower bounds are at most 0, so every box meets the
     Logarithmic domain, and its total stays below omega/2, off the pole.
-    Every fourth draw straddles the free-flow screen: lower bounds 0 and
-    the largest xi at gamma*c(0)*(1 +- 1e-9), the others below it.
+    One draw in four, each capacity family in turn, straddles the
+    free-flow screen: C = 2-3, lower bounds 0, and the largest xi at
+    gamma*c(0) times 1 - 1e-9, 1 + 1e-9 or 1 + 1e-6, the others below
+    it; a row screened at 1 + 1e-6 errs by more than the 1e-9 allowed.
     """
     from .network import Network
     from .operators import ArcOperator, Box, FixedSupply, Logarithmic, OperatorSet, SeparableLift
 
     worst = 0.0
     for trial, (spec, gamma, _) in enumerate(_capacity_draws(rng, 40)):
-        n = 1 + trial % 3
+        straddle = (trial // 4) % 4 == trial % 4  # draws come in family order
+        n = 2 + (trial // 4) % 2 if straddle else 1 + trial % 3
         lo = np.where(rng.random(n) < 0.3, -np.inf, -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5))
         hi = np.where(rng.random(n) < 0.4, np.inf, rng.uniform(0.0, 3.0, n))
         xi = rng.uniform(-10.0, spec.omega / (2 * n) if isinstance(spec, Logarithmic) else 10.0, n)
-        if trial % 4 == 3:
+        if straddle:
             lo, t = np.zeros(n), gamma * spec.value(0.0)
             xi = t - rng.uniform(0.0, 2.0, n) * max(t, 1.0)
-            xi[rng.integers(n)] = t * (1.0 + rng.choice((-1e-9, 1e-9)))
+            xi[rng.integers(n)] = t * (1.0 + rng.choice((-1e-9, 1e-9, 1e-6)))
         ops = OperatorSet(
             Network("ab", [("a", "b")], n), [ArcOperator(SeparableLift(spec), Box(lo, hi))], [FixedSupply((0.0,) * n)] * 2
         )

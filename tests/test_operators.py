@@ -1426,7 +1426,9 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
     # the kernels solve each family's run of rows, so the rows a sweep of
     # every arc hands to variable fixing must be put in family order too:
     # here four families interleave arc by arc, and every row misses its
-    # guess (all on their upper bounds, where the resolvent is inside)
+    # guess (all on their upper bounds, where the resolvent is inside);
+    # each row's largest xi lies above its arc's free-flow threshold, so
+    # the screen leaves every row to its kernel
     n_arcs, n_comm = 24, 3
     specs = [
         BPR(alpha=0.15, rho=2.0, theta=1.0, p=4.0),
@@ -1444,7 +1446,8 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
     assert [arcs.tolist() for _, arcs, _ in ops.families] == [list(range(f, n_arcs, 4)) for f in range(4)]
     rng = np.random.default_rng(2510)
     bound = ops.bind(rng.uniform(0.2, 2.0, n_arcs))
-    xi = rng.uniform(-0.2, 1.0, (n_arcs, n_comm))
+    xi = bound.screen[:, None] + rng.uniform(-0.2, 1.0, (n_arcs, n_comm))
+    assert np.all(xi.max(1) > bound.screen)
     guess = np.ones((n_arcs, n_comm))
     fixed = []
     fix = OperatorSet._fix_variables
@@ -1454,23 +1457,20 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
         return fix(self, arcs, *args)
 
     monkeypatch.setattr(OperatorSet, "_fix_variables", recorded)
-    # rows below their arc's free-flow threshold rest on lo and are never fixed
-    live = [j for j in ops._perm.tolist() if xi[j].max() >= bound.screen[j]]
     for start in (None, rng.uniform(0.5, 2.0, n_arcs)):
         roots = np.full(n_arcs, np.nan) if start is None else start.copy()
         fixed.clear()
         got = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, guess)
-        assert [a.tolist() for a in fixed] == [live]
+        assert [a.tolist() for a in fixed] == [ops._perm.tolist()]
         for j in range(n_arcs):
             root = roots[j : j + 1] * np.nan if start is None else start[j : j + 1].copy()
             alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
-            # a screened row keeps its start, nan when cold
-            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1], equal_nan=True)
+            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1])
     # guessed from the resolvent itself, the even arcs keep their guess
     fixed.clear()
     mixed = np.where((np.arange(n_arcs) % 2 == 0)[:, None], got, guess)
     again = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots.copy(), mixed)
-    assert [a.tolist() for a in fixed] == [[j for j in live if j % 2]]
+    assert [a.tolist() for a in fixed] == [[j for j in ops._perm.tolist() if j % 2]]
     np.testing.assert_allclose(again, got, rtol=1e-13, atol=1e-15)
 
 
