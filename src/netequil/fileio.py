@@ -78,7 +78,9 @@ Solution files mirror the shape (``netequil-solution v1`` header with
 [meta], [flow], [potential] sections); traces are CSV with
 the fixed column order n, tau, pi, theta, lambda, active_arcs,
 active_nodes, residual, millis, where lambda is always
-``solver.RELAXATION``.  Floats serialize via repr, so parsing a
+``solver.RELAXATION`` and a residual cell, at the check iterations and on
+the last row of a converged run, holds the residual of the point the
+row's step reached.  Floats serialize via repr, so parsing a
 serialized file reproduces every value bit for bit.
 """
 

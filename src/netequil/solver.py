@@ -23,9 +23,9 @@ one block, its fixed supply.  One iteration
 
 Two constants of the method are not settings.  The relaxation
 ``RELAXATION`` = 1.8 lies in the interval ]0, 2[ that the convergence
-theorem of Combettes & Eckstein allows for a fixed relaxation.  The
-residual is checked every ``CHECK_INTERVAL`` = 10 iterations, since each
-check costs one full sweep of every block.
+theorem of Combettes & Eckstein allows for a fixed relaxation.  Every
+``CHECK_INTERVAL`` = 10 iterations the step activates every arc, whatever
+the scheduler chose, so that its evaluation prices the residual check.
 
 pi is the separator in the form that does not cancel near a solution,
 
@@ -41,32 +41,35 @@ The step parameters are one number gamma for every arc block and a
 per-node sigma for the supplies, each derived from the graph unless the
 config sets it; see `step_parameters`.
 
-tau = 0 only happens when the cached evaluation already certifies the
-current point, so it triggers an immediate residual check.  The residual
-itself re-evaluates every block at the current point (full activation) and
-augments tau with the primal agreement terms |q - x| and |s - div x|; it
-vanishes exactly at solutions and is checked every ``CHECK_INTERVAL``
-iterations.  In the metric of the step parameters, not of costs, it only
-gates the stop: ``run`` stops once the equilibrium residual that
-``netequil check`` recomputes is at most tol too.  That full sweep is also
-an evaluation of every block at the point the next iteration starts from.
-``run`` keeps one workspace: the check evaluates into it, and the next
-``step`` activates every block and takes that evaluation, tau and pi
-included, as it is.  The sweep condition only asks that each block be
-activated at least once in every T + 1 iterations, so activating more
-blocks than the scheduler chose keeps it; the scheduler is still queried
-at every iteration.  Only the arcs are worth rationing: a node block costs
-one vector operation on the div x every step forms anyway, so every step
-activates all of them.
+The residual at a point is sqrt(tau) of an evaluation there with every
+block active, augmented with the primal agreement terms |q - x| and
+|s - div x|; it vanishes exactly at solutions and is never below
+sqrt(tau).  Each iteration of ``run`` evaluates once, at the point its
+step starts from, into the run's one workspace, and the residual check
+reads that evaluation where it covers every arc, at the cost of the two
+agreement sums alone.  The check runs every ``CHECK_INTERVAL`` iterations
+and after a step with tau = 0, which happens only when the cached
+evaluation already certifies the point; there the next step activates
+every arc.  Under `Full`, whose every evaluation covers every arc, it
+also runs wherever sqrt(tau) <= tol, so a run stops at the first
+certified iterate, not at the next multiple of ``CHECK_INTERVAL``.  In the
+metric of the step parameters, not of costs, the residual only gates the
+stop: ``run`` stops once the equilibrium residual that ``netequil check``
+recomputes is at most tol too.  The sweep condition only asks that each
+block be activated at least once in every T + 1 iterations, so activating
+more blocks than the scheduler chose keeps it; the scheduler is still
+queried at every iteration below max_iter.  Only the arcs are worth
+rationing: a node block costs one vector operation on the div x every
+step forms anyway, so every step activates all of them.
 
 The step parameters are fixed for a run, so ``run`` prepares the
 capacity kernels' constants for them once (``OperatorSet.bind``) and
 each evaluation only solves.
 Each arc's resolvent starts from its arc's previous evaluation in the
 run, since the point moves by one relaxed step per iteration: its kernel
-from the root it returned then (the workspace's ``root``, which the
-residual checks share), and its guess of which commodities sit on their
-bounds from the output q it gave then; a fresh workspace starts cold.
+from the root it returned then (the workspace's ``root``), and its guess
+of which commodities sit on their bounds from the output q it gave then;
+a fresh workspace starts cold.
 Reductions for tau and pi always run in ascending arc-then-node order,
 and each arc's resolvent depends only on its own input, its own previous
 root and its own previous output, never on which other arcs are
@@ -349,9 +352,13 @@ def initial_state(network):
 class IterationWorkspace:
     """Cached block outputs, kernel roots and the latest coordination scalars.
 
-    Every step evaluates every node block, so s* always belongs to the
-    current point; a node block's primal output s is its supply, which
-    is read from `OperatorSet.supplies`.  The arc rows (q, q*) of
+    It holds the latest evaluation, which each iteration makes once, at
+    the point its step starts from: the step moves along its directions,
+    and in `run` the residual check of that point reads its q, div x and
+    tau where it covers every arc.  Every evaluation covers every node
+    block, so s* belongs to the evaluated point; a node block's primal
+    output s is its supply, which is read from `OperatorSet.supplies`.
+    The arc rows (q, q*) of
     inactive arcs keep the values from their last activation; iteration 0
     activates every arc, so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
@@ -454,43 +461,13 @@ def _evaluate(net, ops, params, state, ws, arc_mask):
     return div_x
 
 
-def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False):
-    """Execute one iteration in place; returns the TraceRecord.
+def _advance(net, state, ws, n_active, t0):
+    """Take the relaxed projection step from the evaluation in ws; returns the TraceRecord.
 
-    `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
-    arc set; omitting it activates every arc.  Every node block is active
-    at every step: its resolvent is the constant supply, so s* costs one
-    vector operation on the div x the step forms anyway.  The workspace
-    rows of inactive arcs must be valid (iteration 0 must activate every
-    arc).  `params` is (gamma, sigma, bound): the float and the per-node
-    array of `step_parameters(net, cfg)`, and the kernels bound to gamma
-    on every arc; `run` forms them once per run, and a step that omits
-    them forms them itself.  A per-node sigma that no config holds, such
-    as max(deg(i), 1)^2 / 2, goes in here.  `swept=True` says that
-    `residual` has just evaluated every block into ws at the current
-    state: every arc is then active, whatever the mask says, and the step
-    takes that evaluation (block outputs, directions, tau and pi) as it is
-    instead of evaluating again.
+    ws holds the evaluation at state that activated n_active arcs.  The
+    record's millis counts from the clock reading t0: where the evaluation
+    began, shifted in `run` past the residual check that came between.
     """
-    t0 = time.perf_counter()
-    if active_arcs is not None and not (
-        isinstance(active_arcs, np.ndarray)
-        and active_arcs.dtype == bool
-        and active_arcs.shape == (net.n_arcs,)
-    ):
-        raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
-    if params is None:
-        params = _bound_parameters(net, ops, cfg)
-    if swept or active_arcs is None:
-        active_arcs = net.every_arc
-    n_active = int(np.count_nonzero(active_arcs))
-    if not n_active:
-        raise ConfigurationError("the arc activation set must be nonempty")
-
-    if not swept:
-        with np.errstate(all="ignore"):
-            # non-finite values are caught below and reported as NumericalFailure
-            _evaluate(net, ops, params, state, ws, active_arcs)
     tau, pi = ws.tau, ws.pi
     if not (math.isfinite(tau) and math.isfinite(pi)):
         raise NumericalFailure("non-finite coordination scalars", iteration=state.n)
@@ -503,39 +480,69 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None, swept=False
         if finite != state.x.size + state.v.size:
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
-    record = TraceRecord(
-        n=state.n,
-        tau=tau,
-        pi=pi,
-        theta=theta,
-        active_arcs=n_active,
-        active_nodes=net.n_nodes,
-        millis=(time.perf_counter() - t0) * 1e3,
-    )
+    millis = (time.perf_counter() - t0) * 1e3
+    record = TraceRecord(state.n, tau, pi, theta, n_active, net.n_nodes, millis=millis)
     state.n += 1
     return record
 
 
-def residual(net, ops, cfg, state, params=None, sweep=None):
-    """Optimality residual at the current point, from a full re-evaluation.
+def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
+    """Execute one iteration in place; returns the TraceRecord.
+
+    `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
+    arc set; omitting it activates every arc.  Every node block is active
+    at every step: its resolvent is the constant supply, so s* costs one
+    vector operation on the div x the step forms anyway.  The workspace
+    rows of inactive arcs must be valid (iteration 0 must activate every
+    arc).  `params` is (gamma, sigma, bound): the float and the per-node
+    array of `step_parameters(net, cfg)`, and the kernels bound to gamma
+    on every arc; a step that omits them forms them itself.  A per-node
+    sigma that no config holds, such as max(deg(i), 1)^2 / 2, goes in
+    here.  The step evaluates the active blocks at the current state into
+    ws, then moves the state; `run` evaluates and moves in the same way,
+    with the convergence check between the two.
+    """
+    t0 = time.perf_counter()
+    if active_arcs is not None and not (
+        isinstance(active_arcs, np.ndarray)
+        and active_arcs.dtype == bool
+        and active_arcs.shape == (net.n_arcs,)
+    ):
+        raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
+    if params is None:
+        params = _bound_parameters(net, ops, cfg)
+    active_arcs = net.every_arc if active_arcs is None else active_arcs
+    n_active = int(np.count_nonzero(active_arcs))
+    if not n_active:
+        raise ConfigurationError("the arc activation set must be nonempty")
+
+    with np.errstate(all="ignore"):
+        # non-finite values are caught in _advance and reported as NumericalFailure
+        _evaluate(net, ops, params, state, ws, active_arcs)
+    return _advance(net, state, ws, n_active, t0)
+
+
+def _residual(ops, state, ws, div_x):
+    """The residual at state, from ws's evaluation there of every block; div_x is div x."""
+    add = np.add.reduce
+    gap = float(add((ws.q - state.x) ** 2, None) + add((ops.supplies - div_x) ** 2, None))
+    return float(np.sqrt(ws.tau + gap))
+
+
+def residual(net, ops, cfg, state, params=None):
+    """Optimality residual at the current point, from a full evaluation.
 
     The square root of tau (with every block active) augmented with the
     primal agreement terms |q - x|^2 and |s - div x|^2; zero exactly at
-    solutions of the underlying inclusion for the given step parameters.
-    `params` is as for `step`.  The full evaluation (block outputs, kernel
-    roots, directions, tau and pi) is written into the workspace `sweep`
-    when one is given, whose arc resolvents start from its own `root` and
-    q; when it is the workspace of the iteration, the next `step` can take
-    it with `swept=True`.  Without `sweep` they start cold.
+    solutions of the underlying inclusion for the given step parameters,
+    and never below sqrt(tau).  `params` is as for `step`.  The arc
+    resolvents start cold, in a workspace of their own.
     """
     if params is None:
         params = _bound_parameters(net, ops, cfg)
-    ws = sweep if sweep is not None else new_workspace(net)
+    ws = new_workspace(net)
     with np.errstate(all="ignore"):
-        div_x = _evaluate(net, ops, params, state, ws, net.every_arc)
-        add = np.add.reduce
-        gap = float(add((ws.q - state.x) ** 2, None) + add((ops.supplies - div_x) ** 2, None))
-        return float(np.sqrt(ws.tau + gap))
+        return _residual(ops, state, ws, _evaluate(net, ops, params, state, ws, net.every_arc))
 
 
 # --------------------------------------------------------------------------
@@ -547,42 +554,71 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     """Iterate from zero until the point is an equilibrium within tol or max_iter.
 
     Returns (state, trace, termination).  The flow/potential pair in the
-    final state is the approximate equilibrium.  The residual is evaluated every
-    ``CHECK_INTERVAL`` iterations and immediately whenever tau = 0; once it
-    is at most tol, the run converges if `oracle.wardrop_residual` (which
-    calls each capacity's ``subdiff``; warnings silenced) is at most tol too.
-    The step parameters are formed and the capacity kernels bound to
-    gamma (`OperatorSet.bind`) once, before the first iteration; every
-    `step` and `residual` of the run takes that binding.
+    final state is the approximate equilibrium.  Each iteration evaluates
+    once, at the point its step starts from, and the residual at that
+    point reads the evaluation whenever it covers every arc: every
+    ``CHECK_INTERVAL`` iterations and after tau = 0, where every arc is
+    activated, and under `Full` wherever sqrt(tau) <= tol.  Once the
+    residual is at most tol, the run converges if
+    `oracle.wardrop_residual` (which calls each capacity's ``subdiff``;
+    warnings silenced) is at most tol too; after its first rejection, only
+    the checks every ``CHECK_INTERVAL`` iterations consult it.  A record
+    holds the residual of the point after its step at those checks and
+    when the run stops there.  The point after the last step is evaluated
+    when it is checked, so a run that converges at iteration N also
+    converges with max_iter = N.  The step parameters are formed and the
+    capacity kernels bound to gamma (`OperatorSet.bind`) once, before the
+    first iteration.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     state = initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
     params = _bound_parameters(net, ops, cfg)
     ws = new_workspace(net)
-    # a residual check evaluates every block into ws at the point the next
-    # step starts from; that step activates them all and takes it as it is
-    swept = False
-    trace = []
+    # the mask at n = max_iter, where the scheduler is not queried: every arc
+    # for a spec of sweep bound 0 (Full), which activates them all each time
+    final = net.every_arc if sweep_bound(cfg.scheduler) == 0 and cfg.max_iter else None
+    trace, record, consult = [], None, True  # consult: the oracle has not rejected
     reason = Termination.ITER_LIMIT
-    while state.n < cfg.max_iter:
-        arc_mask = scheduler.select(state.n)
+    while True:
+        n, value = state.n, math.inf
+        mask = scheduler.select(n) if n < cfg.max_iter else final
+        check = record is not None and (record.tau == 0.0 or n % CHECK_INTERVAL == 0)
+        mask = net.every_arc if check else mask
+        if mask is not None:
+            t0 = time.perf_counter()
+            try:
+                with np.errstate(all="ignore"):
+                    div_x = _evaluate(net, ops, params, state, ws, mask)
+                    # a full evaluation prices the residual at two sums; it is never below sqrt(tau)
+                    gate = consult and math.sqrt(ws.tau) <= cfg.tol
+                    if record is not None and mask is net.every_arc and (check or gate):
+                        value = _residual(ops, state, ws, div_x)
+            except NumericalFailure:
+                if check:  # no record for a point whose check fails
+                    reason = Termination.NUMERICAL_FAILURE
+                    break
+                ws.tau = math.nan  # the step from this point reports it
+            seconds = time.perf_counter() - t0  # millis: this evaluation and its update
+        if record is not None:
+            if value <= cfg.tol:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    consult = oracle.wardrop_residual(net, ops, state.x, state.v) <= cfg.tol
+                if consult:
+                    reason = Termination.CONVERGED
+            if check or reason is Termination.CONVERGED:
+                record.residual = value
+            trace.append(record)
+            if trace_callback is not None:
+                trace_callback(record)
+            if reason is Termination.CONVERGED:
+                break
+        if n == cfg.max_iter:
+            break
         try:
-            record = step(net, ops, cfg, state, ws, arc_mask, params=params, swept=swept)
-            swept = ws.tau == 0.0 or state.n % CHECK_INTERVAL == 0
-            if swept:
-                record.residual = residual(net, ops, cfg, state, params, ws)
+            record = _advance(net, state, ws, int(np.count_nonzero(mask)), time.perf_counter() - seconds)
         except NumericalFailure:
             reason = Termination.NUMERICAL_FAILURE
             break
-        trace.append(record)
-        if trace_callback is not None:
-            trace_callback(record)
-        if record.residual is not None and record.residual <= cfg.tol:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                equilibrium = oracle.wardrop_residual(net, ops, state.x, state.v)
-            if equilibrium <= cfg.tol:
-                reason = Termination.CONVERGED
-                break
     return state, trace, reason

@@ -127,6 +127,37 @@ def test_a_cli_trace_has_the_columns_the_benchmark_reads(tmp_path):
     assert counts == (len(records), bench.arc_evals(records, inst.network.n_arcs))
 
 
+@pytest.mark.parametrize("name, index", [("cli_roundtrip", 1), ("grid_full", 1), ("mixed_sweep", 0)])
+def test_a_cli_solve_capped_at_the_library_count_replays_the_library_solve(name, index, tmp_path):
+    # bench.solve_cli replays the library solve of grid_full and mixed_sweep
+    # with --max-iter at its iteration count, which converges only if the
+    # point after the last step is evaluated and checked; cli_roundtrip 1 and
+    # grid_full 1 stop between two check iterations, mixed_sweep 0 on one
+    inst = bench.WORKLOADS[name].generate(1, index)
+    net = inst.network
+    state, records, reason = solver.run(net, inst.operators, inst.config)
+    n = state.n
+    assert reason is solver.Termination.CONVERGED
+    assert (n % solver.CHECK_INTERVAL == 0) == (name == "mixed_sweep")
+    prob = tmp_path / "p.prob"
+    prob.write_text(serialize_problem(inst.problem()))
+
+    def solve(*flags):
+        sol, trace = tmp_path / f"{len(flags)}.sol", tmp_path / f"{len(flags)}.csv"
+        argv = ["solve", str(prob), "--out", str(sol), "--trace", str(trace), "--quiet", *flags]
+        return cli.main(argv), sol, trace
+
+    code, sol, trace = solve()
+    assert code == cli.EXIT_OK
+    counts, _ = bench._read_cli_counts(types.SimpleNamespace(trace_path=trace), net.n_arcs, 0)
+    assert counts == (n, bench.arc_evals(records, net.n_arcs))
+    code, capped_sol, capped_trace = solve("--max-iter", str(n))
+    assert code == cli.EXIT_OK
+    assert capped_sol.read_bytes() == sol.read_bytes()
+    assert capped_trace.read_bytes() == trace.read_bytes()
+    assert solve("--max-iter", str(n - 1))[0] == cli.EXIT_ITER_LIMIT
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_check_accepts_the_solution_that_solve_writes(name, tmp_path):
     # bench.py solves each problem file through the CLI and then checks what

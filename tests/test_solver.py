@@ -47,6 +47,7 @@ from netequil.operators import (
 )
 
 from conftest import bpr_operators, grid_instance, random_network, weak_components
+from random_problems import random_problem
 
 
 def solved_state(net, inst):
@@ -462,12 +463,10 @@ class TestStep:
         state, ws = initial_state(net), new_workspace(net)
         with pytest.raises(ConfigurationError, match=r"boolean array of shape \(5,\)"):
             step(net, ops, SolverConfig(), state, ws, mask)
-        with pytest.raises(ConfigurationError, match="boolean array"):
-            step(net, ops, SolverConfig(), state, ws, mask, swept=True)
         assert state.n == 0 and not state.x.any()
 
     def test_node_mask_passed_positionally_fails(self, two_arc):
-        # params and swept are keyword-only, so an old step(..., arcs, nodes)
+        # params is keyword-only, so an old step(..., arcs, nodes)
         # call cannot bind a node mask to params
         _, net, ops = two_arc
         state, ws = initial_state(net), new_workspace(net)
@@ -490,12 +489,17 @@ class TestStep:
             (1.0, 1.0, 1e308, -1e308),  # x - theta t* overflows at theta = 1.8
         ],
     )
-    def test_an_update_that_overflows_from_finite_scalars_raises(self, two_arc, tau, pi, x0, t0):
+    def test_an_update_that_overflows_from_finite_scalars_raises(self, two_arc, tau, pi, x0, t0, monkeypatch):
         _, net, ops = two_arc
         state, ws = initial_state(net), new_workspace(net)
-        state.x[0, 0], ws.tstar[0, 0], ws.tau, ws.pi = x0, t0, tau, pi
+        state.x[0, 0] = x0
+
+        def evaluate(net, ops, params, state, ws, arc_mask):  # an evaluation that yields these scalars
+            ws.tstar[0, 0], ws.tau, ws.pi = t0, tau, pi
+
+        monkeypatch.setattr(solver, "_evaluate", evaluate)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite iterate"):
-            step(net, ops, SolverConfig(), state, ws, swept=True)
+            step(net, ops, SolverConfig(), state, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -651,36 +655,47 @@ class TestRun:
 
 
 # ---------------------------------------------------------------------------
-# run reuses the residual sweep in the next step, bit for bit
+# run against a loop of public steps, bit for bit
 # ---------------------------------------------------------------------------
 
 
 def manual_run(net, ops, cfg, params=None):
-    """`run` spelled out with the public step and residual, no sweep reused.
+    """`run` spelled out with public `step` calls and the residual formula restated.
 
-    Like `run`, the residual starts its kernels from the iteration's roots
-    and its guesses from the iteration's q, the step after a residual
-    check activates every block, the scheduler is still queried at every
-    iteration, and a residual within tol stops the loop only if the public
-    equilibrium residual is within tol too.
+    Step n evaluates at x_n, every arc where n is a check iteration (a
+    multiple of CHECK_INTERVAL, or tau = 0 in step n - 1) and the
+    scheduler's arcs elsewhere; the scheduler is queried at every n below
+    max_iter.  The residual at x_n, sqrt(tau + |q - x|^2 + |s - div x|^2),
+    reads that evaluation: at check iterations, and under Full wherever
+    sqrt(tau) <= tol, until the public equilibrium residual first rejects.
+    A residual within tol stops the loop at x_n, undoing step n, if the
+    equilibrium residual is within tol too.  Step max_iter is taken only to
+    check x_max_iter, and is undone as well.
     """
     sched = make_scheduler(cfg.scheduler, net, cfg.T)
-    state, ws, sweep, trace = initial_state(net), new_workspace(net), new_workspace(net), []
-    checked = False
-    for k in range(cfg.max_iter):
-        arcs = sched.select(state.n)
-        if checked:
-            arcs = np.ones_like(arcs)
-        record = step(net, ops, cfg, state, ws, arcs, params=params)
-        checked = ws.tau == 0.0 or (k + 1) % solver.CHECK_INTERVAL == 0
-        if checked:
-            sweep.root[:], sweep.q[:] = ws.root, ws.q
-            record.residual = residual(net, ops, cfg, state, params, sweep)
+    full = isinstance(cfg.scheduler, RoundRobin) and cfg.scheduler.arc_groups == 1
+    state, ws, trace, consult = initial_state(net), new_workspace(net), [], True
+    while True:
+        n = state.n
+        check = n > 0 and (trace[-1].tau == 0.0 or n % solver.CHECK_INTERVAL == 0)
+        gated = full and n > 0
+        if n == cfg.max_iter and not (check or gated):
+            return state, trace
+        arcs = sched.select(n) if n < cfg.max_iter else None
+        x, v = state.x.copy(), state.v.copy()
+        record = step(net, ops, cfg, state, ws, None if check else arcs, params=params)
+        value = math.inf
+        if check or gated and consult and math.sqrt(record.tau) <= cfg.tol:
+            gap = np.sum((ws.q - x) ** 2) + np.sum((ops.supplies - net.divergence(x)) ** 2)
+            value = math.sqrt(record.tau + gap)
+        if value <= cfg.tol:
+            consult = wardrop_residual(net, ops, x, v) <= cfg.tol
+        if check or consult and value <= cfg.tol:
+            trace[-1].residual = value
+        if consult and value <= cfg.tol or n == cfg.max_iter:
+            state.x, state.v, state.n = x, v, n
+            return state, trace
         trace.append(record)
-        if record.residual is not None and record.residual <= cfg.tol:
-            if wardrop_residual(net, ops, state.x, state.v) <= cfg.tol:
-                break
-    return state, trace
 
 
 def mixed_multicommodity_instance(seed):
@@ -709,7 +724,7 @@ SCHEDULES = [(Full(), 0), (RoundRobin(3), 2), (RandomSweep(seed=5, activation_pr
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
-def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
+def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess, two_arc):
     cases = [
         # residual checks at shifting cycle offsets (10 mod 3 = 1), never converging
         (*mixed_multicommodity_instance(seed), SolverConfig(
@@ -717,8 +732,11 @@ def test_run_matches_manual_step_residual_loop_bitwise(spec, T, braess):
         ))
         for seed in (3, 4)
     ]
-    # run to convergence, through the tau = 0 and final residual checks
+    # run to convergence, through the tau = 0 and final residual checks (under
+    # Full, braess past a rejected point and two_arc between two check iterations)
     cases.append((*braess[:2], SolverConfig(scheduler=spec, T=T, max_iter=20_000)))
+    if isinstance(spec, Full):
+        cases.append((*two_arc[1:], SolverConfig(max_iter=20_000)))
     for net, ops, cfg in cases:
         state, trace, _ = run(net, ops, cfg)
         ref_state, ref_trace = manual_run(net, ops, cfg)
@@ -770,7 +788,7 @@ def test_a_problem_without_T_solves_the_same_from_its_file(spec):
 
 @pytest.mark.parametrize("spec, T", SCHEDULES[1:], ids=["roundrobin3", "randomsweep"])
 def test_step_after_a_residual_check_activates_every_block(spec, T):
-    # the residual sweep has evaluated every block at that step's point
+    # the step from a checked point evaluates every block, which the check reads
     net, ops = mixed_multicommodity_instance(3)
     cfg = SolverConfig(scheduler=spec, T=T, max_iter=90, tol=1e-300)
     _, trace, _ = run(net, ops, cfg)
@@ -847,14 +865,15 @@ def test_an_arc_resolvent_guessed_from_its_own_output_needs_no_variable_fixing(m
     cfg = SolverConfig(max_iter=20_000)
     state, _, reason = run(net, ops, cfg)
     assert reason is Termination.CONVERGED
+    # a step on a copy of the state evaluates every block at the state itself
     ws = new_workspace(net)
-    residual(net, ops, cfg, state, sweep=ws)
+    step(net, ops, cfg, copy.deepcopy(state), ws)
     on_lower = ws.q == ops.box_lo
     assert on_lower.all(1).any() and (on_lower.any(1) & ~on_lower.all(1)).any()
     fixed, real = [], ops._fix_variables
     monkeypatch.setattr(ops, "_fix_variables", lambda arcs, *args: fixed.append(arcs) or real(arcs, *args))
     first = ws.q.copy()
-    residual(net, ops, cfg, state, sweep=ws)
+    step(net, ops, cfg, copy.deepcopy(state), ws)
     assert fixed == []
     np.testing.assert_allclose(ws.q, first, rtol=0.0, atol=1e-12)
 
@@ -885,10 +904,10 @@ def test_two_arc_with_costs_times_100_converges_within_tol_of_equilibrium():
 
 def test_equilibrium_check_in_run_is_silent_and_an_inf_keeps_it_going(two_arc, monkeypatch):
     _, net, ops = two_arc
-    real, calls = oracle.wardrop_residual, []
+    real, calls, seen = oracle.wardrop_residual, [], []
 
     def leaves_the_box_once(*args, **kwargs):
-        calls.append(args)
+        calls.append(len(seen) + 1)  # the point after the step whose record is in hand
         if len(calls) == 1:
             warnings.warn("arc 0: flow leaves its constraint box")
             return math.inf
@@ -898,13 +917,166 @@ def test_equilibrium_check_in_run_is_silent_and_an_inf_keeps_it_going(two_arc, m
     cfg = SolverConfig()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        state, trace, reason = run(net, ops, cfg)
+        state, trace, reason = run(net, ops, cfg, trace_callback=seen.append)
     assert caught == []
     assert reason is Termination.CONVERGED
-    passed = [r.n for r in trace if r.residual is not None and r.residual <= cfg.tol]
-    assert len(calls) == len(passed) >= 2
-    assert state.n > passed[0] + 1
+    # every passing residual cell was put to the oracle; a rejected point off
+    # the check iterations carries no cell, and only they consult it again
+    passed = [r.n + 1 for r in trace if r.residual is not None and r.residual <= cfg.tol]
+    assert set(passed) <= set(calls) <= set(passed) | {calls[0]}
+    assert len(calls) >= 2 and calls[-1] == state.n > calls[0] + 1
+    assert all(point % solver.CHECK_INTERVAL == 0 for point in calls[1:])
     assert real(net, ops, state.x, state.v) <= cfg.tol
+
+
+# ---------------------------------------------------------------------------
+# the stopping rule
+# ---------------------------------------------------------------------------
+
+
+def fixture_or_mixed(name, request):
+    """(net, ops) of the braess or two_arc fixture, or of mixed_multicommodity_instance(4)."""
+    if name == "mixed":
+        return mixed_multicommodity_instance(4)
+    if name == "braess":
+        return request.getfixturevalue("braess")[:2]
+    return request.getfixturevalue("two_arc")[1:]
+
+
+@pytest.mark.parametrize("name", ["braess", "two_arc", "mixed"])
+def test_a_full_run_stops_at_the_first_iterate_whose_residual_passes(name, request):
+    net, ops = fixture_or_mixed(name, request)
+    cfg = SolverConfig(max_iter=20_000)
+    state, trace, reason = run(net, ops, cfg)
+    assert reason is Termination.CONVERGED
+    # a residual cell at the check iterations and on the stopping record only
+    checks = {r.n for r in trace if r.tau == 0.0 or (r.n + 1) % solver.CHECK_INTERVAL == 0}
+    assert [r.n for r in trace if r.residual is not None] == sorted(checks | {state.n - 1})
+    # the same iterates from a loop of public steps, checked at every point
+    # with the public residual, which starts cold and so differs from the
+    # run's warm evaluation in its last bits only.  Where the equilibrium
+    # residual rejects a point (on braess, x_73 at 1.6e-6), only check
+    # iterations consult it again
+    plain, ws = initial_state(net), new_workspace(net)
+    gamma, sigma = step_parameters(net, cfg)
+    params = (gamma, sigma, ops.bind(np.full(net.n_arcs, gamma)))
+    consult, rejected = True, []
+    while True:
+        value = residual(net, ops, cfg, plain, params)
+        assert abs(value - cfg.tol) > 1e-9 * cfg.tol
+        if value <= cfg.tol and (consult or plain.n % solver.CHECK_INTERVAL == 0):
+            consult = wardrop_residual(net, ops, plain.x, plain.v) <= cfg.tol
+            if consult:
+                break
+            rejected.append(plain.n)
+        step(net, ops, cfg, plain, ws, params=params)
+    assert plain.n == state.n and (name == "braess") == (rejected == [73])
+    assert plain.x.tobytes() == state.x.tobytes() and plain.v.tobytes() == state.v.tobytes()
+
+
+def test_a_partial_scheduler_run_is_checked_only_at_check_iterations():
+    # a partial evaluation keeps stale rows for its inactive arcs, so it
+    # prices no residual, not even where its sqrt(tau) is below tol: seed 37
+    # runs RoundRobin(2), and a residual read from such an evaluation would
+    # stop it 16 iterations early
+    problem = random_problem(37)
+    net, cfg = problem.network, problem.config
+    assert cfg.scheduler == RoundRobin(2)
+    state, trace, reason = run(net, problem.operators, cfg)
+    assert reason is Termination.CONVERGED and state.n % solver.CHECK_INTERVAL == 0
+    assert any(math.sqrt(r.tau) <= cfg.tol and r.active_arcs < net.n_arcs for r in trace)
+    checked = [r.n + 1 for r in trace if r.residual is not None]
+    assert checked == list(range(solver.CHECK_INTERVAL, state.n + 1, solver.CHECK_INTERVAL))
+
+
+def test_a_lagging_equilibrium_residual_is_consulted_only_at_check_iterations_after_it_rejects(monkeypatch):
+    # seed 33 runs Full; its splitting residual first passes at iteration
+    # 13,374, where the equilibrium residual is 2.6e-4
+    problem = random_problem(33)
+    assert isinstance(problem.config.scheduler, Full)
+    real, calls, seen = oracle.wardrop_residual, [], []
+
+    def recorded(*args, **kwargs):
+        value = real(*args, **kwargs)
+        calls.append((len(seen) + 1, value))
+        return value
+
+    monkeypatch.setattr(oracle, "wardrop_residual", recorded)
+    cfg = dataclasses.replace(problem.config, max_iter=13_400)
+    _, trace, reason = run(problem.network, problem.operators, cfg, trace_callback=seen.append)
+    assert reason is Termination.ITER_LIMIT
+    (first, rejected), *later = calls
+    k = solver.CHECK_INTERVAL
+    assert rejected > cfg.tol and first % k
+    assert [point for point, _ in later] == list(range(first + k - first % k, cfg.max_iter + 1, k))
+    passed = [r.n + 1 for r in trace if r.residual is not None and r.residual <= cfg.tol]
+    assert passed == [point for point, _ in later]
+
+
+def counting_queries(monkeypatch):
+    """The iterations n that the schedulers made by make_scheduler are queried at, in order."""
+    queried, make = [], solver.make_scheduler
+
+    def make_counted(*args):
+        sched = make(*args)
+        select = sched.select
+        sched.select = lambda n: queried.append(n) or select(n)
+        return sched
+
+    monkeypatch.setattr(solver, "make_scheduler", make_counted)
+    return queried
+
+
+@pytest.mark.parametrize(
+    "name, spec, T",
+    [("two_arc", Full(), 0)] + [("braess", spec, T) for spec, T in SCHEDULES],
+    ids=["two_arc-full", "braess-full", "braess-roundrobin3", "braess-randomsweep"],
+)
+def test_a_run_that_stops_at_n_converges_with_max_iter_n(name, spec, T, request, monkeypatch):
+    net, ops = fixture_or_mixed(name, request)
+    queried = counting_queries(monkeypatch)
+    cfg = SolverConfig(scheduler=spec, T=T, max_iter=20_000)
+    free = run_fingerprint(net, ops, cfg)
+    reason, n = free[:2]
+    assert reason is Termination.CONVERGED
+    # two_arc stops at 44, between two check iterations, and braess on one
+    assert (n % solver.CHECK_INTERVAL == 0) == (name == "braess")
+    # the mask of iteration n decides whether x_n is evaluated in full
+    assert queried == list(range(n + 1))
+    queried.clear()
+    assert run_fingerprint(net, ops, dataclasses.replace(cfg, max_iter=n)) == free
+    assert queried == list(range(n))
+    queried.clear()
+    short = run_fingerprint(net, ops, dataclasses.replace(cfg, max_iter=n - 1))
+    assert short[:2] == (Termination.ITER_LIMIT, n - 1) and short[-1] == free[-1][:-1]
+    assert queried == list(range(n - 1))
+
+
+@pytest.mark.parametrize(
+    "point, max_iter, ends",
+    [
+        (0, 50, (Termination.NUMERICAL_FAILURE, 0, 0)),
+        (5, 50, (Termination.NUMERICAL_FAILURE, 5, 5)),  # step 5 fails
+        (10, 50, (Termination.NUMERICAL_FAILURE, 10, 9)),  # the check at x_10 fails, and its record goes
+        (7, 7, (Termination.ITER_LIMIT, 7, 7)),  # x_7 is evaluated only to be checked
+    ],
+)
+def test_a_kernel_failure_ends_a_run_where_the_point_is_evaluated(point, max_iter, ends, two_arc, monkeypatch):
+    # (termination, state.n, records): a failed step ends the run at its
+    # point, a failed check also drops the record of the step that reached
+    # it, and the point at max_iter, evaluated only to be checked, ends it
+    # at the limit
+    _, net, ops = two_arc
+    evaluate = solver._evaluate
+
+    def fails_at_the_point(net, ops, params, state, *rest):
+        if state.n == point:
+            raise NumericalFailure("BPR root refinement stalled")
+        return evaluate(net, ops, params, state, *rest)
+
+    monkeypatch.setattr(solver, "_evaluate", fails_at_the_point)
+    state, trace, reason = run(net, ops, SolverConfig(max_iter=max_iter, tol=1e-300))
+    assert (reason, state.n, len(trace)) == ends
 
 
 @pytest.mark.parametrize("spec, T", SCHEDULES, ids=["full", "roundrobin3", "randomsweep"])
@@ -1000,42 +1172,6 @@ def test_runs_with_different_gamma_on_one_operator_set_match_fresh_operator_sets
         rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
         assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
         assert residual(net, ops, cfg, probe) == residual(fresh_net, fresh_ops, cfg, probe)
-
-
-class KernelCalled(Exception):
-    pass
-
-
-def test_step_after_a_residual_check_takes_its_evaluation_as_it_is():
-    net, ops = mixed_multicommodity_instance(4)
-    cfg = SolverConfig(scheduler=RoundRobin(3), T=2)
-    sched = make_scheduler(cfg.scheduler, net, cfg.T)
-    state, ws = initial_state(net), new_workspace(net)
-    for _ in range(5):
-        step(net, ops, cfg, state, ws, sched.select(state.n))
-    ref_state, ref_ws = copy.deepcopy(state), copy.deepcopy(ws)
-    residual(net, ops, cfg, state, sweep=ws)
-    check = ws.tau, ws.pi
-
-    def kernel_called(*args, **kwargs):
-        raise KernelCalled
-
-    families = ops.families
-    ops.families = tuple(
-        (dataclasses.replace(kernel, solve=kernel_called), arcs, params) for kernel, arcs, params in families
-    )
-    with pytest.raises(KernelCalled):
-        step(net, ops, cfg, copy.deepcopy(state), copy.deepcopy(ws))
-    record = step(net, ops, cfg, state, ws, sched.select(state.n), swept=True)
-    assert (record.tau, record.pi) == check
-    assert (record.active_arcs, record.active_nodes) == (net.n_arcs, net.n_nodes)
-    # a step that evaluates every block from the workspace as it was before the check
-    ops.families = families
-    ref = step(net, ops, cfg, ref_state, ref_ws)
-    assert (record.tau, record.pi, record.theta) == (ref.tau, ref.pi, ref.theta)
-    for got, want in zip((state.x, state.v), (ref_state.x, ref_state.v)):
-        assert np.array_equal(got, want)
-    assert state.n == ref_state.n == 6
 
 
 # ---------------------------------------------------------------------------
