@@ -86,7 +86,7 @@ def _apply_overrides(problem, args):
         sched = _flag("--scheduler", fileio._parse_scheduler, args.scheduler, ())
         # a T the file sets is raised to the new scheduler's bound if below it
         T = None if cfg.T is None else max(cfg.T, solver.sweep_bound(sched))
-        cfg = replace(cfg, scheduler=sched, T=T)
+        cfg = _flag("--scheduler", replace, cfg, scheduler=sched, T=T)  # full rejects a sigma the file sets
     return cfg
 
 

@@ -288,17 +288,19 @@ def _bpr_solve(xi, consts, start):
 def _lambert_prepare(gamma, is_log, a, theta):
     """Logarithmic (is_log, a = omega) and PowerExp (a = p*log(alpha)) coefficients.
 
-    (z0, z1, o0, o1, o2, cap, gamma*theta, near): `_lambert_solve` forms
-    z = z0 + z1*xi and s = min(o0 + o1*xi + o2*W, cap), which is
+    (z0, z1, o0, o1, o2, cap, gamma*theta, near, w_switch): `_lambert_solve`
+    forms z = z0 + z1*xi and s = min(o0 + o1*xi + o2*W, cap), which is
 
       Logarithmic  z = log(omega/gamma) + theta + omega/gamma - xi/gamma,
                    s = min(omega - gamma*W, the float below omega);
       PowerExp     z = log(gamma*theta*a) + a*xi,  s = xi - W/a.
 
     gamma*theta and near = 2**-10 * omega (0 for PowerExp) serve the
-    Logarithmic refinement of a root far below omega.  The formula the
-    other family would take may be log(0) (Logarithmic theta = 0) or
-    overflow; it is never selected.
+    Logarithmic refinement of a root far below omega, and w_switch, 1 for
+    PowerExp and inf for Logarithmic, the W above which a PowerExp root
+    is formed from log W.  The formula the other family would take
+    may be log(0) (Logarithmic theta = 0) or overflow; it is never
+    selected.
     """
     is_log = is_log != 0.0
     gt = gamma * theta
@@ -311,6 +313,7 @@ def _lambert_prepare(gamma, is_log, a, theta):
         np.where(is_log, np.nextafter(a, -np.inf), np.inf),
         gt,
         np.where(is_log, np.ldexp(a, -10), 0.0),
+        np.where(is_log, np.inf, 1.0),
     )
 
 
@@ -323,20 +326,20 @@ def _lambert_solve(xi, consts, start):
     earlier root becomes the W at which that map returns it, Halley's
     warm start.  A PowerExp root s = xi - W/a cancels where W/a is large
     against s; where W > 1 it is formed as (log W - z0)/a instead, which
-    W + log W = z gives and which does not cancel there (o1 = 1 marks
-    PowerExp, and -o2 is 1/a).  A Logarithmic root s = omega - gamma*W
-    with |s| < `near` = 2**-10 * omega has lost digits to that
-    difference, about an ulp of omega.  One Newton step on s + gamma*(theta - log1p(-s/omega)) = xi,
+    W + log W = z gives and which does not cancel there (w_switch is 1
+    on PowerExp rows and inf on the others, and -o2 is 1/a).  A
+    Logarithmic root s = omega - gamma*W with |s| < `near` = 2**-10 * omega
+    has lost digits to that difference, about an ulp of omega.  One Newton step on s + gamma*(theta - log1p(-s/omega)) = xi,
     which does not cancel there, restores them; o0 is omega and -o2 is
     gamma there.  It is written as a fixed-point update, not s - F/F',
     which would cancel again where the W form is off by more than the
     root itself.
     """
-    z0, z1, o0, o1, o2, cap, gt, near = consts
+    z0, z1, o0, o1, o2, cap, gt, near, w_switch = consts
     base = o0 + o1 * xi
     w = lambert_w_exp(z0 + z1 * xi, (start - base) / o2)
     s = base + o2 * w
-    big = o1 * w > 1.0  # PowerExp where W > 1
+    big = w > w_switch  # PowerExp where W > 1
     if np.count_nonzero(big):
         s = np.where(big, o2 * (z0 - np.log(w)), s)
     # where W underflowed the exact Logarithmic value sits strictly below omega

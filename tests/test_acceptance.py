@@ -217,8 +217,9 @@ def test_criterion_8_sweeping_enforcement():
 
 
 def test_criterion_9_degenerate_branches():
+    # node blocks: a partial step is what can meet a stale cut
     inst, net, ops = two_arc_problem()
-    cfg = nq.SolverConfig()
+    cfg = nq.SolverConfig(scheduler=nq.RoundRobin(2))
     flow, lam, _ = nq.analytic_two_arc(inst)
 
     # tau = 0: evaluate at the exact solution

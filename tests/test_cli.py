@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -133,10 +136,12 @@ class TestSolve:
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
 
     def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(self, two_arc_path, tmp_path, capsys):
-        # the residual fails at the final point too; solve still writes the solution
+        # the residual fails at the final point too; solve still writes the
+        # solution.  At gamma = 0.5 the Logarithmic omega/gamma overflows
+        # (at Full's derived gamma of 1 this arc solves)
         text = open(two_arc_path).read().replace(
             "low  a  b  q=bpr(alpha=0.5,rho=1,theta=2,p=1)", "low  a  b  q=log(omega=1e308,theta=2)"
-        )
+        ).replace("[solver]\n", "[solver]\ngamma = 0.5\n")
         path = tmp_path / "log_arc.prob"
         path.write_text(text)
         out = tmp_path / "s.sol"
@@ -207,6 +212,18 @@ class TestSolve:
         capsys.readouterr()
         assert main(["check", two_arc_path, out, "--tol", tol, "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: --tol: tol must be a finite positive number")
+
+    @pytest.mark.parametrize("flag", ["full", "roundrobin:1"])
+    def test_the_scheduler_flag_rejects_a_sigma_the_file_sets_where_it_has_no_node_blocks(
+        self, two_arc_path, tmp_path, capsys, flag
+    ):
+        text = open(two_arc_path).read().replace("[solver]\n", "[solver]\nsigma = 2\nscheduler = roundrobin:2\n")
+        path = tmp_path / "sigma.prob"
+        path.write_text(text)
+        out = tmp_path / "s.sol"
+        assert main(["solve", str(path), "--out", str(out), "--quiet", "--scheduler", "randomsweep:0.5"]) == 0
+        assert main(["solve", str(path), "--out", str(out), "--quiet", "--scheduler", flag]) == 1
+        assert capsys.readouterr().err.startswith("error: --scheduler: sigma steps the node blocks")
 
     def test_scheduler_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
@@ -402,6 +419,34 @@ class TestTraceReproducibility:
             )
             traces.append(read(trace))
         assert traces[0] != traces[1]
+
+    def test_a_full_solve_of_a_grid_file_is_bitwise_the_same_in_two_fresh_processes(self, tmp_path):
+        # Full's conservation block takes F from LAPACK and multiplies by it
+        # with BLAS: with the same BLAS build and environment, two processes
+        # write the same bytes
+        k = 10
+        ids = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+        arcs = [(f"r{i}c{j}", f"r{i + di}c{j + dj}") for i in range(k) for j in range(k)
+                for di, dj in ((0, 1), (1, 0)) if i + di < k and j + dj < k]
+        arcs += [(head, tail) for tail, head in arcs]
+        lines = ["netequil-problem v1", "[commodities]", "c0", "[nodes]", *ids, "[arcs]"]
+        lines += [f"a{n} {t} {h} q=bpr(alpha=0.15,rho=1,theta=1,p=4)" for n, (t, h) in enumerate(arcs)]
+        lines += ["[supplies]", "r2c2 2", "r3c4 -2", "r7c6 1.5", "r8c8 -1.5"]
+        problem = tmp_path / "grid.prob"
+        problem.write_text("\n".join(lines) + "\n")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        outputs = []
+        for name in ("first", "second"):
+            sol, trace = tmp_path / f"{name}.sol", tmp_path / f"{name}.csv"
+            argv = ["solve", str(problem), "--out", str(sol), "--trace", str(trace), "--quiet"]
+            code = f"import sys; from netequil.cli import main; sys.exit(main({argv!r}))"
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append((read(sol), read(trace)))
+        assert outputs[0] == outputs[1]
+        assert b"termination = converged" in outputs[0][0]
 
     def test_trace_has_fixed_header(self, two_arc_path, tmp_path):
         trace = tmp_path / "t.csv"

@@ -363,6 +363,13 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
             ("scheduler = randomsweep:0.5:-1", "scheduler", 14),
             ("gamma = -1", "gamma", 14),
             ("sigma = nan", "sigma", 14),
+            # a sigma steps node blocks, which full and roundrobin:1 do not have
+            ("sigma = 2", "sigma", 14),
+            ("scheduler = roundrobin:1\nsigma = 2", "sigma", 15),
+            ("sigma = 2\nscheduler = full", "sigma", 14),
+            # beside a partial scheduler it is checked as a number alone
+            ("sigma = 2\nscheduler = randomsweep:0.5\nT = -1", "T", 16),
+            ("sigma = 2\nscheduler = roundrobin:0", "scheduler", 15),
             ("T = -1", "T", 14),
             ("tol = inf", "tol", 14),  # would report converged far from an equilibrium
             ("tol = nan", "tol", 14),
@@ -443,15 +450,18 @@ class TestRoundTrip:
             serialize_problem(self.two_node_problem(**kwargs))
 
     def test_missing_step_keys_are_derived_from_the_graph(self):
-        problem = parse_problem(MINIMAL + "[solver]\ntol = 1e-06\n")
+        problem = parse_problem(MINIMAL + "[solver]\ntol = 1e-06\nscheduler = randomsweep:0.5\n")
         cfg = problem.config
         assert (cfg.gamma, cfg.sigma) == (None, None)
         gamma, sigma = step_parameters(problem.network, cfg)
         assert gamma == 0.5
         assert np.array_equal(sigma, [0.5, 0.5])  # one arc at each node
+        # Full has no node blocks, and its derived gamma is 1
+        gamma, _ = step_parameters(problem.network, parse_problem(MINIMAL).config)
+        assert gamma == 1.0
 
     def test_explicit_step_keys_round_trip_unchanged(self):
-        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nsigma = 1e-3\n"
+        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nsigma = 1e-3\nscheduler = randomsweep:0.5:0\n"
         first = parse_problem(text)
         assert (first.config.gamma, first.config.sigma) == (0.30000000000000004, 1e-3)
         written = serialize_problem(first)
@@ -465,7 +475,7 @@ class TestRoundTrip:
     )
     def test_serialize_writes_only_the_step_keys_that_were_set(self, explicit):
         problem = self.two_node_problem(["a", "b"])
-        problem.config = SolverConfig(**explicit)
+        problem.config = SolverConfig(**explicit, scheduler=RandomSweep())
         written = serialize_problem(problem)
         for name in ("gamma", "sigma"):
             assert (f"\n{name} = " in written) == (name in explicit)

@@ -24,6 +24,7 @@ from netequil import (
     PowerPhi,
     QuadraticPhi,
     RandomSweep,
+    RoundRobin,
     SeparableLift,
     SolverConfig,
     SolverState,
@@ -583,7 +584,7 @@ class TestBoxAndSupply:
         for sigma in [0.1, 1.0, 10.0]:
             x, v = rng.standard_normal((1, 2)), rng.standard_normal((2, 2))
             state, ws = SolverState(x.copy(), v.copy()), new_workspace(net)
-            step(net, ops, SolverConfig(sigma=sigma), state, ws)
+            step(net, ops, SolverConfig(sigma=sigma, scheduler=RoundRobin(2)), state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
             np.testing.assert_array_equal(ws.t_node, ops.supplies - net.divergence(ws.q))
             np.testing.assert_array_equal(
@@ -597,7 +598,7 @@ class TestBoxAndSupply:
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
         state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net)
-        step(net, ops, SolverConfig(sigma=1.0), state, ws)
+        step(net, ops, SolverConfig(sigma=1.0, scheduler=RoundRobin(2)), state, ws)
         # at zero flow a zero supply leaves s* = v and t = -div q
         np.testing.assert_array_equal(ws.sstar, v)
         np.testing.assert_array_equal(ws.t_node, -net.divergence(ws.q))
