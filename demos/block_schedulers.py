@@ -1,19 +1,15 @@
 """Block-iterative scheduling: activate only some arcs per sweep.
 
 Every iteration may evaluate the capacity resolvents of just a subset of
-the arcs, reusing cached outputs for the rest; every node block, whose
-resolvent is its constant supply, is evaluated at every iteration.
-Convergence only needs the sweeping guarantee that each block is touched
-at least once in every window of T+1 iterations.
+the arcs, reusing cached outputs for the rest.  Convergence only needs
+the sweeping guarantee that each arc is touched at least once in every
+window of T+1 iterations.
 
-Full activation (T=0) resolves flow conservation differently: as one
-block, the projection onto the flows that meet the supplies, evaluated
-after the arcs at their fresh output.  That projection needs every arc's
-output, and costs one product with a dense n x n matrix per iteration
-(n nodes; the matrix is built once per run, about 0.5 ms at 100 nodes
-and 0.1 s at 900).  Partial schedulers keep the per-node blocks: a
-prototype that gave them the conservation block took 1.4-2.2 times the
-iterations on small random problems.
+Flow conservation is one block under every scheduler: the projection
+onto the flows that meet the supplies, evaluated at every iteration
+after the arcs, at each arc's latest output, fresh or cached.  It costs
+one product with a dense n x n matrix per iteration (n nodes; the matrix
+is built once per run, about 0.5 ms at 100 nodes and 0.1 s at 900).
 
 This script runs the same Braess-style problem under the three
 schedulers and compares iteration counts against the number of resolvent

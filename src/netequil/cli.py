@@ -86,7 +86,7 @@ def _apply_overrides(problem, args):
         sched = _flag("--scheduler", fileio._parse_scheduler, args.scheduler, ())
         # a T the file sets is raised to the new scheduler's bound if below it
         T = None if cfg.T is None else max(cfg.T, solver.sweep_bound(sched))
-        cfg = _flag("--scheduler", replace, cfg, scheduler=sched, T=T)  # full rejects a sigma the file sets
+        cfg = _flag("--scheduler", replace, cfg, scheduler=sched, T=T)
     return cfg
 
 
@@ -297,8 +297,8 @@ def _suite_sweeping():
     supplies = [FixedSupply((s,)) for s in (2.0, 0.0, -1.0, 0.0, -1.0)]
     ops = OperatorSet(net, [arc] * net.n_arcs, supplies)
     _, trace, _ = run(net, ops, SolverConfig(scheduler=spec, T=3, max_iter=40, tol=1e-300))
-    ok = covered and len(trace) == 40 and all(rec.active_nodes == net.n_nodes for rec in trace)
-    return ok, "every T+1 window covers all arcs, every step all nodes" if ok else "coverage violated"
+    ok = covered and len(trace) == 40
+    return ok, "every T+1 window covers all arcs" if ok else "coverage violated"
 
 
 def _cmd_selftest(args):

@@ -52,12 +52,9 @@ writing alike.  The relaxation and the residual-check interval are
 constants of the solver (``solver.RELAXATION``,
 ``solver.CHECK_INTERVAL``), not keys.  A missing key leaves the field at
 its `SolverConfig` default: a missing ``T`` takes the scheduler's own
-bound (``solver.sweep_bound``), and a missing ``gamma`` or ``sigma`` is
-derived from the graph (``solver.step_parameters``).  A ``sigma`` beside
-a scheduler of sweep bound 0 (``full``, ``roundrobin:1``) is
-``param-range`` at its line: those schedulers have no node blocks.
-`serialize_problem` writes every `SolverConfig`, and no key for a field
-left at None.
+bound (``solver.sweep_bound``).  The step parameters are no key
+(``solver.step_parameters``).  `serialize_problem` writes every
+`SolverConfig`, and no key for a field left at None.
 
 Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown
 section, ``unknown-key`` for an unknown key, ``unknown-family`` for a
@@ -487,8 +484,6 @@ def _scheduler_token(spec):
 # in the order the writer writes them.  A key that is absent leaves the
 # field at its default, and a field left at None is not written.
 _SOLVER_KEYS = {
-    "gamma": _FLOAT,
-    "sigma": _FLOAT,
     "T": _INT,
     "scheduler": (_parse_scheduler, _scheduler_token),
     "tol": _FLOAT,
@@ -572,31 +567,25 @@ def parse_problem(source):
 def _parse_solver_section(entries, network):
     """SolverConfig of the [solver] lines, checked as `solver.run` checks it on network.
 
-    A scheduler spec and `SolverConfig` check each setting on its own,
-    except that a scheduler of sweep bound 0 rejects a sigma.  So once
-    the config is rejected, each setting is read and checked again alone,
-    in key order (sigma beside a partial scheduler, which takes any sigma
-    that is a number), and the first one rejected is reported at its
-    line; if none is, the sigma line reports the pair.  What
-    `solver.make_scheduler` rejects, which depends on the network and T
-    as well, is reported at the scheduler line: the default `Full` fits
-    every T on every network of at least one arc, which is every network
-    that a problem file holds.
+    A scheduler spec and `SolverConfig` check each setting on its own, so
+    each is read and checked alone, in key order, and the first one
+    rejected is reported at its line.  What `solver.make_scheduler`
+    rejects, which depends on the network and T as well, is reported at
+    the scheduler line: the default `Full` fits every T on every network
+    of at least one arc, which is every network that a problem file
+    holds.
     """
     raw = _read_keys(entries, _SOLVER_KEYS, "solver")
-    settings = [(key, read, raw[key]) for key, (read, _) in _SOLVER_KEYS.items() if key in raw]
-    try:
-        config = SolverConfig(**{key: read(*entry) for key, read, entry in settings})
-    except ConfigurationError as exc:
-        for key, read, (value, where) in settings:
+    settings = {}
+    for key, (read, _) in _SOLVER_KEYS.items():
+        if key in raw:
+            value, where = raw[key]
             try:
-                alone = {key: read(value, where)}
-                if key == "sigma":  # checked as a number, beside a scheduler that takes one
-                    alone["scheduler"] = RandomSweep()
-                SolverConfig(**alone)
-            except ConfigurationError as own:
-                raise ProblemFormatError("param-range", str(own), *where) from None
-        raise ProblemFormatError("param-range", str(exc), *raw["sigma"][1]) from None
+                settings[key] = read(value, where)
+                SolverConfig(**{key: settings[key]})
+            except ConfigurationError as exc:
+                raise ProblemFormatError("param-range", str(exc), *where) from None
+    config = SolverConfig(**settings)
     try:
         make_scheduler(config.scheduler, network, config.T)
     except ConfigurationError as exc:

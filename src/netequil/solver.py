@@ -2,96 +2,77 @@
 
 Each arc is one block, its flow-tension relation: the cost on the arc's
 total flux plus the normal cone of its commodity box, a maximal monotone
-operator that the convergence theorem of Combettes & Eckstein (Math.
+operator A_j that the convergence theorem of Combettes & Eckstein (Math.
 Program. 168, 2018) takes as one block.  Flow conservation, div x = b
-for the supplies b, is resolved in one of two formulations, chosen from
-the scheduler spec:
+for the supplies b, is one more block: the normal cone of
+V = {x : div x = b}, whose resolvent is the projection onto V.  This is
+the split 0 in A(x) + N_V(x) over flows, and the iterate is (z, w), both
+with one row per arc and one column per commodity.  One iteration
 
-- Node blocks, under a partial scheduler (`RoundRobin(k)` for k > 1 and
-  `RandomSweep`).  The iterate is the pair (x, v*): per-arc flows and
-  per-node potentials, each an array with one row per entity and one
-  column per commodity.  Each node is one block, its fixed supply.  One
-  iteration
-
-    1. activates the arc blocks chosen by the scheduler (iteration 0
-       always activates every arc) and every node block,
-    2. evaluates the resolvents of the active arcs
-       (``OperatorSet.capacity_resolvent``), caching their primal/dual
-       outputs (inactive arcs keep the outputs from their last
-       activation), and the supply resolvents of all nodes, which are
-       constants, so s* is closed form in div x,
-    3. assembles the step directions t* (arcs) and t (nodes) from the
-       cached outputs and the current divergence/tension values,
-    4. forms the coordination scalars tau (squared direction norm) and
-       pi (separation value) and takes the relaxed projection step
+  1. activates the arc blocks chosen by the scheduler (iteration 0
+     always activates every arc),
+  2. evaluates the resolvents of the active arcs
+     (``OperatorSet.capacity_resolvent``),
+       x1 = J_{gamma A}(z + gamma w),  y1 = (z + gamma w - x1) / gamma,
+     caching the pair per arc: inactive arcs keep the (x1, y1) of their
+     last activation,
+  3. evaluates the conservation block after the arcs, at the cached
+     output of every arc, as the sequential order of Eckstein & Svaiter
+     (Math. Program. 111, 2008) allows,
+       t = x1 - gamma w,  u = F (div t - b),
+       x2 = t + tension u,  y2 = -tension(u) / gamma,
+  4. forms the coordination scalars
+       pi = <z - x1, y1 - w> + <z - x2, y2 + w>,
+       tau = |y1 + y2|^2 + |x1 - x2|^2,
+     and takes the relaxed projection step
+       z -= theta (y1 + y2),  w -= theta (x1 - x2),
        theta = RELAXATION * max(pi, 0) / tau.
 
-  pi is the separator in the form that does not cancel near a solution,
+x2 is the projection of t onto V, so it lies in V to rounding, and
+y2 + w = (x1 - x2) / gamma.  With e = z - x1, a = y1 - w and
+d = x1 - x2, pi is formed as <e, a> + (<e, d> + |d|^2) / gamma, the
+separator itself: an arc evaluated at the current point has
+e = gamma a, but a stale one has not.  F is inv(L + P), where L = K K^T
+is the graph Laplacian of the incidence map K (the divergence) and P
+averages over each weakly connected component, so F is the
+pseudo-inverse of L on every balanced right-hand side.  It is dense,
+n^2 floats for n nodes, built with LAPACK once per run (about 0.5 ms at
+100 nodes and 0.1 s at 900), never with a `Network` or an
+`OperatorSet`.  The flow a run reports is x1 and the potentials u /
+gamma, both from the latest evaluation.
 
-    pi = <x - q, q* - tension v> + <div x - s, s* - v>,
-
-  which adjointness of divergence and tension makes equal to the plain
-  <x, t*> - <q, q*> + <t, v> - <s, s*>.  For a block evaluated at the
-  current point, its term is |primal gap|^2 / step parameter, so pi is a
-  sum of small nonnegative terms where the plain form is a difference of
-  large ones.
-
-- One conservation block, under a scheduler of sweep bound 0 (`Full`
-  and `RoundRobin(1)`), which activates every arc at every iteration.
-  This is the split 0 in A(x) + N_V(x) over flows, with A the arc
-  blocks and V = {x : div x = b} one block whose resolvent is the
-  projection onto V (Combettes & Eckstein cover it too), evaluated
-  after the arcs at their fresh output, as Eckstein & Svaiter (Math.
-  Program. 111, 2008) allow.  The iterate is (z, w), both flow-shaped,
-  and one iteration is
-
-    x1 = J_{gamma A}(z + gamma w),  y1 = (z + gamma w - x1) / gamma,
-    t = x1 - gamma w,  u = F (div t - b),
-    x2 = t + tension u,  y2 = -tension(u) / gamma,
-    pi = <z - x1, y1 - w> + <z - x2, y2 + w>,
-    tau = |y1 + y2|^2 + |x1 - x2|^2,
-    z -= theta (y1 + y2),  w -= theta (x1 - x2),
-
-  with the same theta.  x2 is the projection of t onto V, so it lies in
-  V to rounding.  y2 + w = (x1 - x2)/gamma and z - x1 = gamma (y1 - w),
-  so with a = y1 - w and d = x1 - x2, pi is formed as
-  gamma |a|^2 + <a, d> + |d|^2 / gamma, which Young's inequality puts
-  at or above gamma |a|^2 / 2 + |d|^2 / (2 gamma): it does not cancel
-  near a solution either.  F is inv(L + P), where
-  L = K K^T is the graph Laplacian of the incidence map K (the
-  divergence) and P averages over each weakly connected component, so F
-  is the pseudo-inverse of L on every balanced right-hand side.  It is
-  dense, n^2 floats for n nodes, built with LAPACK once per run (about
-  0.5 ms at 100 nodes and 0.1 s at 900), never with a `Network` or an
-  `OperatorSet`.  The flow a run reports is x1 and the potentials u /
-  gamma, both from the latest evaluation.  On a 10x10 grid this takes
-  about 58 iterations where node blocks take 151, and the count stays
-  near 65 on a 30x30 grid, where node blocks take 2,565.
-
-  Partial schedulers keep the node blocks: a prototype that gave them
-  the conservation block took 1.4-2.2 times the iterations on small
-  random problems, at every gamma and evaluation order tried, and which
-  convergence theorem covers partial arc activation with the sequential
-  order is open.
+Every (x1_j, y1_j), stale or fresh, lies in the graph of its arc's
+A_j, and (x2, y2) in that of N_V, so each step is a relaxed projection
+onto a half-space that holds every solution pair, and (z, w) is Fejer
+monotone under every scheduler.  Under `Full` every arc output is
+fresh, the order whose convergence Eckstein & Svaiter prove.  No
+theorem is cited for partial activation: the block-iterative theorem of
+Combettes & Eckstein, and the block-iterative and asynchronous ones of
+Eckstein (J. Optim. Theory Appl. 173, 2017), evaluate each block at an
+iterate of its own, possibly a delayed one, while here the conservation
+block reads arc outputs of earlier iterates beside the current w.
+Measured instead: on the 150 span-3 problems of
+``tools/fuzz_problems.py`` this order converges on as many
+`RoundRobin(2)` and `RandomSweep` seeds (45 each) as the per-node supply
+blocks it replaced, in 13.5% fewer iterations on the 88 seeds that
+converge both ways, and on the benchmark's `mixed_sweep` instances of
+seeds 1-3 in 240-310 iterations where node blocks took 360-410.  A run reports
+`CONVERGED` only after `oracle.wardrop_residual` certifies its point.
 
 Two constants of the method are not settings.  The relaxation
 ``RELAXATION`` = 1.8 lies in the interval ]0, 2[ that the convergence
 theorem of Combettes & Eckstein allows for a fixed relaxation.  Every
 ``CHECK_INTERVAL`` = 10 iterations the step activates every arc, whatever
 the scheduler chose, so that its evaluation prices the residual check.
-
-The step parameters are one number gamma for every arc block and, with
-node blocks, a per-node sigma for the supplies, each derived from the
-graph unless the config sets it; see `step_parameters`.
+The step parameter gamma is 1 on every block; see `step_parameters`.
 
 The residual at a point is sqrt(tau) of an evaluation there with every
-block active, augmented with the primal agreement terms |q - x| and
-|s - div x| of the node blocks, or |div x1 - b| of the conservation
-block; it vanishes exactly at solutions and is never below sqrt(tau).
-Each iteration of ``run`` evaluates once, at the point its step starts
-from, into the run's one workspace, and the residual check reads that
-evaluation where it covers every arc, at the cost of the agreement sums
-alone.  The check runs every ``CHECK_INTERVAL`` iterations
+arc active, augmented with the conservation block's primal agreement
+term |div x1 - b|; it vanishes exactly at solutions and is never below
+sqrt(tau).  Each iteration of ``run`` evaluates once, at the point its
+step starts from, into the run's one workspace, and the residual check
+reads that evaluation where it covers every arc, at the cost of the
+agreement sum alone.  The check runs every ``CHECK_INTERVAL`` iterations
 and after a step with tau = 0, which happens only when the cached
 evaluation already certifies the point; there the next step activates
 every arc.  Under `Full`, whose every evaluation covers every arc, it
@@ -102,10 +83,8 @@ stop: ``run`` stops once the equilibrium residual that ``netequil check``
 recomputes is at most tol too.  The sweep condition only asks that each
 block be activated at least once in every T + 1 iterations, so activating
 more blocks than the scheduler chose keeps it; the scheduler is still
-queried at every iteration below max_iter.  Only the arcs are worth
-rationing: a node block costs one vector operation on the div x every
-step forms anyway, so every step activates all of them, and the
-conservation block reads every arc's output.
+queried at every iteration below max_iter.  Only the arcs are rationed:
+the conservation block reads every arc's output at every iteration.
 
 The step parameters are fixed for a run, so ``run`` prepares the
 capacity kernels' constants for them once (``OperatorSet.bind``) and
@@ -114,15 +93,12 @@ Each arc's resolvent starts from its arc's previous evaluation in the
 run, since the point moves by one relaxed step per iteration: its kernel
 from the root it returned then (the workspace's ``root``), and its guess
 of which commodities sit on their bounds from the output q it gave then;
-a fresh workspace starts cold.
-Under node blocks the reductions for tau and pi always run in ascending
-arc-then-node order, and each arc's resolvent depends only on its own
-input, its own previous root and its own previous output, never on which
-other arcs are evaluated with it, so runs are bitwise reproducible under
-every scheduler.  Under node blocks no step calls BLAS; the conservation
-block's F comes from LAPACK, and its product with div t - b and the dot
-products of its tau and pi from BLAS, so the last bits of such a run can
-change with the BLAS build and its thread count.
+a fresh workspace starts cold.  Each arc's resolvent depends only on its
+own input, its own previous root and its own previous output, never on
+which other arcs are evaluated with it, so runs are bitwise reproducible
+under every scheduler.  F comes from LAPACK, and its product with
+div t - b and the dot products of tau and pi from BLAS, so the last bits
+of a run can change with the BLAS build and its thread count.
 """
 
 from __future__ import annotations
@@ -193,8 +169,7 @@ class RoundRobin:
     Arc j belongs to group j % arc_groups; iteration n >= 1 activates
     group n % arc_groups (iteration 0 activates everything).  The group
     count must not exceed the sweep bound T + 1, otherwise some window of
-    T + 1 iterations misses a group.  Node blocks are not rationed: every
-    step activates all of them (see `step`).
+    T + 1 iterations misses a group.
     """
 
     arc_groups: int
@@ -218,8 +193,7 @@ class RandomSweep:
     Any arc that has not been active during the last T iterations is
     force-included, which makes the sweep condition hold deterministically
     for every realization.  If a draw selects nothing, the least recently
-    activated arc is activated.  Node blocks are not rationed: every step
-    activates all of them (see `step`).
+    activated arc is activated.
     """
 
     seed: int = 0
@@ -320,21 +294,15 @@ def make_scheduler(spec, network, T=None):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step parameters, scheduling, and stopping rule; immutable once built.
+    """Scheduling and stopping rule; immutable once built.
 
-    gamma and sigma are each one finite positive number, not a bool,
-    or None (the default), which derives it from the graph (see
-    `step_parameters`).  The scheduler is a `Full`, `RoundRobin` or
-    `RandomSweep` spec.  sigma steps the node blocks, so a scheduler of
-    sweep bound 0 (`Full`, `RoundRobin(1)`), which resolves conservation
-    as one block, rejects it.  T, the sweep bound, is a nonnegative integer;
-    None (the default) takes the scheduler's own bound (see
-    `sweep_bound`).  `check_interval` reads the constant `CHECK_INTERVAL`;
-    it is not a field, so no config sets it.
+    The scheduler is a `Full`, `RoundRobin` or `RandomSweep` spec.  T,
+    the sweep bound, is a nonnegative integer; None (the default) takes
+    the scheduler's own bound (see `sweep_bound`).  `check_interval`
+    reads the constant `CHECK_INTERVAL`; it is not a field, so no config
+    sets it.  The step parameters are no setting (see `step_parameters`).
     """
 
-    gamma: Optional[float] = None
-    sigma: Optional[float] = None
     T: Optional[int] = None
     scheduler: object = field(default_factory=Full)
     tol: float = 1e-6
@@ -342,16 +310,7 @@ class SolverConfig:
     check_interval: ClassVar[int] = CHECK_INTERVAL
 
     def __post_init__(self):
-        for name in ("gamma", "sigma"):
-            value = getattr(self, name)
-            if value is not None and not _is_positive_real(value):
-                raise ConfigurationError(f"{name} must be a number, finite and positive, or None")
-        # sweep_bound raises for a spec no scheduler runs, here and not in run
-        if sweep_bound(self.scheduler) == 0 and self.sigma is not None:
-            raise ConfigurationError(
-                "sigma steps the node blocks, which a scheduler of sweep bound 0 (full, "
-                "roundrobin:1) does not use: it resolves flow conservation as one block"
-            )
+        sweep_bound(self.scheduler)  # raises for a spec no scheduler runs, here and not in run
         if self.T is not None and (not _is_int(self.T) or self.T < 0):
             raise ConfigurationError("sweep bound T must be a nonnegative integer")
         if not _is_positive_real(self.tol):
@@ -360,47 +319,19 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be a nonnegative integer")
 
 
-def step_parameters(net, cfg):
-    """(gamma, sigma) of cfg on net: a float, and a per-node array or F.
+def step_parameters(net):
+    """(gamma, F) on net: the step parameter 1.0 of every block, and F.
 
-    Under a scheduler of sweep bound 0 (`Full`, `RoundRobin(1)`) the
-    second value is the conservation block's F = inv(L + P), an
-    (n_nodes, n_nodes) array (see `_conservation_inverse`), and a gamma
-    left at None is 1: on a 10x10 grid (`grid_full` instance 0 of seed 1)
-    0.5, 0.7 and 1.0 took 76, 71 and 57 iterations, and summed over the
-    46 Full seeds of 150 small random problems that converge with either
-    formulation 49,212, 34,671 and 30,108 (node blocks: 35,650).
-
-    Under a partial scheduler, a parameter that cfg leaves at None is
-    derived from the graph by the diagonal preconditioning of Pock &
-    Chambolle (ICCV 2011), applied to the incidence map K (the
-    divergence), whose column for arc j has two unit entries, +1 at its
-    tail and -1 at its head:
-
-    - gamma_j = 1 / |K e_j|^2 = 1/2.  The step of an arc block is one
-      over the squared norm of its incidence column, the same for every
-      arc.
-    - sigma_i = gamma * max(deg(i), 1), the diagonal entry of
-      K diag(gamma) K^T at node i, where deg(i) counts the arcs at node i
-      (parallel arcs once each).  At the derived gamma this is
-      max(deg(i), 1) / 2; a node with one arc or none gets gamma, which
-      keeps sigma finite and positive.  A derived sigma follows an
-      explicit gamma.
-
-    Any fixed positive sigma keeps the convergence theorem of Combettes &
-    Eckstein (Math. Program. 168, 2018).  An explicit sigma is broadcast
-    to every node.  `run` computes the values once, binds the capacity
+    F = inv(L + P) is the conservation block's (n_nodes, n_nodes) array
+    (see `_conservation_inverse`).  gamma is 1 for every scheduler: on a
+    10x10 grid (`grid_full` instance 0 of seed 1) 0.5, 0.7 and 1.0 took
+    76, 71 and 57 iterations, and on `two_arc` 0.1 and 10 took about 60
+    times the iterations of 1.  `run` computes the values once, binds the capacity
     kernels to gamma (see `OperatorSet.bind`), and hands both to every
     `step` and `residual`; direct calls that omit them do both
     themselves.
     """
-    if sweep_bound(cfg.scheduler) == 0:
-        return 1.0 if cfg.gamma is None else float(cfg.gamma), _conservation_inverse(net)
-    gamma = 0.5 if cfg.gamma is None else float(cfg.gamma)
-    if cfg.sigma is None:
-        degree = np.bincount(np.concatenate([net.tails, net.heads]), minlength=net.n_nodes)
-        return gamma, gamma * np.maximum(degree, 1)
-    return gamma, np.full(net.n_nodes, float(cfg.sigma))
+    return 1.0, _conservation_inverse(net)
 
 
 def _conservation_inverse(net):
@@ -425,13 +356,15 @@ def _conservation_inverse(net):
 class SolverState:
     """Current iterate plus the iteration counter.
 
-    With node blocks the iterate is (x, v*), the flow and the potentials.
-    With the conservation block it is (z, w), both flow-shaped, and x
-    and v are the flow x1 and potentials u / gamma that the latest
-    evaluation reported: after `step`, that of the point the step left,
-    and in the state `run` returns, that of (z, w) itself.  A state whose
-    z is None starts that iteration from (z, w) = (x, tension v), where a
-    solution pair (x*, v*) is a fixed point.
+    The iterate is (z, w), both flow-shaped, and x and v are the flow x1
+    and potentials u / gamma that the latest evaluation reported: after
+    `step`, that of the point the step left, and in the state `run`
+    returns, that of (z, w) itself, except where a partial scheduler
+    stops at max_iter: there, that of the point before the last step.  x
+    is the workspace's q array, which the next evaluation writes.  A
+    state whose z is None starts that iteration from
+    (z, w) = (x, tension v), where a solution pair (x*, v*) is a fixed
+    point.
     """
 
     x: np.ndarray
@@ -452,17 +385,12 @@ class IterationWorkspace:
 
     It holds the latest evaluation, which each iteration makes once, at
     the point its step starts from: the step moves along its directions,
-    and in `run` the residual check of that point reads its q, div x and
-    tau where it covers every arc.  Every evaluation covers every node
-    block, so s* belongs to the evaluated point; a node block's primal
-    output s is its supply, which is read from `OperatorSet.supplies`.
-    The conservation block's evaluation holds x1 in q, the potentials
-    u / gamma in s*, and the directions y1 + y2 of z in t* and x1 - x2 of
-    w in `tw` (None under node blocks); it leaves q* and t_node as they
-    are.
-    The arc rows (q, q*) of
-    inactive arcs keep the values from their last activation; iteration 0
-    activates every arc, so nothing is read uninitialized.
+    and in `run` the residual check of that point reads its tau where it
+    covers every arc.  q and q* hold each arc's x1 and y1, the potentials
+    u / gamma go in s*, and the directions y1 + y2 of z in t* and
+    x1 - x2 of w in `tw`.  The arc rows (q, q*) of inactive arcs keep the
+    values from their last activation; iteration 0 activates every arc,
+    so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
     last evaluation into this workspace (nan before the first), and q the
     output, which the next evaluation starts from (q is 0 before the
@@ -473,27 +401,26 @@ class IterationWorkspace:
     q: np.ndarray
     qstar: np.ndarray
     sstar: np.ndarray
-    t_node: np.ndarray
     tstar: np.ndarray
+    tw: np.ndarray
     root: np.ndarray
     tau: float = 0.0
     pi: float = 0.0
-    tw: Optional[np.ndarray] = None
 
 
 def new_workspace(network):
     a = network.zero_flow
-    n = network.zero_potential
-    return IterationWorkspace(a(), a(), n(), n(), a(), np.full(network.n_arcs, np.nan))
+    return IterationWorkspace(a(), a(), network.zero_potential(), a(), a(), np.full(network.n_arcs, np.nan))
 
 
 @dataclass
 class TraceRecord:
     """Per-iteration diagnostics; residual is None when not evaluated.
 
-    active_nodes always equals the node count, since every step activates
-    every node block or, with the conservation block, enforces every
-    node's conservation row.
+    active_nodes always equals the node count, since the conservation
+    block enforces every node's row at every step.  It stays a field, and
+    a column of the trace CSV, because readers of that file take its
+    columns by position.
     """
 
     n: int
@@ -517,37 +444,34 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _bound_parameters(net, ops, cfg):
-    """(gamma, sigma, bound): `step_parameters` and the kernels bound to gamma.
-
-    sigma is F under a scheduler of sweep bound 0, and `_evaluate`
-    resolves conservation as one block when it is two-dimensional.
-    """
-    gamma, sigma = step_parameters(net, cfg)
-    return gamma, sigma, ops.bind(np.full(net.n_arcs, gamma))
+def _bound_parameters(net, ops):
+    """(gamma, F, bound): `step_parameters` and the kernels bound to gamma."""
+    gamma, inverse = step_parameters(net)
+    return gamma, inverse, ops.bind(np.full(net.n_arcs, gamma))
 
 
 def _evaluate(net, ops, params, state, ws, arc_mask):
-    """Evaluate the active arcs and every node at state into ws; returns div x.
+    """Evaluate the active arcs and then the conservation block at (z, w) into ws; returns div x1.
 
-    Fills q, q* and the kernel roots for the arcs set in arc_mask and s*
-    for every node, then the directions t for every node and t* for every
-    arc, active or not, and tau and pi.  The network's `every_arc` mask
-    resolves the arrays themselves; any other mask gathers its arcs' rows
-    in the operator set's family order, in which `capacity_resolvent`
-    solves them without sorting.  The caller silences numpy's warnings:
-    non-finite values surface in tau and pi.  Where params holds F, the
-    evaluation is the conservation block's (`_evaluate_conservation`).
+    Fills q, q* and the kernel roots for the arcs set in arc_mask, then
+    the potentials s*, the directions t* and tw for every arc, active or
+    not, and tau and pi (see the module docstring).  The network's
+    `every_arc` mask resolves the arrays themselves; any other mask
+    gathers its arcs' rows in the operator set's family order, in which
+    `capacity_resolvent` solves them without sorting.  Reports x1 and
+    u / gamma in state.x and state.v (see `SolverState`); a state without
+    (z, w) gets them here.  The caller silences numpy's warnings:
+    non-finite values surface in tau and pi.
     """
-    gamma, sigma, bound = params
-    if sigma.ndim == 2:
-        return _evaluate_conservation(net, ops, params, state, ws)
-    x, v = state.x, state.v
-    tension_v = net._tension(v)
-    xi = x + gamma * tension_v
+    gamma, inverse, bound = params
+    if state.z is None:
+        state.z, state.w = state.x.copy(), net._tension(state.v)
+    z, w = state.z, state.w
+    gw = gamma * w
+    xi = z + gw
     if arc_mask is net.every_arc:  # every arc: work on the arrays themselves
-        ws.q = q = ops._capacity_resolvent(None, bound, xi, ws.root, ws.q)
-        ws.qstar = (xi - q) / gamma
+        ws.q = ops._capacity_resolvent(None, bound, xi, ws.root, ws.q)
+        ws.qstar = (xi - ws.q) / gamma
     else:  # gather the active rows in family order, and scatter their results back
         if xi.shape[1] > 1:
             # rows that the free-flow screen rests on their lower bounds (see
@@ -571,43 +495,16 @@ def _evaluate(net, ops, params, state, ws, arc_mask):
             ws.q.put(flat, q)
             ws.qstar.put(flat, (xi - q) / gamma)
 
-    div_x, div_q = net._divergence(x, ws.q)
-    # a node's resolvent is its constant supply: s* is closed form in div x
-    gap = div_x - ops.supplies
-    ws.sstar = v + gap / sigma[:, None]
-    np.subtract(ops.supplies, div_q, out=ws.t_node)
-    np.subtract(ws.qstar, net._tension(ws.sstar), out=ws.tstar)
-    # fixed reduction order: arc terms first, then node terms
-    add = np.add.reduce
-    ws.tau = float(add(ws.tstar * ws.tstar, None) + add(ws.t_node * ws.t_node, None))
-    ws.pi = float(add((x - ws.q) * (ws.qstar - tension_v), None) + add(gap * (ws.sstar - v), None))
-    return div_x
-
-
-def _evaluate_conservation(net, ops, params, state, ws):
-    """Evaluate every arc and then the conservation block at (z, w) into ws; returns div x1.
-
-    Reports x1 and u / gamma in state.x and state.v (see `SolverState`),
-    as the arrays ws holds, so the residual's |q - x| term is 0; a state
-    without (z, w) gets them here.
-    """
-    gamma, inverse, bound = params
-    if state.z is None:
-        state.z, state.w = state.x.copy(), net._tension(state.v)
-    z, w = state.z, state.w
-    gw = gamma * w
-    ws.q = x1 = ops._capacity_resolvent(None, bound, z + gw, ws.root, ws.q)
+    x1 = ws.q
     div_x, div_t = net._divergence(x1, x1 - gw)  # t = x1 - gamma w
     u = inverse @ (div_t - ops.supplies)
-    tension_u = net._tension(u)
-    # the iteration of the module docstring, with a = y1 - w = (z - x1) / gamma:
-    # x1 - x2 = gamma w - tension u and y1 + y2 = a + (x1 - x2) / gamma
-    a = (z - x1) / gamma
-    ws.tw = tw = gw - tension_u
+    # x1 - x2 = gamma w - tension u, and y1 + y2 = a + (x1 - x2) / gamma
+    e, a = z - x1, ws.qstar - w
+    ws.tw = tw = gw - net._tension(u)
     ws.tstar = tstar = a + tw / gamma
     moved = float(np.vdot(tw, tw))
     ws.tau = float(np.vdot(tstar, tstar)) + moved
-    ws.pi = gamma * float(np.vdot(a, a)) + float(np.vdot(a, tw)) + moved / gamma
+    ws.pi = float(np.vdot(e, a)) + (float(np.vdot(e, tw)) + moved) / gamma
     ws.sstar = u / gamma
     state.x, state.v = x1, ws.sstar
     return div_x
@@ -626,14 +523,10 @@ def _advance(net, state, ws, n_active, t0):
 
     theta = RELAXATION * max(pi, 0.0) / tau if tau > 0.0 else 0.0
     if theta != 0.0:
-        if ws.tw is None:  # node blocks: the iterate is (x, v*)
-            first, second, direction = state.x, state.v, ws.t_node
-        else:  # the conservation block: the iterate is (z, w)
-            first, second, direction = state.z, state.w, ws.tw
-        first -= theta * ws.tstar
-        second -= theta * direction
-        finite = np.count_nonzero(np.isfinite(first)) + np.count_nonzero(np.isfinite(second))
-        if finite != first.size + second.size:
+        z, w = state.z, state.w
+        z -= theta * ws.tstar
+        w -= theta * ws.tw
+        if np.count_nonzero(np.isfinite(z)) + np.count_nonzero(np.isfinite(w)) != z.size + w.size:
             raise NumericalFailure("non-finite iterate after update", iteration=state.n)
 
     millis = (time.perf_counter() - t0) * 1e3
@@ -646,20 +539,16 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
-    arc set; omitting it activates every arc.  Every node block is active
-    at every step: its resolvent is the constant supply, so s* costs one
-    vector operation on the div x the step forms anyway.  The workspace
-    rows of inactive arcs must be valid (iteration 0 must activate every
-    arc).  `params` is (gamma, sigma, bound): the float and the per-node
-    array of `step_parameters(net, cfg)`, and the kernels bound to gamma
-    on every arc; a step that omits them forms them itself.  A per-node
-    sigma that no config holds, such as max(deg(i), 1)^2 / 2, goes in
-    here.  Under a scheduler of sweep bound 0, sigma's place holds F,
-    and the step is the conservation block's, which reads every arc's
-    output: a mask that leaves an arc out raises.  The step evaluates the
-    active blocks at the current state into ws, then moves the state;
-    `run` evaluates and moves in the same way, with the convergence check
-    between the two.
+    arc set; omitting it activates every arc.  The conservation block is
+    evaluated at every step, after the arcs, at every arc's cached
+    output.  The workspace rows of inactive arcs must be valid (iteration
+    0 must activate every arc).  `params` is (gamma, F, bound): the
+    values of `step_parameters(net)` and the kernels bound to gamma on
+    every arc; a step that omits them forms them itself.  A gamma other
+    than 1 goes in here.  cfg's settings govern `run`, not one step.  The
+    step evaluates the active blocks at the current state into ws, then
+    moves the state; `run` evaluates and moves in the same way, with the
+    convergence check between the two.
     """
     t0 = time.perf_counter()
     if active_arcs is not None and not (
@@ -669,13 +558,11 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
     ):
         raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
     if params is None:
-        params = _bound_parameters(net, ops, cfg)
+        params = _bound_parameters(net, ops)
     active_arcs = net.every_arc if active_arcs is None else active_arcs
     n_active = int(np.count_nonzero(active_arcs))
     if not n_active:
         raise ConfigurationError("the arc activation set must be nonempty")
-    if params[1].ndim == 2 and n_active < net.n_arcs:
-        raise ConfigurationError("a scheduler of sweep bound 0 activates every arc at every step")
 
     with np.errstate(all="ignore"):
         # non-finite values are caught in _advance and reported as NumericalFailure
@@ -683,29 +570,27 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
     return _advance(net, state, ws, n_active, t0)
 
 
-def _residual(ops, state, ws, div_x):
-    """The residual at state, from ws's evaluation there of every block; div_x is div x."""
-    add = np.add.reduce
-    gap = float(add((ws.q - state.x) ** 2, None) + add((ops.supplies - div_x) ** 2, None))
+def _residual(ops, ws, div_x):
+    """The residual from ws's evaluation of every arc at a point; div_x is div x1 there."""
+    gap = float(np.add.reduce((ops.supplies - div_x) ** 2, None))
     return float(np.sqrt(ws.tau + gap))
 
 
 def residual(net, ops, cfg, state, params=None):
     """Optimality residual at the current point, from a full evaluation.
 
-    The square root of tau (with every block active) augmented with the
-    primal agreement terms |q - x|^2 and |s - div x|^2; zero exactly at
-    solutions of the underlying inclusion for the given step parameters,
-    and never below sqrt(tau).  With the conservation block the terms
-    are |div x1 - b|^2 alone, at the state's (z, w).  `params` is as for
-    `step`.  The arc resolvents start cold, in a workspace of their own,
-    and the state is left as it is.
+    The square root of tau (with every arc active) augmented with the
+    conservation block's primal agreement term |div x1 - b|^2, at the
+    state's (z, w); zero exactly at solutions of the underlying inclusion
+    for the given step parameters, and never below sqrt(tau).  `params`
+    is as for `step`.  The arc resolvents start cold, in a workspace of
+    their own, and the state is left as it is.
     """
     if params is None:
-        params = _bound_parameters(net, ops, cfg)
+        params = _bound_parameters(net, ops)
     ws, state = new_workspace(net), copy.copy(state)
     with np.errstate(all="ignore"):
-        return _residual(ops, state, ws, _evaluate(net, ops, params, state, ws, net.every_arc))
+        return _residual(ops, ws, _evaluate(net, ops, params, state, ws, net.every_arc))
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +621,7 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     cfg = cfg if cfg is not None else SolverConfig()
     state = initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
-    params = _bound_parameters(net, ops, cfg)
+    params = _bound_parameters(net, ops)
     ws = new_workspace(net)
     # the mask at n = max_iter, where the scheduler is not queried: every arc
     # for a spec of sweep bound 0 (Full), which activates them all each time
@@ -753,10 +638,10 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
             try:
                 with np.errstate(all="ignore"):
                     div_x = _evaluate(net, ops, params, state, ws, mask)
-                    # a full evaluation prices the residual at two sums; it is never below sqrt(tau)
+                    # a full evaluation prices the residual at one sum; it is never below sqrt(tau)
                     gate = consult and math.sqrt(ws.tau) <= cfg.tol
                     if record is not None and mask is net.every_arc and (check or gate):
-                        value = _residual(ops, state, ws, div_x)
+                        value = _residual(ops, ws, div_x)
             except NumericalFailure:
                 if check:  # no record for a point whose check fails
                     reason = Termination.NUMERICAL_FAILURE

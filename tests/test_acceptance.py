@@ -217,26 +217,26 @@ def test_criterion_8_sweeping_enforcement():
 
 
 def test_criterion_9_degenerate_branches():
-    # node blocks: a partial step is what can meet a stale cut
-    inst, net, ops = two_arc_problem()
+    # a partial step is what can meet a stale cut
+    _, net, ops = two_arc_problem()
     cfg = nq.SolverConfig(scheduler=nq.RoundRobin(2))
-    flow, lam, _ = nq.analytic_two_arc(inst)
 
-    # tau = 0: evaluate at the exact solution
-    state = nq.initial_state(net)
-    state.x[:, 0] = flow
-    state.v[:, 0] = [-lam / 2, lam / 2]
-    ws = new_workspace(net)
-    before = (state.x.copy(), state.v.copy())
-    rec_tau = step(net, ops, cfg, state, ws)
+    # tau = 0: evaluate at the exact solution, the zero flow of a problem
+    # without supplies and with phi(s) = s**2/2 on every arc
+    zero_net = nq.Network(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], 1)
+    arc = nq.ArcOperator(nq.SeparableLift(nq.IntervalProx(nq.QuadraticPhi(1.0))), nq.Box.free(1))
+    zero_ops = nq.OperatorSet(zero_net, [arc] * 3, [nq.FixedSupply((0.0,))] * 3)
+    state = nq.initial_state(zero_net)
+    rec_tau = step(zero_net, zero_ops, cfg, state, new_workspace(zero_net))
     tau_ok = (
         rec_tau.tau == 0.0
         and rec_tau.theta == 0.0
-        and np.array_equal(state.x, before[0])
-        and np.array_equal(state.v, before[1])
+        and not state.z.any()
+        and not state.w.any()
     )
 
-    # pi <= 0 < tau: stale caches from a non-solution, evaluated at the solution
+    # pi <= 0 < tau: stale caches from a non-solution, evaluated at the
+    # solution (z, w) = (x*, tension v*)
     state = nq.initial_state(net)
     state.x = np.array([[3.0], [0.5]])
     state.v = np.array([[1.0], [-1.0]])
@@ -244,14 +244,14 @@ def test_criterion_9_degenerate_branches():
     step(net, ops, cfg, state, ws)
     state.x = np.array([[2.0], [1.0]])
     state.v = np.array([[-1.5], [1.5]])
-    before = (state.x.copy(), state.v.copy())
+    state.z = None
     rec_pi = step(net, ops, cfg, state, ws, np.array([True, False]))
     pi_ok = (
         rec_pi.tau > 0.0
         and rec_pi.pi <= 0.0
         and rec_pi.theta == 0.0
-        and np.array_equal(state.x, before[0])
-        and np.array_equal(state.v, before[1])
+        and np.array_equal(state.z, [[2.0], [1.0]])
+        and np.array_equal(state.w, [[3.0], [3.0]])
     )
     ok = tau_ok and pi_ok
     report(

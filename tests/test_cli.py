@@ -135,13 +135,18 @@ class TestSolve:
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
 
-    def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(self, two_arc_path, tmp_path, capsys):
+    def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(
+        self, two_arc_path, tmp_path, capsys, monkeypatch
+    ):
         # the residual fails at the final point too; solve still writes the
-        # solution.  At gamma = 0.5 the Logarithmic omega/gamma overflows
-        # (at Full's derived gamma of 1 this arc solves)
+        # solution.  At gamma = 0.5, which the step parameters are patched
+        # to, the Logarithmic omega/gamma overflows (at the derived gamma of
+        # 1 this arc solves)
+        real = solver.step_parameters
+        monkeypatch.setattr(solver, "step_parameters", lambda net: (0.5, real(net)[1]))
         text = open(two_arc_path).read().replace(
             "low  a  b  q=bpr(alpha=0.5,rho=1,theta=2,p=1)", "low  a  b  q=log(omega=1e308,theta=2)"
-        ).replace("[solver]\n", "[solver]\ngamma = 0.5\n")
+        )
         path = tmp_path / "log_arc.prob"
         path.write_text(text)
         out = tmp_path / "s.sol"
@@ -213,17 +218,16 @@ class TestSolve:
         assert main(["check", two_arc_path, out, "--tol", tol, "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: --tol: tol must be a finite positive number")
 
-    @pytest.mark.parametrize("flag", ["full", "roundrobin:1"])
-    def test_the_scheduler_flag_rejects_a_sigma_the_file_sets_where_it_has_no_node_blocks(
-        self, two_arc_path, tmp_path, capsys, flag
-    ):
-        text = open(two_arc_path).read().replace("[solver]\n", "[solver]\nsigma = 2\nscheduler = roundrobin:2\n")
-        path = tmp_path / "sigma.prob"
+    @pytest.mark.parametrize("key", ["gamma", "sigma"])
+    def test_a_file_that_sets_a_step_parameter_is_an_input_error(self, two_arc_path, tmp_path, capsys, key):
+        # every scheduler steps at gamma = 1, so neither is a [solver] key
+        text = open(two_arc_path).read().replace("[solver]\n", f"[solver]\n{key} = 2\nscheduler = roundrobin:2\n")
+        path = tmp_path / "step.prob"
         path.write_text(text)
         out = tmp_path / "s.sol"
-        assert main(["solve", str(path), "--out", str(out), "--quiet", "--scheduler", "randomsweep:0.5"]) == 0
-        assert main(["solve", str(path), "--out", str(out), "--quiet", "--scheduler", flag]) == 1
-        assert capsys.readouterr().err.startswith("error: --scheduler: sigma steps the node blocks")
+        assert main(["solve", str(path), "--out", str(out), "--quiet", "--scheduler", "randomsweep:0.5"]) == 1
+        assert "[unknown-key]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scheduler_flag_override(self, two_arc_path, tmp_path):
         out = str(tmp_path / "s.sol")
@@ -420,10 +424,11 @@ class TestTraceReproducibility:
             traces.append(read(trace))
         assert traces[0] != traces[1]
 
-    def test_a_full_solve_of_a_grid_file_is_bitwise_the_same_in_two_fresh_processes(self, tmp_path):
-        # Full's conservation block takes F from LAPACK and multiplies by it
-        # with BLAS: with the same BLAS build and environment, two processes
-        # write the same bytes
+    @pytest.mark.parametrize("scheduler", ["full", "randomsweep:0.3:5"])
+    def test_a_solve_of_a_grid_file_is_bitwise_the_same_in_two_fresh_processes(self, tmp_path, scheduler):
+        # the conservation block takes F from LAPACK and multiplies by it
+        # with BLAS, under every scheduler: with the same BLAS build and
+        # environment, two processes write the same bytes
         k = 10
         ids = [f"r{i}c{j}" for i in range(k) for j in range(k)]
         arcs = [(f"r{i}c{j}", f"r{i + di}c{j + dj}") for i in range(k) for j in range(k)
@@ -441,6 +446,7 @@ class TestTraceReproducibility:
         for name in ("first", "second"):
             sol, trace = tmp_path / f"{name}.sol", tmp_path / f"{name}.csv"
             argv = ["solve", str(problem), "--out", str(sol), "--trace", str(trace), "--quiet"]
+            argv += ["--scheduler", scheduler]
             code = f"import sys; from netequil.cli import main; sys.exit(main({argv!r}))"
             done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
             assert done.returncode == 0, done.stderr

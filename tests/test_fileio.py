@@ -20,7 +20,6 @@ from netequil import (
     RandomSweep,
     RoundRobin,
     TraceRecord,
-    step_parameters,
     sweep_bound,
 )
 from netequil.fileio import (
@@ -146,11 +145,10 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
 
     def test_solver_overrides(self):
         text = MINIMAL + (
-            "[solver]\ngamma = 0.5\nscheduler = randomsweep:0.25:7\n"
+            "[solver]\nscheduler = randomsweep:0.25:7\n"
             "tol = 1e-08\nmax_iter = 123\n"
         )
         cfg = parse_problem(text).config
-        assert cfg.gamma == 0.5
         assert cfg.scheduler == RandomSweep(seed=7, activation_prob=0.25)
         assert cfg.T is None and sweep_bound(cfg.scheduler) == 3  # randomsweep default window
         assert cfg.tol == 1e-8
@@ -238,13 +236,11 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
     def test_every_solver_field_set_is_written_in_key_order(self):
         problem = parse_problem(TWO_ARCS)
         problem.config = SolverConfig(
-            gamma=0.25, sigma=3.0, T=4,
-            scheduler=RandomSweep(seed=5, activation_prob=0.25),
-            tol=1e-08, max_iter=77,
+            T=4, scheduler=RandomSweep(seed=5, activation_prob=0.25), tol=1e-08, max_iter=77,
         )
         text = serialize_problem(problem)
         assert text.split("[solver]\n", 1)[1] == (
-            "gamma = 0.25\nsigma = 3.0\nT = 4\n"
+            "T = 4\n"
             "scheduler = randomsweep:0.25:5\ntol = 1e-08\nmax_iter = 77\n"
         )
         assert serialize_problem(parse_problem(text)) == text
@@ -361,19 +357,11 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
             ("scheduler = roundrobin:0", "scheduler", 14),
             ("scheduler = randomsweep:2", "scheduler", 14),
             ("scheduler = randomsweep:0.5:-1", "scheduler", 14),
-            ("gamma = -1", "gamma", 14),
-            ("sigma = nan", "sigma", 14),
-            # a sigma steps node blocks, which full and roundrobin:1 do not have
-            ("sigma = 2", "sigma", 14),
-            ("scheduler = roundrobin:1\nsigma = 2", "sigma", 15),
-            ("sigma = 2\nscheduler = full", "sigma", 14),
-            # beside a partial scheduler it is checked as a number alone
-            ("sigma = 2\nscheduler = randomsweep:0.5\nT = -1", "T", 16),
-            ("sigma = 2\nscheduler = roundrobin:0", "scheduler", 15),
+            ("scheduler = randomsweep:0.5\nT = -1", "T", 15),
             ("T = -1", "T", 14),
             ("tol = inf", "tol", 14),  # would report converged far from an equilibrium
             ("tol = nan", "tol", 14),
-            ("gamma = 0.5\ntol = 0", "tol", 15),
+            ("T = 2\ntol = 0", "tol", 15),
             ("max_iter = -2", "max_iter", 14),
             # what make_scheduler rejects on the network and T is at the scheduler line
             ("scheduler = roundrobin:5", "scheduler", 14),  # more groups than the two arcs
@@ -404,7 +392,7 @@ class TestRoundTrip:
         [
             "",
             "[solver]\nscheduler = roundrobin:2\nT = 1\n",
-            "[solver]\nscheduler = randomsweep:0.5:42\ngamma = 0.125\n",
+            "[solver]\nscheduler = randomsweep:0.5:42\ntol = 0.125\n",
         ],
     )
     def test_problem_round_trip_identity(self, extra):
@@ -449,36 +437,16 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match=f"{kind} id"):
             serialize_problem(self.two_node_problem(**kwargs))
 
-    def test_missing_step_keys_are_derived_from_the_graph(self):
-        problem = parse_problem(MINIMAL + "[solver]\ntol = 1e-06\nscheduler = randomsweep:0.5\n")
-        cfg = problem.config
-        assert (cfg.gamma, cfg.sigma) == (None, None)
-        gamma, sigma = step_parameters(problem.network, cfg)
-        assert gamma == 0.5
-        assert np.array_equal(sigma, [0.5, 0.5])  # one arc at each node
-        # Full has no node blocks, and its derived gamma is 1
-        gamma, _ = step_parameters(problem.network, parse_problem(MINIMAL).config)
-        assert gamma == 1.0
-
-    def test_explicit_step_keys_round_trip_unchanged(self):
-        text = MINIMAL + "[solver]\ngamma = 0.30000000000000004\nsigma = 1e-3\nscheduler = randomsweep:0.5:0\n"
-        first = parse_problem(text)
-        assert (first.config.gamma, first.config.sigma) == (0.30000000000000004, 1e-3)
-        written = serialize_problem(first)
-        for line in ("gamma = 0.30000000000000004\n", "sigma = 0.001\n"):
-            assert line in written
-        assert serialize_problem(parse_problem(written)) == written
-
-    @pytest.mark.parametrize(
-        "explicit",
-        [{}, {"sigma": 2.0}, {"gamma": 0.25, "sigma": 3.0}, {"gamma": 1.0}],
-    )
-    def test_serialize_writes_only_the_step_keys_that_were_set(self, explicit):
+    @pytest.mark.parametrize("key", ["gamma", "sigma"])
+    def test_the_step_parameters_are_no_solver_keys(self, key):
+        # every scheduler steps at gamma = 1 (solver.step_parameters), so a
+        # file written with either key is rejected at its line
+        err = expect_code(MINIMAL + f"[solver]\nscheduler = randomsweep:0.5\n{key} = 0.5\n", "unknown-key")
+        assert (err.section, err.entity) == ("solver", key)
         problem = self.two_node_problem(["a", "b"])
-        problem.config = SolverConfig(**explicit, scheduler=RandomSweep())
+        problem.config = SolverConfig(scheduler=RandomSweep())
         written = serialize_problem(problem)
-        for name in ("gamma", "sigma"):
-            assert (f"\n{name} = " in written) == (name in explicit)
+        assert f"\n{key} = " not in written
         assert serialize_problem(parse_problem(written)) == written
 
     def test_solution_round_trip(self):

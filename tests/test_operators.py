@@ -35,7 +35,7 @@ from netequil import (
     wardrop_residual,
 )
 
-from netequil import lambertw, operators
+from netequil import lambertw, operators, solver
 from conftest import random_network, weak_components
 
 # ---------------------------------------------------------------------------
@@ -576,19 +576,20 @@ class TestBoxAndSupply:
             Box(lo, hi)
 
     def test_fixed_supply_ignores_input_and_step(self):
-        # a node block's primal output s is its supply whatever the point and sigma
+        # the conservation block projects onto the flows that meet the
+        # supplies, whatever the point: x2 = q - w + tension(s*) at gamma = 1
         net = Network(["a", "b"], [("a", "b")], 2)
         arc = ArcOperator(SeparableLift(TRC(1.0, 1.0, 1.0, 1.0)), Box.orthant(2))
         ops = OperatorSet(net, [arc], [FixedSupply((2.0, -1.0)), FixedSupply((-2.0, 1.0))])
         rng = np.random.default_rng(59)
-        for sigma in [0.1, 1.0, 10.0]:
-            x, v = rng.standard_normal((1, 2)), rng.standard_normal((2, 2))
+        for scale in [0.1, 1.0, 10.0]:
+            x, v = scale * rng.standard_normal((1, 2)), scale * rng.standard_normal((2, 2))
             state, ws = SolverState(x.copy(), v.copy()), new_workspace(net)
-            step(net, ops, SolverConfig(sigma=sigma, scheduler=RoundRobin(2)), state, ws)
+            step(net, ops, SolverConfig(scheduler=RoundRobin(2)), state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
-            np.testing.assert_array_equal(ws.t_node, ops.supplies - net.divergence(ws.q))
-            np.testing.assert_array_equal(
-                ws.sstar, v + (net.divergence(x) - ops.supplies) / sigma
+            w = net.tension(v)
+            np.testing.assert_allclose(
+                net.divergence(ws.q - w + net.tension(ws.sstar)), ops.supplies, rtol=0, atol=1e-12
             )
 
     def test_zero_supply(self):
@@ -598,10 +599,12 @@ class TestBoxAndSupply:
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
         state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net)
-        step(net, ops, SolverConfig(sigma=1.0, scheduler=RoundRobin(2)), state, ws)
-        # at zero flow a zero supply leaves s* = v and t = -div q
-        np.testing.assert_array_equal(ws.sstar, v)
-        np.testing.assert_array_equal(ws.t_node, -net.divergence(ws.q))
+        step(net, ops, SolverConfig(scheduler=RoundRobin(2)), state, ws)
+        # a zero supply leaves the potentials F div(q - w), and the projection
+        # x2 = q - w + tension(s*) without divergence
+        w = net.tension(v)
+        np.testing.assert_array_equal(ws.sstar, solver._conservation_inverse(net) @ net.divergence(ws.q - w))
+        np.testing.assert_allclose(net.divergence(ws.q - w + net.tension(ws.sstar)), 0.0, rtol=0, atol=1e-12)
 
     def test_operator_set_holds_each_supply_exactly(self):
         # the solver reads a node block's resolvent, its constant supply, from here
