@@ -363,6 +363,11 @@ e6 a b q=prox(phi=power(q=1.5),lo=0,hi=inf) r=orthant
             ("tol = nan", "tol", 14),
             ("T = 2\ntol = 0", "tol", 15),
             ("max_iter = -2", "max_iter", 14),
+            ("tol = -inf", "tol", 14),
+            ("max_iter = 0\nT = -3", "T", 15),
+            # a setting is checked alone, so the first one rejected is the one reported
+            ("tol = 0.5\nscheduler = roundrobin:0", "scheduler", 15),
+            ("scheduler = roundrobin:2\nT = 1\nmax_iter = -1", "max_iter", 16),
             # what make_scheduler rejects on the network and T is at the scheduler line
             ("scheduler = roundrobin:5", "scheduler", 14),  # more groups than the two arcs
             ("scheduler = roundrobin:2\nT = 0", "scheduler", 14),  # a window of T + 1 misses a group
@@ -436,6 +441,25 @@ class TestRoundTrip:
     def test_ids_that_would_not_parse_back_are_rejected(self, kind, kwargs):
         with pytest.raises(ConfigurationError, match=f"{kind} id"):
             serialize_problem(self.two_node_problem(**kwargs))
+
+    def test_explicit_solver_keys_round_trip_unchanged(self):
+        text = MINIMAL + "[solver]\ntol = 0.30000000000000004\nmax_iter = 0\nscheduler = randomsweep:0.5:0\n"
+        first = parse_problem(text)
+        assert (first.config.tol, first.config.max_iter) == (0.30000000000000004, 0)
+        written = serialize_problem(first)
+        for line in ("tol = 0.30000000000000004\n", "max_iter = 0\n"):
+            assert line in written
+        assert serialize_problem(parse_problem(written)) == written
+
+    @pytest.mark.parametrize("T", [None, 0, 4])
+    def test_serialize_writes_T_only_when_it_was_set(self, T):
+        # a T of None takes the scheduler's own bound, and 0 is a bound of its own
+        problem = self.two_node_problem(["a", "b"])
+        problem.config = SolverConfig(T=T, scheduler=RandomSweep())
+        written = serialize_problem(problem)
+        assert ("\nT = " in written) == (T is not None)
+        assert parse_problem(written).config.T == T
+        assert serialize_problem(parse_problem(written)) == written
 
     @pytest.mark.parametrize("key", ["gamma", "sigma"])
     def test_the_step_parameters_are_no_solver_keys(self, key):
