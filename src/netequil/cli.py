@@ -109,7 +109,7 @@ def _cmd_solve(args):
             final_residual = trace[-1].residual  # the stopping check, at the final state
         else:
             try:
-                final_residual = solver.residual(net, ops, cfg, state)
+                final_residual = solver.residual(net, ops, state)
             except NumericalFailure:  # no residual can be evaluated at the final state
                 final_residual = math.inf
         solution = fileio.Solution(
@@ -234,11 +234,13 @@ def _arc_block_inclusion(rng):
         ops = OperatorSet(
             Network("ab", [("a", "b")], n), [ArcOperator(SeparableLift(spec), Box(lo, hi))], [FixedSupply((0.0,) * n)] * 2
         )
-        x = ops.capacity_resolvent(np.arange(1), ops.bind(np.full(1, gamma)), xi[None, :])[0]
+        q, qstar = np.minimum(np.maximum(xi, lo), hi)[None, :], np.empty((1, n))  # the guess: xi clamped
+        ops.capacity_resolvent(ops.network.every_arc, ops.bind(gamma), xi[None, :], q, qstar, np.full(1, np.nan))
+        x = q[0]
         c = spec.value(float(x.sum()))
         if c is None or not ((lo <= x) & (x <= hi)).all():
             return math.inf
-        w = (xi - x) / gamma - c
+        w = qstar[0] - c
         w = np.where(x <= lo, np.maximum(w, 0.0), w)
         w = np.where(x >= hi, np.minimum(w, 0.0) * (x > lo), w)
         worst = max(worst, float(np.abs(w).max()) / max(1.0, float(np.abs(xi).max()) / gamma, abs(c)))

@@ -154,3 +154,20 @@ class Network:
     def _tension(self, v):
         """`tension` of a float (n_nodes, C) potential of the solver's own, unchecked."""
         return v.take(self.heads, 0) - v.take(self.tails, 0)
+
+    def _component_roots(self):
+        """Per node, the least node index in its weakly connected component.
+
+        Each pass hooks the larger of the two labels an arc joins onto the
+        smaller, then follows every label to its root; labels are always
+        roots at the top of the loop, so it stops once no arc joins two.
+        """
+        label = np.arange(self.n_nodes)
+        while True:
+            lt, lh = label[self.tails], label[self.heads]
+            if np.array_equal(lt, lh):
+                return label
+            np.minimum.at(label, np.maximum(lt, lh), np.minimum(lt, lh))
+            up = label[label]
+            while not np.array_equal(up, label):
+                label, up = up, up[up]

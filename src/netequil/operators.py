@@ -60,19 +60,20 @@ names a spec's kernel and its parameters, and ``spec.resolvent`` and
 ``phi.prox`` are the size-1 call.  An ``OperatorSet`` groups its arcs by
 kernel, keeps each group's parameters as one (n_params, m) float table,
 and orders its arcs family by family (ascending within each family)
-once.  ``OperatorSet.bind(gamma)`` prepares every group once for
-per-arc step parameters, at k*gamma for every commodity count
-k = 1, ..., C, into one float table holding every group's constants
-side by side in that order, and ``capacity_resolvent`` solves each
-group in one call.  The solver hands a partial sweep's rows over in
-family order, so the constants of all its rows at their own k come
-with one ``take`` and each family's run of rows is a slice, found with
-one search; the public ``capacity_resolvent``, which takes its arcs in
-ascending order, puts them in family order itself.  A sweep of every
-arc reads the constants from a memo in the binding, which holds until
-an arc's k changes (with one commodity, for the whole run), and puts
-its rows in family order for the kernels unless the arcs come so
-already.
+once; no other module knows that order.  ``OperatorSet.bind(gamma)``
+prepares every group once for the one step parameter gamma of every
+arc, at k*gamma for every commodity count k = 1, ..., C, into one float
+table holding every group's constants side by side in that order.
+``capacity_resolvent`` is one sweep of the arc blocks: it takes the
+activation mask and the caller's (n_arcs, C) arrays, gathers the active
+rows in family order, so the constants of all its rows at their own k
+come with one ``take`` and each family's run of rows is a slice, found
+with one search, solves each run in one call, and scatters x1 and the
+kernel roots back in place, then forms y1 = (xi - x1)/gamma of every
+active row in one pass; rows outside the mask are left as they are.  A sweep of every arc gathers nothing: it reads the constants from
+a memo in the binding, which holds until an arc's k changes (with one
+commodity, for the whole run), and puts its rows in family order for
+the kernels unless the arcs come so already.
 
 BPR runs Newton on log s, which decreases monotonically to the root
 from an upper bound, so it needs no bracket and no bisection; its
@@ -86,29 +87,32 @@ Every solve also takes a ``start``, the root each element had at an
 earlier evaluation: BPR takes one Newton step from it, Logarithmic/
 PowerExp hand Halley the W at which their formula returns it, and the
 closed-form kernels ignore it.  A nan start is a cold start, from the
-kernel's own starting point; the public entry points (calling a kernel,
-``capacity_resolvent``, ``lambert_w_exp``) take ``start=None`` for an
-all-nan start.  So an element's result depends on its own input and its
-own previous root, and an arc's block result on those and its own
-previous output, never on which other arcs share its batch.  A
+kernel's own starting point; calling a kernel and ``lambert_w_exp``
+take ``start=None`` for an all-nan start, and ``capacity_resolvent``
+reads a root array with nan for the arcs that have none yet.  So an
+element's result depends on its own input and its own previous root,
+and an arc's block result on those and its own previous output, never
+on which other arcs share its batch.  A
 user-supplied ``CustomPhi`` carries its own kernel, a scalar loop that
 calls its prox once per element: the arcs sharing one instance form one
 family, and no table holds a Python object.
 
-With C > 1 commodities, ``capacity_resolvent`` first screens each row
-against its arc's free-flow threshold, which ``bind`` takes from each
-kernel's ``free_flow``: an arc whose lower bounds are all 0 rests there,
-its result lo exactly, when its largest xi - lo is below gamma times its
-capacity's largest value at a total of 0.  Only the other rows go to the
-kernels, compacted in family order, so a family none of whose rows is
-live makes no call; a screened row keeps its start.  One commodity is
-not screened: its kernels handle a row below the kink themselves.
+With C > 1 commodities, ``capacity_resolvent`` first screens every
+active row at once, before any gather, against its arc's free-flow
+threshold, which ``bind`` takes from each kernel's ``free_flow``: an arc
+whose lower bounds are all 0 rests there, its result lo exactly, when
+its largest xi - lo is below gamma times its capacity's largest value at
+a total of 0.  Its x1 is written on the spot, and it keeps its root.
+Only the other rows go to the kernels, gathered in family order, so a
+family none of whose rows is live makes no call.  One commodity is not
+screened: its kernels handle a row below the kink themselves.
 
-The kernels' halves and ``OperatorSet._roots`` set no numpy error
-state: the solver silences floating-point warnings once per evaluation,
-and each public entry point (calling a kernel, ``spec.resolvent``,
-``phi.prox``, ``bind``, ``capacity_resolvent``) silences its own, as
-``lambert_w_exp`` does.
+The kernels' halves, ``OperatorSet._roots`` and ``OperatorSet._sweep``
+(``capacity_resolvent`` without its error state, which the solver calls)
+set no numpy error state: the solver silences floating-point warnings
+once per evaluation, and each public entry point (calling a kernel,
+``spec.resolvent``, ``phi.prox``, ``bind``, ``capacity_resolvent``)
+silences its own, as ``lambert_w_exp`` does.
 
 Each family also exposes ``value``/``subdiff`` (forward evaluation of the
 underlying relation); the equilibrium check calls ``subdiff``, no kernel does.
@@ -176,7 +180,7 @@ class _Kernel:
 
     prepare: Callable
     solve: Callable
-    free_flow: Callable = lambda gamma, *params: np.full(np.shape(gamma), -np.inf)
+    free_flow: Callable = lambda gamma, *params: -np.inf
 
     def __call__(self, gamma, xi, *params, start=None):
         if start is None:
@@ -826,40 +830,24 @@ BALANCE_TOL = 1e-12
 _SCREEN_MARGIN = 2.0**-40
 
 
-def _component_roots(network):
-    """Per node, the least node index in its weakly connected component.
-
-    Each pass hooks the larger of the two labels an arc joins onto the
-    smaller, then follows every label to its root; labels are always
-    roots at the top of the loop, so it stops once no arc joins two.
-    """
-    label = np.arange(network.n_nodes)
-    while True:
-        lt, lh = label[network.tails], label[network.heads]
-        if np.array_equal(lt, lh):
-            return label
-        np.minimum.at(label, np.maximum(lt, lh), np.minimum(lt, lh))
-        up = label[label]
-        while not np.array_equal(up, label):
-            label, up = up, up[up]
-
-
 class _Binding:
     """`OperatorSet.bind`'s result: the family kernels' constants for one gamma.
 
-    `table` holds every family's prepared constants, an (n_consts, m*C)
-    float table each, side by side in `OperatorSet._perm` order, so the
-    constants of any rows are gathered with one ``take``; `rows` is each
-    family's n_consts, its rows of the table (the rest of its columns is
-    0).  `at_k` memoizes the table's columns at each arc's k for a sweep
-    of every arc, in family order, and `k` is the k they were gathered at
+    `gamma` is that step parameter, every arc's.  `table` holds every
+    family's prepared constants, an (n_consts, m*C) float table each,
+    side by side in `OperatorSet._perm` order, so the constants of any
+    rows are gathered with one ``take``; `rows` is each family's
+    n_consts, its rows of the table (the rest of its columns is 0).
+    `at_k` memoizes the table's columns at each arc's k for a sweep of
+    every arc, in family order, and `k` is the k they were gathered at
     (-1 before the first sweep).  `screen` holds each arc's free-flow
     threshold, in ascending arc order (see `OperatorSet.bind`).
     """
 
-    __slots__ = ("table", "rows", "k", "at_k", "screen")
+    __slots__ = ("gamma", "table", "rows", "k", "at_k", "screen")
 
-    def __init__(self, consts, screen):
+    def __init__(self, gamma, consts, screen):
+        self.gamma = gamma
         self.screen = screen
         self.rows = [c.shape[0] for c in consts]
         self.table = np.concatenate([np.pad(c, ((0, max(self.rows) - c.shape[0]), (0, 0))) for c in consts], 1)
@@ -941,7 +929,7 @@ class OperatorSet:
     def _check_balance(self):
         net = self.network
         n_comm = net.n_commodities
-        slots = (_component_roots(net)[:, None] * n_comm + np.arange(n_comm)).ravel()
+        slots = (net._component_roots()[:, None] * n_comm + np.arange(n_comm)).ravel()
         size = net.n_nodes * n_comm
         # scaled exactly by 2**-shift, 2**shift > n_nodes, so no sum of a
         # component's supplies overflows
@@ -962,14 +950,15 @@ class OperatorSet:
     def bind(self, gamma):
         """The family kernels' constants at k*gamma for k = 1, ..., C.
 
-        `gamma` holds one entry per arc, and C is the commodity count.  A
-        family of m arcs is prepared once on m*C elements: element
-        member*C + k - 1 at k times its arc's gamma, the parameter at which
-        `capacity_resolvent` solves an arc with k of its commodities off
-        their bounds.  The families' constants sit side by side in one
-        table (see `_Binding`), so arc j's constants at k are its column
-        `_arc_slot[j] + k`.  `capacity_resolvent` takes the result, so a run
-        whose step parameters stay fixed binds once.  The binding also
+        `gamma` is the one step parameter of every arc, a real number (an
+        array raises TypeError), and C is the commodity count.  A family
+        of m arcs is prepared once on m*C elements: element member*C + k - 1
+        at k*gamma, the parameter at which `capacity_resolvent` solves an
+        arc with k of its commodities off their bounds.  The families'
+        constants sit side by side in one table (see `_Binding`), so arc
+        j's constants at k are its column `_arc_slot[j] + k`.
+        `capacity_resolvent` takes the result, which keeps gamma, so a run
+        whose step parameter stays fixed binds once.  The binding also
         memoizes the constants a sweep of every arc gathers at the arcs'
         k, for as long as no arc's k changes: with one commodity, for the
         whole run.
@@ -980,22 +969,24 @@ class OperatorSet:
         gamma*c(L)*1 + gamma*N_B(lo), L = sum lo: when max(xi - lo) <=
         gamma*c+(L), with c+ the largest value of c.  For an arc whose
         lower bounds are all 0 (L = 0) that is the family kernel's
-        `free_flow` at its gamma, taken from the kernel's parameters
-        alone, never from the specs' `value` or `subdiff`; every other
-        arc, and a family whose kernel does not say (CustomPhi), gets
-        -inf and is never screened.  t is that value less _SCREEN_MARGIN
-        of its size, and a row is screened only strictly below it.
+        `free_flow` at gamma, taken from the kernel's parameters alone,
+        never from the specs' `value` or `subdiff`; every other arc, and
+        a family whose kernel does not say (CustomPhi), gets -inf and is
+        never screened.  t is that value less _SCREEN_MARGIN of its size,
+        and a row is screened only strictly below it.
         """
+        gamma = float(gamma)
         n_comm = self.network.n_commodities
-        ks = np.arange(1, n_comm + 1)
+        steps = gamma * np.arange(1, n_comm + 1)
         screen = np.full(len(self.arc_operators), -np.inf)
         with np.errstate(all="ignore"):
             for kernel, arcs, params in self.families:
-                screen[arcs] = kernel.free_flow(gamma[arcs], *params)
+                screen[arcs] = kernel.free_flow(gamma, *params)
             screen = np.where(np.any(self.box_lo, 1), -np.inf, screen - _SCREEN_MARGIN * np.abs(screen))
             return _Binding(
+                gamma,
                 [
-                    np.array(kernel.prepare(np.outer(gamma[arcs], ks).ravel(), *params.repeat(n_comm, 1)), float)
+                    np.array(kernel.prepare(np.tile(steps, arcs.size), *params.repeat(n_comm, 1)), float)
                     for kernel, arcs, params in self.families
                 ],
                 screen,
@@ -1035,8 +1026,8 @@ class OperatorSet:
             start.put(self._perm, roots)
         return start
 
-    def capacity_resolvent(self, arcs, bound, xi, start=None, guess=None):
-        """Resolvents of the listed arcs' blocks, capacity and box together, one row each.
+    def capacity_resolvent(self, mask, bound, xi, q, qstar, root):
+        """Resolve the arc blocks set in `mask`, capacity and box together, into q, q* and root.
 
         An arc's block is the cost on its total flux plus the normal cone
         of its box B = [lo, hi], so its resolvent at xi is the x with
@@ -1050,99 +1041,95 @@ class OperatorSet:
         hi), T = J_{gamma*c}(xi).
 
         With C > 1 the free set is guessed: the commodities strictly
-        inside their bounds in `guess` (a point of each row's box, say
-        the arc's previous output; None takes clamp(xi, lo, hi)), plus
-        the commodity with the largest xi - lo, which is off its lower
-        bound whenever any commodity is.  One kernel call per family
-        solves the guess, and a row keeps its result when the clamp
-        reproduces the guessed pattern.  It keeps it too when every free
-        commodity ends below its lower bound and none was guessed on an
-        upper one: then the row sits wholly on its lower bounds at the
-        resolvent, which the clamp gives exactly (an unused arc of an
-        orthant).  The other rows, rare near a solution, are solved by
-        variable fixing (`_fix_variables`).
+        inside their bounds in the row's q on entry (a point of its box,
+        say the arc's previous output), plus the commodity with the
+        largest xi - lo, which is off its lower bound whenever any
+        commodity is.  One kernel call per family solves the guess, and a
+        row keeps its result when the clamp reproduces the guessed
+        pattern.  It keeps it too when every free commodity ends below
+        its lower bound and none was guessed on an upper one: then the
+        row sits wholly on its lower bounds at the resolvent, which the
+        clamp gives exactly (an unused arc of an orthant).  The other
+        rows, rare near a solution, are solved by variable fixing
+        (`_fix_variables`).
 
-        `arcs` holds distinct arc indices in ascending order, and row j
-        of the (len(arcs), C) arrays `xi` and `guess` belongs to arc
-        arcs[j].  `bound` is `bind(gamma)` for the per-arc step
-        parameters gamma; a partial sweep gathers the constants of its
-        arcs from it.  `start` is a float array with one entry per row:
-        the kernel's root for that arc at an earlier call, which the
-        iterative kernels start from; nan is a cold start, and None is
-        the all-nan start.  It is overwritten with this call's roots,
-        except for a row that the free-flow screen (see `bind`) puts on
-        its lower bounds without a kernel call: with C > 1, a row whose
-        arc has lower bounds 0 and whose largest xi stays below the
-        arc's threshold gamma*c+(0).  That row keeps its start.  Each row
-        depends only on its own xi, guess and start.  The rows of
-        a partial set of arcs are solved in family order (see `_roots`)
-        and come back in the order given.
+        `mask` is a boolean array with one entry per arc; `xi`, `q` and
+        `qstar` are (n_arcs, C) float arrays and `root` an (n_arcs,)
+        float array.  `bound` is `bind(gamma)`.  For each arc set in
+        `mask` this writes x into q, (xi - x)/gamma into qstar and its
+        kernel's root into root; root holds the root of an earlier call on
+        entry, which the iterative kernels start from (nan is a cold
+        start).  The free-flow screen (see `bind`) runs first, on every
+        row at once: with C > 1, a row whose arc has lower bounds 0 and
+        whose largest xi stays below the arc's threshold gamma*c+(0) gets
+        x = lo without a kernel call, and keeps its root.  The other rows
+        are gathered in family order, each family's run solved in one
+        call (see `_roots`), and scattered back; the network's
+        `every_arc` mask, where nothing is screened, is solved on the
+        arrays themselves.  q* is then formed for every active row at
+        once.  The rows outside `mask` are left untouched.
+        Each row depends only on its own xi, q and root.
         """
-        if start is None:
-            start = np.full(len(xi), np.nan)
         with np.errstate(all="ignore"):
-            if arcs.size == self.network.n_arcs:
-                return self._capacity_resolvent(None, bound, xi, start, guess)
-            order = np.argsort(self._rank[arcs])  # the rows in family order
-            x, roots, guess = np.empty(xi.shape), start[order], guess if guess is None else guess[order]
-            x[order] = self._capacity_resolvent(arcs[order], bound, xi[order], roots, guess)
-            start[order] = roots
-            return x
+            self._sweep(mask, bound, xi, q, qstar, root)
 
-    def _capacity_resolvent(self, arcs, bound, xi, start, guess):
-        """`capacity_resolvent` with a start array and warnings left to the caller.
+    def _sweep(self, mask, bound, xi, q, qstar, root):
+        """`capacity_resolvent` with numpy's warnings left to the caller."""
+        lo, hi, gamma = self.box_lo, self.box_hi, bound.gamma
+        rows, top, peak = mask, None, None
+        if xi.shape[1] > 1:
+            # each row's top commodity, the one with the largest xi - lo, and
+            # that rise: the free-flow screen reads it, on every row before
+            # any gather, and so does the row solver
+            rise = xi - lo
+            top = rise.argmax(1)
+            peak = rise.take(top + self._entries[:, 0])
+            rest = mask & (peak < bound.screen)
+            if np.count_nonzero(rest):
+                np.copyto(q, lo, where=rest[:, None])
+                rows = mask & ~rest
+        if rows is self.network.every_arc:  # every arc, none screened: on the arrays themselves
+            self._solve_rows(None, bound, xi, lo, hi, top, peak, q, root)
+        else:  # the other rows in family order, gathered, solved and scattered back
+            act = self._perm.compress(rows.take(self._perm))
+            if act.size:
+                x, start = q.take(act, 0), root.take(act)
+                if top is not None:
+                    top, peak = top.take(act), peak.take(act)
+                self._solve_rows(act, bound, xi.take(act, 0), lo.take(act, 0), hi.take(act, 0), top, peak, x, start)
+                root.put(act, start)
+                q.put(self._entries.take(act, 0), x)
+        # y1 of every active row, solved or screened, in one pass
+        np.divide(xi - q, gamma, out=qstar, where=True if mask is self.network.every_arc else mask[:, None])
+
+    def _solve_rows(self, arcs, bound, xi, lo, hi, top, peak, x, start):
+        """Unscreened rows' block resolvents by their family kernels, written into x.
 
         `arcs` lists the rows' arcs in family order, or is None for every
-        arc in ascending order (see `_roots`).
+        arc in ascending order (see `_roots`).  With C > 1, `top` holds
+        each row's top commodity and `peak` its xi - lo.  `x` holds each
+        row's guess on entry, and `start` each row's earlier root,
+        overwritten with its new one.
         """
         n_rows, n_comm = xi.shape
-        if arcs is None:
-            lo, hi = self.box_lo, self.box_hi
-        else:
-            lo, hi = self.box_lo.take(arcs, 0), self.box_hi.take(arcs, 0)
         if n_comm == 1:
             root = self._roots(arcs, bound, xi[:, 0], 1, start)
-            return np.minimum(np.maximum(root[:, None], lo), hi)
-        fall = lo - xi
-        top = fall.argmin(1)  # each row's top commodity, the largest xi - lo
-        low = fall.take(top + self._entries[:n_rows, 0])
-        # a row whose largest xi - lo is below its arc's free-flow threshold
-        # rests on its lower bounds (see `bind`): only the others are solved
-        rest = low > -(bound.screen if arcs is None else bound.screen.take(arcs))
-        if not np.count_nonzero(rest):
-            return self._solve_rows(arcs, bound, xi, lo, hi, top, low, start, guess)
-        x = lo.copy()
-        live = self._perm.compress(~rest.take(self._perm)) if arcs is None else (~rest).nonzero()[0]
-        if live.size:
-            pick, guess = start.take(live), guess if guess is None else guess.take(live, 0)
-            xi, lo, hi, top, low = (a.take(live, 0) for a in (xi, lo, hi, top, low))
-            x[live] = self._solve_rows(live if arcs is None else arcs.take(live), bound, xi, lo, hi, top, low, pick, guess)
-            start.put(live, pick)
-        return x
-
-    def _solve_rows(self, arcs, bound, xi, lo, hi, top, low, start, guess):
-        """`_capacity_resolvent` for C > 1 on unscreened rows, by their family kernels.
-
-        `top` holds each row's top commodity and `low` its lo - xi.
-        """
-        n_rows = len(xi)
-        if guess is None:
-            guess = np.minimum(np.maximum(xi, lo), hi)
-        top = top + self._entries[:n_rows, 0]  # flat index of each row's top commodity
-        free = (guess > lo) & (guess < hi)
-        free.put(top, True)
+            np.minimum(np.maximum(root[:, None], lo, out=x), hi, out=x)
+            return
+        free = (x > lo) & (x < hi)
+        free.put(top + self._entries[:n_rows, 0], True)
         k = np.add.reduce(free, 1)
-        base = np.where(free, xi, guess)  # a fixed commodity at its bound in guess
+        base = np.where(free, xi, x)  # a fixed commodity at its bound in the guess
         total = np.add.reduce(base, 1)
         root = self._roots(arcs, bound, total, k, start)
         eta = (root - total) / k
         y = xi + eta[:, None]
-        x = np.minimum(np.maximum(y, lo), hi)
+        np.minimum(np.maximum(y, lo, out=x), hi, out=x)
         agree = x == np.where(free, y, base)
         # below the top commodity's lower breakpoint every commodity is on
         # its lower bound, as the clamp gives it; that holds at the resolvent
         # unless a commodity was guessed on its upper bound
-        agree |= free & (eta < low)[:, None]
+        agree |= free & (eta < -peak)[:, None]
         if np.count_nonzero(agree) != agree.size:
             # the rows to fix, in family order (in a sweep of every arc, row j is arc j)
             miss = ~agree.all(1)
@@ -1150,7 +1137,6 @@ class OperatorSet:
             pick, fixing = start[miss], miss if arcs is None else arcs[miss]
             x[miss] = self._fix_variables(fixing, bound, xi[miss], lo[miss], hi[miss], pick)
             start[miss] = pick
-        return x
 
     def _fix_variables(self, arcs, bound, xi, lo, hi, start):
         """`capacity_resolvent` rows by variable fixing, from the all-free pattern.

@@ -11,11 +11,11 @@ with one row per arc and one column per commodity.  One iteration
 
   1. activates the arc blocks chosen by the scheduler (iteration 0
      always activates every arc),
-  2. evaluates the resolvents of the active arcs
-     (``OperatorSet.capacity_resolvent``),
+  2. evaluates the resolvents of the active arcs in one call of the
+     operator set's sweep (``OperatorSet.capacity_resolvent``),
        x1 = J_{gamma A}(z + gamma w),  y1 = (z + gamma w - x1) / gamma,
-     caching the pair per arc: inactive arcs keep the (x1, y1) of their
-     last activation,
+     which writes the pair per arc into the workspace in place: inactive
+     arcs keep the (x1, y1) of their last activation,
   3. evaluates the conservation block after the arcs, at the cached
      output of every arc, as the sequential order of Eckstein & Svaiter
      (Math. Program. 111, 2008) allows,
@@ -105,7 +105,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import functools
 import math
 import numbers
 import time
@@ -117,7 +116,6 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigurationError, NumericalFailure
-from .operators import _component_roots
 
 __all__ = [
     "Full",
@@ -346,7 +344,7 @@ def _conservation_inverse(net):
     n, tails, heads = net.n_nodes, net.tails, net.heads
     slots = np.concatenate([tails * n + tails, heads * n + heads, tails * n + heads, heads * n + tails])
     weights = np.repeat([1.0, 1.0, -1.0, -1.0], tails.size)
-    roots = _component_roots(net)
+    roots = net._component_roots()
     same = roots[:, None] == roots[None, :]
     averages = same / np.count_nonzero(same, 1)[:, None]
     return np.linalg.inv(np.bincount(slots, weights, n * n).reshape(n, n) + averages)
@@ -361,7 +359,8 @@ class SolverState:
     `step`, that of the point the step left, and in the state `run`
     returns, that of (z, w) itself, except where a partial scheduler
     stops at max_iter: there, that of the point before the last step.  x
-    is the workspace's q array, which the next evaluation writes.  A
+    is the workspace's q array under every scheduler, `Full` included,
+    and the next evaluation overwrites it in place: copy it to keep it.  A
     state whose z is None starts that iteration from
     (z, w) = (x, tension v), where a solution pair (x*, v*) is a fixed
     point.
@@ -386,7 +385,8 @@ class IterationWorkspace:
     It holds the latest evaluation, which each iteration makes once, at
     the point its step starts from: the step moves along its directions,
     and in `run` the residual check of that point reads its tau where it
-    covers every arc.  q and q* hold each arc's x1 and y1, the potentials
+    covers every arc.  q and q* hold each arc's x1 and y1, written in
+    place by each evaluation (see `_evaluate`), the potentials
     u / gamma go in s*, and the directions y1 + y2 of z in t* and
     x1 - x2 of w in `tw`.  The arc rows (q, q*) of inactive arcs keep the
     values from their last activation; iteration 0 activates every arc,
@@ -447,18 +447,17 @@ class Termination(enum.Enum):
 def _bound_parameters(net, ops):
     """(gamma, F, bound): `step_parameters` and the kernels bound to gamma."""
     gamma, inverse = step_parameters(net)
-    return gamma, inverse, ops.bind(np.full(net.n_arcs, gamma))
+    return gamma, inverse, ops.bind(gamma)
 
 
 def _evaluate(net, ops, params, state, ws, arc_mask):
     """Evaluate the active arcs and then the conservation block at (z, w) into ws; returns div x1.
 
-    Fills q, q* and the kernel roots for the arcs set in arc_mask, then
-    the potentials s*, the directions t* and tw for every arc, active or
-    not, and tau and pi (see the module docstring).  The network's
-    `every_arc` mask resolves the arrays themselves; any other mask
-    gathers its arcs' rows in the operator set's family order, in which
-    `capacity_resolvent` solves them without sorting.  Reports x1 and
+    Fills q, q* and the kernel roots for the arcs set in arc_mask, in
+    place, by one call of the operator set's sweep (see
+    `OperatorSet.capacity_resolvent`), then the potentials s*, the
+    directions t* and tw for every arc, active or not, and tau and pi
+    (see the module docstring).  Reports x1 and
     u / gamma in state.x and state.v (see `SolverState`); a state without
     (z, w) gets them here.  The caller silences numpy's warnings:
     non-finite values surface in tau and pi.
@@ -468,33 +467,7 @@ def _evaluate(net, ops, params, state, ws, arc_mask):
         state.z, state.w = state.x.copy(), net._tension(state.v)
     z, w = state.z, state.w
     gw = gamma * w
-    xi = z + gw
-    if arc_mask is net.every_arc:  # every arc: work on the arrays themselves
-        ws.q = ops._capacity_resolvent(None, bound, xi, ws.root, ws.q)
-        ws.qstar = (xi - ws.q) / gamma
-    else:  # gather the active rows in family order, and scatter their results back
-        if xi.shape[1] > 1:
-            # rows that the free-flow screen rests on their lower bounds (see
-            # `OperatorSet.bind`) are written here, so only the others are
-            # gathered; a row's largest xi - lo from one np.maximum per
-            # commodity, which numpy forms faster than a max along axis 1
-            rise = xi - ops.box_lo
-            rest = arc_mask & (functools.reduce(np.maximum, rise.T) < bound.screen)
-            if np.count_nonzero(rest):
-                np.copyto(ws.q, ops.box_lo, where=rest[:, None])
-                np.divide(rise, gamma, out=ws.qstar, where=rest[:, None])
-                arc_mask = arc_mask & ~rest
-        perm = ops._perm
-        act = perm.compress(arc_mask.take(perm))
-        if act.size:
-            flat = ops._entries.take(act, 0)
-            root = ws.root.take(act)
-            xi = xi.take(act, 0)
-            q = ops._capacity_resolvent(act, bound, xi, root, ws.q.take(act, 0))
-            ws.root.put(act, root)
-            ws.q.put(flat, q)
-            ws.qstar.put(flat, (xi - q) / gamma)
-
+    ops._sweep(arc_mask, bound, z + gw, ws.q, ws.qstar, ws.root)
     x1 = ws.q
     div_x, div_t = net._divergence(x1, x1 - gw)  # t = x1 - gamma w
     u = inverse @ (div_t - ops.supplies)
@@ -535,7 +508,7 @@ def _advance(net, state, ws, n_active, t0):
     return record
 
 
-def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
+def step(net, ops, state, ws, active_arcs=None, *, params=None):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
@@ -543,10 +516,9 @@ def step(net, ops, cfg, state, ws, active_arcs=None, *, params=None):
     evaluated at every step, after the arcs, at every arc's cached
     output.  The workspace rows of inactive arcs must be valid (iteration
     0 must activate every arc).  `params` is (gamma, F, bound): the
-    values of `step_parameters(net)` and the kernels bound to gamma on
-    every arc; a step that omits them forms them itself.  A gamma other
-    than 1 goes in here.  cfg's settings govern `run`, not one step.  The
-    step evaluates the active blocks at the current state into ws, then
+    values of `step_parameters(net)` and the kernels bound to gamma
+    (`OperatorSet.bind`); a step that omits them forms them itself.  A
+    gamma other than 1 goes in here.  The step evaluates the active blocks at the current state into ws, then
     moves the state; `run` evaluates and moves in the same way, with the
     convergence check between the two.
     """
@@ -576,7 +548,7 @@ def _residual(ops, ws, div_x):
     return float(np.sqrt(ws.tau + gap))
 
 
-def residual(net, ops, cfg, state, params=None):
+def residual(net, ops, state, params=None):
     """Optimality residual at the current point, from a full evaluation.
 
     The square root of tau (with every arc active) augmented with the

@@ -177,11 +177,11 @@ def test_criterion_7_fejer_monotonicity():
     previous = dist(state)
     converged = False
     for _ in range(10**5):
-        step(net, ops, cfg, state, ws)
+        step(net, ops, state, ws)
         current = dist(state)
         worst_increase = max(worst_increase, current - previous)
         previous = current
-        if nq.residual(net, ops, cfg, state) <= cfg.tol:
+        if nq.residual(net, ops, state) <= cfg.tol:
             converged = True
             break
     ok = converged and worst_increase <= 1e-10
@@ -219,7 +219,6 @@ def test_criterion_8_sweeping_enforcement():
 def test_criterion_9_degenerate_branches():
     # a partial step is what can meet a stale cut
     _, net, ops = two_arc_problem()
-    cfg = nq.SolverConfig(scheduler=nq.RoundRobin(2))
 
     # tau = 0: evaluate at the exact solution, the zero flow of a problem
     # without supplies and with phi(s) = s**2/2 on every arc
@@ -227,7 +226,7 @@ def test_criterion_9_degenerate_branches():
     arc = nq.ArcOperator(nq.SeparableLift(nq.IntervalProx(nq.QuadraticPhi(1.0))), nq.Box.free(1))
     zero_ops = nq.OperatorSet(zero_net, [arc] * 3, [nq.FixedSupply((0.0,))] * 3)
     state = nq.initial_state(zero_net)
-    rec_tau = step(zero_net, zero_ops, cfg, state, new_workspace(zero_net))
+    rec_tau = step(zero_net, zero_ops, state, new_workspace(zero_net))
     tau_ok = (
         rec_tau.tau == 0.0
         and rec_tau.theta == 0.0
@@ -241,11 +240,11 @@ def test_criterion_9_degenerate_branches():
     state.x = np.array([[3.0], [0.5]])
     state.v = np.array([[1.0], [-1.0]])
     ws = new_workspace(net)
-    step(net, ops, cfg, state, ws)
+    step(net, ops, state, ws)
     state.x = np.array([[2.0], [1.0]])
     state.v = np.array([[-1.5], [1.5]])
     state.z = None
-    rec_pi = step(net, ops, cfg, state, ws, np.array([True, False]))
+    rec_pi = step(net, ops, state, ws, np.array([True, False]))
     pi_ok = (
         rec_pi.tau > 0.0
         and rec_pi.pi <= 0.0

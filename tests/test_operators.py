@@ -44,39 +44,46 @@ from conftest import random_network, weak_components
 # ---------------------------------------------------------------------------
 
 
-def draw_bpr(rng):
+def step_size(rng, gamma=None):
+    """A step parameter drawn from [0.01, 10], or `gamma` where given; the
+    draw is made either way, so the rest of a draw does not move."""
+    drawn = 10.0 ** rng.uniform(-2, 1)
+    return drawn if gamma is None else gamma
+
+
+def draw_bpr(rng, gamma=None):
     spec = BPR(
         alpha=10.0 ** rng.uniform(-1, 1),
         rho=10.0 ** rng.uniform(-1, 1),
         theta=10.0 ** rng.uniform(-1, 1),
         p=rng.uniform(0.3, 4.0),
     )
-    gamma = 10.0 ** rng.uniform(-2, 1)
+    gamma = step_size(rng, gamma)
     return spec, gamma, rng.uniform(-40.0, 40.0)
 
 
-def draw_log(rng):
+def draw_log(rng, gamma=None):
     spec = Logarithmic(omega=10.0 ** rng.uniform(-1, 1), theta=rng.uniform(0.0, 3.0))
-    gamma = 10.0 ** rng.uniform(-2, 1)
+    gamma = step_size(rng, gamma)
     # beyond omega + gamma*(theta + ~15) the output is within an ulp of omega
     # and c(J(xi)) is no longer evaluable in doubles
     xi = spec.omega + gamma * (spec.theta - rng.uniform(-15.0, 40.0))
     return spec, gamma, xi
 
 
-def draw_trc(rng):
+def draw_trc(rng, gamma=None):
     spec = TRC(*(10.0 ** rng.uniform(-1, 1, size=4)))
-    gamma = 10.0 ** rng.uniform(-2, 1)
+    gamma = step_size(rng, gamma)
     return spec, gamma, rng.uniform(-40.0, 40.0)
 
 
-def draw_powerexp(rng):
+def draw_powerexp(rng, gamma=None):
     spec = PowerExp(
         alpha=1.0 + 10.0 ** rng.uniform(-1, 1),
         theta=10.0 ** rng.uniform(-1, 1),
         p=rng.uniform(0.2, 2.0),
     )
-    gamma = 10.0 ** rng.uniform(-2, 1)
+    gamma = step_size(rng, gamma)
     return spec, gamma, rng.uniform(-40.0, 40.0)
 
 
@@ -545,7 +552,31 @@ def box_projection(box, x):
     arc = ArcOperator(SeparableLift(IntervalProx(AffinePhi(0.0))), box)
     ops = OperatorSet(net, [arc], [FixedSupply((0.0,) * n_comm)] * 2)
     assert ops.box_lo.tolist() == [list(box.lo)] and ops.box_hi.tolist() == [list(box.hi)]
-    return ops.capacity_resolvent(np.arange(1), ops.bind(np.ones(1)), np.array([x], dtype=float))[0]
+    return sweep(ops, ops.bind(1.0), np.arange(1), np.array([x], dtype=float))[0][0]
+
+
+def arc_mask(net, arcs):
+    """The activation mask of `arcs`: the network's `every_arc` where they are every arc."""
+    if len(arcs) == net.n_arcs:
+        return net.every_arc
+    mask = np.zeros(net.n_arcs, dtype=bool)
+    mask[arcs] = True
+    return mask
+
+
+def sweep(ops, bound, arcs, xi, root=None, q=None):
+    """One `capacity_resolvent` call on the arcs listed, at the (n_arcs, C) point xi.
+
+    Returns (q, q*, root), one row per arc: `root` is written in place
+    (None starts every arc cold) and so is `q`, the guess on entry (None
+    takes clamp(xi, lo, hi)); q* starts as nan.  A list of every arc
+    passes the network's `every_arc`, the sweep that needs no gather.
+    """
+    root = np.full(ops.network.n_arcs, np.nan) if root is None else root
+    q = np.minimum(np.maximum(xi, ops.box_lo), ops.box_hi) if q is None else q
+    qstar = np.full(xi.shape, np.nan)
+    ops.capacity_resolvent(arc_mask(ops.network, arcs), bound, xi, q, qstar, root)
+    return q, qstar, root
 
 
 class TestBoxAndSupply:
@@ -585,7 +616,7 @@ class TestBoxAndSupply:
         for scale in [0.1, 1.0, 10.0]:
             x, v = scale * rng.standard_normal((1, 2)), scale * rng.standard_normal((2, 2))
             state, ws = SolverState(x.copy(), v.copy()), new_workspace(net)
-            step(net, ops, SolverConfig(scheduler=RoundRobin(2)), state, ws)
+            step(net, ops, state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
             w = net.tension(v)
             np.testing.assert_allclose(
@@ -599,7 +630,7 @@ class TestBoxAndSupply:
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
         state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net)
-        step(net, ops, SolverConfig(scheduler=RoundRobin(2)), state, ws)
+        step(net, ops, state, ws)
         # a zero supply leaves the potentials F div(q - w), and the projection
         # x2 = q - w + tension(s*) without divergence
         w = net.tension(v)
@@ -742,18 +773,19 @@ def test_every_size1_resolvent_requires_a_finite_positive_gamma(call, gamma):
 # ---------------------------------------------------------------------------
 
 
-def regime_draws(family, rng, n=600):
+def regime_draws(family, rng, n=600, gamma=None):
     """(spec, gamma, xi) draws for one family, mixing the branches of its kernel.
 
     "bpr-all-live" keeps every BPR draw on the root branch (c > 0),
-    "bpr-none-live" keeps every one off it (c <= 0), and "bpr-empty" has none.
+    "bpr-none-live" keeps every one off it (c <= 0), and "bpr-empty" has
+    none.  A `gamma` given is every draw's step parameter.
     """
-    out = []
+    out, fixed = [], gamma
     if family == "bpr-empty":
         n = 0
     for i in range(n):
         if family in DRAWS:
-            spec, gamma, xi = DRAWS[family](rng)
+            spec, gamma, xi = DRAWS[family](rng, fixed)
         if family == "bpr" and i % 5 == 0:
             xi = gamma * spec.theta  # c = 0: the root is 0
         elif family == "log" and i % 5 == 0:
@@ -769,16 +801,16 @@ def regime_draws(family, rng, n=600):
             lo = -math.inf if i % 4 == 0 else rng.uniform(-10.0, 0.0)
             hi = math.inf if i % 4 == 1 else lo + rng.uniform(0.0, 20.0)
             spec = IntervalProx(phi, lo, hi if math.isfinite(lo) else rng.uniform(-5.0, 5.0))
-            gamma, xi = 10.0 ** rng.uniform(-2, 1), rng.uniform(-40.0, 40.0)
+            gamma, xi = step_size(rng, fixed), rng.uniform(-40.0, 40.0)
         elif family == "custom":
             phi = CustomPhi(lambda g, x: x / (1.0 + g), lambda s: (s, s))
             spec = IntervalProx(phi, lo=rng.uniform(-5.0, 0.0))
-            gamma, xi = 10.0 ** rng.uniform(-2, 1), rng.uniform(-40.0, 40.0)
+            gamma, xi = step_size(rng, fixed), rng.uniform(-40.0, 40.0)
         elif family == "bpr-all-live":
-            spec, gamma, _ = draw_bpr(rng)
+            spec, gamma, _ = draw_bpr(rng, fixed)
             xi = gamma * spec.theta + rng.uniform(1e-3, 40.0)
         elif family == "bpr-none-live":
-            spec, gamma, _ = draw_bpr(rng)
+            spec, gamma, _ = draw_bpr(rng, fixed)
             xi = gamma * spec.theta - (0.0 if i % 5 == 0 else rng.uniform(1e-3, 40.0))
         out.append((spec, gamma, xi))
     return out
@@ -1176,12 +1208,11 @@ def test_public_entry_points_raise_no_runtime_warning():
             [ArcOperator(SeparableLift(spec), boxes[j % 2]) for j, spec in enumerate(EVERY_KERNEL)],
             [FixedSupply((0.0, 0.0))] * 2,
         )
-        bound = ops.bind(np.full(n_arcs, 0.5))
+        bound = ops.bind(0.5)
         for x in HUGE_XI:
             for s in BAD_STARTS:
                 for arcs in (np.arange(n_arcs), np.arange(0, n_arcs, 3)):
-                    rows = np.full((arcs.size, 2), x)
-                    ops.capacity_resolvent(arcs, bound, rows, np.full(arcs.size, s))
+                    sweep(ops, bound, arcs, np.full((n_arcs, 2), x), np.full(n_arcs, s))
         for z in HUGE_XI:
             for s in BAD_STARTS:
                 lambertw.lambert_w_exp(np.array([z]), np.array([s]))
@@ -1202,11 +1233,10 @@ def test_operator_set_solves_logarithmic_and_powerexp_arcs_in_one_lambert_call(m
     monkeypatch.setattr(operators, "lambert_w_exp", counted)
     # above both arcs' free-flow thresholds gamma*theta, 1.5 and 1, so no row is screened
     x = np.full((net.n_arcs, 2), 2.0)
-    bound = ops.bind(np.ones(net.n_arcs))
+    bound = ops.bind(1.0)
     for arcs, want in (([0, 1, 2, 3, 4], [2]), ([1, 3], [2]), ([3], [1]), ([0, 2], [])):
-        arcs = np.array(arcs)
         sizes.clear()
-        ops.capacity_resolvent(arcs, bound, x[arcs])
+        sweep(ops, bound, arcs, x)
         assert sizes == want
 
 
@@ -1221,16 +1251,16 @@ def test_capacity_resolvent_start_returns_the_roots():
             [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
         )
         x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
-        gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
-        scaled = gamma * net.n_commodities
-        bound = ops.bind(gamma)
-        for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
-            # no usable start: the cold result, and the roots come back in place
-            start = np.full(arcs.size, np.nan)
-            out = ops.capacity_resolvent(arcs, bound, x[arcs], start)
-            assert np.array_equal(out, ops.capacity_resolvent(arcs, bound, x[arcs]))
-            roots = [specs[j].resolvent(scaled[j], x[j].sum()) for j in arcs]
-            assert np.array_equal(start, roots)
+        some = np.flatnonzero(rng.random(net.n_arcs) < 0.4)
+        for gamma in (0.1, 1.0, 10.0):
+            bound = ops.bind(gamma)
+            for arcs in (np.arange(net.n_arcs), some):
+                # no usable start: the cold result, and the roots come back in place
+                start = np.full(net.n_arcs, np.nan)
+                out = sweep(ops, bound, arcs, x, start)[0]
+                assert np.array_equal(out[arcs], sweep(ops, bound, arcs, x)[0][arcs])
+                roots = [specs[j].resolvent(gamma * net.n_commodities, x[j].sum()) for j in arcs]
+                assert np.array_equal(start[arcs], roots)
 
 
 def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
@@ -1243,16 +1273,16 @@ def test_capacity_resolvent_hands_the_start_to_the_kernels(monkeypatch):
         [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
     )
     x = 10.0 + rng.standard_normal((net.n_arcs, net.n_commodities))
-    bound = ops.bind(np.ones(net.n_arcs))
+    bound = ops.bind(1.0)
     arcs = np.arange(net.n_arcs)
     roots = np.full(net.n_arcs, np.nan)
-    cold = ops.capacity_resolvent(arcs, bound, x, roots)
+    cold = sweep(ops, bound, arcs, x, roots)[0]
     monkeypatch.setattr(operators, "_BPR_MAX_ITER", 1)
     with pytest.raises(NumericalFailure):
-        ops.capacity_resolvent(arcs, bound, x)
+        sweep(ops, bound, arcs, x)
     for rows in (arcs, arcs[::2]):
-        warm = ops.capacity_resolvent(rows, bound, x[rows], roots[rows])
-        np.testing.assert_allclose(warm, cold[rows], rtol=1e-14)
+        warm = sweep(ops, bound, rows, x, roots.copy())[0]
+        np.testing.assert_allclose(warm[rows], cold[rows], rtol=1e-14)
 
 
 def test_a_binding_reused_across_k_patterns_matches_a_fresh_binding_per_call():
@@ -1267,17 +1297,17 @@ def test_a_binding_reused_across_k_patterns_matches_a_fresh_binding_per_call():
         [ArcOperator(SeparableLift(spec), Box.orthant(n_comm)) for spec in specs],
         [FixedSupply((0.0,) * n_comm)] * 2,
     )
-    gamma = 10.0 ** rng.uniform(-1, 1, n_arcs)
-    bound = ops.bind(gamma)
     every, some = np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.5)
     points = [rng.uniform(-5.0, 5.0, (n_arcs, n_comm)) for _ in range(4)]
-    patterns = set()
-    for xi in points + points[::-1]:  # each pattern twice, the repeats back to back
-        patterns.add(tuple((xi > 0.0).sum(1).tolist()))
-        for arcs in (every, some):
-            got = ops.capacity_resolvent(arcs, bound, xi[arcs])
-            assert np.array_equal(got, ops.capacity_resolvent(arcs, ops.bind(gamma), xi[arcs]))
-    assert len(patterns) == len(points)
+    for gamma in (0.1, 1.0, 10.0):
+        bound = ops.bind(gamma)
+        patterns = set()
+        for xi in points + points[::-1]:  # each pattern twice, the repeats back to back
+            patterns.add(tuple((xi > 0.0).sum(1).tolist()))
+            for arcs in (every, some):
+                got = sweep(ops, bound, arcs, xi)[0]
+                assert np.array_equal(got[arcs], sweep(ops, ops.bind(gamma), arcs, xi)[0][arcs])
+        assert len(patterns) == len(points)
 
 
 def test_capacity_resolvent_matches_lift_resolvent_bitwise():
@@ -1293,37 +1323,37 @@ def test_capacity_resolvent_matches_lift_resolvent_bitwise():
             [FixedSupply((0.0,) * net.n_commodities)] * net.n_nodes,
         )
         x = rng.standard_normal((net.n_arcs, net.n_commodities)) * 5.0
-        gamma = 10.0 ** rng.uniform(-1, 1, net.n_arcs)
-        if net.n_commodities == 1:
-            single = np.array([[s.resolvent(g, row[0])] for s, g, row in zip(specs, gamma, x)])
-        else:
-            single = np.array([SeparableLift(s).resolvent(g, row) for s, g, row in zip(specs, gamma, x)])
-        bound = ops.bind(gamma)
-        for arcs in (np.arange(net.n_arcs), np.flatnonzero(rng.random(net.n_arcs) < 0.4)):
-            out = ops.capacity_resolvent(arcs, bound, x[arcs])
-            assert np.array_equal(out, single[arcs])
+        some = np.flatnonzero(rng.random(net.n_arcs) < 0.4)
+        for gamma in (0.1, 1.0, 10.0):
+            if net.n_commodities == 1:
+                single = np.array([[s.resolvent(gamma, row[0])] for s, row in zip(specs, x)])
+            else:
+                single = np.array([SeparableLift(s).resolvent(gamma, row) for s, row in zip(specs, x)])
+            bound = ops.bind(gamma)
+            for arcs in (np.arange(net.n_arcs), some):
+                out = sweep(ops, bound, arcs, x)[0]
+                assert np.array_equal(out[arcs], single[arcs])
 
 
 @pytest.mark.parametrize("family", BATCH_FAMILIES)
 def test_bound_batches_match_size1_resolvents_bitwise(family):
     # one commodity, so each arc's kernel sees its draw's gamma and xi as they are
     rng = np.random.default_rng(BATCH_FAMILIES.index(family) + 300)
-    items = regime_draws(family, rng, 300)
-    net = Network(["a", "b"], [("a", "b")] * len(items), 1)
-    ops = OperatorSet(
-        net,
-        [ArcOperator(SeparableLift(spec), Box.free(1)) for spec, _, _ in items],
-        [FixedSupply((0.0,))] * 2,
-    )
-    gamma = np.array([g for _, g, _ in items])
-    x = np.array([[xi] for _, _, xi in items])
-    single = np.array([spec.resolvent(g, xi) for spec, g, xi in items])
-    bound = ops.bind(gamma)
-    for arcs in (np.arange(len(items)), np.flatnonzero(rng.random(len(items)) < 0.3)):
-        roots = np.full(arcs.size, np.nan)
-        out = ops.capacity_resolvent(arcs, bound, x[arcs], roots)
-        assert np.array_equal(roots, single[arcs])
-        assert np.array_equal(out[:, 0], single[arcs])
+    for gamma in (0.1, 1.0, 10.0):
+        items = regime_draws(family, rng, 300, gamma)
+        net = Network(["a", "b"], [("a", "b")] * len(items), 1)
+        ops = OperatorSet(
+            net,
+            [ArcOperator(SeparableLift(spec), Box.free(1)) for spec, _, _ in items],
+            [FixedSupply((0.0,))] * 2,
+        )
+        x = np.array([[xi] for _, _, xi in items])
+        single = np.array([spec.resolvent(g, xi) for spec, g, xi in items])
+        bound = ops.bind(gamma)
+        for arcs in (np.arange(len(items)), np.flatnonzero(rng.random(len(items)) < 0.3)):
+            out, _, roots = sweep(ops, bound, arcs, x)
+            assert np.array_equal(roots[arcs], single[arcs])
+            assert np.array_equal(out[arcs, 0], single[arcs])
 
 
 def reference_arc_resolvent(spec, gamma, xi, lo, hi):
@@ -1364,7 +1394,7 @@ def reference_arc_resolvent(spec, gamma, xi, lo, hi):
     return flat
 
 
-def arc_block_draws(rng, n_comm, n_arcs):
+def arc_block_draws(rng, n_comm, n_arcs, gamma):
     """(spec, gamma) of every family, a box per arc and a point of it per arc.
 
     The boxes are orthants, free, finite, half-open on either side, and
@@ -1372,7 +1402,7 @@ def arc_block_draws(rng, n_comm, n_arcs):
     sit on a bound or strictly inside at random.
     """
     families = BATCH_FAMILIES
-    draws = [regime_draws(families[j % len(families)], rng, 1)[0][:2] for j in range(n_arcs)]
+    draws = [regime_draws(families[j % len(families)], rng, 1, gamma)[0][:2] for j in range(n_arcs)]
     lo = rng.uniform(-3.0, 1.0, (n_arcs, n_comm))
     hi = lo + rng.uniform(0.0, 4.0, (n_arcs, n_comm))
     kind = rng.integers(6, size=(n_arcs, 1))
@@ -1396,32 +1426,28 @@ def test_arc_block_resolvent_matches_a_breakpoint_scan(n_comm, monkeypatch):
         return fix(self, arcs, *args)
 
     monkeypatch.setattr(OperatorSet, "_fix_variables", counted)
-    for _ in range(8):
+    for gamma in (0.1, 1.0, 10.0) * 3:
         n_arcs = 60
-        draws, lo, hi, guess = arc_block_draws(rng, n_comm, n_arcs)
+        draws, lo, hi, guess = arc_block_draws(rng, n_comm, n_arcs, gamma)
         net = Network(["a", "b"], [("a", "b")] * n_arcs, n_comm)
         arcs = [ArcOperator(SeparableLift(spec), Box(l, h)) for (spec, _), l, h in zip(draws, lo, hi)]
         ops = OperatorSet(net, arcs, [FixedSupply((0.0,) * n_comm)] * 2)
-        gamma = np.array([g for _, g in draws])
         bound = ops.bind(gamma)
         xi = rng.uniform(-20.0, 20.0, (n_arcs, n_comm)) * 10.0 ** rng.uniform(-1, 1, (n_arcs, 1))
         want = np.array([reference_arc_resolvent(spec, g, *row) for (spec, g), *row in zip(draws, xi, lo, hi)])
         scale = 1.0 + np.abs(xi).max(1, keepdims=True)
         for rows in (np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.4)):
-            for start in (None, guess[rows]):
-                got = ops.capacity_resolvent(rows, bound, xi[rows], guess=start)
+            for start in (None, guess):
+                got = sweep(ops, bound, rows, xi, q=None if start is None else start.copy())[0][rows]
                 assert np.all(np.abs(got - want[rows]) <= 1e-12 * scale[rows])
                 assert np.all((lo[rows] <= got) & (got <= hi[rows]))
             # a row alone is bitwise the row of the batch, from a cold or a warm start
-            roots = np.full(rows.size, np.nan)
-            ops.capacity_resolvent(rows, bound, xi[rows], roots, guess[rows])
-            starts = np.where(rng.random(rows.size) < 0.5, np.nan, roots + 1e-3 * rng.standard_normal(rows.size))
-            batch_roots = starts.copy()
-            batch = ops.capacity_resolvent(rows, bound, xi[rows], batch_roots, guess[rows])
-            for r, j in enumerate(rows):
-                root = starts[r : r + 1].copy()
-                alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
-                assert np.array_equal(alone[0], batch[r]) and np.array_equal(root, batch_roots[r : r + 1], equal_nan=True)
+            roots = sweep(ops, bound, rows, xi, q=guess.copy())[2]
+            starts = np.where(rng.random(n_arcs) < 0.5, np.nan, roots + 1e-3 * rng.standard_normal(n_arcs))
+            batch, _, batch_roots = sweep(ops, bound, rows, xi, starts.copy(), guess.copy())
+            for j in rows:
+                alone, _, root = sweep(ops, bound, [j], xi, starts.copy(), guess.copy())
+                assert np.array_equal(alone[j], batch[j]) and np.array_equal(root[j], batch_roots[j], equal_nan=True)
     # some rows went to variable fixing; with one commodity none does
     assert bool(fixed_rows) == (n_comm > 1)
 
@@ -1449,10 +1475,6 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
     )
     assert [arcs.tolist() for _, arcs, _ in ops.families] == [list(range(f, n_arcs, 4)) for f in range(4)]
     rng = np.random.default_rng(2510)
-    bound = ops.bind(rng.uniform(0.2, 2.0, n_arcs))
-    xi = bound.screen[:, None] + rng.uniform(-0.2, 1.0, (n_arcs, n_comm))
-    assert np.all(xi.max(1) > bound.screen)
-    guess = np.ones((n_arcs, n_comm))
     fixed = []
     fix = OperatorSet._fix_variables
 
@@ -1461,21 +1483,28 @@ def test_a_sweep_of_every_arc_fixes_its_rows_in_family_order(monkeypatch):
         return fix(self, arcs, *args)
 
     monkeypatch.setattr(OperatorSet, "_fix_variables", recorded)
-    for start in (None, rng.uniform(0.5, 2.0, n_arcs)):
-        roots = np.full(n_arcs, np.nan) if start is None else start.copy()
+    every = np.arange(n_arcs)
+    for gamma in (0.1, 1.0, 10.0):
+        bound = ops.bind(gamma)
+        xi = bound.screen[:, None] + rng.uniform(-0.2, 1.0, (n_arcs, n_comm))
+        xi[every, rng.integers(n_comm, size=n_arcs)] = bound.screen + rng.uniform(0.05, 1.0, n_arcs)
+        assert np.all(xi.max(1) > bound.screen)
+        guess = np.ones((n_arcs, n_comm))
+        for start in (None, rng.uniform(0.5, 2.0, n_arcs)):
+            roots = np.full(n_arcs, np.nan) if start is None else start.copy()
+            fixed.clear()
+            got = sweep(ops, bound, every, xi, roots, guess.copy())[0]
+            assert [a.tolist() for a in fixed] == [ops._perm.tolist()]
+            for j in range(n_arcs):
+                root = np.full(n_arcs, np.nan) if start is None else start.copy()
+                alone = sweep(ops, bound, [j], xi, root, guess.copy())[0]
+                assert np.array_equal(alone[j], got[j]) and np.array_equal(root[j], roots[j])
+        # guessed from the resolvent itself, the even arcs keep their guess
         fixed.clear()
-        got = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, guess)
-        assert [a.tolist() for a in fixed] == [ops._perm.tolist()]
-        for j in range(n_arcs):
-            root = roots[j : j + 1] * np.nan if start is None else start[j : j + 1].copy()
-            alone = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], root, guess[[j]])
-            assert np.array_equal(alone[0], got[j]) and np.array_equal(root, roots[j : j + 1])
-    # guessed from the resolvent itself, the even arcs keep their guess
-    fixed.clear()
-    mixed = np.where((np.arange(n_arcs) % 2 == 0)[:, None], got, guess)
-    again = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots.copy(), mixed)
-    assert [a.tolist() for a in fixed] == [[j for j in ops._perm.tolist() if j % 2]]
-    np.testing.assert_allclose(again, got, rtol=1e-13, atol=1e-15)
+        mixed = np.where((np.arange(n_arcs) % 2 == 0)[:, None], got, guess)
+        again = sweep(ops, bound, every, xi, roots.copy(), mixed)[0]
+        assert [a.tolist() for a in fixed] == [[j for j in ops._perm.tolist() if j % 2]]
+        np.testing.assert_allclose(again, got, rtol=1e-13, atol=1e-15)
 
 
 def mixed_family_instance(custom):
@@ -1528,8 +1557,8 @@ def test_bind_returns_one_float_table_per_family():
     # family may keep a column of objects, a CustomPhi's included
     net, ops = mixed_family_instance(custom=True)
     n_comm = net.n_commodities
-    bound = ops.bind(np.full(net.n_arcs, 0.5))
-    assert len(bound.rows) == len(ops.families) == 4
+    bound = ops.bind(0.5)
+    assert bound.gamma == 0.5 and len(bound.rows) == len(ops.families) == 4
     assert bound.table.dtype == np.float64 and bound.table.shape == (max(bound.rows), net.n_arcs * n_comm)
     b = 0
     for (kernel, arcs, params), n in zip(ops.families, bound.rows):
@@ -1565,18 +1594,18 @@ def test_arcs_sharing_a_custom_phi_form_one_family_and_two_instances_two():
         [FixedSupply((0.0,)), FixedSupply((0.0,))],
     )
     assert [arcs.tolist() for _, arcs, _ in ops.families] == [[0, 2], [1, 3], [4]]
-    gamma = np.array([0.5, 2.0, 1.5, 0.25, 1.0])
     xi = np.array([3.0, -4.0, 1.0, 7.0, 2.0])
-    bound = ops.bind(gamma)
-    for arcs in (np.arange(5), np.array([0, 3]), np.array([1, 2, 4])):
-        got = ops.capacity_resolvent(arcs, bound, xi[arcs, None])[:, 0]
-        want = [
-            specs[j].resolvent(gamma[j], xi[j])
-            if j == 4
-            else min(max(specs[j].phi.prox(gamma[j], xi[j]), specs[j].lo), specs[j].hi)
-            for j in arcs
-        ]
-        assert np.array_equal(got, want)
+    for gamma in (0.1, 1.0, 10.0):
+        bound = ops.bind(gamma)
+        for arcs in (np.arange(5), np.array([0, 3]), np.array([1, 2, 4])):
+            got = sweep(ops, bound, arcs, xi[:, None])[0][arcs, 0]
+            want = [
+                specs[j].resolvent(gamma, xi[j])
+                if j == 4
+                else min(max(specs[j].phi.prox(gamma, xi[j]), specs[j].lo), specs[j].hi)
+                for j in arcs
+            ]
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1624,14 +1653,13 @@ def screen_boxes(n_comm):
     ]
 
 
-def screen_instance(n_comm):
-    """One arc per spec and box, with each arc's gamma and free-flow threshold."""
+def screen_instance(n_comm, gamma):
+    """One arc per spec and box, with each arc's free-flow threshold at gamma."""
     arcs = [ArcOperator(SeparableLift(spec), box) for spec in SCREEN_SPECS for box in screen_boxes(n_comm)]
     net = Network(["a", "b"], [("a", "b")] * len(arcs), n_comm)
     ops = OperatorSet(net, arcs, [FixedSupply((0.0,) * n_comm)] * 2)
-    gamma = 10.0 ** np.linspace(-1.0, 1.0, len(arcs))
-    t = np.array([free_flow(op.q.scalar, g) for op, g in zip(arcs, gamma)])
-    return ops, gamma, t
+    t = np.array([free_flow(op.q.scalar, gamma) for op in arcs])
+    return ops, t
 
 
 def straddling_rows(rng, t, lo, scale):
@@ -1660,46 +1688,46 @@ def test_rows_at_the_free_flow_threshold_match_the_kernel_path(n_comm, scale):
     # 1 - 1e-14 lies within the screen's margin, so those rows are solved
     # unless the threshold is 0
     rng = np.random.default_rng(int(7000 + 10 * n_comm + 1e9 * (scale - 1.0)))
-    ops, gamma, t = screen_instance(n_comm)
-    n_arcs = ops.network.n_arcs
-    bound = ops.bind(gamma)
-    xi = straddling_rows(rng, t, ops.box_lo, scale)
-    sentinel = rng.uniform(0.5, 2.0, n_arcs)
-    for arcs in (np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.5)):
-        for guess in (None, np.clip(xi[arcs], ops.box_lo[arcs], ops.box_hi[arcs])):
-            roots, kernel_roots = sentinel[arcs].copy(), sentinel[arcs].copy()
-            got = ops.capacity_resolvent(arcs, bound, xi[arcs], roots, guess)
-            want = ops.capacity_resolvent(arcs, unscreened(bound), xi[arcs], kernel_roots, guess)
-            assert np.array_equal(got, want)
-            # below the threshold a row with lower bounds 0 is screened and
-            # keeps its start; at or above it every row is solved
-            below = np.where(t[arcs] == 0.0, scale < 1.0, scale <= 1.0 - 1e-9)  # the margin is relative
-            screened = below & (n_comm > 1) & np.isfinite(t[arcs]) & ~np.any(ops.box_lo[arcs], 1)
-            assert np.array_equal(roots == sentinel[arcs], screened | (kernel_roots == sentinel[arcs]))
-            assert np.array_equal(roots[~screened], kernel_roots[~screened], equal_nan=True)
-            assert np.array_equal(got[screened], ops.box_lo[arcs][screened])
-            if scale <= 1.0 - 1e-9 and n_comm > 1:
-                assert screened.sum() >= arcs.size // 4
+    for gamma in (0.1, 1.0, 10.0):
+        ops, t = screen_instance(n_comm, gamma)
+        n_arcs = ops.network.n_arcs
+        bound = ops.bind(gamma)
+        xi = straddling_rows(rng, t, ops.box_lo, scale)
+        sentinel = rng.uniform(0.5, 2.0, n_arcs)
+        for arcs in (np.arange(n_arcs), np.flatnonzero(rng.random(n_arcs) < 0.5)):
+            for guess in (None, np.clip(xi, ops.box_lo, ops.box_hi)):
+                copies = [None if guess is None else guess.copy() for _ in range(2)]
+                got, got_star, roots = sweep(ops, bound, arcs, xi, sentinel.copy(), copies[0])
+                want, want_star, kernel_roots = sweep(ops, unscreened(bound), arcs, xi, sentinel.copy(), copies[1])
+                assert np.array_equal(got, want) and np.array_equal(got_star, want_star, equal_nan=True)
+                got, roots, kernel_roots = got[arcs], roots[arcs], kernel_roots[arcs]
+                # below the threshold a row with lower bounds 0 is screened and
+                # keeps its start; at or above it every row is solved
+                below = np.where(t[arcs] == 0.0, scale < 1.0, scale <= 1.0 - 1e-9)  # the margin is relative
+                screened = below & (n_comm > 1) & np.isfinite(t[arcs]) & ~np.any(ops.box_lo[arcs], 1)
+                assert np.array_equal(roots == sentinel[arcs], screened | (kernel_roots == sentinel[arcs]))
+                assert np.array_equal(roots[~screened], kernel_roots[~screened], equal_nan=True)
+                assert np.array_equal(got[screened], ops.box_lo[arcs][screened])
+                if scale <= 1.0 - 1e-9 and n_comm > 1:
+                    assert screened.sum() >= arcs.size // 4
 
 
 def test_screened_results_and_roots_do_not_depend_on_batch_mates():
     rng = np.random.default_rng(7100)
-    ops, gamma, t = screen_instance(3)
-    n_arcs = ops.network.n_arcs
-    bound = ops.bind(gamma)
-    xi = straddling_rows(rng, t, ops.box_lo, 1.0) * rng.uniform(0.5, 1.5, (n_arcs, 1))
-    start = rng.uniform(0.5, 2.0, n_arcs)
-    roots = start.copy()
-    whole = ops.capacity_resolvent(np.arange(n_arcs), bound, xi, roots, xi)
-    assert 0 < np.count_nonzero(roots == start) < n_arcs  # some rows screened, some solved
-    for part in (np.arange(0, n_arcs, 3), np.flatnonzero(rng.random(n_arcs) < 0.3)):
-        pick = start[part].copy()
-        got = ops.capacity_resolvent(part, bound, xi[part], pick, xi[part])
-        assert np.array_equal(got, whole[part]) and np.array_equal(pick, roots[part])
-    for j in range(n_arcs):
-        pick = start[[j]].copy()
-        got = ops.capacity_resolvent(np.array([j]), bound, xi[[j]], pick, xi[[j]])
-        assert np.array_equal(got[0], whole[j]) and np.array_equal(pick, roots[[j]])
+    for gamma in (0.1, 1.0, 10.0):
+        ops, t = screen_instance(3, gamma)
+        n_arcs = ops.network.n_arcs
+        bound = ops.bind(gamma)
+        xi = straddling_rows(rng, t, ops.box_lo, 1.0) * rng.uniform(0.5, 1.5, (n_arcs, 1))
+        start = rng.uniform(0.5, 2.0, n_arcs)
+        whole, _, roots = sweep(ops, bound, np.arange(n_arcs), xi, start.copy(), xi.copy())
+        assert 0 < np.count_nonzero(roots == start) < n_arcs  # some rows screened, some solved
+        for part in (np.arange(0, n_arcs, 3), np.flatnonzero(rng.random(n_arcs) < 0.3)):
+            got, _, pick = sweep(ops, bound, part, xi, start.copy(), xi.copy())
+            assert np.array_equal(got[part], whole[part]) and np.array_equal(pick[part], roots[part])
+        for j in range(n_arcs):
+            got, _, pick = sweep(ops, bound, [j], xi, start.copy(), xi.copy())
+            assert np.array_equal(got[j], whole[j]) and np.array_equal(pick[j], roots[j])
 
 
 def test_bind_reads_no_value_or_subdiff(monkeypatch):
@@ -1708,12 +1736,49 @@ def test_bind_reads_no_value_or_subdiff(monkeypatch):
         raise AssertionError("bind read a spec's value or subdiff")
 
     rng = np.random.default_rng(7200)
-    ops, gamma, t = screen_instance(2)
+    instances = [screen_instance(2, gamma) for gamma in (0.1, 1.0, 10.0)]
     for cls in (BPR, Logarithmic, TRC, PowerExp, IntervalProx, AffinePhi, QuadraticPhi, PowerPhi, CustomPhi):
         for name in ("value", "subdiff"):
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, forbidden)
-    bound = ops.bind(gamma)
-    xi = straddling_rows(rng, t, ops.box_lo, 1.0 - 1e-9)
-    ops.capacity_resolvent(np.arange(ops.network.n_arcs), bound, xi)
-    assert np.isfinite(bound.screen).sum() >= 2 * (len(SCREEN_SPECS) - 4)
+    for gamma, (ops, t) in zip((0.1, 1.0, 10.0), instances):
+        bound = ops.bind(gamma)
+        xi = straddling_rows(rng, t, ops.box_lo, 1.0 - 1e-9)
+        sweep(ops, bound, np.arange(ops.network.n_arcs), xi)
+        assert np.isfinite(bound.screen).sum() >= 2 * (len(SCREEN_SPECS) - 4)
+
+
+@pytest.mark.parametrize("n_comm", [1, 3])
+@pytest.mark.parametrize("screened", [False, True], ids=["nothing-screened", "some-screened"])
+def test_a_masked_sweep_writes_the_every_arc_rows_in_place_and_nothing_else(n_comm, screened, monkeypatch):
+    # the every-arc mask solves on the arrays themselves unless the screen
+    # takes rows out; any other mask gathers its rows in family order
+    rng = np.random.default_rng(7300 + 10 * n_comm + screened)
+    gathered = []
+    solve = OperatorSet._solve_rows
+
+    def recorded(self, arcs, *args):
+        gathered.append(arcs)
+        return solve(self, arcs, *args)
+
+    monkeypatch.setattr(OperatorSet, "_solve_rows", recorded)
+    for gamma in (0.1, 1.0, 10.0):
+        ops, t = screen_instance(n_comm, gamma)
+        n_arcs = ops.network.n_arcs
+        bound = ops.bind(gamma)
+        # 1 - 1e-9 puts every arc with lower bounds 0 and a finite threshold under the screen; 2 none
+        xi = straddling_rows(rng, t, ops.box_lo, 1.0 - 1e-9 if screened else 2.0)
+        guess = np.clip(xi + rng.standard_normal(xi.shape), ops.box_lo, ops.box_hi)
+        start = np.where(rng.random(n_arcs) < 0.5, np.nan, rng.uniform(0.5, 2.0, n_arcs))
+        gathered.clear()
+        every = sweep(ops, bound, np.arange(n_arcs), xi, start.copy(), guess.copy())
+        kept = (every[2] == start) | (np.isnan(every[2]) & np.isnan(start))  # screened rows keep their start
+        assert np.count_nonzero(kept) > 0 if screened and n_comm > 1 else not kept.any()
+        assert (gathered[0] is None) == (not kept.any())
+        for mask in (rng.random(n_arcs) < 0.5, rng.random(n_arcs) < 0.1, np.ones(n_arcs, dtype=bool)):
+            before = (guess.copy(), rng.standard_normal(xi.shape), start.copy())
+            q, qstar, root = (a.copy() for a in before)
+            ops.capacity_resolvent(mask, bound, xi, q, qstar, root)
+            for got, old, want in zip((q, qstar, root), before, every):
+                assert got[mask].tobytes() == want[mask].tobytes()
+                assert got[~mask].tobytes() == old[~mask].tobytes()

@@ -350,10 +350,9 @@ class TestStep:
         net = Network(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], 2)
         arc = ArcOperator(SeparableLift(IntervalProx(QuadraticPhi(1.0))), Box.free(2))
         ops = OperatorSet(net, [arc] * 3, [FixedSupply((0.0, 0.0))] * 3)
-        cfg = SolverConfig(scheduler=RoundRobin(2))
         state, ws = initial_state(net), new_workspace(net)
         for mask in (None, np.array([True, False, True])):
-            record = step(net, ops, cfg, state, ws, mask)
+            record = step(net, ops, state, ws, mask)
             assert record.tau == 0.0 and record.theta == 0.0
             assert not state.z.any() and not state.w.any()
 
@@ -362,15 +361,14 @@ class TestStep:
         # activate only one arc: the stale cut cannot separate a point of
         # the solution set, so pi <= 0 and the relaxed projection is skipped
         inst, net, ops = two_arc
-        cfg = SolverConfig(scheduler=RoundRobin(2))
         state = initial_state(net)
         state.x = np.array([[3.0], [0.5]])
         state.v = np.array([[1.0], [-1.0]])
         ws = new_workspace(net)
-        step(net, ops, cfg, state, ws)
+        step(net, ops, state, ws)
         solved = solved_state(net, inst)
         state.x, state.v, state.z = solved.x, solved.v, None  # (z, w) = (x*, tension v*)
-        record = step(net, ops, cfg, state, ws, np.array([True, False]))
+        record = step(net, ops, state, ws, np.array([True, False]))
         assert record.tau > 0.0
         assert record.pi <= 0.0
         assert record.theta == 0.0
@@ -379,10 +377,9 @@ class TestStep:
 
     def test_theta_bounds(self, two_arc):
         _, net, ops = two_arc
-        cfg = SolverConfig()
         state, ws = initial_state(net), new_workspace(net)
         for _ in range(30):
-            record = step(net, ops, cfg, state, ws)
+            record = step(net, ops, state, ws)
             assert record.tau >= 0.0
             assert record.theta >= 0.0
             if record.tau > 0.0 and record.pi > 0.0:
@@ -396,13 +393,12 @@ class TestStep:
         # they were, and the conservation block still enforces every node's
         # row: x2 = q - gamma w + tension(gamma s*) meets the supplies
         net, ops = fixture_or_mixed(case, request)
-        cfg = SolverConfig(scheduler=RoundRobin(2))
         state, ws = initial_state(net), new_workspace(net)
-        step(net, ops, cfg, state, ws)
+        step(net, ops, state, ws)
         cached = {k: getattr(ws, k).copy() for k in ("q", "qstar", "root")}
         w = state.w.copy()
         mask = np.arange(net.n_arcs) % 2 == 0
-        record = step(net, ops, cfg, state, ws, mask)
+        record = step(net, ops, state, ws, mask)
         for key in ("q", "qstar", "root"):
             assert getattr(ws, key)[~mask].tobytes() == cached[key][~mask].tobytes()
         assert record.active_nodes == net.n_nodes
@@ -413,12 +409,11 @@ class TestStep:
     def test_sstar_is_fresh_for_every_node_after_a_partial_step(self, two_arc):
         # s* = F(div(q - gamma w) - b) / gamma, from every arc's cached row
         _, net, ops = two_arc
-        cfg = SolverConfig(scheduler=RoundRobin(2))
         state, ws = initial_state(net), new_workspace(net)
-        step(net, ops, cfg, state, ws)
+        step(net, ops, state, ws)
         stale = ws.sstar.copy()
         w = state.w.copy()
-        step(net, ops, cfg, state, ws, np.array([True, False]))
+        step(net, ops, state, ws, np.array([True, False]))
         _, inverse = step_parameters(net)
         fresh = inverse @ (net.divergence(ws.q - w) - ops.supplies)
         assert np.array_equal(ws.sstar, fresh)
@@ -428,7 +423,7 @@ class TestStep:
         _, net, ops = two_arc
         state, ws = initial_state(net), new_workspace(net)
         with pytest.raises(ConfigurationError, match="nonempty"):
-            step(net, ops, SolverConfig(), state, ws, np.array([False, False]))
+            step(net, ops, state, ws, np.array([False, False]))
 
     @pytest.mark.parametrize(
         "mask",
@@ -444,7 +439,7 @@ class TestStep:
         net, ops, _ = braess
         state, ws = initial_state(net), new_workspace(net)
         with pytest.raises(ConfigurationError, match=r"boolean array of shape \(5,\)"):
-            step(net, ops, SolverConfig(), state, ws, mask)
+            step(net, ops, state, ws, mask)
         assert state.n == 0 and not state.x.any()
 
     def test_node_mask_passed_positionally_fails(self, two_arc):
@@ -454,7 +449,7 @@ class TestStep:
         state, ws = initial_state(net), new_workspace(net)
         mask = np.array([True, True])
         with pytest.raises(TypeError):
-            step(net, ops, SolverConfig(), state, ws, mask, mask)
+            step(net, ops, state, ws, mask, mask)
         assert state.n == 0
 
     def test_non_finite_input_raises_numerical_failure(self, two_arc):
@@ -462,7 +457,7 @@ class TestStep:
         state, ws = initial_state(net), new_workspace(net)
         state.x[0, 0] = np.inf
         with pytest.raises(NumericalFailure, match="iteration 0"):
-            step(net, ops, SolverConfig(), state, ws)
+            step(net, ops, state, ws)
 
     @pytest.mark.parametrize(
         "tau, pi, x0, t0",
@@ -482,7 +477,7 @@ class TestStep:
 
         monkeypatch.setattr(solver, "_evaluate", evaluate)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite iterate"):
-            step(net, ops, SolverConfig(), state, ws)
+            step(net, ops, state, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +488,13 @@ class TestStep:
 class TestResidual:
     def test_zero_at_solution(self, two_arc):
         inst, net, ops = two_arc
-        assert residual(net, ops, SolverConfig(), solved_state(net, inst)) <= 1e-10
+        assert residual(net, ops, solved_state(net, inst)) <= 1e-10
 
     def test_positive_off_solution(self, two_arc):
         inst, net, ops = two_arc
         state = solved_state(net, inst)
         state.x[:, 0] = [3.0, 0.0]
-        assert residual(net, ops, SolverConfig(), state) > 0.1
+        assert residual(net, ops, state) > 0.1
 
     def test_zero_for_degenerate_zero_problem(self):
         # vanishing capacity (theta -> 0 limit via a tiny prox slope), free
@@ -510,16 +505,15 @@ class TestResidual:
             Box.free(1),
         )
         ops = OperatorSet(net, [arc], [FixedSupply((0.0,)), FixedSupply((0.0,))])
-        assert residual(net, ops, SolverConfig(), initial_state(net)) == 0.0
+        assert residual(net, ops, initial_state(net)) == 0.0
 
     def test_does_not_mutate_state_or_workspace(self, two_arc):
         _, net, ops = two_arc
-        cfg = SolverConfig()
         state, ws = initial_state(net), new_workspace(net)
-        step(net, ops, cfg, state, ws)
+        step(net, ops, state, ws)
         snap_state = (state.x.copy(), state.v.copy())
         snap_q = ws.q.copy()
-        residual(net, ops, cfg, state)
+        residual(net, ops, state)
         assert np.array_equal(state.x, snap_state[0])
         assert np.array_equal(state.v, snap_state[1])
         assert np.array_equal(ws.q, snap_q)
@@ -568,7 +562,7 @@ class TestRun:
         assert checked == [r.n for r in trace if r.tau == 0.0 or (r.n + 1) % solver.CHECK_INTERVAL == 0]
         plain, ws = initial_state(net), new_workspace(net)
         for _ in range(cfg.max_iter):
-            step(net, ops, cfg, plain, ws)
+            step(net, ops, plain, ws)
         for a, b in zip((state.z, state.w), (plain.z, plain.w)):
             assert np.array_equal(a, b)
 
@@ -629,11 +623,11 @@ class TestRun:
 
         previous = dist(state)
         for _ in range(200):
-            step(net, ops, cfg, state, ws)
+            step(net, ops, state, ws)
             current = dist(state)
             assert current <= previous + 1e-10
             previous = current
-            if residual(net, ops, cfg, state) <= cfg.tol:
+            if residual(net, ops, state) <= cfg.tol:
                 break
         else:
             pytest.fail("did not converge within 200 iterations")
@@ -669,7 +663,7 @@ def manual_run(net, ops, cfg, params=None):
             return state, trace
         arcs = sched.select(n) if n < cfg.max_iter else None
         point = copy.deepcopy(state)
-        record = step(net, ops, cfg, state, ws, None if check else arcs, params=params)
+        record = step(net, ops, state, ws, None if check else arcs, params=params)
         point.x, point.v = x, v = state.x, state.v
         value = math.inf
         if check or gated and consult and math.sqrt(record.tau) <= cfg.tol:
@@ -852,13 +846,13 @@ def test_an_arc_resolvent_guessed_from_its_own_output_needs_no_variable_fixing(m
     assert reason is Termination.CONVERGED
     # a step on a copy of the state evaluates every block at the state itself
     ws = new_workspace(net)
-    step(net, ops, cfg, copy.deepcopy(state), ws)
+    step(net, ops, copy.deepcopy(state), ws)
     on_lower = ws.q == ops.box_lo
     assert on_lower.all(1).any() and (on_lower.any(1) & ~on_lower.all(1)).any()
     fixed, real = [], ops._fix_variables
     monkeypatch.setattr(ops, "_fix_variables", lambda arcs, *args: fixed.append(arcs) or real(arcs, *args))
     first = ws.q.copy()
-    step(net, ops, cfg, copy.deepcopy(state), ws)
+    step(net, ops, copy.deepcopy(state), ws)
     assert fixed == []
     np.testing.assert_allclose(ws.q, first, rtol=0.0, atol=1e-12)
 
@@ -947,13 +941,13 @@ def test_a_full_run_stops_at_the_first_iterate_whose_residual_passes(name, reque
     # again (no point of these runs is rejected)
     plain, ws = initial_state(net), new_workspace(net)
     gamma, inverse = step_parameters(net)
-    params = (gamma, inverse, ops.bind(np.full(net.n_arcs, gamma)))
+    params = (gamma, inverse, ops.bind(gamma))
     consult, rejected = True, []
     while True:
-        value = residual(net, ops, cfg, plain, params)
+        value = residual(net, ops, plain, params)
         assert abs(value - cfg.tol) > 1e-9 * cfg.tol
         point = copy.deepcopy(plain)
-        step(net, ops, cfg, plain, ws, params=params)
+        step(net, ops, plain, ws, params=params)
         if value <= cfg.tol and (consult or point.n % solver.CHECK_INTERVAL == 0):
             consult = wardrop_residual(net, ops, plain.x, plain.v) <= cfg.tol
             if consult:
@@ -1079,7 +1073,7 @@ def test_two_runs_on_one_operator_set_are_bitwise_equal(spec, T):
     cfg = SolverConfig(scheduler=spec, T=T, max_iter=120, tol=1e-300)
     probe = initial_state(net)
     probe.x[:] = 0.5
-    cold = residual(net, ops, cfg, probe)
+    cold = residual(net, ops, probe)
     first, first_trace, _ = run(net, ops, cfg)
     second, second_trace, _ = run(net, ops, cfg)
     for got, want in zip((second.x, second.v), (first.x, first.v)):
@@ -1087,15 +1081,14 @@ def test_two_runs_on_one_operator_set_are_bitwise_equal(spec, T):
     rows = [(r.tau, r.pi, r.theta, r.residual) for r in second_trace]
     assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in first_trace]
     # a residual without a sweep workspace starts cold, before and after runs
-    assert residual(net, ops, cfg, probe) == cold
+    assert residual(net, ops, probe) == cold
 
 
 def test_workspace_roots_follow_the_evaluated_arcs(two_arc):
     _, net, ops = two_arc
-    cfg = SolverConfig(scheduler=RoundRobin(2))
     state, ws = initial_state(net), new_workspace(net)
     assert np.isnan(ws.root).all()
-    step(net, ops, cfg, state, ws, np.array([True, False]))
+    step(net, ops, state, ws, np.array([True, False]))
     assert np.isfinite(ws.root[0]) and np.isnan(ws.root[1])
     # from the zero point xi = 0: the root is the scalar resolvent there,
     # below the kink, and the orthant clamps it to q = 0
@@ -1163,7 +1156,7 @@ def test_runs_with_different_gamma_on_one_operator_set_match_fresh_operator_sets
             assert np.array_equal(got, want)
         rows = [(r.tau, r.pi, r.theta, r.residual) for r in trace]
         assert rows == [(r.tau, r.pi, r.theta, r.residual) for r in ref_trace]
-        assert residual(net, ops, cfg, probe) == residual(fresh_net, fresh_ops, cfg, probe)
+        assert residual(net, ops, probe) == residual(fresh_net, fresh_ops, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,12 +1188,11 @@ def test_pi_is_the_separator_of_the_evaluated_pairs(case, partial):
     # pairs (x1, y1) = (q, q*) and the projection x2 of t = x1 - gamma w; under
     # a partial mask half the arcs keep the pair of the step before
     net, ops, state = near_solution() if case == "near" else far_from_solution(case)
-    cfg = SolverConfig(scheduler=RoundRobin(2))
     ws = new_workspace(net)
-    step(net, ops, cfg, state, ws)
+    step(net, ops, state, ws)
     z, w = state.z.copy(), state.w.copy()
     mask = np.arange(net.n_arcs) % 2 == 0 if partial else None
-    record = step(net, ops, cfg, state, ws, mask)
+    record = step(net, ops, state, ws, mask)
     _, inverse = step_parameters(net)
     t = ws.q - w
     tension_u = net.tension(inverse @ (net.divergence(t) - ops.supplies))
@@ -1262,7 +1254,7 @@ def test_the_unit_gamma_takes_fewer_iterations_than_half_or_twice_it(spec):
     cfg = SolverConfig(scheduler=spec, tol=1e-6, max_iter=20_000)
     counts = []
     for gamma in (1.0, 0.5, 2.0):
-        params = (gamma, inverse, ops.bind(np.full(net.n_arcs, gamma)))
+        params = (gamma, inverse, ops.bind(gamma))
         state, trace = manual_run(net, ops, cfg, params)
         assert trace[-1].residual is not None and trace[-1].residual <= cfg.tol
         counts.append(state.n)
@@ -1340,13 +1332,13 @@ def test_the_conservation_iterate_is_fejer_monotone(name, spec, request):
     ref, _, reason = run(net, ops, SolverConfig(tol=1e-10, max_iter=20_000))
     assert reason is Termination.CONVERGED
     star = np.concatenate([ref.x, net.tension(ref.v)])
-    cfg, state, ws = SolverConfig(scheduler=spec), initial_state(net), new_workspace(net)
+    state, ws = initial_state(net), new_workspace(net)
     sched = make_scheduler(spec, net)
     gamma, inverse = step_parameters(net)
-    params = (gamma, inverse, ops.bind(np.full(net.n_arcs, gamma)))
+    params = (gamma, inverse, ops.bind(gamma))
     distances = [np.linalg.norm(star)]  # (z, w) starts at 0
     for n in range(400):
-        step(net, ops, cfg, state, ws, sched.select(n), params=params)
+        step(net, ops, state, ws, sched.select(n), params=params)
         distances.append(np.linalg.norm(np.concatenate([state.z, state.w]) - star))
     assert all(b <= a + 1e-8 for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 0.1 * distances[0]
@@ -1359,14 +1351,14 @@ def test_a_step_from_a_solution_pair_does_not_move_it(two_arc):
     inst, net, ops = two_arc
     state = solved_state(net, inst)
     z, w = state.x.copy(), net.tension(state.v)
-    record = step(net, ops, SolverConfig(), state, new_workspace(net))
+    record = step(net, ops, state, new_workspace(net))
     assert record.tau <= 1e-28
     np.testing.assert_allclose(state.z, z, rtol=0, atol=4.5e-16)
     np.testing.assert_allclose(state.w, w, rtol=0, atol=4.5e-16)
     net, ops = grid_instance(4, 2, 3)
     ref, _, _ = run(net, ops, SolverConfig(tol=1e-10, max_iter=20_000))
     state = SolverState(ref.x.copy(), ref.v.copy())
-    record = step(net, ops, SolverConfig(), state, new_workspace(net))
+    record = step(net, ops, state, new_workspace(net))
     assert record.tau <= 1e-18
     np.testing.assert_allclose(state.z, ref.x, rtol=0, atol=1e-9)
     np.testing.assert_allclose(state.w, net.tension(ref.v), rtol=0, atol=1e-9)

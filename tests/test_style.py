@@ -70,13 +70,50 @@ def test_solver_path_rule_flags(line):
     assert solver_paths_named(line)
 
 
-QUIET_NAMES = ("_*_prepare", "_*_solve", "_roots")
+# what the solver may read of an OperatorSet (named ops) and of its binding
+# (named bound): the family layout, the boxes and the screen stay in operators
+SOLVER_READS = {"supplies", "bind", "_sweep"}
+
+
+def operator_set_reads(source):
+    """The attributes that `source` reads from a name `ops` or `bound`
+    beyond `SOLVER_READS`."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("ops", "bound")
+        and node.attr not in SOLVER_READS
+    ]
+
+
+def test_the_solver_reads_an_operator_set_through_one_sweep_entry():
+    source = (PACKAGE / "solver.py").read_text()
+    assert "ops._sweep(" in source  # the rule sees the solver's names
+    assert operator_set_reads(source) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "act = ops._perm.compress(mask)",
+        "flat = ops._entries.take(act, 0)",
+        "rise = xi - ops.box_lo",
+        "rest = peak < bound.screen",
+    ],
+)
+def test_operator_set_read_rule_flags(line):
+    assert operator_set_reads(line)
+
+
+QUIET_NAMES = ("_*_prepare", "_*_solve", "_roots", "_sweep")
 
 
 def functions_that_set_error_state(source):
-    """The kernels' prepare/solve halves and `_roots` in `source` that name
-    np.errstate or np.seterr: those leave numpy's warnings to their callers,
-    which silence them once per evaluation."""
+    """The kernels' prepare/solve halves, `_roots` and `_sweep` in `source`
+    that name np.errstate or np.seterr: those leave numpy's warnings to
+    their callers, which silence them once per evaluation."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
@@ -93,7 +130,7 @@ def functions_that_set_error_state(source):
 def test_kernels_and_roots_leave_the_error_state_to_their_callers():
     source = (PACKAGE / "operators.py").read_text()
     names = [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
-    assert {"_bpr_solve", "_lambert_prepare", "_lambert_solve", "_roots"} <= set(names)
+    assert {"_bpr_solve", "_lambert_prepare", "_lambert_solve", "_roots", "_sweep"} <= set(names)
     assert functions_that_set_error_state(source) == []
 
 

@@ -37,7 +37,7 @@ def solve_line(seed, span):
         solver_residual = trace[-1].residual  # the stopping check, at the final state
     else:
         try:
-            solver_residual = nq.residual(net, ops, cfg, state)
+            solver_residual = nq.residual(net, ops, state)
         except nq.NumericalFailure:
             solver_residual = float("inf")
     with warnings.catch_warnings():
