@@ -52,8 +52,8 @@ writing alike.  The relaxation and the residual-check interval are
 constants of the solver (``solver.RELAXATION``,
 ``solver.CHECK_INTERVAL``), not keys.  A missing key leaves the field at
 its `SolverConfig` default: a missing ``T`` takes the scheduler's own
-bound (``solver.sweep_bound``).  The step parameters are no key
-(``solver.step_parameters``).  `serialize_problem` writes every
+bound (``solver.sweep_bound``).  The step parameter is no key: the
+solver steps at 1 on every block.  `serialize_problem` writes every
 `SolverConfig`, and no key for a field left at None.
 
 Diagnostic codes: ``syntax`` for text of the wrong shape or an unknown

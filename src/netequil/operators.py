@@ -480,8 +480,8 @@ def _table(rows):
 def _call1(kernel, gamma, xi, params):
     """A kernel at a single point: the size-1 batch.
 
-    gamma must be finite and positive, as `solver.step_parameters`
-    requires of every step parameter; ConfigurationError otherwise.
+    gamma must be finite and positive, as every resolvent parameter
+    must be; ConfigurationError otherwise.
     """
     gamma_xi = np.array([[gamma], [xi]], dtype=float)
     if not (math.isfinite(gamma_xi[0, 0]) and gamma_xi[0, 0] > 0):
@@ -957,8 +957,9 @@ class OperatorSet:
         arc with k of its commodities off their bounds.  The families'
         constants sit side by side in one table (see `_Binding`), so arc
         j's constants at k are its column `_arc_slot[j] + k`.
-        `capacity_resolvent` takes the result, which keeps gamma, so a run
-        whose step parameter stays fixed binds once.  The binding also
+        `capacity_resolvent` takes the result, which keeps gamma: the
+        binding is the one place a step scale lives, and the solver binds
+        once per workspace, at 1 (`solver.new_workspace`).  The binding also
         memoizes the constants a sweep of every arc gathers at the arcs'
         k, for as long as no arc's k changes: with one commodity, for the
         whole run.

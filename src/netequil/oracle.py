@@ -238,7 +238,8 @@ def wardrop_residual(net, ops, flow, potential):
     of divergence minus supply.  Zero exactly at equilibria; +inf with a
     diagnostic warning when a flow or potential entry is not finite, or
     the flow leaves the domain of a capacity operator or of its
-    constraint set.
+    constraint set.  A violation beyond the float range, of finite
+    entries, reads +inf, with no warning.
     """
     flow, potential = net.check_flow(flow), net.check_potential(potential)
     for kind, name, values in (("arc", "flow", flow), ("node", "potential", potential)):
@@ -270,6 +271,7 @@ def wardrop_residual(net, ops, flow, potential):
     if outside.any():
         warnings.warn(f"arc {outside.argmax()}: flow leaves its constraint box", stacklevel=2)
         return math.inf
-    arcs = _arc_violations(tension, flow <= lo + slack_lo, flow >= hi - slack_hi, _pairs(subs))
-    nodes = np.linalg.norm(net.divergence(flow) - ops.supplies, axis=1)
+    with np.errstate(over="ignore"):  # a violation beyond the float range reads inf
+        arcs = _arc_violations(tension, flow <= lo + slack_lo, flow >= hi - slack_hi, _pairs(subs))
+        nodes = np.linalg.norm(net.divergence(flow) - ops.supplies, axis=1)
     return float(np.concatenate([arcs, nodes]).max(initial=0.0))

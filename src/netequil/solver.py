@@ -13,14 +13,14 @@ with one row per arc and one column per commodity.  One iteration
      always activates every arc),
   2. evaluates the resolvents of the active arcs in one call of the
      operator set's sweep (``OperatorSet.capacity_resolvent``),
-       x1 = J_{gamma A}(z + gamma w),  y1 = (z + gamma w - x1) / gamma,
+       x1 = J_A(z + w),  y1 = z + w - x1,
      which writes the pair per arc into the workspace in place: inactive
      arcs keep the (x1, y1) of their last activation,
   3. evaluates the conservation block after the arcs, at the cached
      output of every arc, as the sequential order of Eckstein & Svaiter
      (Math. Program. 111, 2008) allows,
-       t = x1 - gamma w,  u = F (div t - b),
-       x2 = t + tension u,  y2 = -tension(u) / gamma,
+       t = x1 - w,  u = F (div t - b),
+       x2 = t + tension u,  y2 = -tension u,
   4. forms the coordination scalars
        pi = <z - x1, y1 - w> + <z - x2, y2 + w>,
        tau = |y1 + y2|^2 + |x1 - x2|^2,
@@ -29,17 +29,17 @@ with one row per arc and one column per commodity.  One iteration
        theta = RELAXATION * max(pi, 0) / tau.
 
 x2 is the projection of t onto V, so it lies in V to rounding, and
-y2 + w = (x1 - x2) / gamma.  With e = z - x1, a = y1 - w and
-d = x1 - x2, pi is formed as <e, a> + (<e, d> + |d|^2) / gamma, the
-separator itself: an arc evaluated at the current point has
-e = gamma a, but a stale one has not.  F is inv(L + P), where L = K K^T
-is the graph Laplacian of the incidence map K (the divergence) and P
-averages over each weakly connected component, so F is the
-pseudo-inverse of L on every balanced right-hand side.  It is dense,
+y2 + w = x1 - x2.  With e = z - x1, a = y1 - w and d = x1 - x2, pi is
+formed as <e, a> + (<e, d> + |d|^2), the separator itself: an arc
+evaluated at the current point has e = a, but a stale one has not.  F
+is inv(L + P), where L = K K^T is the graph Laplacian of the incidence
+map K (the divergence) and P averages over each weakly connected
+component, so F is the pseudo-inverse of L on every balanced right-hand
+side.  It is dense,
 n^2 floats for n nodes, built with LAPACK once per run (about 0.5 ms at
 100 nodes and 0.1 s at 900), never with a `Network` or an
-`OperatorSet`.  The flow a run reports is x1 and the potentials u /
-gamma, both from the latest evaluation.
+`OperatorSet`.  The flow a run reports is x1 and the potentials u,
+both from the latest evaluation.
 
 Every (x1_j, y1_j), stale or fresh, lies in the graph of its arc's
 A_j, and (x2, y2) in that of N_V, so each step is a relaxed projection
@@ -64,7 +64,11 @@ Two constants of the method are not settings.  The relaxation
 theorem of Combettes & Eckstein allows for a fixed relaxation.  Every
 ``CHECK_INTERVAL`` = 10 iterations the step activates every arc, whatever
 the scheduler chose, so that its evaluation prices the residual check.
-The step parameter gamma is 1 on every block; see `step_parameters`.
+The step parameter is 1 on every block: on a 10x10 grid (`grid_full`
+instance 0 of seed 1) 0.5, 0.7 and 1.0 took 76, 71 and 57 iterations,
+and on `two_arc` 0.1 and 10 took about 60 times the iterations of 1.
+Its one copy is the capacity kernels' binding (`OperatorSet.bind`),
+which `new_workspace` makes once.
 
 The residual at a point is sqrt(tau) of an evaluation there with every
 arc active, augmented with the conservation block's primal agreement
@@ -78,17 +82,16 @@ evaluation already certifies the point; there the next step activates
 every arc.  Under `Full`, whose every evaluation covers every arc, it
 also runs wherever sqrt(tau) <= tol, so a run stops at the first
 certified iterate, not at the next multiple of ``CHECK_INTERVAL``.  In the
-metric of the step parameters, not of costs, the residual only gates the
-stop: ``run`` stops once the equilibrium residual that ``netequil check``
+metric of the iterate, not of costs, the residual only gates the stop:
+``run`` stops once the equilibrium residual that ``netequil check``
 recomputes is at most tol too.  The sweep condition only asks that each
 block be activated at least once in every T + 1 iterations, so activating
 more blocks than the scheduler chose keeps it; the scheduler is still
 queried at every iteration below max_iter.  Only the arcs are rationed:
 the conservation block reads every arc's output at every iteration.
 
-The step parameters are fixed for a run, so ``run`` prepares the
-capacity kernels' constants for them once (``OperatorSet.bind``) and
-each evaluation only solves.
+The run's constants, F and the capacity kernels' binding, live in its
+one workspace (`new_workspace`), so each evaluation only solves.
 Each arc's resolvent starts from its arc's previous evaluation in the
 run, since the point moves by one relaxed step per iteration: its kernel
 from the root it returned then (the workspace's ``root``), and its guess
@@ -130,7 +133,6 @@ __all__ = [
     "new_workspace",
     "sweep_bound",
     "make_scheduler",
-    "step_parameters",
     "step",
     "residual",
     "run",
@@ -298,7 +300,7 @@ class SolverConfig:
     the sweep bound, is a nonnegative integer; None (the default) takes
     the scheduler's own bound (see `sweep_bound`).  `check_interval`
     reads the constant `CHECK_INTERVAL`; it is not a field, so no config
-    sets it.  The step parameters are no setting (see `step_parameters`).
+    sets it.  The step parameter is no setting: it is 1 on every block.
     """
 
     T: Optional[int] = None
@@ -315,21 +317,6 @@ class SolverConfig:
             raise ConfigurationError("tol must be a finite positive number")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise ConfigurationError("max_iter must be a nonnegative integer")
-
-
-def step_parameters(net):
-    """(gamma, F) on net: the step parameter 1.0 of every block, and F.
-
-    F = inv(L + P) is the conservation block's (n_nodes, n_nodes) array
-    (see `_conservation_inverse`).  gamma is 1 for every scheduler: on a
-    10x10 grid (`grid_full` instance 0 of seed 1) 0.5, 0.7 and 1.0 took
-    76, 71 and 57 iterations, and on `two_arc` 0.1 and 10 took about 60
-    times the iterations of 1.  `run` computes the values once, binds the capacity
-    kernels to gamma (see `OperatorSet.bind`), and hands both to every
-    `step` and `residual`; direct calls that omit them do both
-    themselves.
-    """
-    return 1.0, _conservation_inverse(net)
 
 
 def _conservation_inverse(net):
@@ -355,15 +342,13 @@ class SolverState:
     """Current iterate plus the iteration counter.
 
     The iterate is (z, w), both flow-shaped, and x and v are the flow x1
-    and potentials u / gamma that the latest evaluation reported: after
-    `step`, that of the point the step left, and in the state `run`
-    returns, that of (z, w) itself, except where a partial scheduler
-    stops at max_iter: there, that of the point before the last step.  x
-    is the workspace's q array under every scheduler, `Full` included,
-    and the next evaluation overwrites it in place: copy it to keep it.  A
-    state whose z is None starts that iteration from
-    (z, w) = (x, tension v), where a solution pair (x*, v*) is a fixed
-    point.
+    and potentials u that the latest evaluation reported: after `step`,
+    that of the point the step left, and in the state `run` returns, that
+    of (z, w) itself.  x is the workspace's q array under every
+    scheduler, `Full` included, and the next evaluation overwrites it in
+    place: copy it to keep it.  A state whose z is None starts that
+    iteration from (z, w) = (x, tension v), where a solution pair
+    (x*, v*) is a fixed point.
     """
 
     x: np.ndarray
@@ -380,17 +365,20 @@ def initial_state(network):
 
 @dataclass
 class IterationWorkspace:
-    """Cached block outputs, kernel roots and the latest coordination scalars.
+    """Everything an evaluation reuses: the run's constants, cached block
+    outputs, kernel roots and the latest coordination scalars.
 
-    It holds the latest evaluation, which each iteration makes once, at
-    the point its step starts from: the step moves along its directions,
-    and in `run` the residual check of that point reads its tau where it
-    covers every arc.  q and q* hold each arc's x1 and y1, written in
-    place by each evaluation (see `_evaluate`), the potentials
-    u / gamma go in s*, and the directions y1 + y2 of z in t* and
-    x1 - x2 of w in `tw`.  The arc rows (q, q*) of inactive arcs keep the
-    values from their last activation; iteration 0 activates every arc,
-    so nothing is read uninitialized.
+    `inverse` is F (see `_conservation_inverse`) and `bound` the capacity
+    kernels bound to the step parameter 1 (`OperatorSet.bind`), both made
+    once by `new_workspace`.  The rest holds the latest evaluation, which
+    each iteration makes once, at the point its step starts from: the step
+    moves along its directions, and in `run` the residual check of that
+    point reads its tau where it covers every arc.  q and q* hold each
+    arc's x1 and y1, written in place by each evaluation (see
+    `_evaluate`), the potentials u go in s*, and the directions y1 + y2
+    of z in t* and x1 - x2 of w in `tw`.  The arc rows (q, q*) of
+    inactive arcs keep the values from their last activation; iteration 0
+    activates every arc, so nothing is read uninitialized.
     `root` holds, per arc, the root its capacity kernel returned at its
     last evaluation into this workspace (nan before the first), and q the
     output, which the next evaluation starts from (q is 0 before the
@@ -398,6 +386,8 @@ class IterationWorkspace:
     on which other arcs share its batch.
     """
 
+    inverse: np.ndarray
+    bound: object
     q: np.ndarray
     qstar: np.ndarray
     sstar: np.ndarray
@@ -408,9 +398,13 @@ class IterationWorkspace:
     pi: float = 0.0
 
 
-def new_workspace(network):
+def new_workspace(network, ops):
+    """A cold workspace for `network` and its operator set `ops`, with F and `ops.bind(1.0)`."""
     a = network.zero_flow
-    return IterationWorkspace(a(), a(), network.zero_potential(), a(), a(), np.full(network.n_arcs, np.nan))
+    return IterationWorkspace(
+        _conservation_inverse(network), ops.bind(1.0),
+        a(), a(), network.zero_potential(), a(), a(), np.full(network.n_arcs, np.nan),
+    )
 
 
 @dataclass
@@ -444,42 +438,33 @@ class Termination(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _bound_parameters(net, ops):
-    """(gamma, F, bound): `step_parameters` and the kernels bound to gamma."""
-    gamma, inverse = step_parameters(net)
-    return gamma, inverse, ops.bind(gamma)
-
-
-def _evaluate(net, ops, params, state, ws, arc_mask):
+def _evaluate(net, ops, state, ws, arc_mask):
     """Evaluate the active arcs and then the conservation block at (z, w) into ws; returns div x1.
 
     Fills q, q* and the kernel roots for the arcs set in arc_mask, in
     place, by one call of the operator set's sweep (see
     `OperatorSet.capacity_resolvent`), then the potentials s*, the
     directions t* and tw for every arc, active or not, and tau and pi
-    (see the module docstring).  Reports x1 and
-    u / gamma in state.x and state.v (see `SolverState`); a state without
-    (z, w) gets them here.  The caller silences numpy's warnings:
-    non-finite values surface in tau and pi.
+    (see the module docstring).  Reports x1 and u in state.x and state.v
+    (see `SolverState`); a state without (z, w) gets them here.  The
+    caller silences numpy's warnings: non-finite values surface in tau
+    and pi.
     """
-    gamma, inverse, bound = params
     if state.z is None:
         state.z, state.w = state.x.copy(), net._tension(state.v)
     z, w = state.z, state.w
-    gw = gamma * w
-    ops._sweep(arc_mask, bound, z + gw, ws.q, ws.qstar, ws.root)
+    ops._sweep(arc_mask, ws.bound, z + w, ws.q, ws.qstar, ws.root)
     x1 = ws.q
-    div_x, div_t = net._divergence(x1, x1 - gw)  # t = x1 - gamma w
-    u = inverse @ (div_t - ops.supplies)
-    # x1 - x2 = gamma w - tension u, and y1 + y2 = a + (x1 - x2) / gamma
+    div_x, div_t = net._divergence(x1, x1 - w)  # t = x1 - w
+    ws.sstar = u = ws.inverse @ (div_t - ops.supplies)
+    # x1 - x2 = w - tension u, and y1 + y2 = a + (x1 - x2)
     e, a = z - x1, ws.qstar - w
-    ws.tw = tw = gw - net._tension(u)
-    ws.tstar = tstar = a + tw / gamma
+    ws.tw = tw = w - net._tension(u)
+    ws.tstar = tstar = a + tw
     moved = float(np.vdot(tw, tw))
     ws.tau = float(np.vdot(tstar, tstar)) + moved
-    ws.pi = float(np.vdot(e, a)) + (float(np.vdot(e, tw)) + moved) / gamma
-    ws.sstar = u / gamma
-    state.x, state.v = x1, ws.sstar
+    ws.pi = float(np.vdot(e, a)) + (float(np.vdot(e, tw)) + moved)
+    state.x, state.v = x1, u
     return div_x
 
 
@@ -508,19 +493,18 @@ def _advance(net, state, ws, n_active, t0):
     return record
 
 
-def step(net, ops, state, ws, active_arcs=None, *, params=None):
+def step(net, ops, state, ws, active_arcs=None):
     """Execute one iteration in place; returns the TraceRecord.
 
     `active_arcs` is a boolean mask of shape (n_arcs,) with at least one
     arc set; omitting it activates every arc.  The conservation block is
     evaluated at every step, after the arcs, at every arc's cached
     output.  The workspace rows of inactive arcs must be valid (iteration
-    0 must activate every arc).  `params` is (gamma, F, bound): the
-    values of `step_parameters(net)` and the kernels bound to gamma
-    (`OperatorSet.bind`); a step that omits them forms them itself.  A
-    gamma other than 1 goes in here.  The step evaluates the active blocks at the current state into ws, then
-    moves the state; `run` evaluates and moves in the same way, with the
-    convergence check between the two.
+    0 must activate every arc).  ws is `new_workspace(net, ops)` or a
+    workspace earlier steps on the same network and operator set used.
+    The step evaluates the active blocks at the current state into ws,
+    then moves the state; `run` evaluates and moves in the same way, with
+    the convergence check between the two.
     """
     t0 = time.perf_counter()
     if active_arcs is not None and not (
@@ -529,8 +513,6 @@ def step(net, ops, state, ws, active_arcs=None, *, params=None):
         and active_arcs.shape == (net.n_arcs,)
     ):
         raise ConfigurationError(f"active_arcs must be a boolean array of shape ({net.n_arcs},)")
-    if params is None:
-        params = _bound_parameters(net, ops)
     active_arcs = net.every_arc if active_arcs is None else active_arcs
     n_active = int(np.count_nonzero(active_arcs))
     if not n_active:
@@ -538,7 +520,7 @@ def step(net, ops, state, ws, active_arcs=None, *, params=None):
 
     with np.errstate(all="ignore"):
         # non-finite values are caught in _advance and reported as NumericalFailure
-        _evaluate(net, ops, params, state, ws, active_arcs)
+        _evaluate(net, ops, state, ws, active_arcs)
     return _advance(net, state, ws, n_active, t0)
 
 
@@ -548,21 +530,18 @@ def _residual(ops, ws, div_x):
     return float(np.sqrt(ws.tau + gap))
 
 
-def residual(net, ops, state, params=None):
+def residual(net, ops, state):
     """Optimality residual at the current point, from a full evaluation.
 
     The square root of tau (with every arc active) augmented with the
     conservation block's primal agreement term |div x1 - b|^2, at the
-    state's (z, w); zero exactly at solutions of the underlying inclusion
-    for the given step parameters, and never below sqrt(tau).  `params`
-    is as for `step`.  The arc resolvents start cold, in a workspace of
-    their own, and the state is left as it is.
+    state's (z, w); zero exactly at solutions of the underlying
+    inclusion, and never below sqrt(tau).  The arc resolvents start cold,
+    in a workspace of their own, and the state is left as it is.
     """
-    if params is None:
-        params = _bound_parameters(net, ops)
-    ws, state = new_workspace(net), copy.copy(state)
+    ws, state = new_workspace(net, ops), copy.copy(state)
     with np.errstate(all="ignore"):
-        return _residual(ops, ws, _evaluate(net, ops, params, state, ws, net.every_arc))
+        return _residual(ops, ws, _evaluate(net, ops, state, ws, net.every_arc))
 
 
 # --------------------------------------------------------------------------
@@ -586,18 +565,20 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
     holds the residual of the point after its step at those checks and
     when the run stops there.  The point after the last step is evaluated
     when it is checked, so a run that converges at iteration N also
-    converges with max_iter = N.  The step parameters are formed and the
-    capacity kernels bound to gamma (`OperatorSet.bind`) once, before the
-    first iteration.
+    converges with max_iter = N, and the state a run capped at max_iter
+    returns is that of its final (z, w) under every scheduler.  The run's
+    one workspace, F and the capacity kernels' binding with it, is made
+    once, before the first iteration.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     state = initial_state(net)
     scheduler = make_scheduler(cfg.scheduler, net, cfg.T)
-    params = _bound_parameters(net, ops)
-    ws = new_workspace(net)
-    # the mask at n = max_iter, where the scheduler is not queried: every arc
-    # for a spec of sweep bound 0 (Full), which activates them all each time
-    final = net.every_arc if sweep_bound(cfg.scheduler) == 0 and cfg.max_iter else None
+    ws = new_workspace(net, ops)
+    # sqrt(tau) gates the residual only where every evaluation covers every arc
+    full = sweep_bound(cfg.scheduler) == 0
+    # the mask at n = max_iter, where the scheduler is not queried: every arc,
+    # so the state returned is that of the final point
+    final = net.every_arc if cfg.max_iter else None
     trace, record, consult = [], None, True  # consult: the oracle has not rejected
     reason = Termination.ITER_LIMIT
     while True:
@@ -609,10 +590,10 @@ def run(net, ops, cfg=None, trace_callback: Optional[Callable] = None):
             t0 = time.perf_counter()
             try:
                 with np.errstate(all="ignore"):
-                    div_x = _evaluate(net, ops, params, state, ws, mask)
+                    div_x = _evaluate(net, ops, state, ws, mask)
                     # a full evaluation prices the residual at one sum; it is never below sqrt(tau)
-                    gate = consult and math.sqrt(ws.tau) <= cfg.tol
-                    if record is not None and mask is net.every_arc and (check or gate):
+                    gate = full and consult and math.sqrt(ws.tau) <= cfg.tol
+                    if record is not None and (check or gate):
                         value = _residual(ops, ws, div_x)
             except NumericalFailure:
                 if check:  # no record for a point whose check fails

@@ -163,7 +163,7 @@ def test_criterion_7_fejer_monotonicity():
     zbar.x[:, 0] = flow
     zbar.v[:, 0] = [-lam / 2, lam / 2]
     cfg = nq.SolverConfig(tol=1e-6)
-    state, ws = nq.initial_state(net), new_workspace(net)
+    state, ws = nq.initial_state(net), new_workspace(net, ops)
 
     def dist(s):
         return float(
@@ -226,7 +226,7 @@ def test_criterion_9_degenerate_branches():
     arc = nq.ArcOperator(nq.SeparableLift(nq.IntervalProx(nq.QuadraticPhi(1.0))), nq.Box.free(1))
     zero_ops = nq.OperatorSet(zero_net, [arc] * 3, [nq.FixedSupply((0.0,))] * 3)
     state = nq.initial_state(zero_net)
-    rec_tau = step(zero_net, zero_ops, state, new_workspace(zero_net))
+    rec_tau = step(zero_net, zero_ops, state, new_workspace(zero_net, zero_ops))
     tau_ok = (
         rec_tau.tau == 0.0
         and rec_tau.theta == 0.0
@@ -239,7 +239,7 @@ def test_criterion_9_degenerate_branches():
     state = nq.initial_state(net)
     state.x = np.array([[3.0], [0.5]])
     state.v = np.array([[1.0], [-1.0]])
-    ws = new_workspace(net)
+    ws = new_workspace(net, ops)
     step(net, ops, state, ws)
     state.x = np.array([[2.0], [1.0]])
     state.v = np.array([[-1.5], [1.5]])

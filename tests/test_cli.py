@@ -135,17 +135,12 @@ class TestSolve:
         out = str(tmp_path / "s.sol")
         assert main(["solve", str(poisoned), "--out", out, "--quiet"]) == 3
 
-    def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(
-        self, two_arc_path, tmp_path, capsys, monkeypatch
-    ):
+    def test_a_final_residual_that_fails_is_written_as_inf_and_exits_3(self, two_arc_path, tmp_path, capsys):
         # the residual fails at the final point too; solve still writes the
-        # solution.  At gamma = 0.5, which the step parameters are patched
-        # to, the Logarithmic omega/gamma overflows (at the derived gamma of
-        # 1 this arc solves)
-        real = solver.step_parameters
-        monkeypatch.setattr(solver, "step_parameters", lambda net: (0.5, real(net)[1]))
+        # solution.  The Logarithmic arc's omega + theta overflows at the
+        # step parameter 1
         text = open(two_arc_path).read().replace(
-            "low  a  b  q=bpr(alpha=0.5,rho=1,theta=2,p=1)", "low  a  b  q=log(omega=1e308,theta=2)"
+            "low  a  b  q=bpr(alpha=0.5,rho=1,theta=2,p=1)", "low  a  b  q=log(omega=1e308,theta=1e308)"
         )
         path = tmp_path / "log_arc.prob"
         path.write_text(text)

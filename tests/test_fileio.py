@@ -463,7 +463,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("key", ["gamma", "sigma"])
     def test_the_step_parameters_are_no_solver_keys(self, key):
-        # every scheduler steps at gamma = 1 (solver.step_parameters), so a
+        # every scheduler steps at gamma = 1, so a
         # file written with either key is rejected at its line
         err = expect_code(MINIMAL + f"[solver]\nscheduler = randomsweep:0.5\n{key} = 0.5\n", "unknown-key")
         assert (err.section, err.entity) == ("solver", key)

@@ -615,7 +615,7 @@ class TestBoxAndSupply:
         rng = np.random.default_rng(59)
         for scale in [0.1, 1.0, 10.0]:
             x, v = scale * rng.standard_normal((1, 2)), scale * rng.standard_normal((2, 2))
-            state, ws = SolverState(x.copy(), v.copy()), new_workspace(net)
+            state, ws = SolverState(x.copy(), v.copy()), new_workspace(net, ops)
             step(net, ops, state, ws)
             np.testing.assert_array_equal(ops.supplies, [[2.0, -1.0], [-2.0, 1.0]])
             w = net.tension(v)
@@ -629,7 +629,7 @@ class TestBoxAndSupply:
         ops = OperatorSet(net, [arc], [FixedSupply((0.0,))] * 2)
         assert ops.supplies.tolist() == [[0.0], [0.0]]
         v = np.array([[123.0], [0.0]])
-        state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net)
+        state, ws = SolverState(net.zero_flow(), v.copy()), new_workspace(net, ops)
         step(net, ops, state, ws)
         # a zero supply leaves the potentials F div(q - w), and the projection
         # x2 = q - w + tension(s*) without divergence
@@ -760,7 +760,7 @@ SIZE1_CALLS = {
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("call", SIZE1_CALLS.values(), ids=SIZE1_CALLS.keys())
 def test_every_size1_resolvent_requires_a_finite_positive_gamma(call, gamma):
-    # the rule step_parameters applies; a bad gamma gave a silent wrong number
+    # a bad gamma gave a silent wrong number
     PROX_FN_CALLS.clear()
     with pytest.raises(ConfigurationError, match="finite and positive"):
         call(gamma)

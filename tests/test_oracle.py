@@ -237,6 +237,21 @@ class TestWardropResidual:
         assert wr == math.inf
         assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, message)]
 
+    @pytest.mark.parametrize(
+        "flow, potential",
+        [([2.0, 1.0], [-1e200, 1e200]), ([1e200, 1.0], [0.0, 0.0])],
+        ids=["tension", "flow"],
+    )
+    def test_a_violation_beyond_the_float_range_reads_inf_without_a_warning(self, two_arc, flow, potential):
+        # finite entries whose squared violation overflows: that overflow
+        # used to leak numpy's RuntimeWarning
+        _, net, ops = two_arc
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wr = wardrop_residual(net, ops, np.array(flow)[:, None], np.array(potential)[:, None])
+        assert wr == math.inf
+        assert caught == []
+
     def test_flow_outside_box_returns_sentinel(self, two_arc):
         _, net, ops = two_arc
         with pytest.warns(UserWarning, match="constraint box"):

@@ -107,6 +107,48 @@ def test_operator_set_read_rule_flags(line):
     assert operator_set_reads(line)
 
 
+def step_scale_faults(source):
+    """Where `source` keeps a step scale beside the kernels' binding: each
+    call of `bind` outside a function `new_workspace`, and each name,
+    attribute, argument or keyword `gamma` that it binds or reads."""
+    faults = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and function != "new_workspace":
+            if getattr(node.func, "attr", None) == "bind" or getattr(node.func, "id", None) == "bind":
+                faults.append(f"bind in {function}")
+        if "gamma" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None)):
+            faults.append(f"gamma on line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return faults
+
+
+def test_the_solver_keeps_no_step_scale_beside_the_binding():
+    # the binding new_workspace makes is the one place the step scale lives
+    source = (PACKAGE / "solver.py").read_text()
+    assert "ops.bind(" in source  # the rule sees the solver's call
+    assert step_scale_faults(source) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "rate = bound.gamma",
+        "gamma = 1.0",
+        "def _evaluate(net, ops, g):\n    bound = ops.bind(g)",
+        "def step(net, ops, *, gamma=1.0):\n    pass",
+        "ws = new_workspace(net, ops, gamma=0.5)",
+    ],
+)
+def test_step_scale_rule_flags(snippet):
+    assert step_scale_faults(snippet)
+
+
 QUIET_NAMES = ("_*_prepare", "_*_solve", "_roots", "_sweep")
 
 
